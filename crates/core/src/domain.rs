@@ -572,42 +572,54 @@ impl AdaptiveDomain {
         best.map(|(_, a, b)| (a, b))
     }
 
-    /// Evaluates every live view for a split and executes the best
-    /// eligible one.
+    /// Evaluates every live view for a split, in slot order, and executes
+    /// the first eligible one. The gates run cheapest first: nothing reads
+    /// the recorder until some view has wasted enough of the last interval
+    /// to be worth a profile, and then one in-place pass over the rings
+    /// folds the profile of every such view (no snapshot is built).
     async fn try_split(&self, rt: &Rt) {
-        let Some(recorder) = self.config.recorder.clone() else {
+        let Some(recorder) = self.config.recorder.as_deref() else {
             return; // no profile source: split decisions are impossible
         };
-        let live_count = self
-            .views
-            .lock()
-            .iter()
-            .filter(|v| !v.gate().is_retired())
-            .count();
-        if live_count >= self.policy.max_views {
-            return;
-        }
-        let traces = recorder.snapshot();
-        let slots: Vec<u32> = (0..self.views.lock().len() as u32).collect();
-        for slot in slots {
-            let view = self.view_at(slot);
-            if view.gate().is_retired() {
-                continue;
-            }
-            let snap = view.tm().stats().snapshot();
-            let delta = {
-                let mut prev = self.prev_stats.lock();
-                let d = snap.since(&prev[slot as usize]);
-                prev[slot as usize] = snap;
-                d
+        // One look at every live view: its slot, id, stats, and whether it
+        // wasted enough of the last interval to be worth a profile.
+        let live: Vec<(u32, u16, StatsSnapshot, bool)> = {
+            let views = self.views.lock();
+            let live = || {
+                (0u32..)
+                    .zip(views.iter())
+                    .filter(|(_, v)| !v.gate().is_retired())
             };
-            let total = delta.cycles_aborted + delta.cycles_successful;
-            if total == 0
-                || (delta.cycles_aborted as f64 / total as f64) < self.policy.min_waste_share
-            {
+            if live().count() >= self.policy.max_views {
+                return;
+            }
+            let prev = self.prev_stats.lock();
+            live()
+                .map(|(slot, v)| {
+                    let snap = v.tm().stats().snapshot();
+                    let delta = snap.since(&prev[slot as usize]);
+                    let total = delta.cycles_aborted + delta.cycles_successful;
+                    let wasteful = total != 0
+                        && (delta.cycles_aborted as f64 / total as f64)
+                            >= self.policy.min_waste_share;
+                    (slot, v.id() as u16, snap, wasteful)
+                })
+                .collect()
+        };
+        let candidates: Vec<u16> = live
+            .iter()
+            .filter(|&&(.., wasteful)| wasteful)
+            .map(|&(_, id, ..)| id)
+            .collect();
+        let mut profiles = ConflictProfile::per_view(recorder, &candidates).into_iter();
+        for (slot, _, snap, wasteful) in live {
+            // The interval window advances only for the views this loop
+            // reaches: a split leaves the later slots' windows open.
+            self.prev_stats.lock()[slot as usize] = snap;
+            if !wasteful {
                 continue;
             }
-            let profile = ConflictProfile::from_traces_for_view(&traces, view.id() as u16);
+            let profile = profiles.next().expect("one profile per candidate view");
             if profile.aborts_total < self.policy.min_aborts {
                 continue;
             }

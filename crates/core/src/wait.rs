@@ -73,6 +73,10 @@ struct WaitInner {
     bucket_epochs: [u64; 64],
     records: Vec<WaitRecord>,
     next_key: u64,
+    /// Empty between publications: the buffer a publication collects its
+    /// wakers in, kept so that park/wake churn does not allocate (the
+    /// arrangement of `votm_sim::Notify`).
+    spare: Vec<Waker>,
 }
 
 /// Per-view wakeup table mapping write-set Bloom buckets to parked waiters.
@@ -92,6 +96,7 @@ impl WaitTable {
                 bucket_epochs: [0; 64],
                 records: Vec::new(),
                 next_key: 0,
+                spare: Vec::new(),
             }),
         }
     }
@@ -112,8 +117,9 @@ impl WaitTable {
         if summary == 0 {
             return 0;
         }
-        let woken = {
-            let mut inner = self.inner.lock();
+        let mut woken = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
             inner.epoch += 1;
             let epoch = inner.epoch;
             self.epoch.store(epoch, Ordering::Release);
@@ -122,22 +128,28 @@ impl WaitTable {
                 inner.bucket_epochs[bits.trailing_zeros() as usize] = epoch;
                 bits &= bits - 1;
             }
-            let mut woken = Vec::new();
             let mut i = 0;
             while i < inner.records.len() {
                 if inner.records[i].summary & summary != 0 {
-                    woken.push(inner.records.swap_remove(i).waker);
+                    inner.spare.push(inner.records.swap_remove(i).waker);
                 } else {
                     i += 1;
                 }
             }
-            woken
+            if inner.spare.is_empty() {
+                return 0;
+            }
+            std::mem::take(&mut inner.spare)
         };
         // Wake outside the lock: a woken task may immediately try to park
         // again from another thread.
         let n = woken.len();
-        for waker in woken {
+        for waker in woken.drain(..) {
             waker.wake();
+        }
+        let mut inner = self.inner.lock();
+        if inner.spare.capacity() < woken.capacity() {
+            inner.spare = woken;
         }
         n
     }
@@ -202,7 +214,8 @@ impl ParkFut<'_> {
     /// Polling a fresh `charge` once registers the timer with the
     /// executor's queue; the `Step` value itself need not be kept alive —
     /// the queue entry survives it, and an earlier table wakeup supersedes
-    /// it (the executor orphans the stale entry).
+    /// it: the entry stays queued, dead, until the timer wheel reaches its
+    /// deadline and drops it for one compare.
     fn arm_deadline(&self, cx: &mut Context<'_>, cost: u64) {
         if self.rt.is_virtual() {
             let mut step = self.rt.charge(cost);

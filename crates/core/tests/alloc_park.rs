@@ -1,0 +1,105 @@
+//! Steady-state park/wake allocates nothing.
+//!
+//! The counting-allocator discipline of `crates/sim/tests/alloc_steady.rs`,
+//! applied to the blocking-transaction path: a producer and a consumer
+//! hand one word back and forth, each parking with `retry()` until the
+//! other's commit publishes it. Every round is two parks, two waking
+//! publications and two superseded deadline entries. A short run and a 5×
+//! longer one share their warm-up (task boxes, wait-table buffers, and the
+//! wheel's overflow heap filling with one deadline horizon of dead
+//! entries, which both outlast); the extra rounds may add only what their
+//! commits cost without parking — the write set's first push, one
+//! allocator call per writing transaction (votm-stm's, not this path's).
+//!
+//! This file deliberately contains a single `#[test]`: sibling tests in the
+//! same binary would race the global counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use votm::{Addr, QuotaMode, TmAlgorithm, Votm};
+use votm_sim::{RunStatus, SimConfig, SimExecutor};
+
+struct CountingAlloc;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Allocator calls made *during* `run()` by `rounds` hand-offs of the word
+/// at `Addr(0)`: task `me` waits until it reads `me`, then writes `1 - me`.
+fn allocs_for(rounds: u64) -> u64 {
+    let sys = Votm::builder().algo(TmAlgorithm::NOrec).threads(2).build();
+    let view = sys.create_view(64, QuotaMode::Fixed(2));
+    let mut ex = SimExecutor::new(SimConfig::default());
+    for me in 0..2u64 {
+        let view = Arc::clone(&view);
+        ex.spawn(move |rt| async move {
+            for _ in 0..rounds {
+                view.transact(&rt, async |tx| {
+                    if tx.read(Addr(0)).await? != me {
+                        return tx.retry();
+                    }
+                    tx.write(Addr(0), 1 - me).await
+                })
+                .await;
+            }
+        });
+    }
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let out = ex.run();
+    let during = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(out.status, RunStatus::Completed);
+    assert!(
+        out.vtime > 2 << 20,
+        "run must outlast the park deadline: {}",
+        out.vtime
+    );
+    let tm = view.stats().tm;
+    assert_eq!(tm.commits, 2 * rounds);
+    assert!(tm.parked_waits >= rounds, "hand-offs must park: {tm:?}");
+    assert_eq!(tm.lost_wakeups, 0);
+    assert_eq!(
+        out.sched.superseded, tm.parked_waits,
+        "every park is woken early"
+    );
+    during
+}
+
+#[test]
+fn steady_state_park_wake_is_allocation_free() {
+    const SHORT: u64 = 12_000;
+    const LONG: u64 = 60_000;
+    let short = allocs_for(SHORT);
+    let long = allocs_for(LONG);
+    let extra_commits = 2 * (LONG - SHORT);
+    let delta = long.saturating_sub(short).saturating_sub(extra_commits);
+    assert!(
+        delta <= 8,
+        "steady-state park/wake allocated: {short} allocator calls for {SHORT} rounds \
+         vs {long} for {LONG} — {delta} more than the {extra_commits} extra commits' own"
+    );
+}

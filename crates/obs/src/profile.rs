@@ -10,12 +10,14 @@
 //! complementary question — *which* addresses the wasted cycles are
 //! attributable to — from [`EventKind::ConflictDetected`] events.
 //!
-//! Everything here runs strictly offline on a snapshot; nothing in this
-//! module is on a transaction's hot path.
+//! Nothing in this module is on a transaction's hot path: the folds run
+//! offline on a snapshot, or (the repartition controller's
+//! [`ConflictProfile::per_view`]) in place over the live rings on a
+//! controller tick.
 
 use crate::event::{ConflictSiteKind, EventKind, ADDR_BUCKET_NONE, PROFILE_BUCKETS};
 use crate::reason::AbortReason;
-use crate::recorder::ThreadTrace;
+use crate::recorder::{FlightRecorder, ThreadTrace};
 
 /// Abort attribution for one address bucket: how many attempts died here
 /// and how many cycles they wasted, split by [`AbortReason`].
@@ -52,7 +54,7 @@ impl BucketRow {
 /// Build with [`ConflictProfile::from_traces`], then export with
 /// [`ConflictProfile::to_json`] or partition with
 /// [`ConflictProfile::suggest_bipartition`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictProfile {
     /// Per-bucket abort attribution (`PROFILE_BUCKETS` rows).
     pub buckets: Vec<BucketRow>,
@@ -98,8 +100,36 @@ impl ConflictProfile {
         Self::fold(traces, Some(view))
     }
 
+    /// Folds the live rings of `rec` in one pass into one profile per
+    /// requested view: `out[i]` is exactly
+    /// `from_traces_for_view(&rec.snapshot(), views[i])`, with no snapshot
+    /// built. The repartition controller calls this on every tick that
+    /// has a candidate.
+    pub fn per_view(rec: &FlightRecorder, views: &[u16]) -> Vec<ConflictProfile> {
+        let mut out = vec![Self::empty(); views.len()];
+        if !views.is_empty() {
+            rec.visit(|ev| {
+                let view = ev.kind.view();
+                if let Some(i) = views.iter().position(|&v| v == view) {
+                    out[i].absorb(&ev.kind);
+                }
+            });
+        }
+        out
+    }
+
     fn fold(traces: &[ThreadTrace], only_view: Option<u16>) -> ConflictProfile {
-        let mut p = ConflictProfile {
+        let mut p = Self::empty();
+        for ev in traces.iter().flat_map(|t| &t.events) {
+            if only_view.is_none_or(|v| ev.kind.view() == v) {
+                p.absorb(&ev.kind);
+            }
+        }
+        p
+    }
+
+    fn empty() -> ConflictProfile {
+        ConflictProfile {
             buckets: vec![BucketRow::ZERO; PROFILE_BUCKETS],
             unattributed: BucketRow::ZERO,
             affinity: vec![0; PROFILE_BUCKETS * PROFILE_BUCKETS],
@@ -109,62 +139,58 @@ impl ConflictProfile {
             sites: [0; 4],
             abort_cycles_total: 0,
             aborts_total: 0,
-        };
-        for trace in traces {
-            for ev in &trace.events {
-                if only_view.is_some_and(|v| ev.kind.view() != v) {
-                    continue;
-                }
-                match ev.kind {
-                    EventKind::TxAbort { cycles, .. } => {
-                        p.abort_cycles_total += cycles;
-                        p.aborts_total += 1;
-                    }
-                    EventKind::ConflictDetected {
-                        addr_bucket,
-                        kind,
-                        site,
-                        cycles,
-                        ..
-                    } => {
-                        p.sites[site as usize] += 1;
-                        if addr_bucket == ADDR_BUCKET_NONE {
-                            p.unattributed.record(kind, cycles);
-                        } else {
-                            p.buckets[usize::from(addr_bucket) % PROFILE_BUCKETS]
-                                .record(kind, cycles);
-                        }
-                    }
-                    EventKind::Footprint {
-                        committed,
-                        reads,
-                        writes,
-                        ..
-                    } => {
-                        if committed {
-                            p.committed_footprints += 1;
-                        } else {
-                            p.aborted_footprints += 1;
-                        }
-                        let mut bits = reads | writes;
-                        while bits != 0 {
-                            let i = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            p.touches[i] += 1;
-                            let mut rest = bits;
-                            while rest != 0 {
-                                let j = rest.trailing_zeros() as usize;
-                                rest &= rest - 1;
-                                p.affinity[i * PROFILE_BUCKETS + j] += 1;
-                                p.affinity[j * PROFILE_BUCKETS + i] += 1;
-                            }
-                        }
-                    }
-                    _ => {}
+        }
+    }
+
+    /// Folds one event into the profile; every other kind is ignored. Each
+    /// fold is a commutative counter bump, so event order never matters.
+    pub fn absorb(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::TxAbort { cycles, .. } => {
+                self.abort_cycles_total += cycles;
+                self.aborts_total += 1;
+            }
+            EventKind::ConflictDetected {
+                addr_bucket,
+                kind,
+                site,
+                cycles,
+                ..
+            } => {
+                self.sites[site as usize] += 1;
+                if addr_bucket == ADDR_BUCKET_NONE {
+                    self.unattributed.record(kind, cycles);
+                } else {
+                    self.buckets[usize::from(addr_bucket) % PROFILE_BUCKETS].record(kind, cycles);
                 }
             }
+            EventKind::Footprint {
+                committed,
+                reads,
+                writes,
+                ..
+            } => {
+                if committed {
+                    self.committed_footprints += 1;
+                } else {
+                    self.aborted_footprints += 1;
+                }
+                let mut bits = reads | writes;
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.touches[i] += 1;
+                    let mut rest = bits;
+                    while rest != 0 {
+                        let j = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        self.affinity[i * PROFILE_BUCKETS + j] += 1;
+                        self.affinity[j * PROFILE_BUCKETS + i] += 1;
+                    }
+                }
+            }
+            _ => {}
         }
-        p
     }
 
     /// Co-access count between buckets `i` and `j` (symmetric).

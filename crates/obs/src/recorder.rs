@@ -72,11 +72,11 @@ impl EventRing {
         self.head.store(seq + 1, Ordering::Relaxed);
     }
 
-    fn snapshot(&self, thread: usize) -> ThreadTrace {
+    /// Calls `f` on every surviving event in sequence order, decoding each
+    /// slot in place, and returns `(recorded, dropped)`.
+    fn visit(&self, mut f: impl FnMut(&Event)) -> (u64, u64) {
         let head = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut events = Vec::with_capacity((head - start) as usize);
+        let start = head.saturating_sub(self.slots.len() as u64);
         for seq in start..head {
             let slot = &self.slots[(seq & self.mask) as usize];
             // A slot racing with a concurrent writer carries a different
@@ -84,7 +84,7 @@ impl EventRing {
             if slot.seq.load(Ordering::Relaxed) != seq + 1 {
                 continue;
             }
-            events.push(Event {
+            f(&Event {
                 seq,
                 ts: slot.ts.load(Ordering::Relaxed),
                 kind: EventKind::decode([
@@ -94,10 +94,20 @@ impl EventRing {
                 ]),
             });
         }
+        (head, start)
+    }
+
+    fn snapshot(&self, thread: usize) -> ThreadTrace {
+        let held = self
+            .head
+            .load(Ordering::Relaxed)
+            .min(self.slots.len() as u64);
+        let mut events = Vec::with_capacity(held as usize);
+        let (recorded, dropped) = self.visit(|ev| events.push(*ev));
         ThreadTrace {
             thread,
-            recorded: head,
-            dropped: start,
+            recorded,
+            dropped,
             events,
         }
     }
@@ -164,6 +174,17 @@ impl FlightRecorder {
         RecorderHandle {
             rec: Some(Arc::clone(self)),
             tid,
+        }
+    }
+
+    /// Calls `f` on every surviving event of every ring, in thread then
+    /// sequence order: the events [`FlightRecorder::snapshot`] would return,
+    /// decoded in place instead of copied out. This is what a consumer on a
+    /// live path (the repartition controller) folds from; a full ring set
+    /// is megabytes, and a snapshot of it is fresh pages every time.
+    pub fn visit(&self, mut f: impl FnMut(&Event)) {
+        for ring in &self.rings {
+            ring.visit(&mut f);
         }
     }
 

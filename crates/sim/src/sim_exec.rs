@@ -164,7 +164,7 @@ pub struct SchedStats {
     pub cross_thread_wakes: u64,
     /// Scheduled entries superseded by a strictly earlier wake (a parked
     /// task holding its timeout entry was woken before the deadline). The
-    /// superseded entry becomes an orphan and is skipped when popped.
+    /// superseded entry is dead and counts as a stale skip when it pops.
     pub superseded: u64,
 }
 
@@ -222,9 +222,10 @@ struct TaskSlot {
     fault_rng: Option<XorShift64>,
     /// Sequential fault draws taken by this task (log correlation).
     fault_draws: u64,
-    /// Sequence number of the task's most recently pushed queue entry
-    /// (valid while `state == Scheduled`). Used by the supersede-earlier
-    /// path to orphan a later entry when a wake lands before it.
+    /// Sequence number of the task's most recently pushed queue entry. A
+    /// queue entry is live iff its task is `Scheduled` and it carries this
+    /// number (see [`Inner::is_live`]); pushing a fresh entry is therefore
+    /// all it takes to kill the one it supersedes.
     live_seq: u64,
     /// Virtual time of that entry.
     live_at: u64,
@@ -314,10 +315,6 @@ struct Inner {
     sched: SchedStats,
     /// Reusable drain buffer for the cross-thread mailbox.
     mailbox_scratch: Vec<u32>,
-    /// Sequence numbers of queue entries superseded by an earlier wake.
-    /// Entries here are dead: `pick_next` discards them on pop. Almost
-    /// always empty — only park/wake races populate it.
-    orphans: Vec<u64>,
 }
 
 impl Inner {
@@ -331,13 +328,12 @@ impl Inner {
                 // or a later time is redundant — the held entry activates
                 // the task soon enough. A *strictly earlier* wake (a parked
                 // task holding its timeout entry is woken by a committing
-                // writer) must win: orphan the held entry and fall through
-                // to push a fresh one.
+                // writer — every woken `retry()` park) must win: fall
+                // through to push a fresh entry, whose sequence number
+                // replaces `live_seq` and so kills the held one.
                 if at >= slot.live_at {
                     return;
                 }
-                let dead = slot.live_seq;
-                self.orphans.push(dead);
                 self.sched.superseded += 1;
             }
             TaskState::Running => {
@@ -361,22 +357,24 @@ impl Inner {
     /// *here*, unconditionally — the coalescing path below only defers the
     /// queue push, never the draw, so the RNG stream is identical with
     /// coalescing on or off (and identical to the pre-wheel executor).
+    ///
+    /// One self-schedule per poll: a [`crate::Step`] completes on its next
+    /// poll whatever the time, so two in flight never had a meaning. Debug
+    /// builds trap a second one; in release it supersedes the first, like
+    /// any later push (see [`Inner::is_live`]).
     fn self_schedule(&mut self, task: u32, at: u64) {
-        self.tasks[task as usize].state = TaskState::Scheduled;
         let tiebreak = self.rng.next_u64();
         self.seq += 1;
         let at = at.max(self.now);
-        {
-            let slot = &mut self.tasks[task as usize];
-            slot.live_seq = self.seq;
-            slot.live_at = at;
-        }
+        let slot = &mut self.tasks[task as usize];
+        debug_assert!(
+            slot.state == TaskState::Running,
+            "task {task} armed two charge()/work() in one poll"
+        );
+        slot.state = TaskState::Scheduled;
+        slot.live_seq = self.seq;
+        slot.live_at = at;
         if self.coalesce {
-            if let Some(p) = self.pending_self.take() {
-                // Second self-schedule within one poll (join-style
-                // combinators): flush the first into the queue.
-                self.queue.push(p.at, p.tiebreak, p.seq, p.task);
-            }
             self.pending_self = Some(PendingSelf {
                 at,
                 tiebreak,
@@ -388,19 +386,14 @@ impl Inner {
         }
     }
 
-    /// True iff `seq` names a superseded queue entry; consumes the orphan
-    /// record. The empty-list fast path keeps this free on the hot path.
-    fn take_orphan(&mut self, seq: u64) -> bool {
-        if self.orphans.is_empty() {
-            return false;
-        }
-        match self.orphans.iter().position(|&s| s == seq) {
-            Some(i) => {
-                self.orphans.swap_remove(i);
-                true
-            }
-            None => false,
-        }
+    /// True iff the queue entry `(task, seq)` should still activate its
+    /// task: the task is `Scheduled` (not finished, not killed mid-poll)
+    /// and no later push superseded the entry. A dead entry costs nothing
+    /// while it waits and this one compare when it surfaces.
+    #[inline]
+    fn is_live(&self, task: u32, seq: u64) -> bool {
+        let slot = &self.tasks[task as usize];
+        slot.state == TaskState::Scheduled && slot.live_seq == seq
     }
 
     /// One fault draw for `task` (priority panic → abort → delay). Every
@@ -632,7 +625,6 @@ impl SimExecutor {
                     fault_log: Vec::new(),
                     sched: SchedStats::default(),
                     mailbox_scratch: Vec::new(),
-                    orphans: Vec::new(),
                 }),
                 owner: current_thread_id(),
                 mailbox: Mailbox {
@@ -737,13 +729,11 @@ impl SimExecutor {
     /// and re-push the loser — one ordered-queue scan plus one O(1) push per
     /// step, instead of peek-then-pop's two scans.
     fn pick_next(inner: &mut Inner, cap: Option<u64>) -> Result<u32, RunStatus> {
+        // A held-back activation is void if its task died mid-poll (injected
+        // panic under PanicPolicy::Isolate) or an earlier wake superseded it.
+        // (Read-only unless it is: this runs on every step.)
         if let Some(p) = inner.pending_self {
-            if inner.tasks[p.task as usize].state != TaskState::Scheduled
-                || inner.take_orphan(p.seq)
-            {
-                // The task died mid-poll (injected panic under
-                // PanicPolicy::Isolate) or the entry was superseded by an
-                // earlier wake; its activation is void.
+            if !inner.is_live(p.task, p.seq) {
                 inner.pending_self = None;
             }
         }
@@ -753,9 +743,7 @@ impl SimExecutor {
                     // Entries for finished tasks can linger if a wake raced
                     // completion, and entries superseded by an earlier wake
                     // are dead; skip both.
-                    if inner.tasks[task as usize].state != TaskState::Scheduled
-                        || inner.take_orphan(sq)
-                    {
+                    if !inner.is_live(task, sq) {
                         inner.sched.stale_skips += 1;
                         continue;
                     }
@@ -1397,6 +1385,39 @@ mod tests {
         assert_eq!(out.status, RunStatus::Completed);
         assert_eq!(out.faults.panics, 2, "budget must cap injections");
         assert_eq!(out.faults.tasks_killed_by_panic, 2);
+    }
+
+    /// One suspension per poll is the contract (see `self_schedule`): debug
+    /// builds trap a second one; in release the later arm wins and the
+    /// first never activates the task.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "in one poll"))]
+    fn second_self_schedule_in_one_poll_supersedes_the_first() {
+        for coalesce in [true, false] {
+            let mut ex = SimExecutor::new(SimConfig {
+                coalesce,
+                ..Default::default()
+            });
+            ex.spawn(move |rt: Rt| async move {
+                let (mut a, mut b) = (Box::pin(rt.charge(500)), Box::pin(rt.charge(10)));
+                std::future::poll_fn(|cx| {
+                    let (ra, rb) = (a.as_mut().poll(cx), b.as_mut().poll(cx));
+                    if ra.is_ready() {
+                        rb
+                    } else {
+                        Poll::Pending
+                    }
+                })
+                .await;
+                assert_eq!(rt.now(), 10, "the later arm wins");
+            });
+            let out = ex.run();
+            assert_eq!((out.status, out.steps), (RunStatus::Completed, 2));
+            assert_eq!(
+                out.vtime, 10,
+                "the dead entry must not stretch the makespan"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! the workload itself is identical across scheduler configurations by
 //! construction — any divergence is the scheduler's.
 
+use std::future::{poll_fn, Future};
+use std::pin::pin;
 use std::sync::Arc;
+use std::task::Poll;
 
 use votm_sim::{
     FaultEvent, FaultPlan, FaultRecord, FaultStats, Notify, Rt, RunStatus, SchedulerKind,
@@ -34,6 +37,7 @@ struct CaseResult {
     steps: u64,
     faults: FaultStats,
     fault_log: Vec<FaultRecord>,
+    superseded: u64,
     trace: Trace,
 }
 
@@ -82,10 +86,26 @@ fn run_case(case: u64, scheduler: SchedulerKind, coalesce: bool) -> CaseResult {
                         channels[rng.next_index(channels.len())].notify_all();
                         rt.charge(1).await;
                     }
-                    88..=93 => {
+                    88..=90 => {
                         let ch = &channels[rng.next_index(channels.len())];
                         let epoch = ch.epoch();
                         rt.wait(ch, epoch).await;
+                    }
+                    // The `retry()` park shape, twice over: wait on a channel
+                    // under a far deadline. An early wake supersedes the
+                    // deadline entry, and the re-park arms the next one while
+                    // the dead one is still queued.
+                    91..=93 => {
+                        let ch = &channels[rng.next_index(channels.len())];
+                        for _ in 0..2 {
+                            let mut wait = pin!(rt.wait(ch, ch.epoch()));
+                            let mut deadline = pin!(rt.charge(100_000 + rng.next_below(1 << 20)));
+                            poll_fn(|cx| match wait.as_mut().poll(cx) {
+                                Poll::Pending => deadline.as_mut().poll(cx),
+                                ready => ready,
+                            })
+                            .await;
+                        }
                     }
                     _ => match rt.take_fault() {
                         Some(FaultEvent::Delay(d)) => rt.charge(d).await,
@@ -111,6 +131,7 @@ fn run_case(case: u64, scheduler: SchedulerKind, coalesce: bool) -> CaseResult {
         steps: out.steps,
         faults: out.faults,
         fault_log: out.fault_log,
+        superseded: out.sched.superseded,
         trace,
     }
 }
@@ -121,6 +142,7 @@ fn run_case(case: u64, scheduler: SchedulerKind, coalesce: bool) -> CaseResult {
 fn wheel_matches_reference_heap_across_fuzzed_workloads() {
     let mut livelocks = 0;
     let mut faulted = 0;
+    let mut superseded = 0;
     for case in 0..36u64 {
         let base = run_case(case, SchedulerKind::ReferenceHeap, true);
         for (scheduler, coalesce, label) in [
@@ -141,10 +163,15 @@ fn wheel_matches_reference_heap_across_fuzzed_workloads() {
                 "case {case} {label}: fault log diverged"
             );
             assert_eq!(
+                base.superseded, got.superseded,
+                "case {case} {label}: superseded entries"
+            );
+            assert_eq!(
                 base.trace, got.trace,
                 "case {case} {label}: event trace diverged"
             );
         }
+        superseded += base.superseded;
         livelocks += (base.status == RunStatus::Livelock) as u32;
         faulted += (!base.fault_log.is_empty()) as u32;
     }
@@ -152,6 +179,10 @@ fn wheel_matches_reference_heap_across_fuzzed_workloads() {
     // equality checks above prove less than they claim.
     assert!(livelocks > 0, "no case hit the vtime cap");
     assert!(faulted > 0, "no case drew a fault");
+    assert!(
+        superseded > 36,
+        "parks were barely woken early: {superseded}"
+    );
 }
 
 /// Same differential, pinned on the executor's hardest ordering case: every

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use votm::{FlightRecorder, QuotaMode, TmAlgorithm};
 use votm_bench::{capture_trace, Settings};
 use votm_eigenbench::{run_sim, run_sim_recorded, EigenConfig, Version};
-use votm_obs::{AbortReason, EventKind};
+use votm_obs::{AbortReason, ConflictProfile, ConflictSiteKind, EventKind, ADDR_BUCKET_NONE};
 use votm_sim::SimConfig;
 
 fn trace_settings() -> Settings {
@@ -181,4 +181,56 @@ fn fault_injection_shows_up_as_fault_events_and_reasons() {
         fault_events > 0,
         "injected aborts must appear as fault events on the trace"
     );
+}
+
+/// The repartition controller folds its per-view profiles straight from the
+/// live rings; that fold must equal the snapshot-based one field for field,
+/// on rings that have wrapped and hold several views' events interleaved.
+#[test]
+fn in_place_profile_fold_equals_the_snapshot_fold() {
+    let rec = FlightRecorder::new(3, 64);
+    let mut rng = votm_utils::XorShift64::new(12);
+    for i in 0..1_000u64 {
+        let view = rng.next_below(3) as u16;
+        let cycles = 1 + rng.next_below(500);
+        let kind = match rng.next_below(4) {
+            0 => EventKind::TxCommit { view, cycles },
+            1 => EventKind::TxAbort {
+                view,
+                reason: AbortReason::NorecValidation,
+                cycles,
+            },
+            2 => EventKind::ConflictDetected {
+                view,
+                addr_bucket: match rng.next_below(8) {
+                    0 => ADDR_BUCKET_NONE,
+                    _ => rng.next_below(64) as u8,
+                },
+                kind: AbortReason::NorecValidation,
+                site: ConflictSiteKind::Addr,
+                cycles,
+                raw: i,
+            },
+            _ => EventKind::Footprint {
+                view,
+                committed: rng.next_below(2) == 0,
+                reads: rng.next_u64() & rng.next_u64(),
+                writes: 1 << rng.next_below(64),
+            },
+        };
+        rec.record(rng.next_index(3), i, kind);
+    }
+    let traces = rec.snapshot();
+    assert!(traces.iter().all(|t| t.dropped > 0), "every ring must wrap");
+
+    // View 9 recorded nothing: its profile is the empty one.
+    let views = [2u16, 0, 9, 1];
+    let folded = ConflictProfile::per_view(&rec, &views);
+    assert_eq!(folded.len(), views.len());
+    for (profile, &view) in folded.iter().zip(&views) {
+        let expected = ConflictProfile::from_traces_for_view(&traces, view);
+        assert_eq!(*profile, expected, "view {view}");
+        assert_eq!(profile.aborts_total == 0, view == 9);
+    }
+    assert!(ConflictProfile::per_view(&rec, &[]).is_empty());
 }
