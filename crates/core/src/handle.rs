@@ -31,7 +31,9 @@
 //!
 //! Because the handle is declared after the gate guard, Rust's reverse
 //! drop order runs transaction recovery first and releases admission
-//! second, exactly like the happy path.
+//! second, exactly like the happy path. The transaction's [`Descriptor`]
+//! is declared before both and returns to the view's slot only on the
+//! commit path, so an unwind drops it last and never pools it.
 //!
 //! # Starvation watchdog
 //!
@@ -166,6 +168,68 @@ impl AltCtl {
         self.cursor = 0;
         self.restart = false;
     }
+
+    /// Back to the state of a fresh table (every `or_else` runs its first
+    /// alternative), keeping the decision vector's capacity.
+    fn reset(&mut self) {
+        self.decisions.clear();
+        self.begin_attempt();
+    }
+}
+
+/// Everything a transaction keeps on the heap: the transactional context
+/// (read set, write set, lock list), the allocation and free logs, and the
+/// `or_else` decisions.
+///
+/// One descriptor serves every attempt of a transaction and, through the
+/// view's per-thread slot ([`View::take_descriptor`] /
+/// [`View::put_descriptor`]), every later transaction of the same logical
+/// thread on the same view, so that in the steady state an attempt pays
+/// `begin()`'s `clear()`s and no allocator call. The driver owns it for the
+/// length of one [`drive_transaction`] call and lends its parts to each
+/// attempt's [`TxHandle`]. The slot is a cache, never an identity: a
+/// transaction that finds it empty builds a fresh descriptor, and one that
+/// is abandoned by an unwind or a dropped future never hands its own back.
+#[derive(Debug)]
+pub(crate) struct Descriptor {
+    ctx: TxCtx,
+    /// Blocks allocated by the current attempt — freed again if it aborts.
+    allocs: Vec<Addr>,
+    /// Frees requested by the current attempt — applied only if it commits.
+    frees: Vec<Addr>,
+    /// `or_else` alternative selection of the current transaction.
+    alt: AltCtl,
+}
+
+impl Descriptor {
+    /// A descriptor around a fresh transactional context.
+    pub(crate) fn new(ctx: TxCtx) -> Self {
+        Self {
+            ctx,
+            allocs: Vec::new(),
+            frees: Vec::new(),
+            alt: AltCtl::default(),
+        }
+    }
+
+    /// Readies the descriptor for its slot. `None` (the descriptor is
+    /// dropped) unless it holds nothing of any attempt: pooling a context
+    /// that is live or mid-commit would hand the next transaction somebody
+    /// else's locks.
+    pub(crate) fn recycle(mut self: Box<Self>) -> Option<Box<Self>> {
+        self.alt.reset();
+        (self.ctx.is_idle() && self.allocs.is_empty() && self.frees.is_empty()).then_some(self)
+    }
+}
+
+/// Records `kind` stamped with the runtime's clock, which is read only when
+/// the recorder is live: under real threads the clock is an `rdtsc`, and a
+/// dead handle would throw the reading away.
+#[inline]
+fn trace(rec: &RecorderHandle, rt: &Rt, kind: EventKind) {
+    if rec.is_live() {
+        rec.record(rt.now(), kind);
+    }
 }
 
 /// In-transaction capability: all shared-memory access inside
@@ -175,15 +239,17 @@ impl AltCtl {
 /// *Crash safety* section for what its `Drop` restores.
 pub struct TxHandle<'v> {
     view: &'v View,
-    rt: Rt,
-    ctx: TxCtx,
+    rt: &'v Rt,
+    /// The driver's descriptor context, or its direct context when the
+    /// attempt runs escalated.
+    ctx: &'v mut TxCtx,
     read_only: bool,
     /// Virtual cycles consumed by this attempt (simulator accounting).
     attempt_work: u64,
     /// Blocks allocated by this attempt — freed again if it aborts.
-    allocs: Vec<Addr>,
+    allocs: &'v mut Vec<Addr>,
     /// Frees requested by this attempt — applied only if it commits.
-    frees: Vec<Addr>,
+    frees: &'v mut Vec<Addr>,
     backoff: JitterBackoff,
     /// Cycle timestamp at attempt start (real-thread accounting).
     start: u64,
@@ -193,8 +259,12 @@ pub struct TxHandle<'v> {
     /// detected; reported if this attempt ends without committing.
     abort_reason: AbortReason,
     /// Flight-recorder handle bound to this thread's ring (dead when the
-    /// system has no recorder configured).
-    rec: RecorderHandle,
+    /// system has no recorder configured), lent by the driver.
+    rec: &'v RecorderHandle,
+    /// Whether the fault points of this attempt can fire: a fault plan is
+    /// armed for this task and the attempt is not direct. Decided once so
+    /// that, with nothing armed, no access builds a fault-point future.
+    faults: bool,
     /// Contention-management state of the logical transaction this attempt
     /// belongs to; the driver reads it back after an abort so karma and the
     /// first-attempt timestamp survive.
@@ -225,22 +295,29 @@ pub struct TxHandle<'v> {
     /// write set, so escalated commits still wake parked readers.
     write_summary: u64,
     /// `or_else` alternative selection, threaded through from the driver.
-    alt: AltCtl,
+    alt: &'v mut AltCtl,
 }
 
 impl<'v> TxHandle<'v> {
+    /// An attempt over the driver's descriptor; `direct` replaces the
+    /// descriptor's context for an escalated (exclusive lock-mode) attempt.
     fn new(
         view: &'v View,
-        rt: Rt,
-        mode: AdmissionMode,
+        rt: &'v Rt,
+        rec: &'v RecorderHandle,
+        desc: &'v mut Descriptor,
+        direct: Option<&'v mut TxCtx>,
         read_only: bool,
         mut cm_tx: CmTx,
-        alt: AltCtl,
     ) -> Self {
-        let ctx = match mode {
-            AdmissionMode::Exclusive => view.tm().direct_ctx(),
-            AdmissionMode::Transactional => view.tm().tx_ctx(rt.thread_index()),
-        };
+        let Descriptor {
+            ctx,
+            allocs,
+            frees,
+            alt,
+        } = desc;
+        let ctx = direct.unwrap_or(ctx);
+        debug_assert!(allocs.is_empty() && frees.is_empty());
         let cm_active = view.cm().active() && !ctx.is_direct();
         if cm_active {
             // Publish this attempt's priority and open a fresh doom epoch
@@ -251,20 +328,21 @@ impl<'v> TxHandle<'v> {
         }
         let start = rt.now();
         let backoff = JitterBackoff::new(rt.thread_index() as u64);
-        let rec = view.recorder_handle(rt.thread_index());
+        let faults = !ctx.is_direct() && rt.faults_armed();
         Self {
             view,
             rt,
             ctx,
             read_only,
             attempt_work: 0,
-            allocs: Vec::new(),
-            frees: Vec::new(),
+            allocs,
+            frees,
             backoff,
             start,
             finished: false,
             abort_reason: AbortReason::Explicit,
             rec,
+            faults,
             cm_tx,
             cm_active,
             conflict_site: ConflictSite::None,
@@ -275,6 +353,12 @@ impl<'v> TxHandle<'v> {
             write_summary: 0,
             alt,
         }
+    }
+
+    /// [`trace`] through this attempt's recorder handle and runtime.
+    #[inline]
+    fn trace(&self, kind: EventKind) {
+        trace(self.rec, self.rt, kind);
     }
 
     /// This view's id as the compact event field.
@@ -325,50 +409,39 @@ impl<'v> TxHandle<'v> {
         }
     }
 
-    /// Consults the runtime's fault plan at an interleaving point. Direct
-    /// (exclusive lock-mode) sections never take faults: they cannot abort,
-    /// and injecting panics there would tear uninstrumented state the
-    /// recovery machinery cannot see.
+    /// Consults the runtime's fault plan at an interleaving point. Callers
+    /// check [`Self::faults`] first. Direct (exclusive lock-mode) sections
+    /// never take faults: they cannot abort, and injecting panics there
+    /// would tear uninstrumented state the recovery machinery cannot see.
     async fn fault_point(&mut self) -> Result<(), TxAbort> {
-        if self.ctx.is_direct() {
-            return Ok(());
-        }
+        debug_assert!(self.faults);
         match self.rt.take_fault() {
             None => Ok(()),
             Some(FaultEvent::Delay(d)) => {
-                self.rec.record(
-                    self.rt.now(),
-                    EventKind::Fault {
-                        view: self.vid(),
-                        code: 0,
-                        cycles: d,
-                    },
-                );
+                self.trace(EventKind::Fault {
+                    view: self.vid(),
+                    code: 0,
+                    cycles: d,
+                });
                 self.attempt_work += d;
                 self.rt.charge(d).await;
                 Ok(())
             }
             Some(FaultEvent::Abort) => {
-                self.rec.record(
-                    self.rt.now(),
-                    EventKind::Fault {
-                        view: self.vid(),
-                        code: 1,
-                        cycles: 0,
-                    },
-                );
+                self.trace(EventKind::Fault {
+                    view: self.vid(),
+                    code: 1,
+                    cycles: 0,
+                });
                 self.set_abort_cause(AbortReason::FaultInjected, ConflictSite::None);
                 Err(TxAbort)
             }
             Some(FaultEvent::Panic) => {
-                self.rec.record(
-                    self.rt.now(),
-                    EventKind::Fault {
-                        view: self.vid(),
-                        code: 2,
-                        cycles: 0,
-                    },
-                );
+                self.trace(EventKind::Fault {
+                    view: self.vid(),
+                    code: 2,
+                    cycles: 0,
+                });
                 panic!("injected fault: panic at vtime {}", self.rt.now())
             }
         }
@@ -376,33 +449,26 @@ impl<'v> TxHandle<'v> {
 
     /// Fault point for contexts that cannot abort (mid-commit, local work):
     /// delivers panics and delays, downgrades `Abort` draws to no-ops.
+    /// Callers check [`Self::faults`] first.
     async fn fault_point_no_abort(&mut self) {
-        if self.ctx.is_direct() {
-            return;
-        }
+        debug_assert!(self.faults);
         match self.rt.take_fault() {
             None | Some(FaultEvent::Abort) => {}
             Some(FaultEvent::Delay(d)) => {
-                self.rec.record(
-                    self.rt.now(),
-                    EventKind::Fault {
-                        view: self.vid(),
-                        code: 0,
-                        cycles: d,
-                    },
-                );
+                self.trace(EventKind::Fault {
+                    view: self.vid(),
+                    code: 0,
+                    cycles: d,
+                });
                 self.attempt_work += d;
                 self.rt.charge(d).await;
             }
             Some(FaultEvent::Panic) => {
-                self.rec.record(
-                    self.rt.now(),
-                    EventKind::Fault {
-                        view: self.vid(),
-                        code: 2,
-                        cycles: 0,
-                    },
-                );
+                self.trace(EventKind::Fault {
+                    view: self.vid(),
+                    code: 2,
+                    cycles: 0,
+                });
                 panic!("injected fault: panic at vtime {}", self.rt.now())
             }
         }
@@ -481,14 +547,11 @@ impl<'v> TxHandle<'v> {
                 if kill {
                     if let Some(e) = enemy {
                         if e != tid && cm.shared().try_doom(e, tid as u16) {
-                            self.rec.record(
-                                self.rt.now(),
-                                EventKind::CmKill {
-                                    view: self.vid(),
-                                    victim: e as u16,
-                                    winner: tid as u16,
-                                },
-                            );
+                            self.trace(EventKind::CmKill {
+                                view: self.vid(),
+                                victim: e as u16,
+                                winner: tid as u16,
+                            });
                         }
                     }
                 }
@@ -528,7 +591,9 @@ impl<'v> TxHandle<'v> {
                     self.note_access(addr, false);
                     self.charge_pending().await;
                     self.cm_doom_check()?;
-                    self.fault_point().await?;
+                    if self.faults {
+                        self.fault_point().await?;
+                    }
                     return Ok(v);
                 }
                 Err(e) => {
@@ -556,7 +621,9 @@ impl<'v> TxHandle<'v> {
                     self.note_access(addr, true);
                     self.charge_pending().await;
                     self.cm_doom_check()?;
-                    self.fault_point().await?;
+                    if self.faults {
+                        self.fault_point().await?;
+                    }
                     return Ok(());
                 }
                 Err(e) => {
@@ -641,7 +708,9 @@ impl<'v> TxHandle<'v> {
         let cycles = (reads + writes) * cost::LOCAL_ACCESS + nops * cost::NOP;
         self.attempt_work += cycles;
         self.rt.work(cycles).await;
-        self.fault_point_no_abort().await;
+        if self.faults {
+            self.fault_point_no_abort().await;
+        }
     }
 
     /// Allocates a block inside the transaction. The allocation is undone
@@ -679,7 +748,7 @@ impl<'v> TxHandle<'v> {
 
     /// The runtime handle (for nested timing/diagnostics in workloads).
     pub fn rt(&self) -> &Rt {
-        &self.rt
+        self.rt
     }
 
     /// Rolls back attempt-local state (allocation log).
@@ -706,13 +775,10 @@ impl<'v> TxHandle<'v> {
             .stats()
             .record_commit(self.rt.thread_index(), cycles);
         self.view.hists().commit.record(cycles);
-        self.rec.record(
-            self.rt.now(),
-            EventKind::TxCommit {
-                view: self.vid(),
-                cycles,
-            },
-        );
+        self.trace(EventKind::TxCommit {
+            view: self.vid(),
+            cycles,
+        });
         self.record_footprint(true);
     }
 
@@ -722,14 +788,11 @@ impl<'v> TxHandle<'v> {
             .tm()
             .stats()
             .record_abort(self.rt.thread_index(), cycles, self.abort_reason);
-        self.rec.record(
-            self.rt.now(),
-            EventKind::TxAbort {
-                view: self.vid(),
-                reason: self.abort_reason,
-                cycles,
-            },
-        );
+        self.trace(EventKind::TxAbort {
+            view: self.vid(),
+            reason: self.abort_reason,
+            cycles,
+        });
         // Exactly one ConflictDetected per abort, carrying the same cycle
         // count, so per-bucket wasted cycles sum to the abort total.
         let (bucket, site, raw) = match self.conflict_site {
@@ -747,32 +810,26 @@ impl<'v> TxHandle<'v> {
                 u64::from(b),
             ),
         };
-        self.rec.record(
-            self.rt.now(),
-            EventKind::ConflictDetected {
-                view: self.vid(),
-                addr_bucket: bucket,
-                kind: self.abort_reason,
-                site,
-                cycles,
-                raw,
-            },
-        );
+        self.trace(EventKind::ConflictDetected {
+            view: self.vid(),
+            addr_bucket: bucket,
+            kind: self.abort_reason,
+            site,
+            cycles,
+            raw,
+        });
         self.record_footprint(false);
     }
 
     /// Emits the attempt's footprint bitmaps (when it touched anything).
     fn record_footprint(&self, committed: bool) {
         if self.fp_reads | self.fp_writes != 0 {
-            self.rec.record(
-                self.rt.now(),
-                EventKind::Footprint {
-                    view: self.vid(),
-                    committed,
-                    reads: self.fp_reads,
-                    writes: self.fp_writes,
-                },
-            );
+            self.trace(EventKind::Footprint {
+                view: self.vid(),
+                committed,
+                reads: self.fp_reads,
+                writes: self.fp_writes,
+            });
         }
     }
 
@@ -781,15 +838,12 @@ impl<'v> TxHandle<'v> {
     fn poke_controller(&self) {
         if let Some(ctrl) = self.view.controller() {
             if let Some(d) = ctrl.on_tx_end_decision(self.view.gate(), self.view.tm().stats()) {
-                self.rec.record(
-                    self.rt.now(),
-                    EventKind::QuotaChange {
-                        view: self.vid(),
-                        old_q: d.old_q as u16,
-                        new_q: d.new_q as u16,
-                        delta: d.delta,
-                    },
-                );
+                self.trace(EventKind::QuotaChange {
+                    view: self.vid(),
+                    old_q: d.old_q as u16,
+                    new_q: d.new_q as u16,
+                    delta: d.delta,
+                });
             }
         }
     }
@@ -872,8 +926,14 @@ where
     F: for<'h> AsyncFnMut(&'h mut TxHandle<'_>) -> Result<T, TxError>,
 {
     let unrestricted = view.is_unrestricted();
-    let rec = view.recorder_handle(rt.thread_index());
+    let tid = rt.thread_index();
+    let rec = view.recorder_handle(tid);
     let vid = view.id() as u16;
+    // This thread's descriptor for this view, ours until the commit below
+    // hands it back. Declared before everything an attempt declares, so an
+    // unwind (or a dropped future) runs the attempt's recovery first and
+    // then drops the descriptor instead of pooling it.
+    let mut desc = view.take_descriptor(tid);
     let cm = view.cm();
     // Contention-management state of the *logical* transaction: it survives
     // attempts, so abort-the-younger's timestamp only ages and Karma's
@@ -884,9 +944,6 @@ where
     // When the previous attempt aborted: its end timestamp, for the
     // abort-to-retry latency histogram.
     let mut last_abort_at: Option<u64> = None;
-    // `or_else` alternative selection, persisted across the immediate
-    // restarts that steer a re-run to the next alternative.
-    let mut alt = AltCtl::default();
     // Union of the read-set summaries of every alternative tried since the
     // last park / non-retry abort — the park's wakeup key.
     let mut retry_accum: u64 = 0;
@@ -926,7 +983,7 @@ where
                     .stats()
                     .record_gate_wait(rt.thread_index(), waited);
                 rec.record(wait_from, EventKind::GateWaitEnter { view: vid });
-                rec.record(rt.now(), EventKind::GateWaitExit { view: vid, waited });
+                trace(&rec, rt, EventKind::GateWaitExit { view: vid, waited });
             }
             Some(guard)
         };
@@ -942,18 +999,21 @@ where
         if group_epoch.is_none() {
             group_epoch = Some(begin_epoch);
         }
-        alt.begin_attempt();
+        // `or_else` alternative selection lives in the descriptor: it
+        // persists across the immediate restarts that steer a re-run to the
+        // next alternative.
+        desc.alt.begin_attempt();
 
+        // Escalated attempts run on a direct context (two counters, no
+        // heap); the descriptor's transactional one sits the attempt out.
+        let mut direct = match mode {
+            AdmissionMode::Exclusive => Some(view.tm().direct_ctx()),
+            AdmissionMode::Transactional => None,
+        };
         // Declared after the guard: unwinds run transaction recovery
         // (TxHandle::drop) before admission release (GateGuard::drop).
-        let mut handle = TxHandle::new(
-            view,
-            rt.clone(),
-            mode,
-            read_only,
-            cm_tx,
-            std::mem::take(&mut alt),
-        );
+        let mut handle =
+            TxHandle::new(view, rt, &rec, &mut desc, direct.as_mut(), read_only, cm_tx);
 
         // begin (NOrec can be Busy while a committer holds the seqlock).
         loop {
@@ -967,7 +1027,7 @@ where
             }
         }
         handle.charge_pending().await;
-        rec.record(rt.now(), EventKind::TxBegin { view: vid });
+        trace(&rec, rt, EventKind::TxBegin { view: vid });
         if let Some(aborted_at) = last_abort_at.take() {
             view.hists()
                 .abort_to_retry
@@ -996,7 +1056,9 @@ where
                             // unwind here is recovered by finishing the
                             // commit in the drop guard.
                             handle.charge_pending().await;
-                            handle.fault_point_no_abort().await;
+                            if handle.faults {
+                                handle.fault_point_no_abort().await;
+                            }
                             handle.ctx.commit_finish(view.tm());
                             break true;
                         }
@@ -1055,6 +1117,7 @@ where
                     if wake_summary != 0 {
                         view.waits().publish(wake_summary);
                     }
+                    view.put_descriptor(tid, desc);
                     return value;
                 }
                 false
@@ -1093,13 +1156,12 @@ where
             retry_accum |= handle.read_summary;
             handle.finish(false);
             cm_tx = handle.cm_tx;
-            alt = std::mem::take(&mut handle.alt);
             drop(handle);
             // Quota-release-on-park: admission drops *before* the park, so
             // a sleeping transaction never occupies a gate slot another
             // transaction (possibly its would-be waker) could use.
             drop(gate_guard);
-            if alt.restart {
+            if desc.alt.restart {
                 // An or_else alternative flipped: re-run immediately to
                 // try the other branch; no park yet.
                 last_abort_at = Some(rt.now());
@@ -1116,8 +1178,9 @@ where
             };
             let epoch0 = group_epoch.take().unwrap_or(begin_epoch);
             retry_accum = 0;
-            rec.record(
-                rt.now(),
+            trace(
+                &rec,
+                rt,
                 EventKind::Park {
                     view: vid,
                     summary: key,
@@ -1130,7 +1193,7 @@ where
             view.tm().stats().record_parked_wait(rt.thread_index());
             match park_outcome {
                 ParkOutcome::Woken | ParkOutcome::SkippedStale => {
-                    rec.record(rt.now(), EventKind::Wake { view: vid, waited });
+                    trace(&rec, rt, EventKind::Wake { view: vid, waited });
                 }
                 ParkOutcome::TimedOut => {
                     // The wakeup never came (writer bug, or a workload
@@ -1140,7 +1203,7 @@ where
                     // starvation streak so the watchdog escalates instead
                     // of the task hanging silently.
                     view.tm().stats().record_lost_wakeup(rt.thread_index());
-                    rec.record(rt.now(), EventKind::LostWakeup { view: vid, waited });
+                    trace(&rec, rt, EventKind::LostWakeup { view: vid, waited });
                     streak += 1;
                     view.tm()
                         .stats()
@@ -1169,7 +1232,7 @@ where
         // union, epoch snapshot, and alternative selection.
         retry_accum = 0;
         group_epoch = None;
-        alt = AltCtl::default();
+        desc.alt.reset();
 
         if cm.active() {
             // Bank the wasted work (Karma's account) and serve the loser's

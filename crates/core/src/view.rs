@@ -8,9 +8,10 @@ use votm_rac::{
 };
 use votm_sim::Rt;
 use votm_stm::{Addr, ClockKind, ClockStats, StatsSnapshot, TmAlgorithm, TmInstance};
+use votm_utils::{CachePadded, Mutex};
 
 use crate::error::TxError;
-use crate::handle::{drive_transaction, TxHandle};
+use crate::handle::{drive_transaction, Descriptor, TxHandle};
 use crate::wait::WaitTable;
 
 /// One view of shared memory.
@@ -32,7 +33,15 @@ pub struct View {
     cm: CmInstance,
     /// Parked blocking transactions (`retry`), keyed by read-set summary.
     waits: WaitTable,
+    /// One slot per logical thread (see [`DescriptorSlot`]).
+    descriptors: Box<[DescriptorSlot]>,
 }
+
+/// Where a logical thread's idle transaction [`Descriptor`] waits between
+/// that thread's transactions on a view. A slot is touched twice per
+/// transaction, by its own thread; padded so real threads do not share a
+/// line doing so.
+type DescriptorSlot = CachePadded<Mutex<Option<Box<Descriptor>>>>;
 
 impl View {
     #[allow(clippy::too_many_arguments)] // crate-internal constructor, one call site
@@ -125,6 +134,7 @@ impl View {
             // so identically-seeded runs replay identically.
             cm: CmInstance::new(contention, n_threads, 0x9e37_79b9_7f4a_7c15 ^ id as u64),
             waits: WaitTable::new(),
+            descriptors: (0..n_threads).map(|_| CachePadded::default()).collect(),
         }
     }
 
@@ -182,6 +192,36 @@ impl View {
     /// configured via [`crate::VotmConfig::recorder`].
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
+    }
+
+    /// Takes thread `tid`'s descriptor out of its slot, or builds a fresh
+    /// one when there is none to take: the index is past the view's thread
+    /// count, the thread is already inside a transaction on this view (a
+    /// body that calls `transact` again), or another real thread using the
+    /// same index took it first.
+    pub(crate) fn take_descriptor(&self, tid: usize) -> Box<Descriptor> {
+        self.descriptors
+            .get(tid)
+            .and_then(|slot| slot.lock().take())
+            .unwrap_or_else(|| Box::new(Descriptor::new(self.tm.tx_ctx(tid))))
+    }
+
+    /// Hands a descriptor back for thread `tid`'s next transaction on this
+    /// view, replacing whatever the slot held, or drops it: when it is not
+    /// idle ([`Descriptor::recycle`]) or `tid` has no slot.
+    pub(crate) fn put_descriptor(&self, tid: usize, desc: Box<Descriptor>) {
+        if let (Some(slot), Some(desc)) = (self.descriptors.get(tid), desc.recycle()) {
+            *slot.lock() = Some(desc);
+        }
+    }
+
+    /// Whether thread `tid`'s slot currently holds an idle descriptor
+    /// (diagnostic, for tests: a thread inside a transaction on this view,
+    /// or one that died in one, has none).
+    pub fn descriptor_pooled(&self, tid: usize) -> bool {
+        self.descriptors
+            .get(tid)
+            .is_some_and(|slot| slot.lock().is_some())
     }
 
     /// A recorder handle bound to `tid`'s ring — the dead no-op handle when

@@ -205,6 +205,120 @@ fn injected_midcommit_panic_finishes_the_commit() {
     }
 }
 
+/// A transaction descriptor leaves its view's per-thread slot for the
+/// length of a transaction and returns only through a commit. A task that
+/// dies inside a transaction — mid-body, or mid-commit where the drop guard
+/// finishes the commit for it — therefore takes its descriptor with it:
+/// the slot stays empty, never holding a context that was live or
+/// mid-commit when its owner unwound. The survivors keep theirs, and the
+/// next run's transactions on every thread index (the dead one's included,
+/// on a freshly built descriptor) commit correctly.
+#[test]
+fn crashed_tasks_descriptor_is_dropped_not_pooled() {
+    const TASKS: u64 = 4;
+    const ITERS: u64 = 25;
+    // Each task increments its own word (far enough apart to sit on
+    // different orecs), so nobody aborts and the victim draws exactly three
+    // faults per transaction: after the read, after the write, mid-commit.
+    let word = |t: u64| Addr(t as u32 * 16);
+    for algo in TmAlgorithm::ALL {
+        for want_mid_commit in [false, true] {
+            // Fault seeds are swept until the one injected panic lands in
+            // the wanted window; which window it was is read off the log.
+            let covered = (1..200u64).any(|fault_seed| {
+                let system = sys(algo, TASKS as u32);
+                let view = system.create_view(256, QuotaMode::Fixed(TASKS as u32));
+                let returned = Arc::new(AtomicU64::new(0));
+                let mut ex = SimExecutor::new(SimConfig {
+                    panic_policy: PanicPolicy::Isolate,
+                    fault_plan: Some(FaultPlan {
+                        seed: fault_seed,
+                        panic_percent: 5,
+                        max_panics: 1,
+                        target_task: Some(0),
+                        ..Default::default()
+                    }),
+                    ..Default::default()
+                });
+                for t in 0..TASKS {
+                    let view = Arc::clone(&view);
+                    let returned = Arc::clone(&returned);
+                    ex.spawn(move |rt| async move {
+                        for _ in 0..ITERS {
+                            view.transact(&rt, async |tx| {
+                                let v = tx.read(word(t)).await?;
+                                tx.write(word(t), v + 1).await
+                            })
+                            .await;
+                            if t == 0 {
+                                returned.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    });
+                }
+                let out = ex.run();
+                assert_eq!(out.status, RunStatus::Completed, "{algo:?}");
+                let Some(panic) = out.fault_log.first() else {
+                    return false; // this seed never fired
+                };
+                assert_eq!(view.stats().tm.aborts, u64::from(panic.draw % 3 != 2));
+                if (panic.draw % 3 == 2) != want_mid_commit {
+                    return false;
+                }
+                let returned = returned.load(Ordering::Relaxed);
+                assert_eq!(
+                    panic.draw / 3,
+                    returned,
+                    "{algo:?}: one transaction per 3 draws"
+                );
+                // Mid-commit the drop guard finished the commit; mid-body it
+                // rolled the attempt back.
+                assert_eq!(
+                    view.heap().load(word(0)),
+                    returned + u64::from(want_mid_commit),
+                    "{algo:?} mid_commit={want_mid_commit}"
+                );
+                assert_eq!(view.gate().inside(), 0, "{algo:?}");
+                assert!(
+                    !view.descriptor_pooled(0),
+                    "{algo:?} mid_commit={want_mid_commit}: the dead task's descriptor was pooled"
+                );
+                for t in 1..TASKS as usize {
+                    assert!(view.descriptor_pooled(t), "{algo:?}: survivor {t}");
+                }
+
+                let mut ex = SimExecutor::new(SimConfig::default());
+                for t in 0..TASKS {
+                    let view = Arc::clone(&view);
+                    ex.spawn(move |rt| async move {
+                        for _ in 0..ITERS {
+                            view.transact(&rt, async |tx| {
+                                let v = tx.read(word(t)).await?;
+                                tx.write(word(t), v + 1).await
+                            })
+                            .await;
+                        }
+                    });
+                }
+                assert_eq!(ex.run().status, RunStatus::Completed, "{algo:?}");
+                assert_eq!(
+                    view.heap().load(word(0)),
+                    returned + u64::from(want_mid_commit) + ITERS
+                );
+                for t in 1..TASKS {
+                    assert_eq!(view.heap().load(word(t)), 2 * ITERS, "{algo:?}: task {t}");
+                }
+                assert!(view.descriptor_pooled(0), "{algo:?}: rebuilt and pooled");
+                true
+            });
+            assert!(
+                covered,
+                "{algo:?}: no fault seed put the panic mid_commit={want_mid_commit}"
+            );
+        }
+    }
+}
+
 /// Alloc-then-abort, repeated, must leave the view heap's occupancy
 /// unchanged for every algorithm — the rollback path frees attempt-local
 /// allocations exactly once.

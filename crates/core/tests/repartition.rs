@@ -216,6 +216,23 @@ fn run_domain(
         "{algo:?} seed {seed}: counter sum (lost or doubled update)"
     );
 
+    // Descriptors belong to the view whose `TmInstance` built them: a split
+    // or merge moves routes, never descriptors, and a thread re-routed to
+    // another view takes (or builds) that view's own. With every thread
+    // now outside any transaction, a view holds pooled descriptors exactly
+    // if transactions completed through it — none migrated into a view
+    // that never ran one, none left a view that did.
+    for view in domain.views() {
+        let pooled = (0..=threads).filter(|&t| view.descriptor_pooled(t)).count();
+        assert_eq!(
+            pooled > 0,
+            view.stats().tm.commits > 0,
+            "{algo:?} seed {seed}: view {} pools {pooled} descriptors after {} commits",
+            view.id(),
+            view.stats().tm.commits
+        );
+    }
+
     let stats = domain.stats();
     let lost: u64 = domain
         .views()

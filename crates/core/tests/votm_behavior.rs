@@ -436,3 +436,44 @@ fn deterministic_sim_runs_are_bit_identical() {
     };
     assert_eq!(run(42), run(42), "same seed, same makespan and aborts");
 }
+
+/// A body may call `transact` on the view it is already inside. The outer
+/// transaction holds the thread's pooled descriptor, so the inner one must
+/// get one of its own: were the two to share, the inner `begin()` would
+/// wipe the outer's buffered writes (or trip its `!active` assertion).
+#[test]
+fn nested_transact_on_the_same_view_gets_its_own_descriptor() {
+    const ROUNDS: u64 = 3;
+    for algo in TmAlgorithm::ALL {
+        let system = sys(algo, 2);
+        // Quota 2: the outer transaction keeps its admission while the
+        // inner one is admitted.
+        let view = system.create_view(256, QuotaMode::Fixed(2));
+        let mut ex = SimExecutor::new(SimConfig::default());
+        let v = Arc::clone(&view);
+        ex.spawn(move |rt| async move {
+            for round in 0..ROUNDS {
+                v.transact(&rt, async |tx| {
+                    tx.write(Addr(0), 10 + round).await?;
+                    assert!(!v.descriptor_pooled(0), "the outer transaction holds it");
+                    v.transact(&rt, async |inner| {
+                        let n = inner.read(Addr(64)).await?;
+                        inner.write(Addr(64), n + 1).await
+                    })
+                    .await;
+                    assert!(v.descriptor_pooled(0), "the inner one pooled its own");
+                    // The outer write set survived the inner transaction.
+                    assert_eq!(tx.read(Addr(0)).await?, 10 + round, "{algo:?}");
+                    tx.write(Addr(128), round).await
+                })
+                .await;
+            }
+        });
+        assert_eq!(ex.run().status, RunStatus::Completed, "{algo:?}");
+        assert_eq!(view.heap().load(Addr(0)), 10 + ROUNDS - 1, "{algo:?}");
+        assert_eq!(view.heap().load(Addr(64)), ROUNDS, "{algo:?}");
+        assert_eq!(view.heap().load(Addr(128)), ROUNDS - 1, "{algo:?}");
+        assert_eq!(view.stats().tm.commits, 2 * ROUNDS, "{algo:?}");
+        assert_eq!(view.stats().tm.aborts, 0, "{algo:?}");
+    }
+}

@@ -112,6 +112,17 @@ impl Rt {
         }
     }
 
+    /// Whether [`Rt::take_fault`] can ever return a fault for this task: a
+    /// [`FaultPlan`] is configured and targets it. Fixed for the task's
+    /// lifetime, so a caller may ask once and skip its fault points
+    /// altogether. Real-thread runs never inject faults.
+    pub fn faults_armed(&self) -> bool {
+        match self {
+            Rt::Sim(h) => h.faults_armed(),
+            Rt::Real(_) => false,
+        }
+    }
+
     /// Draws the next injected fault for this task, if the executor has a
     /// [`FaultPlan`] configured. Real-thread runs never inject faults.
     ///

@@ -98,11 +98,14 @@ mod tests {
     fn notify_wakes_parked_real_thread() {
         let notify = Arc::new(crate::Notify::new());
         let n2 = Arc::clone(&notify);
+        // Taken before either worker exists: an epoch read inside worker 0
+        // could already include worker 1's one `notify_all`, and the wait
+        // would then never end.
+        let e = notify.epoch();
         run_parallel(2, move |i, rt| {
             let notify = Arc::clone(&n2);
             async move {
                 if i == 0 {
-                    let e = notify.epoch();
                     rt.wait(&notify, e).await;
                 } else {
                     rt.work(10_000).await;

@@ -567,6 +567,14 @@ impl SimHandle {
         inner.self_schedule(self.task, at);
     }
 
+    /// Whether this task draws from a fault plan at all.
+    pub(crate) fn faults_armed(&self) -> bool {
+        // SAFETY: as in `schedule_self_after`.
+        unsafe { self.shared.state() }.tasks[self.task as usize]
+            .fault_rng
+            .is_some()
+    }
+
     /// Draws the next injected fault for this task, if any (see
     /// [`crate::fault`]).
     pub(crate) fn take_fault(&self) -> Option<FaultEvent> {

@@ -379,6 +379,17 @@ impl TxCtx {
         }
     }
 
+    /// True when the context holds nothing of any attempt — transactional,
+    /// not live, not mid-commit — so its next [`TxCtx::begin`] behaves
+    /// exactly like a fresh [`TmInstance::tx_ctx`]'s, only with the read
+    /// set, write set and lock list keeping the capacity they grew to.
+    /// This is the condition under which a caller may keep a context for a
+    /// later transaction of the same thread on the same instance; a context
+    /// that fails it (abandoned by an unwind, or direct) must be dropped.
+    pub fn is_idle(&self) -> bool {
+        !self.is_direct() && !self.is_active() && !self.mid_commit()
+    }
+
     /// True in the window between a `NeedsFinish` from
     /// [`TxCtx::commit_begin`] and the matching [`TxCtx::commit_finish`].
     ///

@@ -297,12 +297,12 @@ impl OrecLazyTx {
             return Ok(CommitPhase::Done);
         }
         // Acquire every write orec (deduplicated via the lock bit check).
-        let write_orecs: Vec<(Addr, usize)> = self
-            .writes
-            .iter()
-            .map(|(addr, _)| (addr, global.orec_index(addr)))
-            .collect();
-        for (addr, idx) in write_orecs {
+        // By position, not by iterator: the loop body needs `&mut self`
+        // (extension, lock release), and nothing in it touches the write
+        // set.
+        for i in 0..self.writes.len() {
+            let addr = self.writes.addr_at(i);
+            let idx = global.orec_index(addr);
             let ov = global.orec_at(idx).load(Ordering::Acquire);
             self.work += cost::METADATA_OP;
             if is_locked(ov) {

@@ -129,6 +129,14 @@ impl WriteSet {
         self.summary
     }
 
+    /// The `i`-th distinct address in first-write order (panics out of
+    /// bounds). For loops that must mutate the owning descriptor while
+    /// walking the set, where [`WriteSet::iter`]'s borrow is in the way.
+    #[inline]
+    pub fn addr_at(&self, i: usize) -> Addr {
+        self.entries[i].0
+    }
+
     /// Iterates `(addr, value)` in first-write order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
         self.entries.iter().copied()

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use votm_stm::instance::run_sync;
 use votm_stm::writeset::{WriteSet, INLINE_WRITES};
-use votm_stm::{Addr, OpError, TmAlgorithm, TmInstance, WordHeap};
+use votm_stm::{Addr, CommitPhase, OpError, OpResult, TmAlgorithm, TmInstance, TxCtx, WordHeap};
 use votm_utils::{InlineVec, XorShift64};
 
 const HEAP_WORDS: u64 = 64;
@@ -291,5 +291,261 @@ fn aborted_attempts_are_invisible() {
                 );
             }
         }
+    }
+}
+
+/// One step of a [`reused_context_is_indistinguishable_from_a_fresh_one`]
+/// script. The subject is thread 0; the rival is thread 1.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Read(u32),
+    Write(u32, u64),
+    /// The rival commits one write, start to finish (or gives up on the
+    /// first `Busy`/`Conflict`).
+    RivalCommit(u32, u64),
+    /// The rival opens a transaction, writes, and stays open; with `true`
+    /// it also goes through `commit_begin` and stops before
+    /// `commit_finish`. Encounter-time locking holds the orec from the
+    /// write on, the other two hold their commit metadata (orecs, NOrec's
+    /// sequence lock) only mid-commit — held metadata is what makes the
+    /// subject's calls return `Busy`.
+    RivalHold(u32, u64, bool),
+    /// The rival's open transaction, if any, commits (or aborts).
+    RivalRelease,
+}
+
+/// One attempt of the subject: its steps and how it means to end.
+#[derive(Debug, Clone)]
+struct Attempt {
+    steps: Vec<Step>,
+    commit: bool,
+}
+
+/// One TM instance with its rival's open transaction.
+struct Side {
+    inst: TmInstance,
+    rival: Option<TxCtx>,
+}
+
+impl Side {
+    fn new(algo: TmAlgorithm) -> Self {
+        Side {
+            inst: TmInstance::new(algo, HEAP_WORDS as usize),
+            rival: None,
+        }
+    }
+
+    /// Commits `tx` if it can, aborts it otherwise; says which.
+    fn finish_rival(&self, mut tx: TxCtx) -> &'static str {
+        if tx.mid_commit() {
+            tx.commit_finish(&self.inst);
+            return "committed";
+        }
+        match tx.commit_begin(&self.inst) {
+            Ok(CommitPhase::Done) => "committed",
+            Ok(CommitPhase::NeedsFinish { .. }) => {
+                tx.commit_finish(&self.inst);
+                "committed"
+            }
+            Err(_) => {
+                tx.abort(&self.inst);
+                "aborted"
+            }
+        }
+    }
+
+    /// A rival transaction that has begun and written `value` to `addr`,
+    /// or `None` (aborted) if the write was refused.
+    fn rival_write(&self, addr: u32, value: u64) -> Option<TxCtx> {
+        let mut tx = self.inst.tx_ctx(1);
+        tx.begin(&self.inst).ok()?;
+        if tx.write(&self.inst, Addr(addr), value).is_err() {
+            tx.abort(&self.inst);
+            return None;
+        }
+        Some(tx)
+    }
+
+    /// Runs one attempt on `ctx` and returns everything it could observe:
+    /// per call the result, the work drained after it, the liveness flags,
+    /// the write summary, and after a `Conflict` the attribution.
+    fn run_attempt(&mut self, ctx: &mut TxCtx, attempt: &Attempt) -> Vec<String> {
+        fn observe<T: std::fmt::Debug>(ctx: &mut TxCtx, call: &str, r: &OpResult<T>) -> String {
+            let blame = match r {
+                Err(OpError::Conflict) => format!(
+                    " {:?} {:?} {:?}",
+                    ctx.conflict_reason(),
+                    ctx.conflict_site(),
+                    ctx.conflict_enemy()
+                ),
+                Err(OpError::Busy) => format!(" {:?}", ctx.conflict_enemy()),
+                Ok(_) => String::new(),
+            };
+            format!(
+                "{call} -> {r:?}{blame} work={} active={} mid_commit={} idle={} summary={:#x}",
+                ctx.take_work(),
+                ctx.is_active(),
+                ctx.mid_commit(),
+                ctx.is_idle(),
+                ctx.write_summary()
+            )
+        }
+        let mut log = Vec::new();
+        // NOrec cannot begin while a committer holds the sequence lock; a
+        // driver would poll, here the rival is made to finish.
+        loop {
+            let r = ctx.begin(&self.inst);
+            log.push(observe(ctx, "begin", &r));
+            if r.is_ok() {
+                break;
+            }
+            let rival = self.rival.take().expect("begin is Busy only under a rival");
+            log.push(format!("rival release {}", self.finish_rival(rival)));
+        }
+        let inst = &self.inst;
+        let mut conflicted = false;
+        for step in &attempt.steps {
+            match *step {
+                Step::Read(a) => {
+                    let r = ctx.read(inst, Addr(a));
+                    conflicted = r == Err(OpError::Conflict);
+                    log.push(observe(ctx, "read", &r));
+                }
+                Step::Write(a, v) => {
+                    let r = ctx.write(inst, Addr(a), v);
+                    conflicted = r == Err(OpError::Conflict);
+                    log.push(observe(ctx, "write", &r));
+                }
+                Step::RivalCommit(a, v) => {
+                    let outcome = match self.rival_write(a, v) {
+                        Some(tx) => self.finish_rival(tx),
+                        None => "refused",
+                    };
+                    log.push(format!("rival commit {outcome}"));
+                }
+                Step::RivalHold(a, v, mid_commit) => {
+                    if self.rival.is_none() {
+                        self.rival = self.rival_write(a, v);
+                        if let (Some(tx), true) = (&mut self.rival, mid_commit) {
+                            if tx.commit_begin(inst).is_err() {
+                                tx.abort(inst);
+                                self.rival = None;
+                            }
+                        }
+                        log.push(format!("rival hold {}", self.rival.is_some()));
+                    }
+                }
+                Step::RivalRelease => {
+                    if let Some(tx) = self.rival.take() {
+                        log.push(format!("rival release {}", self.finish_rival(tx)));
+                    }
+                }
+            }
+            if conflicted {
+                break;
+            }
+        }
+        let mut committed = false;
+        if attempt.commit && !conflicted {
+            // A driver would wait out `Busy`; three polls are enough to see
+            // that a reused context answers them like a fresh one.
+            for _ in 0..3 {
+                let r = ctx.commit_begin(inst);
+                log.push(observe(ctx, "commit_begin", &r));
+                match r {
+                    Ok(CommitPhase::Done) => committed = true,
+                    Ok(CommitPhase::NeedsFinish { .. }) => {
+                        ctx.commit_finish(inst);
+                        log.push(observe(ctx, "commit_finish", &Ok(())));
+                        committed = true;
+                    }
+                    Err(OpError::Busy) => continue,
+                    Err(OpError::Conflict) => {}
+                }
+                break;
+            }
+        }
+        if !committed {
+            ctx.abort(inst);
+            log.push(observe(ctx, "abort", &Ok(())));
+        }
+        assert!(ctx.is_idle(), "an ended attempt leaves the context idle");
+        log
+    }
+}
+
+fn random_attempt(rng: &mut XorShift64) -> Attempt {
+    // Large attempts spill the 8-entry inline read and write sets (and put
+    // more than 8 orecs on the lock list); small ones fit. Mixing them at
+    // random crosses the boundary in both directions.
+    let len = if rng.chance_percent(40) {
+        20 + rng.next_index(21)
+    } else {
+        1 + rng.next_index(6)
+    };
+    let steps = (0..len)
+        .map(|_| {
+            let a = rng.next_below(HEAP_WORDS) as u32;
+            match rng.next_below(20) {
+                0 => Step::RivalCommit(a, rng.next_u64()),
+                1 => Step::RivalHold(a, rng.next_u64(), rng.chance_percent(50)),
+                2 => Step::RivalRelease,
+                3..=11 => Step::Read(a),
+                _ => Step::Write(a, rng.next_u64()),
+            }
+        })
+        .collect();
+    Attempt {
+        steps,
+        commit: rng.chance_percent(70),
+    }
+}
+
+/// A context reused for every attempt — what the transaction driver's
+/// persistent descriptors do — is indistinguishable from a fresh
+/// `tx_ctx()` per attempt: over random scripts of begin / read / write /
+/// commit / abort with a rival committing and holding locks in between (so
+/// `Busy` and `Conflict` both occur), the two return the same results, the
+/// same `take_work()` after every call, the same conflict attribution and
+/// the same final heap. `begin()` must therefore reset everything a
+/// previous attempt left behind except capacity, whatever size that
+/// attempt was.
+#[test]
+fn reused_context_is_indistinguishable_from_a_fresh_one() {
+    let mut rng = XorShift64::new(0x57u64 << 32 | 8);
+    for algo in TmAlgorithm::ALL {
+        let (mut busy, mut conflicts, mut spills_then_small) = (0, 0, 0);
+        for case in 0..150 {
+            let script: Vec<Attempt> = (0..2 + rng.next_index(10))
+                .map(|_| random_attempt(&mut rng))
+                .collect();
+            let (mut reusing, mut renewing) = (Side::new(algo), Side::new(algo));
+            let mut reused = reusing.inst.tx_ctx(0);
+            let mut previous_len = 0;
+            for (i, attempt) in script.iter().enumerate() {
+                let got = reusing.run_attempt(&mut reused, attempt);
+                let mut fresh = renewing.inst.tx_ctx(0);
+                let want = renewing.run_attempt(&mut fresh, attempt);
+                assert_eq!(
+                    got, want,
+                    "{algo:?} case {case} attempt {i}: reused (left) vs fresh (right) context\n{attempt:?}"
+                );
+                busy += want.iter().filter(|l| l.contains("Err(Busy)")).count();
+                conflicts += want.iter().filter(|l| l.contains("Err(Conflict)")).count();
+                spills_then_small += usize::from(previous_len >= 20 && attempt.steps.len() <= 6);
+                previous_len = attempt.steps.len();
+            }
+            for a in 0..HEAP_WORDS as u32 {
+                assert_eq!(
+                    reusing.inst.heap().load(Addr(a)),
+                    renewing.inst.heap().load(Addr(a)),
+                    "{algo:?} case {case}: heaps diverge at {a}"
+                );
+            }
+        }
+        // The scripts must actually reach the paths the claim is about.
+        assert!(conflicts > 0, "{algo:?}: no script conflicted");
+        assert!(spills_then_small > 0, "{algo:?}: no large-then-small pair");
+        assert!(busy > 0, "{algo:?}: no script met held metadata");
     }
 }
