@@ -29,8 +29,9 @@
 //!    document carries the `1.1` wasted-work ledger, `waste_frac` is a
 //!    finite number and the per-reason wasted cycles sum exactly to
 //!    `wasted_cycles`; if it carries `1.3` adaptive-partition rows, every
-//!    `*-adaptive` row repartitioned at least once and converged to
-//!    >= 0.90× its hand-partitioned twin's throughput.
+//!    `*-adaptive` row has a `*-hand` twin, repartitioned at least once,
+//!    spent cycles in drain barriers, ended with at least two views, and
+//!    converged to >= 0.90× its hand-partitioned twin's throughput.
 //!
 //! Exit status: 0 clean, 1 regression/divergence, 2 usage or schema error.
 
@@ -267,20 +268,38 @@ fn main() {
             }
         }
     }
-    // Adaptive-partition block (`1.3` rows): every adaptive row actually
-    // repartitioned and reached the convergence floor against its
-    // hand-partitioned twin.
-    for r in cur_rows {
-        let k = row_key(r);
-        if !k.2.starts_with("partition-") || !k.2.ends_with("-adaptive") {
-            continue;
-        }
-        let label = key_label(&k);
-        let reparts = r.get("repartitions").and_then(Json::as_u64).unwrap_or(0);
-        if reparts == 0 {
+    // Adaptive-partition block (`1.3` rows): every adaptive row has a
+    // hand-partitioned twin, actually repartitioned (live splits through
+    // the drain barrier, not a lucky static layout) and reached the
+    // convergence floor against that twin.
+    let partition_rows = |suffix: &'static str| {
+        cur_rows.iter().filter(move |r| {
+            let version = row_key(r).2;
+            version.starts_with("partition-") && version.ends_with(suffix)
+        })
+    };
+    let (n_hand, n_adaptive) = (
+        partition_rows("-hand").count(),
+        partition_rows("-adaptive").count(),
+    );
+    if n_hand != n_adaptive {
+        problems.push(format!(
+            "partition scenarios: {n_hand} hand rows but {n_adaptive} adaptive rows"
+        ));
+    }
+    for r in partition_rows("-adaptive") {
+        let label = key_label(&row_key(r));
+        let count = |k: &str| r.get(k).and_then(Json::as_u64).unwrap_or(0);
+        if count("repartitions") == 0 {
             problems.push(format!(
                 "{label}: adaptive partition row never repartitioned"
             ));
+        }
+        if count("split_drain_cycles") == 0 {
+            problems.push(format!("{label}: no cycles spent in drain barriers"));
+        }
+        if count("n_views") < 2 {
+            problems.push(format!("{label}: ended with fewer than two views"));
         }
         let ratio = f64_field(r, "converged_throughput_ratio");
         if ratio.is_nan() || ratio < CONVERGENCE_FLOOR {

@@ -97,7 +97,7 @@ fn parse_args() -> Args {
 const GATE_EIGEN_SCALE: f64 = 0.001;
 
 /// Output artifact of `--json`: the PR-numbered benchmark trajectory file.
-const GATE_ARTIFACT: &str = "BENCH_10.json";
+const GATE_ARTIFACT: &str = "BENCH_14.json";
 
 /// Sidecar artifact of `--json`: the per-policy comparison table
 /// (markdown), built from the gate's policy rows.

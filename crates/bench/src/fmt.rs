@@ -421,9 +421,9 @@ pub fn clock_table(rows: &[GateRow]) -> String {
     }
     out.push_str(
         "\nDefault-clock (`global`) rows aggregate the gate's seed sweep; clock-variant \
-         rows are single-seed comparison runs (see BENCH_10.json for the raw fields). \
-         `bumps` counts clock advances taken, `bump skips` counts advances elided or \
-         banked by the variant's coalescing strategy.\n",
+         rows are single-seed comparison runs (see BENCH_14.json for the raw fields). \
+         `bumps` counts clock advances taken, `bump skips` counts advances elided by \
+         the variant's coalescing strategy.\n",
     );
     out
 }

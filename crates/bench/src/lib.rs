@@ -499,11 +499,11 @@ pub struct GateRow {
     /// paper's global-clock bottleneck: under single-view NOrec at N = 16
     /// this dwarfs 1, and it is the number the clock variants attack.
     pub busy_retries_per_commit: f64,
-    /// Clock bumps actually taken (fetch-add or shard tick), summed over
-    /// views and seeds. See `votm_stm::clock::ClockStats::bumps`.
+    /// Clock bumps actually taken (fetch-add or seqlock release), summed
+    /// over views and seeds. See `votm_stm::clock::ClockStats::bumps`.
     pub clock_bumps: u64,
-    /// Clock bumps elided or banked (epoch coalescing, GV5 reuse, SNZI
-    /// solo-skip), summed over views and seeds. Always 0 under `"global"`.
+    /// Clock bumps elided (GV5 reuse, SNZI solo-skip), summed over views
+    /// and seeds. Always 0 under `"global"`.
     pub clock_bump_skips: u64,
     /// Cycles threads spent blocked at admission gates.
     pub gate_wait_cycles: u64,
@@ -896,10 +896,10 @@ pub fn capture_trace_cm(
 }
 
 /// [`capture_trace_cm`] under an explicit clock strategy. Each clock kind
-/// is still a deterministic function of the seeds — shard indices derive
-/// from addresses, epoch banking from the commit interleaving — so two
-/// captures with identical arguments are byte-identical whatever the
-/// clock; the per-clock determinism suite asserts exactly that.
+/// is still a deterministic function of the seeds — GV5 reuse and SNZI
+/// occupancy derive from virtual time — so two captures with identical
+/// arguments are byte-identical whatever the clock; the per-clock
+/// determinism suite asserts exactly that.
 pub fn capture_trace_clock(
     settings: &Settings,
     algo: TmAlgorithm,

@@ -34,13 +34,12 @@
 //! *stable* route for every bucket V owns, for its whole lifetime. The
 //! full split choreography:
 //!
-//! 1. `clock_flush()` — settle banked epoch-elided clock bumps;
-//! 2. `acquire_exclusive` — block new admissions, wait out in-flight
+//! 1. `acquire_exclusive` — block new admissions, wait out in-flight
 //!    transactions;
-//! 3. build the new [`View`] over the shared heap (fresh metadata);
-//! 4. [`votm_stm::RouteTable::remap`] the moving buckets to the new slot;
-//! 5. record a [`EventKind::Repartition`] trace event;
-//! 6. drop the drain guard, then `publish(u64::MAX)` on the wait table —
+//! 2. build the new [`View`] over the shared heap (fresh metadata);
+//! 3. [`votm_stm::RouteTable::remap`] the moving buckets to the new slot;
+//! 4. record a [`EventKind::Repartition`] trace event;
+//! 5. drop the drain guard, then `publish(u64::MAX)` on the wait table —
 //!    every parked waiter wakes, re-runs, and **re-homes** through the
 //!    route check to whichever view now owns its data; the publish also
 //!    stamps every bucket epoch, so a park racing the drain observes
@@ -436,7 +435,6 @@ impl AdaptiveDomain {
                 if v.gate().is_retired() {
                     continue;
                 }
-                v.tm().clock_flush();
                 guards.push(v.gate().acquire_exclusive(rt).await);
             }
             // A repartition needs exclusive admission to a view we now
@@ -650,9 +648,6 @@ impl AdaptiveDomain {
     async fn split(&self, rt: &Rt, slot: u32, move_mask: u64) {
         let view = self.view_at(slot);
         let t0 = rt.now();
-        // Same order as the escalation path: settle banked clock bumps,
-        // then drain.
-        view.tm().clock_flush();
         let guard = view.gate().acquire_exclusive(rt).await;
         debug_assert_eq!(
             move_mask & !self.route.owned_mask(slot),
@@ -710,9 +705,7 @@ impl AdaptiveDomain {
         let dv = self.view_at(dst);
         let sv = self.view_at(src);
         let t0 = rt.now();
-        dv.tm().clock_flush();
         let dg = dv.gate().acquire_exclusive(rt).await;
-        sv.tm().clock_flush();
         let sg = sv.gate().acquire_exclusive(rt).await;
         let mask = self.route.owned_mask(src);
         self.route.remap(mask, dst);

@@ -967,11 +967,6 @@ where
                 // the irrevocable lock mode, which cannot abort.
                 view.tm().stats().record_escalation(rt.thread_index());
                 rec.record(wait_from, EventKind::Escalation { view: vid });
-                // Settle any banked (epoch-elided) clock bumps before the
-                // drain: direct mode bypasses clock bookkeeping, and the
-                // transactions about to be drained must observe a clock
-                // that accounts for every commit that already landed.
-                view.tm().clock_flush();
                 view.gate().acquire_exclusive(rt).await
             } else {
                 view.gate().admit(rt).await

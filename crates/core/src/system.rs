@@ -74,15 +74,6 @@ pub struct Votm {
 }
 
 impl Votm {
-    /// Creates an empty system from a raw config struct.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use the typed front door: `Votm::builder().algo(..).policy(..).clock(..).build()`"
-    )]
-    pub fn new(config: VotmConfig) -> Self {
-        Self::from_config(config)
-    }
-
     /// The builder front door: `Votm::builder().algo(..).policy(..)
     /// .clock(..).build()`. Every knob defaults to the paper's baseline
     /// ([`VotmConfig::default`]), so `Votm::builder().build()` is a valid
@@ -90,13 +81,6 @@ impl Votm {
     pub fn builder() -> VotmBuilder {
         VotmBuilder {
             config: VotmConfig::default(),
-        }
-    }
-
-    fn from_config(config: VotmConfig) -> Self {
-        Self {
-            config,
-            views: Mutex::new(Vec::new()),
         }
     }
 
@@ -264,7 +248,10 @@ impl VotmBuilder {
 
     /// Builds the system.
     pub fn build(self) -> Votm {
-        Votm::from_config(self.config)
+        Votm {
+            config: self.config,
+            views: Mutex::new(Vec::new()),
+        }
     }
 }
 

@@ -342,9 +342,8 @@ pub struct ViewStats {
     /// wait, in cycles. The commit histogram's total count always equals
     /// `tm.commits`.
     pub hists: ViewHistSnapshot,
-    /// Clock-source counters: bumps taken, bumps elided, banked epochs
-    /// still pending a flush. All zero under [`ClockKind::Global`]'s
-    /// always-bump strategy except `bumps` itself.
+    /// Clock-source counters: bumps taken and bumps elided. Under
+    /// [`ClockKind::Global`]'s always-bump strategy only `bumps` moves.
     pub clock: ClockStats,
 }
 

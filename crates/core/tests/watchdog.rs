@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use votm::{Addr, ClockKind, QuotaMode, TmAlgorithm, Votm};
+use votm::{Addr, QuotaMode, TmAlgorithm, Votm};
 use votm_sim::{FaultPlan, Notify, RunStatus, SimConfig, SimExecutor};
 
 /// An adversarial fault plan that aborts *every* transactional fault point:
@@ -176,82 +176,6 @@ fn unrelated_commits_cannot_mask_a_starving_transaction() {
     assert_eq!(stats.escalations, 1);
     assert_eq!(stats.aborts, u64::from(K));
     assert_eq!(stats.max_abort_streak, u64::from(K));
-}
-
-/// Escalation to exclusive admission must settle the epoch-batched clock's
-/// banked bumps *before* the drain: the escalated transaction runs with
-/// direct access, and post-drain snapshots must not share an epoch with
-/// pre-drain elided commits. Phase one banks bumps with solo elided
-/// commits; phase two starves a transaction into escalating and asserts
-/// the bank was folded into the primary timestamp at the escalation site.
-#[test]
-fn escalation_flushes_the_epoch_clocks_banked_bumps() {
-    const M: u64 = 5;
-    const K: u32 = 3;
-    for algo in [
-        TmAlgorithm::NOrec,
-        TmAlgorithm::OrecEagerRedo,
-        TmAlgorithm::OrecLazy,
-    ] {
-        let system = Votm::builder()
-            .algo(algo)
-            .threads(2)
-            .escalate_after(Some(K))
-            .clock(ClockKind::Epoch)
-            .build();
-        let view = system.create_view(64, QuotaMode::Fixed(2));
-
-        // Phase one: M sequential solo commits, each of which the epoch
-        // clock elides and banks.
-        let mut ex = SimExecutor::new(SimConfig::default());
-        {
-            let view = Arc::clone(&view);
-            ex.spawn(move |rt| async move {
-                for _ in 0..M {
-                    view.transact(&rt, async |tx| {
-                        let v = tx.read(Addr(0)).await?;
-                        tx.write(Addr(0), v + 1).await
-                    })
-                    .await;
-                }
-            });
-        }
-        assert_eq!(ex.run().status, RunStatus::Completed, "{algo:?}");
-        let clock = view.stats().clock;
-        assert_eq!(clock.pending, M, "{algo:?}: solo commits bank their bumps");
-        assert_eq!(clock.bump_skips, M, "{algo:?}");
-        assert_eq!(clock.bumps, 0, "{algo:?}: nothing ticked yet");
-
-        // Phase two: a 100%-abort adversary forces escalation after K
-        // attempts; the escalation site must flush the bank.
-        let mut ex = SimExecutor::new(SimConfig {
-            fault_plan: Some(always_abort(11)),
-            ..Default::default()
-        });
-        {
-            let view = Arc::clone(&view);
-            ex.spawn(move |rt| async move {
-                view.transact(&rt, async |tx| {
-                    let v = tx.read(Addr(0)).await?;
-                    tx.write(Addr(0), v + 1).await
-                })
-                .await;
-            });
-        }
-        assert_eq!(ex.run().status, RunStatus::Completed, "{algo:?}");
-        assert_eq!(view.heap().load(Addr(0)), M + 1, "{algo:?}");
-        let stats = view.stats();
-        assert_eq!(stats.tm.escalations, 1, "{algo:?}");
-        assert_eq!(
-            stats.clock.pending, 0,
-            "{algo:?}: the escalation drain must settle the bank"
-        );
-        assert_eq!(
-            stats.clock.bumps, 1,
-            "{algo:?}: exactly the one flush fold, no per-commit ticks"
-        );
-        assert_eq!(stats.clock.bump_skips, M, "{algo:?}");
-    }
 }
 
 /// Deadlocked runs report which tasks stalled, when they last progressed,

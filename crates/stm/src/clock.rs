@@ -12,16 +12,6 @@
 //!   sequence lock / the orec version clock). Bit-identical to the
 //!   pre-clock-source code; CI enforces this against the benchmark
 //!   baseline.
-//! * [`ClockKind::Sharded`] — [`SHARDS`] cache-padded slots, one per
-//!   address range ([`shard_of`]). NOrec runs one sequence lock per shard
-//!   (disjoint-shard writers commit concurrently and readers skip
-//!   validating shards that never moved); the orec algorithms run one
-//!   version clock per shard over a shard-partitioned orec table.
-//! * [`ClockKind::Epoch`] — epoch-batched bumping: a committer that is
-//!   provably alone (the active-transaction count is 1) releases the clock
-//!   *unchanged* and banks the elided bump in [`ClockSource::pending`];
-//!   the batch is folded back into the timestamp at the next exclusive
-//!   drain ([`ClockSource::flush`]).
 //! * [`ClockKind::Coarse`] — coarse-granularity timestamps after Huang et
 //!   al.: orec commits reuse the current clock value (GV5-style — no
 //!   fetch-add per commit, at the price of *false conflicts* when a commit
@@ -34,36 +24,25 @@
 //!   decide whether anyone is watching — the clock is bumped only when
 //!   concurrent transactions exist to benefit, and skipped when solo.
 //!
+//! Only kinds with a winning gate row are kept (`clock_table.md`): coarse
+//! wins OrecEagerRedo by +26 % and cuts NOrec's busy retries per commit
+//! from 132 to 102; coarse-snzi wins NOrec by +3.7 %. Address-sharded and
+//! epoch-batched clocks were tried and removed — neither won a row, and
+//! the paper's own answer to the global-clock bottleneck is the per-view
+//! cut, not sharding inside a view (DESIGN.md §14).
+//!
 //! The source also owns the per-clock statistics (bumps paid, bumps
-//! skipped, pending batch size) surfaced through the gate's clock rows.
+//! skipped) surfaced through the gate's clock rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use votm_utils::CachePadded;
-
-use crate::heap::Addr;
-
-/// Number of clock shards for [`ClockKind::Sharded`] (power of two).
-pub const SHARDS: usize = 8;
-
-/// Address-range shard width: addresses are sharded by
-/// `(addr >> SHARD_SHIFT) & (SHARDS - 1)`, i.e. contiguous runs of
-/// `1 << SHARD_SHIFT` words share a shard. Range sharding (rather than
-/// hashing) keeps an object's words in one shard so a commit bumps few
-/// shards and disjoint objects stop cross-invalidating each other.
-pub const SHARD_SHIFT: u32 = 11;
 
 /// Commits per write-summary ring slot under [`ClockKind::Coarse`] /
 /// [`ClockKind::CoarseSnzi`] NOrec (must be a power of two). Coarser slots
 /// are denser filters (more false positives, each costing one value check)
 /// but stretch the ring's reach by the same factor.
 pub const COARSE_COMMITS_PER_SLOT: u64 = 4;
-
-/// The shard guarding `addr` under [`ClockKind::Sharded`].
-#[inline]
-pub fn shard_of(addr: Addr) -> usize {
-    ((addr.0 >> SHARD_SHIFT) as usize) & (SHARDS - 1)
-}
 
 /// Which timestamp strategy a TM instance uses (selected per-system via
 /// `VotmConfig`, like the contention-management policy).
@@ -72,10 +51,6 @@ pub enum ClockKind {
     /// Single global counter — the paper's baseline and the default.
     #[default]
     Global,
-    /// Per-address-range sharded clock (cache-padded slots).
-    Sharded,
-    /// Epoch-batched bumps: solo committers elide the bump and bank it.
-    Epoch,
     /// Coarse-granularity timestamps (Huang et al.): share epochs, trade
     /// false conflicts for bump traffic.
     Coarse,
@@ -86,20 +61,12 @@ pub enum ClockKind {
 
 impl ClockKind {
     /// Every clock kind, for parameterised tests, sweeps and gate rows.
-    pub const ALL: [ClockKind; 5] = [
-        ClockKind::Global,
-        ClockKind::Sharded,
-        ClockKind::Epoch,
-        ClockKind::Coarse,
-        ClockKind::CoarseSnzi,
-    ];
+    pub const ALL: [ClockKind; 3] = [ClockKind::Global, ClockKind::Coarse, ClockKind::CoarseSnzi];
 
     /// Stable display name (used in gate JSON rows and tables).
     pub fn name(self) -> &'static str {
         match self {
             ClockKind::Global => "global",
-            ClockKind::Sharded => "sharded",
-            ClockKind::Epoch => "epoch",
             ClockKind::Coarse => "coarse",
             ClockKind::CoarseSnzi => "coarse-snzi",
         }
@@ -110,12 +77,11 @@ impl ClockKind {
         ClockKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// True for the kinds that maintain the active-transaction /
-    /// read-indicator counter ([`ClockSource::enter`]/[`ClockSource::exit`]
-    /// are no-ops otherwise).
+    /// True for the kind that maintains the read-indicator counter
+    /// ([`ClockSource::enter`]/[`ClockSource::exit`] are no-ops otherwise).
     #[inline]
     pub(crate) fn tracks_active(self) -> bool {
-        matches!(self, ClockKind::Epoch | ClockKind::CoarseSnzi)
+        self == ClockKind::CoarseSnzi
     }
 
     /// True for the summary-coupled coarse kinds (Huang et al. granularity):
@@ -133,16 +99,13 @@ impl ClockKind {
 pub struct ClockStats {
     /// Timestamp advances actually paid (CAS/fetch-add on a shared line).
     pub bumps: u64,
-    /// Advances elided: solo-committer elisions (epoch, coarse-snzi) and
-    /// GV5 commits that reused the current epoch (coarse).
+    /// Advances elided: solo-committer elisions (coarse-snzi) and GV5
+    /// commits that reused the current epoch (coarse).
     pub bump_skips: u64,
-    /// Elided bumps banked and not yet folded back by [`ClockSource::flush`]
-    /// (epoch kind only).
-    pub pending: u64,
 }
 
-/// One TM instance's timestamp source: the primary counter, the sharded
-/// slots, the active-transaction indicator and the bump statistics.
+/// One TM instance's timestamp source: the timestamp word, the
+/// active-transaction indicator and the bump statistics.
 ///
 /// The algorithms own the *semantics* (what a timestamp means for
 /// validation); this struct owns the storage, the arrival/departure
@@ -150,17 +113,11 @@ pub struct ClockStats {
 /// behaviour uniformly.
 pub struct ClockSource {
     kind: ClockKind,
-    /// The primary timestamp word: NOrec's sequence lock or the orec
-    /// version clock. Unused by NOrec under `Sharded` (the shard slots
-    /// are then each a sequence lock of their own).
+    /// The timestamp word: NOrec's sequence lock or the orec version
+    /// clock.
     primary: CachePadded<AtomicU64>,
-    /// Per-shard slots (`Sharded` only; empty otherwise).
-    shards: Box<[CachePadded<AtomicU64>]>,
-    /// Active-transaction count / SNZI read indicator (`Epoch`,
-    /// `CoarseSnzi`).
+    /// Active-transaction count / SNZI read indicator (`CoarseSnzi`).
     active: CachePadded<AtomicU64>,
-    /// Elided bumps awaiting [`ClockSource::flush`] (`Epoch`).
-    pending: CachePadded<AtomicU64>,
     bumps: CachePadded<AtomicU64>,
     bump_skips: CachePadded<AtomicU64>,
 }
@@ -168,19 +125,10 @@ pub struct ClockSource {
 impl ClockSource {
     /// A source of the given kind starting at timestamp 0.
     pub fn new(kind: ClockKind) -> Self {
-        let shards = if kind == ClockKind::Sharded {
-            (0..SHARDS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect()
-        } else {
-            Box::default()
-        };
         Self {
             kind,
             primary: CachePadded::new(AtomicU64::new(0)),
-            shards,
             active: CachePadded::new(AtomicU64::new(0)),
-            pending: CachePadded::new(AtomicU64::new(0)),
             bumps: CachePadded::new(AtomicU64::new(0)),
             bump_skips: CachePadded::new(AtomicU64::new(0)),
         }
@@ -196,12 +144,6 @@ impl ClockSource {
     #[inline]
     pub(crate) fn primary(&self) -> &AtomicU64 {
         &self.primary
-    }
-
-    /// The shard slot `s` (panics unless the kind is `Sharded`).
-    #[inline]
-    pub(crate) fn shard(&self, s: usize) -> &AtomicU64 {
-        &self.shards[s]
     }
 
     /// Marks a transaction's arrival (active-count kinds only; free
@@ -236,53 +178,10 @@ impl ClockSource {
         self.bumps.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one elided/avoided timestamp advance; `bank` additionally
-    /// owes the advance to the next [`ClockSource::flush`] (epoch
-    /// batching).
+    /// Records one elided/avoided timestamp advance.
     #[inline]
-    pub(crate) fn note_skip(&self, bank: bool) {
+    pub(crate) fn note_skip(&self) {
         self.bump_skips.fetch_add(1, Ordering::Relaxed);
-        if bank {
-            self.pending.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds the banked epoch batch back into the primary timestamp.
-    /// Called at exclusive-drain escalation, where a fresh epoch boundary
-    /// is published so post-drain snapshots don't share an epoch with
-    /// pre-drain elided commits. `step` is the timestamp distance of one
-    /// commit (2 for NOrec's even-stepped seqlock, 1 for orec clocks).
-    ///
-    /// Best-effort and safe at any time: the fold only lands on an
-    /// unlocked (even, for NOrec) value, and a clock jumped forward can
-    /// only cause spurious revalidation, never a missed conflict.
-    pub(crate) fn flush(&self, step: u64) -> bool {
-        let owed = self.pending.swap(0, Ordering::AcqRel);
-        if owed == 0 {
-            return false;
-        }
-        let jump = owed * step;
-        let mut cur = self.primary.load(Ordering::Acquire);
-        loop {
-            if step == 2 && cur & 1 == 1 {
-                // A NOrec committer holds the seqlock right now; put the
-                // batch back rather than spin — the next flush gets it.
-                self.pending.fetch_add(owed, Ordering::Relaxed);
-                return false;
-            }
-            match self.primary.compare_exchange(
-                cur,
-                cur.wrapping_add(jump),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.note_bump();
-                    return true;
-                }
-                Err(now) => cur = now,
-            }
-        }
     }
 
     /// Point-in-time statistics.
@@ -290,18 +189,14 @@ impl ClockSource {
         ClockStats {
             bumps: self.bumps.load(Ordering::Relaxed),
             bump_skips: self.bump_skips.load(Ordering::Relaxed),
-            pending: self.pending.load(Ordering::Relaxed),
         }
     }
 
-    /// Test hook: preloads every timestamp word (primary and shards) with
-    /// `t`, for wrap-around coverage.
+    /// Test hook: preloads the timestamp word with `t`, for wrap-around
+    /// coverage.
     #[cfg(test)]
     pub(crate) fn preload(&self, t: u64) {
         self.primary.store(t, Ordering::Release);
-        for s in self.shards.iter() {
-            s.store(t, Ordering::Release);
-        }
     }
 }
 
@@ -335,59 +230,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_ranges() {
-        assert_eq!(shard_of(Addr(0)), 0);
-        assert_eq!(shard_of(Addr((1 << SHARD_SHIFT) - 1)), 0);
-        assert_eq!(shard_of(Addr(1 << SHARD_SHIFT)), 1);
-        assert_eq!(shard_of(Addr((SHARDS as u32) << SHARD_SHIFT)), 0, "wraps");
-    }
-
-    #[test]
     fn enter_exit_tracks_only_active_kinds() {
-        let epoch = ClockSource::new(ClockKind::Epoch);
-        epoch.enter();
-        assert!(epoch.solo());
-        epoch.enter();
-        assert!(!epoch.solo());
-        epoch.exit();
-        epoch.exit();
+        let snzi = ClockSource::new(ClockKind::CoarseSnzi);
+        snzi.enter();
+        assert!(snzi.solo());
+        snzi.enter();
+        assert!(!snzi.solo());
+        snzi.exit();
+        snzi.exit();
 
         let global = ClockSource::new(ClockKind::Global);
         global.enter();
         assert_eq!(global.active.load(Ordering::Relaxed), 0, "global: no-op");
-    }
-
-    #[test]
-    fn flush_folds_banked_bumps() {
-        let c = ClockSource::new(ClockKind::Epoch);
-        c.note_skip(true);
-        c.note_skip(true);
-        c.note_skip(true);
-        assert_eq!(c.stats().pending, 3);
-        assert!(c.flush(2));
-        assert_eq!(c.primary().load(Ordering::Relaxed), 6);
-        assert_eq!(c.stats().pending, 0);
-        assert!(!c.flush(2), "nothing further owed");
-    }
-
-    #[test]
-    fn flush_defers_while_seqlock_held() {
-        let c = ClockSource::new(ClockKind::Epoch);
-        c.note_skip(true);
-        c.primary().store(5, Ordering::Release); // odd: a committer holds it
-        assert!(!c.flush(2));
-        assert_eq!(c.stats().pending, 1, "batch returned, not lost");
-        c.primary().store(6, Ordering::Release);
-        assert!(c.flush(2));
-        assert_eq!(c.primary().load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn flush_wraps_cleanly() {
-        let c = ClockSource::new(ClockKind::Epoch);
-        c.preload(u64::MAX - 1); // even
-        c.note_skip(true);
-        assert!(c.flush(2));
-        assert_eq!(c.primary().load(Ordering::Relaxed), 0, "wrapped to zero");
     }
 }

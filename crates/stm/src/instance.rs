@@ -153,25 +153,11 @@ impl TmInstance {
         }
     }
 
-    /// Clock-source counters (bumps taken, bumps elided, banked epochs).
+    /// Clock-source counters (bumps taken, bumps elided).
     pub fn clock_stats(&self) -> ClockStats {
         match &self.globals {
             Globals::NOrec(g) => g.clock().stats(),
             Globals::Orec(g) => g.clock().stats(),
-        }
-    }
-
-    /// Folds any banked (elided) clock bumps back into the clock. Called
-    /// before handing the heap to an exclusive-mode owner: direct accesses
-    /// bypass clock bookkeeping entirely, so the epoch debt must be settled
-    /// while the clock's invariants still hold. Returns `true` if the
-    /// clock moved. No-op (false) for non-banking clock kinds.
-    pub fn clock_flush(&self) -> bool {
-        match &self.globals {
-            // NOrec's seqlock counts two per commit (odd = locked), so a
-            // flush steps by 2 and defers while the lock is held.
-            Globals::NOrec(g) => g.clock().flush(2),
-            Globals::Orec(g) => g.clock().flush(1),
         }
     }
 
@@ -533,7 +519,7 @@ mod tests {
     fn concurrent_counter_is_exact_under_every_clock_kind() {
         // Same torture, swept over algorithm x clock strategy: the clock
         // variants must not cost a single update even under real-thread
-        // interleaving (sharded snapshots, epoch elision, GV5 rescues).
+        // interleaving (GV5 rescues, SNZI solo elision).
         for algo in TmAlgorithm::ALL {
             for kind in ClockKind::ALL {
                 let inst = Arc::new(TmInstance::with_reserve_clock(algo, 16, 16, kind));
@@ -546,48 +532,6 @@ mod tests {
                     (threads * iters) as u64,
                     "lost updates under {algo:?}/{}",
                     kind.name()
-                );
-                // After the dust settles, flush any banked epochs; a second
-                // flush must be a no-op.
-                inst.clock_flush();
-                assert!(!inst.clock_flush());
-                assert_eq!(inst.clock_stats().pending, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn disjoint_shards_concurrent_writers_all_land_sharded() {
-        // Eight threads, each owning one address-range shard: under the
-        // sharded clock these commits tick disjoint clocks and (for the
-        // orec algorithms) skip validation entirely — and must still be
-        // exact.
-        for algo in TmAlgorithm::ALL {
-            let inst = Arc::new(TmInstance::with_reserve_clock(
-                algo,
-                1 << 14,
-                1 << 14,
-                ClockKind::Sharded,
-            ));
-            std::thread::scope(|s| {
-                for t in 0..8usize {
-                    let inst = Arc::clone(&inst);
-                    s.spawn(move || {
-                        let addr = Addr((t as u32) << crate::clock::SHARD_SHIFT);
-                        for _ in 0..300 {
-                            run_sync(&inst, t, |tx, inst| {
-                                let v = tx.read(inst, addr)?;
-                                tx.write(inst, addr, v + 1)
-                            });
-                        }
-                    });
-                }
-            });
-            for t in 0..8u32 {
-                assert_eq!(
-                    inst.heap().load(Addr(t << crate::clock::SHARD_SHIFT)),
-                    300,
-                    "{algo:?} shard {t}"
                 );
             }
         }

@@ -26,24 +26,6 @@
 //! pluggable. Per [`ClockKind`]:
 //!
 //! * `Global` — the algorithm above, unchanged (bit-identical charges).
-//! * `Sharded` — one sequence lock per address-range shard. A committer
-//!   locks only the shards its write set touches (ascending order,
-//!   release-on-fail, so no deadlock), writers to disjoint shards commit
-//!   concurrently, and a validator value-checks only reads whose shard
-//!   moved — an exact filter that, unlike the summary ring, never ages
-//!   out. The consistency argument: committers hold their shards odd for
-//!   the whole writeback, and validation ends by re-checking the full
-//!   shard vector, so a pass that observes a stable vector observed an
-//!   instant at which every surviving read value was simultaneously
-//!   current.
-//! * `Epoch` — a committer that is alone (active-transaction count 1)
-//!   releases the sequence lock at its *unchanged* snapshot and banks the
-//!   elided bump. Sound because `begin` is Busy for the whole lock-hold
-//!   window: any transaction that could have validated against the old
-//!   timestamp begins after the writeback and simply reads the new values
-//!   under the old timestamp — NOrec validation is value-based, so an
-//!   unmoved clock with current values is indistinguishable from a fresh
-//!   snapshot.
 //! * `Coarse` — Huang et al. granularity applied to the write-summary
 //!   ring: one Bloom slot covers [`COARSE_COMMITS_PER_SLOT`] commits
 //!   (slots are OR-merged), so the filter window reaches 4x further at
@@ -65,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use votm_obs::AbortReason;
 use votm_utils::{CachePadded, InlineVec};
 
-use crate::clock::{shard_of, ClockKind, ClockSource, COARSE_COMMITS_PER_SLOT, SHARDS};
+use crate::clock::{ClockKind, ClockSource, COARSE_COMMITS_PER_SLOT};
 use crate::cost;
 use crate::heap::{Addr, WordHeap};
 use crate::writeset::{bloom_bucket, summary_bit, WriteSet};
@@ -85,10 +67,8 @@ const SUMMARY_SLOTS: u64 = 64;
 /// write-summary ring.
 #[derive(Debug)]
 pub struct NOrecGlobal {
-    /// The timestamp source. `Global`/`Epoch`/`Coarse`/`CoarseSnzi` use
-    /// its primary word as the sequence lock (even = unlocked timestamp,
-    /// odd = locked by a committer); `Sharded` runs one such sequence
-    /// lock per shard slot instead.
+    /// The timestamp source; its primary word is the sequence lock (even =
+    /// unlocked timestamp, odd = locked by a committer).
     clock: ClockSource,
     /// Ring of per-commit write summaries, indexed by
     /// `commit_number & (SUMMARY_SLOTS - 1)` where a commit that moves the
@@ -97,8 +77,7 @@ pub struct NOrecGlobal {
     /// is written only while its committer holds the sequence lock, so any
     /// validator that reads a torn/overwritten window is caught by its
     /// final clock-stability check and retries — stale ring data can cause
-    /// a spurious retry, never a missed conflict. Unused (empty) under
-    /// `Sharded`, whose per-shard filter subsumes it.
+    /// a spurious retry, never a missed conflict.
     summaries: Box<[CachePadded<AtomicU64>]>,
     /// Coarse kinds only: the *in-flight* commit's write summary, tagged
     /// with the odd sequence value its committer holds. Published after
@@ -134,21 +113,16 @@ impl NOrecGlobal {
 
     /// New instance at timestamp 0 using the given clock strategy.
     pub fn with_kind(kind: ClockKind) -> Self {
-        let summaries = if kind == ClockKind::Sharded {
-            Box::default()
-        } else {
-            (0..SUMMARY_SLOTS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect()
-        };
         Self {
             clock: ClockSource::new(kind),
-            summaries,
+            summaries: (0..SUMMARY_SLOTS)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
             in_flight: CachePadded::new(InFlight::default()),
         }
     }
 
-    /// The clock source (kind, statistics, epoch flush).
+    /// The clock source (kind, statistics).
     pub fn clock(&self) -> &ClockSource {
         &self.clock
     }
@@ -240,13 +214,9 @@ impl NOrecGlobal {
     }
 
     /// Current commit timestamp (diagnostics; odd while a commit is in
-    /// flight). Under `Sharded` this is the shard-0 sequence lock.
+    /// flight).
     pub fn timestamp(&self) -> u64 {
-        if self.kind() == ClockKind::Sharded {
-            self.clock.shard(0).load(Ordering::Acquire)
-        } else {
-            self.load_seq()
-        }
+        self.load_seq()
     }
 }
 
@@ -254,8 +224,6 @@ impl NOrecGlobal {
 #[derive(Debug)]
 pub struct NOrecTx {
     snapshot: u64,
-    /// Per-shard snapshot vector (`Sharded` clock only).
-    snaps: [u64; SHARDS],
     reads: InlineVec<(Addr, u64), INLINE_READS>,
     writes: WriteSet,
     /// Work units accrued since `take_work`.
@@ -263,9 +231,6 @@ pub struct NOrecTx {
     active: bool,
     /// Set between a successful `commit_begin` and `commit_finish`.
     commit_seq: Option<u64>,
-    /// Shards locked by the in-flight sharded commit (release values are
-    /// `snaps[s] + 2`).
-    locked_shards: InlineVec<u32, SHARDS>,
     /// Why the most recent `Err(Conflict)` happened (see
     /// [`NOrecTx::conflict_reason`]).
     last_conflict: AbortReason,
@@ -285,13 +250,11 @@ impl NOrecTx {
     pub fn new() -> Self {
         Self {
             snapshot: 0,
-            snaps: [0; SHARDS],
             reads: InlineVec::new(),
             writes: WriteSet::new(),
             work: 0,
             active: false,
             commit_seq: None,
-            locked_shards: InlineVec::new(),
             last_conflict: AbortReason::Explicit,
             last_site: ConflictSite::None,
         }
@@ -315,9 +278,6 @@ impl NOrecTx {
     /// Starts an attempt. `Busy` while a committer holds the sequence lock.
     pub fn begin(&mut self, global: &NOrecGlobal) -> OpResult<()> {
         debug_assert!(!self.active, "begin called with a transaction active");
-        if global.kind() == ClockKind::Sharded {
-            return self.begin_sharded(global);
-        }
         let mut s = global.load_seq();
         self.work += cost::BEGIN;
         if s & 1 == 1 {
@@ -339,24 +299,6 @@ impl NOrecTx {
             self.work += cost::FILTER_WORD;
         }
         self.snapshot = s;
-        self.reads.clear();
-        self.writes.clear();
-        self.active = true;
-        self.commit_seq = None;
-        self.last_site = ConflictSite::None;
-        Ok(())
-    }
-
-    /// Sharded begin: snapshot the whole shard vector. Shards caught odd
-    /// (a committer holds them) are recorded as-is — they can never match
-    /// a later even observation, so the first read in such a shard simply
-    /// revalidates.
-    fn begin_sharded(&mut self, global: &NOrecGlobal) -> OpResult<()> {
-        self.work += cost::BEGIN + cost::FILTER_WORD * (SHARDS as u64 - 1);
-        for (i, snap) in self.snaps.iter_mut().enumerate() {
-            *snap = global.clock.shard(i).load(Ordering::Acquire);
-        }
-        self.snapshot = self.snaps[0];
         self.reads.clear();
         self.writes.clear();
         self.active = true;
@@ -408,63 +350,12 @@ impl NOrecTx {
         Ok(())
     }
 
-    /// Sharded validation: re-snapshot the shard vector, value-check only
-    /// the reads whose shard moved, and accept the pass only if the whole
-    /// vector is still stable afterwards (the consistency cut).
-    fn validate_sharded(&mut self, global: &NOrecGlobal, heap: &WordHeap) -> OpResult<()> {
-        self.work += cost::METADATA_OP + cost::FILTER_WORD * SHARDS as u64;
-        let mut read_mask = 0u8;
-        for (addr, _) in self.reads.iter() {
-            read_mask |= 1 << shard_of(addr);
-        }
-        let mut target = self.snaps;
-        for (i, t) in target.iter_mut().enumerate() {
-            let v = global.clock.shard(i).load(Ordering::Acquire);
-            if v & 1 == 1 {
-                if read_mask & (1 << i) != 0 {
-                    return Err(OpError::Busy); // a committer is mid-writeback
-                }
-                continue; // no reads there: keep the old (harmless) snapshot
-            }
-            *t = v;
-        }
-        for (addr, seen) in self.reads.iter() {
-            let s = shard_of(addr);
-            if target[s] == self.snaps[s] {
-                // An unmoved shard is an untouched shard: no commit locked
-                // it since our snapshot, so the value cannot have changed.
-                self.work += cost::FILTER_WORD;
-                continue;
-            }
-            self.work += cost::VALIDATE_WORD;
-            if heap.load(addr) != seen {
-                self.last_conflict = AbortReason::NorecValidation;
-                self.last_site = ConflictSite::Bloom(addr, bloom_bucket(addr));
-                return Err(OpError::Conflict);
-            }
-        }
-        for (i, t) in target.iter().enumerate() {
-            if read_mask & (1 << i) == 0 {
-                continue;
-            }
-            self.work += cost::FILTER_WORD;
-            if global.clock.shard(i).load(Ordering::Acquire) != *t {
-                return Err(OpError::Busy);
-            }
-        }
-        self.snaps = target;
-        Ok(())
-    }
-
     /// Transactional read of `addr`.
     pub fn read(&mut self, global: &NOrecGlobal, heap: &WordHeap, addr: Addr) -> OpResult<u64> {
         debug_assert!(self.active);
         if let Some(v) = self.writes.get(addr) {
             self.work += cost::LOCAL_ACCESS; // write-buffer hit, thread-local
             return Ok(v);
-        }
-        if global.kind() == ClockKind::Sharded {
-            return self.read_sharded(global, heap, addr);
         }
         self.work += cost::SHARED_ACCESS;
         let v = heap.load(addr);
@@ -539,30 +430,6 @@ impl NOrecTx {
         Ok(v)
     }
 
-    fn read_sharded(&mut self, global: &NOrecGlobal, heap: &WordHeap, addr: Addr) -> OpResult<u64> {
-        let s = shard_of(addr);
-        self.work += cost::SHARED_ACCESS;
-        let v = heap.load(addr);
-        let cur = global.clock.shard(s).load(Ordering::Acquire);
-        if cur & 1 == 1 {
-            return Err(OpError::Busy); // this shard's committer mid-writeback
-        }
-        if cur == self.snaps[s] {
-            self.reads.push((addr, v));
-            return Ok(v);
-        }
-        // Only this shard's movement matters, but a revalidation pass
-        // refreshes the whole vector (and only value-checks moved shards).
-        self.validate_sharded(global, heap)?;
-        self.work += cost::SHARED_ACCESS;
-        let v = heap.load(addr);
-        if global.clock.shard(s).load(Ordering::Acquire) != self.snaps[s] {
-            return Err(OpError::Busy); // moved again; retry the whole read
-        }
-        self.reads.push((addr, v));
-        Ok(v)
-    }
-
     /// Transactional write: buffered until commit.
     pub fn write(&mut self, addr: Addr, value: u64) -> OpResult<()> {
         debug_assert!(self.active);
@@ -588,9 +455,6 @@ impl NOrecTx {
             self.work += cost::COMMIT_BASE / 2;
             global.clock.exit();
             return Ok(CommitPhase::Done);
-        }
-        if global.kind() == ClockKind::Sharded {
-            return self.commit_begin_sharded(global, heap);
         }
         self.work += cost::METADATA_OP;
         match global.seq().compare_exchange(
@@ -637,155 +501,23 @@ impl NOrecTx {
         Ok(CommitPhase::NeedsFinish { cost: write_cost })
     }
 
-    /// Sharded first commit phase: lock every written shard in ascending
-    /// order (releasing and backing off if any acquisition fails — no
-    /// deadlock), validate reads in foreign shards, write back.
-    fn commit_begin_sharded(
-        &mut self,
-        global: &NOrecGlobal,
-        heap: &WordHeap,
-    ) -> OpResult<CommitPhase> {
-        debug_assert!(self.locked_shards.is_empty());
-        let mut shard_mask = 0u8;
-        for (addr, _) in self.writes.iter() {
-            shard_mask |= 1 << shard_of(addr);
-        }
-        for s in 0..SHARDS {
-            if shard_mask & (1 << s) == 0 {
-                continue;
-            }
-            self.work += cost::METADATA_OP;
-            let snap = self.snaps[s];
-            let acquired = snap & 1 == 0
-                && global
-                    .clock
-                    .shard(s)
-                    .compare_exchange(
-                        snap,
-                        snap.wrapping_add(1),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok();
-            if acquired {
-                self.locked_shards.push(s as u32);
-                continue;
-            }
-            let observed = global.clock.shard(s).load(Ordering::Acquire);
-            self.release_shards(global, false);
-            if observed & 1 == 1 {
-                return Err(OpError::Busy);
-            }
-            // Someone committed to this shard since our snapshot;
-            // revalidate so the retried acquisition starts fresh.
-            self.validate_sharded(global, heap)?;
-            return Err(OpError::Busy);
-        }
-        // All written shards held (odd). Reads in those shards are stable
-        // by construction (the CAS succeeded from our snapshot); reads in
-        // *foreign* shards validate against a fresh sub-vector. Shards we
-        // neither read nor wrote are ignored entirely — another committer
-        // mid-writeback there is none of our business.
-        self.work += cost::METADATA_OP;
-        let mut read_mask = 0u8;
-        for (addr, _) in self.reads.iter() {
-            read_mask |= 1 << shard_of(addr);
-        }
-        let foreign = read_mask & !shard_mask;
-        let mut target = self.snaps;
-        for (s, t) in target.iter_mut().enumerate() {
-            if foreign & (1 << s) == 0 {
-                continue;
-            }
-            self.work += cost::FILTER_WORD;
-            let v = global.clock.shard(s).load(Ordering::Acquire);
-            if v & 1 == 1 {
-                self.release_shards(global, false);
-                return Err(OpError::Busy);
-            }
-            *t = v;
-        }
-        let mut conflicted = None;
-        for (addr, seen) in self.reads.iter() {
-            let s = shard_of(addr);
-            if shard_mask & (1 << s) != 0 || target[s] == self.snaps[s] {
-                self.work += cost::FILTER_WORD;
-                continue;
-            }
-            self.work += cost::VALIDATE_WORD;
-            if heap.load(addr) != seen {
-                conflicted = Some(addr);
-                break;
-            }
-        }
-        if let Some(addr) = conflicted {
-            self.release_shards(global, false);
-            self.last_conflict = AbortReason::NorecValidation;
-            self.last_site = ConflictSite::Bloom(addr, bloom_bucket(addr));
-            return Err(OpError::Conflict);
-        }
-        for (s, t) in target.iter().enumerate() {
-            if foreign & (1 << s) == 0 {
-                continue;
-            }
-            self.work += cost::FILTER_WORD;
-            if global.clock.shard(s).load(Ordering::Acquire) != *t {
-                self.release_shards(global, false);
-                return Err(OpError::Busy);
-            }
-        }
-        let n = self.writes.len() as u64;
-        for (addr, value) in self.writes.iter() {
-            heap.store(addr, value);
-        }
-        let write_cost = cost::COMMIT_BASE + n * cost::WRITEBACK_WORD;
-        self.work += write_cost;
-        self.commit_seq = Some(1); // marker; release values derive from snaps
-        Ok(CommitPhase::NeedsFinish { cost: write_cost })
-    }
-
-    /// Releases held shard locks: back to the pre-lock snapshot on a failed
-    /// acquisition/validation, or forward to `snaps[s] + 2` on commit.
-    fn release_shards(&mut self, global: &NOrecGlobal, committed: bool) {
-        for i in 0..self.locked_shards.len() {
-            let s = self.locked_shards.get(i) as usize;
-            let v = if committed {
-                global.clock.note_bump();
-                self.snaps[s].wrapping_add(2)
-            } else {
-                self.snaps[s]
-            };
-            global.clock.shard(s).store(v, Ordering::Release);
-        }
-        self.locked_shards.clear();
-    }
-
     /// Second commit phase: release the sequence lock at the next even
     /// timestamp. Only call after `commit_begin` returned `NeedsFinish`.
     ///
-    /// Under `Epoch`/`CoarseSnzi`, a committer that is provably alone
-    /// releases the lock at its *unchanged* snapshot instead: no live
-    /// transaction holds a pre-writeback value (under `Epoch` begin is
-    /// Busy for the whole hold; under `CoarseSnzi` a begin-through-hold
-    /// reader either proved its reads untouched by this writeback — equal
-    /// pre and post — or spun), so post-release transactions read the new
-    /// values under the old timestamp — value-based validation cannot
-    /// tell the difference. Epoch banks the elided bump for
-    /// [`ClockSource::flush`].
+    /// Under `CoarseSnzi`, a committer that is provably alone releases the
+    /// lock at its *unchanged* snapshot instead: no live transaction holds
+    /// a pre-writeback value (a begin-through-hold reader either proved
+    /// its reads untouched by this writeback — equal pre and post — or
+    /// spun), so post-release transactions read the new values under the
+    /// old timestamp — value-based validation cannot tell the difference.
     pub fn commit_finish(&mut self, global: &NOrecGlobal) {
         let next = self
             .commit_seq
             .take()
             .expect("commit_finish without commit_begin");
-        if global.kind() == ClockKind::Sharded {
-            self.release_shards(global, true);
-            self.active = false;
-            return;
-        }
-        let elide = global.kind().tracks_active() && global.clock.solo();
-        if elide {
+        if global.kind().tracks_active() && global.clock.solo() {
             global.seq().store(next.wrapping_sub(2), Ordering::Release);
-            global.clock.note_skip(global.kind() == ClockKind::Epoch);
+            global.clock.note_skip();
         } else {
             global.seq().store(next, Ordering::Release);
             global.clock.note_bump();
@@ -797,7 +529,6 @@ impl NOrecTx {
     /// Rolls back the attempt (buffered writes are simply discarded).
     pub fn abort(&mut self, global: &NOrecGlobal) {
         debug_assert!(self.commit_seq.is_none(), "abort while holding the seqlock");
-        debug_assert!(self.locked_shards.is_empty());
         self.work += cost::ABORT_PENALTY;
         self.reads.clear();
         self.writes.clear();
@@ -851,20 +582,6 @@ mod tests {
 
     fn setup() -> (NOrecGlobal, WordHeap) {
         (NOrecGlobal::new(), WordHeap::new(64))
-    }
-
-    /// Sharded setup: a heap large enough that shard boundaries
-    /// (every `1 << SHARD_SHIFT` words) are reachable.
-    fn setup_sharded() -> (NOrecGlobal, WordHeap) {
-        (
-            NOrecGlobal::with_kind(ClockKind::Sharded),
-            WordHeap::new(1 << 14),
-        )
-    }
-
-    /// An address in shard `s` (offset keeps distinct addresses distinct).
-    fn in_shard(s: usize, offset: u32) -> Addr {
-        Addr(((s as u32) << crate::clock::SHARD_SHIFT) + offset)
     }
 
     /// Runs one transaction to completion with spin-retry on Busy.
@@ -1145,222 +862,6 @@ mod tests {
         tx.abort(&g);
     }
 
-    // ---- sharded clock ----
-
-    #[test]
-    fn sharded_disjoint_shard_commits_commit_concurrently() {
-        let (g, h) = setup_sharded();
-        let mut t1 = NOrecTx::new();
-        let mut t2 = NOrecTx::new();
-        t1.begin(&g).unwrap();
-        t1.write(in_shard(0, 1), 10).unwrap();
-        let CommitPhase::NeedsFinish { .. } = t1.commit_begin(&g, &h).unwrap() else {
-            panic!("writer needs finish");
-        };
-        // t1 holds shard 0's lock mid-writeback. Under the global clock a
-        // second writer would be Busy; in a different shard it sails through.
-        t2.begin(&g).unwrap();
-        t2.write(in_shard(3, 1), 30).unwrap();
-        match t2.commit_begin(&g, &h).unwrap() {
-            CommitPhase::NeedsFinish { .. } => t2.commit_finish(&g),
-            CommitPhase::Done => panic!(),
-        }
-        t1.commit_finish(&g);
-        assert_eq!(h.load(in_shard(0, 1)), 10);
-        assert_eq!(h.load(in_shard(3, 1)), 30);
-        assert_eq!(g.clock().stats().bumps, 2);
-    }
-
-    #[test]
-    fn sharded_reads_in_other_shards_proceed_during_commit() {
-        let (g, h) = setup_sharded();
-        let mut t1 = NOrecTx::new();
-        let mut t2 = NOrecTx::new();
-        t2.begin(&g).unwrap();
-        t1.begin(&g).unwrap();
-        t1.write(in_shard(2, 0), 5).unwrap();
-        let _ = t1.commit_begin(&g, &h).unwrap();
-        // Shard 2 is mid-writeback: reads there wait; shard 4 reads proceed.
-        assert_eq!(t2.read(&g, &h, in_shard(2, 0)), Err(OpError::Busy));
-        assert_eq!(t2.read(&g, &h, in_shard(4, 0)).unwrap(), 0);
-        t1.commit_finish(&g);
-        assert_eq!(t2.read(&g, &h, in_shard(2, 0)).unwrap(), 5);
-    }
-
-    #[test]
-    fn sharded_unmoved_shards_skip_value_checks() {
-        let (g, h) = setup_sharded();
-        let mut t1 = NOrecTx::new();
-        let mut t2 = NOrecTx::new();
-        t1.begin(&g).unwrap();
-        const N_READS: u32 = 20;
-        for i in 0..N_READS {
-            t1.read(&g, &h, in_shard(1, i)).unwrap();
-        }
-        // A commit in shard 5 moves only that shard's sequence lock.
-        run_tx(&g, &h, &mut t2, |tx| tx.write(in_shard(5, 0), 1));
-        t1.take_work();
-        t1.read(&g, &h, in_shard(5, 1)).unwrap();
-        let w = t1.take_work();
-        let full =
-            cost::SHARED_ACCESS + cost::METADATA_OP + cost::VALIDATE_WORD * u64::from(N_READS);
-        assert!(
-            w < full,
-            "shard filter ({w}) should undercut full validation ({full})"
-        );
-        assert_eq!(t1.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-    }
-
-    #[test]
-    fn sharded_conflicts_in_moved_shard_are_caught() {
-        let (g, h) = setup_sharded();
-        let mut t1 = NOrecTx::new();
-        let mut t2 = NOrecTx::new();
-        t1.begin(&g).unwrap();
-        assert_eq!(t1.read(&g, &h, in_shard(1, 7)).unwrap(), 0);
-        run_tx(&g, &h, &mut t2, |tx| tx.write(in_shard(1, 7), 99));
-        // A read in an *unmoved* shard stays on the fast path: t1 is still
-        // consistent as of its begin instant (it serialises before t2), so
-        // the sharded clock — unlike the global one — need not kill it yet.
-        assert_eq!(t1.read(&g, &h, in_shard(2, 0)).unwrap(), 0);
-        // The next read in the moved shard forces validation: caught.
-        assert_eq!(t1.read(&g, &h, in_shard(1, 8)), Err(OpError::Conflict));
-        t1.abort(&g);
-    }
-
-    #[test]
-    fn sharded_commit_validates_foreign_shard_reads() {
-        // A writer in shard 0 whose read in shard 1 went stale must abort
-        // at commit — a sharded snapshot never lets a commit stand on a
-        // write it could not have observed.
-        let (g, h) = setup_sharded();
-        let mut t1 = NOrecTx::new();
-        let mut t2 = NOrecTx::new();
-        t1.begin(&g).unwrap();
-        let v = t1.read(&g, &h, in_shard(1, 0)).unwrap();
-        t1.write(in_shard(0, 0), v + 1).unwrap();
-        run_tx(&g, &h, &mut t2, |tx| tx.write(in_shard(1, 0), 7));
-        assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
-        t1.abort(&g);
-        assert_eq!(h.load(in_shard(0, 0)), 0, "aborted writes must not leak");
-    }
-
-    #[test]
-    fn sharded_disjoint_shard_commit_leaves_reader_alive() {
-        let (g, h) = setup_sharded();
-        let mut t1 = NOrecTx::new();
-        let mut t2 = NOrecTx::new();
-        t1.begin(&g).unwrap();
-        let v = t1.read(&g, &h, in_shard(1, 0)).unwrap();
-        t1.write(in_shard(0, 0), v + 1).unwrap();
-        // A commit in shard 6 doesn't invalidate t1's shard-1 read.
-        run_tx(&g, &h, &mut t2, |tx| tx.write(in_shard(6, 0), 3));
-        match t1.commit_begin(&g, &h).unwrap() {
-            CommitPhase::NeedsFinish { .. } => t1.commit_finish(&g),
-            CommitPhase::Done => panic!(),
-        }
-        assert_eq!(h.load(in_shard(0, 0)), 1);
-    }
-
-    #[test]
-    fn sharded_multi_shard_writer_locks_and_releases_every_shard() {
-        let (g, h) = setup_sharded();
-        let mut t1 = NOrecTx::new();
-        t1.begin(&g).unwrap();
-        for s in [0usize, 3, 7] {
-            t1.write(in_shard(s, 2), s as u64 + 1).unwrap();
-        }
-        let CommitPhase::NeedsFinish { .. } = t1.commit_begin(&g, &h).unwrap() else {
-            panic!()
-        };
-        assert_eq!(t1.locked_shards.len(), 3);
-        t1.commit_finish(&g);
-        for s in [0usize, 3, 7] {
-            assert_eq!(h.load(in_shard(s, 2)), s as u64 + 1);
-            assert_eq!(
-                g.clock().shard(s).load(Ordering::Relaxed),
-                2,
-                "shard {s} released at its bumped even value"
-            );
-        }
-        assert_eq!(g.clock().shard(1).load(Ordering::Relaxed), 0, "untouched");
-    }
-
-    #[test]
-    fn sharded_shard_seqlock_wraps_cleanly() {
-        let (g, h) = setup_sharded();
-        g.clock().preload(u64::MAX - 1);
-        let mut t1 = NOrecTx::new();
-        t1.begin(&g).unwrap();
-        assert_eq!(t1.read(&g, &h, in_shard(2, 0)).unwrap(), 0);
-        // Wrap shard 2's sequence lock across u64::MAX.
-        run_tx(&g, &h, &mut NOrecTx::new(), |tx| {
-            tx.write(in_shard(2, 5), 1)
-        });
-        assert_eq!(g.clock().shard(2).load(Ordering::Relaxed), 0, "wrapped");
-        // Straddling reader revalidates across the wrap and survives.
-        assert_eq!(t1.read(&g, &h, in_shard(2, 6)).unwrap(), 0);
-        // And a real conflict across the wrap is still caught.
-        run_tx(&g, &h, &mut NOrecTx::new(), |tx| {
-            tx.write(in_shard(2, 0), 9)
-        });
-        assert_eq!(t1.read(&g, &h, in_shard(2, 7)), Err(OpError::Conflict));
-        t1.abort(&g);
-    }
-
-    // ---- epoch-batched clock ----
-
-    #[test]
-    fn epoch_solo_commit_elides_the_bump_and_banks_it() {
-        let g = NOrecGlobal::with_kind(ClockKind::Epoch);
-        let h = WordHeap::new(64);
-        let mut tx = NOrecTx::new();
-        run_tx(&g, &h, &mut tx, |tx| tx.write(Addr(0), 1));
-        assert_eq!(h.load(Addr(0)), 1, "the write itself lands");
-        assert_eq!(g.timestamp(), 0, "solo commit leaves the clock unmoved");
-        let s = g.clock().stats();
-        assert_eq!((s.bumps, s.bump_skips, s.pending), (0, 1, 1));
-        // The exclusive-drain flush folds the banked epoch back in.
-        assert!(g.clock().flush(2));
-        assert_eq!(g.timestamp(), 2);
-        assert_eq!(g.clock().stats().pending, 0);
-    }
-
-    #[test]
-    fn epoch_contended_commit_bumps_normally() {
-        let g = NOrecGlobal::with_kind(ClockKind::Epoch);
-        let h = WordHeap::new(64);
-        let mut t1 = NOrecTx::new();
-        let mut t2 = NOrecTx::new();
-        t2.begin(&g).unwrap(); // a second live transaction: not solo
-        run_tx(&g, &h, &mut t1, |tx| tx.write(Addr(0), 1));
-        assert_eq!(g.timestamp(), 2, "concurrent reader forces the bump");
-        assert_eq!(g.clock().stats().bumps, 1);
-        // ... and t2, begun before the commit, validates by value as usual.
-        assert_eq!(t2.read(&g, &h, Addr(1)).unwrap(), 0);
-        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-    }
-
-    #[test]
-    fn epoch_elided_commit_is_invisible_to_later_transactions() {
-        let g = NOrecGlobal::with_kind(ClockKind::Epoch);
-        let h = WordHeap::new(64);
-        let mut t1 = NOrecTx::new();
-        run_tx(&g, &h, &mut t1, |tx| tx.write(Addr(3), 42));
-        // A transaction beginning after the elided commit reads the new
-        // value under the old timestamp — and can commit on it.
-        let mut t2 = NOrecTx::new();
-        t2.begin(&g).unwrap();
-        assert_eq!(t2.read(&g, &h, Addr(3)).unwrap(), 42);
-        let v = t2.read(&g, &h, Addr(4)).unwrap();
-        t2.write(Addr(4), v + 1).unwrap();
-        match t2.commit_begin(&g, &h).unwrap() {
-            CommitPhase::NeedsFinish { .. } => t2.commit_finish(&g),
-            CommitPhase::Done => panic!(),
-        }
-        assert_eq!(h.load(Addr(4)), 1);
-    }
-
     // ---- coarse ring ----
 
     #[test]
@@ -1492,12 +993,11 @@ mod tests {
         let g = NOrecGlobal::with_kind(ClockKind::CoarseSnzi);
         let h = WordHeap::new(64);
         let mut t1 = NOrecTx::new();
-        // Solo: the read indicator shows nobody watching — no bump, and
-        // (unlike epoch) nothing owed to a flush.
+        // Solo: the read indicator shows nobody watching — no bump.
         run_tx(&g, &h, &mut t1, |tx| tx.write(Addr(0), 1));
         assert_eq!(g.timestamp(), 0);
         let s = g.clock().stats();
-        assert_eq!((s.bumps, s.bump_skips, s.pending), (0, 1, 0));
+        assert_eq!((s.bumps, s.bump_skips), (0, 1));
         // Observed: a live reader makes the committer pay the bump.
         let mut t2 = NOrecTx::new();
         t2.begin(&g).unwrap();

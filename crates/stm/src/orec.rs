@@ -20,17 +20,6 @@
 //!
 //! * `Global` — one fetch-add per writer commit (the status quo,
 //!   bit-identical charges).
-//! * `Sharded` — the orec table is partitioned into [`SHARDS`] address-range
-//!   shards, each with its own version clock; a commit ticks only the
-//!   shards its write set touches, so disjoint-shard writers stop
-//!   serialising on one fetch-add line.
-//! * `Epoch` — a committer that is provably alone (active count 1) *and*
-//!   whose snapshot still equals the clock skips both the tick and the
-//!   validation, releasing its orecs at their pre-lock versions: solo rules
-//!   out concurrent readers, and an unmoved clock rules out interleaved
-//!   commits (any commit while we were active could not itself have been
-//!   solo and therefore ticked). The elided tick is banked for
-//!   [`crate::clock::ClockSource::flush`].
 //! * `Coarse` — GV5-style coarse timestamps after Huang et al.: commits
 //!   release orecs at `clock + 1` *without* ticking, trading fetch-add
 //!   traffic for **false conflicts** — a reader whose snapshot shares the
@@ -50,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use votm_obs::AbortReason;
 use votm_utils::{hash_u64, CachePadded, InlineVec};
 
-use crate::clock::{shard_of, ClockKind, ClockSource, SHARDS};
+use crate::clock::{ClockKind, ClockSource};
 use crate::cost;
 use crate::heap::{Addr, WordHeap};
 use crate::writeset::WriteSet;
@@ -102,8 +91,7 @@ pub(crate) fn classify_stale(
     ov: u64,
     work: &mut u64,
 ) -> AbortReason {
-    let coarse = matches!(global.kind(), ClockKind::Coarse | ClockKind::CoarseSnzi);
-    if coarse && version_of(ov) == start + 1 {
+    if global.kind().coarse() && version_of(ov) == start + 1 {
         // Possibly written *before* the transaction began, merely sharing
         // its epoch (indistinguishable from a real same-epoch conflict —
         // the labelling is the coarse clock's approximation, the abort
@@ -128,10 +116,6 @@ pub struct OrecGlobal {
     clock: ClockSource,
     orecs: Box<[CachePadded<AtomicU64>]>,
     mask: usize,
-    /// Bits below the shard field in a sharded orec index
-    /// (`log2(orecs) - log2(SHARDS)`); an orec's clock domain is
-    /// `idx >> idx_shift`.
-    idx_shift: u32,
 }
 
 impl OrecGlobal {
@@ -155,22 +139,20 @@ impl OrecGlobal {
         Self::with_orecs_kind(Self::DEFAULT_ORECS, kind)
     }
 
-    /// New instance with `n` orecs (a power of two, at least [`SHARDS`])
-    /// and the given clock strategy.
+    /// New instance with `n` orecs (a power of two) and the given clock
+    /// strategy.
     pub fn with_orecs_kind(n: usize, kind: ClockKind) -> Self {
         assert!(n.is_power_of_two(), "orec count must be a power of two");
-        assert!(n >= SHARDS, "orec table smaller than the shard count");
         let mut v = Vec::with_capacity(n);
         v.resize_with(n, || CachePadded::new(AtomicU64::new(0)));
         Self {
             clock: ClockSource::new(kind),
             orecs: v.into_boxed_slice(),
             mask: n - 1,
-            idx_shift: n.trailing_zeros() - SHARDS.trailing_zeros(),
         }
     }
 
-    /// The clock source (kind, statistics, epoch flush).
+    /// The clock source (kind, statistics).
     pub fn clock(&self) -> &ClockSource {
         &self.clock
     }
@@ -180,24 +162,10 @@ impl OrecGlobal {
         self.clock.kind()
     }
 
-    /// The orec index guarding `addr`. Under the sharded clock the table is
-    /// partitioned: the top bits carry the address's shard so every orec
-    /// belongs to exactly one clock domain, and the hash only picks the
-    /// stripe within it.
+    /// The orec index guarding `addr`.
     #[inline]
     pub fn orec_index(&self, addr: Addr) -> usize {
-        if self.kind() == ClockKind::Sharded {
-            let stripe = (hash_u64(u64::from(addr.0)) as usize) & (self.mask >> 3);
-            (shard_of(addr) << self.idx_shift) | stripe
-        } else {
-            (hash_u64(u64::from(addr.0)) as usize) & self.mask
-        }
-    }
-
-    /// The clock domain (shard) an orec index belongs to.
-    #[inline]
-    pub(crate) fn shard_of_idx(&self, idx: usize) -> usize {
-        idx >> self.idx_shift
+        (hash_u64(u64::from(addr.0)) as usize) & self.mask
     }
 
     #[inline]
@@ -211,33 +179,51 @@ impl OrecGlobal {
         &self.orecs[idx]
     }
 
-    /// Current clock value (primary clock; not meaningful under `Sharded`).
+    /// Current clock value.
     #[inline]
     pub(crate) fn clock_now(&self) -> u64 {
         self.clock.primary().load(Ordering::Acquire)
     }
 
-    /// Atomically advances the primary clock, returning the new value.
+    /// Atomically advances the clock, returning the new value.
     #[inline]
     pub(crate) fn clock_tick(&self) -> u64 {
         self.clock.note_bump();
         self.clock.primary().fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// The shard-`s` clock (sharded kind only).
-    #[inline]
-    pub(crate) fn shard_clock(&self, s: usize) -> &AtomicU64 {
-        self.clock.shard(s)
+    /// The one commit-stamp rule of both orec algorithms: picks the
+    /// timestamp a writer commit (write orecs held, snapshot `start`)
+    /// releases its orecs at, and says whether the read set must be
+    /// validated first. Callers charge the tick their own way.
+    pub(crate) fn commit_stamp(&self, start: u64) -> (u64, bool) {
+        let reuse_epoch = || {
+            self.clock.note_skip();
+            self.clock_now() + 1
+        };
+        // A stamp straight after our snapshot means nobody committed since.
+        let unless_quiet = |end| (end, end != start + 1);
+        match self.kind() {
+            // GV5 (Huang et al.): reuse the current epoch without ticking.
+            // `end == start + 1` then proves nothing, so validation is
+            // unconditional.
+            ClockKind::Coarse => (reuse_epoch(), true),
+            // SNZI-fronted GV5: consult the read indicator here, not at
+            // release. Alone, reuse the epoch — nobody is live to observe
+            // the stale stamp, and an unmoved clock additionally proves no
+            // commit interleaved (any committer while we were active saw
+            // the indicator and ticked), so `end == start + 1` regains its
+            // meaning. Observed, tick exactly like the global clock: the
+            // unique stamp keeps the quiet-commit validation skip that a
+            // shared GV5 epoch forfeits.
+            ClockKind::CoarseSnzi if self.clock.solo() => unless_quiet(reuse_epoch()),
+            ClockKind::Global | ClockKind::CoarseSnzi => unless_quiet(self.clock_tick()),
+        }
     }
 
-    /// Current version clock (diagnostics). Under `Sharded` this is the
-    /// shard-0 clock.
+    /// Current version clock (diagnostics).
     pub fn timestamp(&self) -> u64 {
-        if self.kind() == ClockKind::Sharded {
-            self.clock.shard(0).load(Ordering::Acquire)
-        } else {
-            self.clock_now()
-        }
+        self.clock_now()
     }
 }
 
@@ -264,10 +250,6 @@ pub struct OrecTx {
     owner: u64,
     /// Snapshot of the version clock; all reads are consistent as of it.
     start: u64,
-    /// Per-shard snapshot vector (`Sharded` clock only).
-    starts: [u64; SHARDS],
-    /// Per-shard commit timestamps (`Sharded` clock only).
-    ends: [u64; SHARDS],
     /// Orec indices read (duplicates possible; validation tolerates them).
     reads: InlineVec<u32, INLINE_READS>,
     redo: WriteSet,
@@ -277,9 +259,6 @@ pub struct OrecTx {
     active: bool,
     /// Commit timestamp between `commit_begin` and `commit_finish`.
     commit_version: Option<u64>,
-    /// Epoch elision: this commit skipped the tick and releases its orecs
-    /// at their pre-lock versions.
-    elided: bool,
     /// Why the most recent `Err(Conflict)` happened (see
     /// [`OrecTx::conflict_reason`]).
     last_conflict: AbortReason,
@@ -298,15 +277,12 @@ impl OrecTx {
         Self {
             owner: thread_index as u64 + 1,
             start: 0,
-            starts: [0; SHARDS],
-            ends: [0; SHARDS],
             reads: InlineVec::new(),
             redo: WriteSet::new(),
             locked: Vec::new(),
             work: 0,
             active: false,
             commit_version: None,
-            elided: false,
             last_conflict: AbortReason::Explicit,
             last_enemy: None,
             last_site: ConflictSite::None,
@@ -342,16 +318,6 @@ impl OrecTx {
         Some(owner_of(ov) as usize - 1)
     }
 
-    /// The snapshot an orec at `idx` validates against.
-    #[inline]
-    fn start_for(&self, global: &OrecGlobal, idx: usize) -> u64 {
-        if global.kind() == ClockKind::Sharded {
-            self.starts[global.shard_of_idx(idx)]
-        } else {
-            self.start
-        }
-    }
-
     /// Classifies an unlocked-but-newer orec (`version_of(ov) > start`) as
     /// a real conflict or a coarse-timestamp *false conflict*, and in the
     /// latter case nudges the clock past the shared epoch so the retry
@@ -368,24 +334,16 @@ impl OrecTx {
     pub fn begin(&mut self, global: &OrecGlobal) -> OpResult<()> {
         debug_assert!(!self.active, "begin called with a transaction active");
         debug_assert!(self.locked.is_empty());
-        if global.kind() == ClockKind::Sharded {
-            for (s, start) in self.starts.iter_mut().enumerate() {
-                *start = global.shard_clock(s).load(Ordering::Acquire);
-            }
-            self.work += cost::FILTER_WORD * (SHARDS as u64 - 1);
-        } else {
-            self.start = global.clock_now();
-            if global.kind().tracks_active() {
-                global.clock.enter();
-                self.work += cost::FILTER_WORD;
-            }
+        self.start = global.clock_now();
+        if global.kind().tracks_active() {
+            global.clock.enter();
+            self.work += cost::FILTER_WORD;
         }
         self.reads.clear();
         self.redo.clear();
         self.work += cost::BEGIN;
         self.active = true;
         self.commit_version = None;
-        self.elided = false;
         self.last_enemy = None;
         self.last_site = ConflictSite::None;
         Ok(())
@@ -395,9 +353,6 @@ impl OrecTx {
     /// and, if all are still unlocked-or-mine at versions ≤ the snapshot,
     /// advances the snapshot (the TinySTM "lazy snapshot extension").
     fn extend(&mut self, global: &OrecGlobal) -> OpResult<()> {
-        if global.kind() == ClockKind::Sharded {
-            return self.extend_sharded(global);
-        }
         let now = global.clock_now();
         self.work += cost::VALIDATE_WORD * self.reads.len() as u64 + cost::METADATA_OP;
         let mut stale = None;
@@ -422,36 +377,6 @@ impl OrecTx {
             return Err(OpError::Conflict);
         }
         self.start = now;
-        Ok(())
-    }
-
-    /// Sharded extension: snapshot every shard clock first, validate all
-    /// reads against their own shard's snapshot, then adopt the vector.
-    fn extend_sharded(&mut self, global: &OrecGlobal) -> OpResult<()> {
-        let mut now = [0u64; SHARDS];
-        for (s, n) in now.iter_mut().enumerate() {
-            *n = global.shard_clock(s).load(Ordering::Acquire);
-        }
-        self.work += cost::VALIDATE_WORD * self.reads.len() as u64
-            + cost::METADATA_OP
-            + cost::FILTER_WORD * (SHARDS as u64 - 1);
-        for idx in self.reads.iter() {
-            let ov = global.orec(idx as usize).load(Ordering::Acquire);
-            if is_locked(ov) {
-                if owner_of(ov) != self.owner {
-                    self.last_conflict = AbortReason::OrecConflict;
-                    self.last_enemy = Self::enemy_of(ov);
-                    self.last_site = ConflictSite::Orec(idx);
-                    return Err(OpError::Conflict);
-                }
-            } else if version_of(ov) > self.starts[global.shard_of_idx(idx as usize)] {
-                self.last_conflict = AbortReason::OrecConflict;
-                self.last_enemy = None;
-                self.last_site = ConflictSite::Orec(idx);
-                return Err(OpError::Conflict);
-            }
-        }
-        self.starts = now;
         Ok(())
     }
 
@@ -480,10 +405,10 @@ impl OrecTx {
             self.last_enemy = Self::enemy_of(pre);
             return Err(OpError::Busy);
         }
-        if version_of(pre) > self.start_for(global, idx) {
+        if version_of(pre) > self.start {
             // Location written after our snapshot; try to extend it.
             self.extend(global)?;
-            if version_of(pre) > self.start_for(global, idx) {
+            if version_of(pre) > self.start {
                 // Extension adopted the freshest clock and the version is
                 // *still* ahead — only a coarse (GV5) clock can get here,
                 // because only it releases orecs at `clock + 1`.
@@ -525,7 +450,7 @@ impl OrecTx {
             self.last_site = ConflictSite::Addr(addr);
             return Err(OpError::Conflict);
         }
-        if version_of(ov) > self.start_for(global, idx) {
+        if version_of(ov) > self.start {
             self.extend(global)?;
         }
         self.work += cost::METADATA_OP;
@@ -548,8 +473,8 @@ impl OrecTx {
         }
     }
 
-    /// Validates the whole read set against the current snapshot(s) while
-    /// the write orecs are held. Shared by the commit paths.
+    /// Validates the whole read set against the current snapshot while the
+    /// write orecs are held.
     fn validate_at_commit(&mut self, global: &OrecGlobal) -> OpResult<()> {
         self.work += cost::VALIDATE_WORD * self.reads.len() as u64;
         let mut stale = None;
@@ -562,7 +487,7 @@ impl OrecTx {
                     self.last_site = ConflictSite::Orec(idx);
                     return Err(OpError::Conflict);
                 }
-            } else if version_of(ov) > self.start_for(global, idx as usize) {
+            } else if version_of(ov) > self.start {
                 stale = Some((idx, ov));
                 break;
             }
@@ -588,51 +513,8 @@ impl OrecTx {
             global.clock.exit();
             return Ok(CommitPhase::Done);
         }
-        if global.kind() == ClockKind::Sharded {
-            return self.commit_begin_sharded(global, heap);
-        }
         self.work += cost::METADATA_OP;
-        let end = match global.kind() {
-            ClockKind::Epoch if global.clock_now() == self.start && global.clock.solo() => {
-                // Provably alone with an unmoved clock: no transaction can
-                // hold pre-writeback reads (solo) and no commit interleaved
-                // since our snapshot (any commit while we were active was
-                // not solo and would have ticked). Skip the tick *and* the
-                // validation; the orecs go back at their pre-lock versions.
-                self.elided = true;
-                self.start
-            }
-            ClockKind::Epoch | ClockKind::Global => global.clock_tick(),
-            // GV5 (Huang et al.): reuse the current epoch without ticking.
-            // `end == start + 1` then proves nothing, so validation below
-            // is unconditional for plain `Coarse`.
-            ClockKind::Coarse => {
-                global.clock.note_skip(false);
-                global.clock_now() + 1
-            }
-            // SNZI-fronted GV5: consult the read indicator here, not at
-            // release. Alone, reuse the epoch — nobody is live to observe
-            // the stale stamp, and an unmoved clock additionally proves no
-            // commit interleaved (any committer while we were active saw
-            // the indicator and ticked), so `end == start + 1` regains its
-            // meaning. Observed, tick exactly like the global clock: the
-            // unique stamp keeps the quiet-commit validation skip that a
-            // shared GV5 epoch forfeits.
-            ClockKind::CoarseSnzi => {
-                if global.clock.solo() {
-                    global.clock.note_skip(false);
-                    global.clock_now() + 1
-                } else {
-                    global.clock_tick()
-                }
-            }
-            ClockKind::Sharded => unreachable!(),
-        };
-        let must_validate = match global.kind() {
-            ClockKind::Coarse => true,
-            _ if self.elided => false,
-            _ => end != self.start + 1,
-        };
+        let (end, must_validate) = global.commit_stamp(self.start);
         if must_validate {
             // Someone may have committed since our snapshot: validate.
             self.validate_at_commit(global)?;
@@ -647,86 +529,16 @@ impl OrecTx {
         Ok(CommitPhase::NeedsFinish { cost: write_cost })
     }
 
-    /// Sharded first commit phase: tick only the clocks of the shards the
-    /// write set touches, then validate (skipping when every read shard's
-    /// clock provably never moved).
-    fn commit_begin_sharded(
-        &mut self,
-        global: &OrecGlobal,
-        heap: &WordHeap,
-    ) -> OpResult<CommitPhase> {
-        let mut write_mask = 0u8;
-        for &(idx, _) in &self.locked {
-            write_mask |= 1 << global.shard_of_idx(idx as usize);
-        }
-        self.ends = self.starts;
-        for s in 0..SHARDS {
-            if write_mask & (1 << s) == 0 {
-                continue;
-            }
-            self.work += cost::METADATA_OP;
-            global.clock.note_bump();
-            self.ends[s] = global.shard_clock(s).fetch_add(1, Ordering::AcqRel) + 1;
-        }
-        // Validation can be skipped only if no foreign commit landed in any
-        // shard we *read from*: in a written read-shard our tick must have
-        // come straight after our snapshot, and a read-only shard's clock
-        // must never have moved. Shards with no reads can't invalidate
-        // anything — checking them would re-serialise disjoint commits.
-        let mut read_mask = 0u8;
-        for idx in self.reads.iter() {
-            read_mask |= 1 << global.shard_of_idx(idx as usize);
-        }
-        let mut quiet = true;
-        for s in 0..SHARDS {
-            if read_mask & (1 << s) == 0 {
-                continue;
-            }
-            if write_mask & (1 << s) != 0 {
-                if self.ends[s] != self.starts[s] + 1 {
-                    quiet = false;
-                }
-                continue;
-            }
-            self.work += cost::FILTER_WORD;
-            if global.shard_clock(s).load(Ordering::Acquire) != self.starts[s] {
-                quiet = false;
-            }
-        }
-        if !quiet {
-            self.validate_at_commit(global)?;
-        }
-        let n = self.redo.len() as u64;
-        for (addr, value) in self.redo.iter() {
-            heap.store(addr, value);
-        }
-        let write_cost = cost::COMMIT_BASE + n * cost::WRITEBACK_WORD;
-        self.work += write_cost;
-        self.commit_version = Some(1); // marker; releases use `ends`
-        Ok(CommitPhase::NeedsFinish { cost: write_cost })
-    }
-
     /// Second commit phase: releases every held orec at the commit version.
     pub fn commit_finish(&mut self, global: &OrecGlobal) {
         let end = self
             .commit_version
             .take()
             .expect("commit_finish without commit_begin");
-        for &(idx, prev) in &self.locked {
-            let release = if self.elided {
-                // Epoch elision: restore pre-lock versions — the commit is
-                // invisible to timestamps, only the values changed.
-                prev
-            } else if global.kind() == ClockKind::Sharded {
-                pack_version(self.ends[global.shard_of_idx(idx as usize)])
-            } else {
-                pack_version(end)
-            };
-            global.orec(idx as usize).store(release, Ordering::Release);
-        }
-        if self.elided {
-            global.clock.note_skip(true);
-            self.elided = false;
+        for &(idx, _) in &self.locked {
+            global
+                .orec(idx as usize)
+                .store(pack_version(end), Ordering::Release);
         }
         self.work += cost::METADATA_OP * self.locked.len() as u64;
         self.locked.clear();
@@ -752,7 +564,6 @@ impl OrecTx {
             global.clock.exit();
         }
         self.active = false;
-        self.elided = false;
     }
 
     /// True while an attempt is active.
@@ -806,11 +617,6 @@ mod tests {
             OrecGlobal::with_orecs_kind(1 << 10, kind),
             WordHeap::new(1 << 14),
         )
-    }
-
-    /// An address in shard `s` (offset keeps distinct addresses distinct).
-    fn in_shard(s: usize, offset: u32) -> Addr {
-        Addr(((s as u32) << crate::clock::SHARD_SHIFT) + offset)
     }
 
     fn run_tx(
@@ -1004,177 +810,41 @@ mod tests {
         let _ = h;
     }
 
-    // ---- sharded clock ----
+    // ---- the shared commit-stamp rule ----
 
     #[test]
-    fn sharded_table_partition_preserves_shard_of_idx() {
-        let g = OrecGlobal::with_orecs_kind(1 << 10, ClockKind::Sharded);
-        for s in 0..SHARDS {
-            for off in [0u32, 1, 100, 2000] {
-                let idx = g.orec_index(in_shard(s, off));
-                assert_eq!(g.shard_of_idx(idx), s, "orec escaped its domain");
+    fn commit_stamp_rule_per_clock_kind() {
+        use ClockKind::{Coarse, CoarseSnzi, Global};
+        // A committer whose snapshot is 5, on a clock standing at `now`,
+        // with or without a second live transaction on the indicator.
+        // Expected: (end, must_validate), then (clock, bumps, bump_skips).
+        #[rustfmt::skip]
+        let table = [
+            // Global ticks, and validates iff the tick was not start + 1.
+            (Global,     5, false, (6, false), (6, 1, 0)),
+            (Global,     7, false, (8, true),  (8, 1, 0)),
+            (Global,     5, true,  (6, false), (6, 1, 0)),
+            // Coarse never ticks, books a skip and always validates.
+            (Coarse,     5, false, (6, true),  (5, 0, 1)),
+            (Coarse,     7, true,  (8, true),  (7, 0, 1)),
+            // CoarseSnzi reuses the epoch when solo, ticks when observed.
+            (CoarseSnzi, 5, false, (6, false), (5, 0, 1)),
+            (CoarseSnzi, 7, false, (8, true),  (7, 0, 1)),
+            (CoarseSnzi, 5, true,  (6, false), (6, 1, 0)),
+            (CoarseSnzi, 7, true,  (8, true),  (8, 1, 0)),
+        ];
+        for (kind, now, observed, stamp, after) in table {
+            let g = OrecGlobal::with_orecs_kind(8, kind);
+            g.clock().preload(now);
+            g.clock().enter();
+            if observed {
+                g.clock().enter();
             }
+            let case = format!("{kind:?} now={now} observed={observed}");
+            assert_eq!(g.commit_stamp(5), stamp, "{case}");
+            let s = g.clock().stats();
+            assert_eq!((g.timestamp(), s.bumps, s.bump_skips), after, "{case}");
         }
-    }
-
-    #[test]
-    fn sharded_commit_ticks_only_written_shards() {
-        let (g, h) = setup_kind(ClockKind::Sharded);
-        let mut t1 = OrecTx::new(0);
-        run_tx(&g, &h, &mut t1, |tx| {
-            tx.write(&g, in_shard(2, 0), 1)?;
-            tx.write(&g, in_shard(5, 0), 2)
-        });
-        assert_eq!(g.shard_clock(2).load(Ordering::Relaxed), 1);
-        assert_eq!(g.shard_clock(5).load(Ordering::Relaxed), 1);
-        for s in [0usize, 1, 3, 4, 6, 7] {
-            assert_eq!(g.shard_clock(s).load(Ordering::Relaxed), 0, "shard {s}");
-        }
-        assert_eq!(g.clock().stats().bumps, 2);
-    }
-
-    #[test]
-    fn sharded_cross_shard_stale_read_aborts_at_commit() {
-        // A writer whose foreign-shard read went stale must not commit — a
-        // sharded snapshot never validates a write it couldn't have
-        // observed.
-        let (g, h) = setup_kind(ClockKind::Sharded);
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
-        t1.begin(&g).unwrap();
-        let v = t1.read(&g, &h, in_shard(1, 0)).unwrap();
-        t1.write(&g, in_shard(0, 0), v + 1).unwrap();
-        run_tx(&g, &h, &mut t2, |tx| tx.write(&g, in_shard(1, 0), 7));
-        assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
-        t1.abort(&g);
-        assert_eq!(h.load(in_shard(0, 0)), 0);
-    }
-
-    #[test]
-    fn sharded_disjoint_shard_commit_skips_validation_cost() {
-        let (g, h) = setup_kind(ClockKind::Sharded);
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
-        t1.begin(&g).unwrap();
-        const N_READS: u32 = 20;
-        for i in 0..N_READS {
-            t1.read(&g, &h, in_shard(1, i)).unwrap();
-        }
-        t1.write(&g, in_shard(0, 0), 1).unwrap();
-        // A foreign commit in shard 6 does not touch t1's shards at all.
-        run_tx(&g, &h, &mut t2, |tx| tx.write(&g, in_shard(6, 0), 1));
-        t1.take_work();
-        match t1.commit_begin(&g, &h).unwrap() {
-            CommitPhase::NeedsFinish { .. } => t1.commit_finish(&g),
-            CommitPhase::Done => panic!(),
-        }
-        let w = t1.take_work();
-        assert!(
-            w < cost::COMMIT_BASE
-                + cost::WRITEBACK_WORD
-                + 2 * cost::METADATA_OP
-                + cost::FILTER_WORD * 16
-                + cost::VALIDATE_WORD,
-            "disjoint-shard commit must skip per-read validation (got {w})"
-        );
-        assert_eq!(h.load(in_shard(0, 0)), 1);
-        // Under the global clock the same interleaving validates all 20.
-    }
-
-    #[test]
-    fn sharded_same_shard_commit_still_validates() {
-        let (g, h) = setup_kind(ClockKind::Sharded);
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
-        t1.begin(&g).unwrap();
-        assert_eq!(t1.read(&g, &h, in_shard(1, 0)).unwrap(), 0);
-        t1.write(&g, in_shard(1, 500), 1).unwrap();
-        run_tx(&g, &h, &mut t2, |tx| tx.write(&g, in_shard(1, 0), 9));
-        assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
-        t1.abort(&g);
-    }
-
-    #[test]
-    fn sharded_counter_increments_are_exact() {
-        let (g, h) = setup_kind(ClockKind::Sharded);
-        let mut t1 = OrecTx::new(0);
-        for s in 0..SHARDS {
-            for _ in 0..10 {
-                run_tx(&g, &h, &mut t1, |tx| {
-                    let a = in_shard(s, 3);
-                    let v = match tx.read(&g, &h, a) {
-                        Ok(v) => v,
-                        Err(e) => return Err(e),
-                    };
-                    tx.write(&g, a, v + 1)
-                });
-            }
-        }
-        for s in 0..SHARDS {
-            assert_eq!(h.load(in_shard(s, 3)), 10);
-        }
-    }
-
-    // ---- epoch-batched clock ----
-
-    #[test]
-    fn epoch_solo_commit_elides_tick_and_validation() {
-        let (g, h) = setup_kind(ClockKind::Epoch);
-        let mut tx = OrecTx::new(0);
-        run_tx(&g, &h, &mut tx, |tx| tx.write(&g, Addr(0), 1));
-        assert_eq!(h.load(Addr(0)), 1);
-        assert_eq!(g.timestamp(), 0, "solo commit leaves the clock unmoved");
-        let s = g.clock().stats();
-        assert_eq!((s.bumps, s.bump_skips, s.pending), (0, 1, 1));
-        let idx = g.orec_index(Addr(0));
-        assert_eq!(
-            g.orec(idx).load(Ordering::Relaxed),
-            pack_version(0),
-            "orec restored at its pre-lock version"
-        );
-        // Later transactions read the new value under the old timestamp.
-        let mut t2 = OrecTx::new(1);
-        t2.begin(&g).unwrap();
-        assert_eq!(t2.read(&g, &h, Addr(0)).unwrap(), 1);
-        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-        // The escalation flush folds the banked epochs back in (step 1).
-        assert!(g.clock().flush(1));
-        assert_eq!(g.timestamp(), 1);
-    }
-
-    #[test]
-    fn epoch_contended_commit_ticks_normally() {
-        let (g, h) = setup_kind(ClockKind::Epoch);
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
-        t2.begin(&g).unwrap(); // a live observer: not solo
-        run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(0), 1));
-        assert_eq!(g.timestamp(), 1, "observer forces the tick");
-        assert_eq!(g.clock().stats().bumps, 1);
-        // The observer still validates correctly against the ticked clock.
-        assert_eq!(t2.read(&g, &h, Addr(1)).unwrap(), 0);
-        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-    }
-
-    #[test]
-    fn epoch_moved_clock_defeats_elision() {
-        let (g, h) = setup_kind(ClockKind::Epoch);
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
-        // t1 begins, then a contended commit moves the clock under it.
-        t1.begin(&g).unwrap();
-        assert_eq!(t1.read(&g, &h, Addr(9)).unwrap(), 0);
-        run_tx(&g, &h, &mut t2, |tx| tx.write(&g, Addr(0), 1));
-        assert_eq!(g.timestamp(), 1);
-        // t1 is now solo again, but its snapshot is stale: no elision, and
-        // its commit validates (successfully — the read is untouched).
-        t1.write(&g, Addr(10), 5).unwrap();
-        match t1.commit_begin(&g, &h).unwrap() {
-            CommitPhase::NeedsFinish { .. } => t1.commit_finish(&g),
-            CommitPhase::Done => panic!(),
-        }
-        assert!(!t1.elided);
-        assert_eq!(g.timestamp(), 2, "non-elided commit ticked");
     }
 
     // ---- coarse (GV5) clock ----

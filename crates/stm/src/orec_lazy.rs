@@ -14,15 +14,14 @@
 //! Included as an implemented extension (the paper's §IV-C adaptive-TM
 //! direction needs more than two plug-ins to choose from); it shares
 //! [`OrecGlobal`] with the eager algorithm, including its clock source —
-//! see the `orec` module docs for the per-[`ClockKind`] semantics (sharded
-//! clock domains, epoch elision, GV5 coarse timestamps with rescue bumps).
+//! see the `orec` module docs for the per-[`crate::ClockKind`] semantics
+//! (GV5 coarse timestamps with rescue bumps, the SNZI read indicator).
 
 use std::sync::atomic::Ordering;
 
 use votm_obs::AbortReason;
 use votm_utils::InlineVec;
 
-use crate::clock::{ClockKind, SHARDS};
 use crate::cost;
 use crate::heap::{Addr, WordHeap};
 use crate::orec::{
@@ -37,10 +36,6 @@ use crate::{CommitPhase, ConflictSite, OpError, OpResult};
 pub struct OrecLazyTx {
     owner: u64,
     start: u64,
-    /// Per-shard snapshot vector (`Sharded` clock only).
-    starts: [u64; SHARDS],
-    /// Per-shard commit timestamps (`Sharded` clock only).
-    ends: [u64; SHARDS],
     /// Orec indices read (validated against `start` at commit).
     reads: InlineVec<u32, INLINE_READS>,
     writes: WriteSet,
@@ -49,9 +44,6 @@ pub struct OrecLazyTx {
     work: u64,
     active: bool,
     commit_version: Option<u64>,
-    /// Epoch elision: this commit skipped tick + validation and releases
-    /// its orecs at their pre-lock versions.
-    elided: bool,
     /// Why the most recent `Err(Conflict)` happened (see
     /// [`OrecLazyTx::conflict_reason`]).
     last_conflict: AbortReason,
@@ -70,15 +62,12 @@ impl OrecLazyTx {
         Self {
             owner: thread_index as u64 + 1,
             start: 0,
-            starts: [0; SHARDS],
-            ends: [0; SHARDS],
             reads: InlineVec::new(),
             writes: WriteSet::new(),
             locked: Vec::new(),
             work: 0,
             active: false,
             commit_version: None,
-            elided: false,
             last_conflict: AbortReason::Explicit,
             last_enemy: None,
             last_site: ConflictSite::None,
@@ -112,38 +101,20 @@ impl OrecLazyTx {
         Some(owner_of(ov) as usize - 1)
     }
 
-    /// The snapshot an orec at `idx` validates against.
-    #[inline]
-    fn start_for(&self, global: &OrecGlobal, idx: usize) -> u64 {
-        if global.kind() == ClockKind::Sharded {
-            self.starts[global.shard_of_idx(idx)]
-        } else {
-            self.start
-        }
-    }
-
     /// Starts an attempt.
     pub fn begin(&mut self, global: &OrecGlobal) -> OpResult<()> {
         debug_assert!(!self.active);
         debug_assert!(self.locked.is_empty());
-        if global.kind() == ClockKind::Sharded {
-            for (s, start) in self.starts.iter_mut().enumerate() {
-                *start = global.shard_clock(s).load(Ordering::Acquire);
-            }
-            self.work += cost::FILTER_WORD * (SHARDS as u64 - 1);
-        } else {
-            self.start = global.clock_now();
-            if global.kind().tracks_active() {
-                global.clock().enter();
-                self.work += cost::FILTER_WORD;
-            }
+        self.start = global.clock_now();
+        if global.kind().tracks_active() {
+            global.clock().enter();
+            self.work += cost::FILTER_WORD;
         }
         self.reads.clear();
         self.writes.clear();
         self.work += cost::BEGIN;
         self.active = true;
         self.commit_version = None;
-        self.elided = false;
         self.last_enemy = None;
         self.last_site = ConflictSite::None;
         Ok(())
@@ -153,9 +124,6 @@ impl OrecLazyTx {
     /// orec — even one of ours, when the acquisition loop extends mid-way —
     /// fails the extension; the retry resolves it).
     fn extend(&mut self, global: &OrecGlobal) -> OpResult<()> {
-        if global.kind() == ClockKind::Sharded {
-            return self.extend_sharded(global);
-        }
         let now = global.clock_now();
         self.work += cost::VALIDATE_WORD * self.reads.len() as u64 + cost::METADATA_OP;
         for idx in self.reads.iter() {
@@ -176,34 +144,6 @@ impl OrecLazyTx {
         Ok(())
     }
 
-    /// Sharded extension: snapshot every shard clock first, validate all
-    /// reads against their own shard's snapshot, then adopt the vector.
-    fn extend_sharded(&mut self, global: &OrecGlobal) -> OpResult<()> {
-        let mut now = [0u64; SHARDS];
-        for (s, n) in now.iter_mut().enumerate() {
-            *n = global.shard_clock(s).load(Ordering::Acquire);
-        }
-        self.work += cost::VALIDATE_WORD * self.reads.len() as u64
-            + cost::METADATA_OP
-            + cost::FILTER_WORD * (SHARDS as u64 - 1);
-        for idx in self.reads.iter() {
-            let ov = global.orec_at(idx as usize).load(Ordering::Acquire);
-            if is_locked(ov) {
-                self.last_conflict = AbortReason::OrecConflict;
-                self.last_enemy = Self::enemy_of(ov);
-                self.last_site = ConflictSite::Orec(idx);
-                return Err(OpError::Conflict);
-            } else if version_of(ov) > self.starts[global.shard_of_idx(idx as usize)] {
-                self.last_conflict = AbortReason::OrecConflict;
-                self.last_enemy = None;
-                self.last_site = ConflictSite::Orec(idx);
-                return Err(OpError::Conflict);
-            }
-        }
-        self.starts = now;
-        Ok(())
-    }
-
     /// Transactional read.
     pub fn read(&mut self, global: &OrecGlobal, heap: &WordHeap, addr: Addr) -> OpResult<u64> {
         debug_assert!(self.active);
@@ -219,9 +159,9 @@ impl OrecLazyTx {
             self.last_enemy = Self::enemy_of(pre);
             return Err(OpError::Busy);
         }
-        if version_of(pre) > self.start_for(global, idx) {
+        if version_of(pre) > self.start {
             self.extend(global)?;
-            if version_of(pre) > self.start_for(global, idx) {
+            if version_of(pre) > self.start {
                 // Still ahead after adopting the freshest clock: a coarse
                 // (GV5) release at `clock + 1`, i.e. the false-conflict
                 // site.
@@ -253,8 +193,8 @@ impl OrecLazyTx {
         Ok(())
     }
 
-    /// Validates the whole read set against the current snapshot(s) while
-    /// the write orecs are held; releases them on failure.
+    /// Validates the whole read set against the current snapshot while the
+    /// write orecs are held; releases them on failure.
     fn validate_at_commit(&mut self, global: &OrecGlobal) -> OpResult<()> {
         self.work += cost::VALIDATE_WORD * self.reads.len() as u64;
         let mut conflict = None;
@@ -270,7 +210,7 @@ impl OrecLazyTx {
                     site = ConflictSite::Orec(idx);
                     break;
                 }
-            } else if version_of(ov) > self.start_for(global, idx as usize) {
+            } else if version_of(ov) > self.start {
                 conflict = Some(classify_stale(global, self.start, ov, &mut self.work));
                 site = ConflictSite::Orec(idx);
                 break;
@@ -317,7 +257,7 @@ impl OrecLazyTx {
                 self.last_site = ConflictSite::Addr(addr);
                 return Err(OpError::Conflict);
             }
-            if version_of(ov) > self.start_for(global, idx) {
+            if version_of(ov) > self.start {
                 // Extending here is sound: no read of ours depends on the
                 // new version yet; validate reads and move the snapshot.
                 // (A coarse clock may leave the version ahead even after a
@@ -343,111 +283,13 @@ impl OrecLazyTx {
                 }
             }
         }
-        if global.kind() == ClockKind::Sharded {
-            return self.commit_locked_sharded(global, heap);
-        }
         // (The lazy variant folds the tick's metadata charge into
         // `COMMIT_BASE` — matching its historical accounting — so no
         // per-tick `METADATA_OP` is added here, for any clock kind.)
-        let end = match global.kind() {
-            ClockKind::Epoch if global.clock_now() == self.start && global.clock().solo() => {
-                // Provably alone with an unmoved clock (see the eager
-                // variant): skip the tick and the validation; orecs go
-                // back at their pre-lock versions.
-                self.elided = true;
-                self.start
-            }
-            ClockKind::Epoch | ClockKind::Global => global.clock_tick(),
-            // GV5: reuse the current epoch without ticking; validation is
-            // unconditional for plain `Coarse`.
-            ClockKind::Coarse => {
-                global.clock().note_skip(false);
-                global.clock_now() + 1
-            }
-            // SNZI-fronted GV5 (see the eager variant): alone, reuse the
-            // epoch — solo plus an unmoved clock restores the meaning of
-            // `end == start + 1`; observed, tick like the global clock so
-            // the unique stamp keeps the quiet-commit validation skip.
-            ClockKind::CoarseSnzi => {
-                if global.clock().solo() {
-                    global.clock().note_skip(false);
-                    global.clock_now() + 1
-                } else {
-                    global.clock_tick()
-                }
-            }
-            ClockKind::Sharded => unreachable!(),
-        };
-        let must_validate = match global.kind() {
-            ClockKind::Coarse => true,
-            _ if self.elided => false,
-            _ => end != self.start + 1,
-        };
+        let (end, must_validate) = global.commit_stamp(self.start);
         if must_validate {
             self.validate_at_commit(global)?;
         }
-        self.writeback(global, heap, end)
-    }
-
-    /// Sharded tail of `commit_begin` (write orecs already held): tick only
-    /// the written shards' clocks, skip validation when every read shard
-    /// provably never moved.
-    fn commit_locked_sharded(
-        &mut self,
-        global: &OrecGlobal,
-        heap: &WordHeap,
-    ) -> OpResult<CommitPhase> {
-        let mut write_mask = 0u8;
-        for &(idx, _) in &self.locked {
-            write_mask |= 1 << global.shard_of_idx(idx as usize);
-        }
-        self.ends = self.starts;
-        let mut bumped = 0u64;
-        for s in 0..SHARDS {
-            if write_mask & (1 << s) == 0 {
-                continue;
-            }
-            // The first bump stands in for the single tick the lazy
-            // variant folds into `COMMIT_BASE`; only the *extra* shard
-            // bumps are billed on top.
-            self.work += cost::METADATA_OP * bumped.min(1);
-            bumped += 1;
-            global.clock().note_bump();
-            self.ends[s] = global.shard_clock(s).fetch_add(1, Ordering::AcqRel) + 1;
-        }
-        let mut read_mask = 0u8;
-        for idx in self.reads.iter() {
-            read_mask |= 1 << global.shard_of_idx(idx as usize);
-        }
-        let mut quiet = true;
-        for s in 0..SHARDS {
-            if read_mask & (1 << s) == 0 {
-                continue;
-            }
-            if write_mask & (1 << s) != 0 {
-                if self.ends[s] != self.starts[s] + 1 {
-                    quiet = false;
-                }
-                continue;
-            }
-            self.work += cost::FILTER_WORD;
-            if global.shard_clock(s).load(Ordering::Acquire) != self.starts[s] {
-                quiet = false;
-            }
-        }
-        if !quiet {
-            self.validate_at_commit(global)?;
-        }
-        self.writeback(global, heap, 1) // marker; releases use `ends`
-    }
-
-    /// Applies the write set to the heap and arms `commit_finish`.
-    fn writeback(
-        &mut self,
-        _global: &OrecGlobal,
-        heap: &WordHeap,
-        end: u64,
-    ) -> OpResult<CommitPhase> {
         let n = self.writes.len() as u64;
         for (addr, value) in self.writes.iter() {
             heap.store(addr, value);
@@ -464,21 +306,10 @@ impl OrecLazyTx {
             .commit_version
             .take()
             .expect("commit_finish without commit_begin");
-        for &(idx, prev) in &self.locked {
-            let release = if self.elided {
-                prev
-            } else if global.kind() == ClockKind::Sharded {
-                pack_version(self.ends[global.shard_of_idx(idx as usize)])
-            } else {
-                pack_version(end)
-            };
+        for &(idx, _) in &self.locked {
             global
                 .orec_at(idx as usize)
-                .store(release, Ordering::Release);
-        }
-        if self.elided {
-            global.clock().note_skip(true);
-            self.elided = false;
+                .store(pack_version(end), Ordering::Release);
         }
         self.work += cost::METADATA_OP * self.locked.len() as u64;
         self.locked.clear();
@@ -505,7 +336,6 @@ impl OrecLazyTx {
             global.clock().exit();
         }
         self.active = false;
-        self.elided = false;
     }
 
     /// True while an attempt is active.
@@ -537,6 +367,7 @@ impl OrecLazyTx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ClockKind;
 
     fn setup() -> (OrecGlobal, WordHeap) {
         (OrecGlobal::with_orecs(1 << 10), WordHeap::new(256))
@@ -547,11 +378,6 @@ mod tests {
             OrecGlobal::with_orecs_kind(1 << 10, kind),
             WordHeap::new(1 << 14),
         )
-    }
-
-    /// An address in shard `s`.
-    fn in_shard(s: usize, offset: u32) -> Addr {
-        Addr(((s as u32) << crate::clock::SHARD_SHIFT) + offset)
     }
 
     fn run_tx(
@@ -702,50 +528,6 @@ mod tests {
     // cover the lazy-specific commit paths) ----
 
     #[test]
-    fn sharded_commit_ticks_only_written_shards() {
-        let (g, h) = setup_kind(ClockKind::Sharded);
-        let mut t1 = OrecLazyTx::new(0);
-        run_tx(&g, &h, &mut t1, |tx| {
-            tx.write(in_shard(3, 0), 1)?;
-            tx.write(in_shard(7, 0), 2)
-        });
-        assert_eq!(g.shard_clock(3).load(Ordering::Relaxed), 1);
-        assert_eq!(g.shard_clock(7).load(Ordering::Relaxed), 1);
-        assert_eq!(g.shard_clock(0).load(Ordering::Relaxed), 0);
-        assert_eq!(h.load(in_shard(3, 0)), 1);
-        assert_eq!(h.load(in_shard(7, 0)), 2);
-    }
-
-    #[test]
-    fn sharded_stale_foreign_read_aborts_at_commit() {
-        let (g, h) = setup_kind(ClockKind::Sharded);
-        let mut t1 = OrecLazyTx::new(0);
-        let mut t2 = OrecLazyTx::new(1);
-        t1.begin(&g).unwrap();
-        let v = t1.read(&g, &h, in_shard(1, 0)).unwrap();
-        t1.write(in_shard(0, 0), v + 1).unwrap();
-        run_tx(&g, &h, &mut t2, |tx| tx.write(in_shard(1, 0), 7));
-        assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
-        t1.abort(&g);
-        assert_eq!(h.load(in_shard(0, 0)), 0);
-    }
-
-    #[test]
-    fn epoch_solo_commit_elides_and_stays_correct() {
-        let (g, h) = setup_kind(ClockKind::Epoch);
-        let mut tx = OrecLazyTx::new(0);
-        run_tx(&g, &h, &mut tx, |tx| tx.write(Addr(0), 1));
-        assert_eq!(g.timestamp(), 0, "solo commit leaves the clock unmoved");
-        assert_eq!(g.clock().stats().bump_skips, 1);
-        let idx = g.orec_index(Addr(0));
-        assert_eq!(g.orec_at(idx).load(Ordering::Relaxed), pack_version(0));
-        let mut t2 = OrecLazyTx::new(1);
-        t2.begin(&g).unwrap();
-        assert_eq!(t2.read(&g, &h, Addr(0)).unwrap(), 1);
-        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-    }
-
-    #[test]
     fn coarse_false_conflict_rescued_on_read() {
         let (g, h) = setup_kind(ClockKind::Coarse);
         let mut t1 = OrecLazyTx::new(0);
@@ -760,6 +542,55 @@ mod tests {
         t2.begin(&g).unwrap();
         assert_eq!(t2.read(&g, &h, Addr(0)).unwrap(), 7);
         assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
+    }
+
+    /// The eager and lazy commits share one stamp rule
+    /// ([`OrecGlobal::commit_stamp`]): from the same clock state both must
+    /// release their orec at the same version and agree on whether the
+    /// read set was validated.
+    #[test]
+    fn lazy_and_eager_commits_get_the_same_stamp() {
+        use crate::orec::OrecTx;
+        for kind in ClockKind::ALL {
+            for (moved, observed) in [(false, false), (true, false), (false, true), (true, true)] {
+                // One read, one write, snapshot 5; `observed` parks a second
+                // live transaction and `moved` pushes the clock to 7 before
+                // the commit. Yields (released version, read set validated).
+                macro_rules! stamp {
+                    ($tx:expr, $write:expr) => {{
+                        let (g, h) = setup_kind(kind);
+                        g.clock().preload(5);
+                        let mut tx = $tx;
+                        tx.begin(&g).unwrap();
+                        tx.read(&g, &h, Addr(1)).unwrap();
+                        $write(&mut tx, &g).unwrap();
+                        if observed {
+                            g.clock().enter();
+                        }
+                        if moved {
+                            g.clock().preload(7);
+                        }
+                        tx.take_work();
+                        let CommitPhase::NeedsFinish { cost: write_cost } =
+                            tx.commit_begin(&g, &h).unwrap()
+                        else {
+                            panic!("writer needs finish");
+                        };
+                        // Both variants pay one METADATA_OP (eager: the tick;
+                        // lazy: the single orec acquisition) on top of
+                        // validation and writeback.
+                        let validation = tx.take_work() - write_cost - cost::METADATA_OP;
+                        tx.commit_finish(&g);
+                        let released = g.orec_at(g.orec_index(Addr(0))).load(Ordering::Relaxed);
+                        (version_of(released), validation == cost::VALIDATE_WORD)
+                    }};
+                }
+                let eager = stamp!(OrecTx::new(0), |tx: &mut OrecTx, g| tx.write(g, Addr(0), 1));
+                let lazy = stamp!(OrecLazyTx::new(0), |tx: &mut OrecLazyTx, _| tx
+                    .write(Addr(0), 1));
+                assert_eq!(lazy, eager, "{kind:?} moved={moved} observed={observed}");
+            }
+        }
     }
 
     #[test]

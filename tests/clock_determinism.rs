@@ -5,9 +5,8 @@
 //! `votm-obs-snapshot-v1` schema alike.
 //!
 //! This mirrors `policy_determinism.rs` for the clock-source surface:
-//! shard indices derive from addresses, epoch banking from the commit
-//! interleaving, GV5 reuse and SNZI occupancy from virtual time — never
-//! from host entropy.
+//! GV5 reuse and SNZI occupancy derive from virtual time — never from
+//! host entropy.
 
 use votm::{ClockKind, CmPolicy, TmAlgorithm};
 use votm_bench::{capture_trace_clock, capture_trace_sim, Settings};
