@@ -31,7 +31,10 @@
 //!    `wasted_cycles`; if it carries `1.3` adaptive-partition rows, every
 //!    `*-adaptive` row has a `*-hand` twin, repartitioned at least once,
 //!    spent cycles in drain barriers, ended with at least two views, and
-//!    converged to >= 0.90× its hand-partitioned twin's throughput.
+//!    converged to >= 0.90× its hand-partitioned twin's throughput; if it
+//!    carries `1.2` blocking-scenario rows, every `*-block` row parked and
+//!    lost no wakeup, the gated NOrec block row never escalated, and
+//!    parking cut its spinning twin's busy retries per commit >= 10×.
 //!
 //! Exit status: 0 clean, 1 regression/divergence, 2 usage or schema error.
 
@@ -71,6 +74,10 @@ const VIRTUAL_FIELDS_1_3: [&str; 2] = ["repartitions", "split_drain_cycles"];
 /// The adaptive-convergence floor: a `partition-*-adaptive` row must reach
 /// this fraction of its hand-partitioned twin's throughput.
 const CONVERGENCE_FLOOR: f64 = 0.90;
+
+/// The spin-vs-park floor: the gated `*-block` row must cut its `*-spin`
+/// twin's busy retries per commit by at least this factor.
+const PARK_BUSY_DROP: f64 = 10.0;
 
 /// The clock-variant collapse threshold: a variant may honestly lose a bit
 /// to the default on gate geometry, but under 0.75× is a bug.
@@ -233,12 +240,13 @@ fn main() {
     }
 
     // ---- Current-artifact sanity (independent of the baseline) ----
-    let cur_schema_has_ledger = {
+    let cur_schema = {
         let mut parts = cv.split('.');
         let major: u64 = parts.next().and_then(|p| p.parse().ok()).unwrap_or(0);
         let minor: u64 = parts.next().and_then(|p| p.parse().ok()).unwrap_or(0);
-        (major, minor) >= (1, 1)
+        (major, minor)
     };
+    let cur_schema_has_ledger = cur_schema >= (1, 1);
     for r in cur_rows {
         let label = key_label(&row_key(r));
         let status = r.get("status").and_then(Json::as_str).unwrap_or("?");
@@ -272,33 +280,33 @@ fn main() {
     // hand-partitioned twin, actually repartitioned (live splits through
     // the drain barrier, not a lucky static layout) and reached the
     // convergence floor against that twin.
-    let partition_rows = |suffix: &'static str| {
+    let scenario_rows = |prefix: &'static str, suffix: &'static str| {
         cur_rows.iter().filter(move |r| {
             let version = row_key(r).2;
-            version.starts_with("partition-") && version.ends_with(suffix)
+            version.starts_with(prefix) && version.ends_with(suffix)
         })
     };
+    let count = |r: &Json, k: &str| r.get(k).and_then(Json::as_u64).unwrap_or(0);
     let (n_hand, n_adaptive) = (
-        partition_rows("-hand").count(),
-        partition_rows("-adaptive").count(),
+        scenario_rows("partition-", "-hand").count(),
+        scenario_rows("partition-", "-adaptive").count(),
     );
     if n_hand != n_adaptive {
         problems.push(format!(
             "partition scenarios: {n_hand} hand rows but {n_adaptive} adaptive rows"
         ));
     }
-    for r in partition_rows("-adaptive") {
+    for r in scenario_rows("partition-", "-adaptive") {
         let label = key_label(&row_key(r));
-        let count = |k: &str| r.get(k).and_then(Json::as_u64).unwrap_or(0);
-        if count("repartitions") == 0 {
+        if count(r, "repartitions") == 0 {
             problems.push(format!(
                 "{label}: adaptive partition row never repartitioned"
             ));
         }
-        if count("split_drain_cycles") == 0 {
+        if count(r, "split_drain_cycles") == 0 {
             problems.push(format!("{label}: no cycles spent in drain barriers"));
         }
-        if count("n_views") < 2 {
+        if count(r, "n_views") < 2 {
             problems.push(format!("{label}: ended with fewer than two views"));
         }
         let ratio = f64_field(r, "converged_throughput_ratio");
@@ -308,6 +316,43 @@ fn main() {
                  (< {CONVERGENCE_FLOOR:.2}x floor)"
             ));
         }
+    }
+    // Blocking-scenario block (`1.2` rows): every blocking row really
+    // parked and lost no wakeup, and against the one spinning row parking
+    // must pay. Only that gated pair must be escalation-free — parking may
+    // never read as starvation there; the orec comparison rows may
+    // escalate on genuine conflict streaks (the watchdog working).
+    for r in scenario_rows("", "-block") {
+        let (parked, lost) = (count(r, "parked_waits"), count(r, "lost_wakeups"));
+        if parked == 0 || lost != 0 {
+            let label = key_label(&row_key(r));
+            problems.push(format!(
+                "{label}: parked {parked} times, lost {lost} wakeups"
+            ));
+        }
+    }
+    let spin = scenario_rows("", "-spin").next();
+    let gated =
+        spin.and_then(|s| scenario_rows("", "-block").find(|b| row_key(b).0 == row_key(s).0));
+    if let (Some(spin), Some(block)) = (spin, gated) {
+        let label = key_label(&row_key(block));
+        let busy = |r| f64_field(r, "busy_retries_per_commit");
+        let drop = busy(spin) / busy(block).max(0.05);
+        println!(
+            "blocking gate: busy retries/commit {:.2} (spin) -> {:.2} (block), {drop:.0}x drop",
+            busy(spin),
+            busy(block)
+        );
+        if count(block, "escalations") != 0 {
+            problems.push(format!("{label}: gated blocking row escalated"));
+        }
+        if drop.is_nan() || drop < PARK_BUSY_DROP {
+            problems.push(format!(
+                "{label}: busy-retry drop only {drop:.1}x (< {PARK_BUSY_DROP}x)"
+            ));
+        }
+    } else if cur_schema >= (1, 2) {
+        problems.push("blocking scenario rows missing (a *-spin row and its twin)".to_string());
     }
     // Clock-variant block: presence, collapse floor, and the NOrec win.
     let max_n = cur_rows

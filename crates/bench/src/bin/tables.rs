@@ -14,13 +14,13 @@
 //! simulation on one core — bring a book).
 
 use votm::TmAlgorithm;
-use votm_bench::{fmt, Settings};
+use votm_bench::{fmt, Settings, GATE_ARTIFACT};
 
 struct Args {
     tables: Vec<u32>,
     settings: Settings,
-    /// `--json`: run the throughput gate and write `BENCH_4.json` instead of
-    /// printing markdown tables.
+    /// `--json`: run the throughput gate and write [`GATE_ARTIFACT`] instead
+    /// of printing markdown tables.
     json: bool,
     /// `--trace PATH`: run one recorded multi-view adaptive Eigenbench sim
     /// and write the Chrome trace to PATH (plus the snapshot schema next to
@@ -95,9 +95,6 @@ fn parse_args() -> Args {
 /// overridden with `--eigen-scale`), so successive PRs' `BENCH_<n>.json`
 /// artifacts are directly comparable.
 const GATE_EIGEN_SCALE: f64 = 0.001;
-
-/// Output artifact of `--json`: the PR-numbered benchmark trajectory file.
-const GATE_ARTIFACT: &str = "BENCH_14.json";
 
 /// Sidecar artifact of `--json`: the per-policy comparison table
 /// (markdown), built from the gate's policy rows.

@@ -3,7 +3,7 @@
 
 use votm_sim::RunStatus;
 
-use crate::{AdaptiveRow, GateRow, PolicySpread, SweepRow};
+use crate::{AdaptiveRow, GateRow, PolicySpread, SweepRow, GATE_ARTIFACT};
 
 /// Formats a count the way the paper does: `3.2m`, `5.26G`, `49.8T`.
 pub fn count(x: u64) -> String {
@@ -269,12 +269,12 @@ pub fn policy_table(rows: &[GateRow], spreads: &[PolicySpread]) -> String {
         ]);
     }
     out.push_str(&markdown(&lines));
-    out.push_str(
+    out.push_str(&format!(
         "\nBackoff rows aggregate the gate's seed sweep; policy rows' headline `txns/vsec` \
-         is the single-seed comparison run (see BENCH_10.json for the raw fields), while \
+         is the single-seed comparison run (see {GATE_ARTIFACT} for the raw fields), while \
          the mean (min–max) column aggregates three deterministic seeds so a lucky seed \
-         cannot flip a policy ranking unnoticed.\n",
-    );
+         cannot flip a policy ranking unnoticed.\n"
+    ));
     out
 }
 
@@ -419,12 +419,12 @@ pub fn clock_table(rows: &[GateRow]) -> String {
             ));
         }
     }
-    out.push_str(
+    out.push_str(&format!(
         "\nDefault-clock (`global`) rows aggregate the gate's seed sweep; clock-variant \
-         rows are single-seed comparison runs (see BENCH_14.json for the raw fields). \
+         rows are single-seed comparison runs (see {GATE_ARTIFACT} for the raw fields). \
          `bumps` counts clock advances taken, `bump skips` counts advances elided by \
-         the variant's coalescing strategy.\n",
-    );
+         the variant's coalescing strategy.\n"
+    ));
     out
 }
 

@@ -141,14 +141,13 @@ fn eigen_run_recorded(
     cap: Option<u64>,
     recorder: Option<Arc<FlightRecorder>>,
 ) -> EigenResult {
-    votm_eigenbench::run_sim_cm(
+    votm_eigenbench::run_sim_recorded(
         &settings.eigen_config(),
         algo,
         version,
         quotas,
         settings.sim(cap),
         recorder,
-        CmPolicy::Backoff,
     )
 }
 
@@ -564,6 +563,11 @@ pub const GATE_THREADS: [u32; 2] = [4, 16];
 /// to keep the trajectory metric stable across PRs.
 pub const GATE_SEEDS: u64 = 3;
 
+/// The file `tables --json` writes the gate to — the PR-numbered benchmark
+/// trajectory artifact — and the one the comparison tables' footnotes send
+/// the reader to for the raw fields.
+pub const GATE_ARTIFACT: &str = "BENCH_19.json";
+
 /// One aggregated gate configuration: `algo` × `version` × `n` threads ×
 /// `policy` × `clock`, summed over `n_seeds` consecutive seeds.
 #[allow(clippy::too_many_arguments)] // crate-internal, two call sites
@@ -706,9 +710,11 @@ fn gate_config_row(
 /// config aggregated over [`GATE_SEEDS`] consecutive seeds — all under the
 /// default backoff policy, the rows later PRs regress their
 /// `BENCH_<n>.json` against. Then one comparison row per non-default
-/// contention-management policy × algorithm (single-view, N = 16, one
-/// seed): not regression-gated, but CI checks every one *completes* — a
-/// policy that livelocks or starves the gate workload fails the build.
+/// contention-management policy × algorithm that can run one
+/// ([`TmAlgorithm::names_lock_holder`]: the orec pair) (single-view,
+/// N = 16, one seed): not regression-gated, but CI checks every one
+/// *completes* — a policy that livelocks or starves the gate workload
+/// fails the build.
 /// Finally one row per non-default clock kind × algorithm (single-view,
 /// N = 16, one seed, backoff): the head-to-head clock-variant comparison
 /// `clock_table.md` formats; CI checks presence, completion and the 0.95×
@@ -750,7 +756,12 @@ pub fn throughput_gate(settings: &Settings) -> Vec<GateRow> {
         if policy == CmPolicy::Backoff {
             continue; // already the full gated matrix above
         }
-        for algo in TmAlgorithm::ALL {
+        // A NOrec view runs the passive default whatever it is asked for,
+        // so a NOrec × policy row would only repeat the backoff run.
+        for algo in TmAlgorithm::ALL
+            .into_iter()
+            .filter(|a| a.names_lock_holder())
+        {
             rows.push(gate_config_row(
                 settings,
                 algo,
@@ -813,10 +824,7 @@ pub fn policy_spreads(settings: &Settings, rows: &[GateRow]) -> Vec<PolicySpread
         if r.policy == "backoff" || r.version != "single-view" || r.clock != "global" {
             continue;
         }
-        let policy = CmPolicy::ALL
-            .into_iter()
-            .find(|p| p.name() == r.policy)
-            .expect("row policy is a known CmPolicy");
+        let policy = CmPolicy::from_name(r.policy).expect("row policy is a known CmPolicy");
         let algo = TmAlgorithm::ALL
             .into_iter()
             .find(|a| a.name() == r.algo)
@@ -879,27 +887,15 @@ pub fn capture_trace(settings: &Settings, algo: TmAlgorithm) -> TraceCapture {
 /// timer wheel, the reference heap, and with coalescing toggled, and assert
 /// the JSON documents are byte-identical.
 pub fn capture_trace_sim(settings: &Settings, algo: TmAlgorithm, sim: SimConfig) -> TraceCapture {
-    capture_trace_cm(settings, algo, sim, CmPolicy::Backoff)
+    capture_trace_clock(settings, algo, sim, CmPolicy::Backoff, ClockKind::Global)
 }
 
-/// [`capture_trace_sim`] under an explicit contention-management policy.
-/// Every policy is a deterministic function of the seeds, so two captures
-/// with identical arguments are byte-identical whatever the policy — the
-/// per-policy determinism suite asserts exactly that.
-pub fn capture_trace_cm(
-    settings: &Settings,
-    algo: TmAlgorithm,
-    sim: SimConfig,
-    policy: CmPolicy,
-) -> TraceCapture {
-    capture_trace_clock(settings, algo, sim, policy, ClockKind::Global)
-}
-
-/// [`capture_trace_cm`] under an explicit clock strategy. Each clock kind
-/// is still a deterministic function of the seeds — GV5 reuse and SNZI
+/// [`capture_trace_sim`] under an explicit contention-management policy
+/// and clock strategy. Every policy and every clock kind is a
+/// deterministic function of the seeds — priorities, GV5 reuse and SNZI
 /// occupancy derive from virtual time — so two captures with identical
-/// arguments are byte-identical whatever the clock; the per-clock
-/// determinism suite asserts exactly that.
+/// arguments are byte-identical whatever the policy or clock; the
+/// per-policy and per-clock determinism suites assert exactly that.
 pub fn capture_trace_clock(
     settings: &Settings,
     algo: TmAlgorithm,
@@ -1229,16 +1225,22 @@ mod tests {
         let mut s = tiny();
         s.eigen_scale = 0.0001;
         let rows = throughput_gate(&s);
-        // 3 algorithms × 2 versions × GATE_THREADS.len() thread counts of
-        // the gated default, plus one comparison row per non-default
-        // policy × algorithm, plus one per non-default clock × algorithm,
-        // plus the bounded-buffer blocking scenario rows, plus an
-        // adaptive/hand row pair per partition scenario.
+        // Every algorithm × 2 versions × GATE_THREADS.len() thread counts
+        // of the gated default, plus one comparison row per non-default
+        // policy × algorithm whose lock words name a holder for the policy
+        // to rank, plus one per non-default clock × algorithm, plus the
+        // bounded-buffer blocking scenario rows, plus an adaptive/hand row
+        // pair per partition scenario.
+        let n_algos = TmAlgorithm::ALL.len();
+        let n_policy_algos = TmAlgorithm::ALL
+            .iter()
+            .filter(|a| a.names_lock_holder())
+            .count();
         assert_eq!(
             rows.len(),
-            3 * 2 * GATE_THREADS.len()
-                + (CmPolicy::ALL.len() - 1) * 3
-                + (ClockKind::ALL.len() - 1) * 3
+            n_algos * 2 * GATE_THREADS.len()
+                + (CmPolicy::ALL.len() - 1) * n_policy_algos
+                + (ClockKind::ALL.len() - 1) * n_algos
                 + workload::BLOCKING_SCENARIOS.len()
                 + workload::PARTITION_SCENARIOS.len() * 2
         );
@@ -1250,7 +1252,7 @@ mod tests {
                     && (r.version == "single-view" || r.version == "multi-view")
             })
             .count();
-        assert_eq!(backoff_rows, 3 * 2 * GATE_THREADS.len());
+        assert_eq!(backoff_rows, n_algos * 2 * GATE_THREADS.len());
         // The blocking scenario rows are present, park only in block mode,
         // and never lose a wakeup.
         for w in workload::BLOCKING_SCENARIOS {

@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use votm::{CmPolicy, FlightRecorder, QuotaMode, TmAlgorithm};
+use votm::{FlightRecorder, QuotaMode, TmAlgorithm};
 use votm_bench::Settings;
 use votm_eigenbench::{EigenConfig, Version, ViewParams};
 use votm_obs::{ConflictProfile, PROFILE_BUCKETS};
@@ -36,7 +36,7 @@ fn profiled_run_is_virtually_identical_to_unrecorded_run() {
     let mut cfg = EigenConfig::paper_table2(s.eigen_scale);
     cfg.n_threads = s.n_threads;
     cfg.seed = s.seed;
-    let bare = votm_eigenbench::run_sim_cm(
+    let bare = votm_eigenbench::run_sim(
         &cfg,
         TmAlgorithm::OrecEagerRedo,
         Version::SingleView,
@@ -47,8 +47,6 @@ fn profiled_run_is_virtually_identical_to_unrecorded_run() {
             max_steps: u64::MAX,
             ..Default::default()
         },
-        None,
-        CmPolicy::Backoff,
     );
     assert_eq!(bare.outcome.status, RunStatus::Completed);
     assert_eq!(

@@ -52,8 +52,8 @@
 //!
 //! # Contention management
 //!
-//! Every conflict-resolution site consults the view's pluggable
-//! [`votm_rac::ContentionManager`] (see `votm_rac::cm`): `Busy` polls and
+//! Every conflict-resolution site consults the view's
+//! [`votm_rac::CmInstance`] (see `votm_rac::cm`): `Busy` polls and
 //! `Conflict` errors from reads, writes and `commit_begin` become
 //! [`votm_rac::SiteVerdict`]s — keep waiting (optionally dooming the
 //! conflicting transaction first) or abort-self with a pre-re-admission
@@ -61,8 +61,9 @@
 //! [`votm_rac::CmShared`] slot and the victim converts the mark into an
 //! `AbortReason::CmKilled` abort at its next operation boundary, so locks
 //! are always released through the victim's own abort path. Under the
-//! default passive [`votm_rac::CmPolicy::Backoff`] the driver skips all of
-//! this and reproduces the historical behaviour exactly.
+//! default passive [`votm_rac::CmPolicy::Backoff`] — which is also what
+//! every NOrec view runs — the driver skips all of this and reproduces the
+//! historical behaviour exactly.
 //!
 //! # Blocking: `retry` / `or_else`
 //!
@@ -73,8 +74,8 @@
 //! summaries of every alternative the attempt tried. Only a committing
 //! writer whose write set intersects that key wakes it (see `wait.rs` for
 //! the lost-wakeup-free protocol). Parks deliberately bypass the
-//! contention manager (no karma, no loser backoff — blocking is not
-//! losing) and leave the starvation streak untouched; only a park that
+//! contention manager (no attempt count, no loser backoff — blocking is
+//! not losing) and leave the starvation streak untouched; only a park that
 //! *times out* bumps the streak, so a lost wakeup escalates through the
 //! watchdog instead of hanging. [`TxHandle::or_else`] composes
 //! alternatives: if the first retries, the second runs in the same
@@ -132,8 +133,8 @@ impl std::error::Error for HeapExhausted {}
 
 /// Consecutive `Busy` retries of one read/write before the attempt aborts
 /// (bounded spinning, TinySTM-style; breaks reader/writer wait-for cycles).
-/// This is the passive default's patience; active contention managers
-/// substitute their own — see [`votm_rac::cm::BUSY_PATIENCE`].
+/// This is the passive default's patience, and the loser's under the
+/// priority policies — see [`votm_rac::cm::BUSY_PATIENCE`].
 const BUSY_ABORT_LIMIT: u32 = votm_rac::cm::BUSY_PATIENCE;
 
 /// Alternative-selection state for [`TxHandle::or_else`], owned by the
@@ -266,8 +267,8 @@ pub struct TxHandle<'v> {
     /// that, with nothing armed, no access builds a fault-point future.
     faults: bool,
     /// Contention-management state of the logical transaction this attempt
-    /// belongs to; the driver reads it back after an abort so karma and the
-    /// first-attempt timestamp survive.
+    /// belongs to; the driver reads it back after an abort so the attempt
+    /// count and the first-attempt timestamp survive.
     cm_tx: CmTx,
     /// True when the view's contention manager is active *and* this attempt
     /// is transactional: the driver publishes priorities, honours dooms and
@@ -323,7 +324,7 @@ impl<'v> TxHandle<'v> {
             // Publish this attempt's priority and open a fresh doom epoch
             // (which also clears any doom aimed at the previous attempt).
             let tid = rt.thread_index();
-            cm_tx.prio = view.cm().manager().priority(&cm_tx, tid, rt.now());
+            cm_tx.prio = view.cm().priority(&cm_tx, tid, rt.now());
             cm_tx.epoch = view.cm().shared().attempt_begin(tid, cm_tx.prio);
         }
         let start = rt.now();
@@ -481,7 +482,7 @@ impl<'v> TxHandle<'v> {
     /// releasing its locks through the normal abort path. The kill charges
     /// the same loser backoff as an `AbortSelf` verdict — a victim that
     /// re-armed instantly would reach the winner's lock before it commits
-    /// and (under priorities that grow with aborts, like Karma's account)
+    /// and (once the priority order has flipped, e.g. at a window boundary)
     /// counter-kill it, ping-ponging without progress.
     #[inline]
     fn cm_doom_check(&mut self) -> Result<(), TxAbort> {
@@ -530,17 +531,14 @@ impl<'v> TxHandle<'v> {
         let cm = self.view.cm();
         *spins += 1;
         let enemy = self.ctx.conflict_enemy();
-        let verdict = if busy {
-            cm.manager()
-                .on_busy(*spins, enemy, cm.shared(), &self.cm_tx, tid)
-        } else if self.ctx.conflict_reason() == AbortReason::FalseConflict {
+        let verdict = if !busy && self.ctx.conflict_reason() == AbortReason::FalseConflict {
             // Coarse-clock false conflict: no enemy exists to doom or wait
             // for (the conflicting commit may have finished before this
-            // attempt began), so the priority machinery doesn't apply.
-            cm.manager().on_false_conflict(&self.cm_tx)
+            // attempt began), and the STM's rescue bump already guarantees
+            // the retry's progress: restart at once, no backoff.
+            SiteVerdict::AbortSelf { backoff: 0 }
         } else {
-            cm.manager()
-                .on_conflict(*spins, enemy, cm.shared(), &self.cm_tx, tid)
+            cm.site(busy, *spins, enemy, &self.cm_tx, tid)
         };
         match verdict {
             SiteVerdict::Wait { kill } => {
@@ -555,30 +553,22 @@ impl<'v> TxHandle<'v> {
                         }
                     }
                 }
-                if *spins >= HARD_PATIENCE {
-                    // Safety net: no policy verdict may turn into an
-                    // unbounded wait. Past the hard cap the attempt aborts
-                    // itself regardless of priority.
-                    if busy {
-                        self.set_abort_cause(AbortReason::WriteLockBusy, ConflictSite::None);
-                    } else {
-                        self.set_abort_cause(self.ctx.conflict_reason(), self.ctx.conflict_site());
-                    }
-                    return Err(TxAbort);
+                if *spins < HARD_PATIENCE {
+                    self.busy_wait().await;
+                    return Ok(());
                 }
-                self.busy_wait().await;
-                Ok(())
+                // Safety net: no policy verdict may turn into an unbounded
+                // wait. Past the hard cap the attempt aborts itself
+                // regardless of priority.
             }
-            SiteVerdict::AbortSelf { backoff } => {
-                self.cm_tx.loser_backoff = backoff;
-                if busy {
-                    self.set_abort_cause(AbortReason::WriteLockBusy, ConflictSite::None);
-                } else {
-                    self.set_abort_cause(self.ctx.conflict_reason(), self.ctx.conflict_site());
-                }
-                Err(TxAbort)
-            }
+            SiteVerdict::AbortSelf { backoff } => self.cm_tx.loser_backoff = backoff,
         }
+        if busy {
+            self.set_abort_cause(AbortReason::WriteLockBusy, ConflictSite::None);
+        } else {
+            self.set_abort_cause(self.ctx.conflict_reason(), self.ctx.conflict_site());
+        }
+        Err(TxAbort)
     }
 
     /// Transactional read of one word.
@@ -934,10 +924,9 @@ where
     // unwind (or a dropped future) runs the attempt's recovery first and
     // then drops the descriptor instead of pooling it.
     let mut desc = view.take_descriptor(tid);
-    let cm = view.cm();
     // Contention-management state of the *logical* transaction: it survives
-    // attempts, so abort-the-younger's timestamp only ages and Karma's
-    // account accumulates across aborts.
+    // attempts, so abort-the-younger's timestamp only ages and the loser
+    // backoff grows with every lost attempt.
     let mut cm_tx = CmTx::new(rt.now());
     // Consecutive aborts of *this* transaction — the starvation signal.
     let mut streak: u64 = 0;
@@ -1129,8 +1118,8 @@ where
             // retry(): the body declared "nothing I read lets me proceed".
             // Roll back and park instead of racing. The attempt is booked
             // under AbortReason::Retry (a requested wait, not contention),
-            // and deliberately skips the contention manager's on_aborted /
-            // loser backoff and the starvation streak.
+            // and deliberately skips the contention manager's attempt count
+            // and loser backoff, and the starvation streak.
             if handle.ctx.is_direct() {
                 // The irrevocable lock mode cannot roll anything back; a
                 // retry there is only sound if the attempt was effectively
@@ -1216,7 +1205,6 @@ where
         );
         handle.ctx.abort(view.tm());
         handle.charge_pending().await;
-        let wasted = handle.attempt_work;
         handle.finish(false);
         cm_tx = handle.cm_tx;
         drop(handle);
@@ -1229,12 +1217,12 @@ where
         group_epoch = None;
         desc.alt.reset();
 
-        if cm.active() {
-            // Bank the wasted work (Karma's account) and serve the loser's
-            // backoff penalty *after* releasing admission, so the freed
-            // gate slot can go to the conflict's winner meanwhile — the
-            // CM ↔ quota interaction.
-            cm.manager().on_aborted(&mut cm_tx, wasted);
+        if view.cm().active() {
+            // Count the lost attempt and serve the loser's backoff penalty
+            // *after* releasing admission, so the freed gate slot can go
+            // to the conflict's winner meanwhile — the CM ↔ quota
+            // interaction.
+            cm_tx.attempts += 1;
             let penalty = std::mem::take(&mut cm_tx.loser_backoff);
             if penalty > 0 {
                 rt.charge(penalty).await;

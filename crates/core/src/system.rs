@@ -39,7 +39,9 @@ pub struct VotmConfig {
     /// [`CmPolicy::Backoff`], reproduces the historical backoff-and-retry
     /// behaviour exactly (and costs nothing on the hot path); the other
     /// policies trade a little bookkeeping for progress guarantees — see
-    /// `votm_rac::cm`.
+    /// `votm_rac::cm`. NOrec views always run the passive default, whatever
+    /// is set here: NOrec's lock names no holder for a policy to rank
+    /// ([`TmAlgorithm::names_lock_holder`]).
     pub contention: CmPolicy,
     /// Clock strategy for every view's TM version/sequence clock. The
     /// default, [`ClockKind::Global`], is the single fetch-add clock the
@@ -184,7 +186,7 @@ impl Votm {
 ///
 /// let sys = Votm::builder()
 ///     .algo(TmAlgorithm::OrecEagerRedo)
-///     .policy(CmPolicy::Karma)
+///     .policy(CmPolicy::WindowedGreedy)
 ///     .clock(ClockKind::Global)
 ///     .threads(8)
 ///     .build();
@@ -209,7 +211,9 @@ impl VotmBuilder {
         self
     }
 
-    /// Contention-management policy for every view.
+    /// Contention-management policy for every view whose algorithm's lock
+    /// words name their holder; NOrec views always run the passive default
+    /// (see [`VotmConfig::contention`]).
     pub fn policy(mut self, contention: CmPolicy) -> Self {
         self.config.contention = contention;
         self

@@ -121,6 +121,14 @@ impl View {
             // blocks (there are only N threads), and no controller runs.
             QuotaMode::Unrestricted => (n_threads, None),
         };
+        // A priority policy ranks a transaction against the holder of the
+        // lock it hit; an algorithm whose lock words name nobody runs the
+        // passive default whatever the configuration asks for.
+        let contention = if tm.algorithm().names_lock_holder() {
+            contention
+        } else {
+            CmPolicy::Backoff
+        };
         Self {
             id,
             tm,
@@ -172,7 +180,9 @@ impl View {
         &self.waits
     }
 
-    /// Which contention-management policy this view runs.
+    /// Which contention-management policy this view runs: the configured
+    /// [`crate::VotmConfig::contention`], except that a NOrec view always
+    /// reports (and runs) the passive [`CmPolicy::Backoff`].
     pub fn cm_policy(&self) -> CmPolicy {
         self.cm.policy()
     }

@@ -342,14 +342,15 @@ fn park_timeout_feeds_the_starvation_watchdog() {
 /// A parked transaction is invisible to contention management: under every
 /// CM policy a blocking producer/consumer workload drains completely, with
 /// real parks and no lost wakeups (a policy dooming parked victims forever
-/// would strand a consumer and time the run out).
+/// would strand a consumer and time the run out). On an orec algorithm:
+/// a NOrec view would run the passive default every time.
 #[test]
 fn every_cm_policy_coexists_with_parking() {
     const CAP: u64 = 2;
     const OPS: u64 = 20;
     for policy in CmPolicy::ALL {
         let sys = Votm::builder()
-            .algo(TmAlgorithm::NOrec)
+            .algo(TmAlgorithm::OrecEagerRedo)
             .threads(6)
             .policy(policy)
             .build();

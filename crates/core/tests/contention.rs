@@ -1,4 +1,4 @@
-//! Robustness harness for pluggable contention management.
+//! Robustness harness for contention management.
 //!
 //! Three families of checks back the per-policy progress claims:
 //!
@@ -6,10 +6,11 @@
 //!   still by seeded fault-plan delays aimed only at it) against a stream
 //!   of short transactions camping on its write set. Pure backoff
 //!   demonstrably starves the long transaction; the priority policies
-//!   (abort-the-younger, Karma, windowed-greedy) complete it with a
-//!   bounded abort streak and no watchdog escalation.
+//!   (abort-the-younger, windowed-greedy) complete it with a bounded abort
+//!   streak and no watchdog escalation.
 //! * **Symmetric livelock checks** — 2–3 threads incrementing one shared
-//!   counter under every policy × algorithm × seed: the total order on
+//!   counter under every policy × algorithm (that takes one) × seed: the
+//!   total order on
 //!   `(priority, tid)` rules out mutual-kill/mutual-wait cycles, so every
 //!   small interleaving must complete with the exact count.
 //! * **Doom conversion** — a doomed transaction converts the mark into an
@@ -148,13 +149,12 @@ fn backoff_starves_the_long_transaction() {
 
 /// The provable-progress policies complete the same duel with a bounded
 /// abort streak and never need the watchdog: the victim outranks the
-/// shorts (by age, by banked work, or within its winning window) and the
-/// conflict sites resolve in its favour.
+/// shorts (by age, or within its winning window) and the conflict sites
+/// resolve in its favour.
 #[test]
 fn priority_policies_bound_the_victims_abort_streak() {
     for (policy, bound) in [
         (CmPolicy::AbortTheYounger, 64),
-        (CmPolicy::Karma, 64),
         (CmPolicy::WindowedGreedy, 1024),
     ] {
         let d = starvation_duel(policy, 3, Some(4096));
@@ -177,16 +177,6 @@ fn priority_policies_bound_the_victims_abort_streak() {
     }
 }
 
-/// Wait-vs-abort makes no starvation promise — it is the conservative
-/// contrast point — but its bounded patience must keep the duel
-/// deadlock-free whichever way it ends.
-#[test]
-fn wait_vs_abort_stays_deadlock_free_under_the_duel() {
-    let d = starvation_duel(CmPolicy::WaitVsAbort, 3, None);
-    assert_ne!(d.status, RunStatus::Deadlock);
-    assert!(d.commits > 0);
-}
-
 /// 2–3 threads hammering one counter under every policy × algorithm ×
 /// seed: small symmetric interleavings are where naive contention managers
 /// livelock (mutual kills, mutual waits). The total `(priority, tid)`
@@ -203,6 +193,9 @@ fn symmetric_small_interleavings_complete_under_every_policy() {
                     1 => TmAlgorithm::NOrec,
                     _ => TmAlgorithm::OrecLazy,
                 };
+                if policy != CmPolicy::Backoff && !algo.names_lock_holder() {
+                    continue; // NOrec takes no policy: the backoff schedule again
+                }
                 let sys = Votm::builder()
                     .algo(algo)
                     .threads(threads)
@@ -243,17 +236,18 @@ fn symmetric_small_interleavings_complete_under_every_policy() {
     }
 }
 
-/// The polite-kill protocol end to end: under Karma two fresh transactions
-/// tie on priority and the lower thread index wins, so the later-arriving
-/// thread 0 dooms the lock-holding thread 1; the victim notices at its
-/// next operation boundary and self-aborts with `CmKilled` — visible in
-/// the per-reason abort statistics.
+/// The polite-kill protocol end to end: under abort-the-younger the older
+/// transaction (thread 0, started first) does local work while the younger
+/// thread 1 takes the word it wants, so thread 0 arrives late at a held
+/// lock, outranks the holder and dooms it; the victim notices at its next
+/// operation boundary and self-aborts with `CmKilled` — visible in the
+/// per-reason abort statistics.
 #[test]
 fn doomed_transactions_convert_the_mark_into_a_cm_killed_abort() {
     let sys = Votm::builder()
         .algo(TmAlgorithm::OrecEagerRedo)
         .threads(2)
-        .policy(CmPolicy::Karma)
+        .policy(CmPolicy::AbortTheYounger)
         .build();
     let view = sys.create_view(64, QuotaMode::Fixed(2));
     let mut ex = SimExecutor::new(SimConfig {
@@ -261,23 +255,26 @@ fn doomed_transactions_convert_the_mark_into_a_cm_killed_abort() {
         vtime_cap: Some(10_000_000),
         ..Default::default()
     });
-    // Thread 0 arrives late and wants the word thread 1 holds.
+    // Thread 0 starts its transaction first (the older timestamp) but
+    // reaches the shared word late, after thread 1 has locked it.
     {
         let view = Arc::clone(&view);
         ex.spawn(move |rt| async move {
-            rt.charge(500).await;
             view.transact(&rt, async |tx| {
+                tx.local_work(0, 0, 500).await;
                 let v = tx.read(Addr(0)).await?;
                 tx.write(Addr(0), v + 1).await
             })
             .await;
         });
     }
-    // Thread 1 write-locks the word, then keeps performing operations —
-    // each one a boundary where the doom must be honoured.
+    // Thread 1 starts later, write-locks the word meanwhile, then keeps
+    // performing operations — each one a boundary where the doom must be
+    // honoured.
     {
         let view = Arc::clone(&view);
         ex.spawn(move |rt| async move {
+            rt.charge(100).await;
             view.transact(&rt, async |tx| {
                 let v = tx.read(Addr(0)).await?;
                 tx.write(Addr(0), v + 1).await?;

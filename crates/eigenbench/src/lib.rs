@@ -333,30 +333,6 @@ pub fn run_sim_recorded(
     sim: SimConfig,
     recorder: Option<Arc<FlightRecorder>>,
 ) -> EigenResult {
-    run_sim_cm(
-        config,
-        algo,
-        version,
-        quotas,
-        sim,
-        recorder,
-        CmPolicy::Backoff,
-    )
-}
-
-/// Like [`run_sim_recorded`] but additionally selects the views'
-/// contention-management policy — the per-policy throughput gate and the
-/// robustness harness compare the same workload across policies with this.
-#[allow(clippy::too_many_arguments)] // a flat parameter list mirrors run_sim_recorded
-pub fn run_sim_cm(
-    config: &EigenConfig,
-    algo: TmAlgorithm,
-    version: Version,
-    quotas: [QuotaMode; 2],
-    sim: SimConfig,
-    recorder: Option<Arc<FlightRecorder>>,
-    contention: CmPolicy,
-) -> EigenResult {
     run_sim_clock(
         config,
         algo,
@@ -364,15 +340,16 @@ pub fn run_sim_cm(
         quotas,
         sim,
         recorder,
-        contention,
+        CmPolicy::Backoff,
         ClockKind::Global,
     )
 }
 
-/// Like [`run_sim_cm`] but additionally selects the views' TM clock
-/// strategy — the clock-variant gate compares the same workload across
-/// [`ClockKind`]s with this.
-#[allow(clippy::too_many_arguments)] // a flat parameter list mirrors run_sim_cm
+/// Like [`run_sim_recorded`] but additionally selects the views'
+/// contention-management policy and TM clock strategy — the per-policy and
+/// clock-variant gate rows compare the same workload across
+/// [`CmPolicy`]s and [`ClockKind`]s with this.
+#[allow(clippy::too_many_arguments)] // a flat parameter list mirrors run_sim_recorded
 pub fn run_sim_clock(
     config: &EigenConfig,
     algo: TmAlgorithm,

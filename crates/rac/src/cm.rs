@@ -1,20 +1,21 @@
-//! Pluggable contention management.
+//! Contention management: which of two conflicting transactions yields.
 //!
 //! The paper's RAC quota is a *population* control: it bounds how many
 //! transactions contend at once, but says nothing about **which** of two
-//! conflicting transactions should yield. That decision — the contention
-//! manager — was hard-wired to backoff-and-retry. This module makes it a
-//! policy point: a [`ContentionManager`] trait consulted by the
-//! transaction driver at every conflict-resolution site (orec acquisition
-//! conflicts, NOrec validation failures, busy spins on foreign locks, and
-//! the pre-re-admission backoff at the gate), plus the shared per-view
-//! state ([`CmShared`]) the priority policies communicate through.
+//! conflicting transactions should yield. That pairwise decision is made
+//! here. The transaction driver consults a view's [`CmInstance`] at every
+//! conflict-resolution site (orec acquisition conflicts, busy spins on
+//! foreign locks, commit-time acquisition), and the priority policies
+//! communicate through the shared per-view slots ([`CmShared`]).
 //!
-//! Five policies ship:
+//! Three policies, one verdict rule ([`CmInstance::site`]); the two active
+//! ones differ only in the priority they publish
+//! ([`CmInstance::priority`]):
 //!
-//! * [`CmPolicy::Backoff`] — the historical default, bit-for-bit: spin up
-//!   to [`BUSY_PATIENCE`] on `Busy`, abort-self on `Conflict`, no shared
-//!   state touched. Zero overhead; no progress guarantee beyond RAC's.
+//! * [`CmPolicy::Backoff`] — the passive default: spin up to
+//!   [`BUSY_PATIENCE`] on `Busy`, abort-self on `Conflict`, no shared state
+//!   touched. The driver implements it inline and never consults this
+//!   module; no progress guarantee beyond RAC's.
 //! * [`CmPolicy::AbortTheYounger`] — timestamp priority (pypy stmgc's
 //!   `contention.c` policy): the transaction with the older first-attempt
 //!   timestamp wins every conflict. A transaction keeps its timestamp
@@ -22,22 +23,17 @@
 //!   wins every conflict it is part of and therefore commits — livelock-
 //!   free by construction, and starvation-free because every transaction
 //!   eventually *becomes* the oldest.
-//! * [`CmPolicy::Karma`] — work-accounting priority: each abort banks the
-//!   wasted cycles as karma, and accumulated karma wins conflicts. A long
-//!   transaction that keeps losing accumulates karma proportional to its
-//!   length and eventually outranks any stream of short transactions; the
-//!   bound on its abort streak is O(victim length / short length).
-//! * [`CmPolicy::WaitVsAbort`] — never kills: a transaction that hits a
-//!   foreign lock waits it out with extended patience instead of aborting
-//!   itself or dooming the holder. Deadlock-free (patience is bounded),
-//!   but starvation-prone under adversarial schedules — included as the
-//!   conservative contrast point.
 //! * [`CmPolicy::WindowedGreedy`] — randomized-interval priorities after
 //!   Sharma, Estrade & Busch: virtual time is divided into windows and
 //!   each transaction draws a pseudo-random priority per window. Within a
 //!   window the top-priority transaction wins everything (greedy), and
 //!   re-randomization across windows gives every starving transaction a
 //!   fresh chance — O(s)-competitive makespan for s shared objects.
+//!
+//! A priority policy needs an enemy to outrank, so it only runs on views
+//! whose algorithm's lock words name their holder (the orec pair). NOrec
+//! views always run the passive default: "there is no way for a writer to
+//! defer to a reader it cannot see" (Scott's survey on invisible readers).
 //!
 //! Priorities are `u64` values where **lower wins**, with the thread index
 //! as tie-breaker, so `(priority, tid)` is a total order: for any two
@@ -57,9 +53,6 @@ use votm_utils::{hash_u64, CachePadded};
 /// Busy-spin patience of the default backoff policy before converting the
 /// spin into an abort (the historical `BUSY_ABORT_LIMIT`).
 pub const BUSY_PATIENCE: u32 = 64;
-
-/// Extended patience of the wait-vs-abort policy on `Busy` sites.
-pub const WAIT_PATIENCE: u32 = 512;
 
 /// Hard per-operation cap on *any* wait the driver honours, winner or not.
 /// A safety net: no policy decision can convert a lost wakeup or a
@@ -83,21 +76,15 @@ pub enum CmPolicy {
     Backoff,
     /// Older first-attempt timestamp wins (livelock- and starvation-free).
     AbortTheYounger,
-    /// Accumulated wasted work wins (long transactions earn priority).
-    Karma,
-    /// Wait out foreign locks with extended patience; never kill.
-    WaitVsAbort,
     /// Per-window randomized priorities (Sharma et al., O(s)-competitive).
     WindowedGreedy,
 }
 
 impl CmPolicy {
     /// All policies, in a stable order (the default first).
-    pub const ALL: [CmPolicy; 5] = [
+    pub const ALL: [CmPolicy; 3] = [
         CmPolicy::Backoff,
         CmPolicy::AbortTheYounger,
-        CmPolicy::Karma,
-        CmPolicy::WaitVsAbort,
         CmPolicy::WindowedGreedy,
     ];
 
@@ -106,8 +93,6 @@ impl CmPolicy {
         match self {
             CmPolicy::Backoff => "backoff",
             CmPolicy::AbortTheYounger => "abort-younger",
-            CmPolicy::Karma => "karma",
-            CmPolicy::WaitVsAbort => "wait-vs-abort",
             CmPolicy::WindowedGreedy => "windowed-greedy",
         }
     }
@@ -120,15 +105,13 @@ impl CmPolicy {
 
 /// Per-transaction contention-management state, owned by the transaction
 /// driver and persisted **across attempts** of one logical transaction
-/// (that persistence is what makes abort-the-younger's timestamp and
-/// Karma's account survive aborts). Cheap `Copy` so the driver can thread
-/// it through per-attempt handles.
+/// (that persistence is what makes abort-the-younger's timestamp survive
+/// aborts). Cheap `Copy` so the driver can thread it through per-attempt
+/// handles.
 #[derive(Debug, Clone, Copy)]
 pub struct CmTx {
     /// Priority published for the current attempt (lower wins).
     pub prio: u64,
-    /// Cycles wasted in aborted attempts of this transaction so far.
-    pub karma: u64,
     /// Timestamp of the transaction's *first* attempt.
     pub tx_start: u64,
     /// Aborted attempts so far (drives the loser backoff exponent).
@@ -145,7 +128,6 @@ impl CmTx {
     pub fn new(now: u64) -> Self {
         Self {
             prio: 0,
-            karma: 0,
             tx_start: now,
             attempts: 0,
             epoch: 0,
@@ -156,10 +138,11 @@ impl CmTx {
     /// The backoff a yielding loser owes before re-admission: exponential
     /// in its aborted attempts, capped. Used both for `AbortSelf` verdicts
     /// and for `CmKilled` aborts — a killed transaction that re-armed
-    /// immediately would counter-kill the winner before it commits (under
-    /// Karma the kill itself banks enough karma to outrank the killer),
-    /// ping-ponging forever. The cap exceeds a typical short transaction,
-    /// so the winner's window to commit is real.
+    /// immediately would be back at the winner's lock before it commits
+    /// and, whenever the priority order has flipped meanwhile (a window
+    /// boundary), counter-kill it, ping-ponging without progress. The cap
+    /// exceeds a typical short transaction, so the winner's window to
+    /// commit is real.
     pub fn yield_backoff(&self) -> u64 {
         LOSER_BACKOFF_BASE << self.attempts.min(4)
     }
@@ -274,388 +257,28 @@ pub fn beats(my_prio: u64, my_tid: usize, their_prio: u64, their_tid: usize) -> 
     (my_prio, my_tid) < (their_prio, their_tid)
 }
 
-/// The policy point: consulted by the transaction driver at every
-/// conflict-resolution site. Implementations must be deterministic
-/// functions of their arguments (plus construction-time seeds) — the
-/// same-seed replay guarantee of the simulator extends through them.
-pub trait ContentionManager: Send + Sync + std::fmt::Debug {
-    /// Which shipped policy this manager implements.
-    fn policy(&self) -> CmPolicy;
-
-    /// True when the manager needs no priority publication and no doom
-    /// checks; the driver then skips all CM work on the hot path.
-    fn is_passive(&self) -> bool {
-        false
-    }
-
-    /// The priority to publish for an attempt beginning at `now` (lower
-    /// wins; see [`beats`]).
-    fn priority(&self, tx: &CmTx, tid: usize, now: u64) -> u64;
-
-    /// Verdict for the `spins`-th consecutive `Busy` poll of one
-    /// operation (spinning on `enemy`'s lock when the identity is known).
-    fn on_busy(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        shared: &CmShared,
-        tx: &CmTx,
-        tid: usize,
-    ) -> SiteVerdict;
-
-    /// Verdict for an `Err(Conflict)` from the STM. `AbortSelf` follows
-    /// the STM contract (the attempt restarts); `Wait` is only sound when
-    /// the conflict is an encounter-time foreign lock (`enemy` is
-    /// `Some`), where the operation is retryable once the holder leaves.
-    fn on_conflict(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        shared: &CmShared,
-        tx: &CmTx,
-        tid: usize,
-    ) -> SiteVerdict;
-
-    /// The attempt aborted after wasting `wasted` cycles: bank karma and
-    /// count the attempt. Called for every abort, whatever the cause.
-    fn on_aborted(&self, tx: &mut CmTx, wasted: u64) {
-        tx.karma = tx.karma.saturating_add(wasted);
-        tx.attempts = tx.attempts.saturating_add(1);
-    }
-
-    /// Verdict for a *false conflict* — a coarse-granularity clock abort
-    /// where no enemy transaction exists (the conflicting commit may have
-    /// finished before this attempt began). There is nobody to doom and
-    /// nobody to wait for, and the STM's rescue bump already guarantees
-    /// the retry's progress, so the default restarts immediately with no
-    /// backoff; policies may override to charge one anyway.
-    fn on_false_conflict(&self, _tx: &CmTx) -> SiteVerdict {
-        SiteVerdict::AbortSelf { backoff: 0 }
-    }
-}
-
-/// Exponential loser backoff: 256 cycles doubling with each lost attempt,
-/// capped at 4096 — enough for a short winner to finish, small against
-/// the gate-wait latencies RAC already imposes.
-fn loser_backoff(tx: &CmTx) -> u64 {
-    tx.yield_backoff()
-}
-
-/// Shared site logic of the three priority policies (abort-the-younger,
-/// Karma, windowed-greedy): win ⇒ doom the enemy and wait it out; lose ⇒
-/// yield (keep spinning briefly on `Busy`, abort with backoff otherwise).
-fn priority_site(
-    busy: bool,
-    spins: u32,
-    enemy: Option<usize>,
-    shared: &CmShared,
-    tx: &CmTx,
-    tid: usize,
-) -> SiteVerdict {
-    if let Some(e) = enemy {
-        if e != tid && beats(tx.prio, tid, shared.prio_of(e), e) {
-            return SiteVerdict::Wait { kill: true };
-        }
-        if busy && spins < BUSY_PATIENCE {
-            return SiteVerdict::Wait { kill: false };
-        }
-        return SiteVerdict::AbortSelf {
-            backoff: loser_backoff(tx),
-        };
-    }
-    // Anonymous conflict (version advance, lost CAS, NOrec validation):
-    // nobody to outrank; fall back to the default shape.
-    if busy && spins < BUSY_PATIENCE {
-        SiteVerdict::Wait { kill: false }
-    } else {
-        SiteVerdict::AbortSelf { backoff: 0 }
-    }
-}
-
-/// The historical default: bounded spin on `Busy`, abort-self on
-/// `Conflict`, no shared state. Passive — the driver reproduces the
-/// pre-CM hot path exactly under this manager.
-#[derive(Debug, Default)]
-pub struct BackoffCm;
-
-impl ContentionManager for BackoffCm {
-    fn policy(&self) -> CmPolicy {
-        CmPolicy::Backoff
-    }
-
-    fn is_passive(&self) -> bool {
-        true
-    }
-
-    fn priority(&self, _tx: &CmTx, _tid: usize, _now: u64) -> u64 {
-        0
-    }
-
-    fn on_busy(
-        &self,
-        spins: u32,
-        _enemy: Option<usize>,
-        _shared: &CmShared,
-        _tx: &CmTx,
-        _tid: usize,
-    ) -> SiteVerdict {
-        if spins < BUSY_PATIENCE {
-            SiteVerdict::Wait { kill: false }
-        } else {
-            SiteVerdict::AbortSelf { backoff: 0 }
-        }
-    }
-
-    fn on_conflict(
-        &self,
-        _spins: u32,
-        _enemy: Option<usize>,
-        _shared: &CmShared,
-        _tx: &CmTx,
-        _tid: usize,
-    ) -> SiteVerdict {
-        SiteVerdict::AbortSelf { backoff: 0 }
-    }
-}
-
-/// Timestamp priority: the first-attempt timestamp *is* the priority, and
-/// it never changes, so a transaction only ages. Livelock-free: the
-/// oldest transaction in any conflict set wins all its conflicts and
-/// commits. Starvation-free: every transaction eventually becomes oldest.
-#[derive(Debug, Default)]
-pub struct AbortTheYoungerCm;
-
-impl ContentionManager for AbortTheYoungerCm {
-    fn policy(&self) -> CmPolicy {
-        CmPolicy::AbortTheYounger
-    }
-
-    fn priority(&self, tx: &CmTx, _tid: usize, _now: u64) -> u64 {
-        tx.tx_start
-    }
-
-    fn on_busy(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        shared: &CmShared,
-        tx: &CmTx,
-        tid: usize,
-    ) -> SiteVerdict {
-        priority_site(true, spins, enemy, shared, tx, tid)
-    }
-
-    fn on_conflict(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        shared: &CmShared,
-        tx: &CmTx,
-        tid: usize,
-    ) -> SiteVerdict {
-        priority_site(false, spins, enemy, shared, tx, tid)
-    }
-}
-
-/// Work-accounting priority: every aborted attempt banks its wasted
-/// cycles, and the bigger account wins. A repeatedly-victimised long
-/// transaction accumulates karma proportional to its own length per loss,
-/// so after O(len_victim / len_short) losses it outranks any short
-/// transaction — the abort streak is bounded by the work ratio. The
-/// account resets on commit (the state is per logical transaction).
-#[derive(Debug, Default)]
-pub struct KarmaCm;
-
-impl ContentionManager for KarmaCm {
-    fn policy(&self) -> CmPolicy {
-        CmPolicy::Karma
-    }
-
-    fn priority(&self, tx: &CmTx, _tid: usize, _now: u64) -> u64 {
-        // Lower wins: invert the account.
-        u64::MAX - tx.karma
-    }
-
-    fn on_busy(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        shared: &CmShared,
-        tx: &CmTx,
-        tid: usize,
-    ) -> SiteVerdict {
-        priority_site(true, spins, enemy, shared, tx, tid)
-    }
-
-    fn on_conflict(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        shared: &CmShared,
-        tx: &CmTx,
-        tid: usize,
-    ) -> SiteVerdict {
-        priority_site(false, spins, enemy, shared, tx, tid)
-    }
-}
-
-/// Never kill, never panic-abort early: wait out foreign lock holders
-/// with extended patience ([`WAIT_PATIENCE`] on `Busy`, a short bounded
-/// wait on retryable conflicts). Deadlock-free because all patience is
-/// bounded; makes no starvation promise — it is the conservative contrast
-/// point for the priority policies.
-#[derive(Debug, Default)]
-pub struct WaitVsAbortCm;
-
-/// How long wait-vs-abort re-polls a *conflict* site (an encounter-time
-/// foreign lock) before giving up and aborting itself.
-const CONFLICT_WAIT: u32 = 16;
-
-impl ContentionManager for WaitVsAbortCm {
-    fn policy(&self) -> CmPolicy {
-        CmPolicy::WaitVsAbort
-    }
-
-    fn priority(&self, _tx: &CmTx, _tid: usize, _now: u64) -> u64 {
-        // Published but never used to kill; lowest priority for everyone.
-        u64::MAX
-    }
-
-    fn on_busy(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        _shared: &CmShared,
-        _tx: &CmTx,
-        _tid: usize,
-    ) -> SiteVerdict {
-        let patience = if enemy.is_some() {
-            WAIT_PATIENCE
-        } else {
-            BUSY_PATIENCE
-        };
-        if spins < patience {
-            SiteVerdict::Wait { kill: false }
-        } else {
-            SiteVerdict::AbortSelf { backoff: 0 }
-        }
-    }
-
-    fn on_conflict(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        _shared: &CmShared,
-        _tx: &CmTx,
-        _tid: usize,
-    ) -> SiteVerdict {
-        if enemy.is_some() && spins < CONFLICT_WAIT {
-            // The writer waits briefly for the holder instead of killing
-            // it or immediately killing itself.
-            SiteVerdict::Wait { kill: false }
-        } else {
-            SiteVerdict::AbortSelf { backoff: 0 }
-        }
-    }
-}
-
-/// Randomized-interval priorities (Sharma, Estrade & Busch): virtual time
-/// is cut into windows of 2^[`GREEDY_WINDOW_BITS`] cycles and each
-/// transaction hashes `(seed, window, tid)` into its priority for that
-/// window. Within a window the winner is greedy (kills everyone); across
-/// windows the draw re-randomizes, so a loser's expected wait is O(#rivals)
-/// windows — the O(s)-competitive schedule of the paper.
-#[derive(Debug)]
-pub struct WindowedGreedyCm {
-    seed: u64,
-    window_bits: u32,
-}
-
-impl WindowedGreedyCm {
-    /// Manager with the given draw seed and the default window length.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            window_bits: GREEDY_WINDOW_BITS,
-        }
-    }
-
-    #[inline]
-    fn draw(&self, tid: usize, now: u64) -> u64 {
-        let window = now >> self.window_bits;
-        hash_u64(
-            self.seed
-                ^ window.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                ^ (tid as u64).wrapping_mul(0xd1b5_4a32_d192_ed03),
-        )
-    }
-}
-
-impl ContentionManager for WindowedGreedyCm {
-    fn policy(&self) -> CmPolicy {
-        CmPolicy::WindowedGreedy
-    }
-
-    fn priority(&self, _tx: &CmTx, tid: usize, now: u64) -> u64 {
-        self.draw(tid, now)
-    }
-
-    fn on_busy(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        shared: &CmShared,
-        tx: &CmTx,
-        tid: usize,
-    ) -> SiteVerdict {
-        priority_site(true, spins, enemy, shared, tx, tid)
-    }
-
-    fn on_conflict(
-        &self,
-        spins: u32,
-        enemy: Option<usize>,
-        shared: &CmShared,
-        tx: &CmTx,
-        tid: usize,
-    ) -> SiteVerdict {
-        priority_site(false, spins, enemy, shared, tx, tid)
-    }
-}
-
-/// One view's contention-management runtime: the policy object plus the
-/// shared slots. Built by the view constructor from `VotmConfig`.
+/// One view's contention-management runtime: the policy, the seed of its
+/// windowed draw and the shared slots. Built by the view constructor from
+/// `VotmConfig`. Everything here is a deterministic function of its
+/// arguments plus the construction-time seed — the same-seed replay
+/// guarantee of the simulator extends through it.
 #[derive(Debug)]
 pub struct CmInstance {
-    mgr: Box<dyn ContentionManager>,
+    policy: CmPolicy,
+    seed: u64,
     shared: CmShared,
-    active: bool,
 }
 
 impl CmInstance {
-    /// Builds `policy` for a view with `n_threads` participants. `seed`
+    /// Runtime for `policy` on a view with `n_threads` participants. `seed`
     /// feeds the windowed-greedy draw (derive it deterministically, e.g.
     /// from the view id, to preserve same-seed replay).
     pub fn new(policy: CmPolicy, n_threads: u32, seed: u64) -> Self {
-        let mgr: Box<dyn ContentionManager> = match policy {
-            CmPolicy::Backoff => Box::new(BackoffCm),
-            CmPolicy::AbortTheYounger => Box::new(AbortTheYoungerCm),
-            CmPolicy::Karma => Box::new(KarmaCm),
-            CmPolicy::WaitVsAbort => Box::new(WaitVsAbortCm),
-            CmPolicy::WindowedGreedy => Box::new(WindowedGreedyCm::new(seed)),
-        };
-        let active = !mgr.is_passive();
         Self {
-            mgr,
+            policy,
+            seed,
             shared: CmShared::new(n_threads),
-            active,
         }
-    }
-
-    /// The policy object.
-    #[inline]
-    pub fn manager(&self) -> &dyn ContentionManager {
-        self.mgr.as_ref()
     }
 
     /// The shared slots.
@@ -664,53 +287,86 @@ impl CmInstance {
         &self.shared
     }
 
-    /// False for passive managers (the driver skips all CM work).
+    /// False under the passive default: the driver then publishes no
+    /// priority, checks no doom and never asks for a [`Self::site`]
+    /// verdict, skipping all CM work on the hot path.
     #[inline]
     pub fn active(&self) -> bool {
-        self.active
+        self.policy != CmPolicy::Backoff
     }
 
     /// Which policy is installed.
     #[inline]
     pub fn policy(&self) -> CmPolicy {
-        self.mgr.policy()
+        self.policy
+    }
+
+    /// The priority to publish for an attempt of `tx` beginning at `now`
+    /// on thread `tid` (lower wins; see [`beats`]) — the one expression the
+    /// active policies differ in.
+    pub fn priority(&self, tx: &CmTx, tid: usize, now: u64) -> u64 {
+        match self.policy {
+            // Passive: nothing is published, every transaction ties.
+            CmPolicy::Backoff => 0,
+            // Fixed at the first attempt, so a transaction only ages.
+            CmPolicy::AbortTheYounger => tx.tx_start,
+            // One draw per `(seed, window, tid)`: greedy inside a window,
+            // re-randomized across windows.
+            CmPolicy::WindowedGreedy => {
+                let window = now >> GREEDY_WINDOW_BITS;
+                hash_u64(
+                    self.seed
+                        ^ window.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        ^ (tid as u64).wrapping_mul(0xd1b5_4a32_d192_ed03),
+                )
+            }
+        }
+    }
+
+    /// The site verdict of the priority policies, for the `spins`-th
+    /// consecutive poll of one operation by thread `tid`. `busy` tells an
+    /// `Err(Busy)` poll (the operation is retryable as it stands) from an
+    /// `Err(Conflict)`; `enemy` is the lock holder when the STM's metadata
+    /// names one. Win ⇒ doom the enemy and wait it out; lose ⇒ yield (keep
+    /// spinning briefly on `Busy`, abort with backoff otherwise). `Wait` on
+    /// a conflict is only handed out against a named enemy — an
+    /// encounter-time foreign lock, where the operation is retryable once
+    /// the holder leaves.
+    pub fn site(
+        &self,
+        busy: bool,
+        spins: u32,
+        enemy: Option<usize>,
+        tx: &CmTx,
+        tid: usize,
+    ) -> SiteVerdict {
+        let keep_spinning = busy && spins < BUSY_PATIENCE;
+        let Some(e) = enemy else {
+            // Anonymous conflict (version advance, lost CAS): nobody to
+            // outrank; the passive default's shape.
+            return if keep_spinning {
+                SiteVerdict::Wait { kill: false }
+            } else {
+                SiteVerdict::AbortSelf { backoff: 0 }
+            };
+        };
+        // `e == tid` is a lock word of our own (OrecLazy's strict
+        // extension trips over one mid-acquisition): nobody to kill.
+        if e != tid && beats(tx.prio, tid, self.shared.prio_of(e), e) {
+            SiteVerdict::Wait { kill: true }
+        } else if keep_spinning {
+            SiteVerdict::Wait { kill: false }
+        } else {
+            SiteVerdict::AbortSelf {
+                backoff: tx.yield_backoff(),
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_reproduces_the_historical_busy_limit() {
-        let cm = BackoffCm;
-        let shared = CmShared::new(4);
-        let tx = CmTx::new(0);
-        for spins in 1..BUSY_PATIENCE {
-            assert_eq!(
-                cm.on_busy(spins, Some(1), &shared, &tx, 0),
-                SiteVerdict::Wait { kill: false }
-            );
-        }
-        assert_eq!(
-            cm.on_busy(BUSY_PATIENCE, Some(1), &shared, &tx, 0),
-            SiteVerdict::AbortSelf { backoff: 0 }
-        );
-        assert_eq!(
-            cm.on_conflict(1, Some(1), &shared, &tx, 0),
-            SiteVerdict::AbortSelf { backoff: 0 }
-        );
-        assert!(cm.is_passive());
-    }
-
-    #[test]
-    fn priority_order_is_total_exactly_one_side_wins() {
-        for (pa, pb) in [(1u64, 2u64), (2, 1), (7, 7)] {
-            let a_wins = beats(pa, 0, pb, 1);
-            let b_wins = beats(pb, 1, pa, 0);
-            assert_ne!(a_wins, b_wins, "({pa},{pb}): exactly one side must win");
-        }
-    }
 
     #[test]
     fn doom_is_epoch_guarded_and_cleared_by_attempt_begin() {
@@ -727,45 +383,80 @@ mod tests {
         assert_eq!(shared.doomed_by(2, e1), None, "stale epoch must not doom");
     }
 
+    /// The one site rule, for both active policies: `me` (thread 0, two
+    /// aborted attempts behind it) polls a site whose lock word names
+    /// `enemy`, with its own priority at `my` and thread 1's at `their`.
     #[test]
-    fn abort_the_younger_lets_the_older_kill_and_the_younger_yield() {
-        let cm = AbortTheYoungerCm;
-        let shared = CmShared::new(2);
-        let old = CmTx {
-            prio: 100,
-            ..CmTx::new(100)
+    fn site_verdict_table() {
+        const WAIT: SiteVerdict = SiteVerdict::Wait { kill: false };
+        const KILL: SiteVerdict = SiteVerdict::Wait { kill: true };
+        const QUIT: SiteVerdict = SiteVerdict::AbortSelf { backoff: 0 };
+        let yielded = SiteVerdict::AbortSelf {
+            backoff: LOSER_BACKOFF_BASE << 2,
         };
-        let young = CmTx {
-            prio: 900,
-            ..CmTx::new(900)
-        };
-        shared.attempt_begin(0, old.prio);
-        shared.attempt_begin(1, young.prio);
-        assert_eq!(
-            cm.on_conflict(1, Some(1), &shared, &old, 0),
-            SiteVerdict::Wait { kill: true }
-        );
-        match cm.on_conflict(1, Some(0), &shared, &young, 1) {
-            SiteVerdict::AbortSelf { backoff } => assert_eq!(backoff, LOSER_BACKOFF_BASE),
-            v => panic!("younger must yield, got {v:?}"),
+        // (my, their, enemy, busy, spins, expected)
+        let table = [
+            // The winner dooms and waits, on either kind of site, however
+            // long it has spun (the driver's HARD_PATIENCE bounds it).
+            (1, 9, Some(1), true, 1, KILL),
+            (1, 9, Some(1), false, 1, KILL),
+            (1, 9, Some(1), true, BUSY_PATIENCE, KILL),
+            // Equal priorities: the lower thread index (ours) wins.
+            (5, 5, Some(1), false, 1, KILL),
+            // The loser on Busy waits out BUSY_PATIENCE, then yields.
+            (9, 1, Some(1), true, 1, WAIT),
+            (9, 1, Some(1), true, BUSY_PATIENCE - 1, WAIT),
+            (9, 1, Some(1), true, BUSY_PATIENCE, yielded),
+            // The loser on Conflict yields at once.
+            (9, 1, Some(1), false, 1, yielded),
+            // Anonymous site: the default shape, no penalty.
+            (1, 9, None, true, BUSY_PATIENCE - 1, WAIT),
+            (1, 9, None, true, BUSY_PATIENCE, QUIT),
+            (1, 9, None, false, 1, QUIT),
+            // Our own lock word: the same spin-then-abort shape, never a
+            // kill, whatever the priorities say.
+            (1, 9, Some(0), true, BUSY_PATIENCE - 1, WAIT),
+            (1, 9, Some(0), true, BUSY_PATIENCE, yielded),
+            (1, 9, Some(0), false, 1, yielded),
+        ];
+        for policy in [CmPolicy::AbortTheYounger, CmPolicy::WindowedGreedy] {
+            let cm = CmInstance::new(policy, 2, 42);
+            for (my, their, enemy, busy, spins, expected) in table {
+                let me = CmTx {
+                    prio: my,
+                    attempts: 2,
+                    ..CmTx::new(0)
+                };
+                cm.shared().attempt_begin(0, my);
+                cm.shared().attempt_begin(1, their);
+                assert_eq!(
+                    cm.site(busy, spins, enemy, &me, 0),
+                    expected,
+                    "{policy:?}: prio {my} vs {their}, enemy {enemy:?}, busy {busy}, spins {spins}"
+                );
+            }
+            // Whatever priorities the policy hands two transactions (here
+            // from their start times, tied or not, on either pair of
+            // threads), exactly one of them is told to kill at the lock
+            // they meet at — under abort-the-younger, the older one.
+            for (start_a, start_b) in [(0u64, 900u64), (900, 0), (5, 5)] {
+                for (ta, tb) in [(0usize, 1usize), (1, 0)] {
+                    let publish = |start, tid| {
+                        let mut tx = CmTx::new(start);
+                        tx.prio = cm.priority(&tx, tid, 1_000);
+                        cm.shared().attempt_begin(tid, tx.prio);
+                        tx
+                    };
+                    let (a, b) = (publish(start_a, ta), publish(start_b, tb));
+                    let a_kills = cm.site(false, 1, Some(tb), &a, ta) == KILL;
+                    let b_kills = cm.site(false, 1, Some(ta), &b, tb) == KILL;
+                    assert_ne!(a_kills, b_kills, "{policy:?}: {a:?} vs {b:?}");
+                    if policy == CmPolicy::AbortTheYounger && start_a != start_b {
+                        assert_eq!(a_kills, start_a < start_b, "the older must win");
+                    }
+                }
+            }
         }
-    }
-
-    #[test]
-    fn karma_banks_wasted_work_and_outranks_fresh_transactions() {
-        let cm = KarmaCm;
-        let mut long = CmTx::new(0);
-        cm.on_aborted(&mut long, 10_000);
-        cm.on_aborted(&mut long, 10_000);
-        assert_eq!(long.karma, 20_000);
-        assert_eq!(long.attempts, 2);
-        let fresh = CmTx::new(50);
-        assert!(beats(
-            cm.priority(&long, 0, 123),
-            0,
-            cm.priority(&fresh, 1, 123),
-            1
-        ));
     }
 
     #[test]
@@ -773,42 +464,18 @@ mod tests {
         let mut tx = CmTx::new(0);
         let mut prev = 0;
         for _ in 0..8 {
-            let b = loser_backoff(&tx);
+            let b = tx.yield_backoff();
             assert!(b >= prev);
             assert!(b <= LOSER_BACKOFF_BASE << 4);
             prev = b;
             tx.attempts += 1;
         }
-        assert_eq!(loser_backoff(&tx), LOSER_BACKOFF_BASE << 4);
-    }
-
-    #[test]
-    fn wait_vs_abort_waits_longer_and_never_kills() {
-        let cm = WaitVsAbortCm;
-        let shared = CmShared::new(2);
-        let tx = CmTx::new(0);
-        assert_eq!(
-            cm.on_busy(BUSY_PATIENCE + 1, Some(1), &shared, &tx, 0),
-            SiteVerdict::Wait { kill: false },
-            "must outwait the default patience on a known holder"
-        );
-        assert_eq!(
-            cm.on_busy(WAIT_PATIENCE, Some(1), &shared, &tx, 0),
-            SiteVerdict::AbortSelf { backoff: 0 }
-        );
-        assert_eq!(
-            cm.on_conflict(1, Some(1), &shared, &tx, 0),
-            SiteVerdict::Wait { kill: false }
-        );
-        assert_eq!(
-            cm.on_conflict(CONFLICT_WAIT, Some(1), &shared, &tx, 0),
-            SiteVerdict::AbortSelf { backoff: 0 }
-        );
+        assert_eq!(tx.yield_backoff(), LOSER_BACKOFF_BASE << 4);
     }
 
     #[test]
     fn windowed_greedy_redraws_across_windows() {
-        let cm = WindowedGreedyCm::new(0xABCD);
+        let cm = CmInstance::new(CmPolicy::WindowedGreedy, 4, 0xABCD);
         let tx = CmTx::new(0);
         let w = 1u64 << GREEDY_WINDOW_BITS;
         // Same window ⇒ same draw; the draw is a pure function.
@@ -835,6 +502,7 @@ mod tests {
 
     #[test]
     fn instance_builds_every_policy() {
+        assert_eq!(CmPolicy::ALL.len(), 3);
         for p in CmPolicy::ALL {
             let inst = CmInstance::new(p, 8, 42);
             assert_eq!(inst.policy(), p);

@@ -13,10 +13,11 @@
 //!   estimate `δ(Q) = cycles_aborted / (cycles_successful · (Q − 1))`
 //!   (Eq. 5) over windows of completed transactions; halve `Q` when
 //!   `δ(Q) > 1`, double it when `δ(Q) < 1`, bounded by `[1, N]`.
-//! * [`cm::ContentionManager`] — the *pairwise* complement to RAC's
-//!   population control: given two conflicting transactions, decide which
-//!   one yields. Pluggable policies (backoff, abort-the-younger, Karma,
-//!   wait-vs-abort, windowed-greedy) with per-policy progress guarantees.
+//! * [`cm::CmInstance`] — the *pairwise* complement to RAC's population
+//!   control: given two conflicting transactions, decide which one yields.
+//!   The passive backoff default plus two priority policies
+//!   (abort-the-younger, windowed-greedy) sharing one verdict rule, each
+//!   with its own progress guarantee.
 //!
 //! The controller adds one refinement over the paper's description (which
 //! the paper's own results imply but do not spell out): after halving away
@@ -31,7 +32,7 @@ pub mod cm;
 pub mod controller;
 pub mod gate;
 
-pub use cm::{CmInstance, CmPolicy, CmShared, CmTx, ContentionManager, SiteVerdict};
+pub use cm::{CmInstance, CmPolicy, CmShared, CmTx, SiteVerdict};
 pub use controller::{ControllerConfig, QuotaDecision, RacController};
 pub use gate::{AdmissionGate, AdmissionMode, GateGuard, GateStats};
 

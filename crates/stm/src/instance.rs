@@ -55,6 +55,19 @@ impl TmAlgorithm {
             TmAlgorithm::OrecLazy => "OrecLazy",
         }
     }
+
+    /// Whether the algorithm's lock words name their holder, i.e. whether
+    /// [`TxCtx::conflict_enemy`] can ever be `Some`. The orec pair packs
+    /// the owner into the locked ownership record; NOrec's readers are
+    /// invisible and its one sequence lock is anonymous, so a pairwise
+    /// contention-management policy has nobody to rank there ("there is no
+    /// way for a writer to defer to a reader it cannot see" — Scott).
+    pub fn names_lock_holder(self) -> bool {
+        match self {
+            TmAlgorithm::NOrec => false,
+            TmAlgorithm::OrecEagerRedo | TmAlgorithm::OrecLazy => true,
+        }
+    }
 }
 
 enum Globals {

@@ -1,5 +1,5 @@
 //! Contention-management demo: an adversarial starvation duel, replayed
-//! under every pluggable policy.
+//! under every policy.
 //!
 //! One long transaction (task 0) must write-lock four hot words and then
 //! hold them through a long computation. Four short transactions camp on
@@ -8,9 +8,9 @@
 //! operations, so it arrives late to every lock race. Under the default
 //! backoff policy the victim starves: it aborts, retries, and loses the
 //! race forever while the shorts commit freely. The priority policies
-//! resolve each encounter in the victim's favour (it is the oldest, the
-//! karma-richest, or inside its winning window), so the same adversary
-//! costs it only a bounded abort streak.
+//! resolve each encounter in the victim's favour (it is the oldest, or
+//! inside its winning window), so the same adversary costs it only a
+//! bounded abort streak.
 //!
 //! ```text
 //! cargo run --release --example starvation_duel
@@ -168,7 +168,7 @@ fn main() {
     println!();
     assert!(starved >= 1, "the backoff leg must demonstrate starvation");
     assert!(
-        rescued >= 3,
+        rescued >= 2,
         "the priority policies must rescue the victim (got {rescued})"
     );
     println!("starvation_duel OK: {starved} starving leg(s), {rescued} rescued leg(s)");

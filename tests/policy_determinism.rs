@@ -6,13 +6,12 @@
 //!
 //! This is the same-seed replay guarantee the scheduler differential
 //! (`determinism_differential.rs`) pins for the default path, extended to
-//! the whole policy surface: timestamp priorities, Karma's banked work,
-//! wait-vs-abort's patience loops, and windowed-greedy's seeded window
-//! draws all derive from virtual time and per-thread seeds, never from
-//! host entropy.
+//! the whole policy surface: timestamp priorities and windowed-greedy's
+//! seeded window draws derive from virtual time and per-thread seeds,
+//! never from host entropy.
 
-use votm::{CmPolicy, TmAlgorithm};
-use votm_bench::{capture_trace_cm, capture_trace_sim, Settings};
+use votm::{ClockKind, CmPolicy, QuotaMode, TmAlgorithm, Votm};
+use votm_bench::{capture_trace_clock, Settings, TraceCapture};
 use votm_sim::SimConfig;
 
 fn settings() -> Settings {
@@ -29,13 +28,16 @@ fn sim(seed: u64) -> SimConfig {
     }
 }
 
+fn capture(algo: TmAlgorithm, seed: u64, policy: CmPolicy) -> TraceCapture {
+    capture_trace_clock(&settings(), algo, sim(seed), policy, ClockKind::Global)
+}
+
 #[test]
 fn every_policy_replays_byte_identical_exports() {
-    let settings = settings();
     for policy in CmPolicy::ALL {
         for seed in [1u64, 42] {
-            let a = capture_trace_cm(&settings, TmAlgorithm::OrecEagerRedo, sim(seed), policy);
-            let b = capture_trace_cm(&settings, TmAlgorithm::OrecEagerRedo, sim(seed), policy);
+            let a = capture(TmAlgorithm::OrecEagerRedo, seed, policy);
+            let b = capture(TmAlgorithm::OrecEagerRedo, seed, policy);
             assert_eq!(
                 a.chrome_trace, b.chrome_trace,
                 "{policy:?} seed {seed}: chrome trace diverged across replays"
@@ -50,16 +52,24 @@ fn every_policy_replays_byte_identical_exports() {
     }
 }
 
-/// The backoff policy is *passive*: the driver takes the exact
-/// conflict-handling path the pre-policy code did, so a backoff capture is
-/// byte-identical to the default capture — not merely deterministic.
+/// NOrec takes no policy, structurally: its lock names no holder for a
+/// policy to rank, so a NOrec view runs the passive default whatever the
+/// system was configured with — byte for byte, not merely "similarly" —
+/// while an orec view of the same system runs what was asked for.
 #[test]
-fn passive_backoff_matches_the_default_capture_exactly() {
-    let settings = settings();
-    for algo in [TmAlgorithm::NOrec, TmAlgorithm::OrecEagerRedo] {
-        let default = capture_trace_sim(&settings, algo, sim(7));
-        let backoff = capture_trace_cm(&settings, algo, sim(7), CmPolicy::Backoff);
-        assert_eq!(default.chrome_trace, backoff.chrome_trace, "{algo:?}");
-        assert_eq!(default.snapshot, backoff.snapshot, "{algo:?}");
+fn norec_ignores_the_policy_byte_for_byte() {
+    let backoff = capture(TmAlgorithm::NOrec, 7, CmPolicy::Backoff);
+    for policy in CmPolicy::ALL {
+        if policy == CmPolicy::Backoff {
+            continue;
+        }
+        let other = capture(TmAlgorithm::NOrec, 7, policy);
+        assert_eq!(backoff.chrome_trace, other.chrome_trace, "{policy:?}");
+        assert_eq!(backoff.snapshot, other.snapshot, "{policy:?}");
     }
+    let sys = Votm::builder().policy(CmPolicy::WindowedGreedy).build();
+    let norec = sys.create_view_with_algorithm(64, QuotaMode::Fixed(2), TmAlgorithm::NOrec);
+    let orec = sys.create_view_with_algorithm(64, QuotaMode::Fixed(2), TmAlgorithm::OrecEagerRedo);
+    assert_eq!(norec.cm_policy(), CmPolicy::Backoff);
+    assert_eq!(orec.cm_policy(), CmPolicy::WindowedGreedy);
 }
