@@ -13,15 +13,15 @@
 //! 2. **Throughput floor** — every row present in both artifacts (keyed by
 //!    algo × policy × version × threads × clock) must keep at least
 //!    `--floor` (default 0.95) of the baseline's `txns_per_vsec`.
-//! 3. **Virtual-time identity** — default-clock (`global`) rows must match
-//!    the baseline bit-for-bit on every simulation-determined field; the
-//!    default clock path is untouched across PRs, so any drift there is a
-//!    semantics change, not noise. `--allow-virtual-drift` downgrades this
-//!    to a report for PRs that intentionally change the simulation. The
-//!    `1.2` blocking fields (`parked_waits`, `lost_wakeups`,
-//!    `escalations`) join the identity set once the baseline carries them,
-//!    as do the `1.3` repartition fields (`repartitions`,
-//!    `split_drain_cycles`).
+//! 3. **Row identity** — every field of every shared row except `wall_s`
+//!    must equal the baseline's, compared as source text: counters, cycle
+//!    ledgers, clock statistics and the ratios derived from them are all
+//!    functions of the seeds under every clock kind, so any drift is a
+//!    semantics change, not noise. That makes the diff a complete
+//!    refactoring oracle: a change that keeps it clean changed no number.
+//!    A field the baseline row lacks is skipped, so a baseline from an
+//!    older schema minor still joins. `--allow-virtual-drift` downgrades
+//!    this to a report for PRs that intentionally change the simulation.
 //! 4. **Current-artifact sanity** — every row completed; clock-variant rows
 //!    are present for every algorithm, none collapsed below 0.75× its
 //!    default-clock twin, and at least one variant still beats the global
@@ -40,36 +40,9 @@
 
 use votm_bench::json::{self, Json};
 
-/// Fields that must be bit-identical across PRs for default-clock rows:
-/// everything the virtual-time simulation determines (as opposed to host
-/// wall time).
-const VIRTUAL_FIELDS: [&str; 13] = [
-    "status",
-    "n_views",
-    "commits",
-    "aborts",
-    "vtime",
-    "fast_acquires",
-    "slow_acquires",
-    "busy_retries",
-    "gate_wait_cycles",
-    "commit_p50_cycles",
-    "commit_p99_cycles",
-    "sim_steps",
-    "coalesced_polls",
-];
-
-/// Virtual fields added by the `1.2` schema (PR 9's blocking support).
-/// Compared only when the baseline row carries them, so a `1.1` baseline
-/// still joins cleanly across the transition PR.
-const VIRTUAL_FIELDS_1_2: [&str; 3] = ["parked_waits", "lost_wakeups", "escalations"];
-
-/// Virtual fields added by the `1.3` schema (PR 10's online
-/// repartitioning). Same baseline-gated join rule as the `1.2` set.
-/// `converged_throughput_ratio` is deliberately absent: it divides two
-/// virtual throughputs measured in separately seeded runs, so it is
-/// deterministic but belongs to the sanity gate below, not row identity.
-const VIRTUAL_FIELDS_1_3: [&str; 2] = ["repartitions", "split_drain_cycles"];
+/// The one row field host load decides; every other field is determined
+/// by the seeds and joins the identity rule.
+const HOST_FIELD: &str = "wall_s";
 
 /// The adaptive-convergence floor: a `partition-*-adaptive` row must reach
 /// this fraction of its hand-partitioned twin's throughput.
@@ -209,29 +182,22 @@ fn main() {
                 "{label}: txns_per_vsec {bt:.1} -> {ct:.1} ({ratio:.3}x, floor {floor:.2})"
             ));
         }
-        if k.4 == "global" {
-            let extra_1_2 = VIRTUAL_FIELDS_1_2
-                .iter()
-                .copied()
-                .filter(|f| b.get(f).is_some());
-            let extra_1_3 = VIRTUAL_FIELDS_1_3
-                .iter()
-                .copied()
-                .filter(|f| b.get(f).is_some());
-            for f in VIRTUAL_FIELDS.into_iter().chain(extra_1_2).chain(extra_1_3) {
-                if b.get(f) != r.get(f) {
-                    let msg = format!(
-                        "{label}: virtual field {f} diverged: {:?} -> {:?}",
-                        b.get(f),
-                        r.get(f)
-                    );
-                    if allow_virtual_drift {
-                        println!("  note: {msg}");
-                    } else {
-                        problems.push(msg);
-                        if verdict.is_empty() {
-                            verdict = format!("DIVERGED ({f})");
-                        }
+        let Json::Obj(base_fields) = b else {
+            fail_usage(&format!("{base_path}: row {label} is not an object"));
+        };
+        for (f, want) in base_fields.iter().filter(|(f, _)| *f != HOST_FIELD) {
+            if r.get(f) != Some(want) {
+                let msg = format!(
+                    "{label}: field {f} diverged: {:?} -> {:?}",
+                    Some(want),
+                    r.get(f)
+                );
+                if allow_virtual_drift {
+                    println!("  note: {msg}");
+                } else {
+                    problems.push(msg);
+                    if verdict.is_empty() {
+                        verdict = format!("DIVERGED ({f})");
                     }
                 }
             }

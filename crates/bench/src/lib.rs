@@ -27,7 +27,7 @@ use votm_eigenbench::{EigenConfig, EigenResult};
 use votm_intruder::{GenConfig, Input, IntruderResult};
 use votm_obs::export::{self, ViewReport};
 use votm_obs::{AbortReason, ConflictProfile, HistogramSnapshot, SCHEMA_VERSION};
-use votm_sim::{RunStatus, SimConfig};
+use votm_sim::{RunOutcome, RunStatus, SimConfig};
 use votm_stm::cost::CYCLES_PER_SECOND;
 
 /// Cycle-to-microsecond conversion for exported traces (the simulator's
@@ -566,7 +566,118 @@ pub const GATE_SEEDS: u64 = 3;
 /// The file `tables --json` writes the gate to — the PR-numbered benchmark
 /// trajectory artifact — and the one the comparison tables' footnotes send
 /// the reader to for the raw fields.
-pub const GATE_ARTIFACT: &str = "BENCH_19.json";
+pub const GATE_ARTIFACT: &str = "BENCH_20.json";
+
+/// `num / den`, or `idle` when nothing happened to divide by.
+fn ratio(num: u64, den: u64, idle: f64) -> f64 {
+    if den == 0 {
+        idle
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// The one `ViewStats` → [`GateRow`] fold: sums every per-view counter and
+/// run outcome over `runs` (one entry per seeded run), merges the commit
+/// histograms and derives the guarded ratios. The row comes back under the
+/// default policy and clock, with `n_views` the last run's view count and
+/// the repartition fields zero; a row family that differs overrides those.
+pub(crate) fn fold_gate_row<'a>(
+    algo: TmAlgorithm,
+    version: &'static str,
+    n_threads: u32,
+    wall_s: f64,
+    runs: impl IntoIterator<Item = (&'a RunOutcome, &'a [ViewStats])>,
+) -> GateRow {
+    let mut row = GateRow {
+        algo: algo.name(),
+        policy: CmPolicy::Backoff.name(),
+        clock: ClockKind::Global.name(),
+        version,
+        n_views: 0,
+        n_threads,
+        status: RunStatus::Completed,
+        commits: 0,
+        aborts: 0,
+        abort_rate: 0.0,
+        vtime: 0,
+        txns_per_vsec: 0.0,
+        wall_s,
+        gate_fast_path_hit_rate: 0.0,
+        fast_acquires: 0,
+        slow_acquires: 0,
+        busy_retries: 0,
+        busy_retries_per_commit: 0.0,
+        clock_bumps: 0,
+        clock_bump_skips: 0,
+        gate_wait_cycles: 0,
+        commit_p50_cycles: 0,
+        commit_p99_cycles: 0,
+        wasted_cycles: 0,
+        useful_cycles: 0,
+        waste_frac: 0.0,
+        wasted_by_reason: [0; AbortReason::COUNT],
+        sim_steps: 0,
+        coalesced_polls: 0,
+        parked_waits: 0,
+        lost_wakeups: 0,
+        escalations: 0,
+        repartitions: 0,
+        split_drain_cycles: 0,
+        converged_throughput_ratio: 0.0,
+    };
+    let mut commit_hist = HistogramSnapshot::default();
+    for (outcome, views) in runs {
+        if outcome.status != RunStatus::Completed {
+            row.status = outcome.status;
+        }
+        row.n_views = views.len() as u32;
+        row.vtime += outcome.vtime;
+        row.sim_steps += outcome.steps;
+        row.coalesced_polls += outcome.sched.coalesced;
+        for v in views {
+            row.commits += v.tm.commits;
+            row.aborts += v.tm.aborts;
+            row.fast_acquires += v.gate.fast_acquires;
+            row.slow_acquires += v.gate.slow_acquires;
+            row.busy_retries += v.tm.busy_retries;
+            row.gate_wait_cycles += v.tm.gate_wait_cycles;
+            row.clock_bumps += v.clock.bumps;
+            row.clock_bump_skips += v.clock.bump_skips;
+            row.wasted_cycles += v.tm.cycles_aborted;
+            row.useful_cycles += v.tm.cycles_successful;
+            for (acc, c) in row
+                .wasted_by_reason
+                .iter_mut()
+                .zip(v.tm.cycles_aborted_by_reason)
+            {
+                *acc += c;
+            }
+            row.parked_waits += v.tm.parked_waits;
+            row.lost_wakeups += v.tm.lost_wakeups;
+            row.escalations += v.tm.escalations;
+            commit_hist.merge(&v.hists.commit);
+        }
+    }
+    row.abort_rate = ratio(row.aborts, row.commits + row.aborts, 0.0);
+    if row.vtime != 0 {
+        row.txns_per_vsec = row.commits as f64 / vsec(row.vtime);
+    }
+    row.gate_fast_path_hit_rate = ratio(
+        row.fast_acquires,
+        row.fast_acquires + row.slow_acquires,
+        1.0,
+    );
+    row.busy_retries_per_commit = ratio(row.busy_retries, row.commits, 0.0);
+    row.waste_frac = ratio(
+        row.wasted_cycles,
+        row.wasted_cycles + row.useful_cycles,
+        0.0,
+    );
+    row.commit_p50_cycles = commit_hist.quantile(0.50);
+    row.commit_p99_cycles = commit_hist.quantile(0.99);
+    row
+}
 
 /// One aggregated gate configuration: `algo` × `version` × `n` threads ×
 /// `policy` × `clock`, summed over `n_seeds` consecutive seeds.
@@ -581,127 +692,34 @@ fn gate_config_row(
     clock: ClockKind,
 ) -> GateRow {
     let t0 = std::time::Instant::now();
-    let mut status = RunStatus::Completed;
-    let mut n_views = 0u32;
-    let (mut commits, mut aborts, mut vtime) = (0u64, 0u64, 0u64);
-    let (mut fast, mut slow) = (0u64, 0u64);
-    let (mut busy, mut gate_wait) = (0u64, 0u64);
-    let (mut sim_steps, mut coalesced) = (0u64, 0u64);
-    let (mut bumps, mut bump_skips) = (0u64, 0u64);
-    let (mut wasted, mut useful) = (0u64, 0u64);
-    let (mut parked, mut lost, mut escalated) = (0u64, 0u64, 0u64);
-    let mut wasted_by_reason = [0u64; AbortReason::COUNT];
-    let mut commit_hist = HistogramSnapshot::default();
-    for seed_off in 0..n_seeds {
-        let mut s = *settings;
-        s.n_threads = n;
-        s.seed = settings.seed.wrapping_add(seed_off);
-        let recorder = Arc::new(FlightRecorder::with_default_capacity(n as usize));
-        let res = votm_eigenbench::run_sim_clock(
-            &s.eigen_config(),
-            algo,
-            version,
-            [QuotaMode::Adaptive, QuotaMode::Adaptive],
-            s.sim(None),
-            Some(recorder),
-            policy,
-            clock,
-        );
-        if res.outcome.status != RunStatus::Completed {
-            status = res.outcome.status;
-        }
-        n_views = res.views.len() as u32;
-        commits += res.views.iter().map(|v| v.tm.commits).sum::<u64>();
-        aborts += res.views.iter().map(|v| v.tm.aborts).sum::<u64>();
-        vtime += res.outcome.vtime;
-        fast += res.views.iter().map(|v| v.gate.fast_acquires).sum::<u64>();
-        slow += res.views.iter().map(|v| v.gate.slow_acquires).sum::<u64>();
-        busy += res.views.iter().map(|v| v.tm.busy_retries).sum::<u64>();
-        gate_wait += res.views.iter().map(|v| v.tm.gate_wait_cycles).sum::<u64>();
-        bumps += res.views.iter().map(|v| v.clock.bumps).sum::<u64>();
-        bump_skips += res.views.iter().map(|v| v.clock.bump_skips).sum::<u64>();
-        wasted += res.views.iter().map(|v| v.tm.cycles_aborted).sum::<u64>();
-        useful += res
-            .views
-            .iter()
-            .map(|v| v.tm.cycles_successful)
-            .sum::<u64>();
-        for v in &res.views {
-            for (acc, c) in wasted_by_reason
-                .iter_mut()
-                .zip(v.tm.cycles_aborted_by_reason)
-            {
-                *acc += c;
-            }
-        }
-        parked += res.views.iter().map(|v| v.tm.parked_waits).sum::<u64>();
-        lost += res.views.iter().map(|v| v.tm.lost_wakeups).sum::<u64>();
-        escalated += res.views.iter().map(|v| v.tm.escalations).sum::<u64>();
-        sim_steps += res.outcome.steps;
-        coalesced += res.outcome.sched.coalesced;
-        for v in &res.views {
-            commit_hist.merge(&v.hists.commit);
-        }
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    let attempts = commits + aborts;
-    let admissions = fast + slow;
+    let runs: Vec<EigenResult> = (0..n_seeds)
+        .map(|seed_off| {
+            let mut s = *settings;
+            s.n_threads = n;
+            s.seed = settings.seed.wrapping_add(seed_off);
+            let recorder = Arc::new(FlightRecorder::with_default_capacity(n as usize));
+            votm_eigenbench::run_sim_clock(
+                &s.eigen_config(),
+                algo,
+                version,
+                [QuotaMode::Adaptive, QuotaMode::Adaptive],
+                s.sim(None),
+                Some(recorder),
+                policy,
+                clock,
+            )
+        })
+        .collect();
     GateRow {
-        algo: algo.name(),
         policy: policy.name(),
         clock: clock.name(),
-        version: version.name(),
-        n_views,
-        n_threads: n,
-        status,
-        commits,
-        aborts,
-        abort_rate: if attempts == 0 {
-            0.0
-        } else {
-            aborts as f64 / attempts as f64
-        },
-        vtime,
-        txns_per_vsec: if vtime == 0 {
-            0.0
-        } else {
-            commits as f64 / vsec(vtime)
-        },
-        wall_s,
-        gate_fast_path_hit_rate: if admissions == 0 {
-            1.0
-        } else {
-            fast as f64 / admissions as f64
-        },
-        fast_acquires: fast,
-        slow_acquires: slow,
-        busy_retries: busy,
-        busy_retries_per_commit: if commits == 0 {
-            0.0
-        } else {
-            busy as f64 / commits as f64
-        },
-        clock_bumps: bumps,
-        clock_bump_skips: bump_skips,
-        wasted_cycles: wasted,
-        useful_cycles: useful,
-        waste_frac: if wasted + useful == 0 {
-            0.0
-        } else {
-            wasted as f64 / (wasted + useful) as f64
-        },
-        wasted_by_reason,
-        gate_wait_cycles: gate_wait,
-        commit_p50_cycles: commit_hist.quantile(0.50),
-        commit_p99_cycles: commit_hist.quantile(0.99),
-        sim_steps,
-        coalesced_polls: coalesced,
-        parked_waits: parked,
-        lost_wakeups: lost,
-        escalations: escalated,
-        repartitions: 0,
-        split_drain_cycles: 0,
-        converged_throughput_ratio: 0.0,
+        ..fold_gate_row(
+            algo,
+            version.name(),
+            n,
+            t0.elapsed().as_secs_f64(),
+            runs.iter().map(|r| (&r.outcome, &r.views[..])),
+        )
     }
 }
 

@@ -18,7 +18,7 @@ use votm::{AbortReason, QuotaMode, TmAlgorithm, TxError, ViewStats, Votm};
 use votm_ds::BoundedBuffer;
 use votm_sim::{RunOutcome, RunStatus, SimConfig, SimExecutor};
 
-use crate::{vsec, GateRow, Settings};
+use crate::{fold_gate_row, ratio, GateRow, Settings};
 
 /// What a transaction does when its guard fails (buffer empty on pop, full
 /// on push).
@@ -254,67 +254,16 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioResult {
 pub fn scenario_gate_row(scenario: &Scenario, seed: u64) -> GateRow {
     let t0 = std::time::Instant::now();
     let res = run_scenario(scenario, seed);
-    let v = &res.view;
-    let tm = v.tm;
-    let attempts = tm.commits + tm.aborts;
-    let admissions = v.gate.fast_acquires + v.gate.slow_acquires;
-    GateRow {
-        algo: scenario.algo.name(),
-        policy: "backoff",
-        clock: "global",
-        version: scenario.name,
-        n_views: 1,
-        n_threads: scenario.n_threads,
-        status: res.outcome.status,
-        commits: tm.commits,
-        aborts: tm.aborts,
-        abort_rate: if attempts == 0 {
-            0.0
-        } else {
-            tm.aborts as f64 / attempts as f64
-        },
-        vtime: res.outcome.vtime,
-        txns_per_vsec: if res.outcome.vtime == 0 {
-            0.0
-        } else {
-            tm.commits as f64 / vsec(res.outcome.vtime)
-        },
-        wall_s: t0.elapsed().as_secs_f64(),
-        gate_fast_path_hit_rate: if admissions == 0 {
-            1.0
-        } else {
-            v.gate.fast_acquires as f64 / admissions as f64
-        },
-        fast_acquires: v.gate.fast_acquires,
-        slow_acquires: v.gate.slow_acquires,
-        busy_retries: res.busy_guard_retries,
-        busy_retries_per_commit: if tm.commits == 0 {
-            0.0
-        } else {
-            res.busy_guard_retries as f64 / tm.commits as f64
-        },
-        clock_bumps: v.clock.bumps,
-        clock_bump_skips: v.clock.bump_skips,
-        wasted_cycles: tm.cycles_aborted,
-        useful_cycles: tm.cycles_successful,
-        waste_frac: if tm.cycles_aborted + tm.cycles_successful == 0 {
-            0.0
-        } else {
-            tm.cycles_aborted as f64 / (tm.cycles_aborted + tm.cycles_successful) as f64
-        },
-        wasted_by_reason: tm.cycles_aborted_by_reason,
-        gate_wait_cycles: tm.gate_wait_cycles,
-        commit_p50_cycles: v.hists.commit.quantile(0.50),
-        commit_p99_cycles: v.hists.commit.quantile(0.99),
-        sim_steps: res.outcome.steps,
-        coalesced_polls: res.outcome.sched.coalesced,
-        parked_waits: tm.parked_waits,
-        lost_wakeups: tm.lost_wakeups,
-        escalations: tm.escalations,
-        repartitions: 0,
-        split_drain_cycles: 0,
-        converged_throughput_ratio: 0.0,
-    }
+    let mut row = fold_gate_row(
+        scenario.algo,
+        scenario.name,
+        scenario.n_threads,
+        t0.elapsed().as_secs_f64(),
+        [(&res.outcome, std::slice::from_ref(&res.view))],
+    );
+    row.busy_retries = res.busy_guard_retries;
+    row.busy_retries_per_commit = ratio(res.busy_guard_retries, row.commits, 0.0);
+    row
 }
 
 /// One gate row per [`BLOCKING_SCENARIOS`] entry, run at the gate's seed.
@@ -596,89 +545,19 @@ fn partition_row(
     s: &PartitionScenario,
     version: &'static str,
     run: &PartitionRun,
-    ratio: f64,
     wall_s: f64,
 ) -> GateRow {
-    let tm_sum =
-        |f: fn(&votm::StatsSnapshot) -> u64| -> u64 { run.views.iter().map(|v| f(&v.tm)).sum() };
-    let commits = tm_sum(|t| t.commits);
-    let aborts = tm_sum(|t| t.aborts);
-    let attempts = commits + aborts;
-    let fast: u64 = run.views.iter().map(|v| v.gate.fast_acquires).sum();
-    let slow: u64 = run.views.iter().map(|v| v.gate.slow_acquires).sum();
-    let admissions = fast + slow;
-    let wasted = tm_sum(|t| t.cycles_aborted);
-    let useful = tm_sum(|t| t.cycles_successful);
-    let mut wasted_by_reason = [0u64; AbortReason::COUNT];
-    for v in &run.views {
-        for (acc, c) in wasted_by_reason
-            .iter_mut()
-            .zip(v.tm.cycles_aborted_by_reason)
-        {
-            *acc += c;
-        }
-    }
-    let mut commit_hist = votm_obs::HistogramSnapshot::default();
-    for v in &run.views {
-        commit_hist.merge(&v.hists.commit);
-    }
-    let vtime = run.outcome.vtime;
     GateRow {
-        algo: s.algo.name(),
-        policy: "backoff",
-        clock: "global",
-        version,
         n_views: run.final_views,
-        n_threads: s.n_threads,
-        status: run.outcome.status,
-        commits,
-        aborts,
-        abort_rate: if attempts == 0 {
-            0.0
-        } else {
-            aborts as f64 / attempts as f64
-        },
-        vtime,
-        txns_per_vsec: if vtime == 0 {
-            0.0
-        } else {
-            commits as f64 / vsec(vtime)
-        },
-        wall_s,
-        gate_fast_path_hit_rate: if admissions == 0 {
-            1.0
-        } else {
-            fast as f64 / admissions as f64
-        },
-        fast_acquires: fast,
-        slow_acquires: slow,
-        busy_retries: tm_sum(|t| t.busy_retries),
-        busy_retries_per_commit: if commits == 0 {
-            0.0
-        } else {
-            tm_sum(|t| t.busy_retries) as f64 / commits as f64
-        },
-        clock_bumps: run.views.iter().map(|v| v.clock.bumps).sum(),
-        clock_bump_skips: run.views.iter().map(|v| v.clock.bump_skips).sum(),
-        wasted_cycles: wasted,
-        useful_cycles: useful,
-        waste_frac: if wasted + useful == 0 {
-            0.0
-        } else {
-            wasted as f64 / (wasted + useful) as f64
-        },
-        wasted_by_reason,
-        gate_wait_cycles: tm_sum(|t| t.gate_wait_cycles),
-        commit_p50_cycles: commit_hist.quantile(0.50),
-        commit_p99_cycles: commit_hist.quantile(0.99),
-        sim_steps: run.outcome.steps,
-        coalesced_polls: run.outcome.sched.coalesced,
-        parked_waits: tm_sum(|t| t.parked_waits),
-        lost_wakeups: tm_sum(|t| t.lost_wakeups),
-        escalations: tm_sum(|t| t.escalations),
         repartitions: run.repartitions,
         split_drain_cycles: run.split_drain_cycles,
-        converged_throughput_ratio: ratio,
+        ..fold_gate_row(
+            s.algo,
+            version,
+            s.n_threads,
+            wall_s,
+            [(&run.outcome, &run.views[..])],
+        )
     }
 }
 
@@ -703,27 +582,14 @@ pub fn partition_gate_rows(settings: &Settings) -> Vec<GateRow> {
         let t1 = std::time::Instant::now();
         let adaptive = run_partition_adaptive(s, settings.seed);
         let adaptive_wall = t1.elapsed().as_secs_f64();
-        let tps = |r: &PartitionRun| {
-            let commits: u64 = r.views.iter().map(|v| v.tm.commits).sum();
-            if r.outcome.vtime == 0 {
-                0.0
-            } else {
-                commits as f64 / vsec(r.outcome.vtime)
-            }
-        };
-        let ratio = if tps(&hand) > 0.0 {
-            tps(&adaptive) / tps(&hand)
-        } else {
-            0.0
-        };
-        rows.push(partition_row(
-            s,
-            adaptive_name,
-            &adaptive,
-            ratio,
-            adaptive_wall,
-        ));
-        rows.push(partition_row(s, hand_name, &hand, 0.0, hand_wall));
+        let hand_row = partition_row(s, hand_name, &hand, hand_wall);
+        let mut adaptive_row = partition_row(s, adaptive_name, &adaptive, adaptive_wall);
+        if hand_row.txns_per_vsec > 0.0 {
+            adaptive_row.converged_throughput_ratio =
+                adaptive_row.txns_per_vsec / hand_row.txns_per_vsec;
+        }
+        rows.push(adaptive_row);
+        rows.push(hand_row);
     }
     rows
 }

@@ -5,10 +5,11 @@
 //! clock, which is what reduces NOrec metadata contention when data is
 //! partitioned.
 //!
-//! [`TxCtx`] is the per-thread execution context: an enum over the three
-//! access modes (NOrec / OrecEagerRedo transactions, or the Q = 1 direct
-//! mode) presenting one polled read/write/commit interface to the layers
-//! above.
+//! [`TxCtx`] is the per-thread execution context: one polled
+//! read/write/commit interface over the engines behind it — NOrec, the orec
+//! engine (OrecEagerRedo and OrecLazy, one descriptor told apart by when it
+//! takes its write orecs) and the Q = 1 direct mode. The engines are private
+//! to this crate; the layers above see only `TxCtx`.
 
 use std::sync::Arc;
 
@@ -18,12 +19,12 @@ use crate::clock::{ClockKind, ClockStats};
 use crate::direct::DirectCtx;
 use crate::heap::{Addr, WordHeap};
 use crate::norec::{NOrecGlobal, NOrecTx};
-use crate::orec::{OrecGlobal, OrecTx};
-use crate::orec_lazy::OrecLazyTx;
+use crate::orec::{Acquire, OrecGlobal, OrecTx};
 use crate::stats::TmStats;
 use crate::{CommitPhase, ConflictSite, OpError, OpResult};
 
-/// Which STM algorithm a TM instance runs (the paper's two RSTM plug-ins).
+/// Which STM algorithm a TM instance runs: the paper's two RSTM plug-ins
+/// ([`TmAlgorithm::PAPER`]) plus OrecLazy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TmAlgorithm {
     /// Commit-time locking, global sequence lock, value-based validation.
@@ -142,12 +143,6 @@ impl TmInstance {
         &self.heap
     }
 
-    /// A shareable handle to the heap, for building sibling instances
-    /// over the same word array (see [`TmInstance::over_heap`]).
-    pub fn heap_arc(&self) -> Arc<WordHeap> {
-        Arc::clone(&self.heap)
-    }
-
     /// The algorithm this instance runs.
     pub fn algorithm(&self) -> TmAlgorithm {
         self.algo
@@ -176,17 +171,12 @@ impl TmInstance {
 
     /// Creates a per-thread transactional context for this instance.
     pub fn tx_ctx(&self, thread_index: usize) -> TxCtx {
-        match self.algo {
-            TmAlgorithm::NOrec => TxCtx {
-                mode: Mode::NOrec(NOrecTx::new()),
-            },
-            TmAlgorithm::OrecEagerRedo => TxCtx {
-                mode: Mode::Orec(OrecTx::new(thread_index)),
-            },
-            TmAlgorithm::OrecLazy => TxCtx {
-                mode: Mode::Lazy(OrecLazyTx::new(thread_index)),
-            },
-        }
+        let mode = match self.algo {
+            TmAlgorithm::NOrec => Mode::NOrec(NOrecTx::new()),
+            TmAlgorithm::OrecEagerRedo => Mode::Orec(OrecTx::new(thread_index, Acquire::Encounter)),
+            TmAlgorithm::OrecLazy => Mode::Orec(OrecTx::new(thread_index, Acquire::Commit)),
+        };
+        TxCtx { mode }
     }
 
     /// Creates a per-thread *direct* (lock-mode) context; only safe to run
@@ -211,7 +201,6 @@ impl std::fmt::Debug for TmInstance {
 enum Mode {
     NOrec(NOrecTx),
     Orec(OrecTx),
-    Lazy(OrecLazyTx),
     Direct(DirectCtx),
 }
 
@@ -231,7 +220,6 @@ impl TxCtx {
         match (&mut self.mode, &inst.globals) {
             (Mode::NOrec(tx), Globals::NOrec(g)) => tx.begin(g),
             (Mode::Orec(tx), Globals::Orec(g)) => tx.begin(g),
-            (Mode::Lazy(tx), Globals::Orec(g)) => tx.begin(g),
             (Mode::Direct(tx), _) => tx.begin(),
             _ => panic!("TxCtx used with a different TmInstance's algorithm"),
         }
@@ -243,7 +231,6 @@ impl TxCtx {
         match (&mut self.mode, &inst.globals) {
             (Mode::NOrec(tx), Globals::NOrec(g)) => tx.read(g, &inst.heap, addr),
             (Mode::Orec(tx), Globals::Orec(g)) => tx.read(g, &inst.heap, addr),
-            (Mode::Lazy(tx), Globals::Orec(g)) => tx.read(g, &inst.heap, addr),
             (Mode::Direct(tx), _) => tx.read(&inst.heap, addr),
             _ => panic!("TxCtx used with a different TmInstance's algorithm"),
         }
@@ -255,7 +242,6 @@ impl TxCtx {
         match (&mut self.mode, &inst.globals) {
             (Mode::NOrec(tx), Globals::NOrec(_)) => tx.write(addr, value),
             (Mode::Orec(tx), Globals::Orec(g)) => tx.write(g, addr, value),
-            (Mode::Lazy(tx), Globals::Orec(_)) => tx.write(addr, value),
             (Mode::Direct(tx), _) => tx.write(&inst.heap, addr, value),
             _ => panic!("TxCtx used with a different TmInstance's algorithm"),
         }
@@ -266,7 +252,6 @@ impl TxCtx {
         match (&mut self.mode, &inst.globals) {
             (Mode::NOrec(tx), Globals::NOrec(g)) => tx.commit_begin(g, &inst.heap),
             (Mode::Orec(tx), Globals::Orec(g)) => tx.commit_begin(g, &inst.heap),
-            (Mode::Lazy(tx), Globals::Orec(g)) => tx.commit_begin(g, &inst.heap),
             (Mode::Direct(tx), _) => tx.commit_begin(),
             _ => panic!("TxCtx used with a different TmInstance's algorithm"),
         }
@@ -277,7 +262,6 @@ impl TxCtx {
         match (&mut self.mode, &inst.globals) {
             (Mode::NOrec(tx), Globals::NOrec(g)) => tx.commit_finish(g),
             (Mode::Orec(tx), Globals::Orec(g)) => tx.commit_finish(g),
-            (Mode::Lazy(tx), Globals::Orec(g)) => tx.commit_finish(g),
             (Mode::Direct(_), _) => unreachable!("direct mode never NeedsFinish"),
             _ => panic!("TxCtx used with a different TmInstance's algorithm"),
         }
@@ -288,7 +272,6 @@ impl TxCtx {
         match (&mut self.mode, &inst.globals) {
             (Mode::NOrec(tx), Globals::NOrec(g)) => tx.abort(g),
             (Mode::Orec(tx), Globals::Orec(g)) => tx.abort(g),
-            (Mode::Lazy(tx), Globals::Orec(g)) => tx.abort(g),
             (Mode::Direct(_), _) => panic!("direct mode cannot abort"),
             _ => panic!("TxCtx used with a different TmInstance's algorithm"),
         }
@@ -300,7 +283,6 @@ impl TxCtx {
         match &mut self.mode {
             Mode::NOrec(tx) => tx.take_work(),
             Mode::Orec(tx) => tx.take_work(),
-            Mode::Lazy(tx) => tx.take_work(),
             Mode::Direct(tx) => tx.take_work(),
         }
     }
@@ -319,7 +301,6 @@ impl TxCtx {
         match &self.mode {
             Mode::NOrec(tx) => tx.write_summary(),
             Mode::Orec(tx) => tx.write_summary(),
-            Mode::Lazy(tx) => tx.write_summary(),
             Mode::Direct(_) => 0,
         }
     }
@@ -332,7 +313,6 @@ impl TxCtx {
         match &self.mode {
             Mode::NOrec(tx) => tx.conflict_reason(),
             Mode::Orec(tx) => tx.conflict_reason(),
-            Mode::Lazy(tx) => tx.conflict_reason(),
             Mode::Direct(_) => AbortReason::Explicit,
         }
     }
@@ -348,7 +328,6 @@ impl TxCtx {
         match &self.mode {
             Mode::NOrec(_) | Mode::Direct(_) => None,
             Mode::Orec(tx) => tx.conflict_enemy(),
-            Mode::Lazy(tx) => tx.conflict_enemy(),
         }
     }
 
@@ -361,7 +340,6 @@ impl TxCtx {
         match &self.mode {
             Mode::NOrec(tx) => tx.conflict_site(),
             Mode::Orec(tx) => tx.conflict_site(),
-            Mode::Lazy(tx) => tx.conflict_site(),
             Mode::Direct(_) => ConflictSite::None,
         }
     }
@@ -373,7 +351,6 @@ impl TxCtx {
         match &self.mode {
             Mode::NOrec(tx) => tx.is_active(),
             Mode::Orec(tx) => tx.is_active(),
-            Mode::Lazy(tx) => tx.is_active(),
             Mode::Direct(_) => false,
         }
     }
@@ -400,7 +377,6 @@ impl TxCtx {
         match &self.mode {
             Mode::NOrec(tx) => tx.mid_commit(),
             Mode::Orec(tx) => tx.mid_commit(),
-            Mode::Lazy(tx) => tx.mid_commit(),
             Mode::Direct(_) => false,
         }
     }
@@ -479,7 +455,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn run_sync_counter_increments_both_algorithms() {
+    fn run_sync_counter_increments_every_algorithm() {
         for algo in TmAlgorithm::ALL {
             let inst = TmInstance::new(algo, 16);
             for _ in 0..100 {
@@ -497,7 +473,7 @@ mod tests {
     #[test]
     fn concurrent_counter_is_exact_under_real_threads() {
         // The canonical STM atomicity test: lost updates would show up as a
-        // final count below threads*iters. Runs on both algorithms.
+        // final count below threads*iters. Runs on every algorithm.
         for algo in TmAlgorithm::ALL {
             let inst = Arc::new(TmInstance::new(algo, 16));
             let threads = 8;
@@ -547,37 +523,6 @@ mod tests {
                     kind.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn old_counter_test_shape_still_exact() {
-        // Kept distinct from the sweep above so a clock regression can't
-        // mask a plain-Global one.
-        {
-            let algo = TmAlgorithm::NOrec;
-            let inst = Arc::new(TmInstance::new(algo, 16));
-            let threads = 4;
-            let iters = 250;
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let inst = Arc::clone(&inst);
-                    s.spawn(move || {
-                        for _ in 0..iters {
-                            run_sync(&inst, t, |tx, inst| {
-                                let v = tx.read(inst, Addr(0))?;
-                                std::hint::black_box(v);
-                                tx.write(inst, Addr(0), v + 1)
-                            });
-                        }
-                    });
-                }
-            });
-            assert_eq!(
-                inst.heap().load(Addr(0)),
-                (threads * iters) as u64,
-                "lost updates under {algo:?}"
-            );
         }
     }
 

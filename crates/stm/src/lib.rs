@@ -1,19 +1,24 @@
 //! Word-based software transactional memory, rebuilt from scratch.
 //!
-//! This crate reproduces the two RSTM-7.0 algorithms the paper evaluates:
+//! This crate implements three RSTM-7.0 algorithms ([`TmAlgorithm`]) as two
+//! engines, both private behind [`TxCtx`]:
 //!
-//! * [`norec`] — **NOrec** (Dalessandro, Spear, Scott, PPoPP 2010):
-//!   commit-time locking with a single global sequence lock and value-based
-//!   validation. Livelock-free; its global clock becomes the bottleneck for
-//!   memory-intensive workloads.
-//! * [`orec`] — **OrecEagerRedo**: encounter-time locking over a striped
+//! * **NOrec** (Dalessandro, Spear, Scott, PPoPP 2010): commit-time locking
+//!   with a single global sequence lock and value-based validation.
+//!   Livelock-free; its global clock becomes the bottleneck for
+//!   memory-intensive workloads. Its own engine: the read set holds values,
+//!   not versions, and the lock *is* the clock word.
+//! * **OrecEagerRedo**: encounter-time locking over a striped
 //!   ownership-record table with a redo log (TinySTM-like). Fast at low
 //!   contention; livelocks under high contention with an abort-and-retry
-//!   conflict policy.
-//! * [`orec_lazy`] — **OrecLazy** (TL2-style commit-time orec locking), an
-//!   implemented extension beyond the paper's two plug-ins.
+//!   conflict policy. With NOrec, one of the two plug-ins the paper
+//!   evaluates.
+//! * **OrecLazy** (TL2-style commit-time orec locking), an implemented
+//!   extension beyond the paper's two plug-ins: the same orec engine as
+//!   OrecEagerRedo, taking its write orecs inside commit instead of at the
+//!   first write.
 //!
-//! Plus [`direct`] — the uninstrumented access mode RAC falls back to when a
+//! Plus the uninstrumented *direct* access mode RAC falls back to when a
 //! view's admission quota reaches 1 (the gate guarantees exclusivity).
 //!
 //! # Execution model
@@ -39,12 +44,11 @@
 
 pub mod clock;
 pub mod cost;
-pub mod direct;
+mod direct;
 pub mod heap;
 pub mod instance;
-pub mod norec;
-pub mod orec;
-pub mod orec_lazy;
+mod norec;
+mod orec;
 pub mod route;
 pub mod stats;
 pub mod writeset;

@@ -99,18 +99,7 @@ struct InFlight {
     summary: AtomicU64,
 }
 
-impl Default for NOrecGlobal {
-    fn default() -> Self {
-        Self::with_kind(ClockKind::Global)
-    }
-}
-
 impl NOrecGlobal {
-    /// New instance at timestamp 0 with the default (global) clock.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// New instance at timestamp 0 using the given clock strategy.
     pub fn with_kind(kind: ClockKind) -> Self {
         Self {
@@ -213,9 +202,9 @@ impl NOrecGlobal {
         }
     }
 
-    /// Current commit timestamp (diagnostics; odd while a commit is in
-    /// flight).
-    pub fn timestamp(&self) -> u64 {
+    /// Current commit timestamp (odd while a commit is in flight).
+    #[cfg(test)]
+    fn timestamp(&self) -> u64 {
         self.load_seq()
     }
 }
@@ -559,13 +548,9 @@ impl NOrecTx {
     }
 
     /// Read-set size of the current attempt.
-    pub fn read_set_len(&self) -> usize {
+    #[cfg(test)]
+    fn read_set_len(&self) -> usize {
         self.reads.len()
-    }
-
-    /// Write-set size of the current attempt.
-    pub fn write_set_len(&self) -> usize {
-        self.writes.len()
     }
 
     /// Bloom summary (one bit per [`crate::bloom_bucket`]) of the current
@@ -581,7 +566,7 @@ mod tests {
     use super::*;
 
     fn setup() -> (NOrecGlobal, WordHeap) {
-        (NOrecGlobal::new(), WordHeap::new(64))
+        (NOrecGlobal::with_kind(ClockKind::Global), WordHeap::new(64))
     }
 
     /// Runs one transaction to completion with spin-retry on Busy.

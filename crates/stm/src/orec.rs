@@ -1,18 +1,38 @@
-//! OrecEagerRedo: encounter-time locking with ownership records and a redo
-//! log (the RSTM algorithm the paper describes as "similar to TinySTM").
+//! The orec engine: ownership records, a redo log and invisible reads.
+//! OrecEagerRedo and OrecLazy are this one descriptor, told apart only by
+//! *when* a transaction takes its write orecs ([`Acquire`]).
 //!
 //! A striped table of *ownership records* (orecs) guards the heap: each word
 //! hashes to one orec holding either a version timestamp (unlocked) or the
-//! locking transaction's identity (locked). Writers acquire the orec at
-//! **encounter time** (first write) and buffer the new value in a redo log;
-//! commit bumps the global version clock, validates the read set, writes the
-//! redo log back and releases the orecs at the new version.
+//! locking transaction's identity (locked). Writes are buffered in a redo
+//! log; a writer commit holds every write orec, takes a stamp from the
+//! version clock, validates the read set, writes the redo log back and
+//! releases the orecs at the new version.
 //!
-//! Conflict policy is *abort-self and restart immediately* on encountering a
-//! foreign lock — the aggressive policy under which the paper observes
-//! livelock at high thread counts: restarting transactions re-acquire locks
-//! and keep killing each other's progress (paper §III-D). RAC exists to
-//! break exactly this cycle by restricting admission.
+//! # Acquisition time
+//!
+//! * [`Acquire::Encounter`] — **OrecEagerRedo** (the RSTM algorithm the
+//!   paper describes as "similar to TinySTM"): the orec is taken at the
+//!   first write. A transaction that meets a foreign lock aborts itself and
+//!   restarts at once — the aggressive policy under which the paper
+//!   observes livelock at high thread counts: restarting transactions
+//!   re-acquire locks and keep killing each other's progress (§III-D). RAC
+//!   exists to break exactly this cycle by restricting admission.
+//! * [`Acquire::Commit`] — **OrecLazy** (TL2-style; an implemented
+//!   extension giving the paper's §IV-C adaptive-TM direction a third
+//!   plug-in): writes touch no metadata and the orecs are taken inside
+//!   commit, in write order. Lock-hold windows are short, and commit-time
+//!   locking "can avoid livelock" (§III-D) because a transaction only
+//!   aborts when a *committing* transaction beat it.
+//!
+//! The field is read at four sites, each a consequence of when the locks
+//! are held: [`OrecTx::write`] (take the orec now, or only buffer), the
+//! prefix of [`OrecTx::commit_begin`] (charge the tick, or run the
+//! acquisition loop), lock custody after a failed commit attempt (keep the
+//! orecs until `abort`, or give them back before returning) and snapshot
+//! extension (walk through own locks, or fail on any lock). Everything
+//! else — `begin`, `read`, validation, the stamp, write-back, release — is
+//! one path.
 //!
 //! # Clock sources
 //!
@@ -46,72 +66,53 @@ use crate::writeset::WriteSet;
 use crate::{CommitPhase, ConflictSite, OpError, OpResult};
 
 /// Read-set orec indices kept inline in the transaction descriptor before
-/// spilling to the heap (see [`votm_utils::InlineVec`]); shared by the
-/// eager and lazy variants.
-pub(crate) const INLINE_READS: usize = 8;
+/// spilling to the heap (see [`votm_utils::InlineVec`]).
+const INLINE_READS: usize = 8;
 
 /// Orec encoding: LSB = lock bit. Unlocked: `version << 1`. Locked:
 /// `(owner << 1) | 1` where `owner` is a non-zero transaction identity.
-/// Shared with the lazy variant (`orec_lazy`), which uses the same table.
 #[inline]
-pub(crate) fn pack_version(version: u64) -> u64 {
+fn pack_version(version: u64) -> u64 {
     version << 1
 }
 
 #[inline]
-pub(crate) fn pack_owner(owner: u64) -> u64 {
+fn pack_owner(owner: u64) -> u64 {
     (owner << 1) | 1
 }
 
 #[inline]
-pub(crate) fn is_locked(orec: u64) -> bool {
+fn is_locked(orec: u64) -> bool {
     orec & 1 == 1
 }
 
 #[inline]
-pub(crate) fn version_of(orec: u64) -> u64 {
+fn version_of(orec: u64) -> u64 {
     orec >> 1
 }
 
 #[inline]
-pub(crate) fn owner_of(orec: u64) -> u64 {
+fn owner_of(orec: u64) -> u64 {
     orec >> 1
 }
 
-/// Classifies an unlocked-but-newer orec (`version_of(ov) > start`) as a
-/// real conflict or a coarse-timestamp *false conflict*, and in the latter
-/// case performs the GV5 rescue bump: a CAS that nudges the clock past the
-/// shared epoch so a retry at the new snapshot cannot hit the same wall.
-/// Without it a retry re-begins at the identical snapshot and
-/// false-conflicts forever — the bump is a progress requirement, not an
-/// optimisation. Shared by the eager and lazy variants.
-pub(crate) fn classify_stale(
-    global: &OrecGlobal,
-    start: u64,
-    ov: u64,
-    work: &mut u64,
-) -> AbortReason {
-    if global.kind().coarse() && version_of(ov) == start + 1 {
-        // Possibly written *before* the transaction began, merely sharing
-        // its epoch (indistinguishable from a real same-epoch conflict —
-        // the labelling is the coarse clock's approximation, the abort
-        // itself is conservative either way).
-        *work += cost::METADATA_OP;
-        if global
-            .clock
-            .primary()
-            .compare_exchange(start, start + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            global.clock.note_bump();
-        }
-        AbortReason::FalseConflict
-    } else {
-        AbortReason::OrecConflict
-    }
+/// Converts a locked orec word into the holder's 0-based thread index.
+#[inline]
+fn enemy_of(orec: u64) -> Option<usize> {
+    Some(owner_of(orec) as usize - 1)
 }
 
-/// Global state of one OrecEagerRedo instance.
+/// When a transaction takes the orecs guarding its write set — the one
+/// design dimension separating the two orec algorithms (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Acquire {
+    /// At the first write to each location (OrecEagerRedo).
+    Encounter,
+    /// Inside `commit_begin`, for the whole write set (OrecLazy).
+    Commit,
+}
+
+/// Global state of one orec instance: the version clock and the orec table.
 pub struct OrecGlobal {
     clock: ClockSource,
     orecs: Box<[CachePadded<AtomicU64>]>,
@@ -123,16 +124,6 @@ impl OrecGlobal {
     /// per view keeps false conflicts below 1% for the workloads here while
     /// staying cache-friendly.
     pub const DEFAULT_ORECS: usize = 1 << 12;
-
-    /// New instance with the default orec table and the default clock.
-    pub fn new() -> Self {
-        Self::with_orecs(Self::DEFAULT_ORECS)
-    }
-
-    /// New instance with `n` orecs (`n` must be a power of two).
-    pub fn with_orecs(n: usize) -> Self {
-        Self::with_orecs_kind(n, ClockKind::Global)
-    }
 
     /// New instance with the default orec table and the given clock.
     pub fn with_kind(kind: ClockKind) -> Self {
@@ -158,13 +149,13 @@ impl OrecGlobal {
     }
 
     #[inline]
-    pub(crate) fn kind(&self) -> ClockKind {
+    fn kind(&self) -> ClockKind {
         self.clock.kind()
     }
 
     /// The orec index guarding `addr`.
     #[inline]
-    pub fn orec_index(&self, addr: Addr) -> usize {
+    fn orec_index(&self, addr: Addr) -> usize {
         (hash_u64(u64::from(addr.0)) as usize) & self.mask
     }
 
@@ -173,30 +164,23 @@ impl OrecGlobal {
         &self.orecs[idx]
     }
 
-    /// The orec word at `idx` (shared with the lazy variant).
-    #[inline]
-    pub(crate) fn orec_at(&self, idx: usize) -> &AtomicU64 {
-        &self.orecs[idx]
-    }
-
     /// Current clock value.
     #[inline]
-    pub(crate) fn clock_now(&self) -> u64 {
+    fn clock_now(&self) -> u64 {
         self.clock.primary().load(Ordering::Acquire)
     }
 
     /// Atomically advances the clock, returning the new value.
     #[inline]
-    pub(crate) fn clock_tick(&self) -> u64 {
+    fn clock_tick(&self) -> u64 {
         self.clock.note_bump();
         self.clock.primary().fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// The one commit-stamp rule of both orec algorithms: picks the
-    /// timestamp a writer commit (write orecs held, snapshot `start`)
-    /// releases its orecs at, and says whether the read set must be
-    /// validated first. Callers charge the tick their own way.
-    pub(crate) fn commit_stamp(&self, start: u64) -> (u64, bool) {
+    /// The commit-stamp rule: picks the timestamp a writer commit (write
+    /// orecs held, snapshot `start`) releases its orecs at, and says
+    /// whether the read set must be validated first.
+    fn commit_stamp(&self, start: u64) -> (u64, bool) {
         let reuse_epoch = || {
             self.clock.note_skip();
             self.clock_now() + 1
@@ -221,31 +205,50 @@ impl OrecGlobal {
         }
     }
 
-    /// Current version clock (diagnostics).
-    pub fn timestamp(&self) -> u64 {
-        self.clock_now()
-    }
-}
-
-impl Default for OrecGlobal {
-    fn default() -> Self {
-        Self::new()
+    /// Classifies an unlocked-but-newer orec (`version_of(ov) > start`) as
+    /// a real conflict or a coarse-timestamp *false conflict*, and in the
+    /// latter case performs the GV5 rescue bump: a CAS that nudges the
+    /// clock past the shared epoch so a retry at the new snapshot cannot
+    /// hit the same wall. Without it a retry re-begins at the identical
+    /// snapshot and false-conflicts forever — the bump is a progress
+    /// requirement, not an optimisation.
+    fn classify_stale(&self, start: u64, ov: u64, work: &mut u64) -> AbortReason {
+        if self.kind().coarse() && version_of(ov) == start + 1 {
+            // Possibly written *before* the transaction began, merely
+            // sharing its epoch (indistinguishable from a real same-epoch
+            // conflict — the labelling is the coarse clock's approximation,
+            // the abort itself is conservative either way).
+            *work += cost::METADATA_OP;
+            if self
+                .clock
+                .primary()
+                .compare_exchange(start, start + 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                self.clock.note_bump();
+            }
+            AbortReason::FalseConflict
+        } else {
+            AbortReason::OrecConflict
+        }
     }
 }
 
 impl std::fmt::Debug for OrecGlobal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OrecGlobal")
-            .field("clock", &self.timestamp())
+            .field("clock", &self.clock_now())
             .field("kind", &self.kind())
             .field("orecs", &self.orecs.len())
             .finish()
     }
 }
 
-/// One thread's OrecEagerRedo transaction context, reused across attempts.
+/// One thread's orec transaction context, reused across attempts.
 #[derive(Debug)]
 pub struct OrecTx {
+    /// When this context takes its write orecs; fixed at construction.
+    acquire: Acquire,
     /// Non-zero identity for lock ownership (thread index + 1).
     owner: u64,
     /// Snapshot of the version clock; all reads are consistent as of it.
@@ -272,9 +275,11 @@ pub struct OrecTx {
 }
 
 impl OrecTx {
-    /// Context for the thread with 0-based index `thread_index`.
-    pub fn new(thread_index: usize) -> Self {
+    /// Context for the thread with 0-based index `thread_index`, taking
+    /// its write orecs at `acquire` time.
+    pub fn new(thread_index: usize, acquire: Acquire) -> Self {
         Self {
+            acquire,
             owner: thread_index as u64 + 1,
             start: 0,
             reads: InlineVec::new(),
@@ -304,30 +309,12 @@ impl OrecTx {
     }
 
     /// Where the most recent `Err(Conflict)` was detected: the failing
-    /// address when the conflicting access is at hand (encounter-time
-    /// write conflicts, stale reads), the failing orec index when only the
-    /// read set is being walked (validation, extension). Only meaningful
-    /// between that error and the next `begin`.
+    /// address when the conflicting access is at hand (lock acquisition —
+    /// the write set keeps addresses — and stale reads), the failing orec
+    /// index when only the read set is being walked (validation,
+    /// extension). Only meaningful between that error and the next `begin`.
     pub fn conflict_site(&self) -> ConflictSite {
         self.last_site
-    }
-
-    /// Converts a locked orec word into the holder's 0-based thread index.
-    #[inline]
-    fn enemy_of(ov: u64) -> Option<usize> {
-        Some(owner_of(ov) as usize - 1)
-    }
-
-    /// Classifies an unlocked-but-newer orec (`version_of(ov) > start`) as
-    /// a real conflict or a coarse-timestamp *false conflict*, and in the
-    /// latter case nudges the clock past the shared epoch so the retry
-    /// cannot hit the same wall again (GV5 progress requirement: without
-    /// the rescue bump a retry re-begins at the same snapshot and
-    /// false-conflicts forever).
-    fn classify_stale_version(&mut self, global: &OrecGlobal, ov: u64, site: ConflictSite) {
-        self.last_conflict = classify_stale(global, self.start, ov, &mut self.work);
-        self.last_enemy = None;
-        self.last_site = site;
     }
 
     /// Starts an attempt (never Busy: there is no global lock to wait on).
@@ -349,33 +336,47 @@ impl OrecTx {
         Ok(())
     }
 
-    /// Timestamp extension: re-checks every read orec at a newer clock value
-    /// and, if all are still unlocked-or-mine at versions ≤ the snapshot,
-    /// advances the snapshot (the TinySTM "lazy snapshot extension").
-    fn extend(&mut self, global: &OrecGlobal) -> OpResult<()> {
-        let now = global.clock_now();
-        self.work += cost::VALIDATE_WORD * self.reads.len() as u64 + cost::METADATA_OP;
-        let mut stale = None;
+    /// Checks every read orec against the snapshot: none foreign-locked,
+    /// none re-versioned past `start`. An orec this transaction itself
+    /// holds passes iff `through_own_locks`.
+    fn validate(&mut self, global: &OrecGlobal, through_own_locks: bool) -> OpResult<()> {
+        self.work += cost::VALIDATE_WORD * self.reads.len() as u64;
         for idx in self.reads.iter() {
             let ov = global.orec(idx as usize).load(Ordering::Acquire);
             if is_locked(ov) {
-                if owner_of(ov) != self.owner {
-                    self.last_conflict = AbortReason::OrecConflict;
-                    self.last_enemy = Self::enemy_of(ov);
-                    self.last_site = ConflictSite::Orec(idx);
-                    return Err(OpError::Conflict);
+                if through_own_locks && owner_of(ov) == self.owner {
+                    continue;
                 }
+                self.last_conflict = AbortReason::OrecConflict;
+                self.last_enemy = enemy_of(ov);
             } else if version_of(ov) > self.start {
                 // Re-written since we read it: the value we hold is stale
                 // (or, under a coarse clock, merely shares our epoch).
-                stale = Some((idx, ov));
-                break;
+                self.last_conflict = global.classify_stale(self.start, ov, &mut self.work);
+                self.last_enemy = None;
+            } else {
+                continue;
             }
-        }
-        if let Some((idx, ov)) = stale {
-            self.classify_stale_version(global, ov, ConflictSite::Orec(idx));
+            self.last_site = ConflictSite::Orec(idx);
             return Err(OpError::Conflict);
         }
+        Ok(())
+    }
+
+    /// Timestamp extension: re-checks every read orec at a newer clock
+    /// value and, if all still hold, advances the snapshot (the TinySTM
+    /// "lazy snapshot extension").
+    ///
+    /// Encounter-time acquisition walks through its own locks: they were
+    /// taken while the body ran and guard its own writes. Commit-time
+    /// acquisition extends only from inside its acquisition loop and fails
+    /// on *any* locked read orec, its own included, reporting itself as
+    /// the enemy; the retry resolves it. That strictness is load-bearing —
+    /// both OrecLazy policy rows of the gate move without it.
+    fn extend(&mut self, global: &OrecGlobal) -> OpResult<()> {
+        let now = global.clock_now();
+        self.work += cost::METADATA_OP;
+        self.validate(global, self.acquire == Acquire::Encounter)?;
         self.start = now;
         Ok(())
     }
@@ -394,15 +395,17 @@ impl OrecTx {
             if owner_of(pre) == self.owner {
                 // We hold the orec (for some address striped onto it); the
                 // heap still has pre-commit values, which is what we want.
+                // (Encounter-time only: commit-time acquisition holds
+                // nothing while the body runs.)
                 let v = heap.load(addr);
                 self.reads.push(idx as u32);
                 return Ok(v);
             }
             // Foreign writer holds the orec. RSTM/TinySTM readers *spin*
             // until the lock is released rather than aborting — only
-            // write-write conflicts abort at encounter time. `Busy` is the
-            // polled equivalent of that spin.
-            self.last_enemy = Self::enemy_of(pre);
+            // write-write conflicts abort. `Busy` is the polled equivalent
+            // of that spin.
+            self.last_enemy = enemy_of(pre);
             return Err(OpError::Busy);
         }
         if version_of(pre) > self.start {
@@ -412,7 +415,9 @@ impl OrecTx {
                 // Extension adopted the freshest clock and the version is
                 // *still* ahead — only a coarse (GV5) clock can get here,
                 // because only it releases orecs at `clock + 1`.
-                self.classify_stale_version(global, pre, ConflictSite::Addr(addr));
+                self.last_conflict = global.classify_stale(self.start, pre, &mut self.work);
+                self.last_enemy = None;
+                self.last_site = ConflictSite::Addr(addr);
                 return Err(OpError::Conflict);
             }
         }
@@ -422,7 +427,7 @@ impl OrecTx {
             // Changed under us (locked or re-versioned): transient — the
             // caller may retry this read, which will re-examine the orec.
             self.last_enemy = if is_locked(post) {
-                Self::enemy_of(post)
+                enemy_of(post)
             } else {
                 None
             };
@@ -432,28 +437,31 @@ impl OrecTx {
         Ok(v)
     }
 
-    /// Transactional write: acquires the orec at encounter time, buffers the
-    /// value in the redo log.
-    pub fn write(&mut self, global: &OrecGlobal, addr: Addr, value: u64) -> OpResult<()> {
-        debug_assert!(self.active);
-        self.work += cost::SHARED_ACCESS;
+    /// Takes the orec guarding `addr` unless this transaction already
+    /// holds it (an address striped onto a held orec). A foreign lock is a
+    /// write-write `Conflict` at `addr`; a version ahead of the snapshot
+    /// extends first; a lost CAS is `Busy`. `cas_cost` is charged when the
+    /// CAS is reached.
+    fn lock_orec(&mut self, global: &OrecGlobal, addr: Addr, cas_cost: u64) -> OpResult<()> {
         let idx = global.orec_index(addr);
         let ov = global.orec(idx).load(Ordering::Acquire);
         if is_locked(ov) {
             if owner_of(ov) == self.owner {
-                self.redo.insert(addr, value);
                 return Ok(());
             }
-            // Write-write conflict detected at encounter time.
             self.last_conflict = AbortReason::OrecConflict;
-            self.last_enemy = Self::enemy_of(ov);
+            self.last_enemy = enemy_of(ov);
             self.last_site = ConflictSite::Addr(addr);
             return Err(OpError::Conflict);
         }
         if version_of(ov) > self.start {
+            // Sound before the lock is ours: no read depends on the new
+            // version yet. (A coarse clock may leave the version ahead even
+            // after a successful extension — locking it anyway is fine,
+            // since the coarse kinds validate unconditionally at commit.)
             self.extend(global)?;
         }
-        self.work += cost::METADATA_OP;
+        self.work += cas_cost;
         match global.orec(idx).compare_exchange(
             ov,
             pack_owner(self.owner),
@@ -462,7 +470,6 @@ impl OrecTx {
         ) {
             Ok(_) => {
                 self.locked.push((idx as u32, ov));
-                self.redo.insert(addr, value);
                 Ok(())
             }
             // Lost the race for the orec; transient, re-examine on retry.
@@ -473,29 +480,19 @@ impl OrecTx {
         }
     }
 
-    /// Validates the whole read set against the current snapshot while the
-    /// write orecs are held.
-    fn validate_at_commit(&mut self, global: &OrecGlobal) -> OpResult<()> {
-        self.work += cost::VALIDATE_WORD * self.reads.len() as u64;
-        let mut stale = None;
-        for idx in self.reads.iter() {
-            let ov = global.orec(idx as usize).load(Ordering::Acquire);
-            if is_locked(ov) {
-                if owner_of(ov) != self.owner {
-                    self.last_conflict = AbortReason::OrecConflict;
-                    self.last_enemy = Self::enemy_of(ov);
-                    self.last_site = ConflictSite::Orec(idx);
-                    return Err(OpError::Conflict);
-                }
-            } else if version_of(ov) > self.start {
-                stale = Some((idx, ov));
-                break;
+    /// Transactional write: buffers the value in the redo log, taking the
+    /// orec first under encounter-time acquisition.
+    pub fn write(&mut self, global: &OrecGlobal, addr: Addr, value: u64) -> OpResult<()> {
+        debug_assert!(self.active);
+        match self.acquire {
+            Acquire::Encounter => {
+                self.work += cost::SHARED_ACCESS;
+                self.lock_orec(global, addr, cost::METADATA_OP)?;
             }
+            // No metadata touched until commit.
+            Acquire::Commit => self.work += cost::LOCAL_ACCESS,
         }
-        if let Some((idx, ov)) = stale {
-            self.classify_stale_version(global, ov, ConflictSite::Orec(idx));
-            return Err(OpError::Conflict);
-        }
+        self.redo.insert(addr, value);
         Ok(())
     }
 
@@ -503,21 +500,53 @@ impl OrecTx {
     ///
     /// Read-only transactions complete immediately (`Done`): their reads
     /// were consistent as of `start` and no global state changes. Writers
-    /// bump the clock, validate reads, write the redo log back and return
-    /// `NeedsFinish` with the orecs still held.
+    /// hold their write orecs, take the commit stamp, validate reads if it
+    /// asks, write the redo log back and return `NeedsFinish` with the
+    /// orecs still held.
     pub fn commit_begin(&mut self, global: &OrecGlobal, heap: &WordHeap) -> OpResult<CommitPhase> {
         debug_assert!(self.active);
-        if self.locked.is_empty() {
+        // (Under encounter-time acquisition an empty redo log is an empty
+        // lock list: every buffered write holds or shares a held orec.)
+        if self.redo.is_empty() {
             self.active = false;
             self.work += cost::COMMIT_BASE / 2;
             global.clock.exit();
             return Ok(CommitPhase::Done);
         }
-        self.work += cost::METADATA_OP;
+        let attempt = self.commit_writer(global, heap);
+        if attempt.is_err() && self.acquire == Acquire::Commit {
+            // The driver may retry `commit_begin` whole (a `Busy`, or a
+            // contention-manager wait verdict on a `Conflict`), so a
+            // commit-time attempt hands back every orec it took.
+            // Encounter-time orecs belong to the body and stay until
+            // `abort`.
+            self.release_locks(global);
+        }
+        attempt
+    }
+
+    fn commit_writer(&mut self, global: &OrecGlobal, heap: &WordHeap) -> OpResult<CommitPhase> {
+        match self.acquire {
+            // The orecs are held since `write`; what is left to pay for is
+            // the clock tick.
+            Acquire::Encounter => self.work += cost::METADATA_OP,
+            // Take them now, by position in write order (the loop body
+            // needs `&mut self` and never touches the write set): one
+            // `METADATA_OP` per entry examined, the tick inside
+            // `COMMIT_BASE`. Another committer holding one aborts us (TL2
+            // policy — bounded commit windows mean the winner finishes, so
+            // no livelock).
+            Acquire::Commit => {
+                for i in 0..self.redo.len() {
+                    self.work += cost::METADATA_OP;
+                    self.lock_orec(global, self.redo.addr_at(i), 0)?;
+                }
+            }
+        }
         let (end, must_validate) = global.commit_stamp(self.start);
         if must_validate {
-            // Someone may have committed since our snapshot: validate.
-            self.validate_at_commit(global)?;
+            // Someone may have committed since our snapshot.
+            self.validate(global, true)?;
         }
         let n = self.redo.len() as u64;
         for (addr, value) in self.redo.iter() {
@@ -546,18 +575,24 @@ impl OrecTx {
         global.clock.exit();
     }
 
-    /// Rolls back: restores every held orec to its pre-lock value and
-    /// discards the redo log (the heap was never touched).
+    /// Restores every held orec to its pre-lock value.
+    fn release_locks(&mut self, global: &OrecGlobal) {
+        for &(idx, prev) in &self.locked {
+            global.orec(idx as usize).store(prev, Ordering::Release);
+        }
+        self.work += cost::METADATA_OP * self.locked.len() as u64;
+        self.locked.clear();
+    }
+
+    /// Rolls back: releases what is held and discards the redo log (the
+    /// heap was never touched).
     pub fn abort(&mut self, global: &OrecGlobal) {
         debug_assert!(
             self.commit_version.is_none(),
             "abort after successful commit_begin"
         );
-        for &(idx, prev) in &self.locked {
-            global.orec(idx as usize).store(prev, Ordering::Release);
-        }
-        self.work += cost::ABORT_PENALTY + cost::METADATA_OP * self.locked.len() as u64;
-        self.locked.clear();
+        self.release_locks(global);
+        self.work += cost::ABORT_PENALTY;
         self.reads.clear();
         self.redo.clear();
         if self.active {
@@ -586,16 +621,6 @@ impl OrecTx {
         std::mem::take(&mut self.work)
     }
 
-    /// Read-set size (orec granularity) of the current attempt.
-    pub fn read_set_len(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Write-set size of the current attempt.
-    pub fn write_set_len(&self) -> usize {
-        self.redo.len()
-    }
-
     /// Bloom summary (one bit per [`crate::bloom_bucket`]) of the current
     /// attempt's write set — the wakeup key a commit of this attempt would
     /// publish. Zero iff the write set is empty.
@@ -603,13 +628,15 @@ impl OrecTx {
         self.redo.summary()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn setup() -> (OrecGlobal, WordHeap) {
-        (OrecGlobal::with_orecs(1 << 10), WordHeap::new(256))
+        (
+            OrecGlobal::with_orecs_kind(1 << 10, ClockKind::Global),
+            WordHeap::new(256),
+        )
     }
 
     fn setup_kind(kind: ClockKind) -> (OrecGlobal, WordHeap) {
@@ -619,20 +646,29 @@ mod tests {
         )
     }
 
+    fn eager(thread_index: usize) -> OrecTx {
+        OrecTx::new(thread_index, Acquire::Encounter)
+    }
+
+    fn lazy(thread_index: usize) -> OrecTx {
+        OrecTx::new(thread_index, Acquire::Commit)
+    }
+
+    fn orec_word(g: &OrecGlobal, addr: Addr) -> u64 {
+        g.orec(g.orec_index(addr)).load(Ordering::Relaxed)
+    }
+
     fn run_tx(
         g: &OrecGlobal,
         h: &WordHeap,
         tx: &mut OrecTx,
         body: impl Fn(&mut OrecTx) -> OpResult<()>,
     ) {
-        'attempt: loop {
+        loop {
             tx.begin(g).unwrap();
-            match body(tx) {
-                Ok(()) => {}
-                Err(_) => {
-                    tx.abort(g);
-                    continue 'attempt;
-                }
+            if body(tx).is_err() {
+                tx.abort(g);
+                continue;
             }
             match tx.commit_begin(g, h) {
                 Ok(CommitPhase::Done) => break,
@@ -640,18 +676,17 @@ mod tests {
                     tx.commit_finish(g);
                     break;
                 }
-                Err(_) => {
-                    tx.abort(g);
-                    continue 'attempt;
-                }
+                Err(_) => tx.abort(g),
             }
         }
     }
 
+    // ---- encounter-time acquisition (OrecEagerRedo) ----
+
     #[test]
     fn redo_log_defers_heap_writes() {
         let (g, h) = setup();
-        let mut tx = OrecTx::new(0);
+        let mut tx = eager(0);
         tx.begin(&g).unwrap();
         tx.write(&g, Addr(1), 7).unwrap();
         assert_eq!(h.load(Addr(1)), 0, "eager lock, lazy (redo) data");
@@ -666,8 +701,8 @@ mod tests {
     #[test]
     fn encounter_time_write_write_conflict() {
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
+        let mut t1 = eager(0);
+        let mut t2 = eager(1);
         t1.begin(&g).unwrap();
         t2.begin(&g).unwrap();
         t1.write(&g, Addr(3), 1).unwrap();
@@ -682,8 +717,8 @@ mod tests {
     #[test]
     fn read_of_locked_location_waits_then_succeeds() {
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
+        let mut t1 = eager(0);
+        let mut t2 = eager(1);
         t1.begin(&g).unwrap();
         t1.write(&g, Addr(3), 1).unwrap();
         t2.begin(&g).unwrap();
@@ -698,25 +733,24 @@ mod tests {
     #[test]
     fn abort_restores_orec_versions() {
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
+        let mut t1 = eager(0);
         // Commit once so the orec has a non-zero version.
         run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(3), 5));
-        let idx = g.orec_index(Addr(3));
-        let before = g.orec(idx).load(Ordering::Relaxed);
+        let before = orec_word(&g, Addr(3));
         assert!(!is_locked(before));
         t1.begin(&g).unwrap();
         t1.write(&g, Addr(3), 9).unwrap();
-        assert!(is_locked(g.orec(idx).load(Ordering::Relaxed)));
+        assert!(is_locked(orec_word(&g, Addr(3))));
         t1.abort(&g);
-        assert_eq!(g.orec(idx).load(Ordering::Relaxed), before);
+        assert_eq!(orec_word(&g, Addr(3)), before);
         assert_eq!(h.load(Addr(3)), 5, "heap untouched by aborted writer");
     }
 
     #[test]
     fn validation_kills_stale_reader_at_commit() {
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
+        let mut t1 = eager(0);
+        let mut t2 = eager(1);
         t1.begin(&g).unwrap();
         assert_eq!(t1.read(&g, &h, Addr(0)).unwrap(), 0);
         t1.write(&g, Addr(50), 1).unwrap(); // make t1 a writer
@@ -730,8 +764,8 @@ mod tests {
     #[test]
     fn timestamp_extension_saves_disjoint_reader() {
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
+        let mut t1 = eager(0);
+        let mut t2 = eager(1);
         t1.begin(&g).unwrap();
         assert_eq!(t1.read(&g, &h, Addr(0)).unwrap(), 0);
         // Ten disjoint commits move the clock well past t1's snapshot.
@@ -748,12 +782,12 @@ mod tests {
     #[test]
     fn committed_values_visible_to_later_tx() {
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
+        let mut t1 = eager(0);
         run_tx(&g, &h, &mut t1, |tx| {
             tx.write(&g, Addr(10), 123)?;
             tx.write(&g, Addr(11), 456)
         });
-        let mut t2 = OrecTx::new(1);
+        let mut t2 = eager(1);
         t2.begin(&g).unwrap();
         assert_eq!(t2.read(&g, &h, Addr(10)).unwrap(), 123);
         assert_eq!(t2.read(&g, &h, Addr(11)).unwrap(), 456);
@@ -763,19 +797,19 @@ mod tests {
     #[test]
     fn clock_advances_once_per_writer_commit() {
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
-        assert_eq!(g.timestamp(), 0);
+        let mut t1 = eager(0);
+        assert_eq!(g.clock_now(), 0);
         run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(0), 1));
-        assert_eq!(g.timestamp(), 1);
+        assert_eq!(g.clock_now(), 1);
         run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(1), 1));
-        assert_eq!(g.timestamp(), 2);
+        assert_eq!(g.clock_now(), 2);
         assert_eq!(g.clock().stats().bumps, 2);
     }
 
     #[test]
     fn same_orec_double_write_locks_once() {
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
+        let mut t1 = eager(0);
         t1.begin(&g).unwrap();
         t1.write(&g, Addr(4), 1).unwrap();
         t1.write(&g, Addr(4), 2).unwrap();
@@ -792,8 +826,8 @@ mod tests {
         // The livelock seed: two transactions repeatedly killing each other.
         // One round of it, deterministically.
         let (g, h) = setup();
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
+        let mut t1 = eager(0);
+        let mut t2 = eager(1);
         t1.begin(&g).unwrap();
         t2.begin(&g).unwrap();
         t1.write(&g, Addr(0), 1).unwrap();
@@ -810,7 +844,207 @@ mod tests {
         let _ = h;
     }
 
-    // ---- the shared commit-stamp rule ----
+    // ---- commit-time acquisition (OrecLazy) ----
+
+    #[test]
+    fn writes_stay_buffered_and_unlocked_until_commit() {
+        let (g, h) = setup();
+        let mut t1 = lazy(0);
+        t1.begin(&g).unwrap();
+        t1.write(&g, Addr(3), 9).unwrap();
+        // Unlike the eager variant, the orec is NOT locked yet: a second
+        // transaction can read and even commit a disjoint write.
+        assert!(!is_locked(orec_word(&g, Addr(3))));
+        let mut t2 = lazy(1);
+        t2.begin(&g).unwrap();
+        assert_eq!(t2.read(&g, &h, Addr(3)).unwrap(), 0);
+        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
+        // Now t1 commits; its value lands.
+        match t1.commit_begin(&g, &h).unwrap() {
+            CommitPhase::NeedsFinish { .. } => t1.commit_finish(&g),
+            CommitPhase::Done => panic!(),
+        }
+        assert_eq!(h.load(Addr(3)), 9);
+    }
+
+    #[test]
+    fn conflicting_writers_first_committer_wins() {
+        let (g, h) = setup();
+        let mut t1 = lazy(0);
+        let mut t2 = lazy(1);
+        t1.begin(&g).unwrap();
+        t2.begin(&g).unwrap();
+        // Both read-modify-write the same word; neither sees a conflict yet
+        // (lazy locking).
+        let v1 = t1.read(&g, &h, Addr(0)).unwrap();
+        let v2 = t2.read(&g, &h, Addr(0)).unwrap();
+        t1.write(&g, Addr(0), v1 + 1).unwrap();
+        t2.write(&g, Addr(0), v2 + 1).unwrap();
+        // t1 commits first.
+        match t1.commit_begin(&g, &h).unwrap() {
+            CommitPhase::NeedsFinish { .. } => t1.commit_finish(&g),
+            CommitPhase::Done => panic!(),
+        }
+        // t2's commit must fail validation (its read of Addr(0) is stale).
+        assert_eq!(t2.commit_begin(&g, &h), Err(OpError::Conflict));
+        t2.abort(&g);
+        assert_eq!(h.load(Addr(0)), 1, "no lost update");
+    }
+
+    #[test]
+    fn reads_are_busy_while_committer_holds_orec() {
+        let (g, h) = setup();
+        let mut t1 = lazy(0);
+        t1.begin(&g).unwrap();
+        t1.write(&g, Addr(5), 1).unwrap();
+        let CommitPhase::NeedsFinish { .. } = t1.commit_begin(&g, &h).unwrap() else {
+            panic!()
+        };
+        // Mid-commit: readers wait.
+        let mut t2 = lazy(1);
+        t2.begin(&g).unwrap();
+        assert_eq!(t2.read(&g, &h, Addr(5)), Err(OpError::Busy));
+        t1.commit_finish(&g);
+        // After release, the version moved past t2's snapshot; the inline
+        // extension (empty read set) succeeds and the read sees the commit.
+        assert_eq!(t2.read(&g, &h, Addr(5)).unwrap(), 1);
+        t2.abort(&g);
+    }
+
+    #[test]
+    fn failed_commit_releases_every_acquired_orec() {
+        let (g, h) = setup();
+        // Prepare: t_block holds one orec mid-commit so t1's multi-write
+        // commit fails part-way through acquisition.
+        let mut t_block = lazy(7);
+        t_block.begin(&g).unwrap();
+        t_block.write(&g, Addr(10), 1).unwrap();
+        let CommitPhase::NeedsFinish { .. } = t_block.commit_begin(&g, &h).unwrap() else {
+            panic!()
+        };
+        let mut t1 = lazy(0);
+        t1.begin(&g).unwrap();
+        t1.write(&g, Addr(20), 2).unwrap(); // acquirable
+        t1.write(&g, Addr(10), 3).unwrap(); // blocked by t_block
+        assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
+        t1.abort(&g);
+        // Addr(20)'s orec must be free again.
+        assert!(!is_locked(orec_word(&g, Addr(20))));
+        t_block.commit_finish(&g);
+        // And the system still works.
+        let mut t2 = lazy(1);
+        run_tx(&g, &h, &mut t2, |tx| tx.write(&g, Addr(20), 5));
+        assert_eq!(h.load(Addr(20)), 5);
+    }
+
+    #[test]
+    fn read_only_commits_without_clock_traffic() {
+        let (g, h) = setup();
+        let clock0 = g.clock_now();
+        let mut tx = lazy(0);
+        tx.begin(&g).unwrap();
+        assert_eq!(tx.read(&g, &h, Addr(0)).unwrap(), 0);
+        assert_eq!(tx.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
+        assert_eq!(g.clock_now(), clock0);
+    }
+
+    #[test]
+    fn counter_increments_are_exact() {
+        let (g, h) = setup();
+        let mut tx = lazy(0);
+        for _ in 0..200 {
+            run_tx(&g, &h, &mut tx, |tx| {
+                // read via the public path to exercise read-own-write
+                let base = tx.redo.get(Addr(0)).unwrap_or(h.load(Addr(0)));
+                tx.write(&g, Addr(0), base + 1)
+            });
+        }
+        assert_eq!(h.load(Addr(0)), 200);
+    }
+
+    // ---- what the acquisition time decides, beyond `write` ----
+
+    /// After a failed commit attempt encounter-time acquisition still owns
+    /// its write orecs (they belong to the body, until `abort`), while
+    /// commit-time acquisition has already given its back (the driver may
+    /// retry `commit_begin` whole). The virtual cost of the failed attempt
+    /// plus the abort is the same either way.
+    #[test]
+    fn failed_commit_lock_custody_per_acquisition_time() {
+        for (acquire, held_after_failure) in [(Acquire::Encounter, true), (Acquire::Commit, false)]
+        {
+            let (g, h) = setup();
+            let mut t1 = OrecTx::new(0, acquire);
+            t1.begin(&g).unwrap();
+            assert_eq!(t1.read(&g, &h, Addr(0)).unwrap(), 0);
+            t1.write(&g, Addr(50), 1).unwrap();
+            run_tx(&g, &h, &mut OrecTx::new(1, acquire), |tx| {
+                tx.write(&g, Addr(0), 9)
+            });
+            t1.take_work();
+            assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
+            assert_eq!(
+                is_locked(orec_word(&g, Addr(50))),
+                held_after_failure,
+                "{acquire:?}"
+            );
+            t1.abort(&g);
+            assert!(!is_locked(orec_word(&g, Addr(50))), "{acquire:?}");
+            assert_eq!(h.load(Addr(50)), 0, "{acquire:?}: redo log never leaks");
+            // One orec taken (the CAS under Commit, the tick under
+            // Encounter) and given back, one read validated, one abort.
+            assert_eq!(
+                t1.take_work(),
+                2 * cost::METADATA_OP + cost::VALIDATE_WORD + cost::ABORT_PENALTY,
+                "{acquire:?}"
+            );
+        }
+    }
+
+    /// Snapshot extension from inside the commit-time acquisition loop
+    /// fails on any locked read orec — including one the loop itself just
+    /// took — and names the transaction as its own enemy. Encounter-time
+    /// acquisition, in the same shape, extends through its own lock.
+    #[test]
+    fn commit_time_extension_is_strict_about_own_locks() {
+        const ME: usize = 3;
+        // Read-then-write word 0, write word 60; the rival's commit to
+        // word 60 lands after the snapshot.
+        let (g, h) = setup();
+        let mut t1 = lazy(ME);
+        t1.begin(&g).unwrap();
+        assert_eq!(t1.read(&g, &h, Addr(0)).unwrap(), 0);
+        t1.write(&g, Addr(0), 1).unwrap();
+        t1.write(&g, Addr(60), 1).unwrap();
+        run_tx(&g, &h, &mut lazy(1), |tx| tx.write(&g, Addr(60), 9));
+        // The loop locks word 0's orec, then must extend for word 60.
+        assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
+        assert_eq!(t1.conflict_enemy(), Some(ME));
+        assert_eq!(
+            t1.conflict_site(),
+            ConflictSite::Orec(g.orec_index(Addr(0)) as u32)
+        );
+        assert!(!is_locked(orec_word(&g, Addr(0))), "nothing left locked");
+        assert!(!is_locked(orec_word(&g, Addr(60))), "nothing left locked");
+        t1.abort(&g);
+
+        // Encounter-time: the rival commits between the two writes, so the
+        // second write extends with word 0's orec already ours.
+        let (g, h) = setup();
+        let mut t1 = eager(ME);
+        t1.begin(&g).unwrap();
+        assert_eq!(t1.read(&g, &h, Addr(0)).unwrap(), 0);
+        t1.write(&g, Addr(0), 1).unwrap();
+        run_tx(&g, &h, &mut eager(1), |tx| tx.write(&g, Addr(60), 9));
+        t1.write(&g, Addr(60), 1).unwrap();
+        let CommitPhase::NeedsFinish { .. } = t1.commit_begin(&g, &h).unwrap() else {
+            panic!("writer needs finish");
+        };
+        t1.commit_finish(&g);
+        assert_eq!((h.load(Addr(0)), h.load(Addr(60))), (1, 1));
+    }
+
+    // ---- the commit-stamp rule ----
 
     #[test]
     fn commit_stamp_rule_per_clock_kind() {
@@ -843,7 +1077,54 @@ mod tests {
             let case = format!("{kind:?} now={now} observed={observed}");
             assert_eq!(g.commit_stamp(5), stamp, "{case}");
             let s = g.clock().stats();
-            assert_eq!((g.timestamp(), s.bumps, s.bump_skips), after, "{case}");
+            assert_eq!((g.clock_now(), s.bumps, s.bump_skips), after, "{case}");
+        }
+    }
+
+    /// Both acquisition times go through the one stamp rule
+    /// ([`OrecGlobal::commit_stamp`]): from the same clock state both must
+    /// release their orec at the same version and agree on whether the
+    /// read set was validated.
+    #[test]
+    fn lazy_and_eager_commits_get_the_same_stamp() {
+        for kind in ClockKind::ALL {
+            for (moved, observed) in [(false, false), (true, false), (false, true), (true, true)] {
+                // One read, one write, snapshot 5; `observed` parks a second
+                // live transaction and `moved` pushes the clock to 7 before
+                // the commit. Yields (released version, read set validated).
+                let stamp = |acquire| {
+                    let (g, h) = setup_kind(kind);
+                    g.clock().preload(5);
+                    let mut tx = OrecTx::new(0, acquire);
+                    tx.begin(&g).unwrap();
+                    tx.read(&g, &h, Addr(1)).unwrap();
+                    tx.write(&g, Addr(0), 1).unwrap();
+                    if observed {
+                        g.clock().enter();
+                    }
+                    if moved {
+                        g.clock().preload(7);
+                    }
+                    tx.take_work();
+                    let CommitPhase::NeedsFinish { cost: write_cost } =
+                        tx.commit_begin(&g, &h).unwrap()
+                    else {
+                        panic!("writer needs finish");
+                    };
+                    // Both pay one METADATA_OP (encounter: the tick; commit:
+                    // the single orec acquisition) on top of validation and
+                    // writeback.
+                    let validation = tx.take_work() - write_cost - cost::METADATA_OP;
+                    tx.commit_finish(&g);
+                    let released = version_of(orec_word(&g, Addr(0)));
+                    (released, validation == cost::VALIDATE_WORD)
+                };
+                assert_eq!(
+                    stamp(Acquire::Commit),
+                    stamp(Acquire::Encounter),
+                    "{kind:?} moved={moved} observed={observed}"
+                );
+            }
         }
     }
 
@@ -852,12 +1133,11 @@ mod tests {
     #[test]
     fn coarse_commit_reuses_epoch_without_ticking() {
         let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut tx = OrecTx::new(0);
+        let mut tx = eager(0);
         run_tx(&g, &h, &mut tx, |tx| tx.write(&g, Addr(0), 1));
-        assert_eq!(g.timestamp(), 0, "GV5: no tick per commit");
-        let idx = g.orec_index(Addr(0));
+        assert_eq!(g.clock_now(), 0, "GV5: no tick per commit");
         assert_eq!(
-            version_of(g.orec(idx).load(Ordering::Relaxed)),
+            version_of(orec_word(&g, Addr(0))),
             1,
             "released at clock + 1"
         );
@@ -867,19 +1147,36 @@ mod tests {
     #[test]
     fn coarse_false_conflict_is_labelled_and_rescued() {
         let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut t1 = OrecTx::new(0);
+        let mut t1 = eager(0);
         // One commit leaves Addr(0) at version 1 while the clock stays 0.
         run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(0), 7));
         // A reader beginning *after* that commit still snapshots 0 and
         // cannot distinguish the old write from a fresh one: false conflict.
-        let mut t2 = OrecTx::new(1);
+        let mut t2 = eager(1);
         t2.begin(&g).unwrap();
         assert_eq!(t2.read(&g, &h, Addr(0)), Err(OpError::Conflict));
         assert_eq!(t2.conflict_reason(), AbortReason::FalseConflict);
         t2.abort(&g);
         // The rescue bump moved the clock past the shared epoch, so the
         // retry begins at 1 and sails through — GV5's progress guarantee.
-        assert_eq!(g.timestamp(), 1);
+        assert_eq!(g.clock_now(), 1);
+        t2.begin(&g).unwrap();
+        assert_eq!(t2.read(&g, &h, Addr(0)).unwrap(), 7);
+        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
+    }
+
+    #[test]
+    fn coarse_false_conflict_rescued_on_read() {
+        let (g, h) = setup_kind(ClockKind::Coarse);
+        let mut t1 = lazy(0);
+        run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(0), 7));
+        assert_eq!(g.clock_now(), 0, "GV5: no tick per commit");
+        let mut t2 = lazy(1);
+        t2.begin(&g).unwrap();
+        assert_eq!(t2.read(&g, &h, Addr(0)), Err(OpError::Conflict));
+        assert_eq!(t2.conflict_reason(), AbortReason::FalseConflict);
+        t2.abort(&g);
+        assert_eq!(g.clock_now(), 1, "rescue bump moved the clock");
         t2.begin(&g).unwrap();
         assert_eq!(t2.read(&g, &h, Addr(0)).unwrap(), 7);
         assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
@@ -888,8 +1185,8 @@ mod tests {
     #[test]
     fn coarse_real_conflicts_still_abort() {
         let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut t1 = OrecTx::new(0);
-        let mut t2 = OrecTx::new(1);
+        let mut t1 = eager(0);
+        let mut t2 = eager(1);
         t1.begin(&g).unwrap();
         assert_eq!(t1.read(&g, &h, Addr(0)).unwrap(), 0);
         t1.write(&g, Addr(50), 1).unwrap();
@@ -905,7 +1202,7 @@ mod tests {
     #[test]
     fn coarse_counter_increments_are_exact() {
         let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut t1 = OrecTx::new(0);
+        let mut t1 = eager(0);
         for _ in 0..50 {
             run_tx(&g, &h, &mut t1, |tx| {
                 let v = match tx.read(&g, &h, Addr(0)) {
@@ -923,23 +1220,43 @@ mod tests {
     #[test]
     fn coarse_snzi_ticks_only_when_observed() {
         let (g, h) = setup_kind(ClockKind::CoarseSnzi);
-        let mut t1 = OrecTx::new(0);
+        let mut t1 = eager(0);
         // Solo: GV5 epoch reuse, no tick.
         run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(0), 1));
-        assert_eq!(g.timestamp(), 0);
+        assert_eq!(g.clock_now(), 0);
         assert_eq!(g.clock().stats().bump_skips, 1);
         // Observed: a live transaction makes the committer pay the tick,
         // so the observer's next read is *not* a false conflict.
-        let mut t2 = OrecTx::new(1);
+        let mut t2 = eager(1);
         t2.begin(&g).unwrap();
         run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(5), 2));
-        assert_eq!(g.timestamp(), 1, "observer forces the tick");
+        assert_eq!(g.clock_now(), 1, "observer forces the tick");
         assert_eq!(g.clock().stats().bumps, 1);
         t2.abort(&g);
         // A fresh reader snapshots 1 and reads version-1 data cleanly.
-        let mut t3 = OrecTx::new(2);
+        let mut t3 = eager(2);
         t3.begin(&g).unwrap();
         assert_eq!(t3.read(&g, &h, Addr(5)).unwrap(), 2);
         assert_eq!(t3.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
+    }
+
+    #[test]
+    fn coarse_snzi_counter_is_exact_under_interleaving() {
+        let (g, h) = setup_kind(ClockKind::CoarseSnzi);
+        let mut t1 = lazy(0);
+        let mut t2 = lazy(1);
+        t2.begin(&g).unwrap(); // live observer: commits below must tick
+        for _ in 0..10 {
+            run_tx(&g, &h, &mut t1, |tx| {
+                let v = match tx.read(&g, &h, Addr(0)) {
+                    Ok(v) => v,
+                    Err(e) => return Err(e),
+                };
+                tx.write(&g, Addr(0), v + 1)
+            });
+        }
+        assert_eq!(h.load(Addr(0)), 10);
+        assert_eq!(g.clock().stats().bumps, 10, "observer forces every tick");
+        t2.abort(&g);
     }
 }

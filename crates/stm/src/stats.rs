@@ -224,11 +224,6 @@ impl StatsSnapshot {
         Some(self.cycles_aborted as f64 / (self.cycles_successful as f64 * f64::from(quota - 1)))
     }
 
-    /// Aborts attributed to `reason`.
-    pub fn aborts_for(&self, reason: AbortReason) -> u64 {
-        self.aborts_by_reason[reason.index()]
-    }
-
     /// Wasted cycles attributed to `reason`.
     pub fn wasted_for(&self, reason: AbortReason) -> u64 {
         self.cycles_aborted_by_reason[reason.index()]

@@ -118,22 +118,36 @@ fn random_mix(algo: TmAlgorithm, threads: usize, tx_per_thread: usize, seed: u64
     assert_eq!(inst.heap().load(TICKET), expected);
 }
 
+/// The algorithms whose lock words do / do not name their holder: the orec
+/// pair (both acquisition times) and NOrec. Drawn from
+/// [`TmAlgorithm::ALL`] so a new algorithm lands in one of the drivers.
+fn algorithms(names_lock_holder: bool) -> impl Iterator<Item = TmAlgorithm> {
+    TmAlgorithm::ALL
+        .into_iter()
+        .filter(move |a| a.names_lock_holder() == names_lock_holder)
+}
+
 #[test]
 fn norec_random_mix_is_serializable() {
-    for seed in [1u64, 7, 2026] {
-        random_mix(TmAlgorithm::NOrec, 6, 120, seed);
+    for algo in algorithms(false) {
+        for seed in [1u64, 7, 2026] {
+            random_mix(algo, 6, 120, seed);
+        }
     }
 }
 
 #[test]
 fn orec_random_mix_is_serializable() {
-    for seed in [1u64, 7, 2026] {
-        random_mix(TmAlgorithm::OrecEagerRedo, 6, 120, seed);
+    for algo in algorithms(true) {
+        for seed in [1u64, 7, 2026] {
+            random_mix(algo, 6, 120, seed);
+        }
     }
 }
 
 #[test]
 fn serializability_survives_heavier_threads() {
-    random_mix(TmAlgorithm::NOrec, 10, 80, 42);
-    random_mix(TmAlgorithm::OrecEagerRedo, 10, 80, 42);
+    for algo in TmAlgorithm::ALL {
+        random_mix(algo, 10, 80, 42);
+    }
 }
