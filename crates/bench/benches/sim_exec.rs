@@ -114,12 +114,12 @@ fn contention_storm(scheduler: SchedulerKind, coalesce: bool, rounds: u64) -> u6
     out.steps
 }
 
-/// A one-view domain whose recorder is full (17 rings x 16 384 events, the
-/// repo benchmark's shape) of aborts and footprints on a single bucket: a
-/// tick's fold sees every event, and its profile can never suggest a
-/// split, so every tick does the same work.
-fn full_recorder_domain() -> Arc<AdaptiveDomain> {
-    const THREADS: usize = 16;
+const THREADS: usize = 16;
+
+/// A recorder that is full (17 rings x 16 384 events, the repo benchmark's
+/// shape) of aborts and footprints on a single bucket: a fold of it sees
+/// every event, and its profile can never suggest a split.
+fn full_recorder() -> Arc<FlightRecorder> {
     let recorder = Arc::new(FlightRecorder::new(THREADS + 1, 1 << 14));
     for i in 0..(THREADS as u64 + 1) << 14 {
         let kind = match i % 3 {
@@ -137,17 +137,24 @@ fn full_recorder_domain() -> Arc<AdaptiveDomain> {
         };
         recorder.record((i >> 14) as usize, i, kind);
     }
+    recorder
+}
+
+/// A one-view domain profiling from `recorder`. Its profile window is cold:
+/// the first tick past the cheap gates folds every ring, the later ones
+/// slide over what the tick's own transaction recorded.
+fn domain_over(recorder: &Arc<FlightRecorder>) -> Arc<AdaptiveDomain> {
     Votm::builder()
         .algo(TmAlgorithm::NOrec)
         .threads(THREADS as u32)
-        .recorder(recorder)
+        .recorder(Arc::clone(recorder))
         .build()
         .create_domain(4096, QuotaMode::Fixed(16), RepartitionPolicy::default())
 }
 
 /// One controller evaluation that gets past the cheap gates: a transaction
 /// that aborts once before it commits gives the view a wasted-work share
-/// for the interval, so the tick goes on to fold the profile.
+/// for the interval, so the tick goes on to read the profile.
 fn controller_tick(domain: &AdaptiveDomain, rt: &Rt) -> u64 {
     let mut aborted = false;
     let word = block_on(domain.transact(rt, Addr(0), async |tx| {
@@ -182,10 +189,25 @@ fn main() {
             t.fetch_add(ping_pong(kind, 4_000, Some(1 << 20)), Ordering::Relaxed)
         });
     }
-    let domain = full_recorder_domain();
+    // The steady-state tick, and the full fold a window starts from (a new
+    // domain per tick; building one is ~1 % of the fold).
+    let recorder = full_recorder();
+    let domain = domain_over(&recorder);
     let rt = Rt::Real(RealHandle::standalone(0));
+    // Rings that are full before the first look take two folds to follow:
+    // the cold one copies no stash, the second learns the pace.
+    for _ in 0..2 {
+        controller_tick(&domain, &rt);
+    }
     bench("sim_exec/controller_tick/recorder-full", || {
         t.fetch_add(controller_tick(&domain, &rt), Ordering::Relaxed)
+    });
+    assert_eq!(domain.stats().profile_refolds, 2, "a timed tick fell back");
+    bench("sim_exec/controller_tick/cold", || {
+        t.fetch_add(
+            controller_tick(&domain_over(&recorder), &rt),
+            Ordering::Relaxed,
+        )
     });
     bench("sim_exec/enqueue_dequeue/wheel-nocoalesce", || {
         t.fetch_add(

@@ -81,7 +81,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use votm_obs::{AbortReason, ConflictProfile, EventKind, PROFILE_BUCKETS};
+use votm_obs::{
+    AbortReason, ConflictProfile, EventKind, FlightRecorder, ProfileWindow, PROFILE_BUCKETS,
+};
 use votm_rac::{GateGuard, QuotaMode};
 use votm_sim::Rt;
 use votm_stm::{bloom_bucket, cost, Addr, RouteTable, StatsSnapshot, WordHeap};
@@ -153,6 +155,11 @@ pub struct DomainStats {
     pub live_views: usize,
     /// Route-table remap epoch.
     pub route_epoch: u64,
+    /// Full folds of the recorder the controller's profile window took: its
+    /// cold start, plus every tick it could not slide.
+    pub profile_refolds: u64,
+    /// Recorder slots the profile window has read, sliding or folding.
+    pub profile_slots_read: u64,
 }
 
 /// A self-partitioning group of views over one shared heap.
@@ -181,6 +188,10 @@ pub struct AdaptiveDomain {
     /// Per-slot stats snapshot at the last controller evaluation, for
     /// interval-delta waste shares.
     prev_stats: Mutex<Vec<StatsSnapshot>>,
+    /// The conflict profile of what the recorder holds, per view, kept
+    /// resident between ticks. Cold until some view first wastes enough to
+    /// be worth a profile; from then on every tick slides it.
+    window: Mutex<ProfileWindow>,
     last_repartition: AtomicU64,
     repartitions: AtomicU64,
     splits: AtomicU64,
@@ -237,6 +248,7 @@ impl AdaptiveDomain {
             next_view_id: AtomicUsize::new(0),
             cross: (0..mv * mv).map(|_| AtomicU64::new(0)).collect(),
             prev_stats: Mutex::new(Vec::new()),
+            window: Mutex::new(ProfileWindow::new()),
             last_repartition: AtomicU64::new(0),
             repartitions: AtomicU64::new(0),
             splits: AtomicU64::new(0),
@@ -307,6 +319,10 @@ impl AdaptiveDomain {
 
     /// Controller/dispatch counters.
     pub fn stats(&self) -> DomainStats {
+        let (profile_refolds, profile_slots_read) = {
+            let window = self.window.lock();
+            (window.refolds(), window.slots_read())
+        };
         DomainStats {
             repartitions: self.repartitions.load(Ordering::Acquire),
             splits: self.splits.load(Ordering::Acquire),
@@ -321,6 +337,8 @@ impl AdaptiveDomain {
                 .filter(|v| !v.gate().is_retired())
                 .count(),
             route_epoch: self.route.epoch(),
+            profile_refolds,
+            profile_slots_read,
         }
     }
 
@@ -526,6 +544,15 @@ impl AdaptiveDomain {
     /// hysteresis gates. Public so tests and single-shot harnesses can
     /// drive the decision without the periodic task.
     pub async fn rebalance(&self, rt: &Rt) {
+        // A warm profile window follows the rings on every tick, also the
+        // ones that return below before `try_split`: its stash is sized for
+        // one tick's advance, and a tick skipped is a full fold later.
+        if let Some(recorder) = self.config.recorder.as_deref() {
+            let mut window = self.window.lock();
+            if window.is_warm() {
+                window.advance(recorder);
+            }
+        }
         let cooled = rt
             .now()
             .saturating_sub(self.last_repartition.load(Ordering::Acquire))
@@ -573,8 +600,9 @@ impl AdaptiveDomain {
     /// Evaluates every live view for a split, in slot order, and executes
     /// the first eligible one. The gates run cheapest first: nothing reads
     /// the recorder until some view has wasted enough of the last interval
-    /// to be worth a profile, and then one in-place pass over the rings
-    /// folds the profile of every such view (no snapshot is built).
+    /// to be worth a profile, and then the profile window is brought up to
+    /// the rings (a full fold the first time, what they gained since the
+    /// last tick after that) and lends each such view's profile.
     async fn try_split(&self, rt: &Rt) {
         let Some(recorder) = self.config.recorder.as_deref() else {
             return; // no profile source: split decisions are impossible
@@ -604,20 +632,38 @@ impl AdaptiveDomain {
                 })
                 .collect()
         };
-        let candidates: Vec<u16> = live
-            .iter()
-            .filter(|&&(.., wasteful)| wasteful)
-            .map(|&(_, id, ..)| id)
-            .collect();
-        let mut profiles = ConflictProfile::per_view(recorder, &candidates).into_iter();
-        for (slot, _, snap, wasteful) in live {
+        let Some((slot, move_mask)) = self.split_decision(recorder, live) else {
+            return;
+        };
+        self.split(rt, slot, move_mask).await;
+    }
+
+    /// The first wasteful view, in slot order, whose profile supports a
+    /// split, with the buckets to move.
+    fn split_decision(
+        &self,
+        recorder: &FlightRecorder,
+        live: Vec<(u32, u16, StatsSnapshot, bool)>,
+    ) -> Option<(u32, u64)> {
+        let mut window = self.window.lock();
+        // The cold start; a window `rebalance` already slid this tick finds
+        // nothing new.
+        if live.iter().any(|&(.., wasteful)| wasteful) {
+            window.advance(recorder);
+        }
+        for (slot, id, snap, wasteful) in live {
             // The interval window advances only for the views this loop
             // reaches: a split leaves the later slots' windows open.
             self.prev_stats.lock()[slot as usize] = snap;
             if !wasteful {
                 continue;
             }
-            let profile = profiles.next().expect("one profile per candidate view");
+            let profile = window.profile(id);
+            debug_assert_eq!(
+                *profile,
+                ConflictProfile::per_view(recorder, &[id])[0],
+                "the sliding profile of view {id} left the full fold"
+            );
             if profile.aborts_total < self.policy.min_aborts {
                 continue;
             }
@@ -638,9 +684,9 @@ impl AdaptiveDomain {
             if move_mask == 0 || move_mask == owned {
                 continue;
             }
-            self.split(rt, slot, move_mask).await;
-            return;
+            return Some((slot, move_mask));
         }
+        None
     }
 
     /// Executes a split: drains `slot`, materialises a fresh view over the

@@ -1,7 +1,7 @@
 //! Online repartitioning under the virtual-time simulator: live splits
 //! and merges must never cost correctness.
 //!
-//! Four angles:
+//! Five angles:
 //!
 //! * a deterministic convergence case — a single-view domain running two
 //!   disjoint hot groups MUST split;
@@ -11,7 +11,9 @@
 //! * the split × parked-waiter adversary: a transaction parked via
 //!   `retry()` on a bucket that then *moves* must be re-homed, not lost;
 //! * merge-under-fault chaos: injected aborts and delays around the
-//!   drain windows, reusing [`FaultPlan`].
+//!   drain windows, reusing [`FaultPlan`];
+//! * the controller's sliding profile window on rings that wrap: it takes
+//!   its cold-start fold and then slides, through the cooldown too.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,13 +64,21 @@ struct RunOut {
     splits: u64,
     merges: u64,
     lost_wakeups: u64,
+    profile_refolds: u64,
+    /// Events the fullest ring overwrote.
+    ring_dropped: u64,
 }
+
+/// Ring capacity no scenario here wraps, for the ones that are not about
+/// wrapping.
+const ROOMY_RINGS: usize = 8192;
 
 /// The shared harness: `threads` workers (alternating groups) run
 /// `ticketed` group-confined transactions (full serializability replay),
 /// then `mixed` counter transactions of which roughly `straddle_pct`% span
 /// both groups (atomicity checked by counter sums). A controller task
-/// splits/merges throughout.
+/// splits/merges throughout, profiling from `ring_capacity`-event rings.
+#[allow(clippy::too_many_arguments)]
 fn run_domain(
     algo: TmAlgorithm,
     threads: usize,
@@ -77,8 +87,9 @@ fn run_domain(
     straddle_pct: u64,
     seed: u64,
     fault_plan: Option<FaultPlan>,
+    ring_capacity: usize,
 ) -> RunOut {
-    let recorder = Arc::new(FlightRecorder::new(threads + 1, 8192));
+    let recorder = Arc::new(FlightRecorder::new(threads + 1, ring_capacity));
     let sys = Votm::builder()
         .algo(algo)
         .threads(threads as u32)
@@ -243,6 +254,15 @@ fn run_domain(
         splits: stats.splits,
         merges: stats.merges,
         lost_wakeups: lost,
+        profile_refolds: stats.profile_refolds,
+        ring_dropped: (0..recorder.n_threads())
+            .map(|ring| {
+                recorder
+                    .head(ring)
+                    .saturating_sub(recorder.capacity() as u64)
+            })
+            .max()
+            .unwrap_or(0),
     }
 }
 
@@ -250,7 +270,7 @@ fn run_domain(
 /// controller split, and the split run stays correct.
 #[test]
 fn disjoint_groups_trigger_a_live_split() {
-    let out = run_domain(TmAlgorithm::NOrec, 8, 30, 0, 0, 42, None);
+    let out = run_domain(TmAlgorithm::NOrec, 8, 30, 0, 0, 42, None, ROOMY_RINGS);
     assert!(
         out.splits >= 1,
         "no split despite a fully separable workload"
@@ -264,7 +284,7 @@ fn disjoint_groups_trigger_a_live_split() {
 fn straddle_pressure_triggers_a_merge() {
     // The straddle phase must outlast the post-split cooldown window
     // (1 << 15 cycles) for a merge wake to observe the pressure.
-    let out = run_domain(TmAlgorithm::NOrec, 8, 30, 60, 60, 43, None);
+    let out = run_domain(TmAlgorithm::NOrec, 8, 30, 60, 60, 43, None, ROOMY_RINGS);
     assert!(out.splits >= 1, "phase A should still split");
     assert!(
         out.merges >= 1,
@@ -284,7 +304,7 @@ fn sim_serializable_with_repartitioning_across_36_seeds() {
             1 => TmAlgorithm::OrecEagerRedo,
             _ => TmAlgorithm::OrecLazy,
         };
-        run_domain(algo, 4, 10, 6, 25, 2000 + seed, None);
+        run_domain(algo, 4, 10, 6, 25, 2000 + seed, None, ROOMY_RINGS);
     }
 }
 
@@ -413,12 +433,38 @@ fn merge_under_injected_faults_keeps_counters_exact() {
                 max_delay: 300,
                 ..Default::default()
             }),
+            ROOMY_RINGS,
         );
         assert!(
             out.splits >= 1,
             "seed {seed}: chaos run should still split first"
         );
     }
+}
+
+/// The controller's profile window on rings that wrap many times over. Each
+/// group hammers one ticket word, so both halves stay wasteful after the
+/// split and every later tick profiles them (and, with debug assertions on,
+/// checks the slid profile against a full fold of the rings); the two ticks
+/// of cooldown after the split return before `try_split`. The window must
+/// take its cold-start fold and then slide for the rest of the run: a full
+/// fold per repartition would be excusable, one per tick is the cost this
+/// window exists to remove.
+#[test]
+fn the_profile_window_slides_on_wrapped_rings_and_through_the_cooldown() {
+    let out = run_domain(TmAlgorithm::NOrec, 8, 1000, 0, 0, 44, None, 2048);
+    assert!(out.splits >= 1, "the scenario needs a cooldown to cross");
+    assert!(
+        out.ring_dropped > 2 * 2048,
+        "the rings must wrap for the window to retract anything (dropped {})",
+        out.ring_dropped
+    );
+    assert!(
+        out.profile_refolds <= 1 + out.splits + out.merges,
+        "{} full folds for {} repartitions",
+        out.profile_refolds,
+        out.splits + out.merges
+    );
 }
 
 /// An unrestricted domain is a contradiction (no gate, no drain barrier);

@@ -36,6 +36,6 @@ pub use event::{
 };
 pub use export::SCHEMA_VERSION;
 pub use hist::{HistogramSnapshot, LatencyHistogram, ViewHistSnapshot, ViewHists, HIST_BUCKETS};
-pub use profile::{Bipartition, BucketRow, ConflictProfile};
+pub use profile::{Bipartition, BucketRow, ConflictProfile, ProfileWindow};
 pub use reason::AbortReason;
 pub use recorder::{FlightRecorder, RecorderHandle, ThreadTrace};

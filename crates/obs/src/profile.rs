@@ -10,14 +10,30 @@
 //! complementary question — *which* addresses the wasted cycles are
 //! attributable to — from [`EventKind::ConflictDetected`] events.
 //!
-//! Nothing in this module is on a transaction's hot path: the folds run
-//! offline on a snapshot, or (the repartition controller's
-//! [`ConflictProfile::per_view`]) in place over the live rings on a
-//! controller tick.
+//! Nothing in this module is on a transaction's hot path. The snapshot
+//! folds run offline. The repartition controller folds on every tick, and
+//! there the cost is what the rings gained since the tick before, not what
+//! they hold: every field of a profile is a sum of per-event contributions,
+//! so a fold has an exact inverse ([`ConflictProfile::retract`]), and a
+//! [`ProfileWindow`] keeps the fold of exactly what the rings hold by
+//! absorbing what they gained and retracting what they overwrote.
+
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::event::{ConflictSiteKind, EventKind, ADDR_BUCKET_NONE, PROFILE_BUCKETS};
 use crate::reason::AbortReason;
 use crate::recorder::{FlightRecorder, ThreadTrace};
+
+/// `*x += by` or, with `ADD` false, its inverse.
+#[inline]
+fn step<const ADD: bool>(x: &mut u64, by: u64) {
+    if ADD {
+        *x += by;
+    } else {
+        *x -= by;
+    }
+}
 
 /// Abort attribution for one address bucket: how many attempts died here
 /// and how many cycles they wasted, split by [`AbortReason`].
@@ -41,11 +57,11 @@ impl BucketRow {
         cycles_by_reason: [0; AbortReason::COUNT],
     };
 
-    fn record(&mut self, reason: AbortReason, cycles: u64) {
-        self.aborts += 1;
-        self.wasted_cycles += cycles;
-        self.aborts_by_reason[reason.index()] += 1;
-        self.cycles_by_reason[reason.index()] += cycles;
+    fn record<const ADD: bool>(&mut self, reason: AbortReason, cycles: u64) {
+        step::<ADD>(&mut self.aborts, 1);
+        step::<ADD>(&mut self.wasted_cycles, cycles);
+        step::<ADD>(&mut self.aborts_by_reason[reason.index()], 1);
+        step::<ADD>(&mut self.cycles_by_reason[reason.index()], cycles);
     }
 }
 
@@ -103,19 +119,13 @@ impl ConflictProfile {
     /// Folds the live rings of `rec` in one pass into one profile per
     /// requested view: `out[i]` is exactly
     /// `from_traces_for_view(&rec.snapshot(), views[i])`, with no snapshot
-    /// built. The repartition controller calls this on every tick that
-    /// has a candidate.
+    /// built. This is a [`ProfileWindow`]'s cold start and nothing else, so
+    /// the full fold and the sliding one share every line; it is what the
+    /// window is tested against.
     pub fn per_view(rec: &FlightRecorder, views: &[u16]) -> Vec<ConflictProfile> {
-        let mut out = vec![Self::empty(); views.len()];
-        if !views.is_empty() {
-            rec.visit(|ev| {
-                let view = ev.kind.view();
-                if let Some(i) = views.iter().position(|&v| v == view) {
-                    out[i].absorb(&ev.kind);
-                }
-            });
-        }
-        out
+        let mut window = ProfileWindow::new();
+        window.advance(rec);
+        views.iter().map(|&v| window.profile(v).clone()).collect()
     }
 
     fn fold(traces: &[ThreadTrace], only_view: Option<u16>) -> ConflictProfile {
@@ -128,7 +138,8 @@ impl ConflictProfile {
         p
     }
 
-    fn empty() -> ConflictProfile {
+    /// The fold of no events.
+    pub fn empty() -> ConflictProfile {
         ConflictProfile {
             buckets: vec![BucketRow::ZERO; PROFILE_BUCKETS],
             unattributed: BucketRow::ZERO,
@@ -145,10 +156,22 @@ impl ConflictProfile {
     /// Folds one event into the profile; every other kind is ignored. Each
     /// fold is a commutative counter bump, so event order never matters.
     pub fn absorb(&mut self, kind: &EventKind) {
+        self.apply::<true>(kind);
+    }
+
+    /// Takes one event back out: the exact inverse of
+    /// [`ConflictProfile::absorb`], in any order relative to other events.
+    /// The event must have been absorbed.
+    pub fn retract(&mut self, kind: &EventKind) {
+        self.apply::<false>(kind);
+    }
+
+    #[inline]
+    fn apply<const ADD: bool>(&mut self, kind: &EventKind) {
         match *kind {
             EventKind::TxAbort { cycles, .. } => {
-                self.abort_cycles_total += cycles;
-                self.aborts_total += 1;
+                step::<ADD>(&mut self.abort_cycles_total, cycles);
+                step::<ADD>(&mut self.aborts_total, 1);
             }
             EventKind::ConflictDetected {
                 addr_bucket,
@@ -157,11 +180,12 @@ impl ConflictProfile {
                 cycles,
                 ..
             } => {
-                self.sites[site as usize] += 1;
+                step::<ADD>(&mut self.sites[site as usize], 1);
                 if addr_bucket == ADDR_BUCKET_NONE {
-                    self.unattributed.record(kind, cycles);
+                    self.unattributed.record::<ADD>(kind, cycles);
                 } else {
-                    self.buckets[usize::from(addr_bucket) % PROFILE_BUCKETS].record(kind, cycles);
+                    self.buckets[usize::from(addr_bucket) % PROFILE_BUCKETS]
+                        .record::<ADD>(kind, cycles);
                 }
             }
             EventKind::Footprint {
@@ -171,21 +195,21 @@ impl ConflictProfile {
                 ..
             } => {
                 if committed {
-                    self.committed_footprints += 1;
+                    step::<ADD>(&mut self.committed_footprints, 1);
                 } else {
-                    self.aborted_footprints += 1;
+                    step::<ADD>(&mut self.aborted_footprints, 1);
                 }
                 let mut bits = reads | writes;
                 while bits != 0 {
                     let i = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.touches[i] += 1;
+                    step::<ADD>(&mut self.touches[i], 1);
                     let mut rest = bits;
                     while rest != 0 {
                         let j = rest.trailing_zeros() as usize;
                         rest &= rest - 1;
-                        self.affinity[i * PROFILE_BUCKETS + j] += 1;
-                        self.affinity[j * PROFILE_BUCKETS + i] += 1;
+                        step::<ADD>(&mut self.affinity[i * PROFILE_BUCKETS + j], 1);
+                        step::<ADD>(&mut self.affinity[j * PROFILE_BUCKETS + i], 1);
                     }
                 }
             }
@@ -501,6 +525,238 @@ pub const SITE_KINDS: [ConflictSiteKind; 4] = [
     ConflictSiteKind::Bloom,
 ];
 
+/// One view's resident fold inside a [`ProfileWindow`].
+struct ViewFold {
+    view: u16,
+    /// Events of this view folded in right now; the entry goes at zero.
+    events: u64,
+    profile: ConflictProfile,
+}
+
+/// Routes one event to its view's resident fold: in, or with `ADD` false
+/// back out.
+#[inline]
+fn route<const ADD: bool>(views: &mut Vec<ViewFold>, kind: &EventKind) {
+    let view = kind.view();
+    let i = views
+        .iter()
+        .position(|f| f.view == view)
+        .unwrap_or_else(|| {
+            views.push(ViewFold {
+                view,
+                events: 0,
+                profile: ConflictProfile::empty(),
+            });
+            views.len() - 1
+        });
+    let f = &mut views[i];
+    f.profile.apply::<ADD>(kind);
+    step::<ADD>(&mut f.events, 1);
+    if f.events == 0 {
+        views.swap_remove(i);
+    }
+}
+
+/// One ring's share of a [`ProfileWindow`].
+#[derive(Default)]
+struct RingCursor {
+    /// The resident folds hold this ring's events `lo..hi`: everything the
+    /// ring held at the last advance.
+    lo: u64,
+    hi: u64,
+    /// Copies of events `lo..lo + stash.len()`, the ones the ring overwrites
+    /// next, so that they can still be retracted once it has.
+    stash: VecDeque<EventKind>,
+}
+
+impl RingCursor {
+    /// Whether a ring whose oldest surviving event is now `edge` can still
+    /// be followed exactly: it has not lapped what was folded, and the stash
+    /// holds everything it has overwritten.
+    fn can_slide(&self, edge: u64) -> bool {
+        edge <= self.hi && edge - self.lo <= self.stash.len() as u64
+    }
+}
+
+/// The per-view conflict profiles of exactly the events a recorder's rings
+/// hold, kept resident and slid forward instead of folded again.
+///
+/// **Invariant.** After [`ProfileWindow::advance`], `profile(v)` equals
+/// `ConflictProfile::from_traces_for_view(&rec.snapshot(), v)` field for
+/// field, for every view `v` — the function the full fold computes, not a
+/// window of the window's own.
+///
+/// **How.** Per ring the window remembers the sequence range it has folded.
+/// An advance absorbs the range recorded since and retracts the range the
+/// ring has overwritten since. The overwritten events are gone from the
+/// ring, but a ring evicts oldest first, so they were known in advance: on
+/// each advance the window copies the oldest surviving events into a small
+/// per-ring stash, as many as an advance twice the one it just observed
+/// would evict, and retracts from the copies. Each slot is therefore read
+/// twice in its life, once new and once about to go, however many ticks it
+/// survives in between. A stash never holds more than a quarter of its
+/// ring — past that a slide reads more than half of what a fold reads — and
+/// a ring that just advanced by more than that gets none, so a recorder
+/// that turns over faster than the window can follow costs a full fold per
+/// advance and nothing on top.
+///
+/// **Fallback.** When a ring evicted more than its stash held, advanced by
+/// more than its capacity, or shows a slot without its sequence stamp, the
+/// window drops everything and folds every surviving slot — which is also
+/// how a new window starts, and what [`ConflictProfile::per_view`] is.
+/// [`ProfileWindow::refolds`] counts these. After a burst it takes one more
+/// fold to learn the ring's pace again. One window follows one recorder,
+/// read as race-free as a snapshot needs: under the simulator, or with the
+/// writers quiesced.
+pub struct ProfileWindow {
+    views: Vec<ViewFold>,
+    /// One per ring; empty while the window is cold.
+    cursors: Vec<RingCursor>,
+    /// Lent for a view the rings hold nothing of.
+    blank: ConflictProfile,
+    refolds: u64,
+    slots_read: u64,
+}
+
+impl Default for ProfileWindow {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ProfileWindow {
+    /// A cold window: its first advance is a full fold.
+    pub fn new() -> Self {
+        ProfileWindow {
+            views: Vec::new(),
+            cursors: Vec::new(),
+            blank: ConflictProfile::empty(),
+            refolds: 0,
+            slots_read: 0,
+        }
+    }
+
+    /// Whether the next advance can slide (the last one left an exact fold).
+    pub fn is_warm(&self) -> bool {
+        !self.cursors.is_empty()
+    }
+
+    /// Full folds taken so far, the cold start included.
+    pub fn refolds(&self) -> u64 {
+        self.refolds
+    }
+
+    /// Ring slots read so far, by slides, stash copies and full folds.
+    pub fn slots_read(&self) -> u64 {
+        self.slots_read
+    }
+
+    /// The profile of `view` as of the last advance.
+    pub fn profile(&self, view: u16) -> &ConflictProfile {
+        self.views
+            .iter()
+            .find(|f| f.view == view)
+            .map_or(&self.blank, |f| &f.profile)
+    }
+
+    /// Brings every profile up to what `rec`'s rings hold now.
+    pub fn advance(&mut self, rec: &FlightRecorder) {
+        let rings = rec.n_threads();
+        let edge = |ring| rec.head(ring).saturating_sub(rec.capacity() as u64);
+        // Every ring is checked before any slides, so that a fallback never
+        // follows a partial slide (which would have hidden the advance the
+        // new stash is sized from).
+        let slid = self.cursors.len() == rings
+            && (0..rings).all(|ring| self.cursors[ring].can_slide(edge(ring)))
+            && (0..rings).all(|ring| self.slide(rec, ring));
+        if !slid {
+            self.refold(rec);
+        }
+    }
+
+    /// Retracts what ring `ring` has overwritten since the last advance and
+    /// absorbs what it has gained; `false` when that cannot be done exactly.
+    fn slide(&mut self, rec: &FlightRecorder, ring: usize) -> bool {
+        let head = rec.head(ring);
+        let edge = head.saturating_sub(rec.capacity() as u64);
+        let c = &mut self.cursors[ring];
+        if !c.can_slide(edge) {
+            return false;
+        }
+        for kind in c.stash.drain(..(edge - c.lo) as usize) {
+            route::<false>(&mut self.views, &kind);
+        }
+        let from = c.hi;
+        self.take_in(rec, ring, from..head, head - from)
+    }
+
+    /// The cold start and the fallback: forgets every fold and takes in
+    /// every surviving slot. A torn slot leaves the window cold, so that the
+    /// next advance starts over instead of sliding an inexact fold.
+    fn refold(&mut self, rec: &FlightRecorder) {
+        self.refolds += 1;
+        self.views.clear();
+        self.cursors
+            .resize_with(rec.n_threads(), RingCursor::default);
+        let mut whole = true;
+        for ring in 0..rec.n_threads() {
+            let head = rec.head(ring);
+            let edge = head.saturating_sub(rec.capacity() as u64);
+            let c = &mut self.cursors[ring];
+            // For a ring never looked at, everything it ever recorded.
+            let observed = head.saturating_sub(c.hi);
+            c.stash.clear();
+            whole &= self.take_in(rec, ring, edge..head, observed);
+        }
+        if !whole {
+            self.cursors.clear();
+        }
+    }
+
+    /// Absorbs events `seqs` of ring `ring` (up to its head), moves the
+    /// cursor to what the ring holds now and tops the stash up for a next
+    /// advance of up to twice `observed`. `false` on a torn slot.
+    fn take_in(
+        &mut self,
+        rec: &FlightRecorder,
+        ring: usize,
+        seqs: Range<u64>,
+        observed: u64,
+    ) -> bool {
+        let Self {
+            views,
+            cursors,
+            slots_read,
+            ..
+        } = self;
+        let c = &mut cursors[ring];
+        let cap = rec.capacity() as u64;
+        let head = seqs.end;
+        let edge = head.saturating_sub(cap);
+        *slots_read += seqs.end - seqs.start;
+        let mut whole = rec.visit_range(ring, seqs, |ev| route::<true>(views, &ev.kind));
+        (c.lo, c.hi) = (edge, head);
+        // Where the eviction edge would stand after such an advance. A ring
+        // whose last advance alone overflows the largest stash is not
+        // shadowed at all: it would fall back next time whatever is copied
+        // now. The stash is a FIFO, so only the part not yet copied is read.
+        let reach = (head + 2 * observed).saturating_sub(cap);
+        let want = if observed > cap / 4 {
+            0
+        } else {
+            reach.saturating_sub(edge).min(cap / 4).min(head - edge)
+        };
+        let have = c.stash.len() as u64;
+        if want > have {
+            *slots_read += want - have;
+            whole &= rec.visit_range(ring, edge + have..edge + want, |ev| {
+                c.stash.push_back(ev.kind)
+            });
+        }
+        whole
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,6 +900,52 @@ mod tests {
         assert_eq!(v1.touches[2], 1);
         assert_eq!(v1.aborts_total, 1);
         assert_eq!(v1.abort_cycles_total, 50);
+    }
+
+    #[test]
+    fn retracting_in_any_order_undoes_absorbing() {
+        let mut rng = votm_utils::XorShift64::new(0x5e7);
+        let mut events: Vec<EventKind> = (0..400)
+            .map(|i| match rng.next_below(4) {
+                0 => EventKind::TxCommit { view: 0, cycles: i },
+                1 => EventKind::TxAbort {
+                    view: 0,
+                    reason: AbortReason::ALL[rng.next_index(AbortReason::COUNT)],
+                    cycles: rng.next_below(10_000),
+                },
+                2 => EventKind::ConflictDetected {
+                    view: 0,
+                    addr_bucket: match rng.next_below(4) {
+                        0 => ADDR_BUCKET_NONE,
+                        _ => rng.next_below(PROFILE_BUCKETS as u64) as u8,
+                    },
+                    kind: AbortReason::ALL[rng.next_index(AbortReason::COUNT)],
+                    site: SITE_KINDS[rng.next_index(4)],
+                    cycles: rng.next_below(10_000),
+                    raw: i,
+                },
+                _ => EventKind::Footprint {
+                    view: 0,
+                    committed: rng.next_below(2) == 0,
+                    reads: rng.next_u64() & rng.next_u64(),
+                    writes: rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                },
+            })
+            .collect();
+        let mut p = ConflictProfile::empty();
+        for kind in &events {
+            p.absorb(kind);
+        }
+        assert!(p.sites.iter().all(|&n| n > 0) && p.unattributed.aborts > 0);
+        assert!(p.affinity(3, 40) > 0 && p.affinity(40, 3) > 0);
+        // Fisher-Yates: retraction order is unrelated to absorption order.
+        for i in (1..events.len()).rev() {
+            events.swap(i, rng.next_index(i + 1));
+        }
+        for kind in &events {
+            p.retract(kind);
+        }
+        assert_eq!(p, ConflictProfile::empty());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! worker threads first. A concurrent snapshot is still memory-safe; a slot
 //! whose sequence word disagrees with its position is simply skipped.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -72,16 +73,16 @@ impl EventRing {
         self.head.store(seq + 1, Ordering::Relaxed);
     }
 
-    /// Calls `f` on every surviving event in sequence order, decoding each
-    /// slot in place, and returns `(recorded, dropped)`.
-    fn visit(&self, mut f: impl FnMut(&Event)) -> (u64, u64) {
-        let head = self.head.load(Ordering::Relaxed);
-        let start = head.saturating_sub(self.slots.len() as u64);
-        for seq in start..head {
+    /// Calls `f` on the events numbered `seqs`, in sequence order, decoding
+    /// each slot in place. Returns whether every slot still carried its
+    /// sequence stamp; one that does not (overwritten since, or racing a
+    /// concurrent writer) is skipped instead of reported torn.
+    fn visit_range(&self, seqs: Range<u64>, mut f: impl FnMut(&Event)) -> bool {
+        let mut whole = true;
+        for seq in seqs {
             let slot = &self.slots[(seq & self.mask) as usize];
-            // A slot racing with a concurrent writer carries a different
-            // sequence stamp; drop it instead of reporting a torn event.
             if slot.seq.load(Ordering::Relaxed) != seq + 1 {
+                whole = false;
                 continue;
             }
             f(&Event {
@@ -94,20 +95,18 @@ impl EventRing {
                 ]),
             });
         }
-        (head, start)
+        whole
     }
 
     fn snapshot(&self, thread: usize) -> ThreadTrace {
-        let held = self
-            .head
-            .load(Ordering::Relaxed)
-            .min(self.slots.len() as u64);
-        let mut events = Vec::with_capacity(held as usize);
-        let (recorded, dropped) = self.visit(|ev| events.push(*ev));
+        let head = self.head.load(Ordering::Relaxed);
+        let start = head.saturating_sub(self.slots.len() as u64);
+        let mut events = Vec::with_capacity((head - start) as usize);
+        self.visit_range(start..head, |ev| events.push(*ev));
         ThreadTrace {
             thread,
-            recorded,
-            dropped,
+            recorded: head,
+            dropped: start,
             events,
         }
     }
@@ -136,7 +135,7 @@ impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
             .field("threads", &self.rings.len())
-            .field("capacity", &self.rings.first().map_or(0, |r| r.slots.len()))
+            .field("capacity", &self.capacity())
             .finish()
     }
 }
@@ -177,15 +176,26 @@ impl FlightRecorder {
         }
     }
 
-    /// Calls `f` on every surviving event of every ring, in thread then
-    /// sequence order: the events [`FlightRecorder::snapshot`] would return,
-    /// decoded in place instead of copied out. This is what a consumer on a
-    /// live path (the repartition controller) folds from; a full ring set
-    /// is megabytes, and a snapshot of it is fresh pages every time.
-    pub fn visit(&self, mut f: impl FnMut(&Event)) {
-        for ring in &self.rings {
-            ring.visit(&mut f);
-        }
+    /// Events each ring holds (the requested capacity rounded up to a
+    /// power of two, minimum 8).
+    pub fn capacity(&self) -> usize {
+        self.rings[0].slots.len()
+    }
+
+    /// Events ever recorded into ring `ring`. The ring holds the last
+    /// [`FlightRecorder::capacity`] of them.
+    pub fn head(&self, ring: usize) -> u64 {
+        self.rings[ring].head.load(Ordering::Relaxed)
+    }
+
+    /// Calls `f` on the events of ring `ring` numbered `seqs`, in sequence
+    /// order, decoded in place instead of copied out, and returns whether
+    /// the ring still held every one of them intact. This is what a consumer
+    /// on a live path (the repartition controller's
+    /// [`crate::ProfileWindow`]) reads from; a full ring set is megabytes,
+    /// and a snapshot of it is fresh pages every time.
+    pub fn visit_range(&self, ring: usize, seqs: Range<u64>, f: impl FnMut(&Event)) -> bool {
+        self.rings[ring].visit_range(seqs, f)
     }
 
     /// Snapshot of every ring, in thread order. Deterministic given a

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use votm_obs::hist::{bucket_index, bucket_lower, bucket_upper};
 use votm_obs::{
-    AbortReason, EventKind, FlightRecorder, HistogramSnapshot, LatencyHistogram, HIST_BUCKETS,
+    AbortReason, ConflictProfile, ConflictSiteKind, EventKind, FlightRecorder, HistogramSnapshot,
+    LatencyHistogram, ProfileWindow, ADDR_BUCKET_NONE, HIST_BUCKETS,
 };
 use votm_utils::XorShift64;
 
@@ -170,4 +171,92 @@ fn recorded_counts_are_monotone_across_interleaved_snapshots() {
         prev_recorded = t.recorded;
         prev_dropped = t.dropped;
     }
+}
+
+/// A random event of one of `views` views, of every kind a profile folds
+/// and one it ignores.
+fn random_event(rng: &mut XorShift64, views: u64) -> EventKind {
+    let view = rng.next_below(views) as u16;
+    let cycles = random_sample(rng) >> 16;
+    match rng.next_below(4) {
+        0 => EventKind::TxCommit { view, cycles },
+        1 => EventKind::TxAbort {
+            view,
+            reason: AbortReason::ALL[rng.next_index(AbortReason::COUNT)],
+            cycles,
+        },
+        2 => EventKind::ConflictDetected {
+            view,
+            addr_bucket: match rng.next_below(6) {
+                0 => ADDR_BUCKET_NONE,
+                _ => rng.next_below(64) as u8,
+            },
+            kind: AbortReason::ALL[rng.next_index(AbortReason::COUNT)],
+            site: [
+                ConflictSiteKind::None,
+                ConflictSiteKind::Addr,
+                ConflictSiteKind::Orec,
+                ConflictSiteKind::Bloom,
+            ][rng.next_index(4)],
+            cycles,
+            raw: rng.next_u64(),
+        },
+        _ => EventKind::Footprint {
+            view,
+            committed: rng.next_below(2) == 0,
+            reads: rng.next_u64() & rng.next_u64() & rng.next_u64(),
+            writes: rng.next_u64() & rng.next_u64() & rng.next_u64(),
+        },
+    }
+}
+
+/// The sliding window's invariant, over random ring shapes and recording
+/// bursts: after every advance, whatever mix of slides and full folds got it
+/// there, each view's profile is the snapshot fold of what the rings hold.
+#[test]
+fn sliding_profile_window_always_equals_the_snapshot_fold() {
+    let mut rng = XorShift64::new(0x0b5_0005);
+    let mut slid = 0;
+    for case in 0..60 {
+        let cap = 8usize << rng.next_below(5); // 8 .. 128 slots
+        let rings = 1 + rng.next_index(4);
+        let rec = FlightRecorder::new(rings, cap);
+        let mut window = ProfileWindow::new();
+        // Each ring has its own pace; a burst now and then laps a ring.
+        let pace: Vec<u64> = (0..rings)
+            .map(|_| rng.next_below(cap as u64 / 3 + 2))
+            .collect();
+        let mut views = 1 + rng.next_below(3);
+        let ticks = 10 + rng.next_below(40);
+        for tick in 0..ticks {
+            if rng.next_below(8) == 0 {
+                views += 1; // a view id first seen mid-stream
+            }
+            for (ring, &p) in pace.iter().enumerate() {
+                let n = match rng.next_below(12) {
+                    0 => 0,
+                    1 => rng.next_below(3 * cap as u64),
+                    _ => rng.next_below(p + 1),
+                };
+                for _ in 0..n {
+                    rec.record(ring, tick, random_event(&mut rng, views));
+                }
+            }
+            let before = window.refolds();
+            window.advance(&rec);
+            slid += u64::from(window.refolds() == before);
+            let traces = rec.snapshot();
+            for view in 0..=views as u16 {
+                assert_eq!(
+                    *window.profile(view),
+                    ConflictProfile::from_traces_for_view(&traces, view),
+                    "case {case}, tick {tick}, view {view} ({rings} rings of {cap})"
+                );
+            }
+        }
+    }
+    assert!(
+        slid > 500,
+        "only {slid} advances slid: the property is vacuous"
+    );
 }

@@ -10,7 +10,9 @@ use std::sync::Arc;
 use votm::{FlightRecorder, QuotaMode, TmAlgorithm};
 use votm_bench::{capture_trace, Settings};
 use votm_eigenbench::{run_sim, run_sim_recorded, EigenConfig, Version};
-use votm_obs::{AbortReason, ConflictProfile, ConflictSiteKind, EventKind, ADDR_BUCKET_NONE};
+use votm_obs::{
+    AbortReason, ConflictProfile, ConflictSiteKind, EventKind, ProfileWindow, ADDR_BUCKET_NONE,
+};
 use votm_sim::SimConfig;
 
 fn trace_settings() -> Settings {
@@ -183,41 +185,48 @@ fn fault_injection_shows_up_as_fault_events_and_reasons() {
     );
 }
 
-/// The repartition controller folds its per-view profiles straight from the
-/// live rings; that fold must equal the snapshot-based one field for field,
-/// on rings that have wrapped and hold several views' events interleaved.
+/// One random event of one of `views` views: a commit (which no fold reads),
+/// an abort, a conflict with or without an address, or a footprint.
+fn random_event(rng: &mut votm_utils::XorShift64, views: u64, i: u64) -> EventKind {
+    let view = rng.next_below(views) as u16;
+    let cycles = 1 + rng.next_below(500);
+    match rng.next_below(4) {
+        0 => EventKind::TxCommit { view, cycles },
+        1 => EventKind::TxAbort {
+            view,
+            reason: AbortReason::NorecValidation,
+            cycles,
+        },
+        2 => EventKind::ConflictDetected {
+            view,
+            addr_bucket: match rng.next_below(8) {
+                0 => ADDR_BUCKET_NONE,
+                _ => rng.next_below(64) as u8,
+            },
+            kind: AbortReason::NorecValidation,
+            site: ConflictSiteKind::Addr,
+            cycles,
+            raw: i,
+        },
+        _ => EventKind::Footprint {
+            view,
+            committed: rng.next_below(2) == 0,
+            reads: rng.next_u64() & rng.next_u64(),
+            writes: 1 << rng.next_below(64),
+        },
+    }
+}
+
+/// The full fold the repartition controller's window starts from (and is
+/// checked against) reads the live rings in place; it must equal the
+/// snapshot-based fold field for field, on rings that have wrapped and hold
+/// several views' events interleaved.
 #[test]
 fn in_place_profile_fold_equals_the_snapshot_fold() {
     let rec = FlightRecorder::new(3, 64);
     let mut rng = votm_utils::XorShift64::new(12);
     for i in 0..1_000u64 {
-        let view = rng.next_below(3) as u16;
-        let cycles = 1 + rng.next_below(500);
-        let kind = match rng.next_below(4) {
-            0 => EventKind::TxCommit { view, cycles },
-            1 => EventKind::TxAbort {
-                view,
-                reason: AbortReason::NorecValidation,
-                cycles,
-            },
-            2 => EventKind::ConflictDetected {
-                view,
-                addr_bucket: match rng.next_below(8) {
-                    0 => ADDR_BUCKET_NONE,
-                    _ => rng.next_below(64) as u8,
-                },
-                kind: AbortReason::NorecValidation,
-                site: ConflictSiteKind::Addr,
-                cycles,
-                raw: i,
-            },
-            _ => EventKind::Footprint {
-                view,
-                committed: rng.next_below(2) == 0,
-                reads: rng.next_u64() & rng.next_u64(),
-                writes: 1 << rng.next_below(64),
-            },
-        };
+        let kind = random_event(&mut rng, 3, i);
         rec.record(rng.next_index(3), i, kind);
     }
     let traces = rec.snapshot();
@@ -233,4 +242,67 @@ fn in_place_profile_fold_equals_the_snapshot_fold() {
         assert_eq!(profile.aborts_total == 0, view == 9);
     }
     assert!(ConflictProfile::per_view(&rec, &[]).is_empty());
+}
+
+/// The repartition controller keeps its per-view profiles resident and
+/// slides them: each tick absorbs what the rings gained and retracts what
+/// they overwrote. After every step of a recording schedule the window must
+/// equal the snapshot fold for every view, whether it slid or fell back to a
+/// full fold, and the fallbacks must be the ones the schedule forces.
+#[test]
+fn sliding_profile_window_equals_the_snapshot_fold_after_every_step() {
+    // Events recorded into each of four rings before each tick, and the full
+    // folds taken by the end of it on 64-slot rings, whose stash holds at
+    // most 16 events and only follows an advance of at most 16. Ring 0 is
+    // the fast one; ring 2 barely moves.
+    const SCHEDULE: [([u64; 4], u64); 18] = [
+        ([5, 3, 0, 1], 1),   // cold start, no ring full
+        ([0, 0, 0, 0], 1),   // zero advance
+        ([10, 4, 0, 2], 1),  // still filling
+        ([16, 8, 1, 2], 1),  //
+        ([16, 8, 1, 2], 1),  // ring 0 within two ticks of full: first stash
+        ([16, 8, 1, 2], 1),  //
+        ([12, 8, 1, 2], 1),  // ring 0 wraps; 11 events retracted from the stash
+        ([16, 8, 1, 2], 1),  // evicts exactly what the stash holds
+        ([17, 8, 1, 2], 2),  // evicts one more than it holds: full fold, no stash
+        ([8, 8, 1, 2], 3),   // so the next eviction folds again and learns the pace
+        ([8, 8, 0, 2], 3),   // ring 1 wraps
+        ([200, 8, 1, 2], 4), // several wraps in one tick
+        ([8, 8, 1, 2], 5),   //
+        ([8, 8, 1, 2], 5),   // view 4 first appears here
+        ([0, 0, 0, 0], 5),   // zero advance on full rings
+        ([8, 8, 1, 70], 6),  // ring 3 advances by more than its capacity
+        ([8, 8, 1, 2], 7),   //
+        ([8, 8, 1, 2], 7),   //
+    ];
+    for capacity in [8usize, 16, 64] {
+        let rec = FlightRecorder::new(4, capacity);
+        let mut window = ProfileWindow::new();
+        let mut rng = votm_utils::XorShift64::new(capacity as u64);
+        let mut i = 0u64;
+        for (step, (counts, refolds)) in SCHEDULE.iter().enumerate() {
+            let views = if step < 13 { 4 } else { 5 };
+            for (ring, &n) in counts.iter().enumerate() {
+                for _ in 0..n {
+                    rec.record(ring, i, random_event(&mut rng, views, i));
+                    i += 1;
+                }
+            }
+            window.advance(&rec);
+            let traces = rec.snapshot();
+            for view in 0..6u16 {
+                assert_eq!(
+                    *window.profile(view),
+                    ConflictProfile::from_traces_for_view(&traces, view),
+                    "capacity {capacity}, step {step}, view {view}"
+                );
+            }
+            if capacity == 64 {
+                assert_eq!(window.refolds(), *refolds, "step {step}");
+            }
+        }
+        // Smaller rings outrun their stash more often, never less.
+        assert!(window.refolds() >= 7, "capacity {capacity}");
+        assert!(window.slots_read() > 0);
+    }
 }
