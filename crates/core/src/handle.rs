@@ -927,7 +927,9 @@ where
     // Contention-management state of the *logical* transaction: it survives
     // attempts, so abort-the-younger's timestamp only ages and the loser
     // backoff grows with every lost attempt.
-    let mut cm_tx = CmTx::new(rt.now());
+    // The timestamp is the transaction's age, which only an active manager
+    // reads; a passive view spares the clock read.
+    let mut cm_tx = CmTx::new(if view.cm().active() { rt.now() } else { 0 });
     // Consecutive aborts of *this* transaction — the starvation signal.
     let mut streak: u64 = 0;
     // When the previous attempt aborted: its end timestamp, for the
@@ -950,23 +952,25 @@ where
             let escalate = view
                 .escalate_after()
                 .is_some_and(|k| streak >= u64::from(k));
-            let wait_from = rt.now();
             let guard = if escalate {
                 // Max-retry escalation: drain the view and run alone in
                 // the irrevocable lock mode, which cannot abort.
                 view.tm().stats().record_escalation(rt.thread_index());
-                rec.record(wait_from, EventKind::Escalation { view: vid });
+                trace(&rec, rt, EventKind::Escalation { view: vid });
                 view.gate().acquire_exclusive(rt).await
             } else {
                 view.gate().admit(rt).await
             };
-            let waited = rt.now().saturating_sub(wait_from);
+            // The gate times its own slow path: a fast-path admission read
+            // no clock and waited 0.
+            let wait = guard.wait();
+            let waited = wait.cycles;
             view.hists().gate_wait.record(waited);
             if waited > 0 {
                 view.tm()
                     .stats()
                     .record_gate_wait(rt.thread_index(), waited);
-                rec.record(wait_from, EventKind::GateWaitEnter { view: vid });
+                rec.record(wait.from, EventKind::GateWaitEnter { view: vid });
                 trace(&rec, rt, EventKind::GateWaitExit { view: vid, waited });
             }
             Some(guard)

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use votm::{Addr, QuotaMode, TmAlgorithm, TxError, Votm};
+use votm::{Addr, EventKind, FlightRecorder, QuotaMode, TmAlgorithm, TxError, Votm};
 use votm_sim::{run_parallel, RunOutcome, RunStatus, SimConfig, SimExecutor};
 
 fn sys(algo: TmAlgorithm, n_threads: u32) -> Votm {
@@ -374,6 +374,49 @@ fn gate_wait_cycles_reflect_admission_blocking() {
         waited > 100_000,
         "8 threads through a Q=2 gate must queue substantially, got {waited}"
     );
+}
+
+/// A fast-path admission is no gate wait on real threads either: the gate
+/// times only its slow path, so a lone thread (which never leaves the fast
+/// path) books no wait cycles and puts no `GateWaitEnter`/`GateWaitExit`
+/// pair on the trace. Timing admission from outside with two `rdtsc`s made
+/// every attempt a ~40-cycle "wait".
+#[test]
+fn real_thread_fast_path_admission_books_no_gate_wait() {
+    const TXNS: u64 = 200;
+    let rec = Arc::new(FlightRecorder::with_default_capacity(2));
+    let system = Votm::builder()
+        .algo(TmAlgorithm::NOrec)
+        .threads(2)
+        .recorder(Arc::clone(&rec))
+        .build();
+    let view = system.create_view(64, QuotaMode::Fixed(2));
+    let worker_view = Arc::clone(&view);
+    run_parallel(1, move |_, rt| {
+        let view = Arc::clone(&worker_view);
+        async move {
+            for i in 0..TXNS {
+                view.transact(&rt, async |tx| tx.write(Addr(0), i).await)
+                    .await;
+            }
+        }
+    });
+    let stats = view.stats();
+    assert_eq!(stats.tm.commits, TXNS);
+    assert_eq!(stats.tm.gate_wait_cycles, 0);
+    // Every admission is on the histogram, all in the zero bucket.
+    let gate_wait = view.hists().gate_wait.snapshot();
+    assert_eq!((gate_wait.count(), gate_wait.buckets[0]), (TXNS, TXNS));
+    let events: Vec<_> = rec.snapshot().into_iter().flat_map(|t| t.events).collect();
+    let begins = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::TxBegin { .. }))
+        .count() as u64;
+    assert_eq!(begins, TXNS, "the recorder was live");
+    assert!(!events.iter().any(|e| matches!(
+        e.kind,
+        EventKind::GateWaitEnter { .. } | EventKind::GateWaitExit { .. }
+    )));
 }
 
 /// The paper's future-work sketch (§IV-C): each view can run a different

@@ -163,7 +163,8 @@ async fn decode(
     pkt: &Packet,
     idx: u64,
 ) -> Result<Option<Vec<u64>>, TxError> {
-    let flow = pkt.flow_id;
+    let flow = u64::from(pkt.flow_id);
+    let frag_id = u32::from(pkt.frag_id);
     // Fragment copy + list maintenance: thread-local work that occupies the
     // transaction without touching shared words (flows are disjoint, so
     // this parallelises — the reason Intruder scales with Q in Table IV).
@@ -171,16 +172,16 @@ async fn decode(
         .await;
     match map.get(tx, flow).await? {
         None => {
-            let blk = tx.alloc(A_SLOTS + pkt.n_frags)?;
+            let n_frags = u32::from(pkt.n_frags);
+            let blk = tx.alloc(A_SLOTS + n_frags)?;
             tx.write(blk.offset(A_RECEIVED), 1).await?;
-            tx.write(blk.offset(A_NFRAGS), u64::from(pkt.n_frags))
-                .await?;
+            tx.write(blk.offset(A_NFRAGS), u64::from(n_frags)).await?;
             // Zero every slot: the allocator reuses freed blocks verbatim.
-            for s in 0..pkt.n_frags {
+            for s in 0..n_frags {
                 tx.write(blk.offset(A_SLOTS + s), 0).await?;
             }
-            tx.write(blk.offset(A_SLOTS + pkt.frag_id), idx + 1).await?;
-            if pkt.n_frags == 1 {
+            tx.write(blk.offset(A_SLOTS + frag_id), idx + 1).await?;
+            if n_frags == 1 {
                 // Single-fragment flow: complete immediately.
                 tx.free(blk);
                 return Ok(Some(vec![idx]));
@@ -192,7 +193,7 @@ async fn decode(
             let blk = votm::Addr(blk_word as u32);
             let received = tx.read(blk.offset(A_RECEIVED)).await? + 1;
             tx.write(blk.offset(A_RECEIVED), received).await?;
-            tx.write(blk.offset(A_SLOTS + pkt.frag_id), idx + 1).await?;
+            tx.write(blk.offset(A_SLOTS + frag_id), idx + 1).await?;
             let n_frags = tx.read(blk.offset(A_NFRAGS)).await?;
             if received < n_frags {
                 return Ok(None);
@@ -301,6 +302,8 @@ pub fn run_sim_with_dict(
         let attacks_found = Arc::clone(&attacks_found);
         let checksum_errors = Arc::clone(&checksum_errors);
         ex.spawn(move |rt: Rt| async move {
+            // The detector's reassembly buffer, reused for every flow.
+            let mut payload = Vec::new();
             loop {
                 // TX 1: capture.
                 let popped = queue_view
@@ -319,9 +322,9 @@ pub fn run_sim_with_dict(
 
                 // Detector: thread-local scan of the reassembled payload.
                 if let Some(indices) = complete {
-                    let mut payload = Vec::new();
+                    payload.clear();
                     for &i in &indices {
-                        payload.extend_from_slice(&input.packets[i as usize].data);
+                        payload.extend_from_slice(input.data(&input.packets[i as usize]));
                     }
                     rt.work(payload.len() as u64 * SCAN_CYCLES_PER_WORD).await;
                     if packet::checksum(&payload) != input.flow_checksums[pkt.flow_id as usize] {

@@ -2,10 +2,12 @@
 //! (`-a` percent attacks, `-l` max payload length, `-n` flows, `-s` seed).
 //!
 //! Each flow is a random payload split into fixed-size fragments; the
-//! fragments of all flows are shuffled into one global packet stream.
-//! Payloads are immutable after generation, so (exactly as in STAMP) the
-//! *data* needs no synchronisation — only the stream queue and the
-//! reassembly dictionary are shared state.
+//! fragments of all flows are shuffled into one global packet stream. The
+//! payloads sit back to back in one arena the [`Input`] owns; what is
+//! shuffled is 8-byte [`Packet`] headers naming their slice of it
+//! (DESIGN.md "Footprint"). Payloads are immutable after generation, so
+//! (exactly as in STAMP) the *data* needs no synchronisation — only the
+//! stream queue and the reassembly dictionary are shared state.
 
 use votm_utils::XorShift64;
 
@@ -43,17 +45,16 @@ impl GenConfig {
     }
 }
 
-/// One fragment of one flow.
-#[derive(Debug, Clone)]
+/// One fragment of one flow: an 8-byte header. The words live in the
+/// input's payload arena, [`Input::data`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Flow this fragment belongs to.
-    pub flow_id: u64,
+    pub flow_id: u32,
     /// Position within the flow.
-    pub frag_id: u32,
+    pub frag_id: u16,
     /// Total fragments in the flow.
-    pub n_frags: u32,
-    /// This fragment's payload words.
-    pub data: Vec<u64>,
+    pub n_frags: u16,
 }
 
 /// The generated input: a shuffled packet stream plus ground truth.
@@ -67,36 +68,72 @@ pub struct Input {
     pub flows: u64,
     /// Expected reassembled payload checksum per flow (validation).
     pub flow_checksums: Vec<u64>,
+    /// Every flow's payload, back to back in flow order.
+    payloads: Vec<u64>,
+    /// `payloads[flow_start[f]..flow_start[f + 1]]` is flow `f`.
+    flow_start: Vec<usize>,
+}
+
+impl Input {
+    /// The payload words of `pkt`, a fragment of this input.
+    #[inline]
+    pub fn data(&self, pkt: &Packet) -> &[u64] {
+        let flow = pkt.flow_id as usize;
+        let start = self.flow_start[flow] + usize::from(pkt.frag_id) * FRAGMENT_WORDS as usize;
+        let end = (start + FRAGMENT_WORDS as usize).min(self.flow_start[flow + 1]);
+        &self.payloads[start..end]
+    }
 }
 
 /// Generates flows, fragments them, and shuffles the stream.
+///
+/// # Panics
+///
+/// If the configuration does not fit the packet header: more than
+/// `u32::MAX` flows, or a `max_length` that needs more than `u16::MAX`
+/// fragments per flow.
 pub fn generate(config: &GenConfig) -> Input {
+    let max_length = config.max_length.max(1);
+    assert!(
+        config.flows <= u64::from(u32::MAX),
+        "{} flows do not fit the packet header's 32-bit flow id",
+        config.flows
+    );
+    assert!(
+        max_length.div_ceil(FRAGMENT_WORDS) <= u64::from(u16::MAX),
+        "a {max_length}-word flow needs more than {} fragments of {FRAGMENT_WORDS} words",
+        u16::MAX
+    );
     let mut rng = XorShift64::new(config.seed);
     let mut packets = Vec::new();
+    let mut payloads = Vec::new();
+    let mut flow_start = Vec::with_capacity(config.flows as usize + 1);
     let mut attacks = 0u64;
     let mut checksums = Vec::with_capacity(config.flows as usize);
-    for flow_id in 0..config.flows {
-        let len = 1 + rng.next_below(config.max_length.max(1));
-        let mut payload: Vec<u64> = (0..len)
-            // Avoid generating the signature by accident: clear the top bit.
-            .map(|_| rng.next_u64() >> 1)
-            .collect();
+    for flow_id in 0..config.flows as u32 {
+        let start = payloads.len();
+        flow_start.push(start);
+        let len = 1 + rng.next_below(max_length);
+        // Avoid generating the signature by accident: clear the top bit.
+        payloads.extend((0..len).map(|_| rng.next_u64() >> 1));
+        let payload = &mut payloads[start..];
         if rng.chance_percent(config.attack_percent) {
             let pos = rng.next_index(payload.len());
             payload[pos] = ATTACK_SIGNATURE;
             attacks += 1;
         }
-        checksums.push(checksum(&payload));
-        let n_frags = payload.len().div_ceil(FRAGMENT_WORDS as usize) as u32;
-        for (frag_id, chunk) in payload.chunks(FRAGMENT_WORDS as usize).enumerate() {
-            packets.push(Packet {
-                flow_id,
-                frag_id: frag_id as u32,
-                n_frags,
-                data: chunk.to_vec(),
-            });
-        }
+        checksums.push(checksum(payload));
+        let n_frags = len.div_ceil(FRAGMENT_WORDS) as u16;
+        packets.extend((0..n_frags).map(|frag_id| Packet {
+            flow_id,
+            frag_id,
+            n_frags,
+        }));
     }
+    flow_start.push(payloads.len());
+    // The two big vectors grew by doubling; give the slack back.
+    payloads.shrink_to_fit();
+    packets.shrink_to_fit();
     // Fisher-Yates shuffle of the stream.
     for i in (1..packets.len()).rev() {
         let j = rng.next_index(i + 1);
@@ -107,6 +144,8 @@ pub fn generate(config: &GenConfig) -> Input {
         attacks_injected: attacks,
         flows: config.flows,
         flow_checksums: checksums,
+        payloads,
+        flow_start,
     }
 }
 
@@ -126,13 +165,56 @@ pub fn contains_attack(payload: &[u64]) -> bool {
 mod tests {
     use super::*;
 
+    /// Order-sensitive digest of everything `generate` returns: per packet
+    /// in stream order the header and the data words, then the per-flow
+    /// checksums and the attack count.
+    fn stream_digest(input: &Input) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x100_0000_01b3).rotate_left(23);
+        for p in &input.packets {
+            mix(u64::from(p.flow_id));
+            mix(u64::from(p.frag_id));
+            mix(u64::from(p.n_frags));
+            let data = input.data(p);
+            mix(data.len() as u64);
+            data.iter().for_each(|&w| mix(w));
+        }
+        mix(input.flow_checksums.len() as u64);
+        input.flow_checksums.iter().for_each(|&c| mix(c));
+        mix(input.attacks_injected);
+        h
+    }
+
+    /// The generator's stream is pinned: the constants were computed with
+    /// this digest at the commit before the payload arena (40-byte packets
+    /// owning their words), at the repo benchmark's `intruder_2v` input, for
+    /// seed 1 and the held-out seed. A layout change must not move them.
+    #[test]
+    fn generator_stream_matches_golden() {
+        for (seed, digest, packets, attacks) in [
+            (1, 0xec6e_7cd0_dbe3_8f13, 202_654, 1269),
+            (20_120_910, 0xcc31_f4d2_4a9b_433d, 203_251, 1220),
+        ] {
+            let input = generate(&GenConfig {
+                attack_percent: 10,
+                max_length: 128,
+                flows: 12_288,
+                seed,
+            });
+            assert_eq!(input.packets.len(), packets, "seed {seed}");
+            assert_eq!(input.attacks_injected, attacks, "seed {seed}");
+            assert_eq!(stream_digest(&input), digest, "seed {seed}");
+        }
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = generate(&GenConfig::paper(0.001));
         let b = generate(&GenConfig::paper(0.001));
-        assert_eq!(a.packets.len(), b.packets.len());
+        assert_eq!(a.packets, b.packets);
         assert_eq!(a.attacks_injected, b.attacks_injected);
         assert_eq!(a.flow_checksums, b.flow_checksums);
+        assert_eq!(stream_digest(&a), stream_digest(&b));
     }
 
     #[test]
@@ -143,13 +225,18 @@ mod tests {
             flows: 200,
             seed: 7,
         });
-        let mut counts = vec![0u32; 200];
-        let mut totals = vec![0u32; 200];
+        let mut counts = vec![0u16; 200];
+        let mut totals = vec![0u16; 200];
         for p in &input.packets {
             counts[p.flow_id as usize] += 1;
             totals[p.flow_id as usize] = p.n_frags;
-            assert!(p.data.len() <= FRAGMENT_WORDS as usize);
-            assert!(!p.data.is_empty());
+            let data = input.data(p);
+            // Every fragment is full but a flow's last.
+            if p.frag_id + 1 < p.n_frags {
+                assert_eq!(data.len(), FRAGMENT_WORDS as usize);
+            } else {
+                assert!((1..=FRAGMENT_WORDS as usize).contains(&data.len()));
+            }
         }
         for f in 0..200 {
             assert_eq!(counts[f], totals[f], "flow {f} missing fragments");
@@ -177,22 +264,17 @@ mod tests {
             seed: 5,
         });
         // Reassemble manually from the shuffled stream.
-        let mut flows: Vec<Vec<Option<Vec<u64>>>> = Vec::new();
+        let mut flows: Vec<Vec<Option<&[u64]>>> = vec![Vec::new(); 50];
         for p in &input.packets {
-            let f = p.flow_id as usize;
-            if flows.len() <= f {
-                flows.resize(f + 1, Vec::new());
-            }
-            if flows[f].is_empty() {
-                flows[f] = vec![None; p.n_frags as usize];
-            }
-            flows[f][p.frag_id as usize] = Some(p.data.clone());
+            let frags = &mut flows[p.flow_id as usize];
+            frags.resize(usize::from(p.n_frags), None);
+            frags[usize::from(p.frag_id)] = Some(input.data(p));
         }
         let mut attacks_found = 0;
         for (f, frags) in flows.iter().enumerate() {
             let payload: Vec<u64> = frags
                 .iter()
-                .flat_map(|d| d.as_ref().expect("missing fragment"))
+                .flat_map(|d| d.expect("missing fragment"))
                 .copied()
                 .collect();
             assert_eq!(checksum(&payload), input.flow_checksums[f]);
@@ -201,5 +283,24 @@ mod tests {
             }
         }
         assert_eq!(attacks_found, input.attacks_injected);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit flow id")]
+    fn too_many_flows_for_the_header_panic() {
+        generate(&GenConfig {
+            flows: u64::from(u32::MAX) + 1,
+            ..GenConfig::paper(1.0)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fragments")]
+    fn too_many_fragments_for_the_header_panic() {
+        generate(&GenConfig {
+            max_length: (u64::from(u16::MAX) + 1) * FRAGMENT_WORDS,
+            flows: 1,
+            ..GenConfig::paper(1.0)
+        });
     }
 }

@@ -153,12 +153,39 @@ impl GateStats {
 pub struct GateGuard<'g> {
     gate: &'g AdmissionGate,
     mode: AdmissionMode,
+    wait: GateWait,
 }
 
 impl GateGuard<'_> {
     /// How this guard's holder was admitted.
     pub fn mode(&self) -> AdmissionMode {
         self.mode
+    }
+
+    /// What admission cost its holder in waiting.
+    pub fn wait(&self) -> GateWait {
+        self.wait
+    }
+}
+
+/// The wait behind one admission, on the runtime's clock. The gate reads
+/// the clock only once the fast path has refused, so a fast-path admission
+/// is the all-zero value and costs no clock read (an `rdtsc` pair under
+/// real threads, which would otherwise book a wait that never happened).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GateWait {
+    /// When the entrant left the fast path.
+    pub from: u64,
+    /// Cycles from then until it was admitted; 0 for a fast-path admission.
+    pub cycles: u64,
+}
+
+impl GateWait {
+    fn since(from: u64, rt: &Rt) -> Self {
+        Self {
+            from,
+            cycles: rt.now().saturating_sub(from),
+        }
     }
 }
 
@@ -374,11 +401,16 @@ impl AdmissionGate {
     /// Acquires admission, suspending (simulated or real) while the view is
     /// full. This is `acquire_view`'s blocking step.
     pub async fn acquire(&self, rt: &Rt) -> AdmissionMode {
+        self.acquire_timed(rt).await.0
+    }
+
+    async fn acquire_timed(&self, rt: &Rt) -> (AdmissionMode, GateWait) {
         // Uncontended fast path: one CAS, no mutex, no Notify traffic.
         if let Some(mode) = self.try_acquire() {
             self.fast_acquires.fetch_add(1, Ordering::Relaxed);
-            return mode;
+            return (mode, GateWait::default());
         }
+        let from = rt.now();
         self.slow_acquires.fetch_add(1, Ordering::Relaxed);
         // Register as a sleeper *before* the epoch/test/wait sequence so a
         // concurrent release cannot skip the wake broadcast: if our
@@ -390,7 +422,7 @@ impl AdmissionGate {
             let epoch = self.notify.epoch();
             self.slow_path_entries.fetch_add(1, Ordering::Relaxed);
             if let Some(mode) = self.try_acquire() {
-                return mode;
+                return (mode, GateWait::since(from, rt));
             }
             rt.wait(&self.notify, epoch).await;
         }
@@ -399,8 +431,12 @@ impl AdmissionGate {
     /// Like [`Self::acquire`], but returns an RAII [`GateGuard`] that
     /// releases admission on drop — including during an unwind.
     pub async fn admit(&self, rt: &Rt) -> GateGuard<'_> {
-        let mode = self.acquire(rt).await;
-        GateGuard { gate: self, mode }
+        let (mode, wait) = self.acquire_timed(rt).await;
+        GateGuard {
+            gate: self,
+            mode,
+            wait,
+        }
     }
 
     /// Escalated admission for a starving transaction: waits for the view
@@ -428,6 +464,7 @@ impl AdmissionGate {
             }
         }
 
+        let from = rt.now();
         self.update_drain(1);
         let mut ticket = DrainTicket {
             gate: self,
@@ -461,6 +498,7 @@ impl AdmissionGate {
                         return GateGuard {
                             gate: self,
                             mode: AdmissionMode::Exclusive,
+                            wait: GateWait::since(from, rt),
                         };
                     }
                     Err(observed) => cur = observed,
@@ -700,6 +738,7 @@ mod tests {
             ex.spawn(move |rt| async move {
                 for _ in 0..100 {
                     let guard = gate.admit(&rt).await;
+                    assert_eq!(guard.wait(), GateWait::default());
                     rt.charge(10).await;
                     drop(guard);
                 }
@@ -716,8 +755,9 @@ mod tests {
         assert!((s.fast_path_hit_rate() - 1.0).abs() < 1e-12);
     }
 
-    /// A contended gate still admits everyone, and the stats ledger accounts
-    /// for every admission as either fast or slow.
+    /// A contended gate still admits everyone, the stats ledger accounts
+    /// for every admission as either fast or slow, and the wait a guard
+    /// reports is the wait a caller would time from outside.
     #[test]
     fn contended_stats_ledger_is_complete() {
         let gate = Arc::new(AdmissionGate::new(2, 16));
@@ -726,7 +766,11 @@ mod tests {
             let gate = Arc::clone(&gate);
             ex.spawn(move |rt| async move {
                 for _ in 0..25 {
+                    let arrived = rt.now();
                     let guard = gate.admit(&rt).await;
+                    let wait = guard.wait();
+                    assert_eq!(wait.cycles, rt.now() - arrived);
+                    assert!(wait == GateWait::default() || wait.from == arrived);
                     rt.charge(50).await;
                     drop(guard);
                 }
@@ -764,7 +808,11 @@ mod tests {
         let gate2 = Arc::clone(&gate);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let mode = gate2.try_acquire().unwrap();
-            let _guard = GateGuard { gate: &gate2, mode };
+            let _guard = GateGuard {
+                gate: &gate2,
+                mode,
+                wait: GateWait::default(),
+            };
             panic!("unwind while admitted");
         }));
         assert_eq!(gate.inside(), 0, "unwind must not strand P");

@@ -34,7 +34,7 @@ pub mod gate;
 
 pub use cm::{CmInstance, CmPolicy, CmShared, CmTx, SiteVerdict};
 pub use controller::{ControllerConfig, QuotaDecision, RacController};
-pub use gate::{AdmissionGate, AdmissionMode, GateGuard, GateStats};
+pub use gate::{AdmissionGate, AdmissionMode, GateGuard, GateStats, GateWait};
 
 /// How a view's quota is managed (third argument of `create_view`: a value
 /// `< 1` requests dynamic management, a value `≥ 1` pins the quota).

@@ -77,8 +77,9 @@ pub struct NOrecGlobal {
     /// is written only while its committer holds the sequence lock, so any
     /// validator that reads a torn/overwritten window is caught by its
     /// final clock-stability check and retries — stale ring data can cause
-    /// a spurious retry, never a missed conflict.
-    summaries: Box<[CachePadded<AtomicU64>]>,
+    /// a spurious retry, never a missed conflict. Dense: one writer at a
+    /// time (the lock holder), and a validator reads the whole window.
+    summaries: Box<[AtomicU64]>,
     /// Coarse kinds only: the *in-flight* commit's write summary, tagged
     /// with the odd sequence value its committer holds. Published after
     /// winning the sequence-lock CAS and before the first writeback store,
@@ -104,9 +105,7 @@ impl NOrecGlobal {
     pub fn with_kind(kind: ClockKind) -> Self {
         Self {
             clock: ClockSource::new(kind),
-            summaries: (0..SUMMARY_SLOTS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            summaries: (0..SUMMARY_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             in_flight: CachePadded::new(InFlight::default()),
         }
     }

@@ -57,7 +57,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use votm_obs::AbortReason;
-use votm_utils::{hash_u64, CachePadded, InlineVec};
+use votm_utils::{hash_u64, InlineVec};
 
 use crate::clock::{ClockKind, ClockSource};
 use crate::cost;
@@ -115,7 +115,12 @@ pub enum Acquire {
 /// Global state of one orec instance: the version clock and the orec table.
 pub struct OrecGlobal {
     clock: ClockSource,
-    orecs: Box<[CachePadded<AtomicU64>]>,
+    /// Dense on purpose (8 B per orec, as in TL2, TinySTM and RSTM): the
+    /// hash scatters neighbouring addresses over the table, so no one line
+    /// is written by everybody the way the clock word is, and padding each
+    /// orec to a cache line would cost 16x the words it guards (DESIGN.md
+    /// "Footprint").
+    orecs: Box<[AtomicU64]>,
     mask: usize,
 }
 
@@ -134,11 +139,9 @@ impl OrecGlobal {
     /// strategy.
     pub fn with_orecs_kind(n: usize, kind: ClockKind) -> Self {
         assert!(n.is_power_of_two(), "orec count must be a power of two");
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || CachePadded::new(AtomicU64::new(0)));
         Self {
             clock: ClockSource::new(kind),
-            orecs: v.into_boxed_slice(),
+            orecs: (0..n).map(|_| AtomicU64::new(0)).collect(),
             mask: n - 1,
         }
     }

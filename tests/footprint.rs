@@ -1,0 +1,149 @@
+//! A run's memory is its data (DESIGN.md "Footprint").
+//!
+//! The counting-allocator discipline of `tests/alloc_descriptors.rs`, but
+//! counting bytes held as well as calls. Two budgets are on record here:
+//!
+//! * **Intruder's input.** `generate` ends holding its payload words once
+//!   (8 B each, in one arena), an 8-byte header per packet and the two
+//!   per-flow vectors, and gets there in O(log n) allocator calls — vector
+//!   growth only, nothing per packet or per flow.
+//! * **A view's metadata.** Creating a 4096-word view on a 16-thread system
+//!   allocates the 32 KB heap plus a bounded amount of metadata: the orec
+//!   table dense (8 B per orec), padding only where one thread writes or
+//!   all threads hammer.
+//!
+//! Giving `Packet` a heap field, or padding the orecs back to a cache line
+//! each (512 KB per view), fails it.
+//!
+//! The allocator counts per thread, and only inside a measured window.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use votm::{QuotaMode, TmAlgorithm, Votm};
+use votm_intruder::{generate, GenConfig, Packet};
+
+struct ByteCountingAlloc;
+
+thread_local! {
+    /// `(allocator calls, bytes held)` of the open [`measured`] window, on
+    /// the thread that opened it; `None` otherwise. Per thread because the
+    /// test harness's own threads allocate while the test runs, and their
+    /// bytes are not the code's under test.
+    static WINDOW: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+}
+
+fn count(grown: usize, shrunk: usize, call: bool) {
+    WINDOW.with(|w| {
+        if let Some((calls, held)) = w.get() {
+            let held = held.wrapping_add(grown as u64).wrapping_sub(shrunk as u64);
+            w.set(Some((calls + u64::from(call), held)));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for ByteCountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size(), 0, true);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size(), 0, true);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size, layout.size(), true);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, layout.size(), false);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: ByteCountingAlloc = ByteCountingAlloc;
+
+/// Runs `f` on this thread; returns its value, the allocator calls it made
+/// and the bytes it left held. `f` frees nothing it did not allocate.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    WINDOW.set(Some((0, 0)));
+    let value = f();
+    let (calls, held) = WINDOW.take().expect("window opened above");
+    (value, calls, held)
+}
+
+const VIEW_WORDS: usize = 4096;
+const HEAP_BYTES: u64 = VIEW_WORDS as u64 * 8;
+
+/// Metadata bytes of one 4096-word view on a 16-thread system, as this test
+/// measured them when the orec table went dense; the bound is this + 25 %.
+/// 15 360 B of it is the `View` itself (8 064 B of latency histograms, 4 096 B
+/// of statistics stripes, the gate's and the clock's padded words); 2 048 B
+/// each are the padded descriptor and contention-manager slots of 16
+/// threads; the rest, bar some 300 B, is the algorithm's table: 4096 dense
+/// orecs (32 768 B) or NOrec's 64 write summaries (512 B).
+fn measured_view_metadata(algo: TmAlgorithm) -> u64 {
+    match algo {
+        TmAlgorithm::NOrec => 20_248,
+        TmAlgorithm::OrecEagerRedo | TmAlgorithm::OrecLazy => 52_504,
+    }
+}
+
+#[test]
+fn memory_is_proportional_to_data() {
+    assert_eq!(std::mem::size_of::<Packet>(), 8);
+
+    for flows in [1_000u64, 12_288] {
+        let config = GenConfig {
+            attack_percent: 10,
+            max_length: 128,
+            flows,
+            seed: 1,
+        };
+        let (input, calls, held) = measured(|| generate(&config));
+        let packets = input.packets.len() as u64;
+        let words: u64 = input
+            .packets
+            .iter()
+            .map(|p| input.data(p).len() as u64)
+            .sum();
+        // Checksums and flow offsets: 8 B per flow each, one offset past
+        // the last flow.
+        let per_flow = 8 * flows + 8 * (flows + 1);
+        let budget = 8 * words + 8 * packets + per_flow;
+        println!(
+            "generate({flows} flows): {calls} allocator calls, {held} B held for \
+             {packets} packets / {words} payload words = {:.1} B per packet \
+             (budget {budget} B)",
+            held as f64 / packets as f64
+        );
+        assert!(
+            calls <= 64,
+            "{flows} flows: {calls} allocator calls is more than vector growth"
+        );
+        assert!(
+            held <= budget,
+            "{flows} flows: {held} B held, budget {budget} B"
+        );
+    }
+
+    for algo in TmAlgorithm::ALL {
+        let sys = Votm::builder().algo(algo).threads(16).build();
+        let (view, _, held) = measured(|| sys.create_view(VIEW_WORDS, QuotaMode::Adaptive));
+        let metadata = held - HEAP_BYTES;
+        println!(
+            "{algo:?}: a {VIEW_WORDS}-word view on 16 threads holds {held} B = \
+             {HEAP_BYTES} B heap + {metadata} B metadata"
+        );
+        let bound = measured_view_metadata(algo) * 5 / 4;
+        assert!(
+            metadata <= bound && metadata < 128 << 10,
+            "{algo:?}: {metadata} B of view metadata, bound {bound} B"
+        );
+        drop(view);
+    }
+}
