@@ -1,20 +1,22 @@
-//! Regenerates the paper's Tables III–X.
+//! Regenerates the paper's Tables III–X and the two extension tables.
 //!
 //! ```text
 //! tables [--table N]... [--eigen-scale F] [--intruder-scale F]
 //!        [--threads N] [--seed S] [--cap-factor K]
 //! ```
 //!
-//! With no `--table` arguments all eight paper tables run in order; tables
-//! 11 (three-algorithm comparison) and 12 (thread scaling) are extension
-//! experiments requested explicitly. Output is
-//! markdown (paste-ready for EXPERIMENTS.md). Scales default to the values
-//! recorded in EXPERIMENTS.md; `--eigen-scale 1.0 --intruder-scale 1.0`
-//! reproduces the paper's full workload sizes (hours of virtual-time
-//! simulation on one core — bring a book).
+//! With no `--table` arguments the eight paper tables and the two extension
+//! tables — 11 (three-algorithm comparison) and 12 (thread scaling) — run in
+//! order. Each table is a list of [`Run`]s through `votm_bench::run` or
+//! `sweep` and a formatter; output is markdown (paste-ready for
+//! EXPERIMENTS.md). Scales default to the values recorded in EXPERIMENTS.md;
+//! `--eigen-scale 1.0 --intruder-scale 1.0` reproduces the paper's full
+//! workload sizes (hours of virtual-time simulation on one core — bring a
+//! book).
 
-use votm::TmAlgorithm;
-use votm_bench::{fmt, Settings, GATE_ARTIFACT};
+use votm::{ClockKind, CmPolicy, QuotaMode, TmAlgorithm, Version};
+use votm_bench::{fmt, run, sweep, App, Run, Settings, GATE_ARTIFACT};
+use votm_sim::SimConfig;
 
 struct Args {
     tables: Vec<u32>,
@@ -50,7 +52,7 @@ fn parse_args() -> Args {
             "--table" => tables.push(
                 value("--table")
                     .parse()
-                    .expect("--table takes a number 3..=10"),
+                    .expect("--table takes a number 3..=12"),
             ),
             "--json" => json = true,
             "--trace" => trace = Some(value("--trace")),
@@ -79,7 +81,7 @@ fn parse_args() -> Args {
         }
     }
     if tables.is_empty() {
-        tables = (3..=10).collect();
+        tables = (3..=12).collect();
     }
     Args {
         tables,
@@ -162,7 +164,16 @@ fn snapshot_path(trace_path: &str) -> String {
 
 fn run_trace(settings: &Settings, path: &str) {
     let t0 = std::time::Instant::now();
-    let cap = votm_bench::capture_trace(settings, TmAlgorithm::OrecEagerRedo);
+    let cap = votm_bench::capture_trace(
+        settings,
+        TmAlgorithm::OrecEagerRedo,
+        SimConfig {
+            seed: settings.seed,
+            ..SimConfig::default()
+        },
+        CmPolicy::Backoff,
+        ClockKind::Global,
+    );
     std::fs::write(path, &cap.chrome_trace).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     let snap_path = snapshot_path(path);
     std::fs::write(&snap_path, &cap.snapshot)
@@ -216,99 +227,170 @@ fn main() {
         "# VOTM table reproduction (eigen-scale {}, intruder-scale {:.6}, N={}, seed {}, cap {}x)\n",
         s.eigen_scale, s.intruder_scale, s.n_threads, s.seed, s.cap_factor
     );
+    let input = s.intruder_input();
     let mut wall_total = 0.0f64;
-    for table in &args.tables {
+    for &table in &args.tables {
         let t0 = std::time::Instant::now();
-        let output = match table {
-            3 => fmt::sweep_table(
-                "Table III — single-view Eigenbench, VOTM-OrecEagerRedo",
-                &votm_bench::eigen_single_view_sweep(s, TmAlgorithm::OrecEagerRedo),
-            ),
-            4 => fmt::sweep_table(
-                "Table IV — single-view Intruder, VOTM-OrecEagerRedo",
-                &votm_bench::intruder_single_view_sweep(s, TmAlgorithm::OrecEagerRedo),
-            ),
-            5 => fmt::multi_view_sweep_table(
-                "Table V — multi-view Eigenbench, VOTM-OrecEagerRedo (Q2 = N)",
-                &votm_bench::eigen_multi_view_sweep(s, TmAlgorithm::OrecEagerRedo),
-            ),
-            6 => {
-                let eigen = votm_bench::adaptive_eigen(s, TmAlgorithm::OrecEagerRedo);
-                let intruder = votm_bench::adaptive_intruder(s, TmAlgorithm::OrecEagerRedo);
-                fmt::adaptive_table(
-                    "Table VI — adaptive RAC, VOTM-OrecEagerRedo: Eigenbench",
-                    &eigen,
-                ) + "\n"
-                    + &fmt::adaptive_table(
-                        "Table VI — adaptive RAC, VOTM-OrecEagerRedo: Intruder",
-                        &intruder,
-                    )
-            }
-            7 => fmt::sweep_table(
-                "Table VII — single-view Eigenbench, VOTM-NOrec",
-                &votm_bench::eigen_single_view_sweep(s, TmAlgorithm::NOrec),
-            ),
-            8 => fmt::sweep_table(
-                "Table VIII — single-view Intruder, VOTM-NOrec",
-                &votm_bench::intruder_single_view_sweep(s, TmAlgorithm::NOrec),
-            ),
-            9 => fmt::multi_view_sweep_table(
-                "Table IX — multi-view Eigenbench, VOTM-NOrec (Q2 = N)",
-                &votm_bench::eigen_multi_view_sweep(s, TmAlgorithm::NOrec),
-            ),
-            10 => {
-                let eigen = votm_bench::adaptive_eigen(s, TmAlgorithm::NOrec);
-                let intruder = votm_bench::adaptive_intruder(s, TmAlgorithm::NOrec);
-                let mv = votm_bench::intruder_multi_view_full_quota(s, TmAlgorithm::NOrec);
-                fmt::adaptive_table("Table X — adaptive RAC, VOTM-NOrec: Eigenbench", &eigen)
-                    + "\n"
-                    + &fmt::adaptive_table(
-                        "Table X — adaptive RAC, VOTM-NOrec: Intruder",
-                        &intruder,
-                    )
-                    + &format!(
-                        "\n(multi-view Intruder, Q1=Q2=N fixed: {} s, delta(Q1)={}, delta(Q2)={})\n",
-                        fmt::runtime(mv.status, mv.runtime_s),
-                        fmt::delta(mv.views[0].delta()),
-                        fmt::delta(mv.views[1].delta()),
-                    )
-            }
-            11 => {
-                let rows = votm_bench::algorithm_comparison(s);
-                fmt::adaptive_table(
-                    "Extension — three-algorithm comparison, multi-view adaptive \
-                     (first 3 rows Eigenbench, last 3 Intruder; not in the paper)",
-                    &rows,
-                )
-            }
-            12 => {
-                let rows = votm_bench::thread_scaling(s);
-                let mut lines = vec![vec![
-                    "N".to_string(),
-                    "single-view (s)".to_string(),
-                    "multi-view (s)".to_string(),
-                    "speedup".to_string(),
-                ]];
-                for (n, single, multi) in rows {
-                    lines.push(vec![
-                        n.to_string(),
-                        format!("{single:.4}"),
-                        format!("{multi:.4}"),
-                        format!("{:.2}x", single / multi),
-                    ]);
-                }
-                format!(
-                    "### Extension — Intruder/NOrec multi-view speedup vs thread count \
-                     (not in the paper)\n\n{}",
-                    fmt::markdown(&lines)
-                )
-            }
-            other => panic!("no such table: {other} (expected 3..=12)"),
-        };
+        let output = table_markdown(s, App::Intruder(&input), table);
         println!("{output}");
         let wall = t0.elapsed().as_secs_f64();
         wall_total += wall;
         println!("_(generated in {wall:.1}s wall time)_\n");
     }
     println!("_(total: {wall_total:.1}s wall time across all tables)_");
+}
+
+/// Table `n` as markdown: its runs, executed and formatted.
+fn table_markdown(s: &Settings, intruder: App, n: u32) -> String {
+    use TmAlgorithm::{NOrec, OrecEagerRedo};
+    use Version::{MultiView, SingleView};
+    let eigen = App::EIGEN;
+    // The fixed-quota sweep of one version, formatted per its view count.
+    let fixed = |title: &str, app, algo, version| {
+        let rows = sweep(s, &s.run(app, algo, version).fixed_quota_sweep());
+        if version == SingleView {
+            fmt::sweep_table(title, &rows)
+        } else {
+            fmt::multi_view_sweep_table(title, &rows)
+        }
+    };
+    // Every version at adaptive quotas (one block of Table VI or X).
+    let adaptive = |title: &str, app, algo| {
+        let runs = Version::ALL.map(|version| s.run(app, algo, version));
+        fmt::adaptive_table(title, &sweep(s, &runs), |r| r.version.name())
+    };
+    match n {
+        3 => fixed(
+            "Table III — single-view Eigenbench, VOTM-OrecEagerRedo",
+            eigen,
+            OrecEagerRedo,
+            SingleView,
+        ),
+        4 => fixed(
+            "Table IV — single-view Intruder, VOTM-OrecEagerRedo",
+            intruder,
+            OrecEagerRedo,
+            SingleView,
+        ),
+        5 => fixed(
+            "Table V — multi-view Eigenbench, VOTM-OrecEagerRedo (Q2 = N)",
+            eigen,
+            OrecEagerRedo,
+            MultiView,
+        ),
+        6 => {
+            adaptive(
+                "Table VI — adaptive RAC, VOTM-OrecEagerRedo: Eigenbench",
+                eigen,
+                OrecEagerRedo,
+            ) + "\n"
+                + &adaptive(
+                    "Table VI — adaptive RAC, VOTM-OrecEagerRedo: Intruder",
+                    intruder,
+                    OrecEagerRedo,
+                )
+        }
+        7 => fixed(
+            "Table VII — single-view Eigenbench, VOTM-NOrec",
+            eigen,
+            NOrec,
+            SingleView,
+        ),
+        8 => fixed(
+            "Table VIII — single-view Intruder, VOTM-NOrec",
+            intruder,
+            NOrec,
+            SingleView,
+        ),
+        9 => fixed(
+            "Table IX — multi-view Eigenbench, VOTM-NOrec (Q2 = N)",
+            eigen,
+            NOrec,
+            MultiView,
+        ),
+        10 => {
+            // The configuration the paper reports beside Tables IV/VIII: "in
+            // the multi-view version of Intruder, where both Q1 and Q2 are
+            // set to 16".
+            let full = run(
+                s,
+                Run {
+                    quotas: [QuotaMode::Fixed(s.n_threads); 2],
+                    ..s.run(intruder, NOrec, MultiView)
+                },
+                None,
+            );
+            adaptive(
+                "Table X — adaptive RAC, VOTM-NOrec: Eigenbench",
+                eigen,
+                NOrec,
+            ) + "\n"
+                + &adaptive(
+                    "Table X — adaptive RAC, VOTM-NOrec: Intruder",
+                    intruder,
+                    NOrec,
+                )
+                + &format!(
+                    "\n(multi-view Intruder, Q1=Q2=N fixed: {} s, delta(Q1)={}, delta(Q2)={})\n",
+                    fmt::runtime(full.outcome.status, full.runtime_s()),
+                    fmt::delta(full.views[0].delta()),
+                    fmt::delta(full.views[1].delta()),
+                )
+        }
+        11 => {
+            // Not in the paper: all three algorithms, multi-view adaptive —
+            // grounds §IV-C's suggestion that views could pick different
+            // algorithms. Eigenbench runs under its watchdog, Intruder
+            // uncapped.
+            let multi = |app, algo| s.run(app, algo, MultiView);
+            let rows: Vec<_> = TmAlgorithm::ALL
+                .into_iter()
+                .flat_map(|algo| sweep(s, &[multi(eigen, algo)]))
+                .chain(
+                    TmAlgorithm::ALL
+                        .into_iter()
+                        .map(|algo| run(s, multi(intruder, algo), None)),
+                )
+                .collect();
+            fmt::adaptive_table(
+                "Extension — three-algorithm comparison, multi-view adaptive \
+                 (first 3 rows Eigenbench, last 3 Intruder; not in the paper)",
+                &rows,
+                |r| r.algo.name(),
+            )
+        }
+        12 => {
+            // Not in the paper: Intruder/NOrec single- vs multi-view at full
+            // fixed quota per N — how the value of splitting the global
+            // clock grows with parallelism.
+            let mut lines = vec![vec![
+                "N".to_string(),
+                "single-view (s)".to_string(),
+                "multi-view (s)".to_string(),
+                "speedup".to_string(),
+            ]];
+            for n in [2u32, 4, 8, 16] {
+                let [single, multi] = [SingleView, MultiView].map(|version| {
+                    let full = Run {
+                        quotas: [QuotaMode::Fixed(n); 2],
+                        n_threads: n,
+                        ..s.run(intruder, NOrec, version)
+                    };
+                    run(s, full, None).runtime_s()
+                });
+                lines.push(vec![
+                    n.to_string(),
+                    format!("{single:.4}"),
+                    format!("{multi:.4}"),
+                    format!("{:.2}x", single / multi),
+                ]);
+            }
+            format!(
+                "### Extension — Intruder/NOrec multi-view speedup vs thread count \
+                 (not in the paper)\n\n{}",
+                fmt::markdown(&lines)
+            )
+        }
+        other => panic!("no such table: {other} (expected 3..=12)"),
+    }
 }

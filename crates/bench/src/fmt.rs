@@ -1,9 +1,10 @@
 //! Paper-style formatting of experiment rows: human-scaled counts
 //! (`7.01m`, `5.26G`) and table layouts matching the paper's.
 
+use votm::QuotaMode;
 use votm_sim::RunStatus;
 
-use crate::{AdaptiveRow, GateRow, PolicySpread, SweepRow, GATE_ARTIFACT};
+use crate::{GateRow, PolicySpread, Row, Run, GATE_ARTIFACT};
 
 /// Formats a count the way the paper does: `3.2m`, `5.26G`, `49.8T`.
 pub fn count(x: u64) -> String {
@@ -53,6 +54,19 @@ pub fn delta(d: Option<f64>) -> String {
     }
 }
 
+/// Runtime cell of a row.
+fn row_runtime(r: &Row) -> String {
+    runtime(r.outcome.status, r.runtime_s())
+}
+
+/// Header cell of a sweep column: the row's Q₁.
+fn q1(r: &Row) -> String {
+    match r.run.quotas[0] {
+        QuotaMode::Fixed(q) => q.to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
 fn cell_or_livelock(status: RunStatus, s: String) -> String {
     if status == RunStatus::Livelock {
         "livelock".into()
@@ -62,35 +76,32 @@ fn cell_or_livelock(status: RunStatus, s: String) -> String {
 }
 
 /// Renders a single-view sweep (Tables III, IV, VII, VIII) as markdown.
-pub fn sweep_table(title: &str, rows: &[SweepRow]) -> String {
+pub fn sweep_table(title: &str, rows: &[Row]) -> String {
     let mut out = format!("### {title}\n\n");
-    let header: Vec<String> = std::iter::once("Q".to_string())
-        .chain(rows.iter().map(|r| r.q.to_string()))
-        .collect();
-    let mut lines: Vec<Vec<String>> = vec![header];
-    lines.push(row_line("Runtime(s)", rows, |r| {
-        runtime(r.status, r.runtime_s)
-    }));
+    let mut lines = vec![
+        row_line("Q", rows, q1),
+        row_line("Runtime(s)", rows, row_runtime),
+    ];
     lines.push(row_line("#abort", rows, |r| {
-        cell_or_livelock(r.status, count(r.views[0].tm.aborts))
+        cell_or_livelock(r.outcome.status, count(r.views[0].tm.aborts))
     }));
     lines.push(row_line("#tx", rows, |r| {
-        cell_or_livelock(r.status, count(r.views[0].tm.commits))
+        cell_or_livelock(r.outcome.status, count(r.views[0].tm.commits))
     }));
     lines.push(row_line("cycles_aborted", rows, |r| {
-        cell_or_livelock(r.status, count(r.views[0].tm.cycles_aborted))
+        cell_or_livelock(r.outcome.status, count(r.views[0].tm.cycles_aborted))
     }));
     lines.push(row_line("cycles_successful", rows, |r| {
-        cell_or_livelock(r.status, count(r.views[0].tm.cycles_successful))
+        cell_or_livelock(r.outcome.status, count(r.views[0].tm.cycles_successful))
     }));
     lines.push(row_line("delta(Q)", rows, |r| {
-        cell_or_livelock(r.status, delta(r.views[0].delta()))
+        cell_or_livelock(r.outcome.status, delta(r.views[0].delta()))
     }));
     lines.push(row_line("abort rate", rows, |r| {
         let s = &r.views[0].tm;
         let attempts = s.commits + s.aborts;
         cell_or_livelock(
-            r.status,
+            r.outcome.status,
             if attempts == 0 {
                 "0.000".to_string()
             } else {
@@ -99,12 +110,12 @@ pub fn sweep_table(title: &str, rows: &[SweepRow]) -> String {
         )
     }));
     lines.push(row_line("busy_retries", rows, |r| {
-        cell_or_livelock(r.status, count(r.views[0].tm.busy_retries))
+        cell_or_livelock(r.outcome.status, count(r.views[0].tm.busy_retries))
     }));
     lines.push(row_line("busy_retries/commit", rows, |r| {
         let s = &r.views[0].tm;
         cell_or_livelock(
-            r.status,
+            r.outcome.status,
             if s.commits == 0 {
                 "0.00".to_string()
             } else {
@@ -113,11 +124,11 @@ pub fn sweep_table(title: &str, rows: &[SweepRow]) -> String {
         )
     }));
     lines.push(row_line("gate_wait_cycles", rows, |r| {
-        cell_or_livelock(r.status, count(r.views[0].tm.gate_wait_cycles))
+        cell_or_livelock(r.outcome.status, count(r.views[0].tm.gate_wait_cycles))
     }));
     lines.push(row_line("gate fast/slow", rows, |r| {
         cell_or_livelock(
-            r.status,
+            r.outcome.status,
             format!(
                 "{}/{}",
                 count(r.views[0].gate.fast_acquires),
@@ -127,7 +138,7 @@ pub fn sweep_table(title: &str, rows: &[SweepRow]) -> String {
     }));
     lines.push(row_line("commit p50/p99 (cyc)", rows, |r| {
         cell_or_livelock(
-            r.status,
+            r.outcome.status,
             format!(
                 "{}/{}",
                 count(r.views[0].hists.commit.quantile(0.50)),
@@ -141,40 +152,37 @@ pub fn sweep_table(title: &str, rows: &[SweepRow]) -> String {
 
 /// Renders a multi-view sweep (Tables V, IX): per-view statistics with Q₂
 /// pinned.
-pub fn multi_view_sweep_table(title: &str, rows: &[SweepRow]) -> String {
+pub fn multi_view_sweep_table(title: &str, rows: &[Row]) -> String {
     let mut out = format!("### {title}\n\n");
-    let header: Vec<String> = std::iter::once("Q1".to_string())
-        .chain(rows.iter().map(|r| r.q.to_string()))
-        .collect();
-    let mut lines = vec![header];
-    lines.push(row_line("Runtime(s)", rows, |r| {
-        runtime(r.status, r.runtime_s)
-    }));
+    let mut lines = vec![
+        row_line("Q1", rows, q1),
+        row_line("Runtime(s)", rows, row_runtime),
+    ];
     for (vi, label) in [(0usize, "1"), (1, "2")] {
         lines.push(row_line(&format!("#abort{label}"), rows, |r| {
-            cell_or_livelock(r.status, count(r.views[vi].tm.aborts))
+            cell_or_livelock(r.outcome.status, count(r.views[vi].tm.aborts))
         }));
         lines.push(row_line(&format!("#tx{label}"), rows, |r| {
-            cell_or_livelock(r.status, count(r.views[vi].tm.commits))
+            cell_or_livelock(r.outcome.status, count(r.views[vi].tm.commits))
         }));
         lines.push(row_line(&format!("cycles_aborted{label}"), rows, |r| {
-            cell_or_livelock(r.status, count(r.views[vi].tm.cycles_aborted))
+            cell_or_livelock(r.outcome.status, count(r.views[vi].tm.cycles_aborted))
         }));
         lines.push(row_line(&format!("cycles_successful{label}"), rows, |r| {
-            cell_or_livelock(r.status, count(r.views[vi].tm.cycles_successful))
+            cell_or_livelock(r.outcome.status, count(r.views[vi].tm.cycles_successful))
         }));
         lines.push(row_line(&format!("delta(Q{label})"), rows, |r| {
-            cell_or_livelock(r.status, delta(r.views[vi].delta()))
+            cell_or_livelock(r.outcome.status, delta(r.views[vi].delta()))
         }));
         lines.push(row_line(&format!("gate_wait_cycles{label}"), rows, |r| {
-            cell_or_livelock(r.status, count(r.views[vi].tm.gate_wait_cycles))
+            cell_or_livelock(r.outcome.status, count(r.views[vi].tm.gate_wait_cycles))
         }));
         lines.push(row_line(
             &format!("commit{label} p50/p99 (cyc)"),
             rows,
             |r| {
                 cell_or_livelock(
-                    r.status,
+                    r.outcome.status,
                     format!(
                         "{}/{}",
                         count(r.views[vi].hists.commit.quantile(0.50)),
@@ -188,8 +196,11 @@ pub fn multi_view_sweep_table(title: &str, rows: &[SweepRow]) -> String {
     out
 }
 
-/// Renders an adaptive comparison block (half of Table VI or X).
-pub fn adaptive_table(title: &str, rows: &[AdaptiveRow]) -> String {
+/// Renders an adaptive comparison block (half of Table VI or X, or the
+/// three-algorithm extension), one line per row labelled by `label`: the
+/// settled quota of every view (`-` for versions without RAC), total
+/// aborts and commits.
+pub fn adaptive_table(title: &str, rows: &[Row], label: fn(&Run) -> &'static str) -> String {
     let mut out = format!("### {title}\n\n");
     let mut lines = vec![vec![
         "version".to_string(),
@@ -199,21 +210,22 @@ pub fn adaptive_table(title: &str, rows: &[AdaptiveRow]) -> String {
         "#tx".to_string(),
     ]];
     for r in rows {
-        let qcell = if r.quotas.is_empty() {
-            "-".to_string()
-        } else {
-            r.quotas
+        let status = r.outcome.status;
+        let qcell = if r.run.version.has_rac() {
+            r.views
                 .iter()
-                .map(u32::to_string)
+                .map(|v| v.quota.to_string())
                 .collect::<Vec<_>>()
                 .join(",")
+        } else {
+            "-".to_string()
         };
         lines.push(vec![
-            r.version.to_string(),
-            runtime(r.status, r.runtime_s),
-            cell_or_livelock(r.status, qcell),
-            cell_or_livelock(r.status, count(r.aborts)),
-            cell_or_livelock(r.status, count(r.commits)),
+            label(&r.run).to_string(),
+            row_runtime(r),
+            cell_or_livelock(status, qcell),
+            cell_or_livelock(status, count(r.views.iter().map(|v| v.tm.aborts).sum())),
+            cell_or_livelock(status, count(r.views.iter().map(|v| v.tm.commits).sum())),
         ]);
     }
     out.push_str(&markdown(&lines));
@@ -428,7 +440,7 @@ pub fn clock_table(rows: &[GateRow]) -> String {
     out
 }
 
-fn row_line<F: Fn(&SweepRow) -> String>(label: &str, rows: &[SweepRow], f: F) -> Vec<String> {
+fn row_line<F: Fn(&Row) -> String>(label: &str, rows: &[Row], f: F) -> Vec<String> {
     std::iter::once(label.to_string())
         .chain(rows.iter().map(f))
         .collect()

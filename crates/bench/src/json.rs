@@ -307,20 +307,4 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("nope").is_err());
     }
-
-    #[test]
-    fn parses_own_gate_artifact() {
-        let s = crate::Settings {
-            eigen_scale: 0.0001,
-            ..Default::default()
-        };
-        let rows = crate::throughput_gate(&s);
-        let json = crate::gate_rows_to_json(&s, &rows);
-        let v = parse(&json).unwrap();
-        assert_eq!(v.get("rows").unwrap().as_arr().unwrap().len(), rows.len());
-        assert_eq!(
-            v.get("schema_version").unwrap().as_str(),
-            Some(votm_obs::SCHEMA_VERSION)
-        );
-    }
 }

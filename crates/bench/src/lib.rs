@@ -1,9 +1,13 @@
-//! Benchmark harness regenerating the paper's evaluation (Tables III–X)
-//! plus extension experiments (tables 11–12) and ablation benches.
+//! Benchmark harness regenerating the paper's evaluation (Tables III–X),
+//! two extension tables (11–12) and the machine-readable throughput gate.
 //!
-//! Each `table*` function runs the corresponding experiment under the
-//! virtual-time simulator and returns structured rows; the `tables` binary
-//! formats them like the paper. Workload sizes are scaled by
+//! Every paper experiment is one shape: a [`Run`] — application ×
+//! algorithm × [`Version`] × quotas × N × seed — executed by [`run`] under
+//! the virtual-time simulator, or a list of them executed by [`sweep`]
+//! under the livelock watchdog. The tables are data over those two (the
+//! `tables` binary lists them and formats the [`Row`]s with [`fmt`]), and
+//! so are the gate's Eigenbench rows, [`policy_spreads`], [`capture_trace`]
+//! and [`capture_profile`]. Workload sizes are scaled by
 //! [`Settings::eigen_scale`] / [`Settings::intruder_scale`] (1.0 = the
 //! paper's 3.2M Eigenbench transactions / 262144 Intruder flows); the
 //! *shape* of each table — orderings, crossovers, livelocks — is the
@@ -22,9 +26,9 @@ pub mod workload;
 
 use std::sync::Arc;
 
-use votm::{ClockKind, CmPolicy, FlightRecorder, QuotaMode, TmAlgorithm, ViewStats};
-use votm_eigenbench::{EigenConfig, EigenResult};
-use votm_intruder::{GenConfig, Input, IntruderResult};
+use votm::{ClockKind, CmPolicy, FlightRecorder, QuotaMode, TmAlgorithm, Version, ViewStats};
+use votm_eigenbench::EigenConfig;
+use votm_intruder::{GenConfig, Input};
 use votm_obs::export::{self, ViewReport};
 use votm_obs::{AbortReason, ConflictProfile, HistogramSnapshot, SCHEMA_VERSION};
 use votm_sim::{RunOutcome, RunStatus, SimConfig};
@@ -62,388 +66,183 @@ impl Default for Settings {
 }
 
 impl Settings {
-    fn eigen_config(&self) -> EigenConfig {
-        let mut c = EigenConfig::paper_table2(self.eigen_scale);
-        c.n_threads = self.n_threads;
-        c.seed = self.seed;
-        c
-    }
-
-    fn intruder_input(&self) -> Arc<Input> {
+    /// The Intruder input at [`Settings::intruder_scale`] — generate it once
+    /// and share it between every run that reads it.
+    pub fn intruder_input(&self) -> Arc<Input> {
         Arc::new(votm_intruder::generate(&GenConfig::paper(
             self.intruder_scale,
         )))
+    }
+
+    /// `algo` running `version` of `app` at adaptive quotas, with these
+    /// settings' N and seed.
+    pub fn run<'a>(&self, app: App<'a>, algo: TmAlgorithm, version: Version) -> Run<'a> {
+        Run {
+            app,
+            algo,
+            version,
+            quotas: [QuotaMode::Adaptive; 2],
+            n_threads: self.n_threads,
+            seed: self.seed,
+        }
+    }
+}
+
+/// The application a [`Run`] drives. Eigenbench builds its system under a
+/// contention-management policy and a clock strategy; Intruder builds the
+/// defaults over a pre-generated input, so its variant carries the input
+/// and nothing else.
+#[derive(Debug, Clone, Copy)]
+pub enum App<'a> {
+    /// The modified two-view Eigenbench (Table II parameters).
+    Eigen {
+        /// Contention-management policy of every view.
+        policy: CmPolicy,
+        /// Clock strategy of every view.
+        clock: ClockKind,
+    },
+    /// STAMP Intruder over this input.
+    Intruder(&'a Arc<Input>),
+}
+
+impl App<'_> {
+    /// Eigenbench under the default policy and clock — the paper's tables.
+    pub const EIGEN: App<'static> = App::Eigen {
+        policy: CmPolicy::Backoff,
+        clock: ClockKind::Global,
+    };
+}
+
+/// One simulated run: the unit every table, gate row and capture is made of.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// Application (and, for Eigenbench, policy and clock).
+    pub app: App<'a>,
+    /// STM algorithm of every view.
+    pub algo: TmAlgorithm,
+    /// Program version: how the two objects map to views, RAC on or off.
+    pub version: Version,
+    /// Quota of each object's view ([`Version::quotas`] applies the
+    /// no-RAC rule; a one-view version reads entry 0).
+    pub quotas: [QuotaMode; 2],
+    /// Thread count N.
+    pub n_threads: u32,
+    /// Scheduling seed; Eigenbench also seeds its workload streams with it.
+    pub seed: u64,
+}
+
+impl Run<'_> {
+    /// This run at Q₁ = 1, 2, 4, 8, 16 with Q₂ = N — the fixed-quota sweep
+    /// of Tables III–V and VII–IX. A one-view version reads Q₁ only; a
+    /// multi-view one leaves its low-contention view at the full quota.
+    pub fn fixed_quota_sweep(self) -> [Self; 5] {
+        [1, 2, 4, 8, 16].map(|q| Run {
+            quotas: [QuotaMode::Fixed(q), QuotaMode::Fixed(self.n_threads)],
+            ..self
+        })
     }
 
     fn sim(&self, cap: Option<u64>) -> SimConfig {
         SimConfig {
             seed: self.seed,
             vtime_cap: cap,
-            max_steps: u64::MAX,
             ..Default::default()
         }
     }
 }
 
-/// One row of a fixed-quota sweep table.
+/// What one [`Run`] produced. Every table cell derives from this.
 #[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// The quota this row was run at (Q, or Q₁ for multi-view sweeps).
-    pub q: u32,
-    /// Completed or livelocked.
-    pub status: RunStatus,
-    /// Makespan in virtual seconds (cycles / 2.5 GHz).
-    pub runtime_s: f64,
-    /// Per-view statistics (single entry for single-view runs).
+pub struct Row<'a> {
+    /// The run that produced it.
+    pub run: Run<'a>,
+    /// Simulator outcome: status, makespan, steps.
+    pub outcome: RunOutcome,
+    /// Per-view statistics in view order (one entry for one-view versions).
     pub views: Vec<ViewStats>,
 }
 
-/// One row of an adaptive-RAC comparison table (Table VI / X).
-#[derive(Debug, Clone)]
-pub struct AdaptiveRow {
-    /// Version label ("single-view", "multi-view", "multi-TM", "TM").
-    pub version: &'static str,
-    /// Completed or livelocked.
-    pub status: RunStatus,
-    /// Makespan in virtual seconds.
-    pub runtime_s: f64,
-    /// Settled quota per view (empty for no-RAC versions).
-    pub quotas: Vec<u32>,
-    /// Total aborts across views.
-    pub aborts: u64,
-    /// Total commits across views.
-    pub commits: u64,
+impl Row<'_> {
+    /// Makespan in virtual seconds (cycles / 2.5 GHz).
+    pub fn runtime_s(&self) -> f64 {
+        vsec(self.outcome.vtime)
+    }
 }
 
 fn vsec(vtime: u64) -> f64 {
     vtime as f64 / CYCLES_PER_SECOND as f64
 }
 
-const SWEEP_QS: [u32; 5] = [1, 2, 4, 8, 16];
-
-// ---------------------------------------------------------------- Eigenbench
-
-fn eigen_run(
-    settings: &Settings,
-    algo: TmAlgorithm,
-    version: votm_eigenbench::Version,
-    quotas: [QuotaMode; 2],
-    cap: Option<u64>,
-) -> EigenResult {
-    eigen_run_recorded(settings, algo, version, quotas, cap, None)
+/// Executes `run` with the livelock watchdog at `cap` virtual cycles (none
+/// when `None`). A completed Intruder run must have reassembled every flow,
+/// found every injected attack and corrupted no payload.
+pub fn run<'a>(settings: &Settings, run: Run<'a>, cap: Option<u64>) -> Row<'a> {
+    execute(settings, run, run.sim(cap), None)
 }
 
-fn eigen_run_recorded(
+/// [`run`] under an explicit simulator configuration, optionally recorded.
+fn execute<'a>(
     settings: &Settings,
-    algo: TmAlgorithm,
-    version: votm_eigenbench::Version,
-    quotas: [QuotaMode; 2],
-    cap: Option<u64>,
+    run: Run<'a>,
+    sim: SimConfig,
     recorder: Option<Arc<FlightRecorder>>,
-) -> EigenResult {
-    votm_eigenbench::run_sim_recorded(
-        &settings.eigen_config(),
-        algo,
-        version,
-        quotas,
-        settings.sim(cap),
-        recorder,
-    )
-}
-
-/// Lock-mode (Q = 1) makespan used to anchor the livelock watchdog.
-fn eigen_baseline(settings: &Settings, algo: TmAlgorithm) -> u64 {
-    eigen_run(
-        settings,
-        algo,
-        votm_eigenbench::Version::SingleView,
-        [QuotaMode::Fixed(1), QuotaMode::Fixed(1)],
-        None,
-    )
-    .outcome
-    .vtime
-}
-
-/// Tables III (OrecEagerRedo) and VII (NOrec): single-view Eigenbench with
-/// the quota fixed to 1, 2, 4, 8, 16.
-pub fn eigen_single_view_sweep(settings: &Settings, algo: TmAlgorithm) -> Vec<SweepRow> {
-    let baseline = eigen_baseline(settings, algo);
-    let cap = baseline.saturating_mul(settings.cap_factor);
-    SWEEP_QS
-        .iter()
-        .map(|&q| {
-            let res = eigen_run(
-                settings,
-                algo,
-                votm_eigenbench::Version::SingleView,
-                [QuotaMode::Fixed(q), QuotaMode::Fixed(q)],
-                Some(cap),
+) -> Row<'a> {
+    let (outcome, views) = match run.app {
+        App::Eigen { policy, clock } => {
+            let mut config = EigenConfig::paper_table2(settings.eigen_scale);
+            config.n_threads = run.n_threads;
+            config.seed = run.seed;
+            let res = votm_eigenbench::run_sim_clock(
+                &config,
+                run.algo,
+                run.version,
+                run.quotas,
+                sim,
+                recorder,
+                policy,
+                clock,
             );
-            SweepRow {
-                q,
-                status: res.outcome.status,
-                runtime_s: vsec(res.outcome.vtime),
-                views: res.views,
+            (res.outcome, res.views)
+        }
+        App::Intruder(input) => {
+            assert!(recorder.is_none(), "Intruder runs are not recorded");
+            let res = votm_intruder::run_sim(
+                input,
+                run.n_threads,
+                run.algo,
+                run.version,
+                run.quotas,
+                sim,
+            );
+            if res.outcome.status == RunStatus::Completed {
+                assert_eq!(res.flows_processed, input.flows, "flows lost");
+                assert_eq!(res.attacks_found, input.attacks_injected, "detector miss");
+                assert_eq!(res.checksum_errors, 0, "reassembly corruption");
             }
-        })
-        .collect()
-}
-
-/// Tables V (OrecEagerRedo) and IX (NOrec): multi-view Eigenbench; Q₂ is
-/// pinned to N (the low-contention view needs no restriction) while Q₁
-/// sweeps 1, 2, 4, 8, 16.
-pub fn eigen_multi_view_sweep(settings: &Settings, algo: TmAlgorithm) -> Vec<SweepRow> {
-    let baseline = eigen_baseline(settings, algo);
-    let cap = baseline.saturating_mul(settings.cap_factor);
-    SWEEP_QS
-        .iter()
-        .map(|&q1| {
-            let res = eigen_run(
-                settings,
-                algo,
-                votm_eigenbench::Version::MultiView,
-                [QuotaMode::Fixed(q1), QuotaMode::Fixed(settings.n_threads)],
-                Some(cap),
-            );
-            SweepRow {
-                q: q1,
-                status: res.outcome.status,
-                runtime_s: vsec(res.outcome.vtime),
-                views: res.views,
-            }
-        })
-        .collect()
-}
-
-// ------------------------------------------------------------------ Intruder
-
-fn intruder_run(
-    settings: &Settings,
-    input: &Arc<Input>,
-    algo: TmAlgorithm,
-    version: votm_intruder::Version,
-    quotas: [QuotaMode; 2],
-    cap: Option<u64>,
-) -> IntruderResult {
-    let res = votm_intruder::run_sim(
-        input,
-        settings.n_threads,
-        algo,
-        version,
-        quotas,
-        settings.sim(cap),
-    );
-    if res.outcome.status == RunStatus::Completed {
-        assert_eq!(res.flows_processed, input.flows, "flows lost");
-        assert_eq!(res.attacks_found, input.attacks_injected, "detector miss");
-        assert_eq!(res.checksum_errors, 0, "reassembly corruption");
-    }
-    res
-}
-
-/// Tables IV (OrecEagerRedo) and VIII (NOrec): single-view Intruder, fixed
-/// quota sweep.
-pub fn intruder_single_view_sweep(settings: &Settings, algo: TmAlgorithm) -> Vec<SweepRow> {
-    let input = settings.intruder_input();
-    let baseline = intruder_run(
-        settings,
-        &input,
-        algo,
-        votm_intruder::Version::SingleView,
-        [QuotaMode::Fixed(1), QuotaMode::Fixed(1)],
-        None,
-    )
-    .outcome
-    .vtime;
-    let cap = baseline.saturating_mul(settings.cap_factor);
-    SWEEP_QS
-        .iter()
-        .map(|&q| {
-            let res = intruder_run(
-                settings,
-                &input,
-                algo,
-                votm_intruder::Version::SingleView,
-                [QuotaMode::Fixed(q), QuotaMode::Fixed(q)],
-                Some(cap),
-            );
-            SweepRow {
-                q,
-                status: res.outcome.status,
-                runtime_s: vsec(res.outcome.vtime),
-                views: res.views,
-            }
-        })
-        .collect()
-}
-
-/// Intruder multi-view with both quotas pinned to N — the configuration the
-/// paper reports alongside Tables IV/VIII ("in the multi-view version of
-/// Intruder, where both Q1 and Q2 are set to 16").
-pub fn intruder_multi_view_full_quota(settings: &Settings, algo: TmAlgorithm) -> SweepRow {
-    let input = settings.intruder_input();
-    let res = intruder_run(
-        settings,
-        &input,
-        algo,
-        votm_intruder::Version::MultiView,
-        [
-            QuotaMode::Fixed(settings.n_threads),
-            QuotaMode::Fixed(settings.n_threads),
-        ],
-        None,
-    );
-    SweepRow {
-        q: settings.n_threads,
-        status: res.outcome.status,
-        runtime_s: vsec(res.outcome.vtime),
-        views: res.views,
+            (res.outcome, res.views)
+        }
+    };
+    Row {
+        run,
+        outcome,
+        views,
     }
 }
 
-// ----------------------------------------------------- Adaptive (VI and X)
-
-/// Tables VI (OrecEagerRedo) and X (NOrec), Eigenbench block: adaptive RAC
-/// vs the no-RAC baselines.
-pub fn adaptive_eigen(settings: &Settings, algo: TmAlgorithm) -> Vec<AdaptiveRow> {
-    let baseline = eigen_baseline(settings, algo);
-    let cap = Some(baseline.saturating_mul(settings.cap_factor));
-    votm_eigenbench::Version::ALL
-        .iter()
-        .map(|&version| {
-            let res = eigen_run(
-                settings,
-                algo,
-                version,
-                [QuotaMode::Adaptive, QuotaMode::Adaptive],
-                cap,
-            );
-            adaptive_row(
-                version.name(),
-                res.outcome.status,
-                res.outcome.vtime,
-                &res.views,
-                version_has_rac_eigen(version),
-            )
-        })
-        .collect()
-}
-
-/// Tables VI and X, Intruder block.
-pub fn adaptive_intruder(settings: &Settings, algo: TmAlgorithm) -> Vec<AdaptiveRow> {
-    let input = settings.intruder_input();
-    let baseline = intruder_run(
-        settings,
-        &input,
-        algo,
-        votm_intruder::Version::SingleView,
-        [QuotaMode::Fixed(1), QuotaMode::Fixed(1)],
-        None,
-    )
-    .outcome
-    .vtime;
-    let cap = Some(baseline.saturating_mul(settings.cap_factor));
-    votm_intruder::Version::ALL
-        .iter()
-        .map(|&version| {
-            let res = intruder_run(
-                settings,
-                &input,
-                algo,
-                version,
-                [QuotaMode::Adaptive, QuotaMode::Adaptive],
-                cap,
-            );
-            adaptive_row(
-                version.name(),
-                res.outcome.status,
-                res.outcome.vtime,
-                &res.views,
-                version_has_rac_intruder(version),
-            )
-        })
-        .collect()
-}
-
-/// Extension experiment (not in the paper): compares all three STM
-/// algorithms — the paper's two plus OrecLazy — on the multi-view adaptive
-/// configurations of both applications. Grounds the paper's §IV-C
-/// suggestion that different views could pick different algorithms.
-pub fn algorithm_comparison(settings: &Settings) -> Vec<AdaptiveRow> {
-    let input = settings.intruder_input();
-    let mut rows = Vec::new();
-    for algo in TmAlgorithm::ALL {
-        let baseline = eigen_baseline(settings, algo);
-        let res = eigen_run(
-            settings,
-            algo,
-            votm_eigenbench::Version::MultiView,
-            [QuotaMode::Adaptive, QuotaMode::Adaptive],
-            Some(baseline.saturating_mul(settings.cap_factor)),
-        );
-        rows.push(adaptive_row(
-            algo.name(),
-            res.outcome.status,
-            res.outcome.vtime,
-            &res.views,
-            true,
-        ));
-    }
-    for algo in TmAlgorithm::ALL {
-        let res = intruder_run(
-            settings,
-            &input,
-            algo,
-            votm_intruder::Version::MultiView,
-            [QuotaMode::Adaptive, QuotaMode::Adaptive],
-            None,
-        );
-        rows.push(adaptive_row(
-            algo.name(),
-            res.outcome.status,
-            res.outcome.vtime,
-            &res.views,
-            true,
-        ));
-    }
-    rows
-}
-
-/// Extension experiment (not in the paper): the multi-view benefit as a
-/// function of thread count. For each N the Intruder single-view and
-/// multi-view NOrec versions run with full fixed quotas; the ratio shows
-/// how global-clock contention — and therefore the value of view
-/// partitioning — grows with parallelism.
-pub fn thread_scaling(settings: &Settings) -> Vec<(u32, f64, f64)> {
-    let input = settings.intruder_input();
-    [2u32, 4, 8, 16]
-        .iter()
-        .map(|&n| {
-            let mut s = *settings;
-            s.n_threads = n;
-            let single = intruder_run(
-                &s,
-                &input,
-                TmAlgorithm::NOrec,
-                votm_intruder::Version::SingleView,
-                [QuotaMode::Fixed(n), QuotaMode::Fixed(n)],
-                None,
-            )
-            .outcome
-            .vtime;
-            let multi = intruder_run(
-                &s,
-                &input,
-                TmAlgorithm::NOrec,
-                votm_intruder::Version::MultiView,
-                [QuotaMode::Fixed(n), QuotaMode::Fixed(n)],
-                None,
-            )
-            .outcome
-            .vtime;
-            (n, vsec(single), vsec(multi))
-        })
-        .collect()
+/// Executes `runs` under the livelock watchdog. The anchor is the first
+/// run's application and algorithm at N and seed in single-view lock mode
+/// (Q = 1), uncapped; every run is capped at `cap_factor ×` its makespan.
+pub fn sweep<'a>(settings: &Settings, runs: &[Run<'a>]) -> Vec<Row<'a>> {
+    let lock_mode = Run {
+        version: Version::SingleView,
+        quotas: [QuotaMode::Fixed(1); 2],
+        ..runs[0]
+    };
+    let cap = run(settings, lock_mode, None)
+        .outcome
+        .vtime
+        .saturating_mul(settings.cap_factor);
+    runs.iter().map(|&r| run(settings, r, Some(cap))).collect()
 }
 
 // ------------------------------------------------------- Throughput gate
@@ -679,134 +478,106 @@ pub(crate) fn fold_gate_row<'a>(
     row
 }
 
-/// One aggregated gate configuration: `algo` × `version` × `n` threads ×
-/// `policy` × `clock`, summed over `n_seeds` consecutive seeds.
-#[allow(clippy::too_many_arguments)] // crate-internal, two call sites
-fn gate_config_row(
-    settings: &Settings,
-    algo: TmAlgorithm,
-    version: votm_eigenbench::Version,
-    n: u32,
-    n_seeds: u64,
-    policy: CmPolicy,
-    clock: ClockKind,
-) -> GateRow {
+/// The gate's Eigenbench configurations, in row order, each with the number
+/// of consecutive seeds its row sums over: every algorithm × {single-view,
+/// multi-view} × N ∈ [`GATE_THREADS`] under the default policy and clock
+/// ([`GATE_SEEDS`] seeds each), then one single-seed single-view row at the
+/// largest N per non-default policy × algorithm that can run one
+/// ([`TmAlgorithm::names_lock_holder`]: a NOrec view runs the passive
+/// default whatever it is asked for) and per non-default clock × algorithm.
+fn gate_runs(settings: &Settings) -> Vec<(Run<'static>, u64)> {
+    let eigen = |policy, clock, algo, version, n_threads| Run {
+        n_threads,
+        ..settings.run(App::Eigen { policy, clock }, algo, version)
+    };
+    let mut runs = Vec::new();
+    for algo in TmAlgorithm::ALL {
+        for version in [Version::SingleView, Version::MultiView] {
+            for n in GATE_THREADS {
+                let run = eigen(CmPolicy::Backoff, ClockKind::Global, algo, version, n);
+                runs.push((run, GATE_SEEDS));
+            }
+        }
+    }
+    let n = *GATE_THREADS.last().expect("gate sweeps at least one N");
+    for policy in CmPolicy::ALL
+        .into_iter()
+        .filter(|&p| p != CmPolicy::Backoff)
+    {
+        for algo in TmAlgorithm::ALL
+            .into_iter()
+            .filter(|a| a.names_lock_holder())
+        {
+            let run = eigen(policy, ClockKind::Global, algo, Version::SingleView, n);
+            runs.push((run, 1));
+        }
+    }
+    for clock in ClockKind::ALL
+        .into_iter()
+        .filter(|&c| c != ClockKind::Global)
+    {
+        for algo in TmAlgorithm::ALL {
+            let run = eigen(CmPolicy::Backoff, clock, algo, Version::SingleView, n);
+            runs.push((run, 1));
+        }
+    }
+    runs
+}
+
+/// One gate row: the Eigenbench `run` over `n_seeds` consecutive seeds from
+/// its own, each with a live flight recorder.
+fn gate_row(settings: &Settings, run: Run, n_seeds: u64) -> GateRow {
+    let App::Eigen { policy, clock } = run.app else {
+        panic!("gate rows run Eigenbench");
+    };
     let t0 = std::time::Instant::now();
-    let runs: Vec<EigenResult> = (0..n_seeds)
+    let rows: Vec<Row> = (0..n_seeds)
         .map(|seed_off| {
-            let mut s = *settings;
-            s.n_threads = n;
-            s.seed = settings.seed.wrapping_add(seed_off);
-            let recorder = Arc::new(FlightRecorder::with_default_capacity(n as usize));
-            votm_eigenbench::run_sim_clock(
-                &s.eigen_config(),
-                algo,
-                version,
-                [QuotaMode::Adaptive, QuotaMode::Adaptive],
-                s.sim(None),
-                Some(recorder),
-                policy,
-                clock,
-            )
+            let run = Run {
+                seed: run.seed.wrapping_add(seed_off),
+                ..run
+            };
+            let recorder = Arc::new(FlightRecorder::with_default_capacity(
+                run.n_threads as usize,
+            ));
+            execute(settings, run, run.sim(None), Some(recorder))
         })
         .collect();
     GateRow {
         policy: policy.name(),
         clock: clock.name(),
         ..fold_gate_row(
-            algo,
-            version.name(),
-            n,
+            run.algo,
+            run.version.name(),
+            run.n_threads,
             t0.elapsed().as_secs_f64(),
-            runs.iter().map(|r| (&r.outcome, &r.views[..])),
+            rows.iter().map(|r| (&r.outcome, &r.views[..])),
         )
     }
 }
 
-/// Runs the reproducible throughput gate: every STM algorithm × Eigenbench
-/// {single-view, multi-view} × N ∈ [`GATE_THREADS`], adaptive quotas, each
-/// config aggregated over [`GATE_SEEDS`] consecutive seeds — all under the
-/// default backoff policy, the rows later PRs regress their
-/// `BENCH_<n>.json` against. Then one comparison row per non-default
-/// contention-management policy × algorithm that can run one
-/// ([`TmAlgorithm::names_lock_holder`]: the orec pair) (single-view,
-/// N = 16, one seed): not regression-gated, but CI checks every one
-/// *completes* — a policy that livelocks or starves the gate workload
-/// fails the build.
-/// Finally one row per non-default clock kind × algorithm (single-view,
-/// N = 16, one seed, backoff): the head-to-head clock-variant comparison
-/// `clock_table.md` formats; CI checks presence, completion and the 0.95×
-/// throughput floor, and the default-clock rows above stay bit-identical
-/// to the previous artifact because [`ClockKind::Global`] is untouched.
-/// Finally the [`workload::BLOCKING_SCENARIOS`] rows: the bounded-buffer
-/// spin-vs-block comparison (distinct `version` labels, so `benchdiff`
-/// reports them as new rows and the gated eigenbench rows above are
-/// unaffected). Last, the [`workload::PARTITION_SCENARIOS`] pairs: each
-/// adaptive-domain run (one view at start, live repartitioner) against its
-/// hand-partitioned twin, whose throughput ratio is the repartitioner's
-/// convergence gate (`converged_throughput_ratio ≥ 0.90`).
+/// Runs the reproducible throughput gate: the [`gate_runs`] Eigenbench rows
+/// at adaptive quotas — the default-policy, default-clock block is what
+/// later PRs regress their `BENCH_<n>.json` against; CI checks every policy
+/// row *completes* (a policy that livelocks or starves the gate workload
+/// fails the build) and holds the clock rows, which `clock_table.md`
+/// formats, to presence, completion and a 0.95× throughput floor — then the
+/// [`workload::BLOCKING_SCENARIOS`] rows: the bounded-buffer spin-vs-block
+/// comparison (distinct `version` labels, so `benchdiff` reports them as
+/// new rows and the gated eigenbench rows above are unaffected). Last, the
+/// [`workload::PARTITION_SCENARIOS`] pairs: each adaptive-domain run (one
+/// view at start, live repartitioner) against its hand-partitioned twin,
+/// whose throughput ratio is the repartitioner's convergence gate
+/// (`converged_throughput_ratio ≥ 0.90`).
 ///
 /// Every run executes with a live [`FlightRecorder`] attached, so the gated
 /// numbers *include* the observability layer's recording cost — the rows
 /// themselves are the overhead proof the tracing layer is held to.
 pub fn throughput_gate(settings: &Settings) -> Vec<GateRow> {
-    let mut rows = Vec::new();
-    for algo in TmAlgorithm::ALL {
-        for version in [
-            votm_eigenbench::Version::SingleView,
-            votm_eigenbench::Version::MultiView,
-        ] {
-            for n in GATE_THREADS {
-                rows.push(gate_config_row(
-                    settings,
-                    algo,
-                    version,
-                    n,
-                    GATE_SEEDS,
-                    CmPolicy::Backoff,
-                    ClockKind::Global,
-                ));
-            }
-        }
-    }
-    let n = *GATE_THREADS.last().expect("gate sweeps at least one N");
-    for policy in CmPolicy::ALL {
-        if policy == CmPolicy::Backoff {
-            continue; // already the full gated matrix above
-        }
-        // A NOrec view runs the passive default whatever it is asked for,
-        // so a NOrec × policy row would only repeat the backoff run.
-        for algo in TmAlgorithm::ALL
-            .into_iter()
-            .filter(|a| a.names_lock_holder())
-        {
-            rows.push(gate_config_row(
-                settings,
-                algo,
-                votm_eigenbench::Version::SingleView,
-                n,
-                1,
-                policy,
-                ClockKind::Global,
-            ));
-        }
-    }
-    for clock in ClockKind::ALL {
-        if clock == ClockKind::Global {
-            continue; // already the full gated matrix above
-        }
-        for algo in TmAlgorithm::ALL {
-            rows.push(gate_config_row(
-                settings,
-                algo,
-                votm_eigenbench::Version::SingleView,
-                n,
-                1,
-                CmPolicy::Backoff,
-                clock,
-            ));
-        }
-    }
+    let mut rows: Vec<GateRow> = gate_runs(settings)
+        .into_iter()
+        .map(|(run, n_seeds)| gate_row(settings, run, n_seeds))
+        .collect();
     rows.extend(workload::blocking_gate_rows(settings));
     rows.extend(workload::partition_gate_rows(settings));
     rows
@@ -830,49 +601,36 @@ pub struct PolicySpread {
     pub max: f64,
 }
 
-/// Runs every non-default policy × algorithm configuration for
-/// [`GATE_SEEDS`] − 1 extra seeds and folds each with its emitted
-/// (seed-1) gate row into a [`PolicySpread`]. The emitted rows in `rows`
-/// are reused as the first seed, so the artifact's headline fields stay
-/// bit-identical while the table gains a variance band.
+/// Runs every non-default policy row of [`gate_runs`] for [`GATE_SEEDS`] − 1
+/// extra seeds and folds each with its emitted (first-seed) row of `rows`,
+/// the gate's output, into a [`PolicySpread`]. Reusing the emitted row keeps
+/// the artifact's headline fields bit-identical while the table gains a
+/// variance band.
 pub fn policy_spreads(settings: &Settings, rows: &[GateRow]) -> Vec<PolicySpread> {
-    let n = *GATE_THREADS.last().expect("gate sweeps at least one N");
-    let mut spreads = Vec::new();
-    for r in rows {
-        if r.policy == "backoff" || r.version != "single-view" || r.clock != "global" {
-            continue;
-        }
-        let policy = CmPolicy::from_name(r.policy).expect("row policy is a known CmPolicy");
-        let algo = TmAlgorithm::ALL
-            .into_iter()
-            .find(|a| a.name() == r.algo)
-            .expect("row algo is a known TmAlgorithm");
-        let mut tps = vec![r.txns_per_vsec];
-        for seed_off in 1..GATE_SEEDS {
-            let mut s = *settings;
-            s.seed = settings.seed.wrapping_add(seed_off);
-            tps.push(
-                gate_config_row(
-                    &s,
-                    algo,
-                    votm_eigenbench::Version::SingleView,
-                    n,
-                    1,
-                    policy,
-                    ClockKind::Global,
-                )
-                .txns_per_vsec,
-            );
-        }
-        spreads.push(PolicySpread {
-            algo: r.algo,
-            policy: r.policy,
-            mean: tps.iter().sum::<f64>() / tps.len() as f64,
-            min: tps.iter().copied().fold(f64::INFINITY, f64::min),
-            max: tps.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        });
-    }
-    spreads
+    gate_runs(settings)
+        .into_iter()
+        .zip(rows)
+        .filter(|((run, _), _)| {
+            matches!(run.app, App::Eigen { policy, .. } if policy != CmPolicy::Backoff)
+        })
+        .map(|((run, _), row)| {
+            let mut tps = vec![row.txns_per_vsec];
+            for seed_off in 1..GATE_SEEDS {
+                let run = Run {
+                    seed: run.seed.wrapping_add(seed_off),
+                    ..run
+                };
+                tps.push(gate_row(settings, run, 1).txns_per_vsec);
+            }
+            PolicySpread {
+                algo: row.algo,
+                policy: row.policy,
+                mean: tps.iter().sum::<f64>() / tps.len() as f64,
+                min: tps.iter().copied().fold(f64::INFINITY, f64::min),
+                max: tps.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------- Trace capture
@@ -891,49 +649,25 @@ pub struct TraceCapture {
     pub views: Vec<ViewStats>,
 }
 
-/// Runs one seeded multi-view adaptive Eigenbench simulation with a live
-/// flight recorder and exports it. Deterministic: identical settings
-/// produce byte-identical JSON — the clock is virtual, the exporters order
-/// threads, events and timelines canonically, and floats print with fixed
-/// precision.
-pub fn capture_trace(settings: &Settings, algo: TmAlgorithm) -> TraceCapture {
-    capture_trace_sim(settings, algo, settings.sim(None))
-}
-
-/// [`capture_trace`] with an explicit simulator configuration, so the
-/// differential determinism suite can export the same seeded run under the
-/// timer wheel, the reference heap, and with coalescing toggled, and assert
-/// the JSON documents are byte-identical.
-pub fn capture_trace_sim(settings: &Settings, algo: TmAlgorithm, sim: SimConfig) -> TraceCapture {
-    capture_trace_clock(settings, algo, sim, CmPolicy::Backoff, ClockKind::Global)
-}
-
-/// [`capture_trace_sim`] under an explicit contention-management policy
-/// and clock strategy. Every policy and every clock kind is a
-/// deterministic function of the seeds — priorities, GV5 reuse and SNZI
-/// occupancy derive from virtual time — so two captures with identical
-/// arguments are byte-identical whatever the policy or clock; the
-/// per-policy and per-clock determinism suites assert exactly that.
-pub fn capture_trace_clock(
+/// Runs one multi-view adaptive Eigenbench simulation — workload seeded by
+/// [`Settings::seed`], schedule by `sim` — under `policy` and `clock` with a
+/// live flight recorder, and exports it. Deterministic: identical arguments
+/// produce byte-identical JSON whatever the scheduler, policy or clock —
+/// the clock is virtual, priorities, GV5 reuse and SNZI occupancy derive
+/// from virtual time, the exporters order threads, events and timelines
+/// canonically, and floats print with fixed precision.
+pub fn capture_trace(
     settings: &Settings,
     algo: TmAlgorithm,
     sim: SimConfig,
     policy: CmPolicy,
     clock: ClockKind,
 ) -> TraceCapture {
+    let run = settings.run(App::Eigen { policy, clock }, algo, Version::MultiView);
     let recorder = Arc::new(FlightRecorder::with_default_capacity(
-        settings.n_threads as usize,
+        run.n_threads as usize,
     ));
-    let res = votm_eigenbench::run_sim_clock(
-        &settings.eigen_config(),
-        algo,
-        votm_eigenbench::Version::MultiView,
-        [QuotaMode::Adaptive, QuotaMode::Adaptive],
-        sim,
-        Some(Arc::clone(&recorder)),
-        policy,
-        clock,
-    );
+    let res = execute(settings, run, sim, Some(Arc::clone(&recorder)));
     let threads = recorder.snapshot();
     let reports: Vec<ViewReport> = res
         .views
@@ -993,18 +727,12 @@ const PROFILE_RING_CAPACITY: usize = 1 << 16;
 /// drop-free flight recorder, and folds the event stream into a
 /// [`ConflictProfile`]. Deterministic for identical settings.
 pub fn capture_profile(settings: &Settings, algo: TmAlgorithm) -> ProfileCapture {
+    let run = settings.run(App::EIGEN, algo, Version::SingleView);
     let recorder = Arc::new(FlightRecorder::new(
-        settings.n_threads as usize,
+        run.n_threads as usize,
         PROFILE_RING_CAPACITY,
     ));
-    let res = eigen_run_recorded(
-        settings,
-        algo,
-        votm_eigenbench::Version::SingleView,
-        [QuotaMode::Adaptive, QuotaMode::Adaptive],
-        None,
-        Some(Arc::clone(&recorder)),
-    );
+    let res = execute(settings, run, run.sim(None), Some(Arc::clone(&recorder)));
     let traces = recorder.snapshot();
     let dropped = traces.iter().map(|t| t.dropped).sum();
     let profile = ConflictProfile::from_traces(&traces);
@@ -1143,41 +871,6 @@ pub fn gate_rows_to_json(settings: &Settings, rows: &[GateRow]) -> String {
     out
 }
 
-fn version_has_rac_eigen(v: votm_eigenbench::Version) -> bool {
-    matches!(
-        v,
-        votm_eigenbench::Version::SingleView | votm_eigenbench::Version::MultiView
-    )
-}
-
-fn version_has_rac_intruder(v: votm_intruder::Version) -> bool {
-    matches!(
-        v,
-        votm_intruder::Version::SingleView | votm_intruder::Version::MultiView
-    )
-}
-
-fn adaptive_row(
-    version: &'static str,
-    status: RunStatus,
-    vtime: u64,
-    views: &[ViewStats],
-    has_rac: bool,
-) -> AdaptiveRow {
-    AdaptiveRow {
-        version,
-        status,
-        runtime_s: vsec(vtime),
-        quotas: if has_rac {
-            views.iter().map(|v| v.quota).collect()
-        } else {
-            Vec::new()
-        },
-        aborts: views.iter().map(|v| v.tm.aborts).sum(),
-        commits: views.iter().map(|v| v.tm.commits).sum(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1191,9 +884,24 @@ mod tests {
         }
     }
 
+    /// The fixed-quota sweep of `version` of `app` under `algo`.
+    fn fixed_q<'a>(
+        s: &Settings,
+        app: App<'a>,
+        algo: TmAlgorithm,
+        version: Version,
+    ) -> Vec<Row<'a>> {
+        sweep(s, &s.run(app, algo, version).fixed_quota_sweep())
+    }
+
     #[test]
     fn table3_shape_runtime_grows_with_quota() {
-        let rows = eigen_single_view_sweep(&tiny(), TmAlgorithm::OrecEagerRedo);
+        let rows = fixed_q(
+            &tiny(),
+            App::EIGEN,
+            TmAlgorithm::OrecEagerRedo,
+            Version::SingleView,
+        );
         assert_eq!(rows.len(), 5);
         // Paper shape: aborts explode monotonically with Q, and the tail of
         // the sweep is far slower than lock mode (or livelocked).
@@ -1201,40 +909,45 @@ mod tests {
             assert!(w[1].views[0].tm.aborts >= w[0].views[0].tm.aborts);
         }
         assert_eq!(rows[0].views[0].tm.aborts, 0);
-        let q1 = rows[0].runtime_s;
+        let q1 = rows[0].runtime_s();
         let last = &rows[4];
         assert!(
-            last.status == RunStatus::Livelock || last.runtime_s > 5.0 * q1,
+            last.outcome.status == RunStatus::Livelock || last.runtime_s() > 5.0 * q1,
             "Q=16 should collapse: {last:?}"
         );
     }
 
     #[test]
     fn table7_shape_norec_improves_with_quota() {
-        let rows = eigen_single_view_sweep(&tiny(), TmAlgorithm::NOrec);
+        let rows = fixed_q(&tiny(), App::EIGEN, TmAlgorithm::NOrec, Version::SingleView);
         for row in &rows {
-            assert_eq!(row.status, RunStatus::Completed, "NOrec is livelock-free");
+            assert_eq!(
+                row.outcome.status,
+                RunStatus::Completed,
+                "NOrec is livelock-free"
+            );
         }
         // Q=16 beats Q=2 (more concurrency pays off under NOrec).
-        assert!(rows[4].runtime_s < rows[1].runtime_s);
+        assert!(rows[4].runtime_s() < rows[1].runtime_s());
     }
 
     #[test]
     fn table5_multi_view_q1_equals_1_beats_single_view_optimum() {
         let s = tiny();
-        let single = eigen_single_view_sweep(&s, TmAlgorithm::OrecEagerRedo);
-        let multi = eigen_multi_view_sweep(&s, TmAlgorithm::OrecEagerRedo);
+        let algo = TmAlgorithm::OrecEagerRedo;
+        let single = fixed_q(&s, App::EIGEN, algo, Version::SingleView);
+        let multi = fixed_q(&s, App::EIGEN, algo, Version::MultiView);
         let best_single = single
             .iter()
-            .filter(|r| r.status == RunStatus::Completed)
-            .map(|r| r.runtime_s)
+            .filter(|r| r.outcome.status == RunStatus::Completed)
+            .map(Row::runtime_s)
             .fold(f64::INFINITY, f64::min);
         let multi_q1 = &multi[0];
-        assert_eq!(multi_q1.status, RunStatus::Completed);
+        assert_eq!(multi_q1.outcome.status, RunStatus::Completed);
         assert!(
-            multi_q1.runtime_s < best_single,
+            multi_q1.runtime_s() < best_single,
             "Observation 2: multi-view Q1=1 ({}) must beat single-view optimum ({best_single})",
-            multi_q1.runtime_s
+            multi_q1.runtime_s()
         );
     }
 
@@ -1355,26 +1068,37 @@ mod tests {
                 r.converged_throughput_ratio
             );
         }
-        let json = gate_rows_to_json(&s, &rows);
-        // Structural smoke checks (full parse is CI's python step).
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert_eq!(json.matches("\"algo\"").count(), rows.len());
-        assert!(json.contains("\"rows\": ["));
-        assert!(!json.contains("NaN") && !json.contains("inf"));
+        // The artifact parses with the reader `benchdiff` uses and carries
+        // every row under the current schema.
+        let doc = json::parse(&gate_rows_to_json(&s, &rows)).expect("gate JSON parses");
+        assert_eq!(
+            doc.get("rows").and_then(json::Json::as_arr).map(<[_]>::len),
+            Some(rows.len())
+        );
+        assert_eq!(
+            doc.get("schema_version").and_then(json::Json::as_str),
+            Some(SCHEMA_VERSION)
+        );
     }
 
     #[test]
     fn table4_shape_intruder_orec_improves_with_quota() {
-        let rows = intruder_single_view_sweep(&tiny(), TmAlgorithm::OrecEagerRedo);
+        let s = tiny();
+        let input = s.intruder_input();
+        let rows = fixed_q(
+            &s,
+            App::Intruder(&input),
+            TmAlgorithm::OrecEagerRedo,
+            Version::SingleView,
+        );
         for row in &rows {
-            assert_eq!(row.status, RunStatus::Completed);
+            assert_eq!(row.outcome.status, RunStatus::Completed);
         }
         assert!(
-            rows[4].runtime_s < rows[0].runtime_s,
+            rows[4].runtime_s() < rows[0].runtime_s(),
             "Q=16 ({}) must beat Q=1 ({})",
-            rows[4].runtime_s,
-            rows[0].runtime_s
+            rows[4].runtime_s(),
+            rows[0].runtime_s()
         );
     }
 }

@@ -1,8 +1,8 @@
 //! Workload-description layer: blocking producer/consumer scenarios as
 //! plain data rows.
 //!
-//! Earlier experiments were each a bespoke function; a blocking workload is
-//! instead *described* by a [`Scenario`] — thread split, buffer capacity,
+//! The paper's experiments are [`crate::Run`]s of its two applications; a
+//! blocking workload is *described* by a [`Scenario`] — thread split, buffer capacity,
 //! item counts, think time, and crucially the [`WaitMode`]: does a
 //! transaction that finds its guard unsatisfied **spin** (abort and
 //! re-execute, the only option before composable blocking existed) or

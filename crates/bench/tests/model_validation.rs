@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 
-use votm::{Addr, QuotaMode, TmAlgorithm, Votm};
-use votm_bench::Settings;
+use votm::{Addr, QuotaMode, TmAlgorithm, Version, Votm};
+use votm_bench::{sweep, App, Settings};
 use votm_model::{makespan_rac, TxParams};
 use votm_sim::{RunStatus, SimConfig, SimExecutor};
 use votm_utils::XorShift64;
@@ -114,11 +114,12 @@ fn observation1_holds_on_eigenbench_hot_view() {
         eigen_scale: 0.0005,
         ..Default::default()
     };
-    let rows = votm_bench::eigen_multi_view_sweep(&settings, TmAlgorithm::OrecEagerRedo);
+    let base = settings.run(App::EIGEN, TmAlgorithm::OrecEagerRedo, Version::MultiView);
+    let rows = sweep(&settings, &base.fixed_quota_sweep());
     // Rows are Q1 = 1, 2, 4, 8, 16.
     let completed: Vec<_> = rows
         .iter()
-        .filter(|r| r.status == RunStatus::Completed)
+        .filter(|r| r.outcome.status == RunStatus::Completed)
         .collect();
     assert!(completed.len() >= 4, "most of the sweep should complete");
     // delta(Q1) grows with Q1 and exceeds 1 somewhere in the sweep.
@@ -139,9 +140,9 @@ fn observation1_holds_on_eigenbench_hot_view() {
         if let Some(d) = pair[1].views[0].delta() {
             if d > 1.0 {
                 assert!(
-                    pair[0].runtime_s < pair[1].runtime_s,
-                    "delta({})={d:.2} > 1 but runtime did not improve when lowering Q1",
-                    pair[1].q
+                    pair[0].runtime_s() < pair[1].runtime_s(),
+                    "delta({:?})={d:.2} > 1 but runtime did not improve when lowering Q1",
+                    pair[1].run.quotas[0]
                 );
             }
         }

@@ -73,6 +73,7 @@ mod domain;
 mod error;
 mod handle;
 mod system;
+mod version;
 mod view;
 mod wait;
 
@@ -80,6 +81,7 @@ pub use domain::{AdaptiveDomain, DomainStats, DomainTx, RepartitionPolicy};
 pub use error::TxError;
 pub use handle::{HeapExhausted, TxAbort, TxHandle};
 pub use system::{Votm, VotmBuilder, VotmConfig};
+pub use version::Version;
 pub use view::{View, ViewStats};
 
 use votm_sim::Rt;

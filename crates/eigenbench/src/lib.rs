@@ -31,6 +31,8 @@
 
 use std::sync::Arc;
 
+pub use votm::Version;
+
 use votm::{
     Addr, ClockKind, CmPolicy, FlightRecorder, QuotaMode, TmAlgorithm, TxError, TxHandle, View,
     ViewStats, Votm,
@@ -67,7 +69,7 @@ pub struct ViewParams {
 
 impl ViewParams {
     /// Words this object needs in a heap (hot + mild arrays).
-    pub fn words(&self, _n_threads: u32) -> u64 {
+    pub fn words(&self) -> u64 {
         self.a1 + self.a2
     }
 
@@ -133,39 +135,6 @@ impl EigenConfig {
             w3o: 0,
             nopo: 0,
             seed: 1,
-        }
-    }
-}
-
-/// The four program versions of §III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Version {
-    /// Everything in one RAC-controlled view.
-    SingleView,
-    /// One RAC-controlled view per object.
-    MultiView,
-    /// Two views without RAC.
-    MultiTm,
-    /// Plain TM: one instance, no RAC.
-    PlainTm,
-}
-
-impl Version {
-    /// All versions, for table sweeps.
-    pub const ALL: [Version; 4] = [
-        Version::SingleView,
-        Version::MultiView,
-        Version::MultiTm,
-        Version::PlainTm,
-    ];
-
-    /// Paper row label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Version::SingleView => "single-view",
-            Version::MultiView => "multi-view",
-            Version::MultiTm => "multi-TM",
-            Version::PlainTm => "TM",
         }
     }
 }
@@ -256,53 +225,40 @@ fn build_views(
     version: Version,
     quotas: [QuotaMode; 2],
 ) -> (Vec<Arc<View>>, [ObjectMap; 2]) {
-    let n = config.n_threads;
-    let w1 = config.view1.words(n);
-    let w2 = config.view2.words(n);
-    match version {
-        Version::SingleView | Version::PlainTm => {
-            let quota = if version == Version::PlainTm {
-                QuotaMode::Unrestricted
-            } else {
-                quotas[0]
-            };
-            let view = sys.create_view((w1 + w2) as usize, quota);
-            let maps = [
-                ObjectMap {
-                    view_idx: 0,
-                    hot_base: 0,
-                    mild_base: config.view1.a1 as u32,
-                },
-                ObjectMap {
-                    view_idx: 0,
-                    hot_base: w1 as u32,
-                    mild_base: (w1 + config.view2.a1) as u32,
-                },
-            ];
-            (vec![view], maps)
-        }
-        Version::MultiView | Version::MultiTm => {
-            let (q1, q2) = if version == Version::MultiTm {
-                (QuotaMode::Unrestricted, QuotaMode::Unrestricted)
-            } else {
-                (quotas[0], quotas[1])
-            };
-            let v1 = sys.create_view(w1 as usize, q1);
-            let v2 = sys.create_view(w2 as usize, q2);
-            let maps = [
-                ObjectMap {
-                    view_idx: 0,
-                    hot_base: 0,
-                    mild_base: config.view1.a1 as u32,
-                },
-                ObjectMap {
-                    view_idx: 1,
-                    hot_base: 0,
-                    mild_base: config.view2.a1 as u32,
-                },
-            ];
-            (vec![v1, v2], maps)
-        }
+    let w1 = config.view1.words();
+    let w2 = config.view2.words();
+    let [q1, q2] = version.quotas(quotas);
+    if version.splits_objects() {
+        let v1 = sys.create_view(w1 as usize, q1);
+        let v2 = sys.create_view(w2 as usize, q2);
+        let maps = [
+            ObjectMap {
+                view_idx: 0,
+                hot_base: 0,
+                mild_base: config.view1.a1 as u32,
+            },
+            ObjectMap {
+                view_idx: 1,
+                hot_base: 0,
+                mild_base: config.view2.a1 as u32,
+            },
+        ];
+        (vec![v1, v2], maps)
+    } else {
+        let view = sys.create_view((w1 + w2) as usize, q1);
+        let maps = [
+            ObjectMap {
+                view_idx: 0,
+                hot_base: 0,
+                mild_base: config.view1.a1 as u32,
+            },
+            ObjectMap {
+                view_idx: 0,
+                hot_base: w1 as u32,
+                mild_base: (w1 + config.view2.a1) as u32,
+            },
+        ];
+        (vec![view], maps)
     }
 }
 

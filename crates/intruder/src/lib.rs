@@ -27,12 +27,13 @@ pub mod packet;
 pub use packet::{
     checksum, contains_attack, generate, GenConfig, Input, Packet, ATTACK_SIGNATURE, FRAGMENT_WORDS,
 };
+pub use votm::Version;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use votm::{QuotaMode, TmAlgorithm, TxError, TxHandle, ViewStats, Votm};
-use votm_ds::{TxHashMap, TxQueue, TxTreap};
+use votm_ds::{TxHashMap, TxQueue};
 use votm_sim::{Rt, RunOutcome, SimConfig, SimExecutor};
 
 /// Detector cost: cycles of local scanning per payload word (STAMP's
@@ -48,91 +49,6 @@ pub const HEADER_PARSE_CYCLES: u64 = 150;
 /// copies the fragment payload into the assembly buffer and maintains the
 /// per-flow fragment list).
 pub const DECODE_LOCAL_NOPS: u64 = 1400;
-
-/// Which structure backs the flow-reassembly dictionary.
-///
-/// STAMP's original Intruder keys its fragmented-flows map with a
-/// red-black tree; our default is a chained hash map (fewer shared words
-/// per lookup). [`DictKind::Ordered`] switches to the transactional treap
-/// for STAMP-faithful tree-shaped read sets — an ablation knob: tree
-/// traversals put `O(log n)` internal nodes in every transaction's read
-/// set, so structural updates conflict more.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DictKind {
-    /// Chained hash map (default; O(1) expected shared reads per op).
-    #[default]
-    Hash,
-    /// Ordered treap (STAMP's rbtree analogue; O(log n) reads per op).
-    Ordered,
-}
-
-/// Dictionary handle generic over [`DictKind`].
-#[derive(Debug, Clone, Copy)]
-enum Dict {
-    Hash(TxHashMap),
-    Ordered(TxTreap),
-}
-
-impl Dict {
-    async fn get(&self, tx: &mut TxHandle<'_>, key: u64) -> Result<Option<u64>, TxError> {
-        match self {
-            Dict::Hash(m) => m.get(tx, key).await,
-            Dict::Ordered(t) => t.get(tx, key).await,
-        }
-    }
-
-    async fn insert(
-        &self,
-        tx: &mut TxHandle<'_>,
-        key: u64,
-        value: u64,
-    ) -> Result<Option<u64>, TxError> {
-        match self {
-            Dict::Hash(m) => m.insert(tx, key, value).await,
-            Dict::Ordered(t) => t.insert(tx, key, value).await,
-        }
-    }
-
-    async fn remove(&self, tx: &mut TxHandle<'_>, key: u64) -> Result<Option<u64>, TxError> {
-        match self {
-            Dict::Hash(m) => m.remove(tx, key).await,
-            Dict::Ordered(t) => t.remove(tx, key).await,
-        }
-    }
-}
-
-/// The four program versions (same meaning as in `votm-eigenbench`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Version {
-    /// Queue + dictionary in one RAC-controlled view.
-    SingleView,
-    /// Queue and dictionary in separate RAC-controlled views.
-    MultiView,
-    /// Separate views, RAC disabled.
-    MultiTm,
-    /// One TM instance, no RAC.
-    PlainTm,
-}
-
-impl Version {
-    /// All versions, for table sweeps.
-    pub const ALL: [Version; 4] = [
-        Version::SingleView,
-        Version::MultiView,
-        Version::MultiTm,
-        Version::PlainTm,
-    ];
-
-    /// Paper row label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Version::SingleView => "single-view",
-            Version::MultiView => "multi-view",
-            Version::MultiTm => "multi-TM",
-            Version::PlainTm => "TM",
-        }
-    }
-}
 
 /// Result of one Intruder run.
 #[derive(Debug, Clone)]
@@ -159,7 +75,7 @@ const A_SLOTS: u32 = 2;
 /// the flow's packet indices when this fragment completes it.
 async fn decode(
     tx: &mut TxHandle<'_>,
-    map: &Dict,
+    map: &TxHashMap,
     pkt: &Packet,
     idx: u64,
 ) -> Result<Option<Vec<u64>>, TxError> {
@@ -224,20 +140,6 @@ pub fn run_sim(
     quotas: [QuotaMode; 2],
     sim: SimConfig,
 ) -> IntruderResult {
-    run_sim_with_dict(input, n_threads, algo, version, quotas, sim, DictKind::Hash)
-}
-
-/// [`run_sim`] with an explicit dictionary structure (ablation knob).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sim_with_dict(
-    input: &Arc<Input>,
-    n_threads: u32,
-    algo: TmAlgorithm,
-    version: Version,
-    quotas: [QuotaMode; 2],
-    sim: SimConfig,
-    dict_kind: DictKind,
-) -> IntruderResult {
     let sys = Votm::builder().algo(algo).threads(n_threads).build();
 
     let n_packets = input.packets.len() as u64;
@@ -254,29 +156,16 @@ pub fn run_sim_with_dict(
         + input.flows * 4 // map nodes
         + input.flows.next_power_of_two()) as usize; // buckets
 
-    let (queue_view, dict_view) = match version {
-        Version::SingleView | Version::PlainTm => {
-            let quota = if version == Version::PlainTm {
-                QuotaMode::Unrestricted
-            } else {
-                quotas[0]
-            };
-            let v = sys.create_view(queue_words + dict_words, quota);
-            (Arc::clone(&v), v)
-        }
-        Version::MultiView | Version::MultiTm => {
-            let (q0, q1) = if version == Version::MultiTm {
-                (QuotaMode::Unrestricted, QuotaMode::Unrestricted)
-            } else {
-                (quotas[0], quotas[1])
-            };
-            (
-                sys.create_view(queue_words, q0),
-                sys.create_view(dict_words, q1),
-            )
-        }
+    let [q0, q1] = version.quotas(quotas);
+    let (queue_view, dict_view) = if version.splits_objects() {
+        (
+            sys.create_view(queue_words, q0),
+            sys.create_view(dict_words, q1),
+        )
+    } else {
+        let v = sys.create_view(queue_words + dict_words, q0);
+        (Arc::clone(&v), v)
     };
-    let single = Arc::ptr_eq(&queue_view, &dict_view);
 
     // Pre-fill the stream (single-threaded setup, like STAMP's main()).
     let stream = TxQueue::create(&queue_view);
@@ -284,10 +173,7 @@ pub fn run_sim_with_dict(
         stream.push_back_direct(&queue_view, idx);
     }
     let buckets = (input.flows.next_power_of_two() as u32).clamp(16, 1 << 20);
-    let dict = match dict_kind {
-        DictKind::Hash => Dict::Hash(TxHashMap::create(&dict_view, buckets)),
-        DictKind::Ordered => Dict::Ordered(TxTreap::create(&dict_view)),
-    };
+    let dict = TxHashMap::create(&dict_view, buckets);
 
     let flows_processed = Arc::new(AtomicU64::new(0));
     let attacks_found = Arc::new(AtomicU64::new(0));
@@ -339,10 +225,10 @@ pub fn run_sim_with_dict(
         });
     }
     let outcome = ex.run();
-    let views = if single {
-        vec![queue_view.stats()]
-    } else {
+    let views = if version.splits_objects() {
         vec![queue_view.stats(), dict_view.stats()]
+    } else {
+        vec![queue_view.stats()]
     };
     IntruderResult {
         outcome,
@@ -473,45 +359,5 @@ mod tests {
         let b = run();
         assert_eq!(a.outcome.vtime, b.outcome.vtime);
         assert_eq!(a.views[0].tm, b.views[0].tm);
-    }
-}
-
-#[cfg(test)]
-mod dict_tests {
-    use super::*;
-    use votm_sim::RunStatus;
-
-    /// The ordered (treap) dictionary — STAMP's rbtree analogue — must
-    /// produce identical results to the hash dictionary, at a different
-    /// (typically higher) conflict rate.
-    #[test]
-    fn ordered_dictionary_is_equivalent_and_more_conflicted() {
-        let input = Arc::new(generate(&GenConfig {
-            attack_percent: 20,
-            max_length: 24,
-            flows: 150,
-            seed: 2,
-        }));
-        let mut aborts = Vec::new();
-        for kind in [DictKind::Hash, DictKind::Ordered] {
-            let res = run_sim_with_dict(
-                &input,
-                8,
-                TmAlgorithm::NOrec,
-                Version::MultiView,
-                [QuotaMode::Fixed(8), QuotaMode::Fixed(8)],
-                SimConfig::default(),
-                kind,
-            );
-            assert_eq!(res.outcome.status, RunStatus::Completed, "{kind:?}");
-            assert_eq!(res.flows_processed, input.flows, "{kind:?}");
-            assert_eq!(res.attacks_found, input.attacks_injected, "{kind:?}");
-            assert_eq!(res.checksum_errors, 0, "{kind:?}");
-            aborts.push(res.views[1].tm.aborts);
-        }
-        // Not asserting a strict ordering (it is workload-dependent), but
-        // both must have completed correctly; record the rates for the
-        // ablation bench to compare.
-        assert!(aborts[0] < u64::MAX && aborts[1] < u64::MAX);
     }
 }

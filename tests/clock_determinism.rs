@@ -9,7 +9,7 @@
 //! host entropy.
 
 use votm::{ClockKind, CmPolicy, TmAlgorithm};
-use votm_bench::{capture_trace_clock, capture_trace_sim, Settings};
+use votm_bench::{capture_trace, Settings};
 use votm_sim::SimConfig;
 
 fn settings() -> Settings {
@@ -35,8 +35,8 @@ fn every_clock_replays_byte_identical_exports() {
             (TmAlgorithm::OrecEagerRedo, 42),
             (TmAlgorithm::OrecLazy, 42),
         ] {
-            let a = capture_trace_clock(&settings, algo, sim(seed), CmPolicy::Backoff, clock);
-            let b = capture_trace_clock(&settings, algo, sim(seed), CmPolicy::Backoff, clock);
+            let a = capture_trace(&settings, algo, sim(seed), CmPolicy::Backoff, clock);
+            let b = capture_trace(&settings, algo, sim(seed), CmPolicy::Backoff, clock);
             assert_eq!(
                 a.chrome_trace, b.chrome_trace,
                 "{clock:?} {algo:?} seed {seed}: chrome trace diverged across replays"
@@ -55,16 +55,22 @@ fn every_clock_replays_byte_identical_exports() {
 }
 
 /// The global clock is *passive* plumbing: `ClockKind::Global` takes the
-/// exact fetch-add path the pre-ClockSource code did, so a global-clock
-/// capture is byte-identical to the default capture — not merely
-/// deterministic. This is the test-level form of the CI gate's
-/// default-rows-bit-identical check.
+/// exact fetch-add path the pre-ClockSource code did and is what a system
+/// gets when it names no clock, so a global-clock capture is byte-identical
+/// to the default capture — not merely deterministic. This is the
+/// test-level form of the CI gate's default-rows-bit-identical check.
 #[test]
 fn global_clock_matches_the_default_capture_exactly() {
     let settings = settings();
     for algo in [TmAlgorithm::NOrec, TmAlgorithm::OrecEagerRedo] {
-        let default = capture_trace_sim(&settings, algo, sim(7));
-        let global = capture_trace_clock(
+        let default = capture_trace(
+            &settings,
+            algo,
+            sim(7),
+            CmPolicy::default(),
+            ClockKind::default(),
+        );
+        let global = capture_trace(
             &settings,
             algo,
             sim(7),

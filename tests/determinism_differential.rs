@@ -11,8 +11,8 @@
 //! `votm-obs-snapshot-v1` exporters, whose output is a canonical
 //! serialisation of everything the simulation observed.
 
-use votm::TmAlgorithm;
-use votm_bench::{capture_trace_sim, Settings};
+use votm::{ClockKind, CmPolicy, TmAlgorithm};
+use votm_bench::{capture_trace, Settings, TraceCapture};
 use votm_sim::{SchedulerKind, SimConfig};
 
 fn sim(seed: u64, scheduler: SchedulerKind, coalesce: bool) -> SimConfig {
@@ -24,6 +24,10 @@ fn sim(seed: u64, scheduler: SchedulerKind, coalesce: bool) -> SimConfig {
     }
 }
 
+fn capture(settings: &Settings, algo: TmAlgorithm, sim: SimConfig) -> TraceCapture {
+    capture_trace(settings, algo, sim, CmPolicy::Backoff, ClockKind::Global)
+}
+
 #[test]
 fn exports_are_byte_identical_across_schedulers() {
     let settings = Settings {
@@ -32,7 +36,7 @@ fn exports_are_byte_identical_across_schedulers() {
     };
     for algo in [TmAlgorithm::OrecEagerRedo, TmAlgorithm::NOrec] {
         for seed in [1u64, 42] {
-            let base = capture_trace_sim(
+            let base = capture(
                 &settings,
                 algo,
                 sim(seed, SchedulerKind::ReferenceHeap, true),
@@ -42,7 +46,7 @@ fn exports_are_byte_identical_across_schedulers() {
                 (SchedulerKind::TimerWheel, false, "wheel-nocoalesce"),
                 (SchedulerKind::ReferenceHeap, false, "heap-nocoalesce"),
             ] {
-                let got = capture_trace_sim(&settings, algo, sim(seed, scheduler, coalesce));
+                let got = capture(&settings, algo, sim(seed, scheduler, coalesce));
                 assert_eq!(
                     base.chrome_trace, got.chrome_trace,
                     "{algo:?} seed {seed} {label}: chrome trace diverged"

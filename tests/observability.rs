@@ -7,8 +7,9 @@
 
 use std::sync::Arc;
 
-use votm::{FlightRecorder, QuotaMode, TmAlgorithm};
-use votm_bench::{capture_trace, Settings};
+use votm::{ClockKind, CmPolicy, FlightRecorder, QuotaMode, TmAlgorithm};
+use votm_bench::json::{self, Json};
+use votm_bench::{capture_profile, capture_trace, Settings, TraceCapture};
 use votm_eigenbench::{run_sim, run_sim_recorded, EigenConfig, Version};
 use votm_obs::{
     AbortReason, ConflictProfile, ConflictSiteKind, EventKind, ProfileWindow, ADDR_BUCKET_NONE,
@@ -22,6 +23,16 @@ fn trace_settings() -> Settings {
     }
 }
 
+/// The trace export `tables --trace` writes: default policy and clock, the
+/// schedule seeded like the workload.
+fn trace(s: &Settings, algo: TmAlgorithm) -> TraceCapture {
+    let sim = SimConfig {
+        seed: s.seed,
+        ..SimConfig::default()
+    };
+    capture_trace(s, algo, sim, CmPolicy::Backoff, ClockKind::Global)
+}
+
 fn small_config() -> EigenConfig {
     let mut c = EigenConfig::paper_table2(0.0005);
     c.n_threads = 8;
@@ -31,8 +42,8 @@ fn small_config() -> EigenConfig {
 #[test]
 fn same_seed_runs_export_byte_identical_json() {
     let s = trace_settings();
-    let a = capture_trace(&s, TmAlgorithm::OrecEagerRedo);
-    let b = capture_trace(&s, TmAlgorithm::OrecEagerRedo);
+    let a = trace(&s, TmAlgorithm::OrecEagerRedo);
+    let b = trace(&s, TmAlgorithm::OrecEagerRedo);
     assert_eq!(
         a.chrome_trace, b.chrome_trace,
         "chrome trace must be deterministic for a fixed seed"
@@ -45,14 +56,14 @@ fn same_seed_runs_export_byte_identical_json() {
     // trace — determinism is not degenerate constancy.
     let mut s2 = s;
     s2.seed += 1;
-    let c = capture_trace(&s2, TmAlgorithm::OrecEagerRedo);
+    let c = trace(&s2, TmAlgorithm::OrecEagerRedo);
     assert_ne!(a.chrome_trace, c.chrome_trace);
 }
 
 #[test]
 fn exported_trace_carries_quota_decisions_and_structured_aborts() {
     let s = trace_settings();
-    let cap = capture_trace(&s, TmAlgorithm::OrecEagerRedo);
+    let cap = trace(&s, TmAlgorithm::OrecEagerRedo);
     // The adaptive controller must have moved at least once on the
     // high-contention view, and the decision must carry its δ(Q) sample.
     assert!(
@@ -87,7 +98,7 @@ fn exported_trace_carries_quota_decisions_and_structured_aborts() {
 #[test]
 fn commit_histogram_count_matches_commit_counter() {
     let s = trace_settings();
-    let cap = capture_trace(&s, TmAlgorithm::NOrec);
+    let cap = trace(&s, TmAlgorithm::NOrec);
     for v in &cap.views {
         assert_eq!(
             v.hists.commit.count(),
@@ -100,6 +111,58 @@ fn commit_histogram_count_matches_commit_counter() {
             v.tm.aborts,
             "view {}: every abort is followed by exactly one retry begin",
             v.view_id
+        );
+    }
+}
+
+/// The member of `doc` at `path`; panics naming the first missing key.
+fn at<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
+    path.iter().fold(doc, |d, key| {
+        d.get(key)
+            .unwrap_or_else(|| panic!("missing {key:?} in {path:?}"))
+    })
+}
+
+/// The documents `tables --profile` and `tables --trace` write parse, and
+/// hold what their consumers rely on: the profile's schema, its wasted-cycle
+/// ledger (buckets + unattributed = total) and a separability in [0, 1];
+/// a quota decision on the trace; the snapshot's schema and, per exported
+/// view, a commit-histogram count equal to the commit counter.
+#[test]
+fn exported_documents_parse_and_hold_their_invariants() {
+    let profile = capture_profile(&Settings::default(), TmAlgorithm::OrecEagerRedo);
+    let p = json::parse(&profile.json).expect("profile parses");
+    assert_eq!(at(&p, &["schema"]).as_str(), Some("votm-obs-profile-v1"));
+    let wasted = |b: &Json| at(b, &["wasted_cycles"]).as_u64().expect("wasted_cycles");
+    let buckets = at(&p, &["buckets"]).as_arr().expect("buckets");
+    let attributed = buckets.iter().map(wasted).sum::<u64>() + wasted(at(&p, &["unattributed"]));
+    assert_eq!(Some(attributed), at(&p, &["abort_cycles_total"]).as_u64());
+    let separability = at(&p, &["partition", "separability"]).as_f64();
+    assert!(
+        separability.is_some_and(|s| (0.0..=1.0).contains(&s)),
+        "{separability:?}"
+    );
+
+    let cap = trace(&trace_settings(), TmAlgorithm::OrecEagerRedo);
+    let t = json::parse(&cap.chrome_trace).expect("chrome trace parses");
+    let events = at(&t, &["traceEvents"]).as_arr().expect("traceEvents");
+    assert!(
+        events
+            .iter()
+            .any(|e| e.get("name").and_then(Json::as_str) == Some("quota-change")),
+        "no quota decision on the trace"
+    );
+    let snap = json::parse(&cap.snapshot).expect("snapshot parses");
+    assert_eq!(
+        at(&snap, &["schema"]).as_str(),
+        Some("votm-obs-snapshot-v1")
+    );
+    for v in at(&snap, &["views"]).as_arr().expect("views") {
+        assert_eq!(
+            at(v, &["hist", "commit", "count"]).as_u64(),
+            at(v, &["commits"]).as_u64(),
+            "view {:?}: histogram/counter mismatch",
+            at(v, &["view_id"]).as_u64()
         );
     }
 }

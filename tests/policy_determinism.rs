@@ -11,7 +11,7 @@
 //! never from host entropy.
 
 use votm::{ClockKind, CmPolicy, QuotaMode, TmAlgorithm, Votm};
-use votm_bench::{capture_trace_clock, Settings, TraceCapture};
+use votm_bench::{capture_trace, Settings, TraceCapture};
 use votm_sim::SimConfig;
 
 fn settings() -> Settings {
@@ -29,7 +29,7 @@ fn sim(seed: u64) -> SimConfig {
 }
 
 fn capture(algo: TmAlgorithm, seed: u64, policy: CmPolicy) -> TraceCapture {
-    capture_trace_clock(&settings(), algo, sim(seed), policy, ClockKind::Global)
+    capture_trace(&settings(), algo, sim(seed), policy, ClockKind::Global)
 }
 
 #[test]
