@@ -308,11 +308,11 @@ pub fn partition_table(rows: &[GateRow]) -> String {
         "drain cycles".to_string(),
         "converged ratio".to_string(),
     ]];
-    let partition_rows: Vec<&GateRow> = rows
+    let pairs: Vec<&GateRow> = rows
         .iter()
         .filter(|r| r.version.starts_with("partition-"))
         .collect();
-    for r in &partition_rows {
+    for r in &pairs {
         lines.push(vec![
             r.version.to_string(),
             format!("{:?}", r.status),
@@ -332,7 +332,7 @@ pub fn partition_table(rows: &[GateRow]) -> String {
     out.push_str(&markdown(&lines));
     // The headline the gate exists to record: the worst adaptive scenario's
     // distance from its hand-partitioned twin.
-    let worst = partition_rows
+    let worst = pairs
         .iter()
         .filter(|r| r.converged_throughput_ratio > 0.0)
         .min_by(|a, b| {

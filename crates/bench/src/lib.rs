@@ -1,13 +1,16 @@
 //! Benchmark harness regenerating the paper's evaluation (Tables III–X),
 //! two extension tables (11–12) and the machine-readable throughput gate.
 //!
-//! Every paper experiment is one shape: a [`Run`] — application ×
-//! algorithm × [`Version`] × quotas × N × seed — executed by [`run`] under
-//! the virtual-time simulator, or a list of them executed by [`sweep`]
-//! under the livelock watchdog. The tables are data over those two (the
-//! `tables` binary lists them and formats the [`Row`]s with [`fmt`]), and
-//! so are the gate's Eigenbench rows, [`policy_spreads`], [`capture_trace`]
-//! and [`capture_profile`]. Workload sizes are scaled by
+//! Every experiment is one shape: a [`Run`] — application × algorithm ×
+//! [`Version`] × quotas × N × seed — executed by [`run`] under the
+//! virtual-time simulator, or a list of them executed by [`sweep`] under
+//! the livelock watchdog. The applications are the paper's two plus the
+//! gate's two scenario workloads ([`workload`]). The tables are data over
+//! those two functions (the `tables` binary lists them and formats the
+//! [`Row`]s with [`fmt`]), and so are every gate row ([`throughput_gate`]
+//! folds one list of runs), [`policy_spreads`], [`capture_trace`] and
+//! [`capture_profile`]; [`check::check_gate`] holds the gate artifact's
+//! invariants. Workload sizes are scaled by
 //! [`Settings::eigen_scale`] / [`Settings::intruder_scale`] (1.0 = the
 //! paper's 3.2M Eigenbench transactions / 262144 Intruder flows); the
 //! *shape* of each table — orderings, crossovers, livelocks — is the
@@ -19,6 +22,7 @@
 
 #![warn(missing_docs)]
 
+pub mod check;
 pub mod fmt;
 pub mod harness;
 pub mod json;
@@ -26,13 +30,17 @@ pub mod workload;
 
 use std::sync::Arc;
 
-use votm::{ClockKind, CmPolicy, FlightRecorder, QuotaMode, TmAlgorithm, Version, ViewStats};
+use votm::{
+    ClockKind, CmPolicy, DomainStats, FlightRecorder, QuotaMode, StatsSnapshot, TmAlgorithm,
+    Version, ViewStats,
+};
 use votm_eigenbench::EigenConfig;
 use votm_intruder::{GenConfig, Input};
 use votm_obs::export::{self, ViewReport};
 use votm_obs::{AbortReason, ConflictProfile, HistogramSnapshot, SCHEMA_VERSION};
 use votm_sim::{RunOutcome, RunStatus, SimConfig};
 use votm_stm::cost::CYCLES_PER_SECOND;
+use workload::Layout;
 
 /// Cycle-to-microsecond conversion for exported traces (the simulator's
 /// cost model clocks a 2.5 GHz core).
@@ -89,9 +97,8 @@ impl Settings {
 }
 
 /// The application a [`Run`] drives. Eigenbench builds its system under a
-/// contention-management policy and a clock strategy; Intruder builds the
-/// defaults over a pre-generated input, so its variant carries the input
-/// and nothing else.
+/// contention-management policy and a clock strategy; the others build the
+/// defaults, so each variant carries only what its application reads.
 #[derive(Debug, Clone, Copy)]
 pub enum App<'a> {
     /// The modified two-view Eigenbench (Table II parameters).
@@ -103,6 +110,10 @@ pub enum App<'a> {
     },
     /// STAMP Intruder over this input.
     Intruder(&'a Arc<Input>),
+    /// A bounded-buffer producer/consumer run of this shape.
+    Buffer(workload::Scenario),
+    /// The two-group partition workload of this shape, on this layout.
+    Partition(workload::PartitionScenario, workload::Layout),
 }
 
 impl App<'_> {
@@ -149,17 +160,31 @@ impl Run<'_> {
             ..Default::default()
         }
     }
+
+    /// The gate row's `version` label: the program version of a paper
+    /// application, the scenario's name otherwise.
+    fn label(&self) -> String {
+        match self.app {
+            App::Eigen { .. } | App::Intruder(_) => self.version.name().to_string(),
+            App::Buffer(scenario) => scenario.name.to_string(),
+            App::Partition(scenario, layout) => format!("{}-{}", scenario.name, layout.name()),
+        }
+    }
 }
 
-/// What one [`Run`] produced. Every table cell derives from this.
+/// What one [`Run`] produced. Every table cell and gate field derives from
+/// this.
 #[derive(Debug, Clone)]
 pub struct Row<'a> {
     /// The run that produced it.
     pub run: Run<'a>,
     /// Simulator outcome: status, makespan, steps.
     pub outcome: RunOutcome,
-    /// Per-view statistics in view order (one entry for one-view versions).
+    /// Per-view statistics in view order (one entry for one-view versions;
+    /// every slot, retired ones included, for an adaptive domain).
     pub views: Vec<ViewStats>,
+    /// The adaptive domain's counters, for a run on one.
+    pub domain: Option<DomainStats>,
 }
 
 impl Row<'_> {
@@ -175,19 +200,25 @@ fn vsec(vtime: u64) -> f64 {
 
 /// Executes `run` with the livelock watchdog at `cap` virtual cycles (none
 /// when `None`). A completed Intruder run must have reassembled every flow,
-/// found every injected attack and corrupted no payload.
+/// found every injected attack and corrupted no payload; a completed buffer
+/// run must have consumed every item exactly once.
 pub fn run<'a>(settings: &Settings, run: Run<'a>, cap: Option<u64>) -> Row<'a> {
     execute(settings, run, run.sim(cap), None)
 }
 
-/// [`run`] under an explicit simulator configuration, optionally recorded.
+/// [`run`] under an explicit simulator configuration, optionally recorded
+/// (Eigenbench only).
 fn execute<'a>(
     settings: &Settings,
     run: Run<'a>,
     sim: SimConfig,
     recorder: Option<Arc<FlightRecorder>>,
 ) -> Row<'a> {
-    let (outcome, views) = match run.app {
+    assert!(
+        recorder.is_none() || matches!(run.app, App::Eigen { .. }),
+        "only Eigenbench runs are recorded"
+    );
+    let (outcome, views, domain) = match run.app {
         App::Eigen { policy, clock } => {
             let mut config = EigenConfig::paper_table2(settings.eigen_scale);
             config.n_threads = run.n_threads;
@@ -202,10 +233,9 @@ fn execute<'a>(
                 policy,
                 clock,
             );
-            (res.outcome, res.views)
+            (res.outcome, res.views, None)
         }
         App::Intruder(input) => {
-            assert!(recorder.is_none(), "Intruder runs are not recorded");
             let res = votm_intruder::run_sim(
                 input,
                 run.n_threads,
@@ -219,13 +249,19 @@ fn execute<'a>(
                 assert_eq!(res.attacks_found, input.attacks_injected, "detector miss");
                 assert_eq!(res.checksum_errors, 0, "reassembly corruption");
             }
-            (res.outcome, res.views)
+            (res.outcome, res.views, None)
         }
+        App::Buffer(scenario) => {
+            let (outcome, views) = workload::run_buffer(scenario, &run, sim);
+            (outcome, views, None)
+        }
+        App::Partition(scenario, layout) => workload::run_partition(scenario, layout, &run, sim),
     };
     Row {
         run,
         outcome,
         views,
+        domain,
     }
 }
 
@@ -248,7 +284,7 @@ pub fn sweep<'a>(settings: &Settings, runs: &[Run<'a>]) -> Vec<Row<'a>> {
 // ------------------------------------------------------- Throughput gate
 
 /// One row of the machine-readable throughput gate (`BENCH_<n>.json`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GateRow {
     /// STM algorithm name.
     pub algo: &'static str,
@@ -261,9 +297,12 @@ pub struct GateRow {
     /// clock-variant comparison rows measured head-to-head in
     /// `clock_table.md`.
     pub clock: &'static str,
-    /// Eigenbench version label ("single-view" = 1 view, "multi-view" = 2).
-    pub version: &'static str,
-    /// Number of views the version partitions memory into.
+    /// Row label ([`Run`]'s): the Eigenbench version ("single-view" = 1
+    /// view, "multi-view" = 2) or the scenario's name (`bounded16-spin`,
+    /// `partition-zipf-hand`, …).
+    pub version: String,
+    /// Number of views the run partitions memory into — for an adaptive
+    /// domain, the live views it ended with.
     pub n_views: u32,
     /// Thread count N for this row.
     pub n_threads: u32,
@@ -290,7 +329,8 @@ pub struct GateRow {
     pub fast_acquires: u64,
     /// Gate admissions that entered the blocking slow path.
     pub slow_acquires: u64,
-    /// Busy-wait retries (seqlock held, lost CAS race; not aborts).
+    /// Busy-wait retries (seqlock held, lost CAS race; not aborts); on a
+    /// bounded-buffer row, [`workload::WaitMode::busy_retries`].
     pub busy_retries: u64,
     /// `busy_retries / commits` (0 when idle) — how many spin retries each
     /// committed transaction paid on average. The derived form of the
@@ -339,9 +379,7 @@ pub struct GateRow {
     /// while Orec comparison rows may escalate on genuine conflict streaks.
     pub escalations: u64,
     /// Live repartitions (splits + merges) the row's
-    /// [`votm::AdaptiveDomain`] executed. Zero on every non-domain row —
-    /// the carried-over eigenbench/blocking rows never repartition, which
-    /// is what keeps them bit-identical across the schema bump.
+    /// [`votm::AdaptiveDomain`] executed. Zero on every non-domain row.
     pub repartitions: u64,
     /// Virtual cycles spent inside repartition drain barriers (the
     /// exclusive-acquire windows that quiesce views before a remap).
@@ -376,70 +414,51 @@ fn ratio(num: u64, den: u64, idle: f64) -> f64 {
     }
 }
 
-/// The one `ViewStats` → [`GateRow`] fold: sums every per-view counter and
-/// run outcome over `runs` (one entry per seeded run), merges the commit
-/// histograms and derives the guarded ratios. The row comes back under the
-/// default policy and clock, with `n_views` the last run's view count and
-/// the repartition fields zero; a row family that differs overrides those.
-pub(crate) fn fold_gate_row<'a>(
-    algo: TmAlgorithm,
-    version: &'static str,
-    n_threads: u32,
-    wall_s: f64,
-    runs: impl IntoIterator<Item = (&'a RunOutcome, &'a [ViewStats])>,
-) -> GateRow {
+/// The one [`Row`] → [`GateRow`] fold: sums every per-view counter, run
+/// outcome and domain counter over `rows` (one per seed of one run),
+/// merges the commit histograms and derives the guarded ratios. `n_views`
+/// is the last row's view count (an adaptive domain's live views); a
+/// bounded-buffer row's busy retries are its guard failures that did not
+/// park.
+fn fold_gate_row(rows: &[Row], wall_s: f64) -> GateRow {
+    let run = rows[0].run;
+    let (policy, clock) = match run.app {
+        App::Eigen { policy, clock } => (policy, clock),
+        _ => (CmPolicy::Backoff, ClockKind::Global),
+    };
+    let busy_retries = |tm: &StatsSnapshot| match run.app {
+        App::Buffer(scenario) => scenario.waiting.busy_retries(tm),
+        _ => tm.busy_retries,
+    };
     let mut row = GateRow {
-        algo: algo.name(),
-        policy: CmPolicy::Backoff.name(),
-        clock: ClockKind::Global.name(),
-        version,
-        n_views: 0,
-        n_threads,
-        status: RunStatus::Completed,
-        commits: 0,
-        aborts: 0,
-        abort_rate: 0.0,
-        vtime: 0,
-        txns_per_vsec: 0.0,
+        algo: run.algo.name(),
+        policy: policy.name(),
+        clock: clock.name(),
+        version: run.label(),
+        n_threads: run.n_threads,
         wall_s,
-        gate_fast_path_hit_rate: 0.0,
-        fast_acquires: 0,
-        slow_acquires: 0,
-        busy_retries: 0,
-        busy_retries_per_commit: 0.0,
-        clock_bumps: 0,
-        clock_bump_skips: 0,
-        gate_wait_cycles: 0,
-        commit_p50_cycles: 0,
-        commit_p99_cycles: 0,
-        wasted_cycles: 0,
-        useful_cycles: 0,
-        waste_frac: 0.0,
-        wasted_by_reason: [0; AbortReason::COUNT],
-        sim_steps: 0,
-        coalesced_polls: 0,
-        parked_waits: 0,
-        lost_wakeups: 0,
-        escalations: 0,
-        repartitions: 0,
-        split_drain_cycles: 0,
-        converged_throughput_ratio: 0.0,
+        ..GateRow::default()
     };
     let mut commit_hist = HistogramSnapshot::default();
-    for (outcome, views) in runs {
+    for r in rows {
+        let outcome = &r.outcome;
         if outcome.status != RunStatus::Completed {
             row.status = outcome.status;
         }
-        row.n_views = views.len() as u32;
+        row.n_views = r.domain.map_or(r.views.len(), |d| d.live_views) as u32;
         row.vtime += outcome.vtime;
         row.sim_steps += outcome.steps;
         row.coalesced_polls += outcome.sched.coalesced;
-        for v in views {
+        if let Some(d) = r.domain {
+            row.repartitions += d.repartitions;
+            row.split_drain_cycles += d.split_drain_cycles;
+        }
+        for v in &r.views {
             row.commits += v.tm.commits;
             row.aborts += v.tm.aborts;
             row.fast_acquires += v.gate.fast_acquires;
             row.slow_acquires += v.gate.slow_acquires;
-            row.busy_retries += v.tm.busy_retries;
+            row.busy_retries += busy_retries(&v.tm);
             row.gate_wait_cycles += v.tm.gate_wait_cycles;
             row.clock_bumps += v.clock.bumps;
             row.clock_bump_skips += v.clock.bump_skips;
@@ -478,17 +497,26 @@ pub(crate) fn fold_gate_row<'a>(
     row
 }
 
-/// The gate's Eigenbench configurations, in row order, each with the number
-/// of consecutive seeds its row sums over: every algorithm × {single-view,
-/// multi-view} × N ∈ [`GATE_THREADS`] under the default policy and clock
-/// ([`GATE_SEEDS`] seeds each), then one single-seed single-view row at the
-/// largest N per non-default policy × algorithm that can run one
-/// ([`TmAlgorithm::names_lock_holder`]: a NOrec view runs the passive
-/// default whatever it is asked for) and per non-default clock × algorithm.
+/// The gate's runs, in row order, each with the number of consecutive
+/// seeds its row sums over. First Eigenbench at adaptive quotas: every
+/// algorithm × {single-view, multi-view} × N ∈ [`GATE_THREADS`] under the
+/// default policy and clock ([`GATE_SEEDS`] seeds each), then one
+/// single-seed single-view row at the largest N per non-default policy ×
+/// algorithm that can run one ([`TmAlgorithm::names_lock_holder`]: a NOrec
+/// view runs the passive default whatever it is asked for) and per
+/// non-default clock × algorithm. Then the scenario workloads, single-seed
+/// at the largest N and full fixed quota: the bounded buffer's spin shape
+/// under NOrec and its block shape under every algorithm, and each
+/// partition shape's adaptive run followed by its hand twin under NOrec.
 fn gate_runs(settings: &Settings) -> Vec<(Run<'static>, u64)> {
     let eigen = |policy, clock, algo, version, n_threads| Run {
         n_threads,
         ..settings.run(App::Eigen { policy, clock }, algo, version)
+    };
+    let scenario = |app, algo, version, n| Run {
+        quotas: [QuotaMode::Fixed(n); 2],
+        n_threads: n,
+        ..settings.run(app, algo, version)
     };
     let mut runs = Vec::new();
     for algo in TmAlgorithm::ALL {
@@ -521,15 +549,29 @@ fn gate_runs(settings: &Settings) -> Vec<(Run<'static>, u64)> {
             runs.push((run, 1));
         }
     }
+    let [spin, block] = workload::BLOCKING_SCENARIOS;
+    let buffer_runs = std::iter::once((spin, TmAlgorithm::NOrec))
+        .chain(TmAlgorithm::ALL.map(|algo| (block, algo)))
+        .map(|(shape, algo)| scenario(App::Buffer(shape), algo, Version::SingleView, n));
+    runs.extend(buffer_runs.map(|run| (run, 1)));
+    for shape in workload::PARTITION_SCENARIOS {
+        for (layout, version) in [
+            (Layout::Adaptive, Version::SingleView),
+            (Layout::Hand, Version::MultiView),
+        ] {
+            let app = App::Partition(shape, layout);
+            runs.push((scenario(app, TmAlgorithm::NOrec, version, n), 1));
+        }
+    }
     runs
 }
 
-/// One gate row: the Eigenbench `run` over `n_seeds` consecutive seeds from
-/// its own, each with a live flight recorder.
+/// One gate row: `run` over `n_seeds` consecutive seeds from its own,
+/// folded. Eigenbench runs execute with a live [`FlightRecorder`] attached,
+/// so their gated numbers *include* the observability layer's recording
+/// cost; an adaptive partition run records into rings of its own, which its
+/// controller reads.
 fn gate_row(settings: &Settings, run: Run, n_seeds: u64) -> GateRow {
-    let App::Eigen { policy, clock } = run.app else {
-        panic!("gate rows run Eigenbench");
-    };
     let t0 = std::time::Instant::now();
     let rows: Vec<Row> = (0..n_seeds)
         .map(|seed_off| {
@@ -537,49 +579,47 @@ fn gate_row(settings: &Settings, run: Run, n_seeds: u64) -> GateRow {
                 seed: run.seed.wrapping_add(seed_off),
                 ..run
             };
-            let recorder = Arc::new(FlightRecorder::with_default_capacity(
-                run.n_threads as usize,
-            ));
-            execute(settings, run, run.sim(None), Some(recorder))
+            let recorder = matches!(run.app, App::Eigen { .. }).then(|| {
+                Arc::new(FlightRecorder::with_default_capacity(
+                    run.n_threads as usize,
+                ))
+            });
+            execute(settings, run, run.sim(None), recorder)
         })
         .collect();
-    GateRow {
-        policy: policy.name(),
-        clock: clock.name(),
-        ..fold_gate_row(
-            run.algo,
-            run.version.name(),
-            run.n_threads,
-            t0.elapsed().as_secs_f64(),
-            rows.iter().map(|r| (&r.outcome, &r.views[..])),
-        )
-    }
+    fold_gate_row(&rows, t0.elapsed().as_secs_f64())
 }
 
-/// Runs the reproducible throughput gate: the [`gate_runs`] Eigenbench rows
-/// at adaptive quotas — the default-policy, default-clock block is what
-/// later PRs regress their `BENCH_<n>.json` against; CI checks every policy
-/// row *completes* (a policy that livelocks or starves the gate workload
-/// fails the build) and holds the clock rows, which `clock_table.md`
-/// formats, to presence, completion and a 0.95× throughput floor — then the
-/// [`workload::BLOCKING_SCENARIOS`] rows: the bounded-buffer spin-vs-block
-/// comparison (distinct `version` labels, so `benchdiff` reports them as
-/// new rows and the gated eigenbench rows above are unaffected). Last, the
-/// [`workload::PARTITION_SCENARIOS`] pairs: each adaptive-domain run (one
-/// view at start, live repartitioner) against its hand-partitioned twin,
-/// whose throughput ratio is the repartitioner's convergence gate
-/// (`converged_throughput_ratio ≥ 0.90`).
-///
-/// Every run executes with a live [`FlightRecorder`] attached, so the gated
-/// numbers *include* the observability layer's recording cost — the rows
-/// themselves are the overhead proof the tracing layer is held to.
+/// Runs the reproducible throughput gate: every gate run (Eigenbench, then
+/// the bounded buffer, then the partition pairs), each folded into a
+/// row in artifact order, plus the one field that spans two rows — each
+/// adaptive partition row's `converged_throughput_ratio`, its throughput
+/// over its hand twin's. The default-policy, default-clock Eigenbench block
+/// is what later PRs regress their `BENCH_<n>.json` against;
+/// [`check::check_gate`] holds the artifact's invariants, among them that
+/// every row completes, the clock rows clear their collapse floor, the
+/// bounded buffer's blocking twin cuts the spinner's busy retries ≥ 10×,
+/// and every adaptive domain converges to ≥ 0.90× its hand twin.
 pub fn throughput_gate(settings: &Settings) -> Vec<GateRow> {
-    let mut rows: Vec<GateRow> = gate_runs(settings)
-        .into_iter()
-        .map(|(run, n_seeds)| gate_row(settings, run, n_seeds))
+    let runs = gate_runs(settings);
+    let mut rows: Vec<GateRow> = runs
+        .iter()
+        .map(|&(run, n_seeds)| gate_row(settings, run, n_seeds))
         .collect();
-    rows.extend(workload::blocking_gate_rows(settings));
-    rows.extend(workload::partition_gate_rows(settings));
+    for (i, (run, _)) in runs.iter().enumerate() {
+        let App::Partition(shape, Layout::Adaptive) = run.app else {
+            continue;
+        };
+        let twin = |(r, _): &(Run, u64)| matches!(r.app, App::Partition(s, Layout::Hand) if s.name == shape.name);
+        let hand = runs
+            .iter()
+            .position(twin)
+            .expect("a hand twin per adaptive run");
+        let hand_tps = rows[hand].txns_per_vsec;
+        if hand_tps > 0.0 {
+            rows[i].converged_throughput_ratio = rows[i].txns_per_vsec / hand_tps;
+        }
+    }
     rows
 }
 
@@ -791,73 +831,78 @@ pub fn gate_rows_to_json(settings: &Settings, rows: &[GateRow]) -> String {
     ));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"algo\": {}, \"policy\": {}, \"clock\": {}, \"version\": {}, \
-             \"n_views\": {}, \"n_threads\": {}, \
-             \"status\": {}, \"commits\": {}, \"aborts\": {}, \"abort_rate\": {}, \
-             \"vtime\": {}, \"txns_per_vsec\": {}, \"wall_s\": {}, \
-             \"gate_fast_path_hit_rate\": {}, \"fast_acquires\": {}, \
-             \"slow_acquires\": {}, \"busy_retries\": {}, \
-             \"busy_retries_per_commit\": {}, \"clock_bumps\": {}, \
-             \"clock_bump_skips\": {}, \"wasted_cycles\": {}, \
-             \"useful_cycles\": {}, \"waste_frac\": {}, \
-             \"wasted_by_reason\": {{{}}}, \"gate_wait_cycles\": {}, \
-             \"commit_p50_cycles\": {}, \"commit_p99_cycles\": {}, \
-             \"sim_steps\": {}, \"coalesced_polls\": {}, \
-             \"parked_waits\": {}, \"lost_wakeups\": {}, \
-             \"escalations\": {}, \"repartitions\": {}, \
-             \"split_drain_cycles\": {}, \
-             \"converged_throughput_ratio\": {}}}{}\n",
-            json_str(r.algo),
-            json_str(r.policy),
-            json_str(r.clock),
-            json_str(r.version),
-            r.n_views,
-            r.n_threads,
-            json_str(match r.status {
-                RunStatus::Completed => "completed",
-                RunStatus::Livelock => "livelock",
-                RunStatus::Deadlock => "deadlock",
-                RunStatus::StepBudgetExhausted => "step-budget-exhausted",
-            }),
-            r.commits,
-            r.aborts,
-            json_f64(r.abort_rate),
-            r.vtime,
-            json_f64(r.txns_per_vsec),
-            json_f64(r.wall_s),
-            json_f64(r.gate_fast_path_hit_rate),
-            r.fast_acquires,
-            r.slow_acquires,
-            r.busy_retries,
-            json_f64(r.busy_retries_per_commit),
-            r.clock_bumps,
-            r.clock_bump_skips,
-            r.wasted_cycles,
-            r.useful_cycles,
-            json_f64(r.waste_frac),
-            AbortReason::ALL
-                .iter()
-                .map(|&reason| format!(
+        let status = match r.status {
+            RunStatus::Completed => "completed",
+            RunStatus::Livelock => "livelock",
+            RunStatus::Deadlock => "deadlock",
+            RunStatus::StepBudgetExhausted => "step-budget-exhausted",
+        };
+        let wasted_by_reason: Vec<String> = AbortReason::ALL
+            .iter()
+            .map(|&reason| {
+                format!(
                     "{}: {}",
                     json_str(reason.name()),
                     r.wasted_by_reason[reason.index()]
-                ))
-                .collect::<Vec<_>>()
-                .join(", "),
-            r.gate_wait_cycles,
-            r.commit_p50_cycles,
-            r.commit_p99_cycles,
-            r.sim_steps,
-            r.coalesced_polls,
-            r.parked_waits,
-            r.lost_wakeups,
-            r.escalations,
-            r.repartitions,
-            r.split_drain_cycles,
-            json_f64(r.converged_throughput_ratio),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
+                )
+            })
+            .collect();
+        // Each field once, named beside its value, in artifact order.
+        let fields = [
+            ("algo", json_str(r.algo)),
+            ("policy", json_str(r.policy)),
+            ("clock", json_str(r.clock)),
+            ("version", json_str(&r.version)),
+            ("n_views", r.n_views.to_string()),
+            ("n_threads", r.n_threads.to_string()),
+            ("status", json_str(status)),
+            ("commits", r.commits.to_string()),
+            ("aborts", r.aborts.to_string()),
+            ("abort_rate", json_f64(r.abort_rate)),
+            ("vtime", r.vtime.to_string()),
+            ("txns_per_vsec", json_f64(r.txns_per_vsec)),
+            ("wall_s", json_f64(r.wall_s)),
+            (
+                "gate_fast_path_hit_rate",
+                json_f64(r.gate_fast_path_hit_rate),
+            ),
+            ("fast_acquires", r.fast_acquires.to_string()),
+            ("slow_acquires", r.slow_acquires.to_string()),
+            ("busy_retries", r.busy_retries.to_string()),
+            (
+                "busy_retries_per_commit",
+                json_f64(r.busy_retries_per_commit),
+            ),
+            ("clock_bumps", r.clock_bumps.to_string()),
+            ("clock_bump_skips", r.clock_bump_skips.to_string()),
+            ("wasted_cycles", r.wasted_cycles.to_string()),
+            ("useful_cycles", r.useful_cycles.to_string()),
+            ("waste_frac", json_f64(r.waste_frac)),
+            (
+                "wasted_by_reason",
+                format!("{{{}}}", wasted_by_reason.join(", ")),
+            ),
+            ("gate_wait_cycles", r.gate_wait_cycles.to_string()),
+            ("commit_p50_cycles", r.commit_p50_cycles.to_string()),
+            ("commit_p99_cycles", r.commit_p99_cycles.to_string()),
+            ("sim_steps", r.sim_steps.to_string()),
+            ("coalesced_polls", r.coalesced_polls.to_string()),
+            ("parked_waits", r.parked_waits.to_string()),
+            ("lost_wakeups", r.lost_wakeups.to_string()),
+            ("escalations", r.escalations.to_string()),
+            ("repartitions", r.repartitions.to_string()),
+            ("split_drain_cycles", r.split_drain_cycles.to_string()),
+            (
+                "converged_throughput_ratio",
+                json_f64(r.converged_throughput_ratio),
+            ),
+        ];
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        let comma = if i + 1 == rows.len() { "" } else { "," };
+        out.push_str(&format!("    {{{}}}{comma}\n", fields.join(", ")));
     }
     // Aggregate host cost of producing the artifact: the wall-clock
     // regression harness gates on this sum staying well below the previous
@@ -960,8 +1005,8 @@ mod tests {
         // of the gated default, plus one comparison row per non-default
         // policy × algorithm whose lock words name a holder for the policy
         // to rank, plus one per non-default clock × algorithm, plus the
-        // bounded-buffer blocking scenario rows, plus an adaptive/hand row
-        // pair per partition scenario.
+        // bounded buffer's spin row and a block row per algorithm, plus an
+        // adaptive/hand row pair per partition scenario.
         let n_algos = TmAlgorithm::ALL.len();
         let n_policy_algos = TmAlgorithm::ALL
             .iter()
@@ -972,7 +1017,8 @@ mod tests {
             n_algos * 2 * GATE_THREADS.len()
                 + (CmPolicy::ALL.len() - 1) * n_policy_algos
                 + (ClockKind::ALL.len() - 1) * n_algos
-                + workload::BLOCKING_SCENARIOS.len()
+                + 1
+                + n_algos
                 + workload::PARTITION_SCENARIOS.len() * 2
         );
         let backoff_rows = rows
@@ -984,92 +1030,9 @@ mod tests {
             })
             .count();
         assert_eq!(backoff_rows, n_algos * 2 * GATE_THREADS.len());
-        // The blocking scenario rows are present, park only in block mode,
-        // and never lose a wakeup.
-        for w in workload::BLOCKING_SCENARIOS {
-            let r = rows
-                .iter()
-                .find(|r| r.version == w.name && r.algo == w.algo.name())
-                .expect("scenario row missing");
-            assert_eq!(r.lost_wakeups, 0, "{r:?}");
-            assert_eq!(
-                r.parked_waits > 0,
-                w.waiting == workload::WaitMode::Block,
-                "{r:?}"
-            );
-        }
-        for p in CmPolicy::ALL {
-            assert!(
-                rows.iter().any(|r| r.policy == p.name()),
-                "missing policy rows for {}",
-                p.name()
-            );
-        }
-        for k in ClockKind::ALL {
-            let kind_rows: Vec<_> = rows.iter().filter(|r| r.clock == k.name()).collect();
-            assert!(!kind_rows.is_empty(), "missing clock rows for {}", k.name());
-            for r in kind_rows {
-                // Non-default clocks only appear in the single-view N=16
-                // backoff comparison block.
-                if k != ClockKind::Global {
-                    assert_eq!(r.policy, "backoff", "{r:?}");
-                    assert_eq!(r.version, "single-view", "{r:?}");
-                }
-                assert!(
-                    r.busy_retries_per_commit >= 0.0 && r.busy_retries_per_commit.is_finite(),
-                    "{r:?}"
-                );
-            }
-        }
-        // The default clock always bumps, never banks.
-        for r in rows.iter().filter(|r| r.clock == "global") {
-            assert_eq!(r.clock_bump_skips, 0, "{r:?}");
-            assert!(r.clock_bumps > 0, "{r:?}");
-        }
-        for r in &rows {
-            assert_eq!(r.status, RunStatus::Completed, "{r:?}");
-            assert!(r.commits > 0, "{r:?}");
-            assert!(r.txns_per_vsec > 0.0, "{r:?}");
-            assert!(
-                (0.0..=1.0).contains(&r.abort_rate),
-                "abort rate out of range: {r:?}"
-            );
-            assert!(
-                (0.0..=1.0).contains(&r.gate_fast_path_hit_rate),
-                "hit rate out of range: {r:?}"
-            );
-            if r.version.starts_with("partition-") {
-                // Partition rows: the hand twin is always 2 views; the
-                // adaptive row reports however many the domain converged
-                // to (≥ 1, ≤ the policy's max).
-                assert!((1..=4).contains(&r.n_views), "{r:?}");
-            } else {
-                assert_eq!(r.n_views, if r.version == "multi-view" { 2 } else { 1 });
-                assert_eq!(r.repartitions, 0, "only domain rows repartition: {r:?}");
-                assert_eq!(r.split_drain_cycles, 0, "{r:?}");
-                assert_eq!(r.converged_throughput_ratio, 0.0, "{r:?}");
-            }
-        }
-        // The tentpole's convergence gate: every adaptive partition row
-        // actually repartitioned and reached ≥ 0.90× its hand twin.
-        let adaptive_rows: Vec<_> = rows
-            .iter()
-            .filter(|r| r.version.ends_with("-adaptive"))
-            .collect();
-        assert_eq!(adaptive_rows.len(), workload::PARTITION_SCENARIOS.len());
-        for r in adaptive_rows {
-            assert!(r.repartitions >= 1, "domain never split: {r:?}");
-            assert!(r.split_drain_cycles > 0, "{r:?}");
-            assert!(
-                r.converged_throughput_ratio >= 0.90,
-                "adaptive row failed to converge to hand-partitioned \
-                 throughput: {} at {:.3}",
-                r.version,
-                r.converged_throughput_ratio
-            );
-        }
-        // The artifact parses with the reader `benchdiff` uses and carries
-        // every row under the current schema.
+        // The artifact parses with the reader `benchdiff` uses, carries
+        // every row under the current schema, and holds every invariant
+        // `benchdiff` checks.
         let doc = json::parse(&gate_rows_to_json(&s, &rows)).expect("gate JSON parses");
         assert_eq!(
             doc.get("rows").and_then(json::Json::as_arr).map(<[_]>::len),
@@ -1079,6 +1042,7 @@ mod tests {
             doc.get("schema_version").and_then(json::Json::as_str),
             Some(SCHEMA_VERSION)
         );
+        assert_eq!(check::check_gate(&doc), Vec::<String>::new());
     }
 
     #[test]

@@ -1,24 +1,33 @@
-//! Workload-description layer: blocking producer/consumer scenarios as
-//! plain data rows.
+//! Workload-description layer: the gate's two scenario applications as
+//! plain data.
 //!
-//! The paper's experiments are [`crate::Run`]s of its two applications; a
-//! blocking workload is *described* by a [`Scenario`] — thread split, buffer capacity,
-//! item counts, think time, and crucially the [`WaitMode`]: does a
-//! transaction that finds its guard unsatisfied **spin** (abort and
-//! re-execute, the only option before composable blocking existed) or
-//! **block** (park on its read set via [`votm::TxHandle::retry`])? The
-//! same description runs both ways, which is what makes the
-//! `busy_retries_per_commit` comparison in `BENCH_<n>.json` apples to
-//! apples: identical workload, different waiting discipline.
+//! Beside the paper's Eigenbench and Intruder, a [`crate::Run`] drives two
+//! scenario workloads, each described by a `const` shape and run through the
+//! same [`crate::run`] as every table cell:
+//!
+//! - [`crate::App::Buffer`]: a bounded-buffer producer/consumer run
+//!   ([`Scenario`]). Its [`WaitMode`] says whether a transaction that finds
+//!   its guard unsatisfied **spins** (abort and re-execute, the only option
+//!   before composable blocking existed) or **blocks** (parks on its read
+//!   set via [`votm::TxHandle::retry`]). The same shape runs both ways,
+//!   which is what makes the `busy_retries_per_commit` comparison in
+//!   `BENCH_<n>.json` apples to apples.
+//! - [`crate::App::Partition`]: two thread groups confined to their own hot
+//!   ranges ([`PartitionScenario`]), run on an [`votm::AdaptiveDomain`] that
+//!   must split itself or on the hand-partitioned twin ([`Layout`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use votm::{AbortReason, QuotaMode, TmAlgorithm, TxError, ViewStats, Votm};
+use votm::{
+    AbortReason, AdaptiveDomain, Addr, DomainStats, FlightRecorder, StatsSnapshot, TxError, View,
+    ViewStats, Votm,
+};
 use votm_ds::BoundedBuffer;
 use votm_sim::{RunOutcome, RunStatus, SimConfig, SimExecutor};
+use votm_utils::{SplitMix64, XorShift64};
 
-use crate::{fold_gate_row, ratio, GateRow, Settings};
+use crate::Run;
 
 /// What a transaction does when its guard fails (buffer empty on pop, full
 /// on push).
@@ -33,33 +42,30 @@ pub enum WaitMode {
 }
 
 impl WaitMode {
-    /// Short stable label used in row names.
-    pub fn name(self) -> &'static str {
+    /// Attempts that found the guard unsatisfied and burned cycles without
+    /// parking: explicit poll-aborts when spinning; when blocking, retry
+    /// attempts whose park was refused as stale (the rare raced-commit
+    /// case) — everything else parked instead.
+    pub fn busy_retries(self, tm: &StatsSnapshot) -> u64 {
         match self {
-            WaitMode::SpinRetry => "spin",
-            WaitMode::Block => "block",
+            WaitMode::SpinRetry => tm.aborts_by_reason[AbortReason::Explicit.index()],
+            WaitMode::Block => tm.aborts_by_reason[AbortReason::Retry.index()]
+                .saturating_sub(tm.parked_waits + tm.lost_wakeups),
         }
     }
 }
 
-/// One blocking-workload description. Plain data: the scenario tables below
-/// are `const`, and a scenario runs identically whichever binary loads it.
+/// One bounded-buffer shape. Half of the run's N threads produce, the rest
+/// consume; the run's algorithm, N and seed come from its [`Run`].
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
-    /// Row label (doubles as the gate row's `version` key, so spin and
-    /// block variants of the same shape must use distinct names).
+    /// Row label (the gate row's `version` key, so the spin and block
+    /// shapes must use distinct names).
     pub name: &'static str,
-    /// STM algorithm the single view runs.
-    pub algo: TmAlgorithm,
-    /// Thread count N (= producers + consumers).
-    pub n_threads: u32,
-    /// Producer tasks.
-    pub producers: u32,
-    /// Consumer tasks. `producers × items_per_producer` must divide evenly.
-    pub consumers: u32,
     /// Bounded-buffer slots.
     pub capacity: u32,
-    /// Items each producer pushes.
+    /// Items each producer pushes. Their total must divide evenly across
+    /// the consumers.
     pub items_per_producer: u64,
     /// Virtual cycles a producer "computes" before each push — the idle gap
     /// consumers either spin through or sleep through.
@@ -76,105 +82,64 @@ pub struct Scenario {
     pub escalate_after: Option<u32>,
 }
 
-/// The bounded-buffer scenario matrix shipped in `BENCH_<n>.json`: the
-/// gated spin/block pair at N = 16 under NOrec (the acceptance pair for the
-/// ≥10× `busy_retries_per_commit` drop), plus a blocking row per remaining
-/// algorithm so every wakeup-key granularity is exercised by the gate.
-pub const BLOCKING_SCENARIOS: [Scenario; 4] = [
-    Scenario {
-        name: "bounded16-spin",
-        algo: TmAlgorithm::NOrec,
-        n_threads: 16,
-        producers: 8,
-        consumers: 8,
-        capacity: 16,
-        items_per_producer: 40,
-        producer_think_cycles: 60_000,
-        waiting: WaitMode::SpinRetry,
-        escalate_after: None,
-    },
-    Scenario {
-        name: "bounded16-block",
-        algo: TmAlgorithm::NOrec,
-        n_threads: 16,
-        producers: 8,
-        consumers: 8,
-        capacity: 16,
-        items_per_producer: 40,
-        producer_think_cycles: 60_000,
-        waiting: WaitMode::Block,
-        escalate_after: Some(64),
-    },
+const SPIN: Scenario = Scenario {
+    name: "bounded16-spin",
+    capacity: 16,
+    items_per_producer: 40,
+    producer_think_cycles: 60_000,
+    waiting: WaitMode::SpinRetry,
+    escalate_after: None,
+};
+
+/// The two bounded-buffer shapes the gate runs at N = 16, the same buffer
+/// and items waited on two ways: the spin shape (under NOrec, the
+/// acceptance pair's baseline for the ≥10× `busy_retries_per_commit` drop)
+/// and the block shape (under every algorithm, so every wakeup-key
+/// granularity is exercised).
+pub const BLOCKING_SCENARIOS: [Scenario; 2] = [
+    SPIN,
     Scenario {
         name: "bounded16-block",
-        algo: TmAlgorithm::OrecEagerRedo,
-        n_threads: 16,
-        producers: 8,
-        consumers: 8,
-        capacity: 16,
-        items_per_producer: 40,
-        producer_think_cycles: 60_000,
         waiting: WaitMode::Block,
         escalate_after: Some(64),
-    },
-    Scenario {
-        name: "bounded16-block",
-        algo: TmAlgorithm::OrecLazy,
-        n_threads: 16,
-        producers: 8,
-        consumers: 8,
-        capacity: 16,
-        items_per_producer: 40,
-        producer_think_cycles: 60_000,
-        waiting: WaitMode::Block,
-        escalate_after: Some(64),
+        ..SPIN
     },
 ];
 
-/// Result of one scenario run.
-#[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// Simulator outcome (status, virtual makespan, steps).
-    pub outcome: RunOutcome,
-    /// The single view's statistics.
-    pub view: ViewStats,
-    /// Attempts that found the guard unsatisfied and burned cycles without
-    /// parking: explicit poll-aborts under [`WaitMode::SpinRetry`]; under
-    /// [`WaitMode::Block`], retry attempts whose park was refused as stale
-    /// (the rare raced-commit case) — everything else parked instead.
-    pub busy_guard_retries: u64,
-}
-
-/// Runs `scenario` once under the virtual-time simulator with `seed`.
-/// Panics on conservation failure: every produced item must be consumed
-/// exactly once (the sum of consumed values is checked against the exact
-/// expected total).
-pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioResult {
-    let s = scenario;
+/// Runs the bounded buffer `s` as `run` describes under `sim`. The buffer is
+/// one object, so the version must keep it in one view, whose quota is the
+/// version's entry 0. Panics on conservation failure: every produced item
+/// must be consumed exactly once (the sum of consumed values is checked
+/// against the exact expected total).
+pub(crate) fn run_buffer(s: Scenario, run: &Run, sim: SimConfig) -> (RunOutcome, Vec<ViewStats>) {
     assert!(
-        (u64::from(s.producers) * s.items_per_producer).is_multiple_of(u64::from(s.consumers)),
+        !run.version.splits_objects(),
+        "{}: the buffer is one object in one view",
+        s.name
+    );
+    let producers = u64::from(run.n_threads / 2);
+    let consumers = u64::from(run.n_threads) - producers;
+    let total = producers * s.items_per_producer;
+    assert!(
+        total.is_multiple_of(consumers),
         "{}: items must divide evenly across consumers",
         s.name
     );
     let sys = Votm::builder()
-        .algo(s.algo)
-        .threads(s.n_threads)
+        .algo(run.algo)
+        .threads(run.n_threads)
         .escalate_after(s.escalate_after)
         .build();
     let view = sys.create_view(
         (2 + s.capacity + 64) as usize,
-        QuotaMode::Fixed(s.n_threads),
+        run.version.quotas(run.quotas)[0],
     );
     let buf = BoundedBuffer::create(&view, s.capacity);
     let consumed = Arc::new(AtomicU64::new(0));
-    let mut ex = SimExecutor::new(SimConfig {
-        seed,
-        ..SimConfig::default()
-    });
+    let mut ex = SimExecutor::new(sim);
 
-    for p in 0..u64::from(s.producers) {
+    for p in 0..producers {
         let view = Arc::clone(&view);
-        let s = *s;
         ex.spawn(move |rt| async move {
             for i in 0..s.items_per_producer {
                 rt.charge(s.producer_think_cycles).await;
@@ -198,13 +163,11 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioResult {
             }
         });
     }
-    let per_consumer = u64::from(s.producers) * s.items_per_producer / u64::from(s.consumers);
-    for _ in 0..s.consumers {
+    for _ in 0..consumers {
         let view = Arc::clone(&view);
         let consumed = Arc::clone(&consumed);
-        let s = *s;
         ex.spawn(move |rt| async move {
-            for _ in 0..per_consumer {
+            for _ in 0..total / consumers {
                 let v = match s.waiting {
                     WaitMode::Block => view.transact(&rt, async |tx| buf.pop(tx).await).await,
                     WaitMode::SpinRetry => {
@@ -221,7 +184,6 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioResult {
     }
 
     let outcome = ex.run();
-    let total = u64::from(s.producers) * s.items_per_producer;
     if outcome.status == RunStatus::Completed {
         let expect: u64 = (0..total).sum();
         assert_eq!(
@@ -231,50 +193,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioResult {
             s.name
         );
     }
-    let view_stats = view.stats();
-    let tm = view_stats.tm;
-    let busy_guard_retries = match s.waiting {
-        WaitMode::SpinRetry => tm.aborts_by_reason[AbortReason::Explicit.index()],
-        WaitMode::Block => tm.aborts_by_reason[AbortReason::Retry.index()]
-            .saturating_sub(tm.parked_waits + tm.lost_wakeups),
-    };
-    ScenarioResult {
-        outcome,
-        view: view_stats,
-        busy_guard_retries,
-    }
-}
-
-/// Converts a scenario run into a `BENCH_<n>.json` gate row. The row's
-/// `version` is the scenario name, its `busy_retries` is the scenario's
-/// guard-spin count (see [`ScenarioResult::busy_guard_retries`] — the
-/// spin-vs-park ledger these rows exist to compare), and the new
-/// `parked_waits`/`lost_wakeups`/`escalations` fields carry the blocking
-/// side of that ledger.
-pub fn scenario_gate_row(scenario: &Scenario, seed: u64) -> GateRow {
-    let t0 = std::time::Instant::now();
-    let res = run_scenario(scenario, seed);
-    let mut row = fold_gate_row(
-        scenario.algo,
-        scenario.name,
-        scenario.n_threads,
-        t0.elapsed().as_secs_f64(),
-        [(&res.outcome, std::slice::from_ref(&res.view))],
-    );
-    row.busy_retries = res.busy_guard_retries;
-    row.busy_retries_per_commit = ratio(res.busy_guard_retries, row.commits, 0.0);
-    row
-}
-
-/// One gate row per [`BLOCKING_SCENARIOS`] entry, run at the gate's seed.
-/// These rows are *new* relative to pre-blocking baselines (distinct
-/// `version` labels), so `benchdiff` reports them without gating — while
-/// the eigenbench default rows stay bit-identical.
-pub fn blocking_gate_rows(settings: &Settings) -> Vec<GateRow> {
-    BLOCKING_SCENARIOS
-        .iter()
-        .map(|s| scenario_gate_row(s, settings.seed))
-        .collect()
+    (outcome, vec![view.stats()])
 }
 
 // ------------------------------------------------- Adaptive partitioning
@@ -289,30 +208,35 @@ pub enum KeyDist {
     ZipfHot,
 }
 
-impl KeyDist {
-    /// Short stable label used in row names.
+/// How a partition run maps its two thread groups onto views.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One [`votm::AdaptiveDomain`] starting as a single view, repartition
+    /// controller live: it must find the split itself.
+    Adaptive,
+    /// Two programmer-created views, group g confined to view g — the
+    /// paper's ideal the adaptive layout is measured against.
+    Hand,
+}
+
+impl Layout {
+    /// Row-label suffix.
     pub fn name(self) -> &'static str {
         match self {
-            KeyDist::Uniform => "uniform",
-            KeyDist::ZipfHot => "zipf",
+            Layout::Adaptive => "adaptive",
+            Layout::Hand => "hand",
         }
     }
 }
 
-/// One adaptive-partitioning workload description: two thread groups, each
-/// confined to its own hot range of a shared address space. Run two ways —
-/// **adaptive** (one [`votm::AdaptiveDomain`] starting as a single view,
-/// repartitioner live) and **hand** (two programmer-partitioned views, the
-/// paper's ideal) — and the throughput ratio is the convergence number the
-/// gate holds at ≥ 0.90.
+/// One adaptive-partitioning workload shape: two thread groups (even and
+/// odd threads), each confined to its own hot range of a shared address
+/// space. Run under both [`Layout`]s, the throughput ratio is the
+/// convergence number the gate holds at ≥ 0.90.
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionScenario {
     /// Base row label; gate rows append `-adaptive` / `-hand`.
     pub name: &'static str,
-    /// STM algorithm (domain views and hand views alike).
-    pub algo: TmAlgorithm,
-    /// Thread count N (split evenly between the two groups).
-    pub n_threads: u32,
     /// Transactions each thread runs.
     pub ops_per_thread: u64,
     /// Hot words per group.
@@ -332,40 +256,30 @@ pub const DOMAIN_WORDS: usize = 4096;
 /// First word of group B's hot range (bucket 32).
 pub const GROUP_B_BASE: u64 = 2048;
 
-/// The adaptive-partitioning scenario matrix shipped in `BENCH_<n>.json`:
-/// the headline uniform write-heavy pair, the Zipf hot-key variant (spiky
+const UNIFORM: PartitionScenario = PartitionScenario {
+    name: "partition-uniform",
+    ops_per_thread: 600,
+    group_span: 96,
+    dist: KeyDist::Uniform,
+    read_pct: 20,
+    accesses_per_tx: 3,
+};
+
+/// The adaptive-partitioning shapes the gate runs under NOrec at N = 16:
+/// the headline uniform write-heavy shape, the Zipf hot-key variant (spiky
 /// conflict profile), and the read-mostly variant (waste share driven by
 /// invalidated readers, not write-write conflicts).
 pub const PARTITION_SCENARIOS: [PartitionScenario; 3] = [
-    PartitionScenario {
-        name: "partition-uniform",
-        algo: TmAlgorithm::NOrec,
-        n_threads: 16,
-        ops_per_thread: 600,
-        group_span: 96,
-        dist: KeyDist::Uniform,
-        read_pct: 20,
-        accesses_per_tx: 3,
-    },
+    UNIFORM,
     PartitionScenario {
         name: "partition-zipf",
-        algo: TmAlgorithm::NOrec,
-        n_threads: 16,
-        ops_per_thread: 600,
-        group_span: 96,
         dist: KeyDist::ZipfHot,
-        read_pct: 20,
-        accesses_per_tx: 3,
+        ..UNIFORM
     },
     PartitionScenario {
         name: "partition-readmostly",
-        algo: TmAlgorithm::NOrec,
-        n_threads: 16,
-        ops_per_thread: 600,
-        group_span: 96,
-        dist: KeyDist::Uniform,
         read_pct: 90,
-        accesses_per_tx: 3,
+        ..UNIFORM
     },
 ];
 
@@ -397,7 +311,7 @@ fn zipf_cdf(span: u64) -> Vec<f64> {
 }
 
 /// One key offset in `[0, span)` under `dist`.
-fn sample_offset(dist: KeyDist, span: u64, cdf: &[f64], rng: &mut votm_utils::XorShift64) -> u64 {
+fn sample_offset(dist: KeyDist, span: u64, cdf: &[f64], rng: &mut XorShift64) -> u64 {
     match dist {
         KeyDist::Uniform => rng.next_below(span),
         KeyDist::ZipfHot => {
@@ -414,7 +328,7 @@ fn op_plan(
     s: &PartitionScenario,
     base: u64,
     cdf: &[f64],
-    rng: &mut votm_utils::XorShift64,
+    rng: &mut XorShift64,
 ) -> (Vec<u64>, bool) {
     let addrs = (0..s.accesses_per_tx)
         .map(|_| base + sample_offset(s.dist, s.group_span, cdf, rng))
@@ -422,228 +336,140 @@ fn op_plan(
     (addrs, rng.chance_percent(s.read_pct))
 }
 
-/// Outcome of one partition-scenario run (either mode).
-struct PartitionRun {
-    outcome: RunOutcome,
-    views: Vec<ViewStats>,
-    repartitions: u64,
-    split_drain_cycles: u64,
-    final_views: u32,
+/// Where one partition thread sends its transactions.
+enum Target {
+    /// The shared domain, which routes by the key's bucket.
+    Domain(Arc<AdaptiveDomain>),
+    /// The thread's group view.
+    View(Arc<View>),
 }
 
-/// The adaptive mode: one domain, one initial view, controller live.
-fn run_partition_adaptive(s: &PartitionScenario, seed: u64) -> PartitionRun {
-    use std::sync::atomic::AtomicUsize;
-
-    let recorder = Arc::new(votm::FlightRecorder::new(s.n_threads as usize + 1, 1 << 14));
-    let sys = Votm::builder()
-        .algo(s.algo)
-        .threads(s.n_threads)
-        .recorder(Arc::clone(&recorder))
-        .build();
-    let domain = sys.create_domain(DOMAIN_WORDS, QuotaMode::Fixed(s.n_threads), bench_policy());
-    let remaining = Arc::new(AtomicUsize::new(s.n_threads as usize));
-    let mut seeds = votm_utils::SplitMix64::new(seed);
-    let mut ex = SimExecutor::new(SimConfig {
-        seed,
-        ..SimConfig::default()
-    });
-    for t in 0..s.n_threads as usize {
-        let domain = Arc::clone(&domain);
-        let remaining = Arc::clone(&remaining);
+/// Runs the partition workload `s` under `layout` as `run` describes under
+/// `sim`, returning the outcome, every view's statistics and, for the
+/// adaptive layout, the domain's counters. Both layouts draw identical
+/// per-thread rng streams and access plans. The version must say what the
+/// layout starts as (one view per group for the hand twin, one view for the
+/// domain); its quotas apply per group view, and entry 0 to the domain.
+pub(crate) fn run_partition(
+    s: PartitionScenario,
+    layout: Layout,
+    run: &Run,
+    sim: SimConfig,
+) -> (RunOutcome, Vec<ViewStats>, Option<DomainStats>) {
+    assert_eq!(
+        run.version.splits_objects(),
+        layout == Layout::Hand,
+        "{}: the hand layout gives each group a view, the adaptive one starts as one view",
+        s.name
+    );
+    let quotas = run.version.quotas(run.quotas);
+    let n = run.n_threads as usize;
+    let builder = Votm::builder().algo(run.algo).threads(run.n_threads);
+    let (domain, hand_views) = match layout {
+        Layout::Adaptive => {
+            // The controller profiles these rings, so their geometry is an
+            // input to its split decisions.
+            let recorder = Arc::new(FlightRecorder::new(n + 1, 1 << 14));
+            let sys = builder.recorder(recorder).build();
+            let domain = sys.create_domain(DOMAIN_WORDS, quotas[0], bench_policy());
+            (Some(domain), Vec::new())
+        }
+        Layout::Hand => {
+            let sys = builder.build();
+            let views = quotas.map(|q| sys.create_view(DOMAIN_WORDS / 2, q));
+            (None, views.to_vec())
+        }
+    };
+    let remaining = Arc::new(AtomicUsize::new(n));
+    let mut seeds = SplitMix64::new(run.seed);
+    let mut ex = SimExecutor::new(sim);
+    for t in 0..n {
         let mut rng = seeds.derive();
-        let s = *s;
-        let base = if t % 2 == 0 { 0 } else { GROUP_B_BASE };
+        // Hand views are half-size, so there group B's keys sample from
+        // base 0: the offset stream is the adaptive run's either way.
+        let (target, base) = match &domain {
+            Some(domain) => (
+                Target::Domain(Arc::clone(domain)),
+                (t % 2) as u64 * GROUP_B_BASE,
+            ),
+            None => (Target::View(Arc::clone(&hand_views[t % 2])), 0),
+        };
+        let remaining = Arc::clone(&remaining);
         ex.spawn(move |rt| async move {
             let cdf = zipf_cdf(s.group_span);
             for _ in 0..s.ops_per_thread {
                 let (addrs, read_only) = op_plan(&s, base, &cdf, &mut rng);
-                let hint = votm::Addr(addrs[0] as u32);
-                domain
-                    .transact(&rt, hint, async |tx| {
-                        for &a in &addrs {
-                            let v = tx.read(votm::Addr(a as u32)).await?;
-                            if !read_only {
-                                tx.write(votm::Addr(a as u32), v + 1).await?;
+                // The domain's and a view's handles share no trait, so the
+                // body is spelled out per target.
+                match &target {
+                    Target::Domain(domain) => {
+                        domain
+                            .transact(&rt, Addr(addrs[0] as u32), async |tx| {
+                                for &a in &addrs {
+                                    let v = tx.read(Addr(a as u32)).await?;
+                                    if !read_only {
+                                        tx.write(Addr(a as u32), v + 1).await?;
+                                    }
+                                }
+                                Ok(())
+                            })
+                            .await
+                    }
+                    Target::View(view) => {
+                        view.transact(&rt, async |tx| {
+                            for &a in &addrs {
+                                let v = tx.read(Addr(a as u32)).await?;
+                                if !read_only {
+                                    tx.write(Addr(a as u32), v + 1).await?;
+                                }
                             }
-                        }
-                        Ok(())
-                    })
-                    .await;
+                            Ok(())
+                        })
+                        .await
+                    }
+                }
             }
             remaining.fetch_sub(1, Ordering::AcqRel);
         });
     }
-    {
-        let domain = Arc::clone(&domain);
-        let remaining = Arc::clone(&remaining);
+    if let Some(domain) = &domain {
+        let domain = Arc::clone(domain);
         ex.spawn(move |rt| async move {
             domain.run_controller(&rt, &remaining).await;
         });
     }
     let outcome = ex.run();
-    let stats = domain.stats();
-    PartitionRun {
+    let views = domain.as_ref().map_or(hand_views, |d| d.views());
+    (
         outcome,
-        views: domain.views().iter().map(|v| v.stats()).collect(),
-        repartitions: stats.repartitions,
-        split_drain_cycles: stats.split_drain_cycles,
-        final_views: stats.live_views as u32,
-    }
-}
-
-/// The hand-partitioned twin: two programmer-created views, group g's
-/// threads confined to view g — the paper's ideal the adaptive mode is
-/// measured against. Identical per-thread rng streams and access plans.
-fn run_partition_hand(s: &PartitionScenario, seed: u64) -> PartitionRun {
-    let sys = Votm::builder().algo(s.algo).threads(s.n_threads).build();
-    let views = [
-        sys.create_view(DOMAIN_WORDS / 2, QuotaMode::Fixed(s.n_threads)),
-        sys.create_view(DOMAIN_WORDS / 2, QuotaMode::Fixed(s.n_threads)),
-    ];
-    let mut seeds = votm_utils::SplitMix64::new(seed);
-    let mut ex = SimExecutor::new(SimConfig {
-        seed,
-        ..SimConfig::default()
-    });
-    for t in 0..s.n_threads as usize {
-        let view = Arc::clone(&views[t % 2]);
-        let mut rng = seeds.derive();
-        let s = *s;
-        // Hand views are half-size, so group B's plan re-bases to 0 by
-        // sampling with base 0 — the offsets stream is identical to the
-        // adaptive run's (op_plan adds the base after sampling).
-        ex.spawn(move |rt| async move {
-            let cdf = zipf_cdf(s.group_span);
-            for _ in 0..s.ops_per_thread {
-                let (addrs, read_only) = op_plan(&s, 0, &cdf, &mut rng);
-                view.transact(&rt, async |tx| {
-                    for &a in &addrs {
-                        let v = tx.read(votm::Addr(a as u32)).await?;
-                        if !read_only {
-                            tx.write(votm::Addr(a as u32), v + 1).await?;
-                        }
-                    }
-                    Ok(())
-                })
-                .await;
-            }
-        });
-    }
-    let outcome = ex.run();
-    PartitionRun {
-        outcome,
-        views: views.iter().map(|v| v.stats()).collect(),
-        repartitions: 0,
-        split_drain_cycles: 0,
-        final_views: 2,
-    }
-}
-
-/// Folds a [`PartitionRun`] into a gate row.
-fn partition_row(
-    s: &PartitionScenario,
-    version: &'static str,
-    run: &PartitionRun,
-    wall_s: f64,
-) -> GateRow {
-    GateRow {
-        n_views: run.final_views,
-        repartitions: run.repartitions,
-        split_drain_cycles: run.split_drain_cycles,
-        ..fold_gate_row(
-            s.algo,
-            version,
-            s.n_threads,
-            wall_s,
-            [(&run.outcome, &run.views[..])],
-        )
-    }
-}
-
-/// Row-label pairs for [`PARTITION_SCENARIOS`] (static strings so
-/// [`GateRow::version`] stays `&'static str`).
-const PARTITION_VERSIONS: [(&str, &str); 3] = [
-    ("partition-uniform-adaptive", "partition-uniform-hand"),
-    ("partition-zipf-adaptive", "partition-zipf-hand"),
-    ("partition-readmostly-adaptive", "partition-readmostly-hand"),
-];
-
-/// Two gate rows per [`PARTITION_SCENARIOS`] entry — the adaptive run and
-/// its hand-partitioned twin. The adaptive row's
-/// `converged_throughput_ratio` is adaptive ÷ hand throughput; CI holds
-/// every nonzero ratio at ≥ 0.90 (the tentpole's convergence gate).
-pub fn partition_gate_rows(settings: &Settings) -> Vec<GateRow> {
-    let mut rows = Vec::new();
-    for (s, (adaptive_name, hand_name)) in PARTITION_SCENARIOS.iter().zip(PARTITION_VERSIONS) {
-        let t0 = std::time::Instant::now();
-        let hand = run_partition_hand(s, settings.seed);
-        let hand_wall = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let adaptive = run_partition_adaptive(s, settings.seed);
-        let adaptive_wall = t1.elapsed().as_secs_f64();
-        let hand_row = partition_row(s, hand_name, &hand, hand_wall);
-        let mut adaptive_row = partition_row(s, adaptive_name, &adaptive, adaptive_wall);
-        if hand_row.txns_per_vsec > 0.0 {
-            adaptive_row.converged_throughput_ratio =
-                adaptive_row.txns_per_vsec / hand_row.txns_per_vsec;
-        }
-        rows.push(adaptive_row);
-        rows.push(hand_row);
-    }
-    rows
+        views.iter().map(|v| v.stats()).collect(),
+        domain.map(|d| d.stats()),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The tentpole's acceptance criterion: at N = 16 on the single-view
-    /// bounded buffer, blocking turns the spin baseline's guard retries
-    /// into counted parked waits — a ≥10× `busy_retries_per_commit` drop —
-    /// with zero watchdog escalations and zero lost wakeups.
-    #[test]
-    fn blocking_cuts_busy_retries_per_commit_10x() {
-        let spin = scenario_gate_row(&BLOCKING_SCENARIOS[0], 1);
-        let block = scenario_gate_row(&BLOCKING_SCENARIOS[1], 1);
-        assert_eq!(spin.status, RunStatus::Completed);
-        assert_eq!(block.status, RunStatus::Completed);
-        assert_eq!(spin.commits, block.commits, "identical useful work");
-        assert!(
-            spin.busy_retries_per_commit >= 10.0 * block.busy_retries_per_commit.max(0.05),
-            "blocking must cut busy retries >=10x: spin {:.2}, block {:.2}",
-            spin.busy_retries_per_commit,
-            block.busy_retries_per_commit
-        );
-        assert_eq!(spin.parked_waits, 0, "spin mode never parks");
-        assert!(block.parked_waits > 0, "blocking mode parks: {block:?}");
-        assert_eq!(block.lost_wakeups, 0, "{block:?}");
-        assert_eq!(block.escalations, 0, "parking must not trip the watchdog");
-    }
-
-    /// Every blocking scenario (all three algorithms) completes, conserves
-    /// items (asserted inside [`run_scenario`]), parks, and loses nothing.
-    #[test]
-    fn all_blocking_scenarios_complete_without_lost_wakeups() {
-        for s in BLOCKING_SCENARIOS
-            .iter()
-            .filter(|s| s.waiting == WaitMode::Block)
-        {
-            let res = run_scenario(s, 1);
-            assert_eq!(res.outcome.status, RunStatus::Completed, "{s:?}");
-            assert!(res.view.tm.parked_waits > 0, "{s:?}");
-            assert_eq!(res.view.tm.lost_wakeups, 0, "{s:?}");
-        }
-    }
+    use crate::{run, App, Settings};
+    use votm::{QuotaMode, TmAlgorithm, Version};
 
     /// Scenario runs replay deterministically per seed.
     #[test]
     fn scenario_rows_are_deterministic() {
-        let a = scenario_gate_row(&BLOCKING_SCENARIOS[1], 7);
-        let b = scenario_gate_row(&BLOCKING_SCENARIOS[1], 7);
-        assert_eq!(a.vtime, b.vtime);
-        assert_eq!(a.sim_steps, b.sim_steps);
-        assert_eq!(a.commits, b.commits);
-        assert_eq!(a.parked_waits, b.parked_waits);
+        let block = Run {
+            quotas: [QuotaMode::Fixed(16); 2],
+            n_threads: 16,
+            seed: 7,
+            ..Settings::default().run(
+                App::Buffer(BLOCKING_SCENARIOS[1]),
+                TmAlgorithm::NOrec,
+                Version::SingleView,
+            )
+        };
+        let [a, b] = [0, 1].map(|_| run(&Settings::default(), block, None));
+        assert_eq!(a.outcome.vtime, b.outcome.vtime);
+        assert_eq!(a.outcome.steps, b.outcome.steps);
+        assert_eq!(a.views[0].tm.commits, b.views[0].tm.commits);
+        assert_eq!(a.views[0].tm.parked_waits, b.views[0].tm.parked_waits);
     }
 }

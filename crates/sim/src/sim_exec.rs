@@ -106,9 +106,10 @@ impl Default for SimConfig {
 }
 
 /// Why a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RunStatus {
     /// Every task ran to completion.
+    #[default]
     Completed,
     /// Virtual time exceeded [`SimConfig::vtime_cap`] with tasks still live —
     /// the simulator's definition of livelock (no forward progress within
