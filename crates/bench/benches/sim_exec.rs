@@ -161,7 +161,7 @@ fn controller_tick(domain: &AdaptiveDomain, rt: &Rt) -> u64 {
         if !std::mem::replace(&mut aborted, true) {
             return Err(TxError::Abort(AbortReason::Explicit));
         }
-        tx.read(Addr(0)).await
+        Ok(tx.read(Addr(0)).await?)
     }));
     block_on(domain.rebalance(rt));
     assert_eq!(domain.stats().repartitions, 0);

@@ -7,7 +7,7 @@ use std::hint::black_box;
 use votm::{QuotaMode, Votm};
 use votm_bench::harness::bench;
 use votm_sim::{block_on, RealHandle, Rt};
-use votm_stm::{instance::run_sync, Addr, TmAlgorithm, TmInstance};
+use votm_stm::{instance::run_sync, Addr, CommitPhase, TmAlgorithm, TmInstance, TxCtx};
 
 fn read_heavy() {
     for algo in TmAlgorithm::ALL {
@@ -52,15 +52,60 @@ fn counter_increment() {
     }
 }
 
-/// The read-heavy and write-heavy transactions above, but through
-/// `View::transact` under `Rt::Real`: gate admission, the driver, the
-/// handle and the per-thread descriptor included. The gap to the
-/// `TxCtx`-only cases is what the driver adds per transaction.
+/// Commits the context's open attempt, which nothing contends with.
+fn commit(ctx: &mut TxCtx, inst: &TmInstance) {
+    if let CommitPhase::NeedsFinish { .. } = ctx.commit_begin(inst).expect("uncontended commit") {
+        ctx.commit_finish(inst);
+    }
+    black_box(ctx.take_work());
+}
+
+/// The `driver_tx` transactions on one reused `TxCtx`: no driver, and,
+/// unlike `run_sync`, no context built per transaction. The floor the
+/// driver's cost is read off against.
+fn tx_ctx() {
+    for algo in TmAlgorithm::ALL {
+        let inst = TmInstance::new(algo, 4096);
+        let mut ctx = inst.tx_ctx(0);
+        bench(&format!("tx_ctx/{}/64_reads", algo.name()), || {
+            ctx.begin(&inst).expect("uncontended begin");
+            let mut acc = 0u64;
+            for i in 0..64u32 {
+                acc = acc.wrapping_add(ctx.read(&inst, Addr(i * 7 % 4096)).expect("read"));
+            }
+            commit(&mut ctx, &inst);
+            acc
+        });
+        let mut i = 0u64;
+        bench(&format!("tx_ctx/{}/32_writes", algo.name()), || {
+            i += 1;
+            ctx.begin(&inst).expect("uncontended begin");
+            for k in 0..32u32 {
+                ctx.write(&inst, Addr(k * 11 % 4096), i).expect("write");
+            }
+            commit(&mut ctx, &inst);
+        });
+        bench(&format!("tx_ctx/{}/rmw", algo.name()), || {
+            ctx.begin(&inst).expect("uncontended begin");
+            let v = ctx.read(&inst, Addr(0)).expect("read");
+            ctx.write(&inst, Addr(0), v + 1).expect("write");
+            commit(&mut ctx, &inst);
+        });
+    }
+}
+
+/// The `tx_ctx` transactions, but through `View::transact` under
+/// `Rt::Real`: gate admission, the driver, the handle and the per-thread
+/// descriptor included. `empty` is the driver's cost per transaction; the
+/// gap to `tx_ctx` beyond it, divided by the accesses, its cost per access.
 fn driver_tx() {
     let rt = Rt::Real(RealHandle::standalone(0));
     for algo in TmAlgorithm::ALL {
         let sys = Votm::builder().algo(algo).threads(2).build();
         let view = sys.create_view(4096, QuotaMode::Fixed(2));
+        bench(&format!("driver_tx/{}/empty", algo.name()), || {
+            block_on(view.transact(&rt, async |_| Ok(())))
+        });
         bench(&format!("driver_tx/{}/64_reads", algo.name()), || {
             block_on(view.transact(&rt, async |tx| {
                 let mut acc = 0u64;
@@ -80,6 +125,13 @@ fn driver_tx() {
                 Ok(())
             }))
         });
+        bench(&format!("driver_tx/{}/rmw", algo.name()), || {
+            block_on(view.transact(&rt, async |tx| {
+                let v = tx.read(Addr(0)).await?;
+                tx.write(Addr(0), v + 1).await?;
+                Ok(())
+            }))
+        });
     }
 }
 
@@ -95,6 +147,7 @@ fn main() {
     read_heavy();
     write_heavy();
     counter_increment();
+    tx_ctx();
     driver_tx();
     heap_alloc_free();
 }

@@ -90,7 +90,7 @@ use votm_stm::{bloom_bucket, cost, Addr, RouteTable, StatsSnapshot, WordHeap};
 use votm_utils::Mutex;
 
 use crate::error::TxError;
-use crate::handle::TxHandle;
+use crate::handle::{TxAbort, TxHandle};
 use crate::system::VotmConfig;
 use crate::view::View;
 
@@ -831,7 +831,7 @@ impl DomainTx<'_, '_> {
     /// Pre-access route check. `Ok` means the address belongs to the view
     /// this attempt runs on (always true in union mode, where every view
     /// is drained).
-    fn check_route(&mut self, addr: Addr) -> Result<(), TxError> {
+    fn check_route(&mut self, addr: Addr) -> Result<(), TxAbort> {
         if matches!(self.inner, DomainAccess::Direct { .. }) {
             return Ok(());
         }
@@ -844,11 +844,12 @@ impl DomainTx<'_, '_> {
         }
         // The dispatch loop inspects `foreign` when this error surfaces;
         // bodies must propagate it with `?`.
-        Err(TxError::Abort(AbortReason::Explicit))
+        Err(TxAbort)
     }
 
-    /// Transactional read of one word (route-checked).
-    pub async fn read(&mut self, addr: Addr) -> Result<u64, TxError> {
+    /// Transactional read of one word (route-checked). Like
+    /// [`TxHandle::read`], it can only abort.
+    pub async fn read(&mut self, addr: Addr) -> Result<u64, TxAbort> {
         self.check_route(addr)?;
         match &mut self.inner {
             DomainAccess::Tx(tx) => tx.read(addr).await,
@@ -861,7 +862,7 @@ impl DomainTx<'_, '_> {
     }
 
     /// Transactional write of one word (route-checked).
-    pub async fn write(&mut self, addr: Addr, value: u64) -> Result<(), TxError> {
+    pub async fn write(&mut self, addr: Addr, value: u64) -> Result<(), TxAbort> {
         self.check_route(addr)?;
         match &mut self.inner {
             DomainAccess::Tx(tx) => {

@@ -1,12 +1,21 @@
-//! The unified transaction error type.
+//! The transaction error types.
 //!
-//! Historically the handle's operations returned two unrelated error
-//! structs: [`TxAbort`] ("roll back and re-run") and [`HeapExhausted`]
-//! ("allocation failed"). Blocking transactions add a third outcome —
-//! *retry*, "park me until my read set changes" — and composing the three
-//! through `?` needs one error enum. [`TxError`] is that enum; the old
-//! structs remain as conversion targets so existing call sites keep
-//! compiling.
+//! A transaction body can stop short of committing in three ways: an
+//! access aborted ("roll back and re-run"), an allocation failed, or the
+//! body asked to *retry* ("park me until my read set changes"). Composing
+//! the three through `?` needs one error enum, and [`TxError`] is what a
+//! body returns.
+//!
+//! Single-word accesses ([`crate::TxHandle::read`] and
+//! [`crate::TxHandle::write`], and their [`crate::DomainTx`] twins) return
+//! the zero-sized [`TxAbort`] instead: an access can only abort, and its
+//! structured cause is kept on the handle, so the error has nothing to
+//! carry. The narrow type is also the fast one: `Result<u64, TxError>` puts
+//! the error's `u32` payload at offset 4, and handing such a result from the
+//! access future to the body moved it as two overlapping stores that the
+//! `u64` load behind them could not forward from. `?` lifts a [`TxAbort`]
+//! into `TxError::Abort(AbortReason::Explicit)`; [`HeapExhausted`] converts
+//! into either.
 
 use votm_obs::AbortReason;
 
@@ -14,9 +23,10 @@ use crate::handle::{HeapExhausted, TxAbort};
 
 /// Why a transaction body stopped short of committing.
 ///
-/// Every [`crate::TxHandle`] operation returns this, so a body can
-/// propagate any failure with a single `?`. The driver interprets the
-/// variants differently:
+/// Every transaction body returns this, and every [`crate::TxHandle`]
+/// operation but the single-word accesses (which return [`TxAbort`], lifted
+/// by `?`), so a body can propagate any failure with a single `?`. The
+/// driver interprets the variants differently:
 ///
 /// * [`TxError::Abort`] / [`TxError::HeapExhausted`] — roll back and
 ///   immediately re-run the body (the historical behaviour).

@@ -11,8 +11,11 @@
 //!
 //! Every operation charges its cost to the runtime, so under the simulator
 //! each shared access is an interleaving point and under real threads the
-//! charge is free. Per-attempt work is recorded into the view's statistics
-//! as aborted or successful cycles — the inputs to δ(Q).
+//! charge is free. An attempt that nothing can suspend — real threads, a
+//! passive contention manager, no fault plan — finishes each successful
+//! access in place instead of awaiting that free charge. Per-attempt work
+//! is recorded into the view's statistics as aborted or successful cycles —
+//! the inputs to δ(Q).
 //!
 //! # Crash safety
 //!
@@ -96,8 +99,12 @@ use crate::wait::{ParkOutcome, PARK_TIMEOUT};
 
 /// The current transaction attempt must be rolled back and retried.
 ///
-/// Returned by [`TxHandle`] operations on conflict; propagate it with `?`.
-/// The driver catches it, rolls back, and re-runs the body.
+/// The error of every single-word access ([`TxHandle::read`],
+/// [`TxHandle::write`] and their [`crate::DomainTx`] twins): an access can
+/// only abort, and the structured cause stays on the handle, so the error
+/// carries nothing and `Result<u64, TxAbort>` is a tag and an aligned word.
+/// Propagate it with `?` (a body's [`TxError`] lifts it); the driver rolls
+/// back and re-runs the body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxAbort;
 
@@ -266,6 +273,11 @@ pub struct TxHandle<'v> {
     /// armed for this task and the attempt is not direct. Decided once so
     /// that, with nothing armed, no access builds a fault-point future.
     faults: bool,
+    /// Whether a successful access finishes in place: nothing can suspend
+    /// or doom it (real threads, where a charge is free; a passive contention
+    /// manager; no fault plan), so it books its work and returns without
+    /// the charge, doom check and fault point that would all be no-ops.
+    in_place: bool,
     /// Contention-management state of the logical transaction this attempt
     /// belongs to; the driver reads it back after an abort so the attempt
     /// count and the first-attempt timestamp survive.
@@ -330,6 +342,7 @@ impl<'v> TxHandle<'v> {
         let start = rt.now();
         let backoff = JitterBackoff::new(rt.thread_index() as u64);
         let faults = !ctx.is_direct() && rt.faults_armed();
+        let in_place = !rt.is_virtual() && !cm_active && !faults;
         Self {
             view,
             rt,
@@ -344,6 +357,7 @@ impl<'v> TxHandle<'v> {
             abort_reason: AbortReason::Explicit,
             rec,
             faults,
+            in_place,
             cm_tx,
             cm_active,
             conflict_site: ConflictSite::None,
@@ -368,11 +382,20 @@ impl<'v> TxHandle<'v> {
         self.view.id() as u16
     }
 
-    /// Folds one successful access into the footprint bitmaps. Recorder-off
-    /// runs skip even the bucket arithmetic; recorded runs pay a few real
-    /// instructions but zero virtual cycles, preserving the PR 3 contract.
+    /// Books one successful access, the part both the in-place and the
+    /// suspending path share: its Bloom summary bit (the park key or the
+    /// wakeup key), its footprint bit and the work units the context
+    /// accrued, which it returns for the caller to charge. Recorder-off runs
+    /// skip even the footprint's bucket arithmetic; recorded runs pay a few
+    /// real instructions but zero virtual cycles.
     #[inline]
-    fn note_access(&mut self, addr: Addr, write: bool) {
+    fn book_access(&mut self, addr: Addr, write: bool) -> u64 {
+        let bloom = 1u64 << bloom_bucket(addr);
+        if write {
+            self.write_summary |= bloom;
+        } else {
+            self.read_summary |= bloom;
+        }
         if self.rec.is_live() {
             let bit = 1u64 << addr_bucket(u64::from(addr.0), self.cap_words);
             if write {
@@ -381,6 +404,9 @@ impl<'v> TxHandle<'v> {
                 self.fp_reads |= bit;
             }
         }
+        let w = self.ctx.take_work();
+        self.attempt_work += w;
+        w
     }
 
     /// Captures the abort cause *and* its conflict site in one step so the
@@ -572,17 +598,22 @@ impl<'v> TxHandle<'v> {
     }
 
     /// Transactional read of one word.
-    pub async fn read(&mut self, addr: Addr) -> Result<u64, TxError> {
+    ///
+    /// An access can only abort (its cause is kept on the handle), so the
+    /// error is the zero-sized [`TxAbort`]; `?` in a body lifts it into
+    /// [`TxError`].
+    pub async fn read(&mut self, addr: Addr) -> Result<u64, TxAbort> {
         let mut spins = 0u32;
         loop {
             match self.ctx.read(self.view.tm(), addr) {
                 Ok(v) => {
-                    self.read_summary |= 1u64 << bloom_bucket(addr);
-                    self.note_access(addr, false);
-                    self.charge_pending().await;
-                    self.cm_doom_check()?;
-                    if self.faults {
-                        self.fault_point().await?;
+                    let w = self.book_access(addr, false);
+                    if !self.in_place {
+                        self.rt.charge(w).await;
+                        self.cm_doom_check()?;
+                        if self.faults {
+                            self.fault_point().await?;
+                        }
                     }
                     return Ok(v);
                 }
@@ -594,11 +625,11 @@ impl<'v> TxHandle<'v> {
         }
     }
 
-    /// Transactional write of one word.
+    /// Transactional write of one word. Errors as [`Self::read`] does.
     ///
     /// # Panics
     /// In a read-only transaction ([`View::transact_ro`]).
-    pub async fn write(&mut self, addr: Addr, value: u64) -> Result<(), TxError> {
+    pub async fn write(&mut self, addr: Addr, value: u64) -> Result<(), TxAbort> {
         assert!(
             !self.read_only,
             "write inside a read-only view acquisition (acquire_Rview)"
@@ -607,12 +638,13 @@ impl<'v> TxHandle<'v> {
         loop {
             match self.ctx.write(self.view.tm(), addr, value) {
                 Ok(()) => {
-                    self.write_summary |= 1u64 << bloom_bucket(addr);
-                    self.note_access(addr, true);
-                    self.charge_pending().await;
-                    self.cm_doom_check()?;
-                    if self.faults {
-                        self.fault_point().await?;
+                    let w = self.book_access(addr, true);
+                    if !self.in_place {
+                        self.rt.charge(w).await;
+                        self.cm_doom_check()?;
+                        if self.faults {
+                            self.fault_point().await?;
+                        }
                     }
                     return Ok(());
                 }

@@ -30,7 +30,8 @@
 //!
 //! Bodies are `async` because every shared access is a potential scheduling
 //! point for the virtual-time simulator (see `votm-sim`); under real threads
-//! those awaits resolve immediately.
+//! those awaits resolve immediately. An access can only abort, so it returns
+//! [`TxAbort`]; a body returns [`TxError`], and `?` lifts one into the other.
 //!
 //! ```
 //! use votm::{atomically, Votm};
@@ -49,7 +50,8 @@
 //!         for _ in 0..10 {
 //!             atomically(&view, &rt, async |tx| {
 //!                 let v = tx.read(Addr(0)).await?;
-//!                 tx.write(Addr(0), v + 1).await
+//!                 tx.write(Addr(0), v + 1).await?;
+//!                 Ok(())
 //!             })
 //!             .await;
 //!         }
@@ -90,7 +92,7 @@ use votm_sim::Rt;
 /// shaped convenience front door, equivalent to [`View::transact`]:
 ///
 /// ```ignore
-/// let v = atomically(&view, &rt, async |tx| tx.read(addr).await).await;
+/// let v = atomically(&view, &rt, async |tx| Ok(tx.read(addr).await?)).await;
 /// ```
 pub async fn atomically<T, F>(view: &View, rt: &Rt, body: F) -> T
 where

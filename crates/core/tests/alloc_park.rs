@@ -63,7 +63,7 @@ fn allocs_for(rounds: u64) -> u64 {
                     if tx.read(Addr(0)).await? != me {
                         return tx.retry();
                     }
-                    tx.write(Addr(0), 1 - me).await
+                    Ok(tx.write(Addr(0), 1 - me).await?)
                 })
                 .await;
             }

@@ -43,7 +43,7 @@ fn retry_parks_until_producer_commits() {
             let view = Arc::clone(&view);
             ex.spawn(move |rt| async move {
                 rt.charge(5_000).await;
-                view.transact(&rt, async |tx| tx.write(Addr(0), 42).await)
+                view.transact(&rt, async |tx| Ok(tx.write(Addr(0), 42).await?))
                     .await;
             });
         }
@@ -92,11 +92,11 @@ fn unrelated_commits_do_not_wake_parked_reader() {
             rt.charge(2_000).await;
             // 30 commits the waiter must sleep straight through…
             for i in 0..30u64 {
-                view.transact(&rt, async |tx| tx.write(other, i).await)
+                view.transact(&rt, async |tx| Ok(tx.write(other, i).await?))
                     .await;
             }
             // …and the one that actually wakes it.
-            view.transact(&rt, async |tx| tx.write(Addr(0), 42).await)
+            view.transact(&rt, async |tx| Ok(tx.write(Addr(0), 42).await?))
                 .await;
         });
     }
@@ -190,7 +190,7 @@ fn or_else_parks_on_union_and_wakes_on_either_side() {
             let view = Arc::clone(&view);
             ex.spawn(move |rt| async move {
                 rt.charge(5_000).await;
-                view.transact(&rt, async |tx| tx.write(unblock, 9).await)
+                view.transact(&rt, async |tx| Ok(tx.write(unblock, 9).await?))
                     .await;
             });
         }
@@ -280,7 +280,7 @@ fn parked_transaction_releases_admission_quota() {
             let view = Arc::clone(&view);
             ex.spawn(move |rt| async move {
                 rt.charge(3_000).await;
-                view.transact(&rt, async |tx| tx.write(Addr(0), 1).await)
+                view.transact(&rt, async |tx| Ok(tx.write(Addr(0), 1).await?))
                     .await;
             });
         }
@@ -326,7 +326,7 @@ fn park_timeout_feeds_the_starvation_watchdog() {
         ex.spawn(move |rt| async move {
             // Three park-timeout windows of silence, then the real wakeup.
             rt.charge(3 << 20).await;
-            view.transact(&rt, async |tx| tx.write(Addr(0), 1).await)
+            view.transact(&rt, async |tx| Ok(tx.write(Addr(0), 1).await?))
                 .await;
         });
     }
@@ -365,7 +365,7 @@ fn every_cm_policy_coexists_with_parking() {
                         if v >= CAP {
                             return tx.retry();
                         }
-                        tx.write(Addr(0), v + 1).await
+                        Ok(tx.write(Addr(0), v + 1).await?)
                     })
                     .await;
                 }
@@ -380,7 +380,7 @@ fn every_cm_policy_coexists_with_parking() {
                         if v == 0 {
                             return tx.retry();
                         }
-                        tx.write(Addr(0), v - 1).await
+                        Ok(tx.write(Addr(0), v - 1).await?)
                     })
                     .await;
                 }
@@ -416,7 +416,7 @@ fn ping_pong_handoff_never_loses_wakeups() {
                             if tx.read(Addr(0)).await? != me {
                                 return tx.retry();
                             }
-                            tx.write(Addr(0), 1 - me).await
+                            Ok(tx.write(Addr(0), 1 - me).await?)
                         })
                         .await;
                     }
@@ -455,7 +455,7 @@ fn seed_sweep_serializable_and_no_lost_wakeups() {
                             if v >= CAP {
                                 return tx.retry();
                             }
-                            tx.write(Addr(0), v + 1).await
+                            Ok(tx.write(Addr(0), v + 1).await?)
                         })
                         .await;
                     }
@@ -470,7 +470,7 @@ fn seed_sweep_serializable_and_no_lost_wakeups() {
                             if v == 0 {
                                 return tx.retry();
                             }
-                            tx.write(Addr(0), v - 1).await
+                            Ok(tx.write(Addr(0), v - 1).await?)
                         })
                         .await;
                     }
@@ -509,7 +509,7 @@ fn blocking_runs_are_deterministic_per_seed() {
                         if v >= 2 {
                             return tx.retry();
                         }
-                        tx.write(Addr(0), v + 1).await
+                        Ok(tx.write(Addr(0), v + 1).await?)
                     })
                     .await;
                 }
@@ -524,7 +524,7 @@ fn blocking_runs_are_deterministic_per_seed() {
                         if v == 0 {
                             return tx.retry();
                         }
-                        tx.write(Addr(0), v - 1).await
+                        Ok(tx.write(Addr(0), v - 1).await?)
                     })
                     .await;
                 }

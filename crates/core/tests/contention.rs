@@ -213,7 +213,7 @@ fn symmetric_small_interleavings_complete_under_every_policy() {
                         for _ in 0..TX_PER_THREAD {
                             view.transact(&rt, async |tx| {
                                 let v = tx.read(Addr(0)).await?;
-                                tx.write(Addr(0), v + 1).await
+                                Ok(tx.write(Addr(0), v + 1).await?)
                             })
                             .await;
                         }
@@ -263,7 +263,7 @@ fn doomed_transactions_convert_the_mark_into_a_cm_killed_abort() {
             view.transact(&rt, async |tx| {
                 tx.local_work(0, 0, 500).await;
                 let v = tx.read(Addr(0)).await?;
-                tx.write(Addr(0), v + 1).await
+                Ok(tx.write(Addr(0), v + 1).await?)
             })
             .await;
         });

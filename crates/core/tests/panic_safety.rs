@@ -23,7 +23,7 @@ fn assert_view_still_usable(view: &Arc<View>) {
         ex.spawn(move |rt| async move {
             v.transact(&rt, async |tx| {
                 let v = tx.read(Addr(0)).await?;
-                tx.write(Addr(0), v + 1).await
+                Ok(tx.write(Addr(0), v + 1).await?)
             })
             .await;
         });
@@ -36,7 +36,7 @@ fn assert_view_still_usable(view: &Arc<View>) {
     ex.spawn(move |rt| async move {
         v.transact(&rt, async |tx| {
             let v = tx.read(Addr(0)).await?;
-            tx.write(Addr(0), v + 1).await
+            Ok(tx.write(Addr(0), v + 1).await?)
         })
         .await;
     });
@@ -176,7 +176,7 @@ fn injected_midcommit_panic_finishes_the_commit() {
                 for _ in 0..ITERS {
                     view.transact(&rt, async |tx| {
                         let v = tx.read(Addr(0)).await?;
-                        tx.write(Addr(0), v + 1).await
+                        Ok(tx.write(Addr(0), v + 1).await?)
                     })
                     .await;
                     // Only counted when transact returned, i.e. the commit
@@ -247,7 +247,7 @@ fn crashed_tasks_descriptor_is_dropped_not_pooled() {
                         for _ in 0..ITERS {
                             view.transact(&rt, async |tx| {
                                 let v = tx.read(word(t)).await?;
-                                tx.write(word(t), v + 1).await
+                                Ok(tx.write(word(t), v + 1).await?)
                             })
                             .await;
                             if t == 0 {
@@ -294,7 +294,7 @@ fn crashed_tasks_descriptor_is_dropped_not_pooled() {
                         for _ in 0..ITERS {
                             view.transact(&rt, async |tx| {
                                 let v = tx.read(word(t)).await?;
-                                tx.write(word(t), v + 1).await
+                                Ok(tx.write(word(t), v + 1).await?)
                             })
                             .await;
                         }

@@ -171,7 +171,7 @@ fn run_domain(
                         let x = tx.read(Addr(first)).await?;
                         tx.write(Addr(first), x + 1).await?;
                         let y = tx.read(Addr(second)).await?;
-                        tx.write(Addr(second), y + 1).await
+                        Ok(tx.write(Addr(second), y + 1).await?)
                     })
                     .await;
             }
@@ -352,7 +352,7 @@ fn parked_waiter_survives_a_split_of_its_bucket() {
                         let t = tx.read(ticket).await?;
                         tx.write(ticket, t + 1).await?;
                         let v = tx.read(Addr(a)).await?;
-                        tx.write(Addr(a), v + 1).await
+                        Ok(tx.write(Addr(a), v + 1).await?)
                     })
                     .await;
             }
@@ -389,7 +389,7 @@ fn parked_waiter_survives_a_split_of_its_bucket() {
                 rt.charge(1024).await;
             }
             domain
-                .transact(&rt, FLAG, async |tx| tx.write(FLAG, 7).await)
+                .transact(&rt, FLAG, async |tx| Ok(tx.write(FLAG, 7).await?))
                 .await;
             remaining.fetch_sub(1, Ordering::AcqRel);
         });

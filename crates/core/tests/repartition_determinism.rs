@@ -71,7 +71,7 @@ fn run_once(seed: u64) -> Fingerprint {
                         let t = tx.read(Addr(ticket)).await?;
                         tx.write(Addr(ticket), t + 1).await?;
                         let v = tx.read(Addr(a)).await?;
-                        tx.write(Addr(a), v + 1).await
+                        Ok(tx.write(Addr(a), v + 1).await?)
                     })
                     .await;
             }
@@ -86,7 +86,7 @@ fn run_once(seed: u64) -> Fingerprint {
                         let x = tx.read(Addr(a)).await?;
                         tx.write(Addr(a), x + 1).await?;
                         let y = tx.read(Addr(b)).await?;
-                        tx.write(Addr(b), y + 1).await
+                        Ok(tx.write(Addr(b), y + 1).await?)
                     })
                     .await;
             }

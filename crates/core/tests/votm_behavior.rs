@@ -21,7 +21,7 @@ fn run_counter_sim(algo: TmAlgorithm, quota: QuotaMode, n: usize, iters: u64) ->
             for _ in 0..iters {
                 view.transact(&rt, async |tx| {
                     let v = tx.read(Addr(0)).await?;
-                    tx.write(Addr(0), v + 1).await
+                    Ok(tx.write(Addr(0), v + 1).await?)
                 })
                 .await;
             }
@@ -60,7 +60,7 @@ fn fixed_quota_one_runs_lock_mode_with_zero_aborts() {
                 for _ in 0..50 {
                     view.transact(&rt, async |tx| {
                         let v = tx.read(Addr(0)).await?;
-                        tx.write(Addr(0), v + 1).await
+                        Ok(tx.write(Addr(0), v + 1).await?)
                     })
                     .await;
                 }
@@ -88,7 +88,7 @@ fn real_threads_counter_exact() {
                 for _ in 0..100 {
                     view.transact(&rt, async |tx| {
                         let v = tx.read(Addr(0)).await?;
-                        tx.write(Addr(0), v + 1).await
+                        Ok(tx.write(Addr(0), v + 1).await?)
                     })
                     .await;
                 }
@@ -105,7 +105,7 @@ fn read_only_acquisition_rejects_writes() {
     let view = system.create_view(16, QuotaMode::Fixed(2));
     let mut ex = SimExecutor::new(SimConfig::default());
     ex.spawn(move |rt| async move {
-        view.transact_ro(&rt, async |tx| tx.write(Addr(0), 1).await)
+        view.transact_ro(&rt, async |tx| Ok(tx.write(Addr(0), 1).await?))
             .await;
     });
     ex.run();
@@ -121,7 +121,7 @@ fn read_only_transactions_commit_without_clock_traffic() {
         ex.spawn(move |rt| async move {
             for _ in 0..25 {
                 let v = view
-                    .transact_ro(&rt, async |tx| tx.read(Addr(3)).await)
+                    .transact_ro(&rt, async |tx| Ok(tx.read(Addr(3)).await?))
                     .await;
                 assert_eq!(v, 0);
             }
@@ -154,7 +154,7 @@ fn aborted_transactions_roll_back_allocations() {
                     return Err(TxError::Abort(votm::AbortReason::Explicit));
                 }
                 tx.write(Addr(0), v + 1).await?;
-                tx.write(Addr(1), node.0 as u64).await
+                Ok(tx.write(Addr(1), node.0 as u64).await?)
             })
             .await;
         });
@@ -288,7 +288,7 @@ fn multi_view_isolates_contention() {
                     cold.transact(&rt, async |tx| {
                         let a = Addr((t * 512 + rng.next_below(512)) as u32);
                         let v = tx.read(a).await?;
-                        tx.write(a, v + 1).await
+                        Ok(tx.write(a, v + 1).await?)
                     })
                     .await;
                 }
@@ -396,7 +396,7 @@ fn real_thread_fast_path_admission_books_no_gate_wait() {
         let view = Arc::clone(&worker_view);
         async move {
             for i in 0..TXNS {
-                view.transact(&rt, async |tx| tx.write(Addr(0), i).await)
+                view.transact(&rt, async |tx| Ok(tx.write(Addr(0), i).await?))
                     .await;
             }
         }
@@ -435,12 +435,12 @@ fn mixed_algorithm_views_interoperate() {
             for _ in 0..25 {
                 a.transact(&rt, async |tx| {
                     let v = tx.read(Addr(0)).await?;
-                    tx.write(Addr(0), v + 1).await
+                    Ok(tx.write(Addr(0), v + 1).await?)
                 })
                 .await;
                 b.transact(&rt, async |tx| {
                     let v = tx.read(Addr(0)).await?;
-                    tx.write(Addr(0), v + 1).await
+                    Ok(tx.write(Addr(0), v + 1).await?)
                 })
                 .await;
             }
@@ -468,7 +468,7 @@ fn deterministic_sim_runs_are_bit_identical() {
                     view.transact(&rt, async |tx| {
                         let a = Addr(rng.next_below(16) as u32);
                         let v = tx.read(a).await?;
-                        tx.write(a, v + 1).await
+                        Ok(tx.write(a, v + 1).await?)
                     })
                     .await;
                 }
@@ -501,13 +501,13 @@ fn nested_transact_on_the_same_view_gets_its_own_descriptor() {
                     assert!(!v.descriptor_pooled(0), "the outer transaction holds it");
                     v.transact(&rt, async |inner| {
                         let n = inner.read(Addr(64)).await?;
-                        inner.write(Addr(64), n + 1).await
+                        Ok(inner.write(Addr(64), n + 1).await?)
                     })
                     .await;
                     assert!(v.descriptor_pooled(0), "the inner one pooled its own");
                     // The outer write set survived the inner transaction.
                     assert_eq!(tx.read(Addr(0)).await?, 10 + round, "{algo:?}");
-                    tx.write(Addr(128), round).await
+                    Ok(tx.write(Addr(128), round).await?)
                 })
                 .await;
             }

@@ -42,7 +42,7 @@ fn escalation_rescues_transactions_from_certain_starvation() {
                 for _ in 0..ITERS {
                     view.transact(&rt, async |tx| {
                         let v = tx.read(Addr(0)).await?;
-                        tx.write(Addr(0), v + 1).await
+                        Ok(tx.write(Addr(0), v + 1).await?)
                     })
                     .await;
                 }
@@ -84,7 +84,7 @@ fn without_escalation_the_same_adversary_starves_the_run() {
         ex.spawn(move |rt| async move {
             view.transact(&rt, async |tx| {
                 let v = tx.read(Addr(0)).await?;
-                tx.write(Addr(0), v + 1).await
+                Ok(tx.write(Addr(0), v + 1).await?)
             })
             .await;
         });
@@ -143,7 +143,7 @@ fn unrelated_commits_cannot_mask_a_starving_transaction() {
         ex.spawn(move |rt| async move {
             view.transact(&rt, async |tx| {
                 let v = tx.read(Addr(0)).await?;
-                tx.write(Addr(0), v + 1).await
+                Ok(tx.write(Addr(0), v + 1).await?)
             })
             .await;
         });
@@ -158,7 +158,7 @@ fn unrelated_commits_cannot_mask_a_starving_transaction() {
             for _ in 0..NEIGHBOUR_ITERS {
                 view.transact(&rt, async |tx| {
                     let v = tx.read(w).await?;
-                    tx.write(w, v + 1).await
+                    Ok(tx.write(w, v + 1).await?)
                 })
                 .await;
             }
@@ -206,7 +206,7 @@ fn deadlock_diagnostics_include_gate_snapshot() {
             rt.charge(50).await;
             view.transact(&rt, async |tx| {
                 let v = tx.read(Addr(0)).await?;
-                tx.write(Addr(0), v + 1).await
+                Ok(tx.write(Addr(0), v + 1).await?)
             })
             .await;
         });

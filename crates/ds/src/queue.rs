@@ -151,7 +151,7 @@ impl TxQueue {
 
     /// Current length.
     pub async fn len(&self, tx: &mut TxHandle<'_>) -> Result<u64, TxError> {
-        tx.read(self.header.offset(H_LEN)).await
+        Ok(tx.read(self.header.offset(H_LEN)).await?)
     }
 
     /// True when empty.

@@ -246,7 +246,7 @@ impl TxTreap {
 
     /// Number of live entries.
     pub async fn len(&self, tx: &mut TxHandle<'_>) -> Result<u64, TxError> {
-        tx.read(self.header.offset(H_SIZE)).await
+        Ok(tx.read(self.header.offset(H_SIZE)).await?)
     }
 
     /// True when no entries are present.

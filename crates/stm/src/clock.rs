@@ -34,7 +34,7 @@
 //! The source also owns the per-clock statistics (bumps paid, bumps
 //! skipped) surfaced through the gate's clock rows.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use votm_utils::CachePadded;
 
@@ -147,11 +147,12 @@ impl ClockSource {
     }
 
     /// Marks a transaction's arrival (active-count kinds only; free
-    /// otherwise).
+    /// otherwise). `SeqCst`: the arrival is this side of the
+    /// store-buffering handshake described at [`Self::solo`].
     #[inline]
     pub(crate) fn enter(&self) {
         if self.kind.tracks_active() {
-            self.active.fetch_add(1, Ordering::AcqRel);
+            self.active.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -167,8 +168,19 @@ impl ClockSource {
     /// True when the calling (active) transaction is the only one live on
     /// this instance. Only meaningful for active-count kinds, and only
     /// while the caller is itself counted.
+    ///
+    /// A committer asks this after stores that a transaction arriving
+    /// unseen must observe: NOrec's writeback, the orec engine's write
+    /// locks. That is store-buffering — each side stores, then loads what
+    /// the other stored — and a store followed by a load may reorder (x86
+    /// does), so the committer could read "solo" while an arrival that
+    /// began after that read still loads pre-writeback values, which the
+    /// elided clock bump then lets validate. The `SeqCst` fence here and
+    /// the `SeqCst` arrival in [`Self::enter`] order both sides: either the
+    /// committer sees the arrival or the arrival sees the stores.
     #[inline]
     pub(crate) fn solo(&self) -> bool {
+        fence(Ordering::SeqCst);
         self.active.load(Ordering::Acquire) == 1
     }
 

@@ -527,6 +527,30 @@ mod tests {
     }
 
     #[test]
+    fn norec_snzi_solo_release_loses_no_update() {
+        // The SNZI solo elision's store-buffering handshake (see
+        // `ClockSource::solo`): without the fence, a committer could read
+        // "solo" before its writeback was visible to a transaction that had
+        // just arrived, release at the unchanged timestamp, and let that
+        // transaction's stale read validate. The window is a few
+        // nanoseconds wide, so the torture repeats.
+        for round in 0..30 {
+            let inst = Arc::new(TmInstance::with_reserve_clock(
+                TmAlgorithm::NOrec,
+                16,
+                16,
+                ClockKind::CoarseSnzi,
+            ));
+            counter_torture(&inst, 8, 200);
+            assert_eq!(
+                inst.heap().load(Addr(0)),
+                8 * 200,
+                "lost updates in round {round}"
+            );
+        }
+    }
+
+    #[test]
     fn concurrent_disjoint_updates_all_land() {
         for algo in TmAlgorithm::ALL {
             let inst = Arc::new(TmInstance::new(algo, 64));

@@ -498,6 +498,8 @@ impl NOrecTx {
     /// its reads untouched by this writeback — equal pre and post — or
     /// spun), so post-release transactions read the new values under the
     /// old timestamp — value-based validation cannot tell the difference.
+    /// "Alone" is read behind a fence ([`ClockSource::solo`]): an arrival
+    /// the read misses must already see the writeback.
     pub fn commit_finish(&mut self, global: &NOrecGlobal) {
         let next = self
             .commit_seq

@@ -196,8 +196,10 @@ impl OrecGlobal {
             // unconditional.
             ClockKind::Coarse => (reuse_epoch(), true),
             // SNZI-fronted GV5: consult the read indicator here, not at
-            // release. Alone, reuse the epoch — nobody is live to observe
-            // the stale stamp, and an unmoved clock additionally proves no
+            // release, and behind a fence (`solo`): an arrival it misses
+            // must see our write locks. Alone, reuse the epoch — nobody is
+            // live to observe the stale stamp, and an unmoved clock
+            // additionally proves no
             // commit interleaved (any committer while we were active saw
             // the indicator and ticked), so `end == start + 1` regains its
             // meaning. Observed, tick exactly like the global clock: the

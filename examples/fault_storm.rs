@@ -58,7 +58,7 @@ fn storm(algo: TmAlgorithm, sim_seed: u64, fault_seed: u64) {
                 view.transact(&rt, async |tx| {
                     let v = tx.read(Addr(0)).await?;
                     tx.local_work(2, 0, 20).await;
-                    tx.write(Addr(0), v + 1).await
+                    Ok(tx.write(Addr(0), v + 1).await?)
                 })
                 .await;
                 attempted.fetch_add(1, Ordering::Relaxed);

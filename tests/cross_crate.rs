@@ -1,12 +1,13 @@
 //! Workspace-level integration tests: exercise the whole stack (utils →
 //! sim → stm → rac → votm → ds → workloads) through the public API only.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use votm_repro::ds::{TxHashMap, TxList, TxQueue};
+use votm_repro::ds::{BoundedBuffer, TxHashMap, TxList, TxQueue};
 use votm_repro::model;
 use votm_repro::sim::{run_parallel, RunStatus, SimConfig, SimExecutor};
-use votm_repro::votm::{Addr, QuotaMode, TmAlgorithm, Votm};
+use votm_repro::votm::{Addr, EventKind, FlightRecorder, QuotaMode, TmAlgorithm, Votm};
 
 /// A producer/consumer pipeline across two views — queue in one, results
 /// map in the other — mirroring Intruder's view partition, checked for
@@ -139,6 +140,68 @@ fn real_thread_list_inserts_complete_and_sorted() {
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     });
     assert_eq!(ex.run().status, RunStatus::Completed);
+}
+
+/// `retry()` on real OS threads: a consumer that finds the buffer empty
+/// parks on the one word it read and a producer's commit wakes it. The
+/// producer holds its first push until the consumer's `Park` is on the
+/// trace, so the park is forced, not raced. The key must be that word's
+/// Bloom bit, not the park-on-everything fallback: reads that finish in
+/// place still book the read summary.
+#[test]
+fn real_thread_retry_parks_on_its_read_set() {
+    const ITEMS: u64 = 100;
+    let rec = Arc::new(FlightRecorder::with_default_capacity(2));
+    let sys = Votm::builder()
+        .algo(TmAlgorithm::NOrec)
+        .threads(2)
+        .recorder(Arc::clone(&rec))
+        .build();
+    let view = sys.create_view(64, QuotaMode::Fixed(2));
+    let buf = BoundedBuffer::create(&view, 2);
+    let sum = Arc::new(AtomicU64::new(0));
+    let park_keys = |rec: &FlightRecorder| -> Vec<u64> {
+        rec.snapshot()
+            .into_iter()
+            .flat_map(|t| t.events)
+            .filter_map(|e| match e.kind {
+                EventKind::Park { summary, .. } => Some(summary),
+                _ => None,
+            })
+            .collect()
+    };
+    let (v2, r2, s2) = (Arc::clone(&view), Arc::clone(&rec), Arc::clone(&sum));
+    run_parallel(2, move |t, rt| {
+        let (view, rec, sum) = (Arc::clone(&v2), Arc::clone(&r2), Arc::clone(&s2));
+        async move {
+            if t == 0 {
+                while park_keys(&rec).is_empty() {
+                    std::thread::yield_now();
+                }
+                for i in 1..=ITEMS {
+                    view.transact(&rt, async |tx| buf.push(tx, i).await).await;
+                }
+            } else {
+                for _ in 0..ITEMS {
+                    let v = view.transact(&rt, async |tx| buf.pop(tx).await).await;
+                    sum.fetch_add(v, Ordering::Relaxed);
+                }
+            }
+        }
+    });
+    assert_eq!(sum.load(Ordering::Relaxed), ITEMS * (ITEMS + 1) / 2);
+    let tm = view.stats().tm;
+    assert!(tm.parked_waits > 0, "the consumer began on an empty buffer");
+    assert_eq!(tm.lost_wakeups, 0);
+    let keys = park_keys(&rec);
+    assert!(!keys.is_empty());
+    for key in keys {
+        assert_eq!(
+            key.count_ones(),
+            1,
+            "park key {key:#x}: a blocked push or pop read only the `len` word"
+        );
+    }
 }
 
 /// Workload determinism across the full stack: same seeds, same makespan,
