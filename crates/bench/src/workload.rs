@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use votm::{
-    AbortReason, AdaptiveDomain, Addr, DomainStats, FlightRecorder, StatsSnapshot, TxError, View,
-    ViewStats, Votm,
+    AbortReason, AdaptiveDomain, Addr, DomainStats, FlightRecorder, StatsSnapshot, TxError,
+    TxHandle, View, ViewStats, Votm,
 };
 use votm_ds::BoundedBuffer;
 use votm_sim::{RunOutcome, RunStatus, SimConfig, SimExecutor};
@@ -399,34 +399,20 @@ pub(crate) fn run_partition(
             let cdf = zipf_cdf(s.group_span);
             for _ in 0..s.ops_per_thread {
                 let (addrs, read_only) = op_plan(&s, base, &cdf, &mut rng);
-                // The domain's and a view's handles share no trait, so the
-                // body is spelled out per target.
+                let body = async |tx: &mut TxHandle<'_>| {
+                    for &a in &addrs {
+                        let v = tx.read(Addr(a as u32)).await?;
+                        if !read_only {
+                            tx.write(Addr(a as u32), v + 1).await?;
+                        }
+                    }
+                    Ok(())
+                };
                 match &target {
                     Target::Domain(domain) => {
-                        domain
-                            .transact(&rt, Addr(addrs[0] as u32), async |tx| {
-                                for &a in &addrs {
-                                    let v = tx.read(Addr(a as u32)).await?;
-                                    if !read_only {
-                                        tx.write(Addr(a as u32), v + 1).await?;
-                                    }
-                                }
-                                Ok(())
-                            })
-                            .await
+                        domain.transact(&rt, Addr(addrs[0] as u32), body).await
                     }
-                    Target::View(view) => {
-                        view.transact(&rt, async |tx| {
-                            for &a in &addrs {
-                                let v = tx.read(Addr(a as u32)).await?;
-                                if !read_only {
-                                    tx.write(Addr(a as u32), v + 1).await?;
-                                }
-                            }
-                            Ok(())
-                        })
-                        .await
-                    }
+                    Target::View(view) => view.transact(&rt, body).await,
                 }
             }
             remaining.fetch_sub(1, Ordering::AcqRel);

@@ -15,15 +15,19 @@
 //!
 //! * The heap is a single shared [`WordHeap`]; each *slot* of the domain
 //!   holds a [`View`] built over it ([`votm_stm::TmInstance::over_heap`]):
-//!   its own clock/orec/seqlock metadata domain, admission gate,
-//!   contention manager and wait table. Data never moves — only metadata
-//!   ownership does.
-//! * A [`votm_stm::RouteTable`] maps each of the 64 locality-preserving
-//!   address buckets (the profiler's fold, so a suggested bi-partition
-//!   translates 1:1 into a remap) to its owning slot.
+//!   its own clock/orec/seqlock metadata domain, admission gate and
+//!   contention manager. Data never moves — only metadata ownership does.
+//! * A [`votm_stm::RouteTable`], shared by the domain and its views, maps
+//!   each of the 64 locality-preserving address buckets (the profiler's
+//!   fold, so a suggested bi-partition translates 1:1 into a remap) to its
+//!   owning slot.
+//! * One wait table serves every view: a commit through any view wakes the
+//!   waiters its writes concern, whichever view they parked through.
 //! * Transactions enter through [`AdaptiveDomain::transact`] with a *hint
-//!   address*; the domain dispatches to the hint's current owner view and
-//!   checks every access against the route.
+//!   address*; the domain dispatches to the hint's current owner view. The
+//!   body is the one a [`View::transact`] takes, over the same
+//!   [`TxHandle`], which on a domain view checks every access against the
+//!   route.
 //!
 //! # The repartition protocol (drain safety)
 //!
@@ -39,12 +43,12 @@
 //! 2. build the new [`View`] over the shared heap (fresh metadata);
 //! 3. [`votm_stm::RouteTable::remap`] the moving buckets to the new slot;
 //! 4. record a [`EventKind::Repartition`] trace event;
-//! 5. drop the drain guard, then `publish(u64::MAX)` on the wait table —
-//!    every parked waiter wakes, re-runs, and **re-homes** through the
-//!    route check to whichever view now owns its data; the publish also
-//!    stamps every bucket epoch, so a park racing the drain observes
-//!    `SkippedStale` instead of sleeping through the move (no lost
-//!    wakeups).
+//! 5. drop the drain guard.
+//!
+//! A waiter parked on a bucket that moved needs no broadcast: the wait
+//! table is the domain's, so the next commit that writes the bucket wakes
+//! it through whichever view now owns it, and the woken attempt leaves its
+//! old view through the re-route path.
 //!
 //! A merge drains *both* views in ascending slot order, remaps the
 //! source's buckets onto the destination, and *retires* the source's gate:
@@ -55,7 +59,7 @@
 //!
 //! # Stale routes and cross-view transactions
 //!
-//! [`DomainTx`] checks the route per access. A mismatch means one of:
+//! The handle checks the route per access. A mismatch means one of:
 //!
 //! * **stale route** — the hint's bucket moved between dispatch and
 //!   admission. The attempt exits through an innocuous (empty read-only)
@@ -63,11 +67,13 @@
 //! * **straddle** — the hint still routes here but the body reached into
 //!   another view's buckets. The attempt rolls back (if it buffered
 //!   writes, via an ordinary abort first — buffered writes must never
-//!   leak through the exit commit) and re-runs in *union mode*: exclusive
-//!   drain over every live view, direct (irrevocable) heap access. Each
-//!   straddle bumps the cross-view pressure pair; sustained pressure is
-//!   the controller's merge signal — exactly the "cross-view commit cost
-//!   exceeds saved conflicts" criterion.
+//!   leak through the exit commit) and re-runs as a *union* attempt: the
+//!   domain drains every live view and hands the body to the one driver
+//!   with that admission held, which runs it in the irrevocable lock mode
+//!   like an escalated attempt. Each straddle bumps the cross-view
+//!   pressure pair; sustained pressure is the controller's merge signal —
+//!   exactly the "cross-view commit cost exceeds saved conflicts"
+//!   criterion.
 //!
 //! # Hysteresis
 //!
@@ -86,13 +92,14 @@ use votm_obs::{
 };
 use votm_rac::{GateGuard, QuotaMode};
 use votm_sim::Rt;
-use votm_stm::{bloom_bucket, cost, Addr, RouteTable, StatsSnapshot, WordHeap};
+use votm_stm::{cost, Addr, RouteTable, StatsSnapshot, TmInstance, WordHeap};
 use votm_utils::Mutex;
 
 use crate::error::TxError;
-use crate::handle::{TxAbort, TxHandle};
+use crate::handle::{drive_transaction, Entry, TxHandle};
 use crate::system::VotmConfig;
-use crate::view::View;
+use crate::view::{Route, View};
+use crate::wait::WaitTable;
 
 /// Virtual cycles charged for a stale-route re-dispatch (route lookup +
 /// re-entry bookkeeping) — same order as a transaction begin.
@@ -171,7 +178,9 @@ pub struct DomainStats {
 /// like its initial single view (plus one atomic route lookup per access).
 pub struct AdaptiveDomain {
     heap: Arc<WordHeap>,
-    route: RouteTable,
+    route: Arc<RouteTable>,
+    /// The one wait table all the domain's views park on and publish to.
+    waits: Arc<WaitTable>,
     /// Slot-indexed views. A merged-away slot keeps its (retired) view so
     /// stale racers drain through it; the slot is reused by later splits.
     views: Mutex<Vec<Arc<View>>>,
@@ -236,10 +245,11 @@ impl AdaptiveDomain {
         );
         let capacity = size_words * config.reserve_factor.max(1);
         let heap = Arc::new(WordHeap::with_reserve(size_words, capacity));
-        let route = RouteTable::new(heap.size_words(), 0);
+        let route = Arc::new(RouteTable::new(heap.size_words(), 0));
         let mv = policy.max_views.max(1);
         let domain = Self {
             route,
+            waits: Arc::new(WaitTable::new()),
             views: Mutex::new(Vec::new()),
             free_slots: Mutex::new(Vec::new()),
             policy,
@@ -258,26 +268,32 @@ impl AdaptiveDomain {
             reroutes: AtomicU64::new(0),
             heap,
         };
-        let first = domain.build_view();
+        let first = domain.build_view(0);
         domain.views.lock().push(first);
         domain.prev_stats.lock().push(StatsSnapshot::default());
         Arc::new(domain)
     }
 
-    /// A fresh view over the shared heap with the next monotonic id.
-    fn build_view(&self) -> Arc<View> {
+    /// A fresh view for `slot` over the shared heap, with the next
+    /// monotonic id.
+    fn build_view(&self, slot: u32) -> Arc<View> {
         let id = self.next_view_id.fetch_add(1, Ordering::Relaxed);
-        Arc::new(View::new_over(
+        Arc::new(View::new(
             id,
-            self.config.algorithm,
-            Arc::clone(&self.heap),
+            TmInstance::over_heap(
+                self.config.algorithm,
+                Arc::clone(&self.heap),
+                self.config.clock,
+            ),
             self.quota,
-            self.config.n_threads,
-            &self.config.controller,
-            self.config.escalate_after,
-            self.config.recorder.clone(),
-            self.config.contention,
-            self.config.clock,
+            &self.config,
+            Some((
+                Route {
+                    table: Arc::clone(&self.route),
+                    slot,
+                },
+                Arc::clone(&self.waits),
+            )),
         ))
     }
 
@@ -356,15 +372,15 @@ impl AdaptiveDomain {
     /// Runs `body` as one atomic transaction against the domain.
     ///
     /// `hint` selects the dispatch view: the transaction runs on the view
-    /// owning the hint's bucket. The body must route all its accesses
-    /// through the given [`DomainTx`] and propagate its errors with `?`
-    /// (swallowing them breaks the re-route protocol). Accesses outside
-    /// the hint's view are legal but expensive: they divert the
-    /// transaction to the union-drained cross-view path and push the
-    /// owning pair toward a merge.
+    /// owning the hint's bucket. The body is the one [`View::transact`]
+    /// takes; it must propagate access errors with `?` (swallowing them
+    /// breaks the re-route protocol). Accesses outside the hint's view are
+    /// legal but expensive: they divert the transaction to the
+    /// union-drained cross-view path and push the owning pair toward a
+    /// merge.
     pub async fn transact<T, F>(&self, rt: &Rt, hint: Addr, mut body: F) -> T
     where
-        F: for<'a, 'b, 'v> AsyncFnMut(&'a mut DomainTx<'b, 'v>) -> Result<T, TxError>,
+        F: for<'h> AsyncFnMut(&'h mut TxHandle<'_>) -> Result<T, TxError>,
     {
         loop {
             let slot = self.route.owner_of(hint);
@@ -386,27 +402,16 @@ impl AdaptiveDomain {
                     if self.route.owner_of(hint) != slot {
                         return Ok(Routed::Out(Exit::Reroute));
                     }
-                    let mut dtx = DomainTx {
-                        inner: DomainAccess::Tx(tx),
-                        route: &self.route,
-                        slot,
-                        foreign: None,
-                        dirty: false,
-                        write_summary: 0,
-                        direct_cycles: 0,
-                    };
-                    let out = body(&mut dtx).await;
-                    let (foreign, dirty) = (dtx.foreign, dtx.dirty);
-                    match out {
+                    match body(tx).await {
                         // A body that recovered from (or never hit) a
                         // foreign access commits normally: everything in
                         // its read/write set passed the route check.
                         Ok(v) => Ok(Routed::Done(v)),
-                        Err(e) => match foreign {
+                        Err(e) => match tx.foreign_owner() {
                             None => Err(e),
                             Some(owner) => {
                                 let exit = Exit::Straddle(owner);
-                                if dirty {
+                                if tx.wrote() {
                                     // Buffered writes must never leak
                                     // through the exit commit: abort this
                                     // attempt, leave on the re-run.
@@ -430,7 +435,7 @@ impl AdaptiveDomain {
                 }
                 Routed::Out(Exit::Straddle(owner)) => {
                     self.note_cross(slot, owner);
-                    return self.run_union(rt, slot, &mut body).await;
+                    return self.run_union(rt, slot, body).await;
                 }
             }
         }
@@ -438,12 +443,13 @@ impl AdaptiveDomain {
 
     /// The cross-view fallback: exclusive drain over every live view
     /// (ascending slot order — the same total order the controller uses,
-    /// so the two can never deadlock), then direct irrevocable access to
-    /// the shared heap. Serializable by construction: every metadata
-    /// domain is quiesced while the transaction runs.
-    async fn run_union<T, F>(&self, rt: &Rt, home_slot: u32, body: &mut F) -> T
+    /// so the two can never deadlock), then one lock-mode attempt through
+    /// the driver on the home view, with that drain as its admission.
+    /// Serializable by construction: every metadata domain is quiesced
+    /// while the transaction runs.
+    async fn run_union<T, F>(&self, rt: &Rt, home_slot: u32, body: F) -> T
     where
-        F: for<'a, 'b, 'v> AsyncFnMut(&'a mut DomainTx<'b, 'v>) -> Result<T, TxError>,
+        F: for<'h> AsyncFnMut(&'h mut TxHandle<'_>) -> Result<T, TxError>,
     {
         loop {
             let views = self.views();
@@ -464,66 +470,8 @@ impl AdaptiveDomain {
                 drop(guards);
                 continue;
             }
-            let home = &views[home_slot as usize];
-            let rec = home.recorder_handle(rt.thread_index());
-            let mut dtx = DomainTx {
-                inner: DomainAccess::Direct {
-                    heap: &self.heap,
-                    rt,
-                },
-                route: &self.route,
-                slot: home_slot,
-                foreign: None,
-                dirty: false,
-                write_summary: 0,
-                direct_cycles: 0,
-            };
-            let value = loop {
-                match body(&mut dtx).await {
-                    Ok(v) => break v,
-                    Err(e) => {
-                        // Direct mode is irrevocable, like the starvation
-                        // watchdog's lock mode: nothing written so far can
-                        // be rolled back. A clean failure may re-run; a
-                        // dirty one cannot be recovered.
-                        assert!(
-                            !dtx.dirty,
-                            "cross-view (union-drained) transaction failed after \
-                             writing; irrevocable writes cannot be rolled back: {e}"
-                        );
-                        assert!(
-                            !matches!(e, TxError::Retry),
-                            "retry() in a cross-view (union-drained) transaction: \
-                             blocking is not supported on the irrevocable path"
-                        );
-                        dtx.foreign = None;
-                        rt.charge(cost::BUSY_RETRY).await;
-                    }
-                }
-            };
-            let DomainTx {
-                direct_cycles: cycles,
-                write_summary: wake,
-                ..
-            } = dtx;
-            // Book the commit on the home view so throughput aggregation
-            // and the commit-histogram invariant (count == tm.commits)
-            // both hold.
-            home.tm().stats().record_commit(rt.thread_index(), cycles);
-            home.hists().commit.record(cycles);
-            rec.record(
-                rt.now(),
-                EventKind::TxCommit {
-                    view: home.id() as u16,
-                    cycles,
-                },
-            );
+            let value = drive_transaction(&views[home_slot as usize], rt, Entry::Union, body).await;
             drop(guards);
-            if wake != 0 {
-                for v in &views {
-                    v.waits().publish(wake);
-                }
-            }
             return value;
         }
     }
@@ -558,10 +506,14 @@ impl AdaptiveDomain {
             .saturating_sub(self.last_repartition.load(Ordering::Acquire))
             >= self.policy.cooldown
             || self.repartitions.load(Ordering::Acquire) == 0;
+        // Pressure is per-interval: every tick consumes the straddle
+        // matrix, the cooling ones included, so straddles from a cooldown
+        // never add up into a later spurious merge.
+        let merge = self.merge_candidate();
         if !cooled {
             return;
         }
-        if let Some((a, b)) = self.merge_candidate() {
+        if let Some((a, b)) = merge {
             self.merge(rt, a, b).await;
             return;
         }
@@ -589,8 +541,6 @@ impl AdaptiveDomain {
                 }
             }
         }
-        // Pressure is per-interval: stale straddles must not accumulate
-        // into a later spurious merge.
         for c in &self.cross {
             c.store(0, Ordering::Release);
         }
@@ -700,19 +650,16 @@ impl AdaptiveDomain {
             0,
             "split mask strayed outside the drained view's ownership"
         );
-        let new_view = self.build_view();
-        let new_slot = {
+        let (new_slot, new_view) = {
             let mut views = self.views.lock();
-            match self.free_slots.lock().pop() {
-                Some(s) => {
-                    views[s as usize] = Arc::clone(&new_view);
-                    s
-                }
-                None => {
-                    views.push(Arc::clone(&new_view));
-                    views.len() as u32 - 1
-                }
+            let slot = self.free_slots.lock().pop().unwrap_or(views.len() as u32);
+            let view = self.build_view(slot);
+            if slot as usize == views.len() {
+                views.push(Arc::clone(&view));
+            } else {
+                views[slot as usize] = Arc::clone(&view);
             }
+            (slot, view)
         };
         {
             let mut prev = self.prev_stats.lock();
@@ -738,10 +685,6 @@ impl AdaptiveDomain {
             },
         );
         drop(guard);
-        // Re-home parked waiters: wake-all *and* stamp every bucket epoch,
-        // so both sleeping and in-flight parks re-run through the route
-        // check instead of waiting on the wrong view's table.
-        view.waits().publish(u64::MAX);
     }
 
     /// Executes a merge: drains both views (ascending slot order), remaps
@@ -772,8 +715,6 @@ impl AdaptiveDomain {
         );
         drop(sg);
         drop(dg);
-        sv.waits().publish(u64::MAX);
-        dv.waits().publish(u64::MAX);
     }
 
     fn bump_repartition(&self, rt: &Rt, drain: u64) {
@@ -795,122 +736,5 @@ impl std::fmt::Debug for AdaptiveDomain {
             .field("stats", &self.stats())
             .field("route", &self.route)
             .finish()
-    }
-}
-
-/// Which machinery backs a [`DomainTx`]'s accesses.
-enum DomainAccess<'h, 'v> {
-    /// The normal case: a transactional attempt on the dispatch view.
-    Tx(&'h mut TxHandle<'v>),
-    /// Union mode: every live view drained, direct heap access.
-    Direct {
-        /// The shared word array.
-        heap: &'h WordHeap,
-        /// Runtime for cost charging.
-        rt: &'h Rt,
-    },
-}
-
-/// In-transaction capability for [`AdaptiveDomain::transact`] bodies: a
-/// [`TxHandle`] wrapper that checks every access against the route table.
-pub struct DomainTx<'h, 'v> {
-    inner: DomainAccess<'h, 'v>,
-    route: &'h RouteTable,
-    slot: u32,
-    /// Owner slot of the first foreign access this attempt observed.
-    foreign: Option<u32>,
-    /// Whether this attempt issued any write.
-    dirty: bool,
-    /// Bloom summary of direct-mode writes (for post-commit wakeups).
-    write_summary: u64,
-    /// Cycles consumed in direct mode (booked as the commit's cost).
-    direct_cycles: u64,
-}
-
-impl DomainTx<'_, '_> {
-    /// Pre-access route check. `Ok` means the address belongs to the view
-    /// this attempt runs on (always true in union mode, where every view
-    /// is drained).
-    fn check_route(&mut self, addr: Addr) -> Result<(), TxAbort> {
-        if matches!(self.inner, DomainAccess::Direct { .. }) {
-            return Ok(());
-        }
-        let owner = self.route.owner_of(addr);
-        if owner == self.slot {
-            return Ok(());
-        }
-        if self.foreign.is_none() {
-            self.foreign = Some(owner);
-        }
-        // The dispatch loop inspects `foreign` when this error surfaces;
-        // bodies must propagate it with `?`.
-        Err(TxAbort)
-    }
-
-    /// Transactional read of one word (route-checked). Like
-    /// [`TxHandle::read`], it can only abort.
-    pub async fn read(&mut self, addr: Addr) -> Result<u64, TxAbort> {
-        self.check_route(addr)?;
-        match &mut self.inner {
-            DomainAccess::Tx(tx) => tx.read(addr).await,
-            DomainAccess::Direct { heap, rt } => {
-                self.direct_cycles += cost::DIRECT_ACCESS;
-                rt.charge(cost::DIRECT_ACCESS).await;
-                Ok(heap.load(addr))
-            }
-        }
-    }
-
-    /// Transactional write of one word (route-checked).
-    pub async fn write(&mut self, addr: Addr, value: u64) -> Result<(), TxAbort> {
-        self.check_route(addr)?;
-        match &mut self.inner {
-            DomainAccess::Tx(tx) => {
-                let out = tx.write(addr, value).await;
-                if out.is_ok() {
-                    self.dirty = true;
-                }
-                out
-            }
-            DomainAccess::Direct { heap, rt } => {
-                self.dirty = true;
-                self.write_summary |= 1u64 << bloom_bucket(addr);
-                self.direct_cycles += cost::DIRECT_ACCESS;
-                rt.charge(cost::DIRECT_ACCESS).await;
-                heap.store(addr, value);
-                Ok(())
-            }
-        }
-    }
-
-    /// Thread-private work inside the transaction (see
-    /// [`TxHandle::local_work`]).
-    pub async fn local_work(&mut self, reads: u64, writes: u64, nops: u64) {
-        match &mut self.inner {
-            DomainAccess::Tx(tx) => tx.local_work(reads, writes, nops).await,
-            DomainAccess::Direct { rt, .. } => {
-                let cycles = (reads + writes) * cost::LOCAL_ACCESS + nops * cost::NOP;
-                self.direct_cycles += cycles;
-                rt.work(cycles).await;
-            }
-        }
-    }
-
-    /// Blocks the transaction until its read set changes (see
-    /// [`TxHandle::retry`]). Unsupported on the cross-view union path,
-    /// where the attempt is irrevocable.
-    pub fn retry<T>(&self) -> Result<T, TxError> {
-        Err(TxError::Retry)
-    }
-
-    /// The slot of the view this attempt was dispatched to (union mode:
-    /// the home slot). For diagnostics and tests.
-    pub fn slot(&self) -> u32 {
-        self.slot
-    }
-
-    /// Whether this attempt is running on the irrevocable union path.
-    pub fn is_union(&self) -> bool {
-        matches!(self.inner, DomainAccess::Direct { .. })
     }
 }

@@ -7,8 +7,9 @@
 //! body returns.
 //!
 //! Single-word accesses ([`crate::TxHandle::read`] and
-//! [`crate::TxHandle::write`], and their [`crate::DomainTx`] twins) return
-//! the zero-sized [`TxAbort`] instead: an access can only abort, and its
+//! [`crate::TxHandle::write`]) return the zero-sized [`TxAbort`] instead,
+//! on a plain view and on a domain view alike (where an address another
+//! view owns is one more way to abort): an access can only abort, and its
 //! structured cause is kept on the handle, so the error has nothing to
 //! carry. The narrow type is also the fast one: `Result<u64, TxError>` puts
 //! the error's `u32` payload at offset 4, and handing such a result from the

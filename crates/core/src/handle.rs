@@ -83,6 +83,20 @@
 //! watchdog instead of hanging. [`TxHandle::or_else`] composes
 //! alternatives: if the first retries, the second runs in the same
 //! attempt; only when every alternative retries does the task park.
+//!
+//! # Domain views
+//!
+//! A view of an [`crate::AdaptiveDomain`] runs this same driver and hands
+//! its bodies this same handle. The only difference is decided once, in
+//! [`TxHandle::new`]: the attempt carries the view's slot in the domain's
+//! route table, and every read and write first checks that its address
+//! still routes there. A foreign address fails the access with
+//! [`TxAbort`] and leaves its owner on the handle for the domain's
+//! dispatch to read; the booked reason stays `Explicit`. A domain's
+//! cross-view (union) attempt enters as [`Entry::Union`]: the domain
+//! already holds every live view drained, so the attempt takes no
+//! admission and runs in lock mode, like an escalated one, with no route
+//! to check.
 
 use votm_obs::{
     addr_bucket, AbortReason, ConflictSiteKind, EventKind, RecorderHandle, ADDR_BUCKET_NONE,
@@ -94,15 +108,15 @@ use votm_stm::{bloom_bucket, cost, Addr, CommitPhase, ConflictSite, OpError, TxC
 use votm_utils::JitterBackoff;
 
 use crate::error::TxError;
-use crate::view::View;
+use crate::view::{Route, View};
 use crate::wait::{ParkOutcome, PARK_TIMEOUT};
 
 /// The current transaction attempt must be rolled back and retried.
 ///
-/// The error of every single-word access ([`TxHandle::read`],
-/// [`TxHandle::write`] and their [`crate::DomainTx`] twins): an access can
-/// only abort, and the structured cause stays on the handle, so the error
-/// carries nothing and `Result<u64, TxAbort>` is a tag and an aligned word.
+/// The error of every single-word access ([`TxHandle::read`] and
+/// [`TxHandle::write`]): an access can only abort, and the structured cause
+/// stays on the handle, so the error carries nothing and
+/// `Result<u64, TxAbort>` is a tag and an aligned word.
 /// Propagate it with `?` (a body's [`TxError`] lifts it); the driver rolls
 /// back and re-runs the body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +151,20 @@ impl std::fmt::Display for HeapExhausted {
 }
 
 impl std::error::Error for HeapExhausted {}
+
+/// How a transaction enters [`drive_transaction`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// [`View::transact`]: admitted through the view's gate.
+    ReadWrite,
+    /// [`View::transact_ro`] (`acquire_Rview`): writes panic.
+    ReadOnly,
+    /// A domain's cross-view attempt. The caller holds every live view of
+    /// the domain drained, so the attempt takes no admission, runs in the
+    /// irrevocable lock mode and checks no route; it cannot abort or
+    /// `retry()`.
+    Union,
+}
 
 /// Consecutive `Busy` retries of one read/write before the attempt aborts
 /// (bounded spinning, TinySTM-style; breaks reader/writer wait-for cycles).
@@ -249,9 +277,14 @@ pub struct TxHandle<'v> {
     view: &'v View,
     rt: &'v Rt,
     /// The driver's descriptor context, or its direct context when the
-    /// attempt runs escalated.
+    /// attempt runs in lock mode (escalated or union).
     ctx: &'v mut TxCtx,
     read_only: bool,
+    /// The domain route every access must follow, for an attempt on a
+    /// domain view; `None` on a plain view and in a union attempt.
+    route: Option<&'v Route>,
+    /// Owner slot of the first access that failed the route check.
+    foreign: Option<u32>,
     /// Virtual cycles consumed by this attempt (simulator accounting).
     attempt_work: u64,
     /// Blocks allocated by this attempt — freed again if it aborts.
@@ -313,14 +346,14 @@ pub struct TxHandle<'v> {
 
 impl<'v> TxHandle<'v> {
     /// An attempt over the driver's descriptor; `direct` replaces the
-    /// descriptor's context for an escalated (exclusive lock-mode) attempt.
+    /// descriptor's context for a lock-mode (escalated or union) attempt.
     fn new(
         view: &'v View,
         rt: &'v Rt,
         rec: &'v RecorderHandle,
         desc: &'v mut Descriptor,
         direct: Option<&'v mut TxCtx>,
-        read_only: bool,
+        entry: Entry,
         mut cm_tx: CmTx,
     ) -> Self {
         let Descriptor {
@@ -343,11 +376,17 @@ impl<'v> TxHandle<'v> {
         let backoff = JitterBackoff::new(rt.thread_index() as u64);
         let faults = !ctx.is_direct() && rt.faults_armed();
         let in_place = !rt.is_virtual() && !cm_active && !faults;
+        let route = match entry {
+            Entry::Union => None,
+            Entry::ReadWrite | Entry::ReadOnly => view.route(),
+        };
         Self {
             view,
             rt,
             ctx,
-            read_only,
+            read_only: entry == Entry::ReadOnly,
+            route,
+            foreign: None,
             attempt_work: 0,
             allocs,
             frees,
@@ -597,12 +636,40 @@ impl<'v> TxHandle<'v> {
         Err(TxAbort)
     }
 
+    /// On a domain view, fails an access to an address another view owns,
+    /// remembering the first such owner. The booked reason stays the
+    /// default `Explicit`: leaving is the domain's decision, not a conflict.
+    #[inline]
+    fn check_route(&mut self, addr: Addr) -> Result<(), TxAbort> {
+        if let Some(route) = self.route {
+            let owner = route.table.owner_of(addr);
+            if owner != route.slot {
+                self.foreign.get_or_insert(owner);
+                return Err(TxAbort);
+            }
+        }
+        Ok(())
+    }
+
+    /// The owner slot of the first address this attempt found routed to
+    /// another view of its domain.
+    pub(crate) fn foreign_owner(&self) -> Option<u32> {
+        self.foreign
+    }
+
+    /// Whether this attempt has written anything.
+    pub(crate) fn wrote(&self) -> bool {
+        self.write_summary != 0
+    }
+
     /// Transactional read of one word.
     ///
     /// An access can only abort (its cause is kept on the handle), so the
     /// error is the zero-sized [`TxAbort`]; `?` in a body lifts it into
-    /// [`TxError`].
+    /// [`TxError`]. On a domain view an address another view owns aborts
+    /// too: the domain re-runs the body where it can reach everything.
     pub async fn read(&mut self, addr: Addr) -> Result<u64, TxAbort> {
+        self.check_route(addr)?;
         let mut spins = 0u32;
         loop {
             match self.ctx.read(self.view.tm(), addr) {
@@ -634,6 +701,7 @@ impl<'v> TxHandle<'v> {
             !self.read_only,
             "write inside a read-only view acquisition (acquire_Rview)"
         );
+        self.check_route(addr)?;
         let mut spins = 0u32;
         loop {
             match self.ctx.write(self.view.tm(), addr, value) {
@@ -941,13 +1009,15 @@ impl Drop for TxHandle<'_> {
 pub(crate) async fn drive_transaction<'v, T, F>(
     view: &'v View,
     rt: &Rt,
-    read_only: bool,
+    entry: Entry,
     mut body: F,
 ) -> T
 where
     F: for<'h> AsyncFnMut(&'h mut TxHandle<'_>) -> Result<T, TxError>,
 {
-    let unrestricted = view.is_unrestricted();
+    // An unrestricted view has no gate to pass, and a union attempt's
+    // admission is the caller's drain of the domain.
+    let no_gate = view.is_unrestricted() || entry == Entry::Union;
     let tid = rt.thread_index();
     let rec = view.recorder_handle(tid);
     let vid = view.id() as u16;
@@ -978,7 +1048,7 @@ where
         // acquire_view: RAC admission (skipped for the no-RAC baselines).
         // Admission is held as an RAII guard; dropping it (normally or
         // during an unwind) is what releases the gate.
-        let gate_guard = if unrestricted {
+        let gate_guard = if no_gate {
             None
         } else {
             let escalate = view
@@ -1007,9 +1077,11 @@ where
             }
             Some(guard)
         };
-        let mode = gate_guard
-            .as_ref()
-            .map_or(AdmissionMode::Transactional, |g| g.mode());
+        let mode = match (entry, &gate_guard) {
+            (Entry::Union, _) => AdmissionMode::Exclusive,
+            (_, Some(guard)) => guard.mode(),
+            (_, None) => AdmissionMode::Transactional,
+        };
 
         // Snapshot the wait-table epoch *before* the attempt reads
         // anything: a commit that lands from here on bumps the epoch, so a
@@ -1024,16 +1096,16 @@ where
         // next alternative.
         desc.alt.begin_attempt();
 
-        // Escalated attempts run on a direct context (two counters, no
-        // heap); the descriptor's transactional one sits the attempt out.
+        // Escalated and union attempts run on a direct context (two
+        // counters, no heap); the descriptor's transactional one sits the
+        // attempt out.
         let mut direct = match mode {
             AdmissionMode::Exclusive => Some(view.tm().direct_ctx()),
             AdmissionMode::Transactional => None,
         };
         // Declared after the guard: unwinds run transaction recovery
         // (TxHandle::drop) before admission release (GateGuard::drop).
-        let mut handle =
-            TxHandle::new(view, rt, &rec, &mut desc, direct.as_mut(), read_only, cm_tx);
+        let mut handle = TxHandle::new(view, rt, &rec, &mut desc, direct.as_mut(), entry, cm_tx);
 
         // begin (NOrec can be Busy while a committer holds the seqlock).
         loop {
@@ -1156,6 +1228,11 @@ where
             // under AbortReason::Retry (a requested wait, not contention),
             // and deliberately skips the contention manager's attempt count
             // and loser backoff, and the starvation streak.
+            assert!(
+                entry != Entry::Union,
+                "retry() in a cross-view (union-drained) transaction: \
+                 blocking is not supported on the irrevocable path"
+            );
             if handle.ctx.is_direct() {
                 // The irrevocable lock mode cannot roll anything back; a
                 // retry there is only sound if the attempt was effectively

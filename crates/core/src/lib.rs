@@ -21,6 +21,12 @@
 //! | `acquire_view` … `release_view`  | [`View::transact`] (closure, async)     |
 //! | `acquire_Rview` … `release_view` | [`View::transact_ro`]                   |
 //!
+//! Beyond the paper's API, an [`AdaptiveDomain`] partitions itself into
+//! views at runtime (Observation 2 applied live). It moves objects between
+//! views, never the code that touches them: [`AdaptiveDomain::transact`]
+//! takes the same body as [`View::transact`], over the same [`TxHandle`],
+//! so every `votm-ds` structure runs inside a domain unchanged.
+//!
 //! The C API brackets a region with `acquire_view`/`release_view` and, on a
 //! failed commit, rolls back and re-executes the region via `setjmp`/
 //! `longjmp`. Rust's safe equivalent of that control flow is a closure the
@@ -79,7 +85,7 @@ mod version;
 mod view;
 mod wait;
 
-pub use domain::{AdaptiveDomain, DomainStats, DomainTx, RepartitionPolicy};
+pub use domain::{AdaptiveDomain, DomainStats, RepartitionPolicy};
 pub use error::TxError;
 pub use handle::{HeapExhausted, TxAbort, TxHandle};
 pub use system::{Votm, VotmBuilder, VotmConfig};

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use votm_obs::FlightRecorder;
 use votm_rac::{CmPolicy, ControllerConfig, QuotaMode};
-use votm_stm::{ClockKind, TmAlgorithm};
+use votm_stm::{ClockKind, TmAlgorithm, TmInstance};
 use votm_utils::Mutex;
 
 use crate::view::{view_arc_id, View};
@@ -116,16 +116,15 @@ impl Votm {
         let id = views.len();
         let view = Arc::new(View::new(
             id,
-            algorithm,
-            size_words,
-            size_words * self.config.reserve_factor.max(1),
+            TmInstance::with_reserve_clock(
+                algorithm,
+                size_words,
+                size_words * self.config.reserve_factor.max(1),
+                self.config.clock,
+            ),
             quota,
-            self.config.n_threads,
-            &self.config.controller,
-            self.config.escalate_after,
-            self.config.recorder.clone(),
-            self.config.contention,
-            self.config.clock,
+            &self.config,
+            None,
         ));
         views.push(Some(Arc::clone(&view)));
         view

@@ -3,15 +3,14 @@
 use std::sync::Arc;
 
 use votm_obs::{FlightRecorder, RecorderHandle, ViewHistSnapshot, ViewHists};
-use votm_rac::{
-    AdmissionGate, CmInstance, CmPolicy, ControllerConfig, GateStats, QuotaMode, RacController,
-};
+use votm_rac::{AdmissionGate, CmInstance, CmPolicy, GateStats, QuotaMode, RacController};
 use votm_sim::Rt;
-use votm_stm::{Addr, ClockKind, ClockStats, StatsSnapshot, TmAlgorithm, TmInstance};
+use votm_stm::{Addr, ClockKind, ClockStats, RouteTable, StatsSnapshot, TmInstance};
 use votm_utils::{CachePadded, Mutex};
 
 use crate::error::TxError;
-use crate::handle::{drive_transaction, Descriptor, TxHandle};
+use crate::handle::{drive_transaction, Descriptor, Entry, TxHandle};
+use crate::system::VotmConfig;
 use crate::wait::WaitTable;
 
 /// One view of shared memory.
@@ -31,10 +30,23 @@ pub struct View {
     recorder: Option<Arc<FlightRecorder>>,
     /// Contention-management runtime (policy + shared doom/priority slots).
     cm: CmInstance,
-    /// Parked blocking transactions (`retry`), keyed by read-set summary.
-    waits: WaitTable,
+    /// Parked blocking transactions (`retry`), keyed by read-set summary:
+    /// the view's own, or its domain's, which every view of it shares.
+    waits: Arc<WaitTable>,
+    /// A domain view's place in its domain's route table; `None` for a
+    /// plain view, which routes nothing.
+    route: Option<Route>,
     /// One slot per logical thread (see [`DescriptorSlot`]).
     descriptors: Box<[DescriptorSlot]>,
+}
+
+/// Where a view of an [`crate::AdaptiveDomain`] sits in the domain's route
+/// table: every access of its transactions must route to `slot`.
+pub(crate) struct Route {
+    /// The domain's route table, shared by the domain and all its views.
+    pub(crate) table: Arc<RouteTable>,
+    /// This view's slot.
+    pub(crate) slot: u32,
 }
 
 /// Where a logical thread's idle transaction [`Descriptor`] waits between
@@ -44,78 +56,24 @@ pub struct View {
 type DescriptorSlot = CachePadded<Mutex<Option<Box<Descriptor>>>>;
 
 impl View {
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor, one call site
+    /// A view over `tm`, its metadata domain and heap, with the
+    /// algorithm-independent settings of `config`. A view of an
+    /// [`crate::AdaptiveDomain`] is built with its slot in the domain's route
+    /// table and the domain's wait table; a plain view routes nothing and
+    /// gets a wait table of its own.
     pub(crate) fn new(
-        id: usize,
-        algo: TmAlgorithm,
-        size_words: usize,
-        capacity_words: usize,
-        quota_mode: QuotaMode,
-        n_threads: u32,
-        controller_config: &ControllerConfig,
-        escalate_after: Option<u32>,
-        recorder: Option<Arc<FlightRecorder>>,
-        contention: CmPolicy,
-        clock: ClockKind,
-    ) -> Self {
-        Self::assemble(
-            id,
-            TmInstance::with_reserve_clock(algo, size_words, capacity_words.max(size_words), clock),
-            quota_mode,
-            n_threads,
-            controller_config,
-            escalate_after,
-            recorder,
-            contention,
-        )
-    }
-
-    /// A view over an *existing* shared heap: its own metadata domain
-    /// (clock, orecs, seqlock), admission gate, contention manager and wait
-    /// table — but the word array belongs to the caller. This is how the
-    /// repartitioner ([`crate::AdaptiveDomain`]) materialises a split: the
-    /// data stays put, only the metadata domain and the route change.
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor
-    pub(crate) fn new_over(
-        id: usize,
-        algo: TmAlgorithm,
-        heap: Arc<votm_stm::WordHeap>,
-        quota_mode: QuotaMode,
-        n_threads: u32,
-        controller_config: &ControllerConfig,
-        escalate_after: Option<u32>,
-        recorder: Option<Arc<FlightRecorder>>,
-        contention: CmPolicy,
-        clock: ClockKind,
-    ) -> Self {
-        Self::assemble(
-            id,
-            TmInstance::over_heap(algo, heap, clock),
-            quota_mode,
-            n_threads,
-            controller_config,
-            escalate_after,
-            recorder,
-            contention,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
         id: usize,
         tm: TmInstance,
         quota_mode: QuotaMode,
-        n_threads: u32,
-        controller_config: &ControllerConfig,
-        escalate_after: Option<u32>,
-        recorder: Option<Arc<FlightRecorder>>,
-        contention: CmPolicy,
+        config: &VotmConfig,
+        domain: Option<(Route, Arc<WaitTable>)>,
     ) -> Self {
+        let n_threads = config.n_threads;
         let (initial_quota, controller) = match quota_mode {
             QuotaMode::Fixed(q) => (q, None),
             QuotaMode::Adaptive => (
                 n_threads,
-                Some(RacController::new(controller_config.clone())),
+                Some(RacController::new(config.controller.clone())),
             ),
             // Admission control disabled; quota N means the gate never
             // blocks (there are only N threads), and no controller runs.
@@ -125,9 +83,13 @@ impl View {
         // lock it hit; an algorithm whose lock words name nobody runs the
         // passive default whatever the configuration asks for.
         let contention = if tm.algorithm().names_lock_holder() {
-            contention
+            config.contention
         } else {
             CmPolicy::Backoff
+        };
+        let (route, waits) = match domain {
+            Some((route, waits)) => (Some(route), waits),
+            None => (None, Arc::new(WaitTable::new())),
         };
         Self {
             id,
@@ -135,13 +97,14 @@ impl View {
             gate: AdmissionGate::new(initial_quota, n_threads),
             controller,
             quota_mode,
-            escalate_after,
+            escalate_after: config.escalate_after,
             hists: ViewHists::new(),
-            recorder,
+            recorder: config.recorder.clone(),
             // The windowed-greedy draw seed derives from the view id only,
             // so identically-seeded runs replay identically.
             cm: CmInstance::new(contention, n_threads, 0x9e37_79b9_7f4a_7c15 ^ id as u64),
-            waits: WaitTable::new(),
+            waits,
+            route,
             descriptors: (0..n_threads).map(|_| CachePadded::default()).collect(),
         }
     }
@@ -178,6 +141,11 @@ impl View {
     /// The view's wakeup table for parked blocking transactions.
     pub(crate) fn waits(&self) -> &WaitTable {
         &self.waits
+    }
+
+    /// This view's place in its domain's route table, if it has one.
+    pub(crate) fn route(&self) -> Option<&Route> {
+        self.route.as_ref()
     }
 
     /// Which contention-management policy this view runs: the configured
@@ -290,7 +258,7 @@ impl View {
     where
         F: for<'h> AsyncFnMut(&'h mut TxHandle<'_>) -> Result<T, TxError>,
     {
-        drive_transaction(self, rt, false, body).await
+        drive_transaction(self, rt, Entry::ReadWrite, body).await
     }
 
     /// Read-only variant (`acquire_Rview`): writes through the handle panic.
@@ -300,7 +268,7 @@ impl View {
     where
         F: for<'h> AsyncFnMut(&'h mut TxHandle<'_>) -> Result<T, TxError>,
     {
-        drive_transaction(self, rt, true, body).await
+        drive_transaction(self, rt, Entry::ReadOnly, body).await
     }
 
     /// Statistics snapshot in the shape of the paper's table rows.

@@ -1,15 +1,17 @@
 //! Online repartitioning under the virtual-time simulator: live splits
 //! and merges must never cost correctness.
 //!
-//! Five angles:
+//! Six angles:
 //!
 //! * a deterministic convergence case — a single-view domain running two
 //!   disjoint hot groups MUST split;
+//! * straddle pressure: sustained straddles merge a pair back, and
+//!   straddles that land inside a cooldown do not;
 //! * a 36-seed serializability sweep with the repartitioner active (the
 //!   per-group ticket-replay scheme from `sim_serializability.rs`, plus a
 //!   counter-sum phase with deliberate cross-view straddles);
 //! * the split × parked-waiter adversary: a transaction parked via
-//!   `retry()` on a bucket that then *moves* must be re-homed, not lost;
+//!   `retry()` on a bucket that then *moves* must be woken, not lost;
 //! * merge-under-fault chaos: injected aborts and delays around the
 //!   drain windows, reusing [`FaultPlan`];
 //! * the controller's sliding profile window on rings that wrap: it takes
@@ -19,7 +21,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use votm::{Addr, FlightRecorder, QuotaMode, RepartitionPolicy, TmAlgorithm, Votm};
+use votm::{
+    AbortReason, Addr, FlightRecorder, QuotaMode, RepartitionPolicy, TmAlgorithm, TxError, Votm,
+};
 use votm_sim::{FaultPlan, RunStatus, SimConfig, SimExecutor};
 use votm_utils::{Mutex, SplitMix64};
 
@@ -233,14 +237,23 @@ fn run_domain(
     // now outside any transaction, a view holds pooled descriptors exactly
     // if transactions completed through it — none migrated into a view
     // that never ran one, none left a view that did.
+    // Union attempts book their commits through the driver like any other,
+    // so every view's commit histogram counts exactly its commits.
     for view in domain.views() {
+        let stats = view.stats();
         let pooled = (0..=threads).filter(|&t| view.descriptor_pooled(t)).count();
         assert_eq!(
             pooled > 0,
-            view.stats().tm.commits > 0,
+            stats.tm.commits > 0,
             "{algo:?} seed {seed}: view {} pools {pooled} descriptors after {} commits",
             view.id(),
-            view.stats().tm.commits
+            stats.tm.commits
+        );
+        assert_eq!(
+            stats.hists.commit.count(),
+            stats.tm.commits,
+            "{algo:?} seed {seed}: view {} commit histogram",
+            view.id()
         );
     }
 
@@ -293,6 +306,70 @@ fn straddle_pressure_triggers_a_merge() {
     );
 }
 
+/// Pressure is per interval. One task splits a domain through the public
+/// `rebalance`, straddles the new pair more than the merge threshold while
+/// the split cools down, and ticks once more inside the cooldown: the first
+/// cooled tick after that has seen no straddle in its interval and must not
+/// merge.
+#[test]
+fn straddles_inside_the_cooldown_do_not_merge_afterwards() {
+    const A: Addr = Addr(8); // bucket 0
+    const B: Addr = Addr(2056); // bucket 32
+    let policy = fast_policy();
+    let cooldown = policy.cooldown;
+    let straddles = 2 * policy.merge_cross_threshold;
+    let recorder = Arc::new(FlightRecorder::new(2, ROOMY_RINGS));
+    let sys = Votm::builder()
+        .algo(TmAlgorithm::NOrec)
+        .threads(2)
+        .recorder(Arc::clone(&recorder))
+        .build();
+    let domain = sys.create_domain(WORDS, QuotaMode::Fixed(2), policy);
+    let mut ex = SimExecutor::new(SimConfig::default());
+    let d = Arc::clone(&domain);
+    ex.spawn(move |rt| async move {
+        // Waste on two never co-accessed words: each transaction loses its
+        // first attempt, so the one view is worth a profile that separates.
+        for _ in 0..8 {
+            for word in [A, B] {
+                let mut aborted = false;
+                d.transact(&rt, word, async |tx| {
+                    let v = tx.read(word).await?;
+                    if !std::mem::replace(&mut aborted, true) {
+                        return Err(TxError::Abort(AbortReason::Explicit));
+                    }
+                    Ok(tx.write(word, v + 1).await?)
+                })
+                .await;
+            }
+        }
+        d.rebalance(&rt).await;
+        assert_eq!(d.stats().splits, 1, "the waste must split A from B");
+        for _ in 0..straddles {
+            d.transact(&rt, A, async |tx| {
+                let (x, y) = (tx.read(A).await?, tx.read(B).await?);
+                tx.write(A, x + 1).await?;
+                Ok(tx.write(B, y + 1).await?)
+            })
+            .await;
+        }
+        assert_eq!(d.stats().straddles, straddles);
+        rt.charge(cooldown / 2).await;
+        d.rebalance(&rt).await;
+        rt.charge(cooldown).await;
+        d.rebalance(&rt).await;
+    });
+    assert_eq!(ex.run().status, RunStatus::Completed);
+    let stats = domain.stats();
+    assert_eq!(
+        stats.merges, 0,
+        "straddles from the cooldown merged the pair"
+    );
+    assert_eq!(stats.splits, 1);
+    assert_eq!(domain.heap().load(A), 8 + straddles);
+    assert_eq!(domain.heap().load(B), 8 + straddles);
+}
+
 /// 36 seeds × three algorithms with the repartitioner live: splits,
 /// merges, stale-route re-dispatches and union-mode straddles may all
 /// occur; serializability and update atomicity must survive every one.
@@ -310,9 +387,10 @@ fn sim_serializable_with_repartitioning_across_36_seeds() {
 
 /// The split × parked-waiter adversary. A consumer parks (`retry()`) on a
 /// flag word in the half that the controller then moves to a new view.
-/// The split's wake-all re-homes the waiter: it must re-park on the view
-/// that now owns the flag and be woken by the producer's commit there —
-/// zero lost wakeups, no hang.
+/// The split wakes nobody: the producer's commit through the view that now
+/// owns the flag wakes the waiter on the wait table the domain's views
+/// share, and the woken attempt re-routes to that view and reads the flag
+/// — zero lost wakeups, no hang.
 #[test]
 fn parked_waiter_survives_a_split_of_its_bucket() {
     const FLAG: Addr = Addr(3500); // group-B half, bucket 54
@@ -410,7 +488,7 @@ fn parked_waiter_survives_a_split_of_its_bucket() {
         .iter()
         .map(|v| v.stats().tm.lost_wakeups)
         .sum();
-    assert_eq!(lost, 0, "re-homing must not time a waiter out");
+    assert_eq!(lost, 0, "the move must not time a waiter out");
 }
 
 /// Merge-under-fault chaos: injected aborts and delays land around the

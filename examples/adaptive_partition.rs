@@ -17,7 +17,9 @@ use std::sync::Arc;
 
 use votm_repro::sim::{SimConfig, SimExecutor};
 use votm_repro::utils::SplitMix64;
-use votm_repro::votm::{Addr, FlightRecorder, QuotaMode, RepartitionPolicy, TmAlgorithm, Votm};
+use votm_repro::votm::{
+    Addr, FlightRecorder, QuotaMode, RepartitionPolicy, TmAlgorithm, TxError, TxHandle, Votm,
+};
 
 /// Domain heap words; with 64 route buckets each bucket covers 64 words.
 const HEAP_WORDS: usize = 4096;
@@ -27,6 +29,16 @@ const SPAN: u64 = 96;
 const GROUP_B: u64 = 2048;
 const THREADS: usize = 8;
 const OPS: usize = 250;
+
+/// The one transaction both runs execute, on a view or on the domain alike:
+/// increment each planned word.
+async fn increment(tx: &mut TxHandle<'_>, addrs: &[u32]) -> Result<(), TxError> {
+    for &a in addrs {
+        let v = tx.read(Addr(a)).await?;
+        tx.write(Addr(a), v + 1).await?;
+    }
+    Ok(())
+}
 
 /// Virtual-time throughput of one run: transactions per virtual second.
 fn tps(commits: u64, vtime: u64) -> f64 {
@@ -55,14 +67,8 @@ fn run_hand(seed: u64) -> (u64, u64) {
         ex.spawn(move |rt| async move {
             for _ in 0..OPS {
                 let addrs: Vec<u32> = (0..3).map(|_| rng.next_below(SPAN) as u32).collect();
-                view.transact(&rt, async |tx| {
-                    for &a in &addrs {
-                        let v = tx.read(Addr(a)).await?;
-                        tx.write(Addr(a), v + 1).await?;
-                    }
-                    Ok(())
-                })
-                .await;
+                view.transact(&rt, async |tx| increment(tx, &addrs).await)
+                    .await;
             }
         });
     }
@@ -117,13 +123,7 @@ fn main() {
                     .map(|_| (base + rng.next_below(SPAN)) as u32)
                     .collect();
                 domain
-                    .transact(&rt, Addr(addrs[0]), async |tx| {
-                        for &a in &addrs {
-                            let v = tx.read(Addr(a)).await?;
-                            tx.write(Addr(a), v + 1).await?;
-                        }
-                        Ok(())
-                    })
+                    .transact(&rt, Addr(addrs[0]), async |tx| increment(tx, &addrs).await)
                     .await;
             }
             remaining.fetch_sub(1, Ordering::AcqRel);
