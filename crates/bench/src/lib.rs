@@ -641,7 +641,7 @@ pub struct PolicySpread {
     pub max: f64,
 }
 
-/// Runs every non-default policy row of [`gate_runs`] for [`GATE_SEEDS`] − 1
+/// Runs every non-default policy row of `gate_runs` for [`GATE_SEEDS`] − 1
 /// extra seeds and folds each with its emitted (first-seed) row of `rows`,
 /// the gate's output, into a [`PolicySpread`]. Reusing the emitted row keeps
 /// the artifact's headline fields bit-identical while the table gains a

@@ -312,25 +312,10 @@ impl AdaptiveDomain {
         &self.route
     }
 
-    /// The repartition policy this domain runs.
-    pub fn policy(&self) -> &RepartitionPolicy {
-        &self.policy
-    }
-
     /// Every view slot, in slot order (retired incarnations included — their
     /// counters still belong in aggregate stats).
     pub fn views(&self) -> Vec<Arc<View>> {
         self.views.lock().iter().cloned().collect()
-    }
-
-    /// Live (non-retired) views, in slot order.
-    pub fn live_views(&self) -> Vec<Arc<View>> {
-        self.views
-            .lock()
-            .iter()
-            .filter(|v| !v.gate().is_retired())
-            .cloned()
-            .collect()
     }
 
     /// Controller/dispatch counters.

@@ -70,17 +70,6 @@ impl From<HeapExhausted> for TxError {
     }
 }
 
-/// Lossy downgrade for legacy helpers typed `Result<_, TxAbort>`: any
-/// unified error propagated into one collapses to a plain abort. Note this
-/// turns [`TxError::Retry`] into an ordinary spinning abort — blocking
-/// helpers should be typed with [`TxError`] so the park semantics survive
-/// `?`.
-impl From<TxError> for TxAbort {
-    fn from(_: TxError) -> Self {
-        TxAbort
-    }
-}
-
 impl std::fmt::Display for TxError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -110,7 +99,6 @@ mod tests {
             TxError::from(HeapExhausted { requested_words: 8 }),
             TxError::HeapExhausted { requested_words: 8 }
         );
-        assert_eq!(TxAbort::from(TxError::Retry), TxAbort);
     }
 
     #[test]

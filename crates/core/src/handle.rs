@@ -476,10 +476,13 @@ impl<'v> TxHandle<'v> {
     }
 
     /// Consults the runtime's fault plan at an interleaving point. Callers
-    /// check [`Self::faults`] first. Direct (exclusive lock-mode) sections
-    /// never take faults: they cannot abort, and injecting panics there
-    /// would tear uninstrumented state the recovery machinery cannot see.
-    async fn fault_point(&mut self) -> Result<(), TxAbort> {
+    /// check [`Self::faults`] first. An `Abort` draw aborts the attempt only
+    /// when `may_abort`; contexts that cannot abort (mid-commit, local work)
+    /// pass `false`, which delivers panics and delays and drops the draw.
+    /// Direct (exclusive lock-mode) sections never take faults: they cannot
+    /// abort, and injecting panics there would tear uninstrumented state the
+    /// recovery machinery cannot see.
+    async fn fault_point(&mut self, may_abort: bool) -> Result<(), TxAbort> {
         debug_assert!(self.faults);
         match self.rt.take_fault() {
             None => Ok(()),
@@ -493,6 +496,7 @@ impl<'v> TxHandle<'v> {
                 self.rt.charge(d).await;
                 Ok(())
             }
+            Some(FaultEvent::Abort) if !may_abort => Ok(()),
             Some(FaultEvent::Abort) => {
                 self.trace(EventKind::Fault {
                     view: self.vid(),
@@ -501,33 +505,6 @@ impl<'v> TxHandle<'v> {
                 });
                 self.set_abort_cause(AbortReason::FaultInjected, ConflictSite::None);
                 Err(TxAbort)
-            }
-            Some(FaultEvent::Panic) => {
-                self.trace(EventKind::Fault {
-                    view: self.vid(),
-                    code: 2,
-                    cycles: 0,
-                });
-                panic!("injected fault: panic at vtime {}", self.rt.now())
-            }
-        }
-    }
-
-    /// Fault point for contexts that cannot abort (mid-commit, local work):
-    /// delivers panics and delays, downgrades `Abort` draws to no-ops.
-    /// Callers check [`Self::faults`] first.
-    async fn fault_point_no_abort(&mut self) {
-        debug_assert!(self.faults);
-        match self.rt.take_fault() {
-            None | Some(FaultEvent::Abort) => {}
-            Some(FaultEvent::Delay(d)) => {
-                self.trace(EventKind::Fault {
-                    view: self.vid(),
-                    code: 0,
-                    cycles: d,
-                });
-                self.attempt_work += d;
-                self.rt.charge(d).await;
             }
             Some(FaultEvent::Panic) => {
                 self.trace(EventKind::Fault {
@@ -679,7 +656,7 @@ impl<'v> TxHandle<'v> {
                         self.rt.charge(w).await;
                         self.cm_doom_check()?;
                         if self.faults {
-                            self.fault_point().await?;
+                            self.fault_point(true).await?;
                         }
                     }
                     return Ok(v);
@@ -711,7 +688,7 @@ impl<'v> TxHandle<'v> {
                         self.rt.charge(w).await;
                         self.cm_doom_check()?;
                         if self.faults {
-                            self.fault_point().await?;
+                            self.fault_point(true).await?;
                         }
                     }
                     return Ok(());
@@ -799,7 +776,7 @@ impl<'v> TxHandle<'v> {
         self.attempt_work += cycles;
         self.rt.work(cycles).await;
         if self.faults {
-            self.fault_point_no_abort().await;
+            let _cannot_abort = self.fault_point(false).await;
         }
     }
 
@@ -834,11 +811,6 @@ impl<'v> TxHandle<'v> {
     /// an abort cannot leak another transaction's data.
     pub fn free(&mut self, addr: Addr) {
         self.frees.push(addr);
-    }
-
-    /// The runtime handle (for nested timing/diagnostics in workloads).
-    pub fn rt(&self) -> &Rt {
-        self.rt
     }
 
     /// Rolls back attempt-local state (allocation log).
@@ -963,7 +935,7 @@ impl<'v> TxHandle<'v> {
 }
 
 impl Drop for TxHandle<'_> {
-    /// Unwind recovery. On the normal path [`Self::finish`] has already
+    /// Unwind recovery. On the normal path `Self::finish` has already
     /// run and this is a no-op; otherwise the attempt is being abandoned by
     /// a panic and must be unwound to a consistent view state:
     ///
@@ -1149,7 +1121,7 @@ where
                             // commit in the drop guard.
                             handle.charge_pending().await;
                             if handle.faults {
-                                handle.fault_point_no_abort().await;
+                                let _cannot_abort = handle.fault_point(false).await;
                             }
                             handle.ctx.commit_finish(view.tm());
                             break true;

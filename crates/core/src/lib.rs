@@ -40,7 +40,7 @@
 //! [`TxAbort`]; a body returns [`TxError`], and `?` lifts one into the other.
 //!
 //! ```
-//! use votm::{atomically, Votm};
+//! use votm::Votm;
 //! use votm_rac::QuotaMode;
 //! use votm_sim::{SimConfig, SimExecutor};
 //! use votm_stm::Addr;
@@ -54,7 +54,7 @@
 //!     let view = view.clone();
 //!     ex.spawn(move |rt| async move {
 //!         for _ in 0..10 {
-//!             atomically(&view, &rt, async |tx| {
+//!             view.transact(&rt, async |tx| {
 //!                 let v = tx.read(Addr(0)).await?;
 //!                 tx.write(Addr(0), v + 1).await?;
 //!                 Ok(())
@@ -91,21 +91,6 @@ pub use handle::{HeapExhausted, TxAbort, TxHandle};
 pub use system::{Votm, VotmBuilder, VotmConfig};
 pub use version::Version;
 pub use view::{View, ViewStats};
-
-use votm_sim::Rt;
-
-/// Runs `body` as one atomic transaction against `view` — the Haskell-STM
-/// shaped convenience front door, equivalent to [`View::transact`]:
-///
-/// ```ignore
-/// let v = atomically(&view, &rt, async |tx| Ok(tx.read(addr).await?)).await;
-/// ```
-pub async fn atomically<T, F>(view: &View, rt: &Rt, body: F) -> T
-where
-    F: for<'h> AsyncFnMut(&'h mut TxHandle<'_>) -> Result<T, TxError>,
-{
-    view.transact(rt, body).await
-}
 
 // Re-export the vocabulary types callers need so `votm` is self-sufficient.
 pub use votm_obs::{AbortReason, EventKind, FlightRecorder, RecorderHandle, ThreadTrace};

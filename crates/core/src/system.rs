@@ -4,10 +4,10 @@ use std::sync::Arc;
 
 use votm_obs::FlightRecorder;
 use votm_rac::{CmPolicy, ControllerConfig, QuotaMode};
-use votm_stm::{ClockKind, TmAlgorithm, TmInstance};
+use votm_stm::{ClockKind, TmAlgorithm, TmInstance, WordHeap};
 use votm_utils::Mutex;
 
-use crate::view::{view_arc_id, View};
+use crate::view::View;
 
 /// Global configuration for a [`Votm`] system.
 #[derive(Debug, Clone)]
@@ -86,11 +86,6 @@ impl Votm {
         }
     }
 
-    /// The system configuration.
-    pub fn config(&self) -> &VotmConfig {
-        &self.config
-    }
-
     /// Creates a view of `size_words` words (`create_view`). `quota`
     /// corresponds to the paper's third argument: `Fixed(q)` pins the
     /// admission quota, `Adaptive` (the paper's "< 1" convention) lets RAC
@@ -114,14 +109,11 @@ impl Votm {
     ) -> Arc<View> {
         let mut views = self.views.lock();
         let id = views.len();
+        let capacity = size_words * self.config.reserve_factor.max(1);
+        let heap = Arc::new(WordHeap::with_reserve(size_words, capacity));
         let view = Arc::new(View::new(
             id,
-            TmInstance::with_reserve_clock(
-                algorithm,
-                size_words,
-                size_words * self.config.reserve_factor.max(1),
-                self.config.clock,
-            ),
+            TmInstance::over_heap(algorithm, heap, self.config.clock),
             quota,
             &self.config,
             None,
@@ -130,10 +122,10 @@ impl Votm {
         view
     }
 
-    /// Creates an [`AdaptiveDomain`]: a self-partitioning group of views
+    /// Creates an [`crate::AdaptiveDomain`]: a self-partitioning group of views
     /// over one `size_words`-word shared heap. The domain starts as a
     /// single view and — once its controller task runs (spawn
-    /// [`AdaptiveDomain::run_controller`]) — splits and merges itself
+    /// [`crate::AdaptiveDomain::run_controller`]) — splits and merges itself
     /// online toward the conflict profile's suggested partitioning.
     ///
     /// Domains are independent of the [`Votm::create_view`] registry: they
@@ -160,8 +152,7 @@ impl Votm {
     /// the C API's use-after-destroy hazard.
     pub fn destroy_view(&self, view: &Arc<View>) {
         let mut views = self.views.lock();
-        let id = view_arc_id(view);
-        if let Some(slot) = views.get_mut(id) {
+        if let Some(slot) = views.get_mut(view.id()) {
             *slot = None;
         }
     }
@@ -179,7 +170,7 @@ impl Votm {
 /// Builder for a [`Votm`] system — the single typed entry point.
 ///
 /// ```
-/// use votm::Votm;
+/// use votm::{QuotaMode, Votm};
 /// use votm_rac::CmPolicy;
 /// use votm_stm::{ClockKind, TmAlgorithm};
 ///
@@ -189,7 +180,9 @@ impl Votm {
 ///     .clock(ClockKind::Global)
 ///     .threads(8)
 ///     .build();
-/// assert_eq!(sys.config().n_threads, 8);
+/// let view = sys.create_view(64, QuotaMode::Adaptive);
+/// assert_eq!(view.gate().max_threads(), 8);
+/// assert_eq!(view.cm_policy(), CmPolicy::WindowedGreedy);
 /// ```
 #[derive(Debug, Clone)]
 pub struct VotmBuilder {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use votm_obs::{FlightRecorder, RecorderHandle, ViewHistSnapshot, ViewHists};
 use votm_rac::{AdmissionGate, CmInstance, CmPolicy, GateStats, QuotaMode, RacController};
 use votm_sim::Rt;
-use votm_stm::{Addr, ClockKind, ClockStats, RouteTable, StatsSnapshot, TmInstance};
+use votm_stm::{Addr, ClockStats, RouteTable, StatsSnapshot, TmInstance};
 use votm_utils::{CachePadded, Mutex};
 
 use crate::error::TxError;
@@ -24,7 +24,8 @@ pub struct View {
     controller: Option<RacController>,
     quota_mode: QuotaMode,
     escalate_after: Option<u32>,
-    /// Always-on latency histograms (commit, abort-to-retry, gate wait).
+    /// Always-on latency histograms (commit, abort-to-retry, gate wait,
+    /// parked wait).
     hists: ViewHists,
     /// Optional flight recorder shared with the owning [`crate::Votm`].
     recorder: Option<Arc<FlightRecorder>>,
@@ -155,21 +156,11 @@ impl View {
         self.cm.policy()
     }
 
-    /// Which clock strategy this view's TM instance runs.
-    pub fn clock_kind(&self) -> ClockKind {
-        self.tm.clock_kind()
-    }
-
-    /// The view's latency histograms (commit, abort-to-retry, gate wait).
+    /// The view's latency histograms (commit, abort-to-retry, gate wait,
+    /// parked wait).
     /// Always on; recording is a relaxed `fetch_add`.
     pub fn hists(&self) -> &ViewHists {
         &self.hists
-    }
-
-    /// The flight recorder this view's transactions trace into, if one was
-    /// configured via [`crate::VotmConfig::recorder`].
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
     }
 
     /// Takes thread `tid`'s descriptor out of its slot, or builds a fresh
@@ -316,12 +307,12 @@ pub struct ViewStats {
     /// Admission-gate fast/slow path counters (all zero for unrestricted
     /// views, whose transactions never consult the gate).
     pub gate: GateStats,
-    /// Latency histograms: commit latency, abort-to-retry latency and gate
-    /// wait, in cycles. The commit histogram's total count always equals
-    /// `tm.commits`.
+    /// Latency histograms: commit latency, abort-to-retry latency, gate
+    /// wait and parked wait, in cycles. The commit histogram's total count
+    /// always equals `tm.commits`.
     pub hists: ViewHistSnapshot,
     /// Clock-source counters: bumps taken and bumps elided. Under
-    /// [`ClockKind::Global`]'s always-bump strategy only `bumps` moves.
+    /// [`crate::ClockKind::Global`]'s always-bump strategy only `bumps` moves.
     pub clock: ClockStats,
 }
 
@@ -330,9 +321,4 @@ impl ViewStats {
     pub fn delta(&self) -> Option<f64> {
         self.tm.delta(self.quota)
     }
-}
-
-/// Helper used by `Votm::destroy_view`.
-pub(crate) fn view_arc_id(v: &Arc<View>) -> usize {
-    v.id
 }

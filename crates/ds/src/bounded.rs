@@ -1,5 +1,5 @@
-//! A blocking bounded buffer and a producer/consumer pipeline — the
-//! canonical consumers of [`votm::TxHandle::retry`].
+//! A blocking bounded buffer — the canonical consumer of
+//! [`votm::TxHandle::retry`].
 //!
 //! Memory layout (word offsets from the header block):
 //!
@@ -47,19 +47,9 @@ impl BoundedBuffer {
         Self { header, capacity }
     }
 
-    /// Rebinds a handle from a previously shared base address.
-    pub fn from_addr(header: Addr, capacity: u32) -> Self {
-        Self { header, capacity }
-    }
-
     /// The base address (for sharing through heap words).
     pub fn addr(&self) -> Addr {
         self.header
-    }
-
-    /// The fixed slot count.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
     }
 
     #[inline]
@@ -114,82 +104,6 @@ impl BoundedBuffer {
             Some(value) => Ok(value),
             None => tx.retry(),
         }
-    }
-
-    /// Current occupancy.
-    pub async fn len(&self, tx: &mut TxHandle<'_>) -> Result<u64, TxError> {
-        Ok(tx.read(self.header.offset(H_LEN)).await?)
-    }
-
-    /// True when empty.
-    pub async fn is_empty(&self, tx: &mut TxHandle<'_>) -> Result<bool, TxError> {
-        Ok(self.len(tx).await? == 0)
-    }
-
-    /// True when full.
-    pub async fn is_full(&self, tx: &mut TxHandle<'_>) -> Result<bool, TxError> {
-        Ok(self.len(tx).await? == u64::from(self.capacity))
-    }
-}
-
-/// A linear chain of [`BoundedBuffer`] stages — the classic blocking
-/// producer/consumer pipeline, built entirely from composable blocking
-/// transactions.
-///
-/// A stage worker calls [`Pipeline::transfer`], which pops from stage `i`
-/// and pushes to stage `i + 1` in **one** transaction: if the downstream
-/// buffer is full the whole transfer parks (keyed by the union of both
-/// buffers' read sets — the `or_else`/`retry` composition rule), and the
-/// popped item is never half-moved.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    stages: Vec<BoundedBuffer>,
-}
-
-impl Pipeline {
-    /// Allocates `n_stages` buffers of `capacity` slots each in `view`.
-    ///
-    /// # Panics
-    /// On fewer than two stages (a pipeline needs a head and a tail).
-    pub fn create(view: &View, n_stages: usize, capacity: u32) -> Self {
-        assert!(n_stages >= 2, "a pipeline needs at least two stages");
-        Self {
-            stages: (0..n_stages)
-                .map(|_| BoundedBuffer::create(view, capacity))
-                .collect(),
-        }
-    }
-
-    /// Number of stages.
-    pub fn n_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Direct access to one stage's buffer.
-    pub fn stage(&self, i: usize) -> &BoundedBuffer {
-        &self.stages[i]
-    }
-
-    /// Feeds `value` into the first stage (blocking while it is full).
-    pub async fn feed(&self, tx: &mut TxHandle<'_>, value: u64) -> Result<(), TxError> {
-        self.stages[0].push(tx, value).await
-    }
-
-    /// Moves one item from stage `i` to stage `i + 1` atomically, blocking
-    /// until there is both an item upstream and room downstream. Returns
-    /// the moved value (workers typically transform it via `f` first).
-    pub async fn transfer<F>(&self, tx: &mut TxHandle<'_>, i: usize, f: F) -> Result<u64, TxError>
-    where
-        F: Fn(u64) -> u64,
-    {
-        let value = f(self.stages[i].pop(tx).await?);
-        self.stages[i + 1].push(tx, value).await?;
-        Ok(value)
-    }
-
-    /// Pops one finished item from the last stage (blocking while empty).
-    pub async fn drain(&self, tx: &mut TxHandle<'_>) -> Result<u64, TxError> {
-        self.stages[self.stages.len() - 1].pop(tx).await
     }
 }
 
@@ -281,49 +195,43 @@ mod tests {
         }
     }
 
+    /// A pipeline stage is one plain transaction body over two buffers:
+    /// it pops from `a` and pushes to `b`, parking on `a` when empty and on
+    /// `b` when full, so an item is never half-moved and no wakeup is lost.
     #[test]
-    fn pipeline_moves_items_through_stages_atomically() {
-        let (_sys, view) = setup(TmAlgorithm::OrecEagerRedo, 6);
-        let pipe = Pipeline::create(&view, 3, 2);
+    fn stage_body_moves_items_between_buffers_atomically() {
+        let (_sys, view) = setup(TmAlgorithm::OrecEagerRedo, 4);
+        let a = BoundedBuffer::create(&view, 2);
+        let b = BoundedBuffer::create(&view, 2);
         let done = Arc::new(AtomicU64::new(0));
         const ITEMS: u64 = 30;
         let mut ex = SimExecutor::new(SimConfig::default());
         {
             let view = Arc::clone(&view);
-            let pipe = pipe.clone();
             ex.spawn(move |rt| async move {
                 for i in 0..ITEMS {
-                    view.transact(&rt, async |tx| pipe.feed(tx, i).await).await;
+                    view.transact(&rt, async |tx| a.push(tx, i).await).await;
                 }
             });
         }
         for _ in 0..2 {
             let view = Arc::clone(&view);
-            let pipe = pipe.clone();
             ex.spawn(move |rt| async move {
                 for _ in 0..ITEMS / 2 {
-                    view.transact(&rt, async |tx| pipe.transfer(tx, 0, |v| v * 2).await)
-                        .await;
-                }
-            });
-        }
-        for _ in 0..2 {
-            let view = Arc::clone(&view);
-            let pipe = pipe.clone();
-            ex.spawn(move |rt| async move {
-                for _ in 0..ITEMS / 2 {
-                    view.transact(&rt, async |tx| pipe.transfer(tx, 1, |v| v + 1).await)
-                        .await;
+                    view.transact(&rt, async |tx| {
+                        let v = a.pop(tx).await?;
+                        b.push(tx, v * 2 + 1).await
+                    })
+                    .await;
                 }
             });
         }
         {
             let view = Arc::clone(&view);
-            let pipe = pipe.clone();
             let done = Arc::clone(&done);
             ex.spawn(move |rt| async move {
                 for _ in 0..ITEMS {
-                    let v = view.transact(&rt, async |tx| pipe.drain(tx).await).await;
+                    let v = view.transact(&rt, async |tx| b.pop(tx).await).await;
                     done.fetch_add(v, Ordering::Relaxed);
                 }
             });
@@ -332,6 +240,8 @@ mod tests {
         assert_eq!(out.status, RunStatus::Completed);
         let expect: u64 = (0..ITEMS).map(|i| i * 2 + 1).sum();
         assert_eq!(done.load(Ordering::Relaxed), expect, "stage transform lost");
-        assert_eq!(view.stats().tm.lost_wakeups, 0);
+        let tm = view.stats().tm;
+        assert!(tm.parked_waits > 0, "2-slot buffers must park");
+        assert_eq!(tm.lost_wakeups, 0);
     }
 }

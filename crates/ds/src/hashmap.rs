@@ -78,18 +78,6 @@ impl TxHashMap {
         Self { header, buckets }
     }
 
-    /// Rebinds a handle from a shared base address (bucket count is read
-    /// non-transactionally; it is immutable after creation).
-    pub fn from_addr(view: &View, header: Addr) -> Self {
-        let buckets = view.heap().load(header.offset(H_BUCKETS)) as u32;
-        Self { header, buckets }
-    }
-
-    /// The base address.
-    pub fn addr(&self) -> Addr {
-        self.header
-    }
-
     #[inline]
     fn bucket_slot(&self, key: u64) -> Addr {
         let b = (hash_u64(key) % u64::from(self.buckets)) as u32;
@@ -164,11 +152,6 @@ impl TxHashMap {
     pub async fn len(&self, tx: &mut TxHandle<'_>) -> Result<u64, TxError> {
         Ok(tx.read(self.header.offset(H_SIZE)).await?)
     }
-
-    /// True when no entries are present.
-    pub async fn is_empty(&self, tx: &mut TxHandle<'_>) -> Result<bool, TxError> {
-        Ok(self.len(tx).await? == 0)
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +209,7 @@ mod tests {
                 for k in [4u64, 3, 5, 1] {
                     assert_eq!(map.remove(tx, k).await?, Some(k));
                 }
-                assert!(map.is_empty(tx).await?);
+                assert_eq!(map.len(tx).await?, 0);
                 Ok(())
             })
             .await;

@@ -16,10 +16,8 @@ pub mod bounded;
 pub mod hashmap;
 pub mod list;
 pub mod queue;
-pub mod treap;
 
-pub use bounded::{BoundedBuffer, Pipeline};
+pub use bounded::BoundedBuffer;
 pub use hashmap::TxHashMap;
 pub use list::TxList;
 pub use queue::TxQueue;
-pub use treap::TxTreap;

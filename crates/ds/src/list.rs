@@ -47,16 +47,6 @@ impl TxList {
         Self { header }
     }
 
-    /// Rebinds a handle from a shared base address.
-    pub fn from_addr(header: Addr) -> Self {
-        Self { header }
-    }
-
-    /// The base address.
-    pub fn addr(&self) -> Addr {
-        self.header
-    }
-
     /// Inserts `key` keeping ascending order (duplicates allowed, matching
     /// the paper's snippet).
     pub async fn insert(&self, tx: &mut TxHandle<'_>, key: u64) -> Result<(), TxError> {

@@ -73,16 +73,6 @@ impl TxQueue {
         Self { header }
     }
 
-    /// Rebinds a handle from a previously shared base address.
-    pub fn from_addr(header: Addr) -> Self {
-        Self { header }
-    }
-
-    /// The base address (for sharing through heap words).
-    pub fn addr(&self) -> Addr {
-        self.header
-    }
-
     /// Non-transactional enqueue for single-threaded setup (pre-filling the
     /// Intruder packet stream before workers start). Must not race with
     /// transactions.
@@ -138,25 +128,9 @@ impl TxQueue {
         Ok(Some(value))
     }
 
-    /// Pops the front value, **blocking** while the queue is empty: instead
-    /// of the `Ok(None)` poll shape of [`TxQueue::pop_front`], the
-    /// transaction parks (via [`TxHandle::retry`]) until a producer's commit
-    /// makes the queue non-empty.
-    pub async fn pop_front_wait(&self, tx: &mut TxHandle<'_>) -> Result<u64, TxError> {
-        match self.pop_front(tx).await? {
-            Some(value) => Ok(value),
-            None => tx.retry(),
-        }
-    }
-
     /// Current length.
     pub async fn len(&self, tx: &mut TxHandle<'_>) -> Result<u64, TxError> {
         Ok(tx.read(self.header.offset(H_LEN)).await?)
-    }
-
-    /// True when empty.
-    pub async fn is_empty(&self, tx: &mut TxHandle<'_>) -> Result<bool, TxError> {
-        Ok(self.len(tx).await? == 0)
     }
 }
 
@@ -192,7 +166,7 @@ mod tests {
                     assert_eq!(q.pop_front(tx).await?, Some(i));
                 }
                 assert_eq!(q.pop_front(tx).await?, None);
-                assert!(q.is_empty(tx).await?);
+                assert_eq!(q.len(tx).await?, 0);
                 Ok(())
             })
             .await;

@@ -72,11 +72,6 @@ impl ViewParams {
     pub fn words(&self) -> u64 {
         self.a1 + self.a2
     }
-
-    /// Shared accesses per transaction.
-    pub fn accesses(&self) -> u32 {
-        self.r1 + self.w1 + self.r2 + self.w2
-    }
 }
 
 /// Whole-benchmark configuration.
@@ -477,8 +472,10 @@ mod tests {
         let c = EigenConfig::paper_table2(1.0);
         assert_eq!(c.n_threads, 16);
         assert_eq!(c.view1.loops, 100_000);
-        assert_eq!(c.view1.accesses(), 120);
-        assert_eq!(c.view2.accesses(), 40);
+        // Shared accesses per transaction, as in the paper's Table II.
+        let accesses = |v: &ViewParams| v.r1 + v.w1 + v.r2 + v.w2;
+        assert_eq!(accesses(&c.view1), 120);
+        assert_eq!(accesses(&c.view2), 40);
         let half = EigenConfig::paper_table2(0.5);
         assert_eq!(half.view1.loops, 50_000);
     }

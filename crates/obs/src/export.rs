@@ -340,7 +340,7 @@ fn hist_json(out: &mut String, h: &HistogramSnapshot) {
 }
 
 /// Emits the JSON snapshot schema: per-view stats, abort-reason breakdown,
-/// the three latency histograms and the quota timeline.
+/// the four latency histograms and the quota timeline.
 pub fn snapshot_json(views: &[ViewReport]) -> String {
     let mut out = format!(
         "{{\"schema\":\"votm-obs-snapshot-v1\",\"schema_version\":\"{SCHEMA_VERSION}\",\

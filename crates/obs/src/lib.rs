@@ -11,9 +11,9 @@
 //!   lock-free event rings recording the transaction lifecycle (begin,
 //!   commit, abort-with-reason, gate-wait spans, quota changes with the
 //!   δ(Q) sample that triggered them, escalations, fault injections).
-//! * [`LatencyHistogram`] — log-bucketed (power-of-two), mergeable,
-//!   lock-free histograms for commit latency, abort-to-retry latency and
-//!   gate wait.
+//! * [`LatencyHistogram`] — log-linear (four linear sub-buckets per
+//!   power-of-two octave), mergeable, lock-free histograms for commit
+//!   latency, abort-to-retry latency, gate wait and parked wait.
 //! * [`export`] — a JSON snapshot schema and a Chrome `trace_event` emitter
 //!   so a run opens directly in `chrome://tracing` / Perfetto.
 //!

@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use crate::event::{ConflictSiteKind, EventKind, ADDR_BUCKET_NONE, PROFILE_BUCKETS};
+use crate::event::{EventKind, ADDR_BUCKET_NONE, PROFILE_BUCKETS};
 use crate::reason::AbortReason;
 use crate::recorder::{FlightRecorder, ThreadTrace};
 
@@ -516,15 +516,6 @@ impl Bipartition {
     }
 }
 
-/// Profile kinds split by what the conflict-site word identified — used
-/// only for readable indexing into [`ConflictProfile::sites`].
-pub const SITE_KINDS: [ConflictSiteKind; 4] = [
-    ConflictSiteKind::None,
-    ConflictSiteKind::Addr,
-    ConflictSiteKind::Orec,
-    ConflictSiteKind::Bloom,
-];
-
 /// One view's resident fold inside a [`ProfileWindow`].
 struct ViewFold {
     view: u16,
@@ -760,7 +751,7 @@ impl ProfileWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{ConflictSiteKind, Event};
 
     fn trace(events: Vec<EventKind>) -> ThreadTrace {
         ThreadTrace {
@@ -920,7 +911,12 @@ mod tests {
                         _ => rng.next_below(PROFILE_BUCKETS as u64) as u8,
                     },
                     kind: AbortReason::ALL[rng.next_index(AbortReason::COUNT)],
-                    site: SITE_KINDS[rng.next_index(4)],
+                    site: [
+                        ConflictSiteKind::None,
+                        ConflictSiteKind::Addr,
+                        ConflictSiteKind::Orec,
+                        ConflictSiteKind::Bloom,
+                    ][rng.next_index(4)],
                     cycles: rng.next_below(10_000),
                     raw: i,
                 },

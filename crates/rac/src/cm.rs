@@ -96,11 +96,6 @@ impl CmPolicy {
             CmPolicy::WindowedGreedy => "windowed-greedy",
         }
     }
-
-    /// Inverse of [`CmPolicy::name`].
-    pub fn from_name(name: &str) -> Option<CmPolicy> {
-        CmPolicy::ALL.iter().copied().find(|p| p.name() == name)
-    }
 }
 
 /// Per-transaction contention-management state, owned by the transaction
@@ -181,7 +176,7 @@ struct CmSlot {
     prio: AtomicU64,
 }
 
-/// Shared per-view contention state: one [`CmSlot`] per thread. The slots
+/// Shared per-view contention state: one `CmSlot` per thread. The slots
 /// are the only channel the priority policies communicate through — STM
 /// metadata stays untouched.
 #[derive(Debug)]
@@ -507,8 +502,6 @@ mod tests {
             let inst = CmInstance::new(p, 8, 42);
             assert_eq!(inst.policy(), p);
             assert_eq!(inst.active(), p != CmPolicy::Backoff);
-            assert_eq!(CmPolicy::from_name(p.name()), Some(p));
         }
-        assert_eq!(CmPolicy::from_name("nope"), None);
     }
 }

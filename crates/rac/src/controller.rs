@@ -223,11 +223,6 @@ impl RacController {
         decision
     }
 
-    /// The controller's configuration.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
-    }
-
     /// The quota the view spent most completed windows at — the "settled Q"
     /// reported in the paper's adaptive tables. `None` before the first
     /// window closes.
@@ -274,7 +269,7 @@ mod tests {
             );
         }
         let mut last = None;
-        for _ in 0..ctrl.config().window_attempts {
+        for _ in 0..ctrl.config.window_attempts {
             if let Some(q) = ctrl.on_tx_end(gate, stats) {
                 last = Some(q);
             }

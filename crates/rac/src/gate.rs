@@ -25,10 +25,10 @@
 //! admission and one release, so this is exactly the framework overhead the
 //! paper's Eq. 5 argument requires to be negligible. The entire gate state —
 //! `(inside, quota, drain_waiters, exclusive_inside)` — is packed into one
-//! `AtomicU64` ([`PackedState`]), making:
+//! `AtomicU64` (`PackedState`), making:
 //!
-//! * [`AdmissionGate::try_acquire`] / [`AdmissionGate::release`] a single
-//!   CAS with bounded exponential backoff on contention (the lightweight
+//! * a fast-path admission and a [`GateGuard`]'s release a single CAS each,
+//!   with bounded exponential backoff on contention (the lightweight
 //!   contention-management discipline of Dice, Hendler & Mirsky), and
 //! * [`AdmissionGate::quota`] / [`AdmissionGate::inside`] plain loads.
 //!
@@ -120,34 +120,14 @@ pub struct GateStats {
     pub slow_path_entries: u64,
 }
 
-impl GateStats {
-    /// Fraction of admissions served without blocking (1.0 when idle).
-    pub fn fast_path_hit_rate(&self) -> f64 {
-        let total = self.fast_acquires + self.slow_acquires;
-        if total == 0 {
-            return 1.0;
-        }
-        self.fast_acquires as f64 / total as f64
-    }
-
-    /// Difference `self − earlier`, for windowed reporting.
-    pub fn since(&self, earlier: &GateStats) -> GateStats {
-        GateStats {
-            fast_acquires: self.fast_acquires - earlier.fast_acquires,
-            slow_acquires: self.slow_acquires - earlier.slow_acquires,
-            slow_path_entries: self.slow_path_entries - earlier.slow_path_entries,
-        }
-    }
-}
-
 /// RAII admission: releases the gate on drop.
 ///
-/// Returned by [`AdmissionGate::admit`] / [`AdmissionGate::acquire_exclusive`].
-/// Holding admission as a guard (instead of a bare [`AdmissionMode`] that
-/// must be paired with a manual [`AdmissionGate::release`]) is what makes
-/// the transaction pipeline panic-safe: if the body or the commit path
-/// unwinds, the guard's drop still decrements `P` and wakes waiters, so a
-/// crashed transaction can never strand the view at `P > 0` forever.
+/// Returned by [`AdmissionGate::admit`] / [`AdmissionGate::acquire_exclusive`],
+/// the only ways to take admission. Releasing only through the guard's drop
+/// is what makes the transaction pipeline panic-safe: if the body or the
+/// commit path unwinds, the drop still decrements `P` and wakes waiters, so
+/// a crashed transaction can never strand the view at `P > 0` forever, and
+/// no caller can release admission it does not hold.
 #[must_use = "dropping the guard releases admission immediately"]
 #[derive(Debug)]
 pub struct GateGuard<'g> {
@@ -399,16 +379,17 @@ impl AdmissionGate {
     }
 
     /// Acquires admission, suspending (simulated or real) while the view is
-    /// full. This is `acquire_view`'s blocking step.
-    pub async fn acquire(&self, rt: &Rt) -> AdmissionMode {
-        self.acquire_timed(rt).await.0
-    }
-
-    async fn acquire_timed(&self, rt: &Rt) -> (AdmissionMode, GateWait) {
+    /// full — `acquire_view`'s blocking step. The returned [`GateGuard`]
+    /// releases admission on drop, including during an unwind.
+    pub async fn admit(&self, rt: &Rt) -> GateGuard<'_> {
         // Uncontended fast path: one CAS, no mutex, no Notify traffic.
         if let Some(mode) = self.try_acquire() {
             self.fast_acquires.fetch_add(1, Ordering::Relaxed);
-            return (mode, GateWait::default());
+            return GateGuard {
+                gate: self,
+                mode,
+                wait: GateWait::default(),
+            };
         }
         let from = rt.now();
         self.slow_acquires.fetch_add(1, Ordering::Relaxed);
@@ -422,20 +403,13 @@ impl AdmissionGate {
             let epoch = self.notify.epoch();
             self.slow_path_entries.fetch_add(1, Ordering::Relaxed);
             if let Some(mode) = self.try_acquire() {
-                return (mode, GateWait::since(from, rt));
+                return GateGuard {
+                    gate: self,
+                    mode,
+                    wait: GateWait::since(from, rt),
+                };
             }
             rt.wait(&self.notify, epoch).await;
-        }
-    }
-
-    /// Like [`Self::acquire`], but returns an RAII [`GateGuard`] that
-    /// releases admission on drop — including during an unwind.
-    pub async fn admit(&self, rt: &Rt) -> GateGuard<'_> {
-        let (mode, wait) = self.acquire_timed(rt).await;
-        GateGuard {
-            gate: self,
-            mode,
-            wait,
         }
     }
 
@@ -540,9 +514,9 @@ impl AdmissionGate {
         }
     }
 
-    /// Releases one admission (`release_view`'s final step). Pure CAS on the
-    /// uncontended path; the Notify mutex is touched only when a waiter is
-    /// parked.
+    /// Releases one admission (`release_view`'s final step), from
+    /// [`GateGuard`]'s drop. Pure CAS on the uncontended path; the Notify
+    /// mutex is touched only when a waiter is parked.
     ///
     /// # Panics
     /// On unbalanced use — releasing an empty gate, or an exclusive release
@@ -551,7 +525,7 @@ impl AdmissionGate {
     /// every admission decision after it, so it must fail loudly with the
     /// gate state in the message. The panic fires *before* any state
     /// mutation, so a caught unbalanced release leaves the gate intact.
-    pub fn release(&self, mode: AdmissionMode) {
+    fn release(&self, mode: AdmissionMode) {
         let mut cur = self.word.load(Ordering::SeqCst);
         loop {
             let st = PackedState::unpack(cur);
@@ -752,7 +726,6 @@ mod tests {
             s.slow_path_entries, 0,
             "uncontended acquire/release must never touch the mutex path"
         );
-        assert!((s.fast_path_hit_rate() - 1.0).abs() < 1e-12);
     }
 
     /// A contended gate still admits everyone, the stats ledger accounts
@@ -784,7 +757,6 @@ mod tests {
             "Q=2 with 8 threads must block somebody"
         );
         assert!(s.slow_path_entries > 0);
-        assert!(s.fast_path_hit_rate() < 1.0);
     }
 
     #[test]
@@ -889,12 +861,12 @@ mod tests {
             let inside = Arc::clone(&inside);
             ex.spawn(move |rt| async move {
                 for _ in 0..20 {
-                    let mode = gate.acquire(&rt).await;
+                    let guard = gate.admit(&rt).await;
                     let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     rt.charge(50).await; // dwell inside the view
                     inside.fetch_sub(1, Ordering::SeqCst);
-                    gate.release(mode);
+                    drop(guard);
                     rt.charge(10).await; // outside work
                 }
             });
@@ -917,12 +889,12 @@ mod tests {
             let overlap = Arc::clone(&overlap);
             ex.spawn(move |rt| async move {
                 for _ in 0..10 {
-                    let mode = gate.acquire(&rt).await;
-                    assert_eq!(mode, AdmissionMode::Exclusive);
+                    let guard = gate.admit(&rt).await;
+                    assert_eq!(guard.mode(), AdmissionMode::Exclusive);
                     assert_eq!(overlap.fetch_add(1, Ordering::SeqCst), 0);
                     rt.charge(30).await;
                     overlap.fetch_sub(1, Ordering::SeqCst);
-                    gate.release(mode);
+                    drop(guard);
                 }
             });
         }
@@ -1016,12 +988,12 @@ mod tests {
             let inside = Arc::clone(&inside2);
             async move {
                 for _ in 0..50 {
-                    let mode = gate.acquire(&rt).await;
+                    let guard = gate.admit(&rt).await;
                     let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     rt.work(200).await;
                     inside.fetch_sub(1, Ordering::SeqCst);
-                    gate.release(mode);
+                    drop(guard);
                 }
             }
         });
@@ -1039,8 +1011,7 @@ mod tests {
             let gate = Arc::clone(&gate2);
             async move {
                 for _ in 0..100 {
-                    let mode = gate.acquire(&rt).await;
-                    gate.release(mode);
+                    drop(gate.admit(&rt).await);
                 }
             }
         });

@@ -176,9 +176,3 @@ impl Future for Step<'_> {
         }
     }
 }
-
-/// Yields once at the current virtual time (or immediately in real mode);
-/// useful to place an explicit interleaving point without charging cycles.
-pub fn yield_now(rt: &Rt) -> Step<'_> {
-    rt.charge(1)
-}

@@ -72,11 +72,6 @@ impl ClockKind {
         }
     }
 
-    /// Parses [`ClockKind::name`] back into a kind.
-    pub fn from_name(name: &str) -> Option<ClockKind> {
-        ClockKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
     /// True for the kind that maintains the read-indicator counter
     /// ([`ClockSource::enter`]/[`ClockSource::exit`] are no-ops otherwise).
     #[inline]
@@ -228,12 +223,15 @@ mod tests {
 
     #[test]
     fn names_roundtrip() {
+        // Gate rows are keyed by clock name: each name must lead back to
+        // exactly its own kind.
         for kind in ClockKind::ALL {
-            assert_eq!(ClockKind::from_name(kind.name()), Some(kind));
+            let back: Vec<_> = ClockKind::ALL
+                .into_iter()
+                .filter(|k| k.name() == kind.name())
+                .collect();
+            assert_eq!(back, [kind], "{} names more than one kind", kind.name());
         }
-        assert_eq!(ClockKind::from_name("nonesuch"), None);
-        let names: std::collections::HashSet<_> = ClockKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), ClockKind::ALL.len(), "names must be unique");
     }
 
     #[test]

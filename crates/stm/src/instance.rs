@@ -24,7 +24,7 @@ use crate::stats::TmStats;
 use crate::{CommitPhase, ConflictSite, OpError, OpResult};
 
 /// Which STM algorithm a TM instance runs: the paper's two RSTM plug-ins
-/// ([`TmAlgorithm::PAPER`]) plus OrecLazy.
+/// (NOrec and OrecEagerRedo) plus OrecLazy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TmAlgorithm {
     /// Commit-time locking, global sequence lock, value-based validation.
@@ -44,9 +44,6 @@ impl TmAlgorithm {
         TmAlgorithm::OrecEagerRedo,
         TmAlgorithm::OrecLazy,
     ];
-
-    /// The two algorithms the paper evaluates (Tables III-X).
-    pub const PAPER: [TmAlgorithm; 2] = [TmAlgorithm::NOrec, TmAlgorithm::OrecEagerRedo];
 
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
@@ -92,30 +89,10 @@ pub struct TmInstance {
 }
 
 impl TmInstance {
-    /// Creates an instance with `size_words` of heap running `algo`.
+    /// Creates an instance with `size_words` of heap running `algo` on the
+    /// [`ClockKind::Global`] clock.
     pub fn new(algo: TmAlgorithm, size_words: usize) -> Self {
-        Self::with_reserve(algo, size_words, size_words)
-    }
-
-    /// Creates an instance whose heap starts at `size_words` usable words
-    /// out of `capacity_words` reserved (growable via the heap's `brk`).
-    pub fn with_reserve(algo: TmAlgorithm, size_words: usize, capacity_words: usize) -> Self {
-        Self::with_reserve_clock(algo, size_words, capacity_words, ClockKind::Global)
-    }
-
-    /// Like [`TmInstance::with_reserve`], with an explicit clock strategy
-    /// for the instance's version/sequence clock (see [`ClockKind`]).
-    pub fn with_reserve_clock(
-        algo: TmAlgorithm,
-        size_words: usize,
-        capacity_words: usize,
-        clock: ClockKind,
-    ) -> Self {
-        Self::over_heap(
-            algo,
-            Arc::new(WordHeap::with_reserve(size_words, capacity_words)),
-            clock,
-        )
+        Self::over_heap(algo, Arc::new(WordHeap::new(size_words)), ClockKind::Global)
     }
 
     /// Creates an instance with fresh algorithm metadata (clock, orecs,
@@ -151,14 +128,6 @@ impl TmInstance {
     /// Commit/abort/cycle counters.
     pub fn stats(&self) -> &TmStats {
         &self.stats
-    }
-
-    /// The clock strategy this instance's version/sequence clock runs.
-    pub fn clock_kind(&self) -> ClockKind {
-        match &self.globals {
-            Globals::NOrec(g) => g.clock().kind(),
-            Globals::Orec(g) => g.clock().kind(),
-        }
     }
 
     /// Clock-source counters (bumps taken, bumps elided).
@@ -511,8 +480,11 @@ mod tests {
         // interleaving (GV5 rescues, SNZI solo elision).
         for algo in TmAlgorithm::ALL {
             for kind in ClockKind::ALL {
-                let inst = Arc::new(TmInstance::with_reserve_clock(algo, 16, 16, kind));
-                assert_eq!(inst.clock_kind(), kind);
+                let inst = Arc::new(TmInstance::over_heap(
+                    algo,
+                    Arc::new(WordHeap::new(16)),
+                    kind,
+                ));
                 let threads = 8;
                 let iters = 200;
                 counter_torture(&inst, threads, iters);
@@ -535,10 +507,9 @@ mod tests {
         // transaction's stale read validate. The window is a few
         // nanoseconds wide, so the torture repeats.
         for round in 0..30 {
-            let inst = Arc::new(TmInstance::with_reserve_clock(
+            let inst = Arc::new(TmInstance::over_heap(
                 TmAlgorithm::NOrec,
-                16,
-                16,
+                Arc::new(WordHeap::new(16)),
                 ClockKind::CoarseSnzi,
             ));
             counter_torture(&inst, 8, 200);

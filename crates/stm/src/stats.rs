@@ -224,11 +224,6 @@ impl StatsSnapshot {
         Some(self.cycles_aborted as f64 / (self.cycles_successful as f64 * f64::from(quota - 1)))
     }
 
-    /// Wasted cycles attributed to `reason`.
-    pub fn wasted_for(&self, reason: AbortReason) -> u64 {
-        self.cycles_aborted_by_reason[reason.index()]
-    }
-
     /// The wasted-work fraction `wasted / (useful + wasted)` after Sharma &
     /// Busch's makespan decomposition. 0.0 when no cycles have accrued.
     pub fn waste_frac(&self) -> f64 {
@@ -281,8 +276,9 @@ mod tests {
         assert_eq!(snap.cycles_successful, 150);
         assert_eq!(snap.cycles_aborted, 42);
         // Wasted-work ledger: per-reason cycles sum exactly to the total.
-        assert_eq!(snap.wasted_for(AbortReason::NorecValidation), 30);
-        assert_eq!(snap.wasted_for(AbortReason::CmKilled), 12);
+        let by = snap.cycles_aborted_by_reason;
+        assert_eq!(by[AbortReason::NorecValidation.index()], 30);
+        assert_eq!(by[AbortReason::CmKilled.index()], 12);
         assert_eq!(
             snap.cycles_aborted_by_reason.iter().sum::<u64>(),
             snap.cycles_aborted

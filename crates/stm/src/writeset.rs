@@ -26,7 +26,7 @@ pub(crate) fn summary_bit(addr: Addr) -> u64 {
 }
 
 /// The Bloom write-summary bucket (`0..64`) an address folds into — the
-/// bit position [`summary_bit`] sets. Public so conflict attribution can
+/// bit position `summary_bit` sets. Public so conflict attribution can
 /// report which summary bucket a NOrec validation failure hashed to.
 #[inline]
 pub fn bloom_bucket(addr: Addr) -> u8 {

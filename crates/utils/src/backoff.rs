@@ -25,11 +25,6 @@ impl Backoff {
         Self { step: 0 }
     }
 
-    /// Resets to the shortest wait.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
     /// Waits once, escalating the wait for next time.
     #[inline]
     pub fn snooze(&mut self) {
@@ -41,12 +36,6 @@ impl Backoff {
             std::thread::yield_now();
         }
         self.step = (self.step + 1).min(SPIN_LIMIT + 1);
-    }
-
-    /// True once the backoff has escalated past busy-waiting — callers that
-    /// can block (park, condvar) should do so at this point.
-    pub fn is_completed(&self) -> bool {
-        self.step > SPIN_LIMIT
     }
 }
 
@@ -78,11 +67,6 @@ impl JitterBackoff {
         }
     }
 
-    /// Resets the escalation (keeps the jitter stream position).
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
     /// Number of pause slots the next wait will draw from: `2^step`, capped.
     #[inline]
     fn window(&self) -> u64 {
@@ -105,12 +89,6 @@ impl JitterBackoff {
         }
         self.step = (self.step + 1).min(SPIN_LIMIT + 1);
     }
-
-    /// True once escalated past busy-waiting (same contract as
-    /// [`Backoff::is_completed`]).
-    pub fn is_completed(&self) -> bool {
-        self.step > SPIN_LIMIT
-    }
 }
 
 #[cfg(test)]
@@ -120,13 +98,13 @@ mod tests {
     #[test]
     fn escalates_to_completed() {
         let mut b = Backoff::new();
-        assert!(!b.is_completed());
-        for _ in 0..=SPIN_LIMIT {
+        for _ in 0..SPIN_LIMIT {
             b.snooze();
         }
-        assert!(b.is_completed());
-        b.reset();
-        assert!(!b.is_completed());
+        assert_eq!(b.step, SPIN_LIMIT, "still busy-waiting");
+        b.snooze();
+        b.snooze();
+        assert_eq!(b.step, SPIN_LIMIT + 1, "yields from now on, and stays");
     }
 
     #[test]
@@ -147,15 +125,16 @@ mod tests {
     }
 
     #[test]
-    fn jitter_backoff_escalates_and_resets() {
+    fn jitter_backoff_escalates_to_yielding() {
         let mut b = JitterBackoff::new(7);
-        assert!(!b.is_completed());
-        for _ in 0..=SPIN_LIMIT {
+        for _ in 0..SPIN_LIMIT {
             b.snooze();
         }
-        assert!(b.is_completed());
-        b.reset();
-        assert!(!b.is_completed());
+        assert_eq!(b.step, SPIN_LIMIT, "still busy-waiting");
+        b.snooze();
+        b.snooze();
+        assert_eq!(b.step, SPIN_LIMIT + 1, "yields from now on, and stays");
+        assert_eq!(b.window(), 1 << SPIN_LIMIT, "the window is capped");
     }
 
     #[test]

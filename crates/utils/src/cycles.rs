@@ -3,8 +3,7 @@
 //! The paper estimates δ(Q) (Eq. 5) from `rdtsc()` deltas around transaction
 //! attempts. In real-thread mode we do the same; in simulator mode virtual
 //! cycles are accounted by the transaction context itself and this module is
-//! unused. `CycleSource` abstracts over the two so the RAC controller is
-//! agnostic.
+//! unused.
 
 /// Reads the timestamp counter on x86-64, the generic-timer virtual counter
 /// (`cntvct_el0`) on aarch64, and falls back to a monotonic nanosecond clock
@@ -42,27 +41,6 @@ pub fn rdtsc() -> u64 {
     }
 }
 
-/// Where a cycle measurement comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CycleSource {
-    /// Hardware timestamp counter (real-thread executions).
-    Hardware,
-    /// Virtual cycles accounted by the simulator's cost model.
-    Virtual,
-}
-
-impl CycleSource {
-    /// Current cycle count for [`CycleSource::Hardware`]. Virtual-cycle users
-    /// never call this; they report work units directly.
-    #[inline]
-    pub fn now(self) -> u64 {
-        match self {
-            CycleSource::Hardware => rdtsc(),
-            CycleSource::Virtual => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +72,6 @@ mod tests {
 
     #[test]
     fn hardware_source_reads_counter() {
-        assert!(CycleSource::Hardware.now() > 0);
-        assert_eq!(CycleSource::Virtual.now(), 0);
+        assert!(rdtsc() > 0);
     }
 }

@@ -17,8 +17,8 @@ pub mod sync;
 pub mod wheel;
 
 pub use backoff::{Backoff, JitterBackoff};
-pub use cycles::{rdtsc, CycleSource};
-pub use hash::{hash_u64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use cycles::rdtsc;
+pub use hash::{hash_u64, FxBuildHasher, FxHashMap, FxHasher};
 pub use inline::InlineVec;
 pub use pad::CachePadded;
 pub use rng::{SplitMix64, XorShift64};

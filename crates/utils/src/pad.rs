@@ -23,11 +23,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         Self { value }
     }
-
-    /// Consumes the padding, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> Deref for CachePadded<T> {
@@ -72,7 +67,7 @@ mod tests {
         let mut p = CachePadded::new(7u32);
         assert_eq!(*p, 7);
         *p = 9;
-        assert_eq!(p.into_inner(), 9);
+        assert_eq!(*p, 9);
     }
 
     #[test]

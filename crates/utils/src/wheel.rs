@@ -103,18 +103,6 @@ impl TimerWheel {
         }
     }
 
-    /// Entries currently queued.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are queued.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Push/migration counters.
     #[inline]
     pub fn stats(&self) -> WheelStats {
@@ -249,23 +237,6 @@ impl TimerWheel {
         (best, best_prev)
     }
 
-    /// The minimum-key entry `(time, tiebreak, seq, payload)` without
-    /// removing it. Migrates due overflow entries first, so the answer is
-    /// exact across both levels.
-    #[inline]
-    pub fn peek_min(&mut self) -> Option<(u64, u64, u64, u32)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.migrate();
-        if let Some(slot) = self.next_occupied() {
-            let (best, _) = self.slot_min(slot);
-            let n = &self.slab[best as usize];
-            return Some((self.slot_time(slot), n.tiebreak, n.seq, n.payload));
-        }
-        self.overflow.peek().map(|&Reverse(k)| k)
-    }
-
     /// Removes and returns the minimum-key entry.
     ///
     /// Does *not* move the window: callers drive that with [`advance_to`]
@@ -350,7 +321,7 @@ mod tests {
             got.push(e);
         }
         assert_eq!(got, expect);
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
     }
 
     #[test]
@@ -361,7 +332,7 @@ mod tests {
         let mut now = 0u64;
         let mut seq = 0u64;
         for _ in 0..20_000 {
-            if !w.is_empty() && rng.next_below(3) == 0 {
+            if w.len != 0 && rng.next_below(3) == 0 {
                 let got = w.pop_min().unwrap();
                 let std::cmp::Reverse(want) = reference.pop().unwrap();
                 assert_eq!(got, want);
@@ -386,19 +357,6 @@ mod tests {
             assert_eq!(got, want);
         }
         assert!(reference.is_empty());
-    }
-
-    #[test]
-    fn peek_equals_pop() {
-        let mut rng = XorShift64::new(9);
-        let mut w = TimerWheel::new();
-        for seq in 0..200u64 {
-            w.push(rng.next_below(10_000), rng.next_u64(), seq, 0);
-        }
-        while !w.is_empty() {
-            let p = w.peek_min();
-            assert_eq!(p, w.pop_min());
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use votm_repro::ds::{TxHashMap, TxQueue, TxTreap};
+use votm_repro::ds::{TxHashMap, TxQueue};
 use votm_repro::sim::{FaultPlan, FaultRecord, RunStatus, SimConfig, SimExecutor};
 use votm_repro::utils::{SplitMix64, XorShift64};
 use votm_repro::votm::{QuotaMode, TmAlgorithm, Votm};
@@ -16,7 +16,8 @@ const THREADS: u64 = 8;
 const TOKENS_PER_THREAD: u64 = 40;
 
 /// Each token is pushed into the queue (view A), then migrated by a random
-/// consumer into either the hash map or the treap (view B), then counted.
+/// consumer into either of two hash maps of different bucket counts (view B),
+/// then counted.
 fn chaos_round(algo: TmAlgorithm, quota: QuotaMode, seed: u64) {
     chaos_round_inner(algo, quota, seed, None);
 }
@@ -50,7 +51,7 @@ fn chaos_round_inner(
     let mview = sys.create_view(262_144, quota);
     let queue = TxQueue::create(&qview);
     let map = TxHashMap::create(&mview, 64);
-    let treap = TxTreap::create(&mview);
+    let map2 = TxHashMap::create(&mview, 7);
     let consumed = Arc::new(AtomicU64::new(0));
     let total = THREADS * TOKENS_PER_THREAD;
 
@@ -74,7 +75,7 @@ fn chaos_round_inner(
                     .await;
                 if rng.chance_percent(50) {
                     drain_one(
-                        &rt, &qview, &mview, &queue, &map, &treap, &consumed, &mut rng,
+                        &rt, &qview, &mview, &queue, &map, &map2, &consumed, &mut rng,
                     )
                     .await;
                 }
@@ -82,7 +83,7 @@ fn chaos_round_inner(
             // Drain phase.
             while consumed.load(Ordering::Relaxed) < total {
                 let made_progress = drain_one(
-                    &rt, &qview, &mview, &queue, &map, &treap, &consumed, &mut rng,
+                    &rt, &qview, &mview, &queue, &map, &map2, &consumed, &mut rng,
                 )
                 .await;
                 if !made_progress {
@@ -115,16 +116,16 @@ fn chaos_round_inner(
             .transact_ro(&rt, async |tx| queue.len(tx).await)
             .await;
         assert_eq!(qlen, 0, "queue must be drained");
-        let (in_map, in_treap, sum) = mview2
+        let (in_map, in_map2, sum) = mview2
             .transact_ro(&rt, async |tx| {
                 let m = map.len(tx).await?;
-                let t = treap.len(tx).await?;
+                let m2 = map2.len(tx).await?;
                 let mut sum = 0u64;
                 for th in 0..THREADS {
                     for i in 0..TOKENS_PER_THREAD {
                         let token = th * 10_000 + i;
                         let a = map.get(tx, token).await?;
-                        let b = treap.get(tx, token).await?;
+                        let b = map2.get(tx, token).await?;
                         match (a, b) {
                             (Some(v), None) | (None, Some(v)) => {
                                 assert_eq!(v, token + 1, "wrong payload for {token}");
@@ -135,17 +136,17 @@ fn chaos_round_inner(
                         }
                     }
                 }
-                Ok((m, t, sum))
+                Ok((m, m2, sum))
             })
             .await;
-        assert_eq!(in_map + in_treap, THREADS * TOKENS_PER_THREAD);
+        assert_eq!(in_map + in_map2, THREADS * TOKENS_PER_THREAD);
         assert_eq!(sum, THREADS * TOKENS_PER_THREAD);
     });
     assert_eq!(ex2.run().status, RunStatus::Completed);
     plan.map(|_| out.fault_log)
 }
 
-/// Pops one token and files it into a random structure; returns false if
+/// Pops one token and files it into a random map; returns false if
 /// the queue was empty.
 #[allow(clippy::too_many_arguments)]
 async fn drain_one(
@@ -154,7 +155,7 @@ async fn drain_one(
     mview: &votm_repro::votm::View,
     queue: &TxQueue,
     map: &TxHashMap,
-    treap: &TxTreap,
+    map2: &TxHashMap,
     consumed: &AtomicU64,
     rng: &mut XorShift64,
 ) -> bool {
@@ -172,7 +173,7 @@ async fn drain_one(
     } else {
         mview
             .transact(rt, async |tx| {
-                treap.insert(tx, token, token + 1).await?;
+                map2.insert(tx, token, token + 1).await?;
                 Ok(())
             })
             .await;
