@@ -68,21 +68,19 @@
 //! every NOrec view runs — the driver skips all of this and reproduces the
 //! historical behaviour exactly.
 //!
-//! # Blocking: `retry` / `or_else`
+//! # Blocking: `retry`
 //!
 //! A body that returns [`TxError::Retry`] (via [`TxHandle::retry`]) is not
 //! aborted-and-raced like a conflict: the driver rolls the attempt back,
 //! **releases its admission slot**, and parks the task on the view's
-//! wait table (`wait.rs`), keyed by the union of the read-set Bloom
-//! summaries of every alternative the attempt tried. Only a committing
-//! writer whose write set intersects that key wakes it (see `wait.rs` for
-//! the lost-wakeup-free protocol). Parks deliberately bypass the
-//! contention manager (no attempt count, no loser backoff — blocking is
-//! not losing) and leave the starvation streak untouched; only a park that
-//! *times out* bumps the streak, so a lost wakeup escalates through the
-//! watchdog instead of hanging. [`TxHandle::or_else`] composes
-//! alternatives: if the first retries, the second runs in the same
-//! attempt; only when every alternative retries does the task park.
+//! wait table (`wait.rs`), keyed by the attempt's read-set Bloom summary
+//! (every bucket when it read nothing). Only a committing writer whose
+//! write set intersects that key wakes it (see `wait.rs` for the
+//! lost-wakeup-free protocol). Parks deliberately bypass the contention
+//! manager (no attempt count, no loser backoff — blocking is not losing)
+//! and leave the starvation streak untouched; only a park that *times
+//! out* bumps the streak, so a lost wakeup escalates through the watchdog
+//! instead of hanging.
 //!
 //! # Domain views
 //!
@@ -172,50 +170,8 @@ pub(crate) enum Entry {
 /// priority policies — see [`votm_rac::cm::BUSY_PATIENCE`].
 const BUSY_ABORT_LIMIT: u32 = votm_rac::cm::BUSY_PATIENCE;
 
-/// Alternative-selection state for [`TxHandle::or_else`], owned by the
-/// driver so it survives the immediate restart between "the first
-/// alternative retried" and "now run the second".
-///
-/// Instead of checkpointing and rolling back partial read/write sets (which
-/// none of the three algorithms support mid-attempt), `or_else` is
-/// *restart-based*: when an alternative retries, the whole attempt aborts
-/// and re-runs, and this table tells the re-run which branch each `or_else`
-/// call should take this time. Indices are assigned in call order, which is
-/// deterministic for deterministic bodies. After a full retry propagates
-/// (every alternative blocked), all decisions are back to `false`, so the
-/// post-park wakeup re-runs from the first alternative — Haskell `orElse`
-/// semantics.
-#[derive(Debug, Default)]
-pub(crate) struct AltCtl {
-    /// `decisions[i]`: whether the `i`-th `or_else` encountered this
-    /// attempt runs its second alternative.
-    decisions: Vec<bool>,
-    /// Next index to hand out (reset to 0 at each attempt start).
-    cursor: usize,
-    /// Set when an alternative flipped during this attempt: the pending
-    /// `TxError::Retry` means "restart immediately to try the other
-    /// branch", not "park".
-    restart: bool,
-}
-
-impl AltCtl {
-    /// Resets the per-attempt half of the state; decisions persist.
-    fn begin_attempt(&mut self) {
-        self.cursor = 0;
-        self.restart = false;
-    }
-
-    /// Back to the state of a fresh table (every `or_else` runs its first
-    /// alternative), keeping the decision vector's capacity.
-    fn reset(&mut self) {
-        self.decisions.clear();
-        self.begin_attempt();
-    }
-}
-
 /// Everything a transaction keeps on the heap: the transactional context
-/// (read set, write set, lock list), the allocation and free logs, and the
-/// `or_else` decisions.
+/// (read set, write set, lock list) and the allocation and free logs.
 ///
 /// One descriptor serves every attempt of a transaction and, through the
 /// view's per-thread slot ([`View::take_descriptor`] /
@@ -233,8 +189,6 @@ pub(crate) struct Descriptor {
     allocs: Vec<Addr>,
     /// Frees requested by the current attempt — applied only if it commits.
     frees: Vec<Addr>,
-    /// `or_else` alternative selection of the current transaction.
-    alt: AltCtl,
 }
 
 impl Descriptor {
@@ -244,16 +198,14 @@ impl Descriptor {
             ctx,
             allocs: Vec::new(),
             frees: Vec::new(),
-            alt: AltCtl::default(),
         }
     }
 
-    /// Readies the descriptor for its slot. `None` (the descriptor is
-    /// dropped) unless it holds nothing of any attempt: pooling a context
-    /// that is live or mid-commit would hand the next transaction somebody
-    /// else's locks.
-    pub(crate) fn recycle(mut self: Box<Self>) -> Option<Box<Self>> {
-        self.alt.reset();
+    /// The descriptor, if it may go back to its slot: `None` (it is
+    /// dropped) unless it holds nothing of any attempt, since pooling a
+    /// context that is live or mid-commit would hand the next transaction
+    /// somebody else's locks.
+    pub(crate) fn recycle(self: Box<Self>) -> Option<Box<Self>> {
         (self.ctx.is_idle() && self.allocs.is_empty() && self.frees.is_empty()).then_some(self)
     }
 }
@@ -340,8 +292,6 @@ pub struct TxHandle<'v> {
     /// copy also covers direct (lock-mode) attempts, whose context has no
     /// write set, so escalated commits still wake parked readers.
     write_summary: u64,
-    /// `or_else` alternative selection, threaded through from the driver.
-    alt: &'v mut AltCtl,
 }
 
 impl<'v> TxHandle<'v> {
@@ -356,12 +306,7 @@ impl<'v> TxHandle<'v> {
         entry: Entry,
         mut cm_tx: CmTx,
     ) -> Self {
-        let Descriptor {
-            ctx,
-            allocs,
-            frees,
-            alt,
-        } = desc;
+        let Descriptor { ctx, allocs, frees } = desc;
         let ctx = direct.unwrap_or(ctx);
         debug_assert!(allocs.is_empty() && frees.is_empty());
         let cm_active = view.cm().active() && !ctx.is_direct();
@@ -405,7 +350,6 @@ impl<'v> TxHandle<'v> {
             cap_words: view.tm().heap().size_words() as u64,
             read_summary: 0,
             write_summary: 0,
-            alt,
         }
     }
 
@@ -717,56 +661,6 @@ impl<'v> TxHandle<'v> {
         Err(TxError::Retry)
     }
 
-    /// Composes two alternatives — Haskell STM's `orElse`: runs `first`,
-    /// and if it blocks (returns [`TxError::Retry`]), runs `second` instead
-    /// within the same transaction. Only if *both* block does the whole
-    /// transaction park, keyed by the union of both alternatives' read
-    /// sets, and a wakeup re-runs from `first` again. Any other error, and
-    /// any `Ok`, propagates as-is. Nests freely.
-    ///
-    /// Because mid-attempt read/write-set rollback is not supported, a
-    /// blocked `first` triggers an internal restart of the attempt (the
-    /// driver re-runs the body, steering this call to `second`); bodies
-    /// must therefore be as re-runnable as any transaction body already is.
-    pub async fn or_else<T, FA, FB>(&mut self, mut first: FA, mut second: FB) -> Result<T, TxError>
-    where
-        FA: for<'h> AsyncFnMut(&'h mut TxHandle<'v>) -> Result<T, TxError>,
-        FB: for<'h> AsyncFnMut(&'h mut TxHandle<'v>) -> Result<T, TxError>,
-    {
-        let idx = self.alt.cursor;
-        self.alt.cursor += 1;
-        if self.alt.decisions.len() <= idx {
-            self.alt.decisions.push(false);
-        }
-        if !self.alt.decisions[idx] {
-            match first(self).await {
-                Err(TxError::Retry) if !self.alt.restart => {
-                    // `first` blocked: flip to `second` and restart the
-                    // attempt. Deeper decisions belong to the abandoned
-                    // branch; drop them.
-                    self.alt.decisions[idx] = true;
-                    self.alt.decisions.truncate(idx + 1);
-                    self.alt.restart = true;
-                    Err(TxError::Retry)
-                }
-                other => other,
-            }
-        } else {
-            match second(self).await {
-                Err(TxError::Retry) if !self.alt.restart => {
-                    // Both alternatives blocked: reset so the post-park
-                    // re-run starts from `first`, and let the retry
-                    // propagate to the driver's park (which keys on the
-                    // accumulated union of both branches' reads).
-                    self.alt.decisions[idx] = false;
-                    self.alt.decisions.truncate(idx + 1);
-                    Err(TxError::Retry)
-                }
-                other => other,
-            }
-        }
-    }
-
     /// Performs thread-private work inside the transaction: `reads`/`writes`
     /// accesses to thread-local memory plus `nops` cycles of computation
     /// (Eigenbench's cold-array accesses and NOPi). Under the simulator this
@@ -1009,13 +903,6 @@ where
     // When the previous attempt aborted: its end timestamp, for the
     // abort-to-retry latency histogram.
     let mut last_abort_at: Option<u64> = None;
-    // Union of the read-set summaries of every alternative tried since the
-    // last park / non-retry abort — the park's wakeup key.
-    let mut retry_accum: u64 = 0;
-    // Wait-table epoch snapshot from the *first* attempt of the current
-    // retry group: parking validates against the earliest snapshot, so a
-    // commit landing between alternatives is never slept through.
-    let mut group_epoch: Option<u64> = None;
     loop {
         // acquire_view: RAC admission (skipped for the no-RAC baselines).
         // Admission is held as an RAII guard; dropping it (normally or
@@ -1060,13 +947,6 @@ where
         // later park detects it (SkippedStale) instead of sleeping through
         // it. Free when nothing blocks: one relaxed atomic load.
         let begin_epoch = view.waits().epoch();
-        if group_epoch.is_none() {
-            group_epoch = Some(begin_epoch);
-        }
-        // `or_else` alternative selection lives in the descriptor: it
-        // persists across the immediate restarts that steer a re-run to the
-        // next alternative.
-        desc.alt.begin_attempt();
 
         // Escalated and union attempts run on a direct context (two
         // counters, no heap); the descriptor's transactional one sits the
@@ -1222,7 +1102,13 @@ where
             }
             handle.charge_pending().await;
             handle.set_abort_cause(AbortReason::Retry, ConflictSite::None);
-            retry_accum |= handle.read_summary;
+            // Park on the attempt's read set. An empty one (the body read
+            // nothing before retrying) parks on every bucket — only *some*
+            // commit can change its world.
+            let key = match handle.read_summary {
+                0 => u64::MAX,
+                summary => summary,
+            };
             handle.finish(false);
             cm_tx = handle.cm_tx;
             drop(handle);
@@ -1230,23 +1116,6 @@ where
             // a sleeping transaction never occupies a gate slot another
             // transaction (possibly its would-be waker) could use.
             drop(gate_guard);
-            if desc.alt.restart {
-                // An or_else alternative flipped: re-run immediately to
-                // try the other branch; no park yet.
-                last_abort_at = Some(rt.now());
-                continue;
-            }
-            // Every alternative blocked: park on the union of their read
-            // sets. An empty union (the body read nothing before retrying)
-            // parks on every bucket — only *some* commit can change its
-            // world.
-            let key = if retry_accum == 0 {
-                u64::MAX
-            } else {
-                retry_accum
-            };
-            let epoch0 = group_epoch.take().unwrap_or(begin_epoch);
-            retry_accum = 0;
             trace(
                 &rec,
                 rt,
@@ -1256,7 +1125,7 @@ where
                 },
             );
             let parked_at = rt.now();
-            let park_outcome = view.waits().park(rt, key, epoch0, PARK_TIMEOUT).await;
+            let park_outcome = view.waits().park(rt, key, begin_epoch, PARK_TIMEOUT).await;
             let waited = rt.now().saturating_sub(parked_at);
             view.hists().parked_wait.record(waited);
             view.tm().stats().record_parked_wait(rt.thread_index());
@@ -1295,12 +1164,6 @@ where
         drop(handle);
         drop(gate_guard);
         last_abort_at = Some(rt.now());
-        // A non-retry abort dissolves the retry group: the world changed
-        // under us, so the next retry (if any) starts a fresh read-set
-        // union, epoch snapshot, and alternative selection.
-        retry_accum = 0;
-        group_epoch = None;
-        desc.alt.reset();
 
         if view.cm().active() {
             // Count the lost attempt and serve the loser's backoff penalty

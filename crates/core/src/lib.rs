@@ -69,10 +69,10 @@
 //!
 //! # Blocking transactions
 //!
-//! [`TxHandle::retry`] and [`TxHandle::or_else`] give bodies Haskell-STM
-//! blocking semantics: a body that finds the state unusable parks (keyed by
-//! its read set) instead of spinning, and is woken by the first commit that
-//! writes something it read. See `votm-ds`'s `BoundedBuffer` for the
+//! [`TxHandle::retry`] gives bodies Haskell-STM blocking semantics: a body
+//! that finds the state unusable parks (keyed by its read set) instead of
+//! spinning, and is woken by the first commit that writes something it
+//! read. See `votm-ds`'s `BoundedBuffer` for the
 //! canonical producer/consumer use.
 
 #![warn(missing_docs)]

@@ -157,7 +157,7 @@ impl WaitTable {
     /// Parks the current task until a commit intersecting `summary` is
     /// published, the deadline passes, or the stale check fails.
     /// `begin_epoch` must be the [`WaitTable::epoch`] snapshot taken before
-    /// the retry group's first attempt began reading.
+    /// the parking attempt began reading.
     pub(crate) fn park<'a>(
         &'a self,
         rt: &'a Rt,

@@ -1,12 +1,14 @@
-//! Blocking-transaction semantics: `retry`/`or_else`, the park/wake
-//! protocol, its interaction with admission control, contention management
-//! and the starvation watchdog, and the no-lost-wakeup guarantee under a
-//! seed sweep.
+//! Blocking-transaction semantics: `retry`, the park/wake protocol, its
+//! interaction with admission control, contention management and the
+//! starvation watchdog, and the no-lost-wakeup guarantee under a seed
+//! sweep.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use votm::{AbortReason, Addr, CmPolicy, QuotaMode, TmAlgorithm, View, Votm};
+use votm::{
+    AbortReason, Addr, CmPolicy, EventKind, FlightRecorder, QuotaMode, TmAlgorithm, View, Votm,
+};
 use votm_sim::{RunStatus, SimConfig, SimExecutor};
 
 fn sys(algo: TmAlgorithm, n: u32) -> (Votm, Arc<View>) {
@@ -109,147 +111,56 @@ fn unrelated_commits_do_not_wake_parked_reader() {
     assert_eq!(tm.lost_wakeups, 0);
 }
 
-/// `or_else` runs the second alternative when the first blocks — without
-/// parking when the second succeeds.
+/// A body that retries before reading anything has an empty read set, so
+/// it parks on every Bloom bucket: its `Park` event carries the all-ones
+/// key, and a commit to an arbitrary address wakes it.
 #[test]
-fn or_else_falls_through_without_parking() {
-    let (_sys, view) = sys(TmAlgorithm::NOrec, 1);
-    view.heap().store(Addr(1), 7);
+fn retry_with_empty_read_set_parks_on_every_bucket() {
+    let rec = Arc::new(FlightRecorder::with_default_capacity(2));
+    let sys = Votm::builder()
+        .algo(TmAlgorithm::NOrec)
+        .threads(2)
+        .recorder(Arc::clone(&rec))
+        .build();
+    let view = sys.create_view(1024, QuotaMode::Fixed(2));
+    let attempts = Arc::new(AtomicU64::new(0));
     let mut ex = SimExecutor::new(SimConfig::default());
     {
         let view = Arc::clone(&view);
+        let attempts = Arc::clone(&attempts);
         ex.spawn(move |rt| async move {
-            let (which, v) = view
-                .transact(&rt, async |tx| {
-                    tx.or_else(
-                        async |tx| {
-                            let v = tx.read(Addr(0)).await?;
-                            if v == 0 {
-                                return tx.retry();
-                            }
-                            Ok((1u64, v))
-                        },
-                        async |tx| {
-                            let v = tx.read(Addr(1)).await?;
-                            if v == 0 {
-                                return tx.retry();
-                            }
-                            Ok((2u64, v))
-                        },
-                    )
-                    .await
-                })
+            view.transact(&rt, async |tx| {
+                if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+                    return tx.retry();
+                }
+                Ok(())
+            })
+            .await;
+        });
+    }
+    {
+        let view = Arc::clone(&view);
+        ex.spawn(move |rt| async move {
+            rt.charge(5_000).await;
+            view.transact(&rt, async |tx| Ok(tx.write(Addr(37), 1).await?))
                 .await;
-            assert_eq!((which, v), (2, 7), "second alternative must win");
         });
     }
     assert_eq!(ex.run().status, RunStatus::Completed);
+    assert_eq!(attempts.load(Ordering::Relaxed), 2, "one park, one re-run");
+    let keys: Vec<u64> = rec
+        .snapshot()
+        .into_iter()
+        .flat_map(|t| t.events)
+        .filter_map(|e| match e.kind {
+            EventKind::Park { summary, .. } => Some(summary),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(keys, vec![u64::MAX]);
     let tm = view.stats().tm;
-    assert_eq!(tm.parked_waits, 0, "no park when an alternative succeeds");
-    assert_eq!(tm.commits, 1);
-}
-
-/// When both alternatives block, the transaction parks on the *union* of
-/// both read sets and a write to either side wakes it; the re-run starts
-/// from the first alternative (Haskell `orElse` semantics).
-#[test]
-fn or_else_parks_on_union_and_wakes_on_either_side() {
-    for (unblock, expect_which) in [(Addr(0), 1u64), (Addr(1), 2u64)] {
-        let (_sys, view) = sys(TmAlgorithm::NOrec, 2);
-        let got = Arc::new(AtomicU64::new(0));
-        let mut ex = SimExecutor::new(SimConfig::default());
-        {
-            let view = Arc::clone(&view);
-            let got = Arc::clone(&got);
-            ex.spawn(move |rt| async move {
-                let (which, _) = view
-                    .transact(&rt, async |tx| {
-                        tx.or_else(
-                            async |tx| {
-                                let v = tx.read(Addr(0)).await?;
-                                if v == 0 {
-                                    return tx.retry();
-                                }
-                                Ok((1u64, v))
-                            },
-                            async |tx| {
-                                let v = tx.read(Addr(1)).await?;
-                                if v == 0 {
-                                    return tx.retry();
-                                }
-                                Ok((2u64, v))
-                            },
-                        )
-                        .await
-                    })
-                    .await;
-                got.store(which, Ordering::Relaxed);
-            });
-        }
-        {
-            let view = Arc::clone(&view);
-            ex.spawn(move |rt| async move {
-                rt.charge(5_000).await;
-                view.transact(&rt, async |tx| Ok(tx.write(unblock, 9).await?))
-                    .await;
-            });
-        }
-        assert_eq!(ex.run().status, RunStatus::Completed, "{unblock:?}");
-        assert_eq!(got.load(Ordering::Relaxed), expect_which, "{unblock:?}");
-        let tm = view.stats().tm;
-        assert!(tm.parked_waits >= 1, "{unblock:?}: both sides blocked");
-        assert_eq!(tm.lost_wakeups, 0, "{unblock:?}");
-    }
-}
-
-/// Nested `or_else` composes: the first alternative (in depth-first order)
-/// whose guard is satisfied wins.
-#[test]
-fn or_else_nesting_is_depth_first() {
-    // Only word `k` is pre-set → alternative `k + 1` must win.
-    for preset in 0..3u32 {
-        let (_sys, view) = sys(TmAlgorithm::OrecEagerRedo, 1);
-        view.heap().store(Addr(preset), 5);
-        let mut ex = SimExecutor::new(SimConfig::default());
-        {
-            let view = Arc::clone(&view);
-            ex.spawn(move |rt| async move {
-                let which = view
-                    .transact(&rt, async |tx| {
-                        tx.or_else(
-                            async |tx| {
-                                tx.or_else(
-                                    async |tx| {
-                                        if tx.read(Addr(0)).await? == 0 {
-                                            return tx.retry();
-                                        }
-                                        Ok(1u64)
-                                    },
-                                    async |tx| {
-                                        if tx.read(Addr(1)).await? == 0 {
-                                            return tx.retry();
-                                        }
-                                        Ok(2u64)
-                                    },
-                                )
-                                .await
-                            },
-                            async |tx| {
-                                if tx.read(Addr(2)).await? == 0 {
-                                    return tx.retry();
-                                }
-                                Ok(3u64)
-                            },
-                        )
-                        .await
-                    })
-                    .await;
-                assert_eq!(which, u64::from(preset) + 1, "preset word {preset}");
-            });
-        }
-        assert_eq!(ex.run().status, RunStatus::Completed, "preset {preset}");
-        assert_eq!(view.stats().tm.parked_waits, 0, "preset {preset}");
-    }
+    assert_eq!(tm.parked_waits, 1);
+    assert_eq!(tm.lost_wakeups, 0);
 }
 
 /// The quota-release-on-park rule: a parked transaction must not hold its

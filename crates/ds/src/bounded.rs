@@ -12,8 +12,7 @@
 //! a full one *block*: the transaction parks on its read set (here: the
 //! `len` word, at minimum) and is woken by the first commit that changes
 //! it, instead of spin-retrying "still empty" transactions. The `try_`
-//! variants keep the historical poll-shaped API for baselines and for
-//! composition with [`votm::TxHandle::or_else`].
+//! variants keep the poll-shaped API for the spin-polling baseline.
 
 use votm::{Addr, TxError, TxHandle, View};
 

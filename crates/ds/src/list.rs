@@ -72,55 +72,6 @@ impl TxList {
         }
     }
 
-    /// True if `key` is present.
-    pub async fn contains(&self, tx: &mut TxHandle<'_>, key: u64) -> Result<bool, TxError> {
-        let mut curr = dec(tx.read(self.header.offset(H_HEAD)).await?);
-        while !curr.is_null() {
-            let k = tx.read(curr.offset(N_KEY)).await?;
-            if k == key {
-                return Ok(true);
-            }
-            if k > key {
-                return Ok(false); // sorted: passed the slot
-            }
-            curr = dec(tx.read(curr.offset(N_NEXT)).await?);
-        }
-        Ok(false)
-    }
-
-    /// Removes one occurrence of `key`; returns whether something was
-    /// removed.
-    pub async fn remove(&self, tx: &mut TxHandle<'_>, key: u64) -> Result<bool, TxError> {
-        let head = dec(tx.read(self.header.offset(H_HEAD)).await?);
-        if head.is_null() {
-            return Ok(false);
-        }
-        if tx.read(head.offset(N_KEY)).await? == key {
-            let next = dec(tx.read(head.offset(N_NEXT)).await?);
-            tx.write(self.header.offset(H_HEAD), enc(next)).await?;
-            tx.free(head);
-            return Ok(true);
-        }
-        let mut curr = head;
-        loop {
-            let next = dec(tx.read(curr.offset(N_NEXT)).await?);
-            if next.is_null() {
-                return Ok(false);
-            }
-            let k = tx.read(next.offset(N_KEY)).await?;
-            if k == key {
-                let after = dec(tx.read(next.offset(N_NEXT)).await?);
-                tx.write(curr.offset(N_NEXT), enc(after)).await?;
-                tx.free(next);
-                return Ok(true);
-            }
-            if k > key {
-                return Ok(false);
-            }
-            curr = next;
-        }
-    }
-
     /// Collects the keys in order (test/diagnostic helper).
     pub async fn to_vec(&self, tx: &mut TxHandle<'_>) -> Result<Vec<u64>, TxError> {
         let mut out = Vec::new();
@@ -154,40 +105,12 @@ mod tests {
                         list.insert(tx, k).await?;
                     }
                     assert_eq!(list.to_vec(tx).await?, vec![1, 3, 3, 5, 7, 9]);
-                    assert!(list.contains(tx, 7).await?);
-                    assert!(!list.contains(tx, 4).await?);
-                    assert!(list.remove(tx, 3).await?);
-                    assert!(!list.remove(tx, 100).await?);
-                    assert_eq!(list.to_vec(tx).await?, vec![1, 3, 5, 7, 9]);
                     Ok(())
                 })
                 .await;
             });
         }
         assert_eq!(ex.run().status, RunStatus::Completed);
-    }
-
-    #[test]
-    fn remove_head_and_to_empty() {
-        let sys = Votm::builder().build();
-        let view = sys.create_view(4_096, QuotaMode::Fixed(1));
-        let list = TxList::create(&view);
-        let before = view.heap().live_blocks();
-        let v2 = Arc::clone(&view);
-        let mut ex = SimExecutor::new(SimConfig::default());
-        ex.spawn(move |rt| async move {
-            v2.transact(&rt, async |tx| {
-                list.insert(tx, 2).await?;
-                list.insert(tx, 1).await?;
-                assert!(list.remove(tx, 1).await?);
-                assert!(list.remove(tx, 2).await?);
-                assert_eq!(list.to_vec(tx).await?, Vec::<u64>::new());
-                Ok(())
-            })
-            .await;
-        });
-        assert_eq!(ex.run().status, RunStatus::Completed);
-        assert_eq!(view.heap().live_blocks(), before, "nodes leaked");
     }
 
     #[test]

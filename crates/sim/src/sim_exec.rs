@@ -124,7 +124,7 @@ pub enum RunStatus {
 
 /// Per-task stall diagnostic attached to non-`Completed` outcomes: enough
 /// to see *which* logical thread stopped making progress, *when* it last
-/// ran, and (through the stall probe) what it was waiting on.
+/// ran, and whether it was parked.
 #[derive(Debug, Clone)]
 pub struct TaskStall {
     /// Task (logical thread) index.
@@ -135,10 +135,6 @@ pub struct TaskStall {
     /// True if the task was parked on a [`crate::Notify`] wait (deadlock
     /// shape); false if it was still being scheduled (livelock shape).
     pub waiting: bool,
-    /// Free-form context from the stall probe registered with
-    /// [`SimExecutor::set_stall_probe`] — e.g. an admission-gate P/Q
-    /// snapshot.
-    pub detail: Option<String>,
 }
 
 /// Scheduler-internals counters for one run. Virtual-time results never
@@ -492,8 +488,7 @@ impl Shared {
     /// # Safety
     /// Caller must be on the owner thread and must not overlap the returned
     /// borrow with another one (all call sites use short, non-reentrant
-    /// scopes; user code — task polls, stall probes — runs with no borrow
-    /// live).
+    /// scopes; user code — task polls — runs with no borrow live).
     #[inline]
     #[allow(clippy::mut_from_ref)]
     unsafe fn state(&self) -> &mut Inner {
@@ -610,9 +605,6 @@ pub struct SimExecutor {
     wakers: Vec<Waker>,
     config: SimConfig,
     spawned: usize,
-    /// Optional context hook for stall diagnostics: called once per
-    /// still-live task when a run ends without completing.
-    stall_probe: Option<Box<dyn Fn(usize) -> Option<String>>>,
 }
 
 impl SimExecutor {
@@ -645,17 +637,7 @@ impl SimExecutor {
             wakers: Vec::new(),
             config,
             spawned: 0,
-            stall_probe: None,
         }
-    }
-
-    /// Registers a stall probe: when a run ends in livelock, deadlock or
-    /// step exhaustion, the probe is called with each still-live task's
-    /// index and its answer lands in [`TaskStall::detail`]. Use it to
-    /// snapshot domain state the executor cannot see — e.g. the admission
-    /// gate's `P`/`Q` for the view a task is stuck on.
-    pub fn set_stall_probe(&mut self, probe: impl Fn(usize) -> Option<String> + 'static) {
-        self.stall_probe = Some(Box::new(probe));
     }
 
     /// Spawns a logical thread. `f` receives the task's [`crate::Rt`] handle
@@ -798,50 +780,32 @@ impl SimExecutor {
     /// Builds the final outcome, attaching per-task stall diagnostics when
     /// the run did not complete.
     fn build_outcome(&self, status: RunStatus, steps: u64) -> RunOutcome {
-        // Collect raw data first, then run the stall probe with no state
-        // borrow live: the probe is arbitrary user code that may call back
-        // into handles (e.g. `rt.now()`) or Notify.
-        let (vtime, tasks_remaining, faults, fault_log, sched, raw_stalls) = {
-            // SAFETY: owner thread; scoped borrow.
-            let inner = unsafe { self.shared.state() };
-            let raw: Vec<(usize, u64, bool)> = if status == RunStatus::Completed {
-                Vec::new()
-            } else {
-                inner
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.state != TaskState::Done)
-                    .map(|(task, s)| (task, s.last_progress, s.state == TaskState::Waiting))
-                    .collect()
-            };
-            let mut sched = inner.sched;
-            inner.queue.fold_stats(&mut sched);
-            (
-                inner.now,
-                inner.live,
-                inner.faults,
-                std::mem::take(&mut inner.fault_log),
-                sched,
-                raw,
-            )
+        // SAFETY: owner thread; scoped borrow.
+        let inner = unsafe { self.shared.state() };
+        let stalls = if status == RunStatus::Completed {
+            Vec::new()
+        } else {
+            inner
+                .tasks
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.state != TaskState::Done)
+                .map(|(task, s)| TaskStall {
+                    task,
+                    last_progress: s.last_progress,
+                    waiting: s.state == TaskState::Waiting,
+                })
+                .collect()
         };
-        let stalls = raw_stalls
-            .into_iter()
-            .map(|(task, last_progress, waiting)| TaskStall {
-                task,
-                last_progress,
-                waiting,
-                detail: self.stall_probe.as_ref().and_then(|p| p(task)),
-            })
-            .collect();
+        let mut sched = inner.sched;
+        inner.queue.fold_stats(&mut sched);
         RunOutcome {
             status,
-            vtime,
-            tasks_remaining,
+            vtime: inner.now,
+            tasks_remaining: inner.live,
             steps,
-            faults,
-            fault_log,
+            faults: inner.faults,
+            fault_log: std::mem::take(&mut inner.fault_log),
             stalls,
             sched,
         }
@@ -1357,7 +1321,6 @@ mod tests {
         ex.spawn(|rt: Rt| async move {
             rt.charge(10).await;
         });
-        ex.set_stall_probe(|task| Some(format!("probe:{task}")));
         let out = ex.run();
         assert_eq!(out.status, RunStatus::Deadlock);
         assert_eq!(out.stalls.len(), 1, "only the blocked task stalls");
@@ -1365,7 +1328,6 @@ mod tests {
         assert_eq!(stall.task, 0);
         assert_eq!(stall.last_progress, 40);
         assert!(stall.waiting, "deadlocked task is parked on a Notify");
-        assert_eq!(stall.detail.as_deref(), Some("probe:0"));
     }
 
     #[test]

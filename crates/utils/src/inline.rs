@@ -62,28 +62,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len += 1;
     }
 
-    /// The element at `index` (panics out of bounds, like slice indexing).
-    #[inline]
-    pub fn get(&self, index: usize) -> T {
-        assert!(index < self.len, "index {index} out of bounds {}", self.len);
-        if index < N {
-            self.inline[index]
-        } else {
-            self.spill[index - N]
-        }
-    }
-
-    /// Overwrites the element at `index` (panics out of bounds).
-    #[inline]
-    pub fn set(&mut self, index: usize, value: T) {
-        assert!(index < self.len, "index {index} out of bounds {}", self.len);
-        if index < N {
-            self.inline[index] = value;
-        } else {
-            self.spill[index - N] = value;
-        }
-    }
-
     /// Removes all elements. The inline buffer needs no work and the spill
     /// buffer keeps its capacity, so a retry loop settles into zero
     /// allocation per attempt.
@@ -123,22 +101,8 @@ mod tests {
             assert_eq!(v.len(), (i + 1) as usize);
             assert_eq!(v.is_inline(), i < 4);
         }
-        for i in 0..10u64 {
-            assert_eq!(v.get(i as usize), i * 3);
-        }
         let collected: Vec<u64> = v.iter().collect();
         assert_eq!(collected, (0..10).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn set_updates_both_regions() {
-        let mut v: InlineVec<u32, 2> = InlineVec::new();
-        for i in 0..5 {
-            v.push(i);
-        }
-        v.set(1, 100); // inline
-        v.set(4, 400); // spilled
-        assert_eq!(v.iter().collect::<Vec<_>>(), vec![0, 100, 2, 3, 400]);
     }
 
     #[test]
@@ -154,15 +118,8 @@ mod tests {
         assert_eq!(v.iter().count(), 0);
         assert_eq!(v.spill.capacity(), cap, "spill capacity retained");
         v.push(9);
-        assert_eq!(v.get(0), 9);
+        assert_eq!(v.iter().collect::<Vec<_>>(), vec![9]);
         assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn get_past_end_panics() {
-        let v: InlineVec<u32, 2> = InlineVec::new();
-        v.get(0);
     }
 
     #[test]
