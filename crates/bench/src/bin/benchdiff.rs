@@ -22,7 +22,10 @@
 //!    A field the baseline row lacks is skipped, so a baseline from an
 //!    older schema minor still joins. `--allow-virtual-drift` downgrades
 //!    this to a report for PRs that intentionally change the simulation.
-//! 4. **Current-artifact invariants** — [`votm_bench::check::check_gate`]
+//! 4. **Removed rows** — every baseline row the current artifact lacks
+//!    is listed as removed and counted in the summary line
+//!    ([`votm_bench::check::removed_rows`]). Report-only.
+//! 5. **Current-artifact invariants** — [`votm_bench::check::check_gate`]
 //!    on CURRENT, the same check the crate's gate test runs on its own
 //!    output (completion, the wasted-work ledger, row shape, partition
 //!    convergence, spin vs park, clock variants).
@@ -151,6 +154,10 @@ fn main() {
         }
         println!("{label:<58} {bt:>14.1} {ct:>14.1} {ratio:>7.3}x  {verdict}");
     }
+    let removed = check::removed_rows(&base_doc, &cur_doc);
+    for line in &removed {
+        println!("{line}");
+    }
 
     if let Some(line) = check::blocking_headline(&cur_doc) {
         println!("{line}");
@@ -163,9 +170,9 @@ fn main() {
         .and_then(Json::as_f64)
         .unwrap_or(f64::NAN);
     println!(
-        "{} shared rows compared; wall {base_wall:.2}s -> {cur_wall:.2}s \
+        "{shared} shared rows compared, {} removed; wall {base_wall:.2}s -> {cur_wall:.2}s \
          (cross-host, report-only)",
-        shared
+        removed.len()
     );
     if problems.is_empty() {
         println!("verdict: OK");

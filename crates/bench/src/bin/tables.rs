@@ -119,11 +119,11 @@ fn run_json_gate(mut settings: Settings, eigen_scale_set: bool) {
     let json = votm_bench::gate_rows_to_json(&settings, &rows);
     std::fs::write(GATE_ARTIFACT, &json)
         .unwrap_or_else(|e| panic!("cannot write {GATE_ARTIFACT}: {e}"));
-    let spreads = votm_bench::policy_spreads(&settings, &rows);
+    let spreads = votm_bench::spreads(&settings, &rows);
     let policy_md = fmt::policy_table(&rows, &spreads);
     std::fs::write(POLICY_ARTIFACT, &policy_md)
         .unwrap_or_else(|e| panic!("cannot write {POLICY_ARTIFACT}: {e}"));
-    let clock_md = fmt::clock_table(&rows);
+    let clock_md = fmt::clock_table(&rows, &spreads);
     std::fs::write(CLOCK_ARTIFACT, &clock_md)
         .unwrap_or_else(|e| panic!("cannot write {CLOCK_ARTIFACT}: {e}"));
     let partition_md = fmt::partition_table(&rows);

@@ -65,6 +65,22 @@ fn rows(doc: &Json) -> &[Json] {
     doc.get("rows").and_then(Json::as_arr).unwrap_or_default()
 }
 
+/// One report line per `base` row whose key no `cur` row carries, in
+/// baseline order: the rows a change deleted, which the per-row diff over
+/// `cur` cannot see. Report-only — removing a row is not a regression.
+pub fn removed_rows(base: &Json, cur: &Json) -> Vec<String> {
+    let current: std::collections::BTreeSet<RowKey> = rows(cur).iter().map(row_key).collect();
+    rows(base)
+        .iter()
+        .filter(|r| !current.contains(&row_key(r)))
+        .map(|r| {
+            let label = key_label(&row_key(r));
+            let bt = f64_field(r, "txns_per_vsec");
+            format!("{label:<58} {bt:>14.1} {:>14} {:>8}", "removed", "-")
+        })
+        .collect()
+}
+
 /// The gated spin-vs-park pair: the first `*-spin` row and the `*-block`
 /// row of its algorithm.
 fn blocking_pair(rows: &[Json]) -> Option<(&Json, &Json)> {
@@ -280,4 +296,32 @@ pub fn check_gate(doc: &Json) -> Vec<String> {
         "no clock variant improved single-view NOrec (throughput or >=10% abort cut)".into(),
     );
     problems
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json;
+
+    #[test]
+    fn a_baseline_only_row_is_reported_removed() {
+        let row = |algo: &str| {
+            format!(
+                r#"{{"algo": "{algo}", "policy": "backoff", "version": "single-view",
+                    "n_threads": 16, "clock": "global", "txns_per_vsec": 2.5}}"#
+            )
+        };
+        let doc =
+            |rows: &[String]| json::parse(&format!(r#"{{"rows": [{}]}}"#, rows.join(","))).unwrap();
+        let base = doc(&[row("NOrec"), row("OrecLazy")]);
+        let cur = doc(&[row("NOrec")]);
+        let removed = removed_rows(&base, &cur);
+        assert_eq!(removed.len(), 1, "{removed:?}");
+        assert!(removed[0].starts_with("OrecLazy/backoff/single-view/N=16/global "));
+        assert!(removed[0].contains("removed"));
+        assert!(
+            removed_rows(&cur, &base).is_empty(),
+            "a new row is not removed"
+        );
+    }
 }

@@ -4,7 +4,7 @@
 use votm::QuotaMode;
 use votm_sim::RunStatus;
 
-use crate::{GateRow, PolicySpread, Row, Run, GATE_ARTIFACT};
+use crate::{GateRow, Row, Run, Spread, GATE_ARTIFACT, GATE_SEEDS};
 
 /// Formats a count the way the paper does: `3.2m`, `5.26G`, `49.8T`.
 pub fn count(x: u64) -> String {
@@ -232,11 +232,21 @@ pub fn adaptive_table(title: &str, rows: &[Row], label: fn(&Run) -> &'static str
     out
 }
 
+/// The `mean (min–max)` cell of `row`'s spread, or `-` when `row` has none
+/// (a default row, which aggregates its seeds itself).
+fn spread_cell(spreads: &[Spread], row: &GateRow) -> String {
+    spreads
+        .iter()
+        .find(|s| (s.algo, s.policy, s.clock) == (row.algo, row.policy, row.clock))
+        .map(|s| format!("{:.1} ({:.1}–{:.1})", s.mean, s.min, s.max))
+        .unwrap_or_else(|| "-".to_string())
+}
+
 /// Renders the per-policy contention-management comparison from the gate's
 /// rows (the `policy_table.md` CI artifact). Only single-view rows at the
 /// largest gated N are comparable across policies, so the table keeps the
 /// matching backoff rows and all policy rows.
-pub fn policy_table(rows: &[GateRow], spreads: &[PolicySpread]) -> String {
+pub fn policy_table(rows: &[GateRow], spreads: &[Spread]) -> String {
     let n = rows.iter().map(|r| r.n_threads).max().unwrap_or(0);
     let mut out = format!(
         "### Contention-management policy comparison — single-view Eigenbench, N={n}, \
@@ -247,7 +257,7 @@ pub fn policy_table(rows: &[GateRow], spreads: &[PolicySpread]) -> String {
         "policy".to_string(),
         "status".to_string(),
         "txns/vsec".to_string(),
-        "3-seed mean (min–max)".to_string(),
+        format!("{GATE_SEEDS}-seed mean (min–max)"),
         "abort rate".to_string(),
         "waste frac".to_string(),
         "#tx".to_string(),
@@ -258,17 +268,12 @@ pub fn policy_table(rows: &[GateRow], spreads: &[PolicySpread]) -> String {
         if r.version != "single-view" || r.n_threads != n || r.clock != "global" {
             continue;
         }
-        let spread = spreads
-            .iter()
-            .find(|s| s.algo == r.algo && s.policy == r.policy)
-            .map(|s| format!("{:.1} ({:.1}–{:.1})", s.mean, s.min, s.max))
-            .unwrap_or_else(|| "-".to_string());
         lines.push(vec![
             r.algo.to_string(),
             r.policy.to_string(),
             format!("{:?}", r.status),
             format!("{:.1}", r.txns_per_vsec),
-            spread,
+            spread_cell(spreads, r),
             format!("{:.3}", r.abort_rate),
             format!("{:.3}", r.waste_frac),
             count(r.commits),
@@ -358,7 +363,7 @@ pub fn partition_table(rows: &[GateRow]) -> String {
 /// `clock_table.md` CI artifact). Only single-view backoff rows at the
 /// largest gated N are comparable across clock kinds, so the table keeps
 /// the matching default-clock rows and all clock-variant rows.
-pub fn clock_table(rows: &[GateRow]) -> String {
+pub fn clock_table(rows: &[GateRow], spreads: &[Spread]) -> String {
     let n = rows.iter().map(|r| r.n_threads).max().unwrap_or(0);
     let mut out = format!(
         "### Clock-source comparison — single-view Eigenbench, N={n}, adaptive quota, \
@@ -369,6 +374,7 @@ pub fn clock_table(rows: &[GateRow]) -> String {
         "clock".to_string(),
         "status".to_string(),
         "txns/vsec".to_string(),
+        format!("{GATE_SEEDS}-seed mean (min–max)"),
         "abort rate".to_string(),
         "waste frac".to_string(),
         "busy/commit".to_string(),
@@ -385,6 +391,7 @@ pub fn clock_table(rows: &[GateRow]) -> String {
             r.clock.to_string(),
             format!("{:?}", r.status),
             format!("{:.1}", r.txns_per_vsec),
+            spread_cell(spreads, r),
             format!("{:.3}", r.abort_rate),
             format!("{:.3}", r.waste_frac),
             format!("{:.2}", r.busy_retries_per_commit),
@@ -433,7 +440,9 @@ pub fn clock_table(rows: &[GateRow]) -> String {
     }
     out.push_str(&format!(
         "\nDefault-clock (`global`) rows aggregate the gate's seed sweep; clock-variant \
-         rows are single-seed comparison runs (see {GATE_ARTIFACT} for the raw fields). \
+         rows' headline `txns/vsec` is the single-seed comparison run (see {GATE_ARTIFACT} \
+         for the raw fields), while the mean (min–max) column aggregates three \
+         deterministic seeds so a lucky seed cannot flip a clock ranking unnoticed. \
          `bumps` counts clock advances taken, `bump skips` counts advances elided by \
          the variant's coalescing strategy.\n"
     ));

@@ -8,7 +8,7 @@
 //! gate's two scenario workloads ([`workload`]). The tables are data over
 //! those two functions (the `tables` binary lists them and formats the
 //! [`Row`]s with [`fmt`]), and so are every gate row ([`throughput_gate`]
-//! folds one list of runs), [`policy_spreads`], [`capture_trace`] and
+//! folds one list of runs), [`spreads`], [`capture_trace`] and
 //! [`capture_profile`]; [`check::check_gate`] holds the gate artifact's
 //! invariants. Workload sizes are scaled by
 //! [`Settings::eigen_scale`] / [`Settings::intruder_scale`] (1.0 = the
@@ -340,8 +340,8 @@ pub struct GateRow {
     /// Clock bumps actually taken (fetch-add or seqlock release), summed
     /// over views and seeds. See `votm_stm::clock::ClockStats::bumps`.
     pub clock_bumps: u64,
-    /// Clock bumps elided (GV5 reuse, SNZI solo-skip), summed over views
-    /// and seeds. Always 0 under `"global"`.
+    /// Clock bumps elided (GV5 reuse), summed over views and seeds.
+    /// Always 0 under `"global"`.
     pub clock_bump_skips: u64,
     /// Cycles threads spent blocked at admission gates.
     pub gate_wait_cycles: u64,
@@ -403,7 +403,7 @@ pub const GATE_SEEDS: u64 = 3;
 /// The file `tables --json` writes the gate to — the PR-numbered benchmark
 /// trajectory artifact — and the one the comparison tables' footnotes send
 /// the reader to for the raw fields.
-pub const GATE_ARTIFACT: &str = "BENCH_24.json";
+pub const GATE_ARTIFACT: &str = "BENCH_33.json";
 
 /// `num / den`, or `idle` when nothing happened to divide by.
 fn ratio(num: u64, den: u64, idle: f64) -> f64 {
@@ -623,16 +623,19 @@ pub fn throughput_gate(settings: &Settings) -> Vec<GateRow> {
     rows
 }
 
-/// Throughput spread of one policy-comparison configuration across
-/// [`GATE_SEEDS`] seeds. The gate's emitted policy rows stay single-seed
-/// (bit-identical headline fields across PRs); the spread is the sidecar
-/// stability number `policy_table.md` reports as mean ± min/max.
+/// Throughput spread of one comparison configuration (a non-default
+/// policy or clock) across [`GATE_SEEDS`] seeds. The gate's emitted
+/// comparison rows stay single-seed (bit-identical headline fields across
+/// PRs); the spread is the sidecar stability number `policy_table.md` and
+/// `clock_table.md` report as mean (min–max).
 #[derive(Debug, Clone)]
-pub struct PolicySpread {
+pub struct Spread {
     /// STM algorithm name (joins [`GateRow::algo`]).
     pub algo: &'static str,
     /// Policy name (joins [`GateRow::policy`]).
     pub policy: &'static str,
+    /// Clock name (joins [`GateRow::clock`]).
+    pub clock: &'static str,
     /// Mean `txns_per_vsec` over the seed sweep.
     pub mean: f64,
     /// Worst seed.
@@ -641,17 +644,19 @@ pub struct PolicySpread {
     pub max: f64,
 }
 
-/// Runs every non-default policy row of `gate_runs` for [`GATE_SEEDS`] − 1
-/// extra seeds and folds each with its emitted (first-seed) row of `rows`,
-/// the gate's output, into a [`PolicySpread`]. Reusing the emitted row keeps
-/// the artifact's headline fields bit-identical while the table gains a
+/// Runs every non-default Eigenbench row of `gate_runs` (a policy other
+/// than backoff or a clock other than global) for [`GATE_SEEDS`] − 1 extra
+/// seeds and folds each with its emitted (first-seed) row of `rows`, the
+/// gate's output, into a [`Spread`]. Reusing the emitted row keeps the
+/// artifact's headline fields bit-identical while the tables gain a
 /// variance band.
-pub fn policy_spreads(settings: &Settings, rows: &[GateRow]) -> Vec<PolicySpread> {
+pub fn spreads(settings: &Settings, rows: &[GateRow]) -> Vec<Spread> {
     gate_runs(settings)
         .into_iter()
         .zip(rows)
         .filter(|((run, _), _)| {
-            matches!(run.app, App::Eigen { policy, .. } if policy != CmPolicy::Backoff)
+            matches!(run.app, App::Eigen { policy, clock }
+                if policy != CmPolicy::Backoff || clock != ClockKind::Global)
         })
         .map(|((run, _), row)| {
             let mut tps = vec![row.txns_per_vsec];
@@ -662,9 +667,10 @@ pub fn policy_spreads(settings: &Settings, rows: &[GateRow]) -> Vec<PolicySpread
                 };
                 tps.push(gate_row(settings, run, 1).txns_per_vsec);
             }
-            PolicySpread {
+            Spread {
                 algo: row.algo,
                 policy: row.policy,
+                clock: row.clock,
                 mean: tps.iter().sum::<f64>() / tps.len() as f64,
                 min: tps.iter().copied().fold(f64::INFINITY, f64::min),
                 max: tps.iter().copied().fold(f64::NEG_INFINITY, f64::max),
@@ -693,9 +699,9 @@ pub struct TraceCapture {
 /// [`Settings::seed`], schedule by `sim` — under `policy` and `clock` with a
 /// live flight recorder, and exports it. Deterministic: identical arguments
 /// produce byte-identical JSON whatever the scheduler, policy or clock —
-/// the clock is virtual, priorities, GV5 reuse and SNZI occupancy derive
-/// from virtual time, the exporters order threads, events and timelines
-/// canonically, and floats print with fixed precision.
+/// the clock is virtual, priorities and GV5 reuse derive from virtual
+/// time, the exporters order threads, events and timelines canonically,
+/// and floats print with fixed precision.
 pub fn capture_trace(
     settings: &Settings,
     algo: TmAlgorithm,

@@ -265,7 +265,7 @@ pub struct TxHandle<'v> {
     in_place: bool,
     /// Contention-management state of the logical transaction this attempt
     /// belongs to; the driver reads it back after an abort so the attempt
-    /// count and the first-attempt timestamp survive.
+    /// count survives.
     cm_tx: CmTx,
     /// True when the view's contention manager is active *and* this attempt
     /// is transactional: the driver publishes priorities, honours dooms and
@@ -314,7 +314,7 @@ impl<'v> TxHandle<'v> {
             // Publish this attempt's priority and open a fresh doom epoch
             // (which also clears any doom aimed at the previous attempt).
             let tid = rt.thread_index();
-            cm_tx.prio = view.cm().priority(&cm_tx, tid, rt.now());
+            cm_tx.prio = view.cm().priority(tid, rt.now());
             cm_tx.epoch = view.cm().shared().attempt_begin(tid, cm_tx.prio);
         }
         let start = rt.now();
@@ -893,11 +893,8 @@ where
     // then drops the descriptor instead of pooling it.
     let mut desc = view.take_descriptor(tid);
     // Contention-management state of the *logical* transaction: it survives
-    // attempts, so abort-the-younger's timestamp only ages and the loser
-    // backoff grows with every lost attempt.
-    // The timestamp is the transaction's age, which only an active manager
-    // reads; a passive view spares the clock read.
-    let mut cm_tx = CmTx::new(if view.cm().active() { rt.now() } else { 0 });
+    // attempts, so the loser backoff grows with every lost attempt.
+    let mut cm_tx = CmTx::default();
     // Consecutive aborts of *this* transaction — the starvation signal.
     let mut streak: u64 = 0;
     // When the previous attempt aborted: its end timestamp, for the

@@ -5,9 +5,8 @@
 //! * **Adversarial starvation duel** — one long transaction (made longer
 //!   still by seeded fault-plan delays aimed only at it) against a stream
 //!   of short transactions camping on its write set. Pure backoff
-//!   demonstrably starves the long transaction; the priority policies
-//!   (abort-the-younger, windowed-greedy) complete it with a bounded abort
-//!   streak and no watchdog escalation.
+//!   demonstrably starves the long transaction; every priority policy
+//!   completes it with a bounded abort streak and no watchdog escalation.
 //! * **Symmetric livelock checks** — 2–3 threads incrementing one shared
 //!   counter under every policy × algorithm (that takes one) × seed: the
 //!   total order on
@@ -147,16 +146,16 @@ fn backoff_starves_the_long_transaction() {
     assert!(d.commits > 100, "shorts kept committing: {}", d.commits);
 }
 
-/// The provable-progress policies complete the same duel with a bounded
-/// abort streak and never need the watchdog: the victim outranks the
-/// shorts (by age, or within its winning window) and the conflict sites
-/// resolve in its favour.
+/// Every priority policy completes the same duel with a bounded abort
+/// streak and never needs the watchdog: within a window the victim wins,
+/// it outranks the shorts and the conflict sites resolve in its favour.
 #[test]
 fn priority_policies_bound_the_victims_abort_streak() {
-    for (policy, bound) in [
-        (CmPolicy::AbortTheYounger, 64),
-        (CmPolicy::WindowedGreedy, 1024),
-    ] {
+    let bound = 1024;
+    for policy in CmPolicy::ALL
+        .into_iter()
+        .filter(|&p| p != CmPolicy::Backoff)
+    {
         let d = starvation_duel(policy, 3, Some(4096));
         assert_eq!(
             d.status,
@@ -236,18 +235,17 @@ fn symmetric_small_interleavings_complete_under_every_policy() {
     }
 }
 
-/// The polite-kill protocol end to end: under abort-the-younger the older
-/// transaction (thread 0, started first) does local work while the younger
-/// thread 1 takes the word it wants, so thread 0 arrives late at a held
-/// lock, outranks the holder and dooms it; the victim notices at its next
-/// operation boundary and self-aborts with `CmKilled` — visible in the
-/// per-reason abort statistics.
-#[test]
-fn doomed_transactions_convert_the_mark_into_a_cm_killed_abort() {
+/// One polite-kill scenario under windowed-greedy: the `latecomer` thread
+/// starts its transaction first but does local work while the other
+/// thread takes the word it wants, so it arrives late at a held lock. If
+/// its window-0 draw outranks the holder's, it dooms the holder, which
+/// notices at its next operation boundary and self-aborts with `CmKilled`.
+/// Returns the `CmKilled` aborts.
+fn kill_duel(latecomer: usize) -> u64 {
     let sys = Votm::builder()
         .algo(TmAlgorithm::OrecEagerRedo)
         .threads(2)
-        .policy(CmPolicy::AbortTheYounger)
+        .policy(CmPolicy::WindowedGreedy)
         .build();
     let view = sys.create_view(64, QuotaMode::Fixed(2));
     let mut ex = SimExecutor::new(SimConfig {
@@ -255,49 +253,58 @@ fn doomed_transactions_convert_the_mark_into_a_cm_killed_abort() {
         vtime_cap: Some(10_000_000),
         ..Default::default()
     });
-    // Thread 0 starts its transaction first (the older timestamp) but
-    // reaches the shared word late, after thread 1 has locked it.
-    {
+    // Tasks take thread indices in spawn order.
+    for tid in 0..2 {
         let view = Arc::clone(&view);
-        ex.spawn(move |rt| async move {
-            view.transact(&rt, async |tx| {
-                tx.local_work(0, 0, 500).await;
-                let v = tx.read(Addr(0)).await?;
-                Ok(tx.write(Addr(0), v + 1).await?)
-            })
-            .await;
-        });
-    }
-    // Thread 1 starts later, write-locks the word meanwhile, then keeps
-    // performing operations — each one a boundary where the doom must be
-    // honoured.
-    {
-        let view = Arc::clone(&view);
-        ex.spawn(move |rt| async move {
-            rt.charge(100).await;
-            view.transact(&rt, async |tx| {
-                let v = tx.read(Addr(0)).await?;
-                tx.write(Addr(0), v + 1).await?;
-                for i in 0..64u32 {
-                    tx.read(Addr(8 + i % 8)).await?;
-                    tx.local_work(0, 0, 200).await;
-                }
-                Ok(())
-            })
-            .await;
-        });
+        if tid == latecomer {
+            // Starts first, but reaches the shared word late, after the
+            // holder has locked it.
+            ex.spawn(move |rt| async move {
+                view.transact(&rt, async |tx| {
+                    tx.local_work(0, 0, 500).await;
+                    let v = tx.read(Addr(0)).await?;
+                    Ok(tx.write(Addr(0), v + 1).await?)
+                })
+                .await;
+            });
+        } else {
+            // Starts later, write-locks the word meanwhile, then keeps
+            // performing operations — each one a boundary where a doom
+            // must be honoured.
+            ex.spawn(move |rt| async move {
+                rt.charge(100).await;
+                view.transact(&rt, async |tx| {
+                    let v = tx.read(Addr(0)).await?;
+                    tx.write(Addr(0), v + 1).await?;
+                    for i in 0..64u32 {
+                        tx.read(Addr(8 + i % 8)).await?;
+                        tx.local_work(0, 0, 200).await;
+                    }
+                    Ok(())
+                })
+                .await;
+            });
+        }
     }
     let out = ex.run();
-    assert_eq!(out.status, RunStatus::Completed);
+    assert_eq!(out.status, RunStatus::Completed, "latecomer {latecomer}");
     assert_eq!(view.heap().load(Addr(0)), 2, "both increments land");
     let stats = view.stats().tm;
-    let killed = stats.aborts_by_reason[AbortReason::CmKilled.index()];
-    assert!(
-        killed >= 1,
-        "thread 1 must have been doomed and self-aborted: {:?}",
-        stats.aborts_by_reason
-    );
-    // Per-reason sums stay total (the taxonomy invariant, with the new
+    // Per-reason sums stay total (the taxonomy invariant, with the kill
     // reason participating).
     assert_eq!(stats.aborts_by_reason.iter().sum::<u64>(), stats.aborts);
+    stats.aborts_by_reason[AbortReason::CmKilled.index()]
+}
+
+/// The polite-kill protocol end to end. Exactly one of the two threads
+/// outranks the other in window 0, so of the two role assignments the one
+/// whose latecomer holds the better draw must end in a `CmKilled` abort,
+/// visible in the per-reason statistics.
+#[test]
+fn doomed_transactions_convert_the_mark_into_a_cm_killed_abort() {
+    let killed = kill_duel(0) + kill_duel(1);
+    assert!(
+        killed >= 1,
+        "the outranked holder must have been doomed and self-aborted"
+    );
 }

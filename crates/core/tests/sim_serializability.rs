@@ -205,8 +205,8 @@ fn sim_serializable_under_every_policy_across_36_seeds() {
 /// clock kinds, cycling the algorithm with the seed so each clock strategy
 /// exercises every validation site (NOrec value validation, orec version
 /// checks, lazy commit-time acquisition). Safety must be clock-independent
-/// — GV5 coarsening and SNZI elision only change *when the clock
-/// advances*, never what a committed transaction observed.
+/// — GV5 coarsening only changes *when the clock advances*, never what a
+/// committed transaction observed.
 #[test]
 fn sim_serializable_under_every_clock_across_36_seeds() {
     for seed in 0..36u64 {

@@ -8,27 +8,25 @@
 //! foreign locks, commit-time acquisition), and the priority policies
 //! communicate through the shared per-view slots ([`CmShared`]).
 //!
-//! Three policies, one verdict rule ([`CmInstance::site`]); the two active
-//! ones differ only in the priority they publish
-//! ([`CmInstance::priority`]):
+//! Two policies:
 //!
 //! * [`CmPolicy::Backoff`] — the passive default: spin up to
 //!   [`BUSY_PATIENCE`] on `Busy`, abort-self on `Conflict`, no shared state
 //!   touched. The driver implements it inline and never consults this
 //!   module; no progress guarantee beyond RAC's.
-//! * [`CmPolicy::AbortTheYounger`] — timestamp priority (pypy stmgc's
-//!   `contention.c` policy): the transaction with the older first-attempt
-//!   timestamp wins every conflict. A transaction keeps its timestamp
-//!   across aborts, so it only ever ages; the globally oldest transaction
-//!   wins every conflict it is part of and therefore commits — livelock-
-//!   free by construction, and starvation-free because every transaction
-//!   eventually *becomes* the oldest.
 //! * [`CmPolicy::WindowedGreedy`] — randomized-interval priorities after
 //!   Sharma, Estrade & Busch: virtual time is divided into windows and
 //!   each transaction draws a pseudo-random priority per window. Within a
 //!   window the top-priority transaction wins everything (greedy), and
 //!   re-randomization across windows gives every starving transaction a
-//!   fresh chance — O(s)-competitive makespan for s shared objects.
+//!   fresh chance — O(s)-competitive makespan for s shared objects. It
+//!   publishes a priority per attempt ([`CmInstance::priority`]) and takes
+//!   its verdicts from one rule ([`CmInstance::site`]).
+//!
+//! A policy is kept only if it wins a comparison row over ten seeds
+//! (DESIGN.md §13): windowed-greedy wins single-view OrecEagerRedo at
+//! N = 16 by +4.9 % on all ten. Timestamp priority (abort-the-younger)
+//! won no row and was removed (DESIGN.md, "Removed, and why").
 //!
 //! A priority policy needs an enemy to outrank, so it only runs on views
 //! whose algorithm's lock words name their holder (the orec pair). NOrec
@@ -74,25 +72,18 @@ pub enum CmPolicy {
     /// Backoff-and-retry: the historical hard-wired behaviour.
     #[default]
     Backoff,
-    /// Older first-attempt timestamp wins (livelock- and starvation-free).
-    AbortTheYounger,
     /// Per-window randomized priorities (Sharma et al., O(s)-competitive).
     WindowedGreedy,
 }
 
 impl CmPolicy {
     /// All policies, in a stable order (the default first).
-    pub const ALL: [CmPolicy; 3] = [
-        CmPolicy::Backoff,
-        CmPolicy::AbortTheYounger,
-        CmPolicy::WindowedGreedy,
-    ];
+    pub const ALL: [CmPolicy; 2] = [CmPolicy::Backoff, CmPolicy::WindowedGreedy];
 
     /// Short stable name used in reports, JSON rows and CLI arguments.
     pub fn name(self) -> &'static str {
         match self {
             CmPolicy::Backoff => "backoff",
-            CmPolicy::AbortTheYounger => "abort-younger",
             CmPolicy::WindowedGreedy => "windowed-greedy",
         }
     }
@@ -100,15 +91,12 @@ impl CmPolicy {
 
 /// Per-transaction contention-management state, owned by the transaction
 /// driver and persisted **across attempts** of one logical transaction
-/// (that persistence is what makes abort-the-younger's timestamp survive
-/// aborts). Cheap `Copy` so the driver can thread it through per-attempt
-/// handles.
-#[derive(Debug, Clone, Copy)]
+/// (that persistence is what grows the loser backoff). Cheap `Copy` so the
+/// driver can thread it through per-attempt handles.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CmTx {
     /// Priority published for the current attempt (lower wins).
     pub prio: u64,
-    /// Timestamp of the transaction's *first* attempt.
-    pub tx_start: u64,
     /// Aborted attempts so far (drives the loser backoff exponent).
     pub attempts: u32,
     /// The [`CmShared`] slot epoch of the current attempt.
@@ -119,17 +107,6 @@ pub struct CmTx {
 }
 
 impl CmTx {
-    /// State for a logical transaction starting at `now`.
-    pub fn new(now: u64) -> Self {
-        Self {
-            prio: 0,
-            tx_start: now,
-            attempts: 0,
-            epoch: 0,
-            loser_backoff: 0,
-        }
-    }
-
     /// The backoff a yielding loser owes before re-admission: exponential
     /// in its aborted attempts, capped. Used both for `AbortSelf` verdicts
     /// and for `CmKilled` aborts — a killed transaction that re-armed
@@ -296,15 +273,12 @@ impl CmInstance {
         self.policy
     }
 
-    /// The priority to publish for an attempt of `tx` beginning at `now`
-    /// on thread `tid` (lower wins; see [`beats`]) — the one expression the
-    /// active policies differ in.
-    pub fn priority(&self, tx: &CmTx, tid: usize, now: u64) -> u64 {
+    /// The priority to publish for an attempt beginning at `now` on thread
+    /// `tid` (lower wins; see [`beats`]).
+    pub fn priority(&self, tid: usize, now: u64) -> u64 {
         match self.policy {
             // Passive: nothing is published, every transaction ties.
             CmPolicy::Backoff => 0,
-            // Fixed at the first attempt, so a transaction only ages.
-            CmPolicy::AbortTheYounger => tx.tx_start,
             // One draw per `(seed, window, tid)`: greedy inside a window,
             // re-randomized across windows.
             CmPolicy::WindowedGreedy => {
@@ -318,7 +292,7 @@ impl CmInstance {
         }
     }
 
-    /// The site verdict of the priority policies, for the `spins`-th
+    /// The site verdict of the priority policy, for the `spins`-th
     /// consecutive poll of one operation by thread `tid`. `busy` tells an
     /// `Err(Busy)` poll (the operation is retryable as it stands) from an
     /// `Err(Conflict)`; `enemy` is the lock holder when the STM's metadata
@@ -378,7 +352,7 @@ mod tests {
         assert_eq!(shared.doomed_by(2, e1), None, "stale epoch must not doom");
     }
 
-    /// The one site rule, for both active policies: `me` (thread 0, two
+    /// The site rule: `me` (thread 0, two
     /// aborted attempts behind it) polls a site whose lock word names
     /// `enemy`, with its own priority at `my` and thread 1's at `their`.
     #[test]
@@ -414,49 +388,46 @@ mod tests {
             (1, 9, Some(0), true, BUSY_PATIENCE, yielded),
             (1, 9, Some(0), false, 1, yielded),
         ];
-        for policy in [CmPolicy::AbortTheYounger, CmPolicy::WindowedGreedy] {
-            let cm = CmInstance::new(policy, 2, 42);
-            for (my, their, enemy, busy, spins, expected) in table {
-                let me = CmTx {
-                    prio: my,
-                    attempts: 2,
-                    ..CmTx::new(0)
-                };
-                cm.shared().attempt_begin(0, my);
-                cm.shared().attempt_begin(1, their);
-                assert_eq!(
-                    cm.site(busy, spins, enemy, &me, 0),
-                    expected,
-                    "{policy:?}: prio {my} vs {their}, enemy {enemy:?}, busy {busy}, spins {spins}"
-                );
-            }
-            // Whatever priorities the policy hands two transactions (here
-            // from their start times, tied or not, on either pair of
-            // threads), exactly one of them is told to kill at the lock
-            // they meet at — under abort-the-younger, the older one.
-            for (start_a, start_b) in [(0u64, 900u64), (900, 0), (5, 5)] {
-                for (ta, tb) in [(0usize, 1usize), (1, 0)] {
-                    let publish = |start, tid| {
-                        let mut tx = CmTx::new(start);
-                        tx.prio = cm.priority(&tx, tid, 1_000);
-                        cm.shared().attempt_begin(tid, tx.prio);
-                        tx
+        let cm = CmInstance::new(CmPolicy::WindowedGreedy, 2, 42);
+        for (my, their, enemy, busy, spins, expected) in table {
+            let me = CmTx {
+                prio: my,
+                attempts: 2,
+                ..CmTx::default()
+            };
+            cm.shared().attempt_begin(0, my);
+            cm.shared().attempt_begin(1, their);
+            assert_eq!(
+                cm.site(busy, spins, enemy, &me, 0),
+                expected,
+                "prio {my} vs {their}, enemy {enemy:?}, busy {busy}, spins {spins}"
+            );
+        }
+        // Whatever priorities the policy draws for two transactions (here
+        // in several windows, on either pair of threads), exactly one of
+        // them is told to kill at the lock they meet at.
+        for window in [0u64, 1, 5, 64] {
+            let now = window << GREEDY_WINDOW_BITS;
+            for (ta, tb) in [(0usize, 1usize), (1, 0)] {
+                let publish = |tid| {
+                    let tx = CmTx {
+                        prio: cm.priority(tid, now),
+                        ..CmTx::default()
                     };
-                    let (a, b) = (publish(start_a, ta), publish(start_b, tb));
-                    let a_kills = cm.site(false, 1, Some(tb), &a, ta) == KILL;
-                    let b_kills = cm.site(false, 1, Some(ta), &b, tb) == KILL;
-                    assert_ne!(a_kills, b_kills, "{policy:?}: {a:?} vs {b:?}");
-                    if policy == CmPolicy::AbortTheYounger && start_a != start_b {
-                        assert_eq!(a_kills, start_a < start_b, "the older must win");
-                    }
-                }
+                    cm.shared().attempt_begin(tid, tx.prio);
+                    tx
+                };
+                let (a, b) = (publish(ta), publish(tb));
+                let a_kills = cm.site(false, 1, Some(tb), &a, ta) == KILL;
+                let b_kills = cm.site(false, 1, Some(ta), &b, tb) == KILL;
+                assert_ne!(a_kills, b_kills, "window {window}: {a:?} vs {b:?}");
             }
         }
     }
 
     #[test]
     fn loser_backoff_grows_then_caps() {
-        let mut tx = CmTx::new(0);
+        let mut tx = CmTx::default();
         let mut prev = 0;
         for _ in 0..8 {
             let b = tx.yield_backoff();
@@ -471,18 +442,17 @@ mod tests {
     #[test]
     fn windowed_greedy_redraws_across_windows() {
         let cm = CmInstance::new(CmPolicy::WindowedGreedy, 4, 0xABCD);
-        let tx = CmTx::new(0);
         let w = 1u64 << GREEDY_WINDOW_BITS;
         // Same window ⇒ same draw; the draw is a pure function.
-        assert_eq!(cm.priority(&tx, 3, 10), cm.priority(&tx, 3, w - 1));
+        assert_eq!(cm.priority(3, 10), cm.priority(3, w - 1));
         // Across many windows the relative order of two threads flips at
         // least once — the re-randomization that prevents starvation.
         let mut saw_a_wins = false;
         let mut saw_b_wins = false;
         for k in 0..64u64 {
             let now = k * w;
-            let pa = cm.priority(&tx, 0, now);
-            let pb = cm.priority(&tx, 1, now);
+            let pa = cm.priority(0, now);
+            let pb = cm.priority(1, now);
             if beats(pa, 0, pb, 1) {
                 saw_a_wins = true;
             } else {
@@ -497,7 +467,7 @@ mod tests {
 
     #[test]
     fn instance_builds_every_policy() {
-        assert_eq!(CmPolicy::ALL.len(), 3);
+        assert_eq!(CmPolicy::ALL.len(), 2);
         for p in CmPolicy::ALL {
             let inst = CmInstance::new(p, 8, 42);
             assert_eq!(inst.policy(), p);

@@ -5,15 +5,15 @@
 //! accumulated, the controller computes the windowed
 //! `δ(Q) = cycles_aborted / (cycles_successful · (Q − 1))` and applies:
 //!
-//! * `δ(Q) > δ_high` ⇒ `Q ← max(1, Q/2)` (relieve contention);
-//! * `δ(Q) < δ_low` and `Q < N` ⇒ `Q ← min(N, 2Q)` (recover concurrency);
+//! * `δ(Q) > 1` ⇒ `Q ← max(1, Q/2)` (relieve contention);
+//! * `δ(Q) < 1` and `Q < N` ⇒ `Q ← min(N, 2Q)` (recover concurrency);
 //!
 //! Windows close on *attempts* (commits **plus** aborts), not commits alone
 //! — under livelock commits stop entirely and a commit-counted window would
 //! never close, which is exactly when adaptation is most urgent.
 //!
 //! A **cool-down ledger** prevents oscillation: halving away from a quota
-//! that exhibited `δ > δ_high` forbids re-raising to it for an exponentially
+//! that exhibited `δ > 1` forbids re-raising to it for an exponentially
 //! growing number of windows. The paper reports stable settled quotas
 //! (Q = 2 for single-view Eigenbench/OrecEagerRedo, Q₁ = 1 multi-view) that
 //! the raw halve/double rule alone cannot produce — see DESIGN.md.
@@ -24,29 +24,27 @@ use votm_stm::{StatsSnapshot, TmStats};
 
 use crate::gate::AdmissionGate;
 
+/// Observation 1's threshold: halve the quota when windowed δ(Q) exceeds
+/// it, double it when δ(Q) falls below it.
+const DELTA: f64 = 1.0;
+
+/// Cool-down ceiling, in windows.
+const COOLDOWN_MAX: u32 = 512;
+
 /// Tuning knobs for [`RacController`].
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Transaction attempts (commits + aborts) per evaluation window.
     pub window_attempts: u64,
-    /// Halve the quota when windowed δ(Q) exceeds this.
-    pub delta_high: f64,
-    /// Double the quota when windowed δ(Q) falls below this.
-    pub delta_low: f64,
     /// Initial cool-down, in windows, after halving away from a bad quota.
     pub cooldown_initial: u32,
-    /// Cool-down ceiling.
-    pub cooldown_max: u32,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         Self {
             window_attempts: 256,
-            delta_high: 1.0,
-            delta_low: 1.0,
             cooldown_initial: 8,
-            cooldown_max: 512,
         }
     }
 }
@@ -55,7 +53,7 @@ impl Default for ControllerConfig {
 struct CtrlState {
     last: StatsSnapshot,
     attempts_into_window: u64,
-    /// Lowest quota that recently showed δ > δ_high, with remaining
+    /// Lowest quota that recently showed δ > 1, with remaining
     /// cool-down windows and the cool-down length to use next time.
     bad_quota: Option<BadQuota>,
     /// Windows spent at each quota, indexed by log₂(Q) — the basis for
@@ -149,12 +147,12 @@ impl RacController {
         let mut marked_bad = false;
 
         let decision = match delta {
-            Some(d) if d > self.config.delta_high && q > 1 => {
+            Some(d) if d > DELTA && q > 1 => {
                 let target = q / 2;
                 // Remember that `q` is bad; escalate its cool-down if we
                 // keep being driven away from it.
                 let next_cooldown = match st.bad_quota {
-                    Some(b) if b.quota <= q => (b.next_cooldown * 2).min(self.config.cooldown_max),
+                    Some(b) if b.quota <= q => (b.next_cooldown * 2).min(COOLDOWN_MAX),
                     _ => self.config.cooldown_initial,
                 };
                 st.bad_quota = Some(BadQuota {
@@ -170,7 +168,7 @@ impl RacController {
                     delta: Some(d),
                 })
             }
-            Some(d) if d < self.config.delta_low && q < n => {
+            Some(d) if d < DELTA && q < n => {
                 let target = (q * 2).min(n);
                 let blocked = st
                     .bad_quota
@@ -376,7 +374,7 @@ mod tests {
         let gate = AdmissionGate::new(4, 16);
         let stats = TmStats::new();
         let ctrl = RacController::new(cfg(16));
-        // delta(4) = 3000 / (1000 * 3) = 1.0: neither > high nor < low.
+        // delta(4) = 3000 / (1000 * 3) = 1.0: neither > 1 nor < 1.
         let q = feed_window(&ctrl, &gate, &stats, 10, 1_000, 10, 3_000);
         assert_eq!(q, None);
         assert_eq!(gate.quota(), 4);

@@ -15,9 +15,8 @@
 //!   `δ(Q) > 1`, double it when `δ(Q) < 1`, bounded by `[1, N]`.
 //! * [`cm::CmInstance`] — the *pairwise* complement to RAC's population
 //!   control: given two conflicting transactions, decide which one yields.
-//!   The passive backoff default plus two priority policies
-//!   (abort-the-younger, windowed-greedy) sharing one verdict rule, each
-//!   with its own progress guarantee.
+//!   The passive backoff default plus one priority policy,
+//!   windowed-greedy.
 //!
 //! The controller adds one refinement over the paper's description (which
 //! the paper's own results imply but do not spell out): after halving away

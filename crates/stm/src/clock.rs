@@ -18,30 +18,25 @@
 //!   that happened before a reader began shares the reader's epoch);
 //!   NOrec coarsens its commit write-summary ring so one Bloom slot covers
 //!   [`COARSE_COMMITS_PER_SLOT`] commits, quadrupling the filter window.
-//! * [`ClockKind::CoarseSnzi`] — coarse timestamps fronted by an
-//!   SNZI-style read indicator (Springer TM chapter): transactions mark
-//!   arrival/departure on a padded counter and committers consult it to
-//!   decide whether anyone is watching — the clock is bumped only when
-//!   concurrent transactions exist to benefit, and skipped when solo.
 //!
-//! Only kinds with a winning gate row are kept (`clock_table.md`): coarse
-//! wins OrecEagerRedo by +26 % and cuts NOrec's busy retries per commit
-//! from 132 to 102; coarse-snzi wins NOrec by +3.7 %. Address-sharded and
-//! epoch-batched clocks were tried and removed — neither won a row, and
-//! the paper's own answer to the global-clock bottleneck is the per-view
-//! cut, not sharding inside a view (DESIGN.md §14).
+//! A kind is kept only if it wins a comparison row over ten seeds
+//! (DESIGN.md §13–14): coarse wins single-view NOrec at N = 16 by +3.3 % on
+//! all ten. An SNZI-fronted coarse clock, address-sharded and
+//! epoch-batched clocks were tried and removed — none won a row, and the
+//! paper's own answer to the global-clock bottleneck is the per-view cut,
+//! not sharding inside a view.
 //!
 //! The source also owns the per-clock statistics (bumps paid, bumps
 //! skipped) surfaced through the gate's clock rows.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use votm_utils::CachePadded;
 
-/// Commits per write-summary ring slot under [`ClockKind::Coarse`] /
-/// [`ClockKind::CoarseSnzi`] NOrec (must be a power of two). Coarser slots
-/// are denser filters (more false positives, each costing one value check)
-/// but stretch the ring's reach by the same factor.
+/// Commits per write-summary ring slot under [`ClockKind::Coarse`] NOrec
+/// (must be a power of two). Coarser slots are denser filters (more false
+/// positives, each costing one value check) but stretch the ring's reach
+/// by the same factor.
 pub const COARSE_COMMITS_PER_SLOT: u64 = 4;
 
 /// Which timestamp strategy a TM instance uses (selected per-system via
@@ -54,38 +49,18 @@ pub enum ClockKind {
     /// Coarse-granularity timestamps (Huang et al.): share epochs, trade
     /// false conflicts for bump traffic.
     Coarse,
-    /// Coarse timestamps fronted by an SNZI-style read indicator: bump
-    /// only when concurrent transactions exist to observe it.
-    CoarseSnzi,
 }
 
 impl ClockKind {
     /// Every clock kind, for parameterised tests, sweeps and gate rows.
-    pub const ALL: [ClockKind; 3] = [ClockKind::Global, ClockKind::Coarse, ClockKind::CoarseSnzi];
+    pub const ALL: [ClockKind; 2] = [ClockKind::Global, ClockKind::Coarse];
 
     /// Stable display name (used in gate JSON rows and tables).
     pub fn name(self) -> &'static str {
         match self {
             ClockKind::Global => "global",
             ClockKind::Coarse => "coarse",
-            ClockKind::CoarseSnzi => "coarse-snzi",
         }
-    }
-
-    /// True for the kind that maintains the read-indicator counter
-    /// ([`ClockSource::enter`]/[`ClockSource::exit`] are no-ops otherwise).
-    #[inline]
-    pub(crate) fn tracks_active(self) -> bool {
-        self == ClockKind::CoarseSnzi
-    }
-
-    /// True for the summary-coupled coarse kinds (Huang et al. granularity):
-    /// they merge [`COARSE_COMMITS_PER_SLOT`] commits per ring slot and lean
-    /// on published write summaries to *ride through* an in-flight NOrec
-    /// writeback instead of spinning on the odd sequence lock.
-    #[inline]
-    pub(crate) fn coarse(self) -> bool {
-        matches!(self, ClockKind::Coarse | ClockKind::CoarseSnzi)
     }
 }
 
@@ -94,25 +69,22 @@ impl ClockKind {
 pub struct ClockStats {
     /// Timestamp advances actually paid (CAS/fetch-add on a shared line).
     pub bumps: u64,
-    /// Advances elided: solo-committer elisions (coarse-snzi) and GV5
-    /// commits that reused the current epoch (coarse).
+    /// Advances elided: GV5 commits that reused the current epoch
+    /// (coarse).
     pub bump_skips: u64,
 }
 
-/// One TM instance's timestamp source: the timestamp word, the
-/// active-transaction indicator and the bump statistics.
+/// One TM instance's timestamp source: the timestamp word and the bump
+/// statistics.
 ///
 /// The algorithms own the *semantics* (what a timestamp means for
-/// validation); this struct owns the storage, the arrival/departure
-/// indicator and the accounting, so all three algorithms report clock
-/// behaviour uniformly.
+/// validation); this struct owns the storage and the accounting, so all
+/// three algorithms report clock behaviour uniformly.
 pub struct ClockSource {
     kind: ClockKind,
     /// The timestamp word: NOrec's sequence lock or the orec version
     /// clock.
     primary: CachePadded<AtomicU64>,
-    /// Active-transaction count / SNZI read indicator (`CoarseSnzi`).
-    active: CachePadded<AtomicU64>,
     bumps: CachePadded<AtomicU64>,
     bump_skips: CachePadded<AtomicU64>,
 }
@@ -123,7 +95,6 @@ impl ClockSource {
         Self {
             kind,
             primary: CachePadded::new(AtomicU64::new(0)),
-            active: CachePadded::new(AtomicU64::new(0)),
             bumps: CachePadded::new(AtomicU64::new(0)),
             bump_skips: CachePadded::new(AtomicU64::new(0)),
         }
@@ -139,44 +110,6 @@ impl ClockSource {
     #[inline]
     pub(crate) fn primary(&self) -> &AtomicU64 {
         &self.primary
-    }
-
-    /// Marks a transaction's arrival (active-count kinds only; free
-    /// otherwise). `SeqCst`: the arrival is this side of the
-    /// store-buffering handshake described at [`Self::solo`].
-    #[inline]
-    pub(crate) fn enter(&self) {
-        if self.kind.tracks_active() {
-            self.active.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Marks a transaction's departure (commit or abort).
-    #[inline]
-    pub(crate) fn exit(&self) {
-        if self.kind.tracks_active() {
-            let prev = self.active.fetch_sub(1, Ordering::AcqRel);
-            debug_assert!(prev > 0, "clock exit without enter");
-        }
-    }
-
-    /// True when the calling (active) transaction is the only one live on
-    /// this instance. Only meaningful for active-count kinds, and only
-    /// while the caller is itself counted.
-    ///
-    /// A committer asks this after stores that a transaction arriving
-    /// unseen must observe: NOrec's writeback, the orec engine's write
-    /// locks. That is store-buffering — each side stores, then loads what
-    /// the other stored — and a store followed by a load may reorder (x86
-    /// does), so the committer could read "solo" while an arrival that
-    /// began after that read still loads pre-writeback values, which the
-    /// elided clock bump then lets validate. The `SeqCst` fence here and
-    /// the `SeqCst` arrival in [`Self::enter`] order both sides: either the
-    /// committer sees the arrival or the arrival sees the stores.
-    #[inline]
-    pub(crate) fn solo(&self) -> bool {
-        fence(Ordering::SeqCst);
-        self.active.load(Ordering::Acquire) == 1
     }
 
     /// Records one paid timestamp advance.
@@ -237,20 +170,5 @@ mod tests {
     #[test]
     fn default_is_global() {
         assert_eq!(ClockKind::default(), ClockKind::Global);
-    }
-
-    #[test]
-    fn enter_exit_tracks_only_active_kinds() {
-        let snzi = ClockSource::new(ClockKind::CoarseSnzi);
-        snzi.enter();
-        assert!(snzi.solo());
-        snzi.enter();
-        assert!(!snzi.solo());
-        snzi.exit();
-        snzi.exit();
-
-        let global = ClockSource::new(ClockKind::Global);
-        global.enter();
-        assert_eq!(global.active.load(Ordering::Relaxed), 0, "global: no-op");
     }
 }

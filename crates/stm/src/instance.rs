@@ -239,7 +239,7 @@ impl TxCtx {
     /// Rolls back the attempt after a `Conflict`.
     pub fn abort(&mut self, inst: &TmInstance) {
         match (&mut self.mode, &inst.globals) {
-            (Mode::NOrec(tx), Globals::NOrec(g)) => tx.abort(g),
+            (Mode::NOrec(tx), Globals::NOrec(_)) => tx.abort(),
             (Mode::Orec(tx), Globals::Orec(g)) => tx.abort(g),
             (Mode::Direct(_), _) => panic!("direct mode cannot abort"),
             _ => panic!("TxCtx used with a different TmInstance's algorithm"),
@@ -477,7 +477,7 @@ mod tests {
     fn concurrent_counter_is_exact_under_every_clock_kind() {
         // Same torture, swept over algorithm x clock strategy: the clock
         // variants must not cost a single update even under real-thread
-        // interleaving (GV5 rescues, SNZI solo elision).
+        // interleaving (GV5 rescues).
         for algo in TmAlgorithm::ALL {
             for kind in ClockKind::ALL {
                 let inst = Arc::new(TmInstance::over_heap(
@@ -495,29 +495,6 @@ mod tests {
                     kind.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn norec_snzi_solo_release_loses_no_update() {
-        // The SNZI solo elision's store-buffering handshake (see
-        // `ClockSource::solo`): without the fence, a committer could read
-        // "solo" before its writeback was visible to a transaction that had
-        // just arrived, release at the unchanged timestamp, and let that
-        // transaction's stale read validate. The window is a few
-        // nanoseconds wide, so the torture repeats.
-        for round in 0..30 {
-            let inst = Arc::new(TmInstance::over_heap(
-                TmAlgorithm::NOrec,
-                Arc::new(WordHeap::new(16)),
-                ClockKind::CoarseSnzi,
-            ));
-            counter_torture(&inst, 8, 200);
-            assert_eq!(
-                inst.heap().load(Addr(0)),
-                8 * 200,
-                "lost updates in round {round}"
-            );
         }
     }
 

@@ -31,16 +31,13 @@
 //!   (slots are OR-merged), so the filter window reaches 4x further at
 //!   the price of denser filters (more false positives, each costing one
 //!   value check — NOrec's analogue of the coarse-timestamp false
-//!   conflict). Coarse kinds additionally *ride through* the sequence
+//!   conflict). The coarse clock also *rides through* the sequence
 //!   lock's writeback hold: the committer publishes a tagged copy of its
 //!   write summary before its first writeback store, and a read or begin
 //!   that catches the lock odd proceeds when the summary proves its
 //!   address untouched, instead of spinning. Under high commit rates the
 //!   hold window is the dominant source of reader busy-retries, and most
 //!   reads do not overlap any given commit's write set.
-//! * `CoarseSnzi` — the coarse ring plus an SNZI-style read indicator:
-//!   transactions mark arrival, and a committer consults the indicator to
-//!   bump the clock only when concurrent transactions exist to observe it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,15 +69,15 @@ pub struct NOrecGlobal {
     clock: ClockSource,
     /// Ring of per-commit write summaries, indexed by
     /// `commit_number & (SUMMARY_SLOTS - 1)` where a commit that moves the
-    /// clock to even value `t` has commit number `t / 2` (coarse kinds
-    /// merge [`COARSE_COMMITS_PER_SLOT`] commit numbers per slot). A slot
+    /// clock to even value `t` has commit number `t / 2` (the coarse clock
+    /// merges [`COARSE_COMMITS_PER_SLOT`] commit numbers per slot). A slot
     /// is written only while its committer holds the sequence lock, so any
     /// validator that reads a torn/overwritten window is caught by its
     /// final clock-stability check and retries — stale ring data can cause
     /// a spurious retry, never a missed conflict. Dense: one writer at a
     /// time (the lock holder), and a validator reads the whole window.
     summaries: Box<[AtomicU64]>,
-    /// Coarse kinds only: the *in-flight* commit's write summary, tagged
+    /// Coarse clock only: the *in-flight* commit's write summary, tagged
     /// with the odd sequence value its committer holds. Published after
     /// winning the sequence-lock CAS and before the first writeback store,
     /// it lets readers that catch the lock odd prove their address is
@@ -89,7 +86,7 @@ pub struct NOrecGlobal {
     in_flight: CachePadded<InFlight>,
 }
 
-/// Tagged in-flight write-summary publication (coarse clock kinds).
+/// Tagged in-flight write-summary publication (coarse clock).
 #[derive(Debug, Default)]
 struct InFlight {
     /// The odd sequence value the publishing committer holds. Readers
@@ -136,13 +133,13 @@ impl NOrecGlobal {
     }
 
     /// Publishes a committing write summary for commit number
-    /// `commit_number`. Coarse kinds OR-merge into a slot shared by
+    /// `commit_number`. The coarse clock OR-merges into a slot shared by
     /// [`COARSE_COMMITS_PER_SLOT`] commits, resetting it on the slot's
     /// first commit number.
     #[inline]
     fn publish_summary(&self, commit_number: u64, summary: u64) {
         match self.kind() {
-            ClockKind::Coarse | ClockKind::CoarseSnzi => {
+            ClockKind::Coarse => {
                 let bucket = commit_number / COARSE_COMMITS_PER_SLOT;
                 let slot = self.summary_slot(bucket);
                 if commit_number.is_multiple_of(COARSE_COMMITS_PER_SLOT) {
@@ -164,7 +161,7 @@ impl NOrecGlobal {
     fn window_filter(&self, lo: u64, hi: u64, work: &mut u64) -> Option<u64> {
         let window = hi.wrapping_sub(lo);
         match self.kind() {
-            ClockKind::Coarse | ClockKind::CoarseSnzi => {
+            ClockKind::Coarse => {
                 if window > SUMMARY_SLOTS * COARSE_COMMITS_PER_SLOT {
                     return None;
                 }
@@ -269,22 +266,15 @@ impl NOrecTx {
         let mut s = global.load_seq();
         self.work += cost::BEGIN;
         if s & 1 == 1 {
-            if !global.kind().coarse() {
+            if global.kind() != ClockKind::Coarse {
                 return Err(OpError::Busy);
             }
-            // Coarse kinds begin *through* the hold at the pre-commit
+            // The coarse clock begins *through* the hold at the pre-commit
             // timestamp `s - 1` (the last stable state). Every read checks
             // the clock itself, so reads overlapping the ongoing writeback
             // are either proven untouched by the in-flight summary or
             // retried — beginning early never observes a torn state.
             s = s.wrapping_sub(1);
-        }
-        if global.kind().tracks_active() {
-            // Arrival on the padded read-indicator / active-count line —
-            // priced as a filter word: it is never co-located with the
-            // committers' sequence-lock line.
-            global.clock.enter();
-            self.work += cost::FILTER_WORD;
         }
         self.snapshot = s;
         self.reads.clear();
@@ -301,7 +291,7 @@ impl NOrecTx {
     ///
     /// When the snapshot lags `target` by at most the ring's reach
     /// ([`SUMMARY_SLOTS`] commits, times [`COARSE_COMMITS_PER_SLOT`] for
-    /// coarse kinds), the window's published write summaries are ORed
+    /// the coarse clock), the window's published write summaries are ORed
     /// together and reads whose summary bit is clear — addresses
     /// *provably* untouched by every interleaved commit — skip the value
     /// comparison (a register test, [`cost::FILTER_WORD`], instead of a
@@ -353,7 +343,7 @@ impl NOrecTx {
             return Ok(v);
         }
         if s & 1 == 1 {
-            if global.kind().coarse() && s == self.snapshot.wrapping_add(1) {
+            if global.kind() == ClockKind::Coarse && s == self.snapshot.wrapping_add(1) {
                 // The only movement since our snapshot is one in-flight
                 // commit; its published summary may prove `addr` untouched.
                 return self.read_through_writeback(global, addr, v, s);
@@ -367,7 +357,7 @@ impl NOrecTx {
         let v = heap.load(addr);
         let s = global.load_seq();
         if s != self.snapshot {
-            if global.kind().coarse() && s == self.snapshot.wrapping_add(1) {
+            if global.kind() == ClockKind::Coarse && s == self.snapshot.wrapping_add(1) {
                 // A fresh commit grabbed the lock between our revalidation
                 // and the re-read: same ride-through situation.
                 return self.read_through_writeback(global, addr, v, s);
@@ -378,7 +368,7 @@ impl NOrecTx {
         Ok(v)
     }
 
-    /// Coarse kinds: accept a read taken while a committer holds the
+    /// Coarse clock: accept a read taken while a committer holds the
     /// sequence lock at `held = snapshot + 1`, when it is provably
     /// unaffected by the ongoing writeback. `v` was loaded before `held`
     /// was observed. Two proofs suffice:
@@ -441,7 +431,6 @@ impl NOrecTx {
             // read-only transactions commit without touching the clock.
             self.active = false;
             self.work += cost::COMMIT_BASE / 2;
-            global.clock.exit();
             return Ok(CommitPhase::Done);
         }
         self.work += cost::METADATA_OP;
@@ -465,7 +454,7 @@ impl NOrecTx {
         // Sequence lock held (odd): publish this commit's write summary
         // (validators key it by commit number target/2), then write back.
         global.publish_summary(self.snapshot.wrapping_add(2) / 2, self.writes.summary());
-        if global.kind().coarse() {
+        if global.kind() == ClockKind::Coarse {
             // Tagged in-flight publication for ride-through readers; the
             // summary must be visible before the tag that vouches for it,
             // and both before the first writeback store below.
@@ -491,40 +480,22 @@ impl NOrecTx {
 
     /// Second commit phase: release the sequence lock at the next even
     /// timestamp. Only call after `commit_begin` returned `NeedsFinish`.
-    ///
-    /// Under `CoarseSnzi`, a committer that is provably alone releases the
-    /// lock at its *unchanged* snapshot instead: no live transaction holds
-    /// a pre-writeback value (a begin-through-hold reader either proved
-    /// its reads untouched by this writeback — equal pre and post — or
-    /// spun), so post-release transactions read the new values under the
-    /// old timestamp — value-based validation cannot tell the difference.
-    /// "Alone" is read behind a fence ([`ClockSource::solo`]): an arrival
-    /// the read misses must already see the writeback.
     pub fn commit_finish(&mut self, global: &NOrecGlobal) {
         let next = self
             .commit_seq
             .take()
             .expect("commit_finish without commit_begin");
-        if global.kind().tracks_active() && global.clock.solo() {
-            global.seq().store(next.wrapping_sub(2), Ordering::Release);
-            global.clock.note_skip();
-        } else {
-            global.seq().store(next, Ordering::Release);
-            global.clock.note_bump();
-        }
-        global.clock.exit();
+        global.seq().store(next, Ordering::Release);
+        global.clock.note_bump();
         self.active = false;
     }
 
     /// Rolls back the attempt (buffered writes are simply discarded).
-    pub fn abort(&mut self, global: &NOrecGlobal) {
+    pub fn abort(&mut self) {
         debug_assert!(self.commit_seq.is_none(), "abort while holding the seqlock");
         self.work += cost::ABORT_PENALTY;
         self.reads.clear();
         self.writes.clear();
-        if self.active {
-            global.clock.exit();
-        }
         self.active = false;
     }
 
@@ -582,7 +553,7 @@ mod tests {
             match body(tx) {
                 Ok(()) => {}
                 Err(OpError::Conflict) => {
-                    tx.abort(g);
+                    tx.abort();
                     continue 'attempt;
                 }
                 Err(OpError::Busy) => unreachable!("test bodies retry Busy internally"),
@@ -596,7 +567,7 @@ mod tests {
                     }
                     Err(OpError::Busy) => continue,
                     Err(OpError::Conflict) => {
-                        tx.abort(g);
+                        tx.abort();
                         continue 'attempt;
                     }
                 }
@@ -651,7 +622,7 @@ mod tests {
         run_tx(&g, &h, &mut t2, |tx| tx.write(Addr(5), 99));
         // t1's next read triggers revalidation, which sees Addr(5) changed.
         assert_eq!(t1.read(&g, &h, Addr(6)), Err(OpError::Conflict));
-        t1.abort(&g);
+        t1.abort();
     }
 
     #[test]
@@ -681,7 +652,7 @@ mod tests {
         // t1's commit CAS fails (clock moved), revalidation sees Addr(0)
         // changed -> Conflict.
         assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
-        t1.abort(&g);
+        t1.abort();
         assert_eq!(h.load(Addr(1)), 0, "aborted writes must not leak");
     }
 
@@ -728,7 +699,7 @@ mod tests {
         let w = tx.take_work();
         assert!(w > 0);
         assert_eq!(tx.take_work(), 0, "drained");
-        tx.abort(&g);
+        tx.abort();
         assert!(tx.take_work() >= cost::ABORT_PENALTY);
     }
 
@@ -772,7 +743,7 @@ mod tests {
         }
         run_tx(&g, &h, &mut t2, |tx| tx.write(Addr(5), 77));
         assert_eq!(t1.read(&g, &h, Addr(6)), Err(OpError::Conflict));
-        t1.abort(&g);
+        t1.abort();
     }
 
     #[test]
@@ -802,7 +773,7 @@ mod tests {
         }
         run_tx(&g, &h, &mut t2, |tx| tx.write(Addr(10), 9));
         assert_eq!(t3.read(&g, &h, Addr(11)), Err(OpError::Conflict));
-        t3.abort(&g);
+        t3.abort();
     }
 
     #[test]
@@ -845,7 +816,7 @@ mod tests {
         assert_eq!(tx.read(&g, &h, Addr(2)).unwrap(), 0);
         run_tx(&g, &h, &mut NOrecTx::new(), |tx| tx.write(Addr(0), 9));
         assert_eq!(tx.read(&g, &h, Addr(3)), Err(OpError::Conflict));
-        tx.abort(&g);
+        tx.abort();
     }
 
     // ---- coarse ring ----
@@ -890,45 +861,43 @@ mod tests {
         }
         run_tx(&g, &h, &mut t2, |tx| tx.write(Addr(5), 77));
         assert_eq!(t1.read(&g, &h, Addr(6)), Err(OpError::Conflict));
-        t1.abort(&g);
+        t1.abort();
     }
 
-    /// Coarse kinds ride through a committer's writeback hold: while the
+    /// The coarse clock rides through a committer's writeback hold: while the
     /// sequence lock is odd, reads provably outside the in-flight write
     /// summary proceed, reads inside it spin, and `begin` starts at the
     /// pre-commit timestamp instead of spinning. The default clock keeps
     /// the plain NOrec behaviour (everything spins) bit-for-bit.
     #[test]
     fn coarse_readers_ride_through_an_in_flight_writeback() {
-        for kind in [ClockKind::Coarse, ClockKind::CoarseSnzi] {
-            let g = NOrecGlobal::with_kind(kind);
-            let h = WordHeap::new(64);
-            // Committer: grabs the sequence lock, writes Addr(7), parks
-            // mid-hold (NeedsFinish not yet finished).
-            let mut committer = NOrecTx::new();
-            committer.begin(&g).unwrap();
-            committer.write(Addr(7), 99).unwrap();
-            assert!(matches!(
-                committer.commit_begin(&g, &h).unwrap(),
-                CommitPhase::NeedsFinish { .. }
-            ));
-            assert_eq!(g.timestamp() & 1, 1, "{kind:?}: lock held");
+        let g = NOrecGlobal::with_kind(ClockKind::Coarse);
+        let h = WordHeap::new(64);
+        // Committer: grabs the sequence lock, writes Addr(7), parks
+        // mid-hold (NeedsFinish not yet finished).
+        let mut committer = NOrecTx::new();
+        committer.begin(&g).unwrap();
+        committer.write(Addr(7), 99).unwrap();
+        assert!(matches!(
+            committer.commit_begin(&g, &h).unwrap(),
+            CommitPhase::NeedsFinish { .. }
+        ));
+        assert_eq!(g.timestamp() & 1, 1, "lock held");
 
-            // A reader snapshotted before the hold rides through for an
-            // address the in-flight commit never writes...
-            let mut reader = NOrecTx::new();
-            // (begin-through-hold: starts at the pre-commit timestamp)
-            reader.begin(&g).unwrap();
-            assert_eq!(reader.read(&g, &h, Addr(3)).unwrap(), 0, "{kind:?}");
-            // ...but spins on genuine overlap with the ongoing writeback.
-            assert_eq!(reader.read(&g, &h, Addr(7)), Err(OpError::Busy), "{kind:?}");
+        // A reader snapshotted before the hold rides through for an
+        // address the in-flight commit never writes...
+        let mut reader = NOrecTx::new();
+        // (begin-through-hold: starts at the pre-commit timestamp)
+        reader.begin(&g).unwrap();
+        assert_eq!(reader.read(&g, &h, Addr(3)).unwrap(), 0);
+        // ...but spins on genuine overlap with the ongoing writeback.
+        assert_eq!(reader.read(&g, &h, Addr(7)), Err(OpError::Busy));
 
-            committer.commit_finish(&g);
-            // After release the spun read succeeds via revalidation and
-            // sees the committed value; the ride-through read stays valid.
-            assert_eq!(reader.read(&g, &h, Addr(7)).unwrap(), 99, "{kind:?}");
-            assert_eq!(reader.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-        }
+        committer.commit_finish(&g);
+        // After release the spun read succeeds via revalidation and
+        // sees the committed value; the ride-through read stays valid.
+        assert_eq!(reader.read(&g, &h, Addr(7)).unwrap(), 99);
+        assert_eq!(reader.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
 
         // Control: the global clock spins in both situations.
         let g = NOrecGlobal::with_kind(ClockKind::Global);
@@ -969,28 +938,6 @@ mod tests {
         let mut other = NOrecTx::new();
         run_tx(&g, &h, &mut other, |tx| tx.write(Addr(3), 5));
         assert_eq!(reader.read(&g, &h, Addr(4)), Err(OpError::Conflict));
-        reader.abort(&g);
-    }
-
-    // ---- coarse + SNZI read indicator ----
-
-    #[test]
-    fn coarse_snzi_bumps_only_when_observed() {
-        let g = NOrecGlobal::with_kind(ClockKind::CoarseSnzi);
-        let h = WordHeap::new(64);
-        let mut t1 = NOrecTx::new();
-        // Solo: the read indicator shows nobody watching — no bump.
-        run_tx(&g, &h, &mut t1, |tx| tx.write(Addr(0), 1));
-        assert_eq!(g.timestamp(), 0);
-        let s = g.clock().stats();
-        assert_eq!((s.bumps, s.bump_skips), (0, 1));
-        // Observed: a live reader makes the committer pay the bump.
-        let mut t2 = NOrecTx::new();
-        t2.begin(&g).unwrap();
-        run_tx(&g, &h, &mut t1, |tx| tx.write(Addr(1), 1));
-        assert_eq!(g.timestamp(), 2);
-        assert_eq!(g.clock().stats().bumps, 1);
-        assert_eq!(t2.read(&g, &h, Addr(2)).unwrap(), 0);
-        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
+        reader.abort();
     }
 }

@@ -47,12 +47,6 @@
 //!   and must abort ([`AbortReason::FalseConflict`]). The abort's rescue
 //!   CAS nudges the clock past the stale epoch so the retry cannot hit the
 //!   same wall (required for progress, not just performance).
-//! * `CoarseSnzi` — GV5 fronted by an SNZI-style read indicator, consulted
-//!   at commit time: alone, the committer reuses the epoch (nobody is live
-//!   to be stranded in it, and solo + an unmoved clock even restores the
-//!   quiet-commit validation skip); observed, it ticks exactly like the
-//!   global clock, whose unique stamps keep that skip too — global-like
-//!   behaviour under contention, coarse-like behaviour solo.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -184,29 +178,20 @@ impl OrecGlobal {
     /// orecs held, snapshot `start`) releases its orecs at, and says
     /// whether the read set must be validated first.
     fn commit_stamp(&self, start: u64) -> (u64, bool) {
-        let reuse_epoch = || {
-            self.clock.note_skip();
-            self.clock_now() + 1
-        };
-        // A stamp straight after our snapshot means nobody committed since.
-        let unless_quiet = |end| (end, end != start + 1);
         match self.kind() {
+            // A stamp straight after our snapshot means nobody committed
+            // since.
+            ClockKind::Global => {
+                let end = self.clock_tick();
+                (end, end != start + 1)
+            }
             // GV5 (Huang et al.): reuse the current epoch without ticking.
             // `end == start + 1` then proves nothing, so validation is
             // unconditional.
-            ClockKind::Coarse => (reuse_epoch(), true),
-            // SNZI-fronted GV5: consult the read indicator here, not at
-            // release, and behind a fence (`solo`): an arrival it misses
-            // must see our write locks. Alone, reuse the epoch — nobody is
-            // live to observe the stale stamp, and an unmoved clock
-            // additionally proves no
-            // commit interleaved (any committer while we were active saw
-            // the indicator and ticked), so `end == start + 1` regains its
-            // meaning. Observed, tick exactly like the global clock: the
-            // unique stamp keeps the quiet-commit validation skip that a
-            // shared GV5 epoch forfeits.
-            ClockKind::CoarseSnzi if self.clock.solo() => unless_quiet(reuse_epoch()),
-            ClockKind::Global | ClockKind::CoarseSnzi => unless_quiet(self.clock_tick()),
+            ClockKind::Coarse => {
+                self.clock.note_skip();
+                (self.clock_now() + 1, true)
+            }
         }
     }
 
@@ -218,7 +203,7 @@ impl OrecGlobal {
     /// snapshot and false-conflicts forever — the bump is a progress
     /// requirement, not an optimisation.
     fn classify_stale(&self, start: u64, ov: u64, work: &mut u64) -> AbortReason {
-        if self.kind().coarse() && version_of(ov) == start + 1 {
+        if self.kind() == ClockKind::Coarse && version_of(ov) == start + 1 {
             // Possibly written *before* the transaction began, merely
             // sharing its epoch (indistinguishable from a real same-epoch
             // conflict — the labelling is the coarse clock's approximation,
@@ -327,10 +312,6 @@ impl OrecTx {
         debug_assert!(!self.active, "begin called with a transaction active");
         debug_assert!(self.locked.is_empty());
         self.start = global.clock_now();
-        if global.kind().tracks_active() {
-            global.clock.enter();
-            self.work += cost::FILTER_WORD;
-        }
         self.reads.clear();
         self.redo.clear();
         self.work += cost::BEGIN;
@@ -463,7 +444,7 @@ impl OrecTx {
             // Sound before the lock is ours: no read depends on the new
             // version yet. (A coarse clock may leave the version ahead even
             // after a successful extension — locking it anyway is fine,
-            // since the coarse kinds validate unconditionally at commit.)
+            // since the coarse clock validates unconditionally at commit.)
             self.extend(global)?;
         }
         self.work += cas_cost;
@@ -515,7 +496,6 @@ impl OrecTx {
         if self.redo.is_empty() {
             self.active = false;
             self.work += cost::COMMIT_BASE / 2;
-            global.clock.exit();
             return Ok(CommitPhase::Done);
         }
         let attempt = self.commit_writer(global, heap);
@@ -577,7 +557,6 @@ impl OrecTx {
         self.work += cost::METADATA_OP * self.locked.len() as u64;
         self.locked.clear();
         self.active = false;
-        global.clock.exit();
     }
 
     /// Restores every held orec to its pre-lock value.
@@ -600,9 +579,6 @@ impl OrecTx {
         self.work += cost::ABORT_PENALTY;
         self.reads.clear();
         self.redo.clear();
-        if self.active {
-            global.clock.exit();
-        }
         self.active = false;
     }
 
@@ -1053,33 +1029,22 @@ mod tests {
 
     #[test]
     fn commit_stamp_rule_per_clock_kind() {
-        use ClockKind::{Coarse, CoarseSnzi, Global};
-        // A committer whose snapshot is 5, on a clock standing at `now`,
-        // with or without a second live transaction on the indicator.
+        use ClockKind::{Coarse, Global};
+        // A committer whose snapshot is 5, on a clock standing at `now`.
         // Expected: (end, must_validate), then (clock, bumps, bump_skips).
         #[rustfmt::skip]
         let table = [
             // Global ticks, and validates iff the tick was not start + 1.
-            (Global,     5, false, (6, false), (6, 1, 0)),
-            (Global,     7, false, (8, true),  (8, 1, 0)),
-            (Global,     5, true,  (6, false), (6, 1, 0)),
+            (Global, 5, (6, false), (6, 1, 0)),
+            (Global, 7, (8, true),  (8, 1, 0)),
             // Coarse never ticks, books a skip and always validates.
-            (Coarse,     5, false, (6, true),  (5, 0, 1)),
-            (Coarse,     7, true,  (8, true),  (7, 0, 1)),
-            // CoarseSnzi reuses the epoch when solo, ticks when observed.
-            (CoarseSnzi, 5, false, (6, false), (5, 0, 1)),
-            (CoarseSnzi, 7, false, (8, true),  (7, 0, 1)),
-            (CoarseSnzi, 5, true,  (6, false), (6, 1, 0)),
-            (CoarseSnzi, 7, true,  (8, true),  (8, 1, 0)),
+            (Coarse, 5, (6, true),  (5, 0, 1)),
+            (Coarse, 7, (8, true),  (7, 0, 1)),
         ];
-        for (kind, now, observed, stamp, after) in table {
+        for (kind, now, stamp, after) in table {
             let g = OrecGlobal::with_orecs_kind(8, kind);
             g.clock().preload(now);
-            g.clock().enter();
-            if observed {
-                g.clock().enter();
-            }
-            let case = format!("{kind:?} now={now} observed={observed}");
+            let case = format!("{kind:?} now={now}");
             assert_eq!(g.commit_stamp(5), stamp, "{case}");
             let s = g.clock().stats();
             assert_eq!((g.clock_now(), s.bumps, s.bump_skips), after, "{case}");
@@ -1093,10 +1058,10 @@ mod tests {
     #[test]
     fn lazy_and_eager_commits_get_the_same_stamp() {
         for kind in ClockKind::ALL {
-            for (moved, observed) in [(false, false), (true, false), (false, true), (true, true)] {
-                // One read, one write, snapshot 5; `observed` parks a second
-                // live transaction and `moved` pushes the clock to 7 before
-                // the commit. Yields (released version, read set validated).
+            for moved in [false, true] {
+                // One read, one write, snapshot 5; `moved` pushes the clock
+                // to 7 before the commit. Yields (released version, read set
+                // validated).
                 let stamp = |acquire| {
                     let (g, h) = setup_kind(kind);
                     g.clock().preload(5);
@@ -1104,9 +1069,6 @@ mod tests {
                     tx.begin(&g).unwrap();
                     tx.read(&g, &h, Addr(1)).unwrap();
                     tx.write(&g, Addr(0), 1).unwrap();
-                    if observed {
-                        g.clock().enter();
-                    }
                     if moved {
                         g.clock().preload(7);
                     }
@@ -1127,7 +1089,7 @@ mod tests {
                 assert_eq!(
                     stamp(Acquire::Commit),
                     stamp(Acquire::Encounter),
-                    "{kind:?} moved={moved} observed={observed}"
+                    "{kind:?} moved={moved}"
                 );
             }
         }
@@ -1218,50 +1180,5 @@ mod tests {
             });
         }
         assert_eq!(h.load(Addr(0)), 50);
-    }
-
-    // ---- coarse + SNZI read indicator ----
-
-    #[test]
-    fn coarse_snzi_ticks_only_when_observed() {
-        let (g, h) = setup_kind(ClockKind::CoarseSnzi);
-        let mut t1 = eager(0);
-        // Solo: GV5 epoch reuse, no tick.
-        run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(0), 1));
-        assert_eq!(g.clock_now(), 0);
-        assert_eq!(g.clock().stats().bump_skips, 1);
-        // Observed: a live transaction makes the committer pay the tick,
-        // so the observer's next read is *not* a false conflict.
-        let mut t2 = eager(1);
-        t2.begin(&g).unwrap();
-        run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(5), 2));
-        assert_eq!(g.clock_now(), 1, "observer forces the tick");
-        assert_eq!(g.clock().stats().bumps, 1);
-        t2.abort(&g);
-        // A fresh reader snapshots 1 and reads version-1 data cleanly.
-        let mut t3 = eager(2);
-        t3.begin(&g).unwrap();
-        assert_eq!(t3.read(&g, &h, Addr(5)).unwrap(), 2);
-        assert_eq!(t3.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-    }
-
-    #[test]
-    fn coarse_snzi_counter_is_exact_under_interleaving() {
-        let (g, h) = setup_kind(ClockKind::CoarseSnzi);
-        let mut t1 = lazy(0);
-        let mut t2 = lazy(1);
-        t2.begin(&g).unwrap(); // live observer: commits below must tick
-        for _ in 0..10 {
-            run_tx(&g, &h, &mut t1, |tx| {
-                let v = match tx.read(&g, &h, Addr(0)) {
-                    Ok(v) => v,
-                    Err(e) => return Err(e),
-                };
-                tx.write(&g, Addr(0), v + 1)
-            });
-        }
-        assert_eq!(h.load(Addr(0)), 10);
-        assert_eq!(g.clock().stats().bumps, 10, "observer forces every tick");
-        t2.abort(&g);
     }
 }

@@ -7,10 +7,9 @@
 //! fault plan injects a delay after *every* one of the victim's
 //! operations, so it arrives late to every lock race. Under the default
 //! backoff policy the victim starves: it aborts, retries, and loses the
-//! race forever while the shorts commit freely. The priority policies
-//! resolve each encounter in the victim's favour (it is the oldest, or
-//! inside its winning window), so the same adversary costs it only a
-//! bounded abort streak.
+//! race forever while the shorts commit freely. A priority policy
+//! resolves each encounter in the victim's favour inside its winning
+//! window, so the same adversary costs it only a bounded abort streak.
 //!
 //! ```text
 //! cargo run --release --example starvation_duel
@@ -167,9 +166,10 @@ fn main() {
     }
     println!();
     assert!(starved >= 1, "the backoff leg must demonstrate starvation");
-    assert!(
-        rescued >= 2,
-        "the priority policies must rescue the victim (got {rescued})"
+    let priority_policies = CmPolicy::ALL.len() as u32 - 1;
+    assert_eq!(
+        rescued, priority_policies,
+        "every priority policy must rescue the victim"
     );
     println!("starvation_duel OK: {starved} starving leg(s), {rescued} rescued leg(s)");
 }

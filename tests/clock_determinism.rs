@@ -5,8 +5,7 @@
 //! `votm-obs-snapshot-v1` schema alike.
 //!
 //! This mirrors `policy_determinism.rs` for the clock-source surface:
-//! GV5 reuse and SNZI occupancy derive from virtual time — never from
-//! host entropy.
+//! GV5 reuse derives from virtual time — never from host entropy.
 
 use votm::{ClockKind, CmPolicy, TmAlgorithm};
 use votm_bench::{capture_trace, Settings};
