@@ -158,8 +158,8 @@ pub fn check_gate(doc: &Json) -> Vec<String> {
             need(committed, format!("{l}: committed nothing"));
             let (bumps, skips) = (count(r, "clock_bumps"), count(r, "clock_bump_skips"));
             need(
-                row_key(r).4 != "global" || (bumps > 0 && skips == 0),
-                format!("{l}: the global clock bumped {bumps} times and skipped {skips}"),
+                bumps > 0 && skips == 0,
+                format!("{l}: the clock bumped {bumps} times and skipped {skips}"),
             );
             let still = count(r, "repartitions") == 0
                 && count(r, "split_drain_cycles") == 0
@@ -262,11 +262,20 @@ pub fn check_gate(doc: &Json) -> Vec<String> {
             ) == key
         })
     };
+    let runs_clock = |algo: &str| {
+        TmAlgorithm::ALL
+            .into_iter()
+            .any(|a| a.name() == algo && a.runs_coarse_clock())
+    };
     for kind in ClockKind::ALL
         .into_iter()
         .filter(|&c| c != ClockKind::Global)
     {
-        for algo in TmAlgorithm::ALL.map(TmAlgorithm::name) {
+        for algo in TmAlgorithm::ALL
+            .into_iter()
+            .filter(|a| a.runs_coarse_clock())
+            .map(TmAlgorithm::name)
+        {
             let present = variants
                 .iter()
                 .any(|r| text(r, "algo") == algo && text(r, "clock") == kind.name());
@@ -276,6 +285,10 @@ pub fn check_gate(doc: &Json) -> Vec<String> {
     let mut norec_win = false;
     for r in variants {
         let (k, l) = (row_key(r), label(r));
+        need(
+            runs_clock(&k.0),
+            format!("{l}: {} ignores the clock, yet has a {} row", k.0, k.4),
+        );
         let comparable = k.1 == "backoff" && k.2 == "single-view";
         need(comparable, format!("{l}: not a single-view backoff row"));
         let Some(base) = default_of(&k.0) else {
@@ -322,6 +335,34 @@ mod tests {
         assert!(
             removed_rows(&cur, &base).is_empty(),
             "a new row is not removed"
+        );
+    }
+
+    #[test]
+    fn clock_rows_belong_to_norec_alone() {
+        // A single-view backoff row at N = 16; the coarse rows run faster
+        // than their global twins.
+        let row = |algo: &str, clock: &str| {
+            let tps = if clock == "global" { 2.0 } else { 2.5 };
+            format!(
+                r#"{{"algo": "{algo}", "policy": "backoff", "version": "single-view",
+                    "n_threads": 16, "clock": "{clock}", "txns_per_vsec": {tps},
+                    "abort_rate": 0.5, "status": "completed"}}"#
+            )
+        };
+        let doc =
+            |rows: &[String]| json::parse(&format!(r#"{{"rows": [{}]}}"#, rows.join(","))).unwrap();
+        let norec = [row("NOrec", "global"), row("NOrec", "coarse")];
+        assert_eq!(check_gate(&doc(&norec)), Vec::<String>::new());
+        let orec = [row("OrecLazy", "global"), row("OrecLazy", "coarse")];
+        assert_eq!(
+            check_gate(&doc(&[norec.as_slice(), &orec].concat())),
+            ["OrecLazy/backoff/single-view/N=16/coarse: OrecLazy ignores the clock, yet has a coarse row"]
+        );
+        let problems = check_gate(&doc(&[norec[0].clone(), orec[0].clone(), orec[1].clone()]));
+        assert!(
+            problems.contains(&"no coarse clock row for NOrec".to_string()),
+            "{problems:?}"
         );
     }
 }

@@ -362,7 +362,8 @@ pub fn partition_table(rows: &[GateRow]) -> String {
 /// Renders the per-clock-source comparison from the gate's rows (the
 /// `clock_table.md` CI artifact). Only single-view backoff rows at the
 /// largest gated N are comparable across clock kinds, so the table keeps
-/// the matching default-clock rows and all clock-variant rows.
+/// the matching default-clock rows and all clock-variant rows (NOrec's:
+/// [`votm::TmAlgorithm::runs_coarse_clock`]).
 pub fn clock_table(rows: &[GateRow], spreads: &[Spread]) -> String {
     let n = rows.iter().map(|r| r.n_threads).max().unwrap_or(0);
     let mut out = format!(
@@ -379,7 +380,6 @@ pub fn clock_table(rows: &[GateRow], spreads: &[Spread]) -> String {
         "waste frac".to_string(),
         "busy/commit".to_string(),
         "bumps".to_string(),
-        "bump skips".to_string(),
         "#tx".to_string(),
         "#abort".to_string(),
     ]];
@@ -396,7 +396,6 @@ pub fn clock_table(rows: &[GateRow], spreads: &[Spread]) -> String {
             format!("{:.3}", r.waste_frac),
             format!("{:.2}", r.busy_retries_per_commit),
             count(r.clock_bumps),
-            count(r.clock_bump_skips),
             count(r.commits),
             count(r.aborts),
         ]);
@@ -443,8 +442,8 @@ pub fn clock_table(rows: &[GateRow], spreads: &[Spread]) -> String {
          rows' headline `txns/vsec` is the single-seed comparison run (see {GATE_ARTIFACT} \
          for the raw fields), while the mean (min–max) column aggregates three \
          deterministic seeds so a lucky seed cannot flip a clock ranking unnoticed. \
-         `bumps` counts clock advances taken, `bump skips` counts advances elided by \
-         the variant's coalescing strategy.\n"
+         `bumps` counts clock advances taken. Only NOrec runs the coarse clock; the \
+         orec engine ticks once per writer commit whatever the clock.\n"
     ));
     out
 }

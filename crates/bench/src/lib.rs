@@ -340,8 +340,10 @@ pub struct GateRow {
     /// Clock bumps actually taken (fetch-add or seqlock release), summed
     /// over views and seeds. See `votm_stm::clock::ClockStats::bumps`.
     pub clock_bumps: u64,
-    /// Clock bumps elided (GV5 reuse), summed over views and seeds.
-    /// Always 0 under `"global"`.
+    /// Always 0: every clock ticks once per writer commit. The field keeps
+    /// the artifact's schema (and `benchdiff`'s join with older baselines)
+    /// and goes with `votm_stm::clock::ClockStats::bump_skips`, once the
+    /// repository benchmark stops reading that.
     pub clock_bump_skips: u64,
     /// Cycles threads spent blocked at admission gates.
     pub gate_wait_cycles: u64,
@@ -403,7 +405,7 @@ pub const GATE_SEEDS: u64 = 3;
 /// The file `tables --json` writes the gate to — the PR-numbered benchmark
 /// trajectory artifact — and the one the comparison tables' footnotes send
 /// the reader to for the raw fields.
-pub const GATE_ARTIFACT: &str = "BENCH_33.json";
+pub const GATE_ARTIFACT: &str = "BENCH_34.json";
 
 /// `num / den`, or `idle` when nothing happened to divide by.
 fn ratio(num: u64, den: u64, idle: f64) -> f64 {
@@ -504,8 +506,10 @@ fn fold_gate_row(rows: &[Row], wall_s: f64) -> GateRow {
 /// single-seed single-view row at the largest N per non-default policy ×
 /// algorithm that can run one ([`TmAlgorithm::names_lock_holder`]: a NOrec
 /// view runs the passive default whatever it is asked for) and per
-/// non-default clock × algorithm. Then the scenario workloads, single-seed
-/// at the largest N and full fixed quota: the bounded buffer's spin shape
+/// non-default clock × algorithm that runs it
+/// ([`TmAlgorithm::runs_coarse_clock`]: an orec view ticks whatever it is
+/// asked for). Then the scenario workloads, single-seed at the largest N
+/// and full fixed quota: the bounded buffer's spin shape
 /// under NOrec and its block shape under every algorithm, and each
 /// partition shape's adaptive run followed by its hand twin under NOrec.
 fn gate_runs(settings: &Settings) -> Vec<(Run<'static>, u64)> {
@@ -544,7 +548,10 @@ fn gate_runs(settings: &Settings) -> Vec<(Run<'static>, u64)> {
         .into_iter()
         .filter(|&c| c != ClockKind::Global)
     {
-        for algo in TmAlgorithm::ALL {
+        for algo in TmAlgorithm::ALL
+            .into_iter()
+            .filter(|a| a.runs_coarse_clock())
+        {
             let run = eigen(CmPolicy::Backoff, clock, algo, Version::SingleView, n);
             runs.push((run, 1));
         }
@@ -699,9 +706,9 @@ pub struct TraceCapture {
 /// [`Settings::seed`], schedule by `sim` — under `policy` and `clock` with a
 /// live flight recorder, and exports it. Deterministic: identical arguments
 /// produce byte-identical JSON whatever the scheduler, policy or clock —
-/// the clock is virtual, priorities and GV5 reuse derive from virtual
-/// time, the exporters order threads, events and timelines canonically,
-/// and floats print with fixed precision.
+/// the clock is virtual, priorities and the coarse summary ring derive
+/// from virtual time, the exporters order threads, events and timelines
+/// canonically, and floats print with fixed precision.
 pub fn capture_trace(
     settings: &Settings,
     algo: TmAlgorithm,
@@ -1010,19 +1017,23 @@ mod tests {
         // Every algorithm × 2 versions × GATE_THREADS.len() thread counts
         // of the gated default, plus one comparison row per non-default
         // policy × algorithm whose lock words name a holder for the policy
-        // to rank, plus one per non-default clock × algorithm, plus the
-        // bounded buffer's spin row and a block row per algorithm, plus an
-        // adaptive/hand row pair per partition scenario.
+        // to rank, plus one per non-default clock × algorithm that runs
+        // it, plus the bounded buffer's spin row and a block row per
+        // algorithm, plus an adaptive/hand row pair per partition scenario.
         let n_algos = TmAlgorithm::ALL.len();
         let n_policy_algos = TmAlgorithm::ALL
             .iter()
             .filter(|a| a.names_lock_holder())
             .count();
+        let n_clock_algos = TmAlgorithm::ALL
+            .iter()
+            .filter(|a| a.runs_coarse_clock())
+            .count();
         assert_eq!(
             rows.len(),
             n_algos * 2 * GATE_THREADS.len()
                 + (CmPolicy::ALL.len() - 1) * n_policy_algos
-                + (ClockKind::ALL.len() - 1) * n_algos
+                + (ClockKind::ALL.len() - 1) * n_clock_algos
                 + 1
                 + n_algos
                 + workload::PARTITION_SCENARIOS.len() * 2

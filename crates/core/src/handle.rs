@@ -517,16 +517,7 @@ impl<'v> TxHandle<'v> {
         let cm = self.view.cm();
         *spins += 1;
         let enemy = self.ctx.conflict_enemy();
-        let verdict = if !busy && self.ctx.conflict_reason() == AbortReason::FalseConflict {
-            // Coarse-clock false conflict: no enemy exists to doom or wait
-            // for (the conflicting commit may have finished before this
-            // attempt began), and the STM's rescue bump already guarantees
-            // the retry's progress: restart at once, no backoff.
-            SiteVerdict::AbortSelf { backoff: 0 }
-        } else {
-            cm.site(busy, *spins, enemy, &self.cm_tx, tid)
-        };
-        match verdict {
+        match cm.site(busy, *spins, enemy, &self.cm_tx, tid) {
             SiteVerdict::Wait { kill } => {
                 if kill {
                     if let Some(e) = enemy {

@@ -43,11 +43,13 @@ pub struct VotmConfig {
     /// is set here: NOrec's lock names no holder for a policy to rank
     /// ([`TmAlgorithm::names_lock_holder`]).
     pub contention: CmPolicy,
-    /// Clock strategy for every view's TM version/sequence clock. The
-    /// default, [`ClockKind::Global`], is the single fetch-add clock the
-    /// paper's RSTM plug-ins use (bit-identical behaviour); the other
-    /// kinds attack the global-clock bottleneck the paper names for
-    /// memory-intensive NOrec workloads — see `votm_stm::clock`.
+    /// Clock strategy for every NOrec view's sequence lock. The default,
+    /// [`ClockKind::Global`], is the single fetch-add clock the paper's
+    /// RSTM plug-ins use (bit-identical behaviour); [`ClockKind::Coarse`]
+    /// attacks the global-clock bottleneck the paper names for
+    /// memory-intensive NOrec workloads — see `votm_stm::clock`. Orec views
+    /// always take one fetch-add per writer commit, whatever is set here
+    /// ([`TmAlgorithm::runs_coarse_clock`]).
     pub clock: ClockKind,
 }
 
@@ -211,7 +213,8 @@ impl VotmBuilder {
         self
     }
 
-    /// Clock strategy for every view's TM version/sequence clock.
+    /// Clock strategy for every view whose algorithm runs one; orec views
+    /// always tick (see [`VotmConfig::clock`]).
     pub fn clock(mut self, clock: ClockKind) -> Self {
         self.config.clock = clock;
         self

@@ -311,8 +311,7 @@ pub struct ViewStats {
     /// wait and parked wait, in cycles. The commit histogram's total count
     /// always equals `tm.commits`.
     pub hists: ViewHistSnapshot,
-    /// Clock-source counters: bumps taken and bumps elided. Under
-    /// [`crate::ClockKind::Global`]'s always-bump strategy only `bumps` moves.
+    /// Clock-source counters: the bumps taken (`bump_skips` is always 0).
     pub clock: ClockStats,
 }
 

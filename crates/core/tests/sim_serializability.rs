@@ -205,8 +205,9 @@ fn sim_serializable_under_every_policy_across_36_seeds() {
 /// clock kinds, cycling the algorithm with the seed so each clock strategy
 /// exercises every validation site (NOrec value validation, orec version
 /// checks, lazy commit-time acquisition). Safety must be clock-independent
-/// — GV5 coarsening only changes *when the clock advances*, never what a
-/// committed transaction observed.
+/// — NOrec's coarse summary ring only changes which reads a validation
+/// value-checks, never what a committed transaction observed, and the orec
+/// engine ticks whatever the clock.
 #[test]
 fn sim_serializable_under_every_clock_across_36_seeds() {
     for seed in 0..36u64 {

@@ -203,7 +203,6 @@ fn orec_hotspot_livelocks_without_rac_and_survives_with_it() {
             .threads(16)
             .controller(votm_rac::ControllerConfig {
                 window_attempts: 64,
-                ..Default::default()
             })
             .build();
         let view = system.create_view(64, quota);
@@ -259,7 +258,6 @@ fn multi_view_isolates_contention() {
         .threads(8)
         .controller(votm_rac::ControllerConfig {
             window_attempts: 32,
-            ..Default::default()
         })
         .build();
     let hot = system.create_view(16, QuotaMode::Adaptive);

@@ -32,12 +32,9 @@ pub enum AbortReason {
     /// higher-priority transaction; the victim self-aborted at its next
     /// operation boundary.
     CmKilled = 5,
-    /// A coarse-granularity clock (GV5 after Huang et al.) could not
-    /// distinguish a write committed *before* this transaction began from a
-    /// genuine conflict, because both share the snapshot's timestamp epoch.
-    /// The abort is conservative; the retry proceeds after a rescue clock
-    /// bump. The labelling is the clock's best guess — a real same-epoch
-    /// conflict is indistinguishable and lands here too.
+    /// Never recorded: no clock produces a false conflict. It stays only
+    /// because the repository benchmark emits `stm.aborts.false_conflict`,
+    /// and goes once a benchmark change drops that metric.
     FalseConflict = 6,
     /// The transaction body called `retry()`: the attempt is abandoned by
     /// request so the task can park until a value it read changes. Not a

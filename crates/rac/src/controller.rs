@@ -28,6 +28,9 @@ use crate::gate::AdmissionGate;
 /// it, double it when δ(Q) falls below it.
 const DELTA: f64 = 1.0;
 
+/// Initial cool-down, in windows, after halving away from a bad quota.
+const COOLDOWN_INITIAL: u32 = 8;
+
 /// Cool-down ceiling, in windows.
 const COOLDOWN_MAX: u32 = 512;
 
@@ -36,15 +39,12 @@ const COOLDOWN_MAX: u32 = 512;
 pub struct ControllerConfig {
     /// Transaction attempts (commits + aborts) per evaluation window.
     pub window_attempts: u64,
-    /// Initial cool-down, in windows, after halving away from a bad quota.
-    pub cooldown_initial: u32,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         Self {
             window_attempts: 256,
-            cooldown_initial: 8,
         }
     }
 }
@@ -153,7 +153,7 @@ impl RacController {
                 // keep being driven away from it.
                 let next_cooldown = match st.bad_quota {
                     Some(b) if b.quota <= q => (b.next_cooldown * 2).min(COOLDOWN_MAX),
-                    _ => self.config.cooldown_initial,
+                    _ => COOLDOWN_INITIAL,
                 };
                 st.bad_quota = Some(BadQuota {
                     quota: q,
@@ -242,7 +242,6 @@ mod tests {
     fn cfg(window: u64) -> ControllerConfig {
         ControllerConfig {
             window_attempts: window,
-            ..Default::default()
         }
     }
 
@@ -325,30 +324,29 @@ mod tests {
 
     #[test]
     fn cooldown_expires_and_allows_reprobe() {
-        let mut config = cfg(16);
-        config.cooldown_initial = 2;
         let gate = AdmissionGate::new(4, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(config);
+        let ctrl = RacController::new(cfg(16));
         feed_window(&ctrl, &gate, &stats, 5, 1_000, 100, 1_000_000); // 4 -> 2
-        feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 1, 10); // held
-        feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 1, 10); // held/expiring
+        for _ in 0..COOLDOWN_INITIAL {
+            feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 1, 10); // held
+        }
         let q = feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 1, 10);
         assert_eq!(q, Some(4), "after cool-down the controller re-probes");
     }
 
     #[test]
     fn lock_mode_probes_upward_after_cooldown() {
-        let mut config = cfg(16);
-        config.cooldown_initial = 1;
         let gate = AdmissionGate::new(2, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(config);
+        let ctrl = RacController::new(cfg(16));
         // Drive to Q=1.
         feed_window(&ctrl, &gate, &stats, 5, 1_000, 100, 1_000_000);
         assert_eq!(gate.quota(), 1);
         // δ undefined at 1; after the cool-down a probe to 2 happens.
-        feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 0, 0); // cooling
+        for _ in 0..COOLDOWN_INITIAL {
+            feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 0, 0); // cooling
+        }
         let q = feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 0, 0);
         assert_eq!(q, Some(2));
         // Bad again ⇒ back to 1 with doubled cool-down.

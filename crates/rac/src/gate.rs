@@ -267,20 +267,7 @@ impl AdmissionGate {
     /// controller decision can resurrect a merged-away view's quota, and
     /// [`Self::is_retired`] lets routers and diagnostics see the state.
     pub fn retire(&self) {
-        let mut cur = self.word.load(Ordering::SeqCst);
-        loop {
-            let mut st = PackedState::unpack(cur);
-            st.retired = true;
-            match self.word.compare_exchange_weak(
-                cur,
-                st.pack(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(observed) => cur = observed,
-            }
-        }
+        self.word.fetch_or(RETIRED_BIT, Ordering::SeqCst);
         // Anyone parked on a full pre-merge gate must re-check: the drain
         // that preceded retirement already emptied the view, so they admit
         // immediately and exit through the router's stale-route path.
@@ -299,22 +286,14 @@ impl AdmissionGate {
     /// No-op on a retired gate (see [`Self::retire`]).
     pub fn set_quota(&self, quota: u32) {
         let q = quota.clamp(1, self.max_threads) as u16;
-        let mut cur = self.word.load(Ordering::SeqCst);
-        loop {
-            let mut st = PackedState::unpack(cur);
-            if st.retired {
-                return;
-            }
-            st.quota = q;
-            match self.word.compare_exchange_weak(
-                cur,
-                st.pack(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(observed) => cur = observed,
-            }
+        let set = self
+            .word
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| {
+                let st = PackedState::unpack(w);
+                (!st.retired).then(|| PackedState { quota: q, ..st }.pack())
+            });
+        if set.is_err() {
+            return;
         }
         self.slow_path_entries.fetch_add(1, Ordering::Relaxed);
         self.notify.notify_all();
@@ -445,63 +424,49 @@ impl AdmissionGate {
             admitted: false,
         };
         let _sleeper = SleeperGuard::register(self);
-        let mut cur = self.word.load(Ordering::SeqCst);
         loop {
             let epoch = self.notify.epoch();
             self.slow_path_entries.fetch_add(1, Ordering::Relaxed);
-            loop {
-                let st = PackedState::unpack(cur);
-                if st.inside != 0 {
-                    break;
-                }
-                debug_assert!(st.drain_waiters > 0, "lost our drain reservation");
-                let next = PackedState {
-                    inside: 1,
-                    exclusive_inside: true,
-                    drain_waiters: st.drain_waiters - 1,
-                    ..st
-                };
-                match self.word.compare_exchange_weak(
-                    cur,
-                    next.pack(),
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                ) {
-                    Ok(_) => {
-                        ticket.admitted = true;
-                        return GateGuard {
-                            gate: self,
-                            mode: AdmissionMode::Exclusive,
-                            wait: GateWait::since(from, rt),
-                        };
+            let admitted = self
+                .word
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| {
+                    let st = PackedState::unpack(w);
+                    if st.inside != 0 {
+                        return None;
                     }
-                    Err(observed) => cur = observed,
-                }
+                    debug_assert!(st.drain_waiters > 0, "lost our drain reservation");
+                    let next = PackedState {
+                        inside: 1,
+                        exclusive_inside: true,
+                        drain_waiters: st.drain_waiters - 1,
+                        ..st
+                    };
+                    Some(next.pack())
+                });
+            if admitted.is_ok() {
+                ticket.admitted = true;
+                return GateGuard {
+                    gate: self,
+                    mode: AdmissionMode::Exclusive,
+                    wait: GateWait::since(from, rt),
+                };
             }
             rt.wait(&self.notify, epoch).await;
-            cur = self.word.load(Ordering::SeqCst);
         }
     }
 
-    /// Adjusts the drain-waiter field by `delta` (CAS loop).
+    /// Adjusts the drain-waiter field by `delta`.
     fn update_drain(&self, delta: i32) {
-        let mut cur = self.word.load(Ordering::SeqCst);
-        loop {
-            let mut st = PackedState::unpack(cur);
-            st.drain_waiters = st
-                .drain_waiters
-                .checked_add_signed(delta as i16)
-                .expect("drain_waiters under/overflow");
-            match self.word.compare_exchange_weak(
-                cur,
-                st.pack(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return,
-                Err(observed) => cur = observed,
-            }
-        }
+        let _ = self
+            .word
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| {
+                let mut st = PackedState::unpack(w);
+                st.drain_waiters = st
+                    .drain_waiters
+                    .checked_add_signed(delta as i16)
+                    .expect("drain_waiters under/overflow");
+                Some(st.pack())
+            });
     }
 
     /// Wakes parked waiters, but only if someone is actually parked — the
@@ -526,40 +491,33 @@ impl AdmissionGate {
     /// gate state in the message. The panic fires *before* any state
     /// mutation, so a caught unbalanced release leaves the gate intact.
     fn release(&self, mode: AdmissionMode) {
-        let mut cur = self.word.load(Ordering::SeqCst);
-        loop {
-            let st = PackedState::unpack(cur);
-            assert!(
-                st.inside > 0,
-                "AdmissionGate::release without a matching acquire \
-                 (mode {mode:?}, quota {}, inside {}, exclusive_inside {})",
-                st.quota,
-                st.inside,
-                st.exclusive_inside,
-            );
-            if mode == AdmissionMode::Exclusive {
+        let _ = self
+            .word
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| {
+                let st = PackedState::unpack(w);
                 assert!(
+                    st.inside > 0,
+                    "AdmissionGate::release without a matching acquire \
+                     (mode {mode:?}, quota {}, inside {}, exclusive_inside {})",
+                    st.quota,
+                    st.inside,
                     st.exclusive_inside,
-                    "exclusive release but no exclusive holder inside \
-                     (quota {}, inside {})",
-                    st.quota, st.inside,
                 );
-            }
-            let next = PackedState {
-                inside: st.inside - 1,
-                exclusive_inside: st.exclusive_inside && mode != AdmissionMode::Exclusive,
-                ..st
-            };
-            match self.word.compare_exchange_weak(
-                cur,
-                next.pack(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(observed) => cur = observed,
-            }
-        }
+                if mode == AdmissionMode::Exclusive {
+                    assert!(
+                        st.exclusive_inside,
+                        "exclusive release but no exclusive holder inside \
+                         (quota {}, inside {})",
+                        st.quota, st.inside,
+                    );
+                }
+                let next = PackedState {
+                    inside: st.inside - 1,
+                    exclusive_inside: st.exclusive_inside && mode != AdmissionMode::Exclusive,
+                    ..st
+                };
+                Some(next.pack())
+            });
         self.wake_sleepers();
     }
 }

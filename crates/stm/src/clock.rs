@@ -4,30 +4,27 @@
 //! bottleneck that view partitioning works around, and Huang et al. (*The
 //! Impact of Timestamp Granularity in Optimistic Concurrency Control*) show
 //! that the granularity of the timestamp alone swings OCC throughput under
-//! contention. This module makes that whole design axis switchable: every
-//! TM instance owns one [`ClockSource`] whose [`ClockKind`] selects how
-//! commit timestamps are acquired, bumped and snapshotted:
+//! contention. Every TM instance owns one [`ClockSource`]: the timestamp
+//! word and its bump count. A [`ClockKind`] selects how NOrec uses it:
 //!
 //! * [`ClockKind::Global`] — the status-quo single counter (NOrec's
 //!   sequence lock / the orec version clock). Bit-identical to the
 //!   pre-clock-source code; CI enforces this against the benchmark
 //!   baseline.
 //! * [`ClockKind::Coarse`] — coarse-granularity timestamps after Huang et
-//!   al.: orec commits reuse the current clock value (GV5-style — no
-//!   fetch-add per commit, at the price of *false conflicts* when a commit
-//!   that happened before a reader began shares the reader's epoch);
-//!   NOrec coarsens its commit write-summary ring so one Bloom slot covers
-//!   [`COARSE_COMMITS_PER_SLOT`] commits, quadrupling the filter window.
+//!   al., applied to NOrec's commit write-summary ring: one Bloom slot
+//!   covers [`COARSE_COMMITS_PER_SLOT`] commits, quadrupling the filter
+//!   window, and readers ride through a writeback that provably misses
+//!   their address.
 //!
-//! A kind is kept only if it wins a comparison row over ten seeds
-//! (DESIGN.md §13–14): coarse wins single-view NOrec at N = 16 by +3.3 % on
-//! all ten. An SNZI-fronted coarse clock, address-sharded and
-//! epoch-batched clocks were tried and removed — none won a row, and the
-//! paper's own answer to the global-clock bottleneck is the per-view cut,
-//! not sharding inside a view.
-//!
-//! The source also owns the per-clock statistics (bumps paid, bumps
-//! skipped) surfaced through the gate's clock rows.
+//! The kind is NOrec's alone ([`crate::TmAlgorithm::runs_coarse_clock`]):
+//! the orec engine always takes one fetch-add per writer commit, whatever
+//! kind it is given. A kind is kept only if it wins a comparison row over
+//! ten seeds (DESIGN.md §13–14): coarse wins single-view NOrec at N = 16 by
+//! +3.3 % on all ten. Its orec translation, an SNZI-fronted coarse clock,
+//! address-sharded and epoch-batched clocks were tried and removed — none
+//! won a row, and the paper's own answer to the global-clock bottleneck is
+//! the per-view cut, not sharding inside a view.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,8 +43,9 @@ pub enum ClockKind {
     /// Single global counter — the paper's baseline and the default.
     #[default]
     Global,
-    /// Coarse-granularity timestamps (Huang et al.): share epochs, trade
-    /// false conflicts for bump traffic.
+    /// Coarse-granularity timestamps (Huang et al.) on NOrec's summary
+    /// ring: a wider filter window for denser filters. The orec engine
+    /// runs it as `Global`.
     Coarse,
 }
 
@@ -69,43 +67,28 @@ impl ClockKind {
 pub struct ClockStats {
     /// Timestamp advances actually paid (CAS/fetch-add on a shared line).
     pub bumps: u64,
-    /// Advances elided: GV5 commits that reused the current epoch
-    /// (coarse).
+    /// Always 0: no clock elides an advance. It stays only because the
+    /// repository benchmark reads it (`stm.clock_bump_skips`), and goes once
+    /// a benchmark change drops that metric.
     pub bump_skips: u64,
 }
 
 /// One TM instance's timestamp source: the timestamp word and the bump
-/// statistics.
+/// count.
 ///
 /// The algorithms own the *semantics* (what a timestamp means for
 /// validation); this struct owns the storage and the accounting, so all
-/// three algorithms report clock behaviour uniformly.
+/// three algorithms report clock behaviour uniformly. The default source
+/// starts at timestamp 0.
+#[derive(Default)]
 pub struct ClockSource {
-    kind: ClockKind,
     /// The timestamp word: NOrec's sequence lock or the orec version
     /// clock.
     primary: CachePadded<AtomicU64>,
     bumps: CachePadded<AtomicU64>,
-    bump_skips: CachePadded<AtomicU64>,
 }
 
 impl ClockSource {
-    /// A source of the given kind starting at timestamp 0.
-    pub fn new(kind: ClockKind) -> Self {
-        Self {
-            kind,
-            primary: CachePadded::new(AtomicU64::new(0)),
-            bumps: CachePadded::new(AtomicU64::new(0)),
-            bump_skips: CachePadded::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// The strategy this source implements.
-    #[inline]
-    pub fn kind(&self) -> ClockKind {
-        self.kind
-    }
-
     /// The primary timestamp word (NOrec seqlock / orec version clock).
     #[inline]
     pub(crate) fn primary(&self) -> &AtomicU64 {
@@ -118,17 +101,11 @@ impl ClockSource {
         self.bumps.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one elided/avoided timestamp advance.
-    #[inline]
-    pub(crate) fn note_skip(&self) {
-        self.bump_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Point-in-time statistics.
     pub fn stats(&self) -> ClockStats {
         ClockStats {
             bumps: self.bumps.load(Ordering::Relaxed),
-            bump_skips: self.bump_skips.load(Ordering::Relaxed),
+            bump_skips: 0,
         }
     }
 
@@ -143,7 +120,6 @@ impl ClockSource {
 impl std::fmt::Debug for ClockSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClockSource")
-            .field("kind", &self.kind)
             .field("primary", &self.primary.load(Ordering::Relaxed))
             .field("stats", &self.stats())
             .finish()

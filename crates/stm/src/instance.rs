@@ -66,6 +66,18 @@ impl TmAlgorithm {
             TmAlgorithm::OrecEagerRedo | TmAlgorithm::OrecLazy => true,
         }
     }
+
+    /// Whether the algorithm runs the [`ClockKind`] it is given. Only
+    /// NOrec does: [`ClockKind::Coarse`] widens its commit write-summary
+    /// ring and lets its readers ride through a writeback. The orec engine
+    /// always takes one fetch-add per writer commit, whatever the kind —
+    /// its coarse translation won no comparison row (DESIGN.md §14).
+    pub fn runs_coarse_clock(self) -> bool {
+        match self {
+            TmAlgorithm::NOrec => true,
+            TmAlgorithm::OrecEagerRedo | TmAlgorithm::OrecLazy => false,
+        }
+    }
 }
 
 enum Globals {
@@ -100,12 +112,11 @@ impl TmInstance {
     /// primitive: the new view's metadata domain starts empty while the
     /// data stays in place. The caller must guarantee disjoint routing —
     /// no address may be accessed through two instances concurrently.
+    /// `clock` applies only where [`TmAlgorithm::runs_coarse_clock`] holds.
     pub fn over_heap(algo: TmAlgorithm, heap: Arc<WordHeap>, clock: ClockKind) -> Self {
         let globals = match algo {
             TmAlgorithm::NOrec => Globals::NOrec(NOrecGlobal::with_kind(clock)),
-            TmAlgorithm::OrecEagerRedo | TmAlgorithm::OrecLazy => {
-                Globals::Orec(OrecGlobal::with_kind(clock))
-            }
+            TmAlgorithm::OrecEagerRedo | TmAlgorithm::OrecLazy => Globals::Orec(OrecGlobal::new()),
         };
         Self {
             heap,
@@ -475,9 +486,10 @@ mod tests {
 
     #[test]
     fn concurrent_counter_is_exact_under_every_clock_kind() {
-        // Same torture, swept over algorithm x clock strategy: the clock
-        // variants must not cost a single update even under real-thread
-        // interleaving (GV5 rescues).
+        // Same torture, swept over algorithm x clock strategy: no clock
+        // kind may cost a single update under real-thread interleaving,
+        // whether the algorithm runs it (NOrec's coarse summary ring and
+        // writeback ride-through) or ticks regardless (the orec engine).
         for algo in TmAlgorithm::ALL {
             for kind in ClockKind::ALL {
                 let inst = Arc::new(TmInstance::over_heap(

@@ -23,15 +23,15 @@
 //! # Clock sources
 //!
 //! That serialisation point is exactly what [`crate::clock`] makes
-//! pluggable. Per [`ClockKind`]:
+//! pluggable, and NOrec is the only engine that reads the [`ClockKind`]
+//! ([`crate::TmAlgorithm::runs_coarse_clock`]):
 //!
 //! * `Global` — the algorithm above, unchanged (bit-identical charges).
 //! * `Coarse` — Huang et al. granularity applied to the write-summary
 //!   ring: one Bloom slot covers [`COARSE_COMMITS_PER_SLOT`] commits
 //!   (slots are OR-merged), so the filter window reaches 4x further at
 //!   the price of denser filters (more false positives, each costing one
-//!   value check — NOrec's analogue of the coarse-timestamp false
-//!   conflict). The coarse clock also *rides through* the sequence
+//!   value check). The coarse clock also *rides through* the sequence
 //!   lock's writeback hold: the committer publishes a tagged copy of its
 //!   write summary before its first writeback store, and a read or begin
 //!   that catches the lock odd proceeds when the summary proves its
@@ -64,6 +64,8 @@ const SUMMARY_SLOTS: u64 = 64;
 /// write-summary ring.
 #[derive(Debug)]
 pub struct NOrecGlobal {
+    /// How the summary ring and the writeback hold use the clock.
+    kind: ClockKind,
     /// The timestamp source; its primary word is the sequence lock (even =
     /// unlocked timestamp, odd = locked by a committer).
     clock: ClockSource,
@@ -101,20 +103,21 @@ impl NOrecGlobal {
     /// New instance at timestamp 0 using the given clock strategy.
     pub fn with_kind(kind: ClockKind) -> Self {
         Self {
-            clock: ClockSource::new(kind),
+            kind,
+            clock: ClockSource::default(),
             summaries: (0..SUMMARY_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             in_flight: CachePadded::new(InFlight::default()),
         }
     }
 
-    /// The clock source (kind, statistics).
+    /// The clock source (statistics).
     pub fn clock(&self) -> &ClockSource {
         &self.clock
     }
 
     #[inline]
     fn kind(&self) -> ClockKind {
-        self.clock.kind()
+        self.kind
     }
 
     #[inline]

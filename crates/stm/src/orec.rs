@@ -34,26 +34,21 @@
 //! else — `begin`, `read`, validation, the stamp, write-back, release — is
 //! one path.
 //!
-//! # Clock sources
+//! # Clock
 //!
-//! The version clock is a [`crate::clock::ClockSource`]; per [`ClockKind`]:
-//!
-//! * `Global` — one fetch-add per writer commit (the status quo,
-//!   bit-identical charges).
-//! * `Coarse` — GV5-style coarse timestamps after Huang et al.: commits
-//!   release orecs at `clock + 1` *without* ticking, trading fetch-add
-//!   traffic for **false conflicts** — a reader whose snapshot shares the
-//!   epoch of an already-committed write cannot tell it from a fresh one
-//!   and must abort ([`AbortReason::FalseConflict`]). The abort's rescue
-//!   CAS nudges the clock past the stale epoch so the retry cannot hit the
-//!   same wall (required for progress, not just performance).
+//! The version clock is a [`crate::clock::ClockSource`] that takes one
+//! fetch-add per writer commit, whatever [`crate::ClockKind`] the system
+//! names: the coarse kind is NOrec's alone
+//! ([`crate::TmAlgorithm::runs_coarse_clock`]). Every orec is released at
+//! a clock value already reached, so a version ahead of a snapshot always
+//! names a commit the snapshot missed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use votm_obs::AbortReason;
 use votm_utils::{hash_u64, InlineVec};
 
-use crate::clock::{ClockKind, ClockSource};
+use crate::clock::ClockSource;
 use crate::cost;
 use crate::heap::{Addr, WordHeap};
 use crate::writeset::WriteSet;
@@ -124,30 +119,24 @@ impl OrecGlobal {
     /// staying cache-friendly.
     pub const DEFAULT_ORECS: usize = 1 << 12;
 
-    /// New instance with the default orec table and the given clock.
-    pub fn with_kind(kind: ClockKind) -> Self {
-        Self::with_orecs_kind(Self::DEFAULT_ORECS, kind)
+    /// New instance with the default orec table.
+    pub fn new() -> Self {
+        Self::with_orecs(Self::DEFAULT_ORECS)
     }
 
-    /// New instance with `n` orecs (a power of two) and the given clock
-    /// strategy.
-    pub fn with_orecs_kind(n: usize, kind: ClockKind) -> Self {
+    /// New instance with `n` orecs (a power of two).
+    pub fn with_orecs(n: usize) -> Self {
         assert!(n.is_power_of_two(), "orec count must be a power of two");
         Self {
-            clock: ClockSource::new(kind),
+            clock: ClockSource::default(),
             orecs: (0..n).map(|_| AtomicU64::new(0)).collect(),
             mask: n - 1,
         }
     }
 
-    /// The clock source (kind, statistics).
+    /// The clock source (statistics).
     pub fn clock(&self) -> &ClockSource {
         &self.clock
-    }
-
-    #[inline]
-    fn kind(&self) -> ClockKind {
-        self.clock.kind()
     }
 
     /// The orec index guarding `addr`.
@@ -173,62 +162,12 @@ impl OrecGlobal {
         self.clock.note_bump();
         self.clock.primary().fetch_add(1, Ordering::AcqRel) + 1
     }
-
-    /// The commit-stamp rule: picks the timestamp a writer commit (write
-    /// orecs held, snapshot `start`) releases its orecs at, and says
-    /// whether the read set must be validated first.
-    fn commit_stamp(&self, start: u64) -> (u64, bool) {
-        match self.kind() {
-            // A stamp straight after our snapshot means nobody committed
-            // since.
-            ClockKind::Global => {
-                let end = self.clock_tick();
-                (end, end != start + 1)
-            }
-            // GV5 (Huang et al.): reuse the current epoch without ticking.
-            // `end == start + 1` then proves nothing, so validation is
-            // unconditional.
-            ClockKind::Coarse => {
-                self.clock.note_skip();
-                (self.clock_now() + 1, true)
-            }
-        }
-    }
-
-    /// Classifies an unlocked-but-newer orec (`version_of(ov) > start`) as
-    /// a real conflict or a coarse-timestamp *false conflict*, and in the
-    /// latter case performs the GV5 rescue bump: a CAS that nudges the
-    /// clock past the shared epoch so a retry at the new snapshot cannot
-    /// hit the same wall. Without it a retry re-begins at the identical
-    /// snapshot and false-conflicts forever — the bump is a progress
-    /// requirement, not an optimisation.
-    fn classify_stale(&self, start: u64, ov: u64, work: &mut u64) -> AbortReason {
-        if self.kind() == ClockKind::Coarse && version_of(ov) == start + 1 {
-            // Possibly written *before* the transaction began, merely
-            // sharing its epoch (indistinguishable from a real same-epoch
-            // conflict — the labelling is the coarse clock's approximation,
-            // the abort itself is conservative either way).
-            *work += cost::METADATA_OP;
-            if self
-                .clock
-                .primary()
-                .compare_exchange(start, start + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.clock.note_bump();
-            }
-            AbortReason::FalseConflict
-        } else {
-            AbortReason::OrecConflict
-        }
-    }
 }
 
 impl std::fmt::Debug for OrecGlobal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OrecGlobal")
             .field("clock", &self.clock_now())
-            .field("kind", &self.kind())
             .field("orecs", &self.orecs.len())
             .finish()
     }
@@ -336,9 +275,8 @@ impl OrecTx {
                 self.last_conflict = AbortReason::OrecConflict;
                 self.last_enemy = enemy_of(ov);
             } else if version_of(ov) > self.start {
-                // Re-written since we read it: the value we hold is stale
-                // (or, under a coarse clock, merely shares our epoch).
-                self.last_conflict = global.classify_stale(self.start, ov, &mut self.work);
+                // Re-written since we read it: the value we hold is stale.
+                self.last_conflict = AbortReason::OrecConflict;
                 self.last_enemy = None;
             } else {
                 continue;
@@ -397,15 +335,9 @@ impl OrecTx {
         if version_of(pre) > self.start {
             // Location written after our snapshot; try to extend it.
             self.extend(global)?;
-            if version_of(pre) > self.start {
-                // Extension adopted the freshest clock and the version is
-                // *still* ahead — only a coarse (GV5) clock can get here,
-                // because only it releases orecs at `clock + 1`.
-                self.last_conflict = global.classify_stale(self.start, pre, &mut self.work);
-                self.last_enemy = None;
-                self.last_site = ConflictSite::Addr(addr);
-                return Err(OpError::Conflict);
-            }
+            // The clock ticks before a commit releases its orecs, so the
+            // clock value the extension adopted covers `pre`'s version.
+            debug_assert!(version_of(pre) <= self.start, "extension fell short");
         }
         let v = heap.load(addr);
         let post = global.orec(idx).load(Ordering::Acquire);
@@ -442,9 +374,7 @@ impl OrecTx {
         }
         if version_of(ov) > self.start {
             // Sound before the lock is ours: no read depends on the new
-            // version yet. (A coarse clock may leave the version ahead even
-            // after a successful extension — locking it anyway is fine,
-            // since the coarse clock validates unconditionally at commit.)
+            // version yet.
             self.extend(global)?;
         }
         self.work += cas_cost;
@@ -486,9 +416,10 @@ impl OrecTx {
     ///
     /// Read-only transactions complete immediately (`Done`): their reads
     /// were consistent as of `start` and no global state changes. Writers
-    /// hold their write orecs, take the commit stamp, validate reads if it
-    /// asks, write the redo log back and return `NeedsFinish` with the
-    /// orecs still held.
+    /// hold their write orecs, tick the clock for their commit stamp,
+    /// validate reads unless the stamp directly follows the snapshot, write
+    /// the redo log back and return `NeedsFinish` with the orecs still
+    /// held.
     pub fn commit_begin(&mut self, global: &OrecGlobal, heap: &WordHeap) -> OpResult<CommitPhase> {
         debug_assert!(self.active);
         // (Under encounter-time acquisition an empty redo log is an empty
@@ -528,9 +459,9 @@ impl OrecTx {
                 }
             }
         }
-        let (end, must_validate) = global.commit_stamp(self.start);
-        if must_validate {
-            // Someone may have committed since our snapshot.
+        // A stamp straight after our snapshot means nobody committed since.
+        let end = global.clock_tick();
+        if end != self.start + 1 {
             self.validate(global, true)?;
         }
         let n = self.redo.len() as u64;
@@ -614,17 +545,7 @@ mod tests {
     use super::*;
 
     fn setup() -> (OrecGlobal, WordHeap) {
-        (
-            OrecGlobal::with_orecs_kind(1 << 10, ClockKind::Global),
-            WordHeap::new(256),
-        )
-    }
-
-    fn setup_kind(kind: ClockKind) -> (OrecGlobal, WordHeap) {
-        (
-            OrecGlobal::with_orecs_kind(1 << 10, kind),
-            WordHeap::new(1 << 14),
-        )
+        (OrecGlobal::with_orecs(1 << 10), WordHeap::new(256))
     }
 
     fn eager(thread_index: usize) -> OrecTx {
@@ -1027,158 +948,68 @@ mod tests {
 
     // ---- the commit-stamp rule ----
 
+    /// Commits one read and one write from snapshot 5, the clock moved to
+    /// `now` before the commit. Yields (released version, read set
+    /// validated).
+    fn commit_from_5(g: &OrecGlobal, h: &WordHeap, acquire: Acquire, now: u64) -> (u64, bool) {
+        g.clock().preload(5);
+        let mut tx = OrecTx::new(0, acquire);
+        tx.begin(g).unwrap();
+        tx.read(g, h, Addr(1)).unwrap();
+        tx.write(g, Addr(0), 1).unwrap();
+        g.clock().preload(now);
+        tx.take_work();
+        let CommitPhase::NeedsFinish { cost: write_cost } = tx.commit_begin(g, h).unwrap() else {
+            panic!("writer needs finish");
+        };
+        // Both acquisition times pay one METADATA_OP (encounter: the tick;
+        // commit: the single orec acquisition) on top of validation and
+        // writeback.
+        let validation = tx.take_work() - write_cost - cost::METADATA_OP;
+        tx.commit_finish(g);
+        let released = version_of(orec_word(g, Addr(0)));
+        (released, validation == cost::VALIDATE_WORD)
+    }
+
     #[test]
     fn commit_stamp_rule_per_clock_kind() {
-        use ClockKind::{Coarse, Global};
         // A committer whose snapshot is 5, on a clock standing at `now`.
         // Expected: (end, must_validate), then (clock, bumps, bump_skips).
         #[rustfmt::skip]
         let table = [
-            // Global ticks, and validates iff the tick was not start + 1.
-            (Global, 5, (6, false), (6, 1, 0)),
-            (Global, 7, (8, true),  (8, 1, 0)),
-            // Coarse never ticks, books a skip and always validates.
-            (Coarse, 5, (6, true),  (5, 0, 1)),
-            (Coarse, 7, (8, true),  (7, 0, 1)),
+            // The clock ticks, and validation runs iff the tick was not
+            // start + 1.
+            (5, (6, false), (6, 1, 0)),
+            (7, (8, true),  (8, 1, 0)),
         ];
-        for (kind, now, stamp, after) in table {
-            let g = OrecGlobal::with_orecs_kind(8, kind);
-            g.clock().preload(now);
-            let case = format!("{kind:?} now={now}");
-            assert_eq!(g.commit_stamp(5), stamp, "{case}");
+        for (now, stamp, after) in table {
+            let (g, h) = setup();
+            assert_eq!(
+                commit_from_5(&g, &h, Acquire::Encounter, now),
+                stamp,
+                "now={now}"
+            );
             let s = g.clock().stats();
-            assert_eq!((g.clock_now(), s.bumps, s.bump_skips), after, "{case}");
+            assert_eq!((g.clock_now(), s.bumps, s.bump_skips), after, "now={now}");
         }
     }
 
-    /// Both acquisition times go through the one stamp rule
-    /// ([`OrecGlobal::commit_stamp`]): from the same clock state both must
-    /// release their orec at the same version and agree on whether the
-    /// read set was validated.
+    /// Both acquisition times go through the one stamp rule in
+    /// `commit_writer`: from the same clock state both must release their
+    /// orec at the same version and agree on whether the read set was
+    /// validated.
     #[test]
     fn lazy_and_eager_commits_get_the_same_stamp() {
-        for kind in ClockKind::ALL {
-            for moved in [false, true] {
-                // One read, one write, snapshot 5; `moved` pushes the clock
-                // to 7 before the commit. Yields (released version, read set
-                // validated).
-                let stamp = |acquire| {
-                    let (g, h) = setup_kind(kind);
-                    g.clock().preload(5);
-                    let mut tx = OrecTx::new(0, acquire);
-                    tx.begin(&g).unwrap();
-                    tx.read(&g, &h, Addr(1)).unwrap();
-                    tx.write(&g, Addr(0), 1).unwrap();
-                    if moved {
-                        g.clock().preload(7);
-                    }
-                    tx.take_work();
-                    let CommitPhase::NeedsFinish { cost: write_cost } =
-                        tx.commit_begin(&g, &h).unwrap()
-                    else {
-                        panic!("writer needs finish");
-                    };
-                    // Both pay one METADATA_OP (encounter: the tick; commit:
-                    // the single orec acquisition) on top of validation and
-                    // writeback.
-                    let validation = tx.take_work() - write_cost - cost::METADATA_OP;
-                    tx.commit_finish(&g);
-                    let released = version_of(orec_word(&g, Addr(0)));
-                    (released, validation == cost::VALIDATE_WORD)
-                };
-                assert_eq!(
-                    stamp(Acquire::Commit),
-                    stamp(Acquire::Encounter),
-                    "{kind:?} moved={moved}"
-                );
-            }
+        for now in [5, 7] {
+            let stamp = |acquire| {
+                let (g, h) = setup();
+                commit_from_5(&g, &h, acquire, now)
+            };
+            assert_eq!(
+                stamp(Acquire::Commit),
+                stamp(Acquire::Encounter),
+                "now={now}"
+            );
         }
-    }
-
-    // ---- coarse (GV5) clock ----
-
-    #[test]
-    fn coarse_commit_reuses_epoch_without_ticking() {
-        let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut tx = eager(0);
-        run_tx(&g, &h, &mut tx, |tx| tx.write(&g, Addr(0), 1));
-        assert_eq!(g.clock_now(), 0, "GV5: no tick per commit");
-        assert_eq!(
-            version_of(orec_word(&g, Addr(0))),
-            1,
-            "released at clock + 1"
-        );
-        assert_eq!(g.clock().stats().bump_skips, 1);
-    }
-
-    #[test]
-    fn coarse_false_conflict_is_labelled_and_rescued() {
-        let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut t1 = eager(0);
-        // One commit leaves Addr(0) at version 1 while the clock stays 0.
-        run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(0), 7));
-        // A reader beginning *after* that commit still snapshots 0 and
-        // cannot distinguish the old write from a fresh one: false conflict.
-        let mut t2 = eager(1);
-        t2.begin(&g).unwrap();
-        assert_eq!(t2.read(&g, &h, Addr(0)), Err(OpError::Conflict));
-        assert_eq!(t2.conflict_reason(), AbortReason::FalseConflict);
-        t2.abort(&g);
-        // The rescue bump moved the clock past the shared epoch, so the
-        // retry begins at 1 and sails through — GV5's progress guarantee.
-        assert_eq!(g.clock_now(), 1);
-        t2.begin(&g).unwrap();
-        assert_eq!(t2.read(&g, &h, Addr(0)).unwrap(), 7);
-        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-    }
-
-    #[test]
-    fn coarse_false_conflict_rescued_on_read() {
-        let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut t1 = lazy(0);
-        run_tx(&g, &h, &mut t1, |tx| tx.write(&g, Addr(0), 7));
-        assert_eq!(g.clock_now(), 0, "GV5: no tick per commit");
-        let mut t2 = lazy(1);
-        t2.begin(&g).unwrap();
-        assert_eq!(t2.read(&g, &h, Addr(0)), Err(OpError::Conflict));
-        assert_eq!(t2.conflict_reason(), AbortReason::FalseConflict);
-        t2.abort(&g);
-        assert_eq!(g.clock_now(), 1, "rescue bump moved the clock");
-        t2.begin(&g).unwrap();
-        assert_eq!(t2.read(&g, &h, Addr(0)).unwrap(), 7);
-        assert_eq!(t2.commit_begin(&g, &h).unwrap(), CommitPhase::Done);
-    }
-
-    #[test]
-    fn coarse_real_conflicts_still_abort() {
-        let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut t1 = eager(0);
-        let mut t2 = eager(1);
-        t1.begin(&g).unwrap();
-        assert_eq!(t1.read(&g, &h, Addr(0)).unwrap(), 0);
-        t1.write(&g, Addr(50), 1).unwrap();
-        run_tx(&g, &h, &mut t2, |tx| tx.write(&g, Addr(0), 9));
-        // Same-epoch real conflict: labelled FalseConflict (the coarse
-        // clock cannot tell), but the abort itself is mandatory and the
-        // writeback never leaks.
-        assert_eq!(t1.commit_begin(&g, &h), Err(OpError::Conflict));
-        t1.abort(&g);
-        assert_eq!(h.load(Addr(50)), 0);
-    }
-
-    #[test]
-    fn coarse_counter_increments_are_exact() {
-        let (g, h) = setup_kind(ClockKind::Coarse);
-        let mut t1 = eager(0);
-        for _ in 0..50 {
-            run_tx(&g, &h, &mut t1, |tx| {
-                let v = match tx.read(&g, &h, Addr(0)) {
-                    Ok(v) => v,
-                    Err(e) => return Err(e),
-                };
-                tx.write(&g, Addr(0), v + 1)
-            });
-        }
-        assert_eq!(h.load(Addr(0)), 50);
     }
 }

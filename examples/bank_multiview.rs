@@ -86,7 +86,6 @@ fn main() {
         .threads(THREADS as u32)
         .controller(votm_repro::rac::ControllerConfig {
             window_attempts: 64,
-            ..Default::default()
         })
         .build();
     let both = sys.create_view(64 + ACCOUNTS as usize, QuotaMode::Adaptive);
@@ -103,7 +102,6 @@ fn main() {
         .threads(THREADS as u32)
         .controller(votm_repro::rac::ControllerConfig {
             window_attempts: 64,
-            ..Default::default()
         })
         .build();
     let counter = sys.create_view(64, QuotaMode::Adaptive);

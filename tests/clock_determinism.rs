@@ -5,7 +5,8 @@
 //! `votm-obs-snapshot-v1` schema alike.
 //!
 //! This mirrors `policy_determinism.rs` for the clock-source surface:
-//! GV5 reuse derives from virtual time — never from host entropy.
+//! NOrec's coarse summary ring derives from virtual time — never from host
+//! entropy.
 
 use votm::{ClockKind, CmPolicy, TmAlgorithm};
 use votm_bench::{capture_trace, Settings};
@@ -57,11 +58,18 @@ fn every_clock_replays_byte_identical_exports() {
 /// exact fetch-add path the pre-ClockSource code did and is what a system
 /// gets when it names no clock, so a global-clock capture is byte-identical
 /// to the default capture — not merely deterministic. This is the
-/// test-level form of the CI gate's default-rows-bit-identical check.
+/// test-level form of the CI gate's default-rows-bit-identical check. The
+/// orec engine ticks whatever clock it is given, so its coarse capture is
+/// the default capture too.
 #[test]
 fn global_clock_matches_the_default_capture_exactly() {
     let settings = settings();
-    for algo in [TmAlgorithm::NOrec, TmAlgorithm::OrecEagerRedo] {
+    for (algo, clock) in [
+        (TmAlgorithm::NOrec, ClockKind::Global),
+        (TmAlgorithm::OrecEagerRedo, ClockKind::Global),
+        (TmAlgorithm::OrecEagerRedo, ClockKind::Coarse),
+        (TmAlgorithm::OrecLazy, ClockKind::Coarse),
+    ] {
         let default = capture_trace(
             &settings,
             algo,
@@ -69,14 +77,11 @@ fn global_clock_matches_the_default_capture_exactly() {
             CmPolicy::default(),
             ClockKind::default(),
         );
-        let global = capture_trace(
-            &settings,
-            algo,
-            sim(7),
-            CmPolicy::Backoff,
-            ClockKind::Global,
+        let captured = capture_trace(&settings, algo, sim(7), CmPolicy::Backoff, clock);
+        assert_eq!(
+            default.chrome_trace, captured.chrome_trace,
+            "{algo:?} {clock:?}"
         );
-        assert_eq!(default.chrome_trace, global.chrome_trace, "{algo:?}");
-        assert_eq!(default.snapshot, global.snapshot, "{algo:?}");
+        assert_eq!(default.snapshot, captured.snapshot, "{algo:?} {clock:?}");
     }
 }
