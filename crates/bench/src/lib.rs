@@ -337,7 +337,8 @@ pub struct GateRow {
     /// paper's global-clock bottleneck: under single-view NOrec at N = 16
     /// this dwarfs 1, and it is the number the clock variants attack.
     pub busy_retries_per_commit: f64,
-    /// Clock bumps actually taken (fetch-add or seqlock release), summed
+    /// Clock bumps taken, read off each view's timestamp word (orec
+    /// fetch-adds, or NOrec writer commits: half the sequence lock), summed
     /// over views and seeds. See `votm_stm::clock::ClockStats::bumps`.
     pub clock_bumps: u64,
     /// Always 0: every clock ticks once per writer commit. The field keeps
@@ -405,7 +406,7 @@ pub const GATE_SEEDS: u64 = 3;
 /// The file `tables --json` writes the gate to — the PR-numbered benchmark
 /// trajectory artifact — and the one the comparison tables' footnotes send
 /// the reader to for the raw fields.
-pub const GATE_ARTIFACT: &str = "BENCH_34.json";
+pub const GATE_ARTIFACT: &str = "BENCH_35.json";
 
 /// `num / den`, or `idle` when nothing happened to divide by.
 fn ratio(num: u64, den: u64, idle: f64) -> f64 {
@@ -848,7 +849,6 @@ pub fn gate_rows_to_json(settings: &Settings, rows: &[GateRow]) -> String {
             RunStatus::Completed => "completed",
             RunStatus::Livelock => "livelock",
             RunStatus::Deadlock => "deadlock",
-            RunStatus::StepBudgetExhausted => "step-budget-exhausted",
         };
         let wasted_by_reason: Vec<String> = AbortReason::ALL
             .iter()

@@ -44,7 +44,6 @@ fn profiled_run_is_virtually_identical_to_unrecorded_run() {
         SimConfig {
             seed: s.seed,
             vtime_cap: None,
-            max_steps: u64::MAX,
             ..Default::default()
         },
     );
@@ -128,7 +127,6 @@ fn affinity_matrix_recovers_hand_partition_from_single_view_run() {
             SimConfig {
                 seed,
                 vtime_cap: None,
-                max_steps: u64::MAX,
                 ..Default::default()
             },
             Some(Arc::clone(&recorder)),

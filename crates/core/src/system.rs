@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use votm_obs::FlightRecorder;
-use votm_rac::{CmPolicy, ControllerConfig, QuotaMode};
+use votm_rac::{CmPolicy, QuotaMode};
 use votm_stm::{ClockKind, TmAlgorithm, TmInstance, WordHeap};
 use votm_utils::Mutex;
 
@@ -18,8 +18,6 @@ pub struct VotmConfig {
     /// The maximum number of threads `N` — adaptive quotas start here and
     /// never exceed it.
     pub n_threads: u32,
-    /// Tuning for adaptive RAC controllers.
-    pub controller: ControllerConfig,
     /// Reserve factor for `brk_view`: each view's heap reserves
     /// `size × reserve_factor` words so it can grow. 1 disables growth.
     pub reserve_factor: usize,
@@ -44,10 +42,11 @@ pub struct VotmConfig {
     /// ([`TmAlgorithm::names_lock_holder`]).
     pub contention: CmPolicy,
     /// Clock strategy for every NOrec view's sequence lock. The default,
-    /// [`ClockKind::Global`], is the single fetch-add clock the paper's
-    /// RSTM plug-ins use (bit-identical behaviour); [`ClockKind::Coarse`]
-    /// attacks the global-clock bottleneck the paper names for
-    /// memory-intensive NOrec workloads — see `votm_stm::clock`. Orec views
+    /// [`ClockKind::Global`], is plain NOrec: one seqlock CAS per writer
+    /// commit and a summary slot per commit, as in the paper's RSTM plug-in;
+    /// [`ClockKind::Coarse`] attacks the global-clock bottleneck the paper
+    /// names for memory-intensive NOrec workloads with a coarser summary
+    /// ring and writeback ride-through — see `votm_stm::clock`. Orec views
     /// always take one fetch-add per writer commit, whatever is set here
     /// ([`TmAlgorithm::runs_coarse_clock`]).
     pub clock: ClockKind,
@@ -58,7 +57,6 @@ impl Default for VotmConfig {
         Self {
             algorithm: TmAlgorithm::NOrec,
             n_threads: 16,
-            controller: ControllerConfig::default(),
             reserve_factor: 1,
             escalate_after: None,
             recorder: None,
@@ -217,12 +215,6 @@ impl VotmBuilder {
     /// always tick (see [`VotmConfig::clock`]).
     pub fn clock(mut self, clock: ClockKind) -> Self {
         self.config.clock = clock;
-        self
-    }
-
-    /// Tuning for adaptive RAC controllers.
-    pub fn controller(mut self, controller: ControllerConfig) -> Self {
-        self.config.controller = controller;
         self
     }
 

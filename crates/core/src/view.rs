@@ -3,7 +3,9 @@
 use std::sync::Arc;
 
 use votm_obs::{FlightRecorder, RecorderHandle, ViewHistSnapshot, ViewHists};
-use votm_rac::{AdmissionGate, CmInstance, CmPolicy, GateStats, QuotaMode, RacController};
+use votm_rac::{
+    AdmissionGate, CmInstance, CmPolicy, ControllerConfig, GateStats, QuotaMode, RacController,
+};
 use votm_sim::Rt;
 use votm_stm::{Addr, ClockStats, RouteTable, StatsSnapshot, TmInstance};
 use votm_utils::{CachePadded, Mutex};
@@ -72,10 +74,7 @@ impl View {
         let n_threads = config.n_threads;
         let (initial_quota, controller) = match quota_mode {
             QuotaMode::Fixed(q) => (q, None),
-            QuotaMode::Adaptive => (
-                n_threads,
-                Some(RacController::new(config.controller.clone())),
-            ),
+            QuotaMode::Adaptive => (n_threads, Some(RacController::new(ControllerConfig {}))),
             // Admission control disabled; quota N means the gate never
             // blocks (there are only N threads), and no controller runs.
             QuotaMode::Unrestricted => (n_threads, None),

@@ -3,8 +3,12 @@
 
 use std::sync::Arc;
 
-use votm::{Addr, EventKind, FlightRecorder, QuotaMode, TmAlgorithm, TxError, Votm};
+use votm::{
+    Addr, ClockKind, ClockStats, EventKind, FlightRecorder, QuotaMode, TmAlgorithm, TxError, Votm,
+};
 use votm_sim::{run_parallel, RunOutcome, RunStatus, SimConfig, SimExecutor};
+use votm_stm::instance::run_sync;
+use votm_stm::{TmInstance, WordHeap};
 
 fn sys(algo: TmAlgorithm, n_threads: u32) -> Votm {
     Votm::builder().algo(algo).threads(n_threads).build()
@@ -133,6 +137,57 @@ fn read_only_transactions_commit_without_clock_traffic() {
     assert_eq!(s.tm.aborts, 0, "pure readers never conflict");
 }
 
+/// `ViewStats::clock` counts one bump per writer commit under every
+/// algorithm and clock kind and none per read-only commit; lock mode
+/// (Q = 1) never touches the clock; and a fresh metadata domain over a heap
+/// that already took commits starts at zero bumps.
+#[test]
+fn view_clock_counts_one_bump_per_writer_commit() {
+    fn run(algo: TmAlgorithm, clock: ClockKind, quota: QuotaMode) -> ClockStats {
+        let system = Votm::builder().algo(algo).threads(4).clock(clock).build();
+        let view = system.create_view(64, quota);
+        let mut ex = SimExecutor::new(SimConfig::default());
+        let v = Arc::clone(&view);
+        ex.spawn(move |rt| async move {
+            for i in 0..50u64 {
+                v.transact(&rt, async |tx| Ok(tx.write(Addr(i as u32 % 8), i).await?))
+                    .await;
+            }
+            for _ in 0..20 {
+                v.transact(&rt, async |tx| Ok(tx.read(Addr(3)).await?))
+                    .await;
+            }
+        });
+        assert_eq!(ex.run().status, RunStatus::Completed);
+        let s = view.stats();
+        assert_eq!(s.tm.commits, 70, "{algo:?} {clock:?} {quota:?}");
+        s.clock
+    }
+
+    for algo in TmAlgorithm::ALL {
+        for clock in ClockKind::ALL {
+            let tm = run(algo, clock, QuotaMode::Fixed(4));
+            assert_eq!((tm.bumps, tm.bump_skips), (50, 0), "{algo:?} {clock:?}");
+            let lock_mode = run(algo, clock, QuotaMode::Fixed(1));
+            assert_eq!(lock_mode, ClockStats::default(), "{algo:?} {clock:?}");
+
+            let heap = Arc::new(WordHeap::new(16));
+            let first = TmInstance::over_heap(algo, Arc::clone(&heap), clock);
+            for i in 1..=50u64 {
+                run_sync(&first, 0, |tx, inst| tx.write(inst, Addr(0), i));
+            }
+            assert_eq!(first.clock_stats().bumps, 50, "{algo:?} {clock:?}");
+            let fresh = TmInstance::over_heap(algo, heap, clock);
+            assert_eq!(fresh.heap().load(Addr(0)), 50, "{algo:?} {clock:?}");
+            assert_eq!(
+                fresh.clock_stats(),
+                ClockStats::default(),
+                "{algo:?} {clock:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn aborted_transactions_roll_back_allocations() {
     let system = sys(TmAlgorithm::NOrec, 2);
@@ -201,9 +256,6 @@ fn orec_hotspot_livelocks_without_rac_and_survives_with_it() {
         let system = Votm::builder()
             .algo(TmAlgorithm::OrecEagerRedo)
             .threads(16)
-            .controller(votm_rac::ControllerConfig {
-                window_attempts: 64,
-            })
             .build();
         let view = system.create_view(64, quota);
         let mut ex = SimExecutor::new(SimConfig {
@@ -256,9 +308,6 @@ fn multi_view_isolates_contention() {
     let system = Votm::builder()
         .algo(TmAlgorithm::OrecEagerRedo)
         .threads(8)
-        .controller(votm_rac::ControllerConfig {
-            window_attempts: 32,
-        })
         .build();
     let hot = system.create_view(16, QuotaMode::Adaptive);
     let cold = system.create_view(4096, QuotaMode::Adaptive);
@@ -271,7 +320,7 @@ fn multi_view_isolates_contention() {
         let cold = Arc::clone(&cold);
         ex.spawn(move |rt| async move {
             let mut rng = votm_utils::XorShift64::new(t + 1);
-            for i in 0..60 {
+            for i in 0..480 {
                 if i % 2 == 0 {
                     hot.transact(&rt, async |tx| {
                         for _ in 0..6 {
@@ -296,8 +345,8 @@ fn multi_view_isolates_contention() {
     assert_eq!(ex.run().status, RunStatus::Completed);
     let hot_stats = hot.stats();
     let cold_stats = cold.stats();
-    assert_eq!(hot_stats.tm.commits, 8 * 30);
-    assert_eq!(cold_stats.tm.commits, 8 * 30);
+    assert_eq!(hot_stats.tm.commits, 8 * 240);
+    assert_eq!(cold_stats.tm.commits, 8 * 240);
     assert!(
         hot_stats.quota < 8,
         "hot view should be throttled (Q={})",

@@ -34,20 +34,15 @@ const COOLDOWN_INITIAL: u32 = 8;
 /// Cool-down ceiling, in windows.
 const COOLDOWN_MAX: u32 = 512;
 
-/// Tuning knobs for [`RacController`].
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// Transaction attempts (commits + aborts) per evaluation window.
-    pub window_attempts: u64,
-}
+/// Transaction attempts (commits + aborts) per evaluation window.
+const WINDOW_ATTEMPTS: u64 = 256;
 
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        Self {
-            window_attempts: 256,
-        }
-    }
-}
+/// Configuration for [`RacController`]: fieldless, because the threshold,
+/// the cool-downs and the window are the constants above. It stays only
+/// because the repository benchmark calls
+/// `RacController::new(ControllerConfig::default())`.
+#[derive(Debug, Clone, Default)]
+pub struct ControllerConfig {}
 
 #[derive(Debug)]
 struct CtrlState {
@@ -87,15 +82,13 @@ pub struct QuotaDecision {
 /// Windowed δ(Q) estimator + quota policy for one view.
 #[derive(Debug)]
 pub struct RacController {
-    config: ControllerConfig,
     state: Mutex<CtrlState>,
 }
 
 impl RacController {
     /// New controller (quota itself lives in the view's [`AdmissionGate`]).
-    pub fn new(config: ControllerConfig) -> Self {
+    pub fn new(_config: ControllerConfig) -> Self {
         Self {
-            config,
             state: Mutex::new(CtrlState {
                 last: StatsSnapshot::default(),
                 attempts_into_window: 0,
@@ -122,7 +115,7 @@ impl RacController {
     ) -> Option<QuotaDecision> {
         let mut st = self.state.lock();
         st.attempts_into_window += 1;
-        if st.attempts_into_window < self.config.window_attempts {
+        if st.attempts_into_window < WINDOW_ATTEMPTS {
             return None;
         }
         st.attempts_into_window = 0;
@@ -239,10 +232,8 @@ impl RacController {
 mod tests {
     use super::*;
 
-    fn cfg(window: u64) -> ControllerConfig {
-        ControllerConfig {
-            window_attempts: window,
-        }
+    fn controller() -> RacController {
+        RacController::new(ControllerConfig {})
     }
 
     /// Feeds one window of synthetic stats and closes it.
@@ -266,7 +257,7 @@ mod tests {
             );
         }
         let mut last = None;
-        for _ in 0..ctrl.config.window_attempts {
+        for _ in 0..WINDOW_ATTEMPTS {
             if let Some(q) = ctrl.on_tx_end(gate, stats) {
                 last = Some(q);
             }
@@ -278,7 +269,7 @@ mod tests {
     fn high_delta_halves_quota() {
         let gate = AdmissionGate::new(16, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(cfg(16));
+        let ctrl = controller();
         // delta(16) = 100_000 / (1_000 * 15) ≈ 6.7 > 1
         let q = feed_window(&ctrl, &gate, &stats, 10, 1_000, 50, 100_000);
         assert_eq!(q, Some(8));
@@ -289,7 +280,7 @@ mod tests {
     fn repeated_high_delta_reaches_lock_mode() {
         let gate = AdmissionGate::new(16, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(cfg(16));
+        let ctrl = controller();
         for _ in 0..4 {
             feed_window(&ctrl, &gate, &stats, 5, 1_000, 100, 1_000_000);
         }
@@ -300,7 +291,7 @@ mod tests {
     fn low_delta_doubles_quota_up_to_n() {
         let gate = AdmissionGate::new(2, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(cfg(16));
+        let ctrl = controller();
         for _ in 0..5 {
             feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 1, 10);
         }
@@ -311,7 +302,7 @@ mod tests {
     fn cooldown_blocks_oscillation() {
         let gate = AdmissionGate::new(4, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(cfg(16));
+        let ctrl = controller();
         // Window 1: δ(4) high ⇒ halve to 2, mark 4 bad.
         feed_window(&ctrl, &gate, &stats, 5, 1_000, 100, 1_000_000);
         assert_eq!(gate.quota(), 2);
@@ -326,7 +317,7 @@ mod tests {
     fn cooldown_expires_and_allows_reprobe() {
         let gate = AdmissionGate::new(4, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(cfg(16));
+        let ctrl = controller();
         feed_window(&ctrl, &gate, &stats, 5, 1_000, 100, 1_000_000); // 4 -> 2
         for _ in 0..COOLDOWN_INITIAL {
             feed_window(&ctrl, &gate, &stats, 100, 1_000_000, 1, 10); // held
@@ -339,7 +330,7 @@ mod tests {
     fn lock_mode_probes_upward_after_cooldown() {
         let gate = AdmissionGate::new(2, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(cfg(16));
+        let ctrl = controller();
         // Drive to Q=1.
         feed_window(&ctrl, &gate, &stats, 5, 1_000, 100, 1_000_000);
         assert_eq!(gate.quota(), 1);
@@ -358,10 +349,10 @@ mod tests {
     fn no_adjustment_without_a_full_window() {
         let gate = AdmissionGate::new(16, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(cfg(1000));
+        let ctrl = controller();
         stats.record_abort(0, 1_000_000, votm_stm::AbortReason::OrecConflict);
         stats.record_commit(0, 10);
-        for _ in 0..999 {
+        for _ in 0..WINDOW_ATTEMPTS - 1 {
             assert_eq!(ctrl.on_tx_end(&gate, &stats), None);
         }
         assert_eq!(gate.quota(), 16);
@@ -371,7 +362,7 @@ mod tests {
     fn delta_exactly_one_holds_position() {
         let gate = AdmissionGate::new(4, 16);
         let stats = TmStats::new();
-        let ctrl = RacController::new(cfg(16));
+        let ctrl = controller();
         // delta(4) = 3000 / (1000 * 3) = 1.0: neither > 1 nor < 1.
         let q = feed_window(&ctrl, &gate, &stats, 10, 1_000, 10, 3_000);
         assert_eq!(q, None);

@@ -75,8 +75,6 @@ pub struct SimConfig {
     /// Virtual-cycle cap; exceeding it ends the run with
     /// [`RunStatus::Livelock`]. `None` disables the watchdog.
     pub vtime_cap: Option<u64>,
-    /// Hard cap on task activations, a backstop against scheduling bugs.
-    pub max_steps: u64,
     /// Deterministic fault injection (see [`crate::fault`]); `None` runs
     /// fault-free.
     pub fault_plan: Option<FaultPlan>,
@@ -96,7 +94,6 @@ impl Default for SimConfig {
         Self {
             seed: 1,
             vtime_cap: None,
-            max_steps: u64::MAX,
             fault_plan: None,
             panic_policy: PanicPolicy::Propagate,
             scheduler: SchedulerKind::TimerWheel,
@@ -118,8 +115,6 @@ pub enum RunStatus {
     /// All live tasks are blocked on [`crate::Notify`] events and nothing can
     /// wake them.
     Deadlock,
-    /// [`SimConfig::max_steps`] activations were executed.
-    StepBudgetExhausted,
 }
 
 /// Per-task stall diagnostic attached to non-`Completed` outcomes: enough
@@ -184,7 +179,7 @@ pub struct RunOutcome {
     /// the chaos tests assert this replayability.
     pub fault_log: Vec<FaultRecord>,
     /// One entry per still-live task when the run did not complete
-    /// (livelock/deadlock/step-budget); empty on [`RunStatus::Completed`].
+    /// (livelock/deadlock); empty on [`RunStatus::Completed`].
     pub stalls: Vec<TaskStall>,
     /// Scheduler-internals counters (see [`SchedStats`]).
     pub sched: SchedStats,
@@ -811,7 +806,7 @@ impl SimExecutor {
         }
     }
 
-    /// Runs until completion, livelock, deadlock or step exhaustion.
+    /// Runs until completion, livelock or deadlock.
     ///
     /// A task whose poll panics is unwound (its drop guards run), marked
     /// dead, and then handled per [`SimConfig::panic_policy`]: the panic is
@@ -820,10 +815,6 @@ impl SimExecutor {
     pub fn run(&mut self) -> RunOutcome {
         let mut steps: u64 = 0;
         loop {
-            if steps >= self.config.max_steps {
-                return self.build_outcome(RunStatus::StepBudgetExhausted, steps);
-            }
-
             let picked = {
                 // SAFETY: owner thread; this borrow ends before the poll.
                 let inner = unsafe { self.shared.state() };
@@ -1150,21 +1141,6 @@ mod tests {
         let out = ex.run();
         assert_eq!(out.status, RunStatus::Livelock);
         assert_eq!(out.tasks_remaining, 1);
-    }
-
-    #[test]
-    fn step_budget_backstop_fires() {
-        let mut ex = SimExecutor::new(SimConfig {
-            max_steps: 50,
-            ..Default::default()
-        });
-        ex.spawn(|rt: Rt| async move {
-            loop {
-                rt.charge(1).await;
-            }
-        });
-        let out = ex.run();
-        assert_eq!(out.status, RunStatus::StepBudgetExhausted);
     }
 
     #[test]

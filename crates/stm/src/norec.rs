@@ -20,31 +20,32 @@
 //!   revalidation. Splitting data into views (one NOrec instance each)
 //!   relieves precisely this — the paper's Intruder result.
 //!
-//! # Clock sources
+//! # Clock kinds
 //!
-//! That serialisation point is exactly what [`crate::clock`] makes
-//! pluggable, and NOrec is the only engine that reads the [`ClockKind`]
-//! ([`crate::TmAlgorithm::runs_coarse_clock`]):
+//! The sequence lock is this engine's own word, and NOrec is the only
+//! engine that reads the [`ClockKind`]
+//! ([`crate::TmAlgorithm::runs_coarse_clock`]). [`NOrecGlobal::with_kind`]
+//! resolves the kind once into two parameters of one code path:
 //!
-//! * `Global` — the algorithm above, unchanged (bit-identical charges).
-//! * `Coarse` — Huang et al. granularity applied to the write-summary
-//!   ring: one Bloom slot covers [`COARSE_COMMITS_PER_SLOT`] commits
-//!   (slots are OR-merged), so the filter window reaches 4x further at
-//!   the price of denser filters (more false positives, each costing one
-//!   value check). The coarse clock also *rides through* the sequence
-//!   lock's writeback hold: the committer publishes a tagged copy of its
-//!   write summary before its first writeback store, and a read or begin
-//!   that catches the lock odd proceeds when the summary proves its
-//!   address untouched, instead of spinning. Under high commit rates the
-//!   hold window is the dominant source of reader busy-retries, and most
-//!   reads do not overlap any given commit's write set.
+//! * **commits per summary slot** — 1 under `Global` (the algorithm
+//!   above), [`COARSE_COMMITS_PER_SLOT`] under `Coarse`: Huang et al.
+//!   granularity applied to the write-summary ring. Slots are OR-merged,
+//!   so the filter window reaches 4x further at the price of denser
+//!   filters (more false positives, each costing one value check).
+//! * **writeback ride-through** — off under `Global`, on under `Coarse`:
+//!   the committer publishes a tagged copy of its write summary before its
+//!   first writeback store, and a read or begin that catches the lock odd
+//!   proceeds when the summary proves its address untouched, instead of
+//!   spinning. Under high commit rates the hold window is the dominant
+//!   source of reader busy-retries, and most reads do not overlap any
+//!   given commit's write set.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use votm_obs::AbortReason;
 use votm_utils::{CachePadded, InlineVec};
 
-use crate::clock::{ClockKind, ClockSource, COARSE_COMMITS_PER_SLOT};
+use crate::clock::ClockKind;
 use crate::cost;
 use crate::heap::{Addr, WordHeap};
 use crate::writeset::{bloom_bucket, summary_bit, WriteSet};
@@ -60,26 +61,37 @@ const INLINE_READS: usize = 8;
 /// and skip value-comparing reads the window provably never wrote.
 const SUMMARY_SLOTS: u64 = 64;
 
-/// Global state of one NOrec instance: the clock source plus the commit
+/// Commits per write-summary ring slot under [`ClockKind::Coarse`] (a
+/// power of two). Coarser slots are denser filters (more false positives,
+/// each costing one value check) but stretch the ring's reach by the same
+/// factor.
+const COARSE_COMMITS_PER_SLOT: u64 = 4;
+
+/// Global state of one NOrec instance: the sequence lock plus the commit
 /// write-summary ring.
 #[derive(Debug)]
 pub struct NOrecGlobal {
-    /// How the summary ring and the writeback hold use the clock.
-    kind: ClockKind,
-    /// The timestamp source; its primary word is the sequence lock (even =
-    /// unlocked timestamp, odd = locked by a committer).
-    clock: ClockSource,
+    /// The sequence lock (even = unlocked timestamp, odd = locked by a
+    /// committer). Twice the number of finished writer commits, mod 2^64.
+    seq: CachePadded<AtomicU64>,
+    /// log2 of the commit numbers merged per summary slot: 0 under
+    /// [`ClockKind::Global`], log2 [`COARSE_COMMITS_PER_SLOT`] under
+    /// [`ClockKind::Coarse`].
+    slot_shift: u32,
+    /// Whether readers ride through a writeback hold
+    /// ([`ClockKind::Coarse`]) instead of spinning on it.
+    ride_through: bool,
     /// Ring of per-commit write summaries, indexed by
-    /// `commit_number & (SUMMARY_SLOTS - 1)` where a commit that moves the
-    /// clock to even value `t` has commit number `t / 2` (the coarse clock
-    /// merges [`COARSE_COMMITS_PER_SLOT`] commit numbers per slot). A slot
-    /// is written only while its committer holds the sequence lock, so any
-    /// validator that reads a torn/overwritten window is caught by its
-    /// final clock-stability check and retries — stale ring data can cause
-    /// a spurious retry, never a missed conflict. Dense: one writer at a
-    /// time (the lock holder), and a validator reads the whole window.
+    /// `(commit_number >> slot_shift) & (SUMMARY_SLOTS - 1)` where a
+    /// commit that moves the clock to even value `t` has commit number
+    /// `t / 2`. A slot is written only while its committer holds the
+    /// sequence lock, so any validator that reads a torn/overwritten window
+    /// is caught by its final clock-stability check and retries — stale
+    /// ring data can cause a spurious retry, never a missed conflict.
+    /// Dense: one writer at a time (the lock holder), and a validator reads
+    /// the whole window.
     summaries: Box<[AtomicU64]>,
-    /// Coarse clock only: the *in-flight* commit's write summary, tagged
+    /// Ride-through only: the *in-flight* commit's write summary, tagged
     /// with the odd sequence value its committer holds. Published after
     /// winning the sequence-lock CAS and before the first writeback store,
     /// it lets readers that catch the lock odd prove their address is
@@ -88,7 +100,7 @@ pub struct NOrecGlobal {
     in_flight: CachePadded<InFlight>,
 }
 
-/// Tagged in-flight write-summary publication (coarse clock).
+/// Tagged in-flight write-summary publication (ride-through).
 #[derive(Debug, Default)]
 struct InFlight {
     /// The odd sequence value the publishing committer holds. Readers
@@ -102,32 +114,30 @@ struct InFlight {
 impl NOrecGlobal {
     /// New instance at timestamp 0 using the given clock strategy.
     pub fn with_kind(kind: ClockKind) -> Self {
+        let coarse = kind == ClockKind::Coarse;
         Self {
-            kind,
-            clock: ClockSource::default(),
+            seq: CachePadded::new(AtomicU64::new(0)),
+            slot_shift: if coarse {
+                COARSE_COMMITS_PER_SLOT.trailing_zeros()
+            } else {
+                0
+            },
+            ride_through: coarse,
             summaries: (0..SUMMARY_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             in_flight: CachePadded::new(InFlight::default()),
         }
     }
 
-    /// The clock source (statistics).
-    pub fn clock(&self) -> &ClockSource {
-        &self.clock
-    }
-
-    #[inline]
-    fn kind(&self) -> ClockKind {
-        self.kind
-    }
-
-    #[inline]
-    fn seq(&self) -> &AtomicU64 {
-        self.clock.primary()
+    /// Timestamp advances paid, read off the sequence lock: a writer
+    /// commit moves it by two, so this is half the word — the finished
+    /// writer commits, an in-flight commit's odd value rounding down.
+    pub(crate) fn bumps(&self) -> u64 {
+        self.seq.load(Ordering::Relaxed) >> 1
     }
 
     #[inline]
     fn load_seq(&self) -> u64 {
-        self.seq().load(Ordering::Acquire)
+        self.seq.load(Ordering::Acquire)
     }
 
     #[inline]
@@ -136,75 +146,57 @@ impl NOrecGlobal {
     }
 
     /// Publishes a committing write summary for commit number
-    /// `commit_number`. The coarse clock OR-merges into a slot shared by
-    /// [`COARSE_COMMITS_PER_SLOT`] commits, resetting it on the slot's
-    /// first commit number.
+    /// `commit_number` into slot `commit_number >> slot_shift`: the slot's
+    /// first commit number resets it, later ones OR-merge into it. With
+    /// one commit per slot every commit is a first.
     #[inline]
     fn publish_summary(&self, commit_number: u64, summary: u64) {
-        match self.kind() {
-            ClockKind::Coarse => {
-                let bucket = commit_number / COARSE_COMMITS_PER_SLOT;
-                let slot = self.summary_slot(bucket);
-                if commit_number.is_multiple_of(COARSE_COMMITS_PER_SLOT) {
-                    slot.store(summary, Ordering::Release);
-                } else {
-                    slot.fetch_or(summary, Ordering::AcqRel);
-                }
-            }
-            _ => self
-                .summary_slot(commit_number)
-                .store(summary, Ordering::Release),
+        let slot = self.summary_slot(commit_number >> self.slot_shift);
+        if commit_number & ((1 << self.slot_shift) - 1) == 0 {
+            slot.store(summary, Ordering::Release);
+        } else {
+            slot.fetch_or(summary, Ordering::AcqRel);
         }
     }
 
-    /// ORs the window of summaries covering commit numbers
-    /// `(lo, hi]`, returning `None` (with the scan cost in `*work`) when
-    /// the window has left the ring. Wrap-safe.
+    /// ORs the summary slots covering commit numbers `(lo, hi]` (a
+    /// non-empty window), returning `None` when the window has left the
+    /// ring; the scan cost, one [`cost::FILTER_WORD`] per slot, goes to
+    /// `*work`. Wrap-safe.
     #[inline]
     fn window_filter(&self, lo: u64, hi: u64, work: &mut u64) -> Option<u64> {
-        let window = hi.wrapping_sub(lo);
-        match self.kind() {
-            ClockKind::Coarse => {
-                if window > SUMMARY_SLOTS * COARSE_COMMITS_PER_SLOT {
-                    return None;
-                }
-                let b_lo = lo.wrapping_add(1) / COARSE_COMMITS_PER_SLOT;
-                let b_hi = hi / COARSE_COMMITS_PER_SLOT;
-                let n_buckets = b_hi.wrapping_sub(b_lo) + 1;
-                if n_buckets > SUMMARY_SLOTS {
-                    return None;
-                }
-                let mut combined = 0u64;
-                for k in 0..n_buckets {
-                    combined |= self
-                        .summary_slot(b_lo.wrapping_add(k))
-                        .load(Ordering::Acquire);
-                }
-                *work += cost::FILTER_WORD * n_buckets;
-                Some(combined)
-            }
-            _ => {
-                if window > SUMMARY_SLOTS {
-                    return None; // snapshot too old: the window has left the ring
-                }
-                let mut combined = 0u64;
-                for k in 0..window {
-                    combined |= self
-                        .summary_slot(lo.wrapping_add(1).wrapping_add(k))
-                        .load(Ordering::Acquire);
-                }
-                // One word-load per window commit; the slots are read-mostly
-                // shared lines, far cheaper than metadata CAS traffic.
-                *work += cost::FILTER_WORD * window;
-                Some(combined)
-            }
+        debug_assert!(lo != hi, "empty validation window");
+        if hi.wrapping_sub(lo) > SUMMARY_SLOTS << self.slot_shift {
+            return None; // snapshot too old: the window has left the ring
         }
+        let first = lo.wrapping_add(1) >> self.slot_shift;
+        let slots = (hi >> self.slot_shift).wrapping_sub(first) + 1;
+        if slots > SUMMARY_SLOTS {
+            return None; // an unaligned window straddles one slot too many
+        }
+        let mut combined = 0u64;
+        for k in 0..slots {
+            combined |= self
+                .summary_slot(first.wrapping_add(k))
+                .load(Ordering::Acquire);
+        }
+        // One word-load per slot; the slots are read-mostly shared lines,
+        // far cheaper than metadata CAS traffic.
+        *work += cost::FILTER_WORD * slots;
+        Some(combined)
     }
 
     /// Current commit timestamp (odd while a commit is in flight).
     #[cfg(test)]
     fn timestamp(&self) -> u64 {
         self.load_seq()
+    }
+
+    /// Test hook: preloads the sequence lock with `t`, for wrap-around
+    /// coverage.
+    #[cfg(test)]
+    fn preload(&self, t: u64) {
+        self.seq.store(t, Ordering::Release);
     }
 }
 
@@ -269,10 +261,10 @@ impl NOrecTx {
         let mut s = global.load_seq();
         self.work += cost::BEGIN;
         if s & 1 == 1 {
-            if global.kind() != ClockKind::Coarse {
+            if !global.ride_through {
                 return Err(OpError::Busy);
             }
-            // The coarse clock begins *through* the hold at the pre-commit
+            // Ride-through begins *through* the hold at the pre-commit
             // timestamp `s - 1` (the last stable state). Every read checks
             // the clock itself, so reads overlapping the ongoing writeback
             // are either proven untouched by the in-flight summary or
@@ -293,8 +285,8 @@ impl NOrecTx {
     /// newer than the snapshot, observed by the caller).
     ///
     /// When the snapshot lags `target` by at most the ring's reach
-    /// ([`SUMMARY_SLOTS`] commits, times [`COARSE_COMMITS_PER_SLOT`] for
-    /// the coarse clock), the window's published write summaries are ORed
+    /// ([`SUMMARY_SLOTS`] slots of one commit, or of
+    /// [`COARSE_COMMITS_PER_SLOT`] under the coarse clock), the window's published write summaries are ORed
     /// together and reads whose summary bit is clear — addresses
     /// *provably* untouched by every interleaved commit — skip the value
     /// comparison (a register test, [`cost::FILTER_WORD`], instead of a
@@ -346,7 +338,7 @@ impl NOrecTx {
             return Ok(v);
         }
         if s & 1 == 1 {
-            if global.kind() == ClockKind::Coarse && s == self.snapshot.wrapping_add(1) {
+            if global.ride_through && s == self.snapshot.wrapping_add(1) {
                 // The only movement since our snapshot is one in-flight
                 // commit; its published summary may prove `addr` untouched.
                 return self.read_through_writeback(global, addr, v, s);
@@ -360,7 +352,7 @@ impl NOrecTx {
         let v = heap.load(addr);
         let s = global.load_seq();
         if s != self.snapshot {
-            if global.kind() == ClockKind::Coarse && s == self.snapshot.wrapping_add(1) {
+            if global.ride_through && s == self.snapshot.wrapping_add(1) {
                 // A fresh commit grabbed the lock between our revalidation
                 // and the re-read: same ride-through situation.
                 return self.read_through_writeback(global, addr, v, s);
@@ -371,7 +363,7 @@ impl NOrecTx {
         Ok(v)
     }
 
-    /// Coarse clock: accept a read taken while a committer holds the
+    /// Ride-through: accept a read taken while a committer holds the
     /// sequence lock at `held = snapshot + 1`, when it is provably
     /// unaffected by the ongoing writeback. `v` was loaded before `held`
     /// was observed. Two proofs suffice:
@@ -437,7 +429,7 @@ impl NOrecTx {
             return Ok(CommitPhase::Done);
         }
         self.work += cost::METADATA_OP;
-        match global.seq().compare_exchange(
+        match global.seq.compare_exchange(
             self.snapshot,
             self.snapshot.wrapping_add(1),
             Ordering::AcqRel,
@@ -457,7 +449,7 @@ impl NOrecTx {
         // Sequence lock held (odd): publish this commit's write summary
         // (validators key it by commit number target/2), then write back.
         global.publish_summary(self.snapshot.wrapping_add(2) / 2, self.writes.summary());
-        if global.kind() == ClockKind::Coarse {
+        if global.ride_through {
             // Tagged in-flight publication for ride-through readers; the
             // summary must be visible before the tag that vouches for it,
             // and both before the first writeback store below.
@@ -488,8 +480,7 @@ impl NOrecTx {
             .commit_seq
             .take()
             .expect("commit_finish without commit_begin");
-        global.seq().store(next, Ordering::Release);
-        global.clock.note_bump();
+        global.seq.store(next, Ordering::Release);
         self.active = false;
     }
 
@@ -611,7 +602,7 @@ mod tests {
         assert_eq!(g.timestamp(), 2);
         run_tx(&g, &h, &mut tx, |tx| tx.write(Addr(0), 2));
         assert_eq!(g.timestamp(), 4);
-        assert_eq!(g.clock().stats().bumps, 2);
+        assert_eq!(g.bumps(), 2);
     }
 
     #[test]
@@ -808,7 +799,7 @@ mod tests {
     #[test]
     fn seqlock_wraps_cleanly_at_u64_max() {
         let (g, h) = setup();
-        g.clock().preload(u64::MAX - 1); // even, two commits from wrapping
+        g.preload(u64::MAX - 1); // even, two commits from wrapping
         let mut tx = NOrecTx::new();
         tx.begin(&g).unwrap();
         assert_eq!(tx.read(&g, &h, Addr(0)).unwrap(), 0);

@@ -81,13 +81,7 @@ fn main() {
     let algo = TmAlgorithm::OrecEagerRedo;
 
     // Single view: both objects behind one RAC.
-    let sys = Votm::builder()
-        .algo(algo)
-        .threads(THREADS as u32)
-        .controller(votm_repro::rac::ControllerConfig {
-            window_attempts: 64,
-        })
-        .build();
+    let sys = Votm::builder().algo(algo).threads(THREADS as u32).build();
     let both = sys.create_view(64 + ACCOUNTS as usize, QuotaMode::Adaptive);
     let single = run(Arc::clone(&both), Arc::clone(&both), 0, 64);
     let s = both.stats();
@@ -97,13 +91,7 @@ fn main() {
     );
 
     // Multi view: independent RAC per object.
-    let sys = Votm::builder()
-        .algo(algo)
-        .threads(THREADS as u32)
-        .controller(votm_repro::rac::ControllerConfig {
-            window_attempts: 64,
-        })
-        .build();
+    let sys = Votm::builder().algo(algo).threads(THREADS as u32).build();
     let counter = sys.create_view(64, QuotaMode::Adaptive);
     let accounts = sys.create_view(ACCOUNTS as usize, QuotaMode::Adaptive);
     let multi = run(Arc::clone(&counter), Arc::clone(&accounts), 0, 0);

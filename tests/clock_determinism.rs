@@ -54,9 +54,9 @@ fn every_clock_replays_byte_identical_exports() {
     }
 }
 
-/// The global clock is *passive* plumbing: `ClockKind::Global` takes the
-/// exact fetch-add path the pre-ClockSource code did and is what a system
-/// gets when it names no clock, so a global-clock capture is byte-identical
+/// The global clock is *passive* plumbing: `ClockKind::Global` is plain
+/// NOrec and the orec engine's one fetch-add per writer commit, and is what
+/// a system gets when it names no clock, so a global-clock capture is byte-identical
 /// to the default capture — not merely deterministic. This is the
 /// test-level form of the CI gate's default-rows-bit-identical check. The
 /// orec engine ticks whatever clock it is given, so its coarse capture is
