@@ -36,7 +36,8 @@ use votm::{
 };
 use votm_eigenbench::EigenConfig;
 use votm_intruder::{GenConfig, Input};
-use votm_obs::export::{self, ViewReport};
+use votm_obs::export::{self, QuotaSample};
+use votm_obs::hist::{bucket_lower, bucket_upper};
 use votm_obs::{AbortReason, ConflictProfile, HistogramSnapshot, SCHEMA_VERSION};
 use votm_sim::{RunOutcome, RunStatus, SimConfig};
 use votm_stm::cost::CYCLES_PER_SECOND;
@@ -406,7 +407,7 @@ pub const GATE_SEEDS: u64 = 3;
 /// The file `tables --json` writes the gate to — the PR-numbered benchmark
 /// trajectory artifact — and the one the comparison tables' footnotes send
 /// the reader to for the raw fields.
-pub const GATE_ARTIFACT: &str = "BENCH_35.json";
+pub const GATE_ARTIFACT: &str = "BENCH_36.json";
 
 /// `num / den`, or `idle` when nothing happened to divide by.
 fn ratio(num: u64, den: u64, idle: f64) -> f64 {
@@ -723,33 +724,111 @@ pub fn capture_trace(
     ));
     let res = execute(settings, run, sim, Some(Arc::clone(&recorder)));
     let threads = recorder.snapshot();
-    let reports: Vec<ViewReport> = res
+    let timelines: Vec<Vec<QuotaSample>> = res
         .views
         .iter()
-        .map(|v| ViewReport {
-            view_id: v.view_id,
-            quota: v.quota,
-            commits: v.tm.commits,
-            aborts: v.tm.aborts,
-            aborts_by_reason: v.tm.aborts_by_reason,
-            cycles_aborted: v.tm.cycles_aborted,
-            cycles_successful: v.tm.cycles_successful,
-            busy_retries: v.tm.busy_retries,
-            gate_wait_cycles: v.tm.gate_wait_cycles,
-            escalations: v.tm.escalations,
-            parked_waits: v.tm.parked_waits,
-            lost_wakeups: v.tm.lost_wakeups,
-            hists: v.hists,
-            quota_timeline: export::quota_timeline(&threads, v.view_id as u16),
-        })
+        .map(|v| export::quota_timeline(&threads, v.view_id as u16))
         .collect();
-    let quota_changes = reports.iter().map(|r| r.quota_timeline.len()).sum();
     TraceCapture {
         chrome_trace: export::chrome_trace(&threads, CYCLES_PER_US),
-        snapshot: export::snapshot_json(&reports),
-        quota_changes,
+        snapshot: snapshot_json(&res.views, &timelines),
+        quota_changes: timelines.iter().map(Vec::len).sum(),
         views: res.views,
     }
+}
+
+/// Formats a δ(Q) sample as the snapshot prints it: fixed six decimals,
+/// `"inf"` or `null`.
+fn delta_json(delta: Option<f64>) -> String {
+    match delta {
+        Some(d) if d.is_finite() => format!("{d:.6}"),
+        Some(_) => "\"inf\"".to_string(),
+        None => "null".to_string(),
+    }
+}
+
+/// One histogram as the snapshot prints it: count, three quantiles and
+/// every non-empty bucket.
+fn hist_json(h: &HistogramSnapshot) -> String {
+    let buckets: Vec<String> = (h.buckets.iter().enumerate())
+        .filter(|&(_, &c)| c > 0)
+        .map(|(i, c)| {
+            format!(
+                "{{\"lo\":{},\"hi\":{},\"count\":{c}}}",
+                bucket_lower(i),
+                bucket_upper(i)
+            )
+        })
+        .collect();
+    format!(
+        "{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
+        h.count(),
+        h.quantile(0.50),
+        h.quantile(0.90),
+        h.quantile(0.99),
+        buckets.join(",")
+    )
+}
+
+/// The `votm-obs-snapshot-v1` document: per-view stats, abort-reason
+/// breakdown, the four latency histograms and each view's quota timeline
+/// (`timelines[i]` belongs to `views[i]`).
+fn snapshot_json(views: &[ViewStats], timelines: &[Vec<QuotaSample>]) -> String {
+    let mut out = format!(
+        "{{\"schema\":\"votm-obs-snapshot-v1\",\"schema_version\":\"{SCHEMA_VERSION}\",\
+         \"views\":[\n"
+    );
+    for (vi, (v, timeline)) in views.iter().zip(timelines).enumerate() {
+        if vi > 0 {
+            out.push_str(",\n");
+        }
+        let tm = &v.tm;
+        out.push_str(&format!(
+            "{{\"view_id\":{},\"quota\":{},\"commits\":{},\"aborts\":{},\
+             \"cycles_aborted\":{},\"cycles_successful\":{},\"busy_retries\":{},\
+             \"gate_wait_cycles\":{},\"escalations\":{},\"parked_waits\":{},\
+             \"lost_wakeups\":{},\"aborts_by_reason\":{{",
+            v.view_id,
+            v.quota,
+            tm.commits,
+            tm.aborts,
+            tm.cycles_aborted,
+            tm.cycles_successful,
+            tm.busy_retries,
+            tm.gate_wait_cycles,
+            tm.escalations,
+            tm.parked_waits,
+            tm.lost_wakeups
+        ));
+        let reasons: Vec<String> = AbortReason::ALL
+            .iter()
+            .map(|r| format!("\"{}\":{}", r.name(), tm.aborts_by_reason[r.index()]))
+            .collect();
+        let samples: Vec<String> = timeline
+            .iter()
+            .map(|q| {
+                format!(
+                    "{{\"ts\":{},\"old_q\":{},\"new_q\":{},\"delta\":{}}}",
+                    q.ts,
+                    q.old_q,
+                    q.new_q,
+                    delta_json(q.delta)
+                )
+            })
+            .collect();
+        out.push_str(&format!(
+            "{}}},\"hist\":{{\"commit\":{},\"abort_to_retry\":{},\"gate_wait\":{},\
+             \"parked_wait\":{}}},\"quota_timeline\":[{}]}}",
+            reasons.join(","),
+            hist_json(&v.hists.commit),
+            hist_json(&v.hists.abort_to_retry),
+            hist_json(&v.hists.gate_wait),
+            hist_json(&v.hists.parked_wait),
+            samples.join(",")
+        ));
+    }
+    out.push_str("\n]}\n");
+    out
 }
 
 // ------------------------------------------------------ Conflict profiling
@@ -1081,5 +1160,41 @@ mod tests {
             rows[4].runtime_s(),
             rows[0].runtime_s()
         );
+    }
+
+    #[test]
+    fn snapshot_json_is_well_formed_enough() {
+        let view = ViewStats {
+            view_id: 0,
+            quota: 4,
+            tm: StatsSnapshot {
+                commits: 10,
+                aborts: 3,
+                aborts_by_reason: [1, 2, 0, 0, 0, 0, 0, 0],
+                cycles_aborted: 100,
+                cycles_successful: 900,
+                busy_retries: 5,
+                gate_wait_cycles: 77,
+                parked_waits: 2,
+                ..Default::default()
+            },
+            gate: Default::default(),
+            hists: Default::default(),
+            clock: Default::default(),
+        };
+        let timeline = vec![QuotaSample {
+            ts: 123,
+            old_q: 8,
+            new_q: 4,
+            delta: Some(0.5),
+        }];
+        let json = snapshot_json(&[view], &[timeline]);
+        assert!(json.contains("\"schema\":\"votm-obs-snapshot-v1\""));
+        assert!(json.contains(&format!("\"schema_version\":\"{SCHEMA_VERSION}\"")));
+        assert!(json.contains("\"orec_conflict\":2"));
+        assert!(json.contains("\"parked_waits\":2"));
+        assert!(json.contains("\"parked_wait\":{\"count\":0"));
+        assert!(json.contains("\"quota_timeline\":[{\"ts\":123"));
+        assert!(json.contains("\"delta\":0.500000"));
     }
 }

@@ -202,7 +202,6 @@ pub struct AdaptiveDomain {
     /// be worth a profile; from then on every tick slides it.
     window: Mutex<ProfileWindow>,
     last_repartition: AtomicU64,
-    repartitions: AtomicU64,
     splits: AtomicU64,
     merges: AtomicU64,
     split_drain_cycles: AtomicU64,
@@ -260,7 +259,6 @@ impl AdaptiveDomain {
             prev_stats: Mutex::new(Vec::new()),
             window: Mutex::new(ProfileWindow::new()),
             last_repartition: AtomicU64::new(0),
-            repartitions: AtomicU64::new(0),
             splits: AtomicU64::new(0),
             merges: AtomicU64::new(0),
             split_drain_cycles: AtomicU64::new(0),
@@ -324,10 +322,12 @@ impl AdaptiveDomain {
             let window = self.window.lock();
             (window.refolds(), window.slots_read())
         };
+        let splits = self.splits.load(Ordering::Acquire);
+        let merges = self.merges.load(Ordering::Acquire);
         DomainStats {
-            repartitions: self.repartitions.load(Ordering::Acquire),
-            splits: self.splits.load(Ordering::Acquire),
-            merges: self.merges.load(Ordering::Acquire),
+            repartitions: splits + merges,
+            splits,
+            merges,
             split_drain_cycles: self.split_drain_cycles.load(Ordering::Acquire),
             straddles: self.straddles.load(Ordering::Acquire),
             reroutes: self.reroutes.load(Ordering::Acquire),
@@ -490,7 +490,7 @@ impl AdaptiveDomain {
             .now()
             .saturating_sub(self.last_repartition.load(Ordering::Acquire))
             >= self.policy.cooldown
-            || self.repartitions.load(Ordering::Acquire) == 0;
+            || self.splits.load(Ordering::Acquire) + self.merges.load(Ordering::Acquire) == 0;
         // Pressure is per-interval: every tick consumes the straddle
         // matrix, the cooling ones included, so straddles from a cooldown
         // never add up into a later spurious merge.
@@ -703,7 +703,6 @@ impl AdaptiveDomain {
     }
 
     fn bump_repartition(&self, rt: &Rt, drain: u64) {
-        self.repartitions.fetch_add(1, Ordering::AcqRel);
         self.split_drain_cycles.fetch_add(drain, Ordering::AcqRel);
         self.last_repartition.store(rt.now(), Ordering::Release);
     }

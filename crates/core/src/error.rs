@@ -15,12 +15,11 @@
 //! the error's `u32` payload at offset 4, and handing such a result from the
 //! access future to the body moved it as two overlapping stores that the
 //! `u64` load behind them could not forward from. `?` lifts a [`TxAbort`]
-//! into `TxError::Abort(AbortReason::Explicit)`; [`HeapExhausted`] converts
-//! into either.
+//! into `TxError::Abort(AbortReason::Explicit)`.
 
 use votm_obs::AbortReason;
 
-use crate::handle::{HeapExhausted, TxAbort};
+use crate::handle::TxAbort;
 
 /// Why a transaction body stopped short of committing.
 ///
@@ -62,14 +61,6 @@ impl From<TxAbort> for TxError {
     }
 }
 
-impl From<HeapExhausted> for TxError {
-    fn from(e: HeapExhausted) -> Self {
-        TxError::HeapExhausted {
-            requested_words: e.requested_words,
-        }
-    }
-}
-
 impl std::fmt::Display for TxError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -95,21 +86,26 @@ mod tests {
             TxError::from(TxAbort),
             TxError::Abort(AbortReason::Explicit)
         );
-        assert_eq!(
-            TxError::from(HeapExhausted { requested_words: 8 }),
-            TxError::HeapExhausted { requested_words: 8 }
-        );
     }
 
     #[test]
     fn question_mark_propagation_compiles_both_ways() {
-        fn legacy() -> Result<(), TxAbort> {
-            Err(HeapExhausted { requested_words: 1 })?
+        // A body lifts an access's `TxAbort` and passes an `alloc` failure
+        // through with the same `?`.
+        fn access() -> Result<u64, TxAbort> {
+            Err(TxAbort)
         }
-        fn unified() -> Result<(), TxError> {
-            legacy()?;
-            Ok(())
+        fn alloc() -> Result<u64, TxError> {
+            Err(TxError::HeapExhausted { requested_words: 1 })
         }
-        assert_eq!(unified(), Err(TxError::Abort(AbortReason::Explicit)));
+        fn body(read_first: bool) -> Result<u64, TxError> {
+            let v = if read_first { access()? } else { alloc()? };
+            Ok(v + 1)
+        }
+        assert_eq!(body(true), Err(TxError::Abort(AbortReason::Explicit)));
+        assert_eq!(
+            body(false),
+            Err(TxError::HeapExhausted { requested_words: 1 })
+        );
     }
 }

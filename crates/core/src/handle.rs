@@ -30,7 +30,9 @@
 //!   the one window where abort is impossible — after a `NeedsFinish`
 //!   commit has published its writeback but before `commit_finish` — the
 //!   drop guard *finishes* the commit instead, which is the only exit that
-//!   leaves the view consistent.
+//!   leaves the view consistent. Either way it books through the same
+//!   close-out as a commit, an abort or a `retry()` park, so an unwound
+//!   attempt's cycles are counted by the same rule as every other's.
 //!
 //! Because the handle is declared after the gate guard, Rust's reverse
 //! drop order runs transaction recovery first and releases admission
@@ -119,36 +121,6 @@ use crate::wait::{ParkOutcome, PARK_TIMEOUT};
 /// back and re-runs the body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxAbort;
-
-/// A [`TxHandle::alloc`] failed: the view's heap could not satisfy the
-/// request even after one `brk_view` growth attempt.
-///
-/// Convertible into [`TxAbort`] (so `tx.alloc(n)?` retries the transaction,
-/// which is useful when other transactions' deferred frees may release
-/// space), or inspectable for a graceful out-of-memory path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeapExhausted {
-    /// The allocation size that could not be satisfied.
-    pub requested_words: u32,
-}
-
-impl From<HeapExhausted> for TxAbort {
-    fn from(_: HeapExhausted) -> Self {
-        TxAbort
-    }
-}
-
-impl std::fmt::Display for HeapExhausted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "view heap exhausted allocating {} words (after brk_view growth attempt)",
-            self.requested_words
-        )
-    }
-}
-
-impl std::error::Error for HeapExhausted {}
 
 /// How a transaction enters [`drive_transaction`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -795,9 +767,11 @@ impl<'v> TxHandle<'v> {
         }
     }
 
-    /// Closes out the attempt on the normal (non-unwind) path: applies or
-    /// rolls back side effects, books the attempt's cycles, and pokes the
-    /// adaptive controller. Disarms the drop guard.
+    /// Closes out the attempt, whatever its exit: applies or rolls back
+    /// side effects, books the attempt's cycles, and pokes the adaptive
+    /// controller. Disarms the drop guard. Every attempt — committed,
+    /// aborted, parked by `retry()` or abandoned by an unwind — is booked
+    /// here and nowhere else.
     fn finish(&mut self, committed: bool) {
         self.finished = true;
         // Simulator: the work-unit ledger *is* the cycle count. Real
@@ -822,43 +796,38 @@ impl<'v> TxHandle<'v> {
 impl Drop for TxHandle<'_> {
     /// Unwind recovery. On the normal path `Self::finish` has already
     /// run and this is a no-op; otherwise the attempt is being abandoned by
-    /// a panic and must be unwound to a consistent view state:
+    /// a panic, and its context is recovered to a consistent view state
+    /// before the attempt is booked through `Self::finish` like any other:
     ///
     /// * **mid-commit** (writeback published, commit metadata held): finish
-    ///   the commit. The data is already in the heap; releasing the NOrec
-    ///   seqlock / orec locks at the commit timestamp is the only exit that
-    ///   doesn't strand them or tear the writeback.
-    /// * **live transaction**: abort it (restores orec ownership, discards
-    ///   buffered writes), roll back attempt-local allocations, book the
-    ///   cycles as aborted.
+    ///   the commit, which is booked as committed. The data is already in
+    ///   the heap; releasing the NOrec seqlock / orec locks at the commit
+    ///   timestamp is the only exit that doesn't strand them or tear the
+    ///   writeback.
     /// * **direct (lock-mode)**: nothing can be rolled back — the paper's
     ///   irrevocable mode writes straight to the heap. Allocation logs are
     ///   dropped without freeing (a block may already be reachable from
     ///   published state; leaking is safe, freeing could corrupt).
+    /// * **live transaction**: abort it (restores orec ownership, discards
+    ///   buffered writes); `finish` rolls back attempt-local allocations.
+    ///
+    /// The work the recovery accrues is booked but never charged: a drop
+    /// cannot await.
     fn drop(&mut self) {
         if self.finished {
             return;
         }
-        self.attempt_work += self.ctx.take_work();
-        if self.ctx.mid_commit() {
+        let committed = self.ctx.mid_commit();
+        if committed {
             self.ctx.commit_finish(self.view.tm());
-            self.attempt_work += self.ctx.take_work();
-            self.apply_side_effects();
-            self.book_commit(self.attempt_work);
         } else if self.ctx.is_direct() {
             self.allocs.clear();
             self.frees.clear();
-            self.book_abort(self.attempt_work);
-        } else {
-            if self.ctx.is_active() {
-                self.ctx.abort(self.view.tm());
-                self.attempt_work += self.ctx.take_work();
-            }
-            self.rollback_side_effects();
-            self.book_abort(self.attempt_work);
+        } else if self.ctx.is_active() {
+            self.ctx.abort(self.view.tm());
         }
-        self.attempt_work = 0;
-        self.poke_controller();
+        self.attempt_work += self.ctx.take_work();
+        self.finish(committed);
     }
 }
 
@@ -966,10 +935,7 @@ where
                 .record(rt.now().saturating_sub(aborted_at));
         }
 
-        let outcome = body(&mut handle).await;
-
-        let mut is_retry = false;
-        let committed = match outcome {
+        let retry = match body(&mut handle).await {
             Ok(value) => {
                 // Capture the wakeup key now: the commit machinery below
                 // drains the write set. Context summary for transactional
@@ -994,43 +960,24 @@ where
                             handle.ctx.commit_finish(view.tm());
                             break true;
                         }
-                        Err(OpError::Busy) => {
-                            // A failed commit_begin holds no locks, so the
-                            // CM site logic applies here too; the passive
-                            // default waits out the committer unbounded
-                            // (the seqlock holder finishes in bounded
-                            // time), exactly as before.
+                        // The passive default waits out a busy committer
+                        // unbounded: the seqlock holder finishes in bounded
+                        // time.
+                        Err(OpError::Busy) if !handle.cm_active => {
                             handle.charge_pending().await;
-                            if handle.cm_active {
-                                if handle
-                                    .cm_site(OpError::Busy, &mut commit_spins)
-                                    .await
-                                    .is_err()
-                                {
-                                    break false;
-                                }
-                            } else {
-                                handle.busy_wait().await;
-                            }
+                            handle.busy_wait().await;
                         }
-                        Err(OpError::Conflict) => {
+                        // A failed commit_begin holds no locks (lazy
+                        // acquisition released them before returning
+                        // Conflict), so the CM site logic applies and a Wait
+                        // verdict retries commit_begin whole. A passive
+                        // conflict aborts at once and leaves its work to the
+                        // abort's charge below.
+                        Err(e) => {
                             if handle.cm_active {
-                                // Lazy acquisition released its locks
-                                // before returning Conflict, so a Wait
-                                // verdict may retry commit_begin whole.
                                 handle.charge_pending().await;
-                                if handle
-                                    .cm_site(OpError::Conflict, &mut commit_spins)
-                                    .await
-                                    .is_err()
-                                {
-                                    break false;
-                                }
-                            } else {
-                                handle.set_abort_cause(
-                                    handle.ctx.conflict_reason(),
-                                    handle.ctx.conflict_site(),
-                                );
+                            }
+                            if handle.cm_site(e, &mut commit_spins).await.is_err() {
                                 break false;
                             }
                         }
@@ -1054,56 +1001,53 @@ where
                 }
                 false
             }
-            Err(TxError::Retry) => {
-                is_retry = true;
-                false
-            }
-            Err(_) => false,
+            Err(e) => e == TxError::Retry,
         };
-        debug_assert!(!committed);
 
-        if is_retry {
-            // retry(): the body declared "nothing I read lets me proceed".
-            // Roll back and park instead of racing. The attempt is booked
-            // under AbortReason::Retry (a requested wait, not contention),
-            // and deliberately skips the contention manager's attempt count
-            // and loser backoff, and the starvation streak.
+        // release_view on failure: roll back, book the attempt, decrease P
+        // (paper release step 1). A retry() is booked under
+        // AbortReason::Retry — a requested wait, not contention.
+        if retry {
             assert!(
                 entry != Entry::Union,
                 "retry() in a cross-view (union-drained) transaction: \
                  blocking is not supported on the irrevocable path"
             );
-            if handle.ctx.is_direct() {
-                // The irrevocable lock mode cannot roll anything back; a
-                // retry there is only sound if the attempt was effectively
-                // read-only.
-                assert!(
-                    handle.write_summary == 0
-                        && handle.allocs.is_empty()
-                        && handle.frees.is_empty(),
-                    "retry() in an escalated (exclusive lock-mode) attempt \
-                     requires a read-only body: irrevocable writes cannot be \
-                     rolled back"
-                );
-            } else {
-                handle.ctx.abort(view.tm());
-            }
-            handle.charge_pending().await;
             handle.set_abort_cause(AbortReason::Retry, ConflictSite::None);
-            // Park on the attempt's read set. An empty one (the body read
-            // nothing before retrying) parks on every bucket — only *some*
-            // commit can change its world.
-            let key = match handle.read_summary {
-                0 => u64::MAX,
-                summary => summary,
-            };
-            handle.finish(false);
-            cm_tx = handle.cm_tx;
-            drop(handle);
-            // Quota-release-on-park: admission drops *before* the park, so
-            // a sleeping transaction never occupies a gate slot another
-            // transaction (possibly its would-be waker) could use.
-            drop(gate_guard);
+        }
+        if handle.ctx.is_direct() {
+            // The irrevocable lock mode cannot roll anything back: it
+            // cannot abort, and a retry there is only sound if the attempt
+            // was effectively read-only.
+            assert!(retry, "lock-mode (exclusive) sections cannot abort");
+            assert!(
+                handle.write_summary == 0 && handle.allocs.is_empty() && handle.frees.is_empty(),
+                "retry() in an escalated (exclusive lock-mode) attempt \
+                 requires a read-only body: irrevocable writes cannot be \
+                 rolled back"
+            );
+        } else {
+            handle.ctx.abort(view.tm());
+        }
+        handle.charge_pending().await;
+        // The park key: the attempt's read set. An empty one (the body read
+        // nothing before retrying) parks on every bucket — only *some*
+        // commit can change its world.
+        let key = match handle.read_summary {
+            0 => u64::MAX,
+            summary => summary,
+        };
+        handle.finish(false);
+        cm_tx = handle.cm_tx;
+        drop(handle);
+        // Admission drops before the park or the loser's penalty, so the
+        // freed slot can go to a would-be waker or the conflict's winner.
+        drop(gate_guard);
+
+        if retry {
+            // Park instead of racing, deliberately skipping the contention
+            // manager's attempt count and loser backoff, and the starvation
+            // streak.
             trace(
                 &rec,
                 rt,
@@ -1140,24 +1084,10 @@ where
             continue;
         }
 
-        // Abort: roll back, decrease P, reacquire (paper release step 1).
-        assert!(
-            !handle.ctx.is_direct(),
-            "lock-mode (exclusive) sections cannot abort"
-        );
-        handle.ctx.abort(view.tm());
-        handle.charge_pending().await;
-        handle.finish(false);
-        cm_tx = handle.cm_tx;
-        drop(handle);
-        drop(gate_guard);
         last_abort_at = Some(rt.now());
-
         if view.cm().active() {
             // Count the lost attempt and serve the loser's backoff penalty
-            // *after* releasing admission, so the freed gate slot can go
-            // to the conflict's winner meanwhile — the CM ↔ quota
-            // interaction.
+            // *after* releasing admission — the CM ↔ quota interaction.
             cm_tx.attempts += 1;
             let penalty = std::mem::take(&mut cm_tx.loser_backoff);
             if penalty > 0 {

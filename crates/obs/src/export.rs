@@ -1,6 +1,8 @@
 //! Exporters: a Chrome `trace_event` JSON emitter (opens directly in
-//! `chrome://tracing` / Perfetto) and a JSON snapshot schema bundling
-//! stats, histograms and the quota-decision timeline.
+//! `chrome://tracing` / Perfetto) and the quota-decision timeline. The
+//! `votm-obs-snapshot-v1` document, which bundles per-view stats,
+//! histograms and that timeline, is written by `votm-bench` straight from
+//! the views' statistics.
 //!
 //! Everything here is deterministic for a deterministic input: threads are
 //! walked in index order, events in ring order, cross-thread timelines are
@@ -12,11 +14,7 @@
 //! crates, and every emitted string is a fixed ASCII name, so no escaping
 //! machinery is needed.
 
-use std::fmt::Write as _;
-
 use crate::event::EventKind;
-use crate::hist::{bucket_lower, bucket_upper, HistogramSnapshot, ViewHistSnapshot};
-use crate::reason::AbortReason;
 use crate::recorder::ThreadTrace;
 
 /// Semantic version stamped into every exported JSON document (snapshot,
@@ -277,135 +275,11 @@ pub fn quota_timeline(threads: &[ThreadTrace], view: u16) -> Vec<QuotaSample> {
     keyed.into_iter().map(|(_, _, _, s)| s).collect()
 }
 
-/// Everything the snapshot exporter needs about one view.
-#[derive(Debug, Clone)]
-pub struct ViewReport {
-    /// View id.
-    pub view_id: usize,
-    /// Settled quota at the end of the run.
-    pub quota: u32,
-    /// Committed transactions.
-    pub commits: u64,
-    /// Aborted attempts.
-    pub aborts: u64,
-    /// Aborts broken down by [`AbortReason`] index.
-    pub aborts_by_reason: [u64; AbortReason::COUNT],
-    /// Cycles in aborted attempts.
-    pub cycles_aborted: u64,
-    /// Cycles in committed attempts.
-    pub cycles_successful: u64,
-    /// Busy retries (not aborts).
-    pub busy_retries: u64,
-    /// Cycles blocked at the admission gate.
-    pub gate_wait_cycles: u64,
-    /// Max-retry escalations.
-    pub escalations: u64,
-    /// Completed parks on the wakeup table (`retry()` waits that ended).
-    pub parked_waits: u64,
-    /// Parks that timed out without a matching wake.
-    pub lost_wakeups: u64,
-    /// The view's latency histograms.
-    pub hists: ViewHistSnapshot,
-    /// Quota decisions affecting this view, in timeline order.
-    pub quota_timeline: Vec<QuotaSample>,
-}
-
-fn hist_json(out: &mut String, h: &HistogramSnapshot) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-        h.count(),
-        h.quantile(0.50),
-        h.quantile(0.90),
-        h.quantile(0.99)
-    );
-    let mut first = true;
-    for (i, &c) in h.buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"lo\":{},\"hi\":{},\"count\":{}}}",
-            bucket_lower(i),
-            bucket_upper(i),
-            c
-        );
-    }
-    out.push_str("]}");
-}
-
-/// Emits the JSON snapshot schema: per-view stats, abort-reason breakdown,
-/// the four latency histograms and the quota timeline.
-pub fn snapshot_json(views: &[ViewReport]) -> String {
-    let mut out = format!(
-        "{{\"schema\":\"votm-obs-snapshot-v1\",\"schema_version\":\"{SCHEMA_VERSION}\",\
-         \"views\":[\n"
-    );
-    for (vi, v) in views.iter().enumerate() {
-        if vi > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(
-            out,
-            "{{\"view_id\":{},\"quota\":{},\"commits\":{},\"aborts\":{},\
-             \"cycles_aborted\":{},\"cycles_successful\":{},\"busy_retries\":{},\
-             \"gate_wait_cycles\":{},\"escalations\":{},\"parked_waits\":{},\
-             \"lost_wakeups\":{},\"aborts_by_reason\":{{",
-            v.view_id,
-            v.quota,
-            v.commits,
-            v.aborts,
-            v.cycles_aborted,
-            v.cycles_successful,
-            v.busy_retries,
-            v.gate_wait_cycles,
-            v.escalations,
-            v.parked_waits,
-            v.lost_wakeups
-        );
-        for (ri, r) in AbortReason::ALL.iter().enumerate() {
-            if ri > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", r.name(), v.aborts_by_reason[r.index()]);
-        }
-        out.push_str("},\"hist\":{\"commit\":");
-        hist_json(&mut out, &v.hists.commit);
-        out.push_str(",\"abort_to_retry\":");
-        hist_json(&mut out, &v.hists.abort_to_retry);
-        out.push_str(",\"gate_wait\":");
-        hist_json(&mut out, &v.hists.gate_wait);
-        out.push_str(",\"parked_wait\":");
-        hist_json(&mut out, &v.hists.parked_wait);
-        out.push_str("},\"quota_timeline\":[");
-        for (qi, q) in v.quota_timeline.iter().enumerate() {
-            if qi > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"ts\":{},\"old_q\":{},\"new_q\":{},\"delta\":{}}}",
-                q.ts,
-                q.old_q,
-                q.new_q,
-                delta_json(q.delta)
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Event;
+    use crate::reason::AbortReason;
     use crate::recorder::{FlightRecorder, ThreadTrace};
     use std::sync::Arc;
 
@@ -498,38 +372,5 @@ mod tests {
             tl.iter().map(|q| q.new_q).collect::<Vec<_>>(),
             vec![2, 8, 4]
         );
-    }
-
-    #[test]
-    fn snapshot_json_is_well_formed_enough() {
-        let report = ViewReport {
-            view_id: 0,
-            quota: 4,
-            commits: 10,
-            aborts: 3,
-            aborts_by_reason: [1, 2, 0, 0, 0, 0, 0, 0],
-            cycles_aborted: 100,
-            cycles_successful: 900,
-            busy_retries: 5,
-            gate_wait_cycles: 77,
-            escalations: 0,
-            parked_waits: 2,
-            lost_wakeups: 0,
-            hists: ViewHistSnapshot::default(),
-            quota_timeline: vec![QuotaSample {
-                ts: 123,
-                old_q: 8,
-                new_q: 4,
-                delta: Some(0.5),
-            }],
-        };
-        let json = snapshot_json(&[report]);
-        assert!(json.contains("\"schema\":\"votm-obs-snapshot-v1\""));
-        assert!(json.contains(&format!("\"schema_version\":\"{SCHEMA_VERSION}\"")));
-        assert!(json.contains("\"orec_conflict\":2"));
-        assert!(json.contains("\"parked_waits\":2"));
-        assert!(json.contains("\"parked_wait\":{\"count\":0"));
-        assert!(json.contains("\"quota_timeline\":[{\"ts\":123"));
-        assert!(json.contains("\"delta\":0.500000"));
     }
 }

@@ -14,8 +14,10 @@
 //! * [`LatencyHistogram`] — log-linear (four linear sub-buckets per
 //!   power-of-two octave), mergeable, lock-free histograms for commit
 //!   latency, abort-to-retry latency, gate wait and parked wait.
-//! * [`export`] — a JSON snapshot schema and a Chrome `trace_event` emitter
-//!   so a run opens directly in `chrome://tracing` / Perfetto.
+//! * [`export`] — a Chrome `trace_event` emitter so a run opens directly
+//!   in `chrome://tracing` / Perfetto, and the quota-decision timeline.
+//!   `votm-bench` writes the JSON snapshot document from them and the
+//!   views' statistics.
 //!
 //! The crate is deliberately clock-agnostic: every record call takes a
 //! caller-supplied timestamp. The simulator passes deterministic virtual

@@ -2,15 +2,22 @@
 //! with strict conservation invariants, swept over seeds, algorithms and
 //! quota modes. Every token that enters the system must come out exactly
 //! once — lost updates, duplicated pops, phantom map entries or leaked
-//! nodes all fail the final audit.
+//! nodes all fail the final audit. A booking audit holds attempts to the
+//! same standard: every attempt that begins is booked exactly once,
+//! whichever way it leaves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use votm_repro::ds::{TxHashMap, TxQueue};
-use votm_repro::sim::{FaultPlan, FaultRecord, RunStatus, SimConfig, SimExecutor};
+use votm_repro::ds::{BoundedBuffer, TxHashMap, TxQueue};
+use votm_repro::sim::{
+    FaultPlan, FaultRecord, PanicPolicy, RunOutcome, RunStatus, SimConfig, SimExecutor,
+};
 use votm_repro::utils::{SplitMix64, XorShift64};
-use votm_repro::votm::{QuotaMode, TmAlgorithm, Votm};
+use votm_repro::votm::{
+    AbortReason, EventKind, FlightRecorder, QuotaMode, ThreadTrace, TmAlgorithm, TxError, View,
+    Votm,
+};
 
 const THREADS: u64 = 8;
 const TOKENS_PER_THREAD: u64 = 40;
@@ -230,4 +237,141 @@ fn chaos_fault_schedule_is_deterministic_per_seed() {
     assert_eq!(a, b, "same seed must replay the same fault schedule");
     let c = chaos_round_with_faults(TmAlgorithm::NOrec, QuotaMode::Fixed(8), 42);
     assert_ne!(a, c, "different seed should perturb the schedule");
+}
+
+/// One run of the booking workload: 4 tasks on one adaptive view that
+/// escalates after 6 straight aborts, each looping a counter increment
+/// whose first attempt aborts explicitly, a push and a pop on a 2-slot
+/// buffer that park through `retry()` when full or empty. Returns the
+/// view, the drop-free recorder's traces, the number of `transact` calls
+/// that returned, and the run's outcome.
+fn booking_round(
+    algo: TmAlgorithm,
+    plan: FaultPlan,
+) -> (Arc<View>, Vec<ThreadTrace>, u64, RunOutcome) {
+    const TASKS: u64 = 4;
+    const ITERS: u64 = 20;
+    let recorder = Arc::new(FlightRecorder::new(TASKS as usize, 1 << 16));
+    let sys = Votm::builder()
+        .algo(algo)
+        .threads(TASKS as u32)
+        .escalate_after(Some(6))
+        .recorder(Arc::clone(&recorder))
+        .build();
+    let view = sys.create_view(1024, QuotaMode::Adaptive);
+    let buf = BoundedBuffer::create(&view, 2);
+    let counter = view.alloc_block(1).expect("counter word");
+    let returned = Arc::new(AtomicU64::new(0));
+    let mut ex = SimExecutor::new(SimConfig {
+        panic_policy: PanicPolicy::Isolate,
+        fault_plan: Some(plan),
+        ..Default::default()
+    });
+    for t in 0..TASKS {
+        let view = Arc::clone(&view);
+        let returned = Arc::clone(&returned);
+        ex.spawn(move |rt| async move {
+            for i in 0..ITERS {
+                let mut first = true;
+                view.transact(&rt, async |tx| {
+                    if std::mem::take(&mut first) {
+                        return Err(TxError::Abort(AbortReason::Explicit));
+                    }
+                    let v = tx.read(counter).await?;
+                    Ok(tx.write(counter, v + 1).await?)
+                })
+                .await;
+                returned.fetch_add(1, Ordering::Relaxed);
+                view.transact(&rt, async |tx| buf.push(tx, t * 1000 + i).await)
+                    .await;
+                returned.fetch_add(1, Ordering::Relaxed);
+                view.transact(&rt, async |tx| buf.pop(tx).await).await;
+                returned.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    }
+    let out = ex.run();
+    assert_eq!(out.status, RunStatus::Completed, "{algo:?}");
+    let returned = returned.load(Ordering::Relaxed);
+    (view, recorder.snapshot(), returned, out)
+}
+
+/// Every attempt the trace shows begun left through exactly one booking:
+/// its commit or abort event, the view's counters, the commit histogram
+/// and the cycle ledgers all agree.
+fn assert_booked_once(view: &View, traces: &[ThreadTrace], what: &str) {
+    let vid = view.id() as u16;
+    let (mut begins, mut commits, mut aborts) = (0u64, 0u64, 0u64);
+    let (mut commit_cycles, mut abort_cycles) = (0u64, 0u64);
+    for t in traces {
+        assert_eq!(t.dropped, 0, "{what}: the recorder dropped events");
+        for e in &t.events {
+            match e.kind {
+                EventKind::TxBegin { view } if view == vid => begins += 1,
+                EventKind::TxCommit { view, cycles } if view == vid => {
+                    commits += 1;
+                    commit_cycles += cycles;
+                }
+                EventKind::TxAbort { view, cycles, .. } if view == vid => {
+                    aborts += 1;
+                    abort_cycles += cycles;
+                }
+                _ => {}
+            }
+        }
+    }
+    let s = view.stats();
+    assert_eq!(begins, commits + aborts, "{what}: begins vs closes");
+    assert_eq!((commits, aborts), (s.tm.commits, s.tm.aborts), "{what}");
+    assert_eq!(s.hists.commit.count(), s.tm.commits, "{what}: histogram");
+    assert_eq!(
+        (commit_cycles, abort_cycles),
+        (s.tm.cycles_successful, s.tm.cycles_aborted),
+        "{what}: cycle ledgers"
+    );
+}
+
+#[test]
+fn every_attempt_is_booked_once_whatever_its_exit() {
+    let faults = FaultPlan {
+        seed: 0xb00c,
+        abort_percent: 5,
+        delay_percent: 10,
+        max_delay: 200,
+        ..Default::default()
+    };
+    for algo in TmAlgorithm::ALL {
+        // Commits, conflict, injected and explicit aborts, parks and
+        // escalated lock-mode attempts.
+        let (view, traces, _, _) = booking_round(algo, faults);
+        let tm = view.stats().tm;
+        for reason in [AbortReason::Retry, AbortReason::Explicit] {
+            assert!(tm.aborts_by_reason[reason.index()] > 0, "{reason:?}");
+        }
+        assert!(tm.escalations > 0, "{algo:?}");
+        assert_booked_once(&view, &traces, &format!("{algo:?} faults"));
+
+        // Unwinds too: one injected panic, swept over fault seeds until it
+        // lands mid-body (the drop guard aborts the attempt) and until it
+        // lands mid-commit (the drop guard finishes a commit that no
+        // `transact` returned). One panic orphans at most one buffered
+        // value, so the survivors cannot block forever.
+        for mid_commit in [false, true] {
+            let unwound = (1..200u64).find_map(|seed| {
+                let plan = FaultPlan {
+                    seed,
+                    panic_percent: 5,
+                    max_panics: 1,
+                    target_task: Some(0),
+                    ..faults
+                };
+                let (view, traces, returned, out) = booking_round(algo, plan);
+                let landed = view.stats().tm.commits == returned + u64::from(mid_commit);
+                (out.faults.panics == 1 && landed).then_some((view, traces))
+            });
+            let what = format!("{algo:?} mid_commit={mid_commit}");
+            let (view, traces) = unwound.unwrap_or_else(|| panic!("{what}: no seed"));
+            assert_booked_once(&view, &traces, &what);
+        }
+    }
 }
