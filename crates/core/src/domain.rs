@@ -171,7 +171,7 @@ pub struct DomainStats {
 
 /// A self-partitioning group of views over one shared heap.
 ///
-/// Create with [`crate::Votm::create_domain`] (or [`AdaptiveDomain::new`]),
+/// Create with [`crate::Votm::create_domain`],
 /// run transactions through [`AdaptiveDomain::transact`], and spawn
 /// [`AdaptiveDomain::run_controller`] as a task to enable online
 /// split/merge. Without the controller task the domain behaves exactly
@@ -230,7 +230,7 @@ impl AdaptiveDomain {
     /// recorder; the recorder is what the split decision profiles, so a
     /// domain without one never splits (merges, driven by straddle
     /// pressure, still work).
-    pub fn new(
+    pub(crate) fn new(
         config: &VotmConfig,
         size_words: usize,
         quota: QuotaMode,

@@ -43,7 +43,7 @@
 //! # Starvation watchdog
 //!
 //! The driver tracks each transaction's consecutive-abort streak. When a
-//! view is configured with [`crate::VotmConfig::escalate_after`]` = Some(K)`
+//! view is configured with [`crate::VotmBuilder::escalate_after`]`(Some(K))`
 //! and a transaction loses `K` attempts in a row, the next re-admission
 //! goes through [`votm_rac::AdmissionGate::acquire_exclusive`]: the gate
 //! drains, the starving transaction runs alone in the irrevocable Q = 1

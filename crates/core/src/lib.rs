@@ -88,7 +88,7 @@ mod wait;
 pub use domain::{AdaptiveDomain, DomainStats, RepartitionPolicy};
 pub use error::TxError;
 pub use handle::{TxAbort, TxHandle};
-pub use system::{Votm, VotmBuilder, VotmConfig};
+pub use system::{Votm, VotmBuilder};
 pub use version::Version;
 pub use view::{View, ViewStats};
 

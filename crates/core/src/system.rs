@@ -9,47 +9,17 @@ use votm_utils::Mutex;
 
 use crate::view::View;
 
-/// Global configuration for a [`Votm`] system.
+/// Global configuration for a [`Votm`] system. Each field is set, and
+/// documented, by the [`VotmBuilder`] setter that names it.
 #[derive(Debug, Clone)]
-pub struct VotmConfig {
-    /// TM algorithm every view runs (the paper evaluates one algorithm per
-    /// system build: VOTM-OrecEagerRedo and VOTM-NOrec).
-    pub algorithm: TmAlgorithm,
-    /// The maximum number of threads `N` — adaptive quotas start here and
-    /// never exceed it.
-    pub n_threads: u32,
-    /// Reserve factor for `brk_view`: each view's heap reserves
-    /// `size × reserve_factor` words so it can grow. 1 disables growth.
-    pub reserve_factor: usize,
-    /// Starvation watchdog: `Some(K)` makes a transaction that aborts `K`
-    /// times in a row request *exclusive* admission on its next attempt —
-    /// the irrevocable Q = 1 lock-mode fallback, which cannot abort.
-    ///
-    /// Defaults to `None` (off): livelock under contention is a phenomenon
-    /// the paper measures, and escalation would change the reported tables.
-    pub escalate_after: Option<u32>,
-    /// Flight recorder shared by every view created on this system. `None`
-    /// (the default) makes all event recording a dead-handle no-op; latency
-    /// histograms stay on either way.
-    pub recorder: Option<Arc<FlightRecorder>>,
-    /// Contention-management policy for every view: which of two
-    /// conflicting transactions yields, and how. The default,
-    /// [`CmPolicy::Backoff`], reproduces the historical backoff-and-retry
-    /// behaviour exactly (and costs nothing on the hot path); the other
-    /// policies trade a little bookkeeping for progress guarantees — see
-    /// `votm_rac::cm`. NOrec views always run the passive default, whatever
-    /// is set here: NOrec's lock names no holder for a policy to rank
-    /// ([`TmAlgorithm::names_lock_holder`]).
-    pub contention: CmPolicy,
-    /// Clock strategy for every NOrec view's sequence lock. The default,
-    /// [`ClockKind::Global`], is plain NOrec: one seqlock CAS per writer
-    /// commit and a summary slot per commit, as in the paper's RSTM plug-in;
-    /// [`ClockKind::Coarse`] attacks the global-clock bottleneck the paper
-    /// names for memory-intensive NOrec workloads with a coarser summary
-    /// ring and writeback ride-through — see `votm_stm::clock`. Orec views
-    /// always take one fetch-add per writer commit, whatever is set here
-    /// ([`TmAlgorithm::runs_coarse_clock`]).
-    pub clock: ClockKind,
+pub(crate) struct VotmConfig {
+    pub(crate) algorithm: TmAlgorithm,
+    pub(crate) n_threads: u32,
+    pub(crate) reserve_factor: usize,
+    pub(crate) escalate_after: Option<u32>,
+    pub(crate) recorder: Option<Arc<FlightRecorder>>,
+    pub(crate) contention: CmPolicy,
+    pub(crate) clock: ClockKind,
 }
 
 impl Default for VotmConfig {
@@ -78,8 +48,8 @@ pub struct Votm {
 impl Votm {
     /// The builder front door: `Votm::builder().algo(..).policy(..)
     /// .clock(..).build()`. Every knob defaults to the paper's baseline
-    /// ([`VotmConfig::default`]), so `Votm::builder().build()` is a valid
-    /// minimal system.
+    /// (each [`VotmBuilder`] setter names its default), so
+    /// `Votm::builder().build()` is a valid minimal system.
     pub fn builder() -> VotmBuilder {
         VotmBuilder {
             config: VotmConfig::default(),
@@ -190,48 +160,70 @@ pub struct VotmBuilder {
 }
 
 impl VotmBuilder {
-    /// TM algorithm every view runs (overridable per view via
-    /// [`Votm::create_view_with_algorithm`]).
+    /// TM algorithm every view runs (the paper evaluates one algorithm per
+    /// system build: VOTM-OrecEagerRedo and VOTM-NOrec); overridable per
+    /// view via [`Votm::create_view_with_algorithm`]. Default:
+    /// [`TmAlgorithm::NOrec`].
     pub fn algo(mut self, algorithm: TmAlgorithm) -> Self {
         self.config.algorithm = algorithm;
         self
     }
 
-    /// The maximum number of threads `N` — adaptive quotas start here.
+    /// The maximum number of threads `N` — adaptive quotas start here and
+    /// never exceed it. Default: 16.
     pub fn threads(mut self, n_threads: u32) -> Self {
         self.config.n_threads = n_threads;
         self
     }
 
-    /// Contention-management policy for every view whose algorithm's lock
-    /// words name their holder; NOrec views always run the passive default
-    /// (see [`VotmConfig::contention`]).
+    /// Contention-management policy for every view: which of two
+    /// conflicting transactions yields, and how. The default,
+    /// [`CmPolicy::Backoff`], reproduces the historical backoff-and-retry
+    /// behaviour exactly (and costs nothing on the hot path); the other
+    /// policies trade a little bookkeeping for progress guarantees — see
+    /// `votm_rac::cm`. NOrec views always run the passive default, whatever
+    /// is set here: NOrec's lock names no holder for a policy to rank
+    /// ([`TmAlgorithm::names_lock_holder`]).
     pub fn policy(mut self, contention: CmPolicy) -> Self {
         self.config.contention = contention;
         self
     }
 
-    /// Clock strategy for every view whose algorithm runs one; orec views
-    /// always tick (see [`VotmConfig::clock`]).
+    /// Clock strategy for every NOrec view's sequence lock. The default,
+    /// [`ClockKind::Global`], is plain NOrec: one seqlock CAS per writer
+    /// commit and a summary slot per commit, as in the paper's RSTM plug-in;
+    /// [`ClockKind::Coarse`] attacks the global-clock bottleneck the paper
+    /// names for memory-intensive NOrec workloads with a coarser summary
+    /// ring and writeback ride-through — see `votm_stm::clock`. Orec views
+    /// always take one fetch-add per writer commit, whatever is set here
+    /// ([`TmAlgorithm::runs_coarse_clock`]).
     pub fn clock(mut self, clock: ClockKind) -> Self {
         self.config.clock = clock;
         self
     }
 
-    /// Reserve factor for `brk_view` heap growth (1 disables growth).
+    /// Reserve factor for `brk_view`: each view's heap reserves
+    /// `size × reserve_factor` words so it can grow. 1, the default,
+    /// disables growth.
     pub fn reserve_factor(mut self, reserve_factor: usize) -> Self {
         self.config.reserve_factor = reserve_factor;
         self
     }
 
-    /// Starvation watchdog threshold `K`: `Some(K)` escalates a
-    /// transaction to exclusive admission after `K` consecutive aborts.
+    /// Starvation watchdog: `Some(K)` makes a transaction that aborts `K`
+    /// times in a row request *exclusive* admission on its next attempt —
+    /// the irrevocable Q = 1 lock-mode fallback, which cannot abort.
+    ///
+    /// Defaults to `None` (off): livelock under contention is a phenomenon
+    /// the paper measures, and escalation would change the reported tables.
     pub fn escalate_after(mut self, escalate_after: Option<u32>) -> Self {
         self.config.escalate_after = escalate_after;
         self
     }
 
-    /// Flight recorder shared by every view created on this system.
+    /// Flight recorder shared by every view created on this system. Without
+    /// one (the default) all event recording is a dead-handle no-op;
+    /// latency histograms stay on either way.
     pub fn recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.config.recorder = Some(recorder);
         self

@@ -149,7 +149,7 @@ impl View {
     }
 
     /// Which contention-management policy this view runs: the configured
-    /// [`crate::VotmConfig::contention`], except that a NOrec view always
+    /// [`crate::VotmBuilder::policy`], except that a NOrec view always
     /// reports (and runs) the passive [`CmPolicy::Backoff`].
     pub fn cm_policy(&self) -> CmPolicy {
         self.cm.policy()
@@ -209,7 +209,7 @@ impl View {
 
     /// The starvation watchdog's max-retry threshold `K`, if enabled: after
     /// `K` consecutive aborts a transaction escalates to exclusive
-    /// admission. See [`crate::VotmConfig::escalate_after`].
+    /// admission. See [`crate::VotmBuilder::escalate_after`].
     pub fn escalate_after(&self) -> Option<u32> {
         self.escalate_after
     }

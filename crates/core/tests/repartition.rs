@@ -15,16 +15,18 @@
 //! * merge-under-fault chaos: injected aborts and delays around the
 //!   drain windows, reusing [`FaultPlan`];
 //! * the controller's sliding profile window on rings that wrap: it takes
-//!   its cold-start fold and then slides, through the cooldown too.
+//!   its cold-start fold and then slides, through the cooldown too; on
+//!   rings already full at its first look it takes two.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use votm::{
-    AbortReason, Addr, FlightRecorder, QuotaMode, RepartitionPolicy, TmAlgorithm, TxError, Votm,
+    AbortReason, Addr, EventKind, FlightRecorder, QuotaMode, RepartitionPolicy, TmAlgorithm,
+    TxError, Votm,
 };
-use votm_sim::{FaultPlan, RunStatus, SimConfig, SimExecutor};
+use votm_sim::{block_on, FaultPlan, RealHandle, Rt, RunStatus, SimConfig, SimExecutor};
 use votm_utils::{Mutex, SplitMix64};
 
 const WORDS: usize = 4096; // 64 words per profile bucket
@@ -543,6 +545,56 @@ fn the_profile_window_slides_on_wrapped_rings_and_through_the_cooldown() {
         out.profile_refolds,
         out.splits + out.merges
     );
+}
+
+/// Controller ticks on a recorder that is full (17 rings × 16 384 events,
+/// the repository benchmark's shape) before the window first looks: aborts
+/// and footprints on a single bucket, so a fold sees every event and the
+/// profile can never suggest a split. Each tick's transaction aborts once
+/// before it commits, which gives the view a wasted-work share for the
+/// interval, so the tick gets past the cheap gates and reads the profile.
+/// The cold fold copies no stash and the second learns the pace; every tick
+/// after those two must slide.
+#[test]
+fn a_full_recorder_takes_two_folds_and_then_every_tick_slides() {
+    const THREADS: u64 = 16;
+    let recorder = Arc::new(FlightRecorder::new(THREADS as usize + 1, 1 << 14));
+    for i in 0..(THREADS + 1) << 14 {
+        let kind = match i % 3 {
+            0 => EventKind::TxAbort {
+                view: 0,
+                reason: AbortReason::NorecValidation,
+                cycles: 100,
+            },
+            _ => EventKind::Footprint {
+                view: 0,
+                committed: i % 3 == 1,
+                reads: 1,
+                writes: 1,
+            },
+        };
+        recorder.record((i >> 14) as usize, i, kind);
+    }
+    let domain = Votm::builder()
+        .algo(TmAlgorithm::NOrec)
+        .threads(THREADS as u32)
+        .recorder(recorder)
+        .build()
+        .create_domain(4096, QuotaMode::Fixed(16), RepartitionPolicy::default());
+    let rt = Rt::Real(RealHandle::standalone(0));
+    for tick in 0..10 {
+        let mut aborted = false;
+        block_on(domain.transact(&rt, Addr(0), async |tx| {
+            if !std::mem::replace(&mut aborted, true) {
+                return Err(TxError::Abort(AbortReason::Explicit));
+            }
+            Ok(tx.read(Addr(0)).await?)
+        }));
+        block_on(domain.rebalance(&rt));
+        let stats = domain.stats();
+        assert_eq!(stats.repartitions, 0, "tick {tick}");
+        assert_eq!(stats.profile_refolds, (tick + 1).min(2), "tick {tick}");
+    }
 }
 
 /// An unrestricted domain is a contradiction (no gate, no drain barrier);

@@ -231,7 +231,7 @@ pub fn beats(my_prio: u64, my_tid: usize, their_prio: u64, their_tid: usize) -> 
 
 /// One view's contention-management runtime: the policy, the seed of its
 /// windowed draw and the shared slots. Built by the view constructor from
-/// `VotmConfig`. Everything here is a deterministic function of its
+/// the system's configuration (`VotmBuilder::policy`). Everything here is a deterministic function of its
 /// arguments plus the construction-time seed — the same-seed replay
 /// guarantee of the simulator extends through it.
 #[derive(Debug)]

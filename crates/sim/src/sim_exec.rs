@@ -28,7 +28,9 @@
 //! at spawn, futures are polled in place, the wheel recycles entry nodes
 //! through a slab, and consecutive same-task `charge()` polls are coalesced —
 //! when the just-polled task's next activation is itself the global minimum,
-//! the executor resumes it directly without a queue round-trip.
+//! the executor resumes it directly without a queue round-trip. The
+//! reference heap never coalesces: it is the original executor, queue
+//! round-trip and all.
 //!
 //! Livelock is a first-class outcome: the paper's OrecEagerRedo experiments
 //! livelock at high quota, so runs carry a virtual-time cap and report
@@ -54,8 +56,8 @@ use crate::fault::{FaultEvent, FaultPlan, FaultRecord, FaultStats, PanicPolicy};
 /// Which event-queue implementation orders activations.
 ///
 /// Both yield the exact same `(vtime, tiebreak, seq)` activation order; the
-/// reference heap exists so differential tests can pin the timer wheel
-/// against the original implementation.
+/// reference heap is the original queue-only executor (no coalescing), kept
+/// so differential tests can pin the timer wheel's fast path against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// Hierarchical timer wheel: O(1) near-future pushes (default).
@@ -80,13 +82,11 @@ pub struct SimConfig {
     pub fault_plan: Option<FaultPlan>,
     /// What to do when a task's poll panics (injected or organic).
     pub panic_policy: PanicPolicy,
-    /// Event-queue implementation (differential-testing hook).
+    /// Event-queue implementation (differential-testing hook). The timer
+    /// wheel also coalesces consecutive same-task `charge()` polls (see
+    /// [`SchedStats::coalesced`]); the reference heap is the original
+    /// queue-only executor.
     pub scheduler: SchedulerKind,
-    /// Coalesce consecutive same-task `charge()` polls: when the just-polled
-    /// task's self-scheduled activation is the global minimum, resume it
-    /// directly instead of round-tripping the queue. Activation order is
-    /// provably unchanged; disable only to widen differential coverage.
-    pub coalesce: bool,
 }
 
 impl Default for SimConfig {
@@ -97,7 +97,6 @@ impl Default for SimConfig {
             fault_plan: None,
             panic_policy: PanicPolicy::Propagate,
             scheduler: SchedulerKind::TimerWheel,
-            coalesce: true,
         }
     }
 }
@@ -139,7 +138,8 @@ pub struct TaskStall {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Task activations that skipped the queue because the just-polled
-    /// task's own re-enqueue was the global minimum.
+    /// task's own re-enqueue was the global minimum (0 under the reference
+    /// heap, which never coalesces).
     pub coalesced: u64,
     /// Entries pushed into the timer wheel's near-future ring (0 under the
     /// reference heap).
@@ -295,6 +295,7 @@ struct Inner {
     /// Held-back self-schedule from the poll that just returned (see
     /// [`PendingSelf`]); always consumed before the next poll starts.
     pending_self: Option<PendingSelf>,
+    /// Hold self-schedules back in `pending_self`: the timer wheel only.
     coalesce: bool,
     tasks: Vec<TaskSlot>,
     now: u64,
@@ -347,8 +348,8 @@ impl Inner {
     /// Self-scheduling from `charge`: the task is Running and about to
     /// return Pending. The tie-break is drawn and the sequence number taken
     /// *here*, unconditionally — the coalescing path below only defers the
-    /// queue push, never the draw, so the RNG stream is identical with
-    /// coalescing on or off (and identical to the pre-wheel executor).
+    /// queue push, never the draw, so the RNG stream is identical under
+    /// either scheduler (and identical to the pre-wheel executor).
     ///
     /// One self-schedule per poll: a [`crate::Step`] completes on its next
     /// poll whatever the time, so two in flight never had a meaning. Debug
@@ -610,7 +611,7 @@ impl SimExecutor {
                 state: UnsafeCell::new(Inner {
                     queue: EventQueue::new(config.scheduler),
                     pending_self: None,
-                    coalesce: config.coalesce,
+                    coalesce: config.scheduler == SchedulerKind::TimerWheel,
                     tasks: Vec::new(),
                     now: 0,
                     seq: 0,
@@ -1012,36 +1013,26 @@ mod tests {
 
     #[test]
     fn wheel_heap_and_coalescing_agree_on_schedule() {
-        // The tie-heavy workload exercises tie-break ordering hardest; all
-        // four scheduler configurations must produce the identical trace.
-        // (The broad fuzzed version lives in tests/differential.rs.)
+        // The tie-heavy workload exercises tie-break ordering hardest; the
+        // coalescing wheel and the queue-only heap must produce the identical
+        // trace. (The broad fuzzed version lives in tests/differential.rs.)
         for seed in [1u64, 7, 1234, 0xdead_beef] {
-            let traces: Vec<_> = [
-                (SchedulerKind::TimerWheel, true),
-                (SchedulerKind::TimerWheel, false),
-                (SchedulerKind::ReferenceHeap, true),
-                (SchedulerKind::ReferenceHeap, false),
-            ]
-            .into_iter()
-            .map(|(scheduler, coalesce)| {
+            let trace = |scheduler| {
                 seeded_trace(
                     SimConfig {
                         seed,
                         scheduler,
-                        coalesce,
                         ..Default::default()
                     },
                     5,
                     12,
                 )
-            })
-            .collect();
+            };
             assert_eq!(
-                traces[0], traces[1],
-                "seed {seed}: coalescing changed order"
+                trace(SchedulerKind::TimerWheel),
+                trace(SchedulerKind::ReferenceHeap),
+                "seed {seed}: wheel != heap"
             );
-            assert_eq!(traces[0], traces[2], "seed {seed}: wheel != heap");
-            assert_eq!(traces[0], traces[3], "seed {seed}: wheel != heap(off)");
         }
     }
 
@@ -1063,7 +1054,7 @@ mod tests {
             out.sched
         );
         let mut ex = SimExecutor::new(SimConfig {
-            coalesce: false,
+            scheduler: SchedulerKind::ReferenceHeap,
             ..Default::default()
         });
         ex.spawn(|rt: Rt| async move {
@@ -1340,9 +1331,9 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "in one poll"))]
     fn second_self_schedule_in_one_poll_supersedes_the_first() {
-        for coalesce in [true, false] {
+        for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
             let mut ex = SimExecutor::new(SimConfig {
-                coalesce,
+                scheduler,
                 ..Default::default()
             });
             ex.spawn(move |rt: Rt| async move {

@@ -5,8 +5,9 @@
 //! `(vtime, tiebreak, seq)`, bit-for-bit what the original `BinaryHeap`
 //! scheduler produced. This suite replays fuzzed workloads — tie-storms,
 //! notify churn, overflow-range charges, injected faults, livelock caps —
-//! through every scheduler configuration and asserts the full event traces,
-//! fault logs, and outcomes are identical.
+//! through the timer wheel (which coalesces) and the reference heap (the
+//! original queue-only executor) and asserts the full event traces, fault
+//! logs, and outcomes are identical.
 //!
 //! Workloads derive from fixed case seeds (the container is offline, so no
 //! property-testing crate; fixed seeds replay failures directly). Each
@@ -44,7 +45,7 @@ struct CaseResult {
 /// Runs one fuzzed case under the given scheduler configuration. Everything
 /// the workload does — op mix, charge costs, notify targets, fault draws —
 /// is a pure function of `case` and the task index.
-fn run_case(case: u64, scheduler: SchedulerKind, coalesce: bool) -> CaseResult {
+fn run_case(case: u64, scheduler: SchedulerKind) -> CaseResult {
     let mut meta = XorShift64::new(0xd1ff ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let n_tasks = 2 + meta.next_index(6);
     let n_channels = 1 + meta.next_index(3);
@@ -67,7 +68,6 @@ fn run_case(case: u64, scheduler: SchedulerKind, coalesce: bool) -> CaseResult {
             ..Default::default()
         }),
         scheduler,
-        coalesce,
         ..Default::default()
     });
     for t in 0..n_tasks {
@@ -136,41 +136,29 @@ fn run_case(case: u64, scheduler: SchedulerKind, coalesce: bool) -> CaseResult {
     }
 }
 
-/// The headline differential: 36 fuzzed seeds, every scheduler
-/// configuration, full traces identical to the reference heap.
+/// The headline differential: 36 fuzzed seeds, the timer wheel's full
+/// traces identical to the reference heap's.
 #[test]
 fn wheel_matches_reference_heap_across_fuzzed_workloads() {
     let mut livelocks = 0;
     let mut faulted = 0;
     let mut superseded = 0;
     for case in 0..36u64 {
-        let base = run_case(case, SchedulerKind::ReferenceHeap, true);
-        for (scheduler, coalesce, label) in [
-            (SchedulerKind::TimerWheel, true, "wheel"),
-            (SchedulerKind::TimerWheel, false, "wheel-nocoalesce"),
-            (SchedulerKind::ReferenceHeap, false, "heap-nocoalesce"),
-        ] {
-            let got = run_case(case, scheduler, coalesce);
-            assert_eq!(
-                base.status, got.status,
-                "case {case} {label}: outcome diverged"
-            );
-            assert_eq!(base.vtime, got.vtime, "case {case} {label}: makespan");
-            assert_eq!(base.steps, got.steps, "case {case} {label}: step count");
-            assert_eq!(base.faults, got.faults, "case {case} {label}: fault totals");
-            assert_eq!(
-                base.fault_log, got.fault_log,
-                "case {case} {label}: fault log diverged"
-            );
-            assert_eq!(
-                base.superseded, got.superseded,
-                "case {case} {label}: superseded entries"
-            );
-            assert_eq!(
-                base.trace, got.trace,
-                "case {case} {label}: event trace diverged"
-            );
-        }
+        let base = run_case(case, SchedulerKind::ReferenceHeap);
+        let got = run_case(case, SchedulerKind::TimerWheel);
+        assert_eq!(base.status, got.status, "case {case}: outcome diverged");
+        assert_eq!(base.vtime, got.vtime, "case {case}: makespan");
+        assert_eq!(base.steps, got.steps, "case {case}: step count");
+        assert_eq!(base.faults, got.faults, "case {case}: fault totals");
+        assert_eq!(
+            base.fault_log, got.fault_log,
+            "case {case}: fault log diverged"
+        );
+        assert_eq!(
+            base.superseded, got.superseded,
+            "case {case}: superseded entries"
+        );
+        assert_eq!(base.trace, got.trace, "case {case}: event trace diverged");
         superseded += base.superseded;
         livelocks += (base.status == RunStatus::Livelock) as u32;
         faulted += (!base.fault_log.is_empty()) as u32;
@@ -191,12 +179,11 @@ fn wheel_matches_reference_heap_across_fuzzed_workloads() {
 #[test]
 fn tie_storms_order_identically_across_schedulers() {
     for seed in 0..8u64 {
-        let run = |scheduler: SchedulerKind, coalesce: bool| -> Trace {
+        let run = |scheduler: SchedulerKind| -> Trace {
             let log: Arc<Mutex<Trace>> = Arc::new(Mutex::new(Vec::new()));
             let mut ex = SimExecutor::new(SimConfig {
                 seed: 0x71e5 + seed,
                 scheduler,
-                coalesce,
                 ..Default::default()
             });
             for t in 0..12u32 {
@@ -212,22 +199,83 @@ fn tie_storms_order_identically_across_schedulers() {
             let trace = log.lock().clone();
             trace
         };
-        let base = run(SchedulerKind::ReferenceHeap, true);
-        assert_eq!(base, run(SchedulerKind::TimerWheel, true), "seed {seed}");
-        assert_eq!(base, run(SchedulerKind::TimerWheel, false), "seed {seed}");
+        let base = run(SchedulerKind::ReferenceHeap);
+        assert_eq!(base, run(SchedulerKind::TimerWheel), "seed {seed}");
     }
 }
 
-/// Coalescing must fire (it is the optimisation under test) while leaving
-/// the trace untouched — a direct check that the stat and the contract
-/// coexist on a workload where the fast path dominates.
+/// A park woken long before its deadline leaves one dead entry queued,
+/// and a wake with no deadline leaves none: two tasks ping-pong through a
+/// `Notify` pair, the second waiting the way a `retry()` park does, under a
+/// deadline far past the run's end. A third task sleeps past the others'
+/// finish, as a producer does in its think time: a live entry ahead of every
+/// deadline, without which the dead ones would surface (and go) whenever the
+/// ring ran empty. Both schedulers count exactly one superseded entry per
+/// round.
+#[test]
+fn every_early_woken_park_supersedes_exactly_one_entry() {
+    const ROUNDS: u64 = 500;
+    let run = |scheduler: SchedulerKind, park_deadline: Option<u64>| {
+        let ping = Arc::new(Notify::new());
+        let pong = Arc::new(Notify::new());
+        let mut ex = SimExecutor::new(SimConfig {
+            seed: 0x5eed,
+            scheduler,
+            ..Default::default()
+        });
+        if let Some(deadline) = park_deadline {
+            ex.spawn(move |rt: Rt| async move { rt.charge(deadline / 2).await });
+        }
+        {
+            let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+            ex.spawn(move |rt: Rt| async move {
+                for _ in 0..ROUNDS {
+                    rt.charge(5).await;
+                    ping.notify_all();
+                    let e = pong.epoch();
+                    rt.wait(&pong, e).await;
+                }
+            });
+        }
+        ex.spawn(move |rt: Rt| async move {
+            for _ in 0..ROUNDS {
+                let mut wait = pin!(rt.wait(&ping, ping.epoch()));
+                match park_deadline {
+                    None => wait.await,
+                    Some(deadline) => {
+                        let mut deadline = pin!(rt.charge(deadline));
+                        poll_fn(|cx| match wait.as_mut().poll(cx) {
+                            Poll::Pending => deadline.as_mut().poll(cx),
+                            ready => ready,
+                        })
+                        .await;
+                    }
+                }
+                rt.charge(5).await;
+                pong.notify_all();
+            }
+        });
+        let out = ex.run();
+        assert_eq!(out.status, RunStatus::Completed, "{scheduler:?}");
+        out.sched.superseded
+    };
+    for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
+        assert_eq!(run(scheduler, None), 0, "{scheduler:?}");
+        assert_eq!(run(scheduler, Some(1 << 20)), ROUNDS, "{scheduler:?}");
+    }
+}
+
+/// Coalescing must fire on the wheel (it is the optimisation under test)
+/// while leaving the trace untouched against the queue-only heap — a direct
+/// check that the stat and the contract coexist on a workload where the
+/// fast path dominates.
 #[test]
 fn coalescing_fires_without_changing_the_trace() {
-    let run = |coalesce: bool| {
+    let run = |scheduler: SchedulerKind| {
         let log: Arc<Mutex<Trace>> = Arc::new(Mutex::new(Vec::new()));
         let mut ex = SimExecutor::new(SimConfig {
             seed: 99,
-            coalesce,
+            scheduler,
             ..Default::default()
         });
         for t in 0..3u32 {
@@ -245,8 +293,8 @@ fn coalescing_fires_without_changing_the_trace() {
         let trace = log.lock().clone();
         (out, trace)
     };
-    let (on, trace_on) = run(true);
-    let (off, trace_off) = run(false);
+    let (on, trace_on) = run(SchedulerKind::TimerWheel);
+    let (off, trace_off) = run(SchedulerKind::ReferenceHeap);
     assert!(
         on.sched.coalesced > 100,
         "coalescing barely fired: {:?}",

@@ -26,7 +26,7 @@
 //! the per-view cut, not sharding inside a view.
 
 /// Which timestamp strategy a TM instance uses (selected per-system via
-/// `VotmConfig`, like the contention-management policy).
+/// `VotmBuilder::clock`, like the contention-management policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockKind {
     /// Single global counter — the paper's baseline and the default.
