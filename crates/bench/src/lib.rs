@@ -406,7 +406,7 @@ pub const GATE_SEEDS: u64 = 3;
 /// The file `tables --json` writes the gate to — the PR-numbered benchmark
 /// trajectory artifact — and the one the comparison tables' footnotes send
 /// the reader to for the raw fields.
-pub const GATE_ARTIFACT: &str = "BENCH_37.json";
+pub const GATE_ARTIFACT: &str = "BENCH_38.json";
 
 /// `num / den`, or `idle` when nothing happened to divide by.
 fn ratio(num: u64, den: u64, idle: f64) -> f64 {

@@ -18,14 +18,17 @@
 //!
 //! Payload bytes are immutable after generation and (exactly as in STAMP)
 //! live outside transactional memory; only indices flow through the TM
-//! structures.
+//! structures. They are not stored at all: the input keeps each flow's
+//! generator state, and the detector replays a fragment's words from it
+//! ([`Input::data`]).
 
 #![warn(missing_docs)]
 
 pub mod packet;
 
 pub use packet::{
-    checksum, contains_attack, generate, GenConfig, Input, Packet, ATTACK_SIGNATURE, FRAGMENT_WORDS,
+    checksum, contains_attack, generate, Fragment, GenConfig, Input, Packet, ATTACK_SIGNATURE,
+    FRAGMENT_WORDS,
 };
 pub use votm::Version;
 
@@ -210,7 +213,7 @@ pub fn run_sim(
                 if let Some(indices) = complete {
                     payload.clear();
                     for &i in &indices {
-                        payload.extend_from_slice(input.data(&input.packets[i as usize]));
+                        payload.extend_from_slice(&input.data(&input.packets[i as usize]));
                     }
                     rt.work(payload.len() as u64 * SCAN_CYCLES_PER_WORD).await;
                     if packet::checksum(&payload) != input.flow_checksums[pkt.flow_id as usize] {

@@ -2,12 +2,15 @@
 //! (`-a` percent attacks, `-l` max payload length, `-n` flows, `-s` seed).
 //!
 //! Each flow is a random payload split into fixed-size fragments; the
-//! fragments of all flows are shuffled into one global packet stream. The
-//! payloads sit back to back in one arena the [`Input`] owns; what is
-//! shuffled is 8-byte [`Packet`] headers naming their slice of it
+//! fragments of all flows are shuffled into one global packet stream. What
+//! is shuffled is 8-byte [`Packet`] headers. The payload words are not
+//! stored: the [`Input`] keeps, per flow, the generator state its words
+//! were drawn from, and [`Input::data`] replays it to rebuild a fragment
 //! (DESIGN.md "Footprint"). Payloads are immutable after generation, so
 //! (exactly as in STAMP) the *data* needs no synchronisation — only the
 //! stream queue and the reassembly dictionary are shared state.
+
+use std::ops::Deref;
 
 use votm_utils::XorShift64;
 
@@ -45,8 +48,8 @@ impl GenConfig {
     }
 }
 
-/// One fragment of one flow: an 8-byte header. The words live in the
-/// input's payload arena, [`Input::data`].
+/// One fragment of one flow: an 8-byte header. Its words are
+/// [`Input::data`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Flow this fragment belongs to.
@@ -57,7 +60,46 @@ pub struct Packet {
     pub n_frags: u16,
 }
 
-/// The generated input: a shuffled packet stream plus ground truth.
+/// The payload words of one fragment, rebuilt by [`Input::data`]: up to
+/// [`FRAGMENT_WORDS`] words by value, read through `Deref<Target = [u64]>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fragment {
+    words: [u64; FRAGMENT_WORDS as usize],
+    len: usize,
+}
+
+impl Deref for Fragment {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        &self.words[..self.len]
+    }
+}
+
+/// `FlowGen::attack_at` of a flow without the signature.
+const NO_ATTACK: u32 = u32::MAX;
+
+/// How to redraw one flow's payload: 16 bytes in place of its words.
+#[derive(Debug)]
+struct FlowGen {
+    /// The generator just before the flow's first payload word.
+    rng: XorShift64,
+    /// Payload length in words.
+    len: u32,
+    /// Index of the word the signature overwrites, or [`NO_ATTACK`].
+    attack_at: u32,
+}
+
+/// The next payload word from a flow's generator.
+#[inline]
+fn payload_word(rng: &mut XorShift64) -> u64 {
+    // Avoid generating the signature by accident: clear the top bit.
+    rng.next_u64() >> 1
+}
+
+/// The generated input: a shuffled packet stream plus ground truth. It
+/// holds no payload word: 8 B per packet and 24 B per flow.
 #[derive(Debug)]
 pub struct Input {
     /// All packets in stream (arrival) order.
@@ -68,20 +110,35 @@ pub struct Input {
     pub flows: u64,
     /// Expected reassembled payload checksum per flow (validation).
     pub flow_checksums: Vec<u64>,
-    /// Every flow's payload, back to back in flow order.
-    payloads: Vec<u64>,
-    /// `payloads[flow_start[f]..flow_start[f + 1]]` is flow `f`.
-    flow_start: Vec<usize>,
+    /// Per flow, the generator state its payload is replayed from.
+    flow_gen: Vec<FlowGen>,
 }
 
 impl Input {
-    /// The payload words of `pkt`, a fragment of this input.
+    /// The payload words of `pkt`, a fragment of this input: the flow's
+    /// words `4k..4k+4` for fragment `k`, clipped at the flow's end. Rebuilt
+    /// on each call by replaying the flow's generator (at most
+    /// `4 · frag_id + 4` steps); allocates nothing.
     #[inline]
-    pub fn data(&self, pkt: &Packet) -> &[u64] {
-        let flow = pkt.flow_id as usize;
-        let start = self.flow_start[flow] + usize::from(pkt.frag_id) * FRAGMENT_WORDS as usize;
-        let end = (start + FRAGMENT_WORDS as usize).min(self.flow_start[flow + 1]);
-        &self.payloads[start..end]
+    pub fn data(&self, pkt: &Packet) -> Fragment {
+        let flow = &self.flow_gen[pkt.flow_id as usize];
+        let start = u32::from(pkt.frag_id) * FRAGMENT_WORDS as u32;
+        let len = (flow.len - start).min(FRAGMENT_WORDS as u32);
+        let mut rng = flow.rng.clone();
+        for _ in 0..start {
+            rng.next_u64();
+        }
+        let mut frag = Fragment {
+            words: [0; FRAGMENT_WORDS as usize],
+            len: len as usize,
+        };
+        for w in &mut frag.words[..len as usize] {
+            *w = payload_word(&mut rng);
+        }
+        if let Some(i) = flow.attack_at.checked_sub(start).filter(|&i| i < len) {
+            frag.words[i as usize] = ATTACK_SIGNATURE;
+        }
+        frag
     }
 }
 
@@ -106,23 +163,29 @@ pub fn generate(config: &GenConfig) -> Input {
     );
     let mut rng = XorShift64::new(config.seed);
     let mut packets = Vec::new();
-    let mut payloads = Vec::new();
-    let mut flow_start = Vec::with_capacity(config.flows as usize + 1);
+    let mut flow_gen = Vec::with_capacity(config.flows as usize);
     let mut attacks = 0u64;
     let mut checksums = Vec::with_capacity(config.flows as usize);
+    // One flow's payload at a time, for its checksum.
+    let mut payload = Vec::with_capacity(max_length as usize);
     for flow_id in 0..config.flows as u32 {
-        let start = payloads.len();
-        flow_start.push(start);
         let len = 1 + rng.next_below(max_length);
-        // Avoid generating the signature by accident: clear the top bit.
-        payloads.extend((0..len).map(|_| rng.next_u64() >> 1));
-        let payload = &mut payloads[start..];
+        let flow_rng = rng.clone();
+        payload.clear();
+        payload.extend((0..len).map(|_| payload_word(&mut rng)));
+        let mut attack_at = NO_ATTACK;
         if rng.chance_percent(config.attack_percent) {
             let pos = rng.next_index(payload.len());
             payload[pos] = ATTACK_SIGNATURE;
+            attack_at = pos as u32;
             attacks += 1;
         }
-        checksums.push(checksum(payload));
+        checksums.push(checksum(&payload));
+        flow_gen.push(FlowGen {
+            rng: flow_rng,
+            len: len as u32,
+            attack_at,
+        });
         let n_frags = len.div_ceil(FRAGMENT_WORDS) as u16;
         packets.extend((0..n_frags).map(|frag_id| Packet {
             flow_id,
@@ -130,9 +193,7 @@ pub fn generate(config: &GenConfig) -> Input {
             n_frags,
         }));
     }
-    flow_start.push(payloads.len());
-    // The two big vectors grew by doubling; give the slack back.
-    payloads.shrink_to_fit();
+    // The stream grew by doubling; give the slack back.
     packets.shrink_to_fit();
     // Fisher-Yates shuffle of the stream.
     for i in (1..packets.len()).rev() {
@@ -144,8 +205,7 @@ pub fn generate(config: &GenConfig) -> Input {
         attacks_injected: attacks,
         flows: config.flows,
         flow_checksums: checksums,
-        payloads,
-        flow_start,
+        flow_gen,
     }
 }
 
@@ -255,34 +315,70 @@ mod tests {
         assert!((0.07..0.13).contains(&rate), "rate {rate}");
     }
 
+    /// Reassembles every flow from the shuffled stream and checks it
+    /// against the ground truth, over lengths around the fragment size (a
+    /// one-word flow, a partial, exactly one, and one-plus-a-word fragment,
+    /// and STAMP's `-l128`), with no attacks and an attack in every flow.
     #[test]
     fn reassembled_payload_matches_checksum_and_detection() {
-        let input = generate(&GenConfig {
-            attack_percent: 50,
-            max_length: 16,
-            flows: 50,
-            seed: 5,
-        });
-        // Reassemble manually from the shuffled stream.
-        let mut flows: Vec<Vec<Option<&[u64]>>> = vec![Vec::new(); 50];
-        for p in &input.packets {
-            let frags = &mut flows[p.flow_id as usize];
-            frags.resize(usize::from(p.n_frags), None);
-            frags[usize::from(p.frag_id)] = Some(input.data(p));
-        }
-        let mut attacks_found = 0;
-        for (f, frags) in flows.iter().enumerate() {
-            let payload: Vec<u64> = frags
-                .iter()
-                .flat_map(|d| d.expect("missing fragment"))
-                .copied()
-                .collect();
-            assert_eq!(checksum(&payload), input.flow_checksums[f]);
-            if contains_attack(&payload) {
-                attacks_found += 1;
+        let mut configs = vec![(16, 50, 5)];
+        for max_length in [1, 3, 4, 5, 128] {
+            for attack_percent in [0, 100] {
+                for seed in [5, 20_120_910] {
+                    configs.push((max_length, attack_percent, seed));
+                }
             }
         }
-        assert_eq!(attacks_found, input.attacks_injected);
+        let frag = FRAGMENT_WORDS as usize;
+        // Where the signatures fell: in fragment 0, next to a fragment
+        // boundary, in a flow's partial last fragment.
+        let (mut in_first, mut on_boundary, mut in_partial_last) = (0, 0, 0);
+        for (max_length, attack_percent, seed) in configs {
+            let case = format!("-l{max_length} -a{attack_percent} -s{seed}");
+            let input = generate(&GenConfig {
+                attack_percent,
+                max_length,
+                flows: 50,
+                seed,
+            });
+            // Reassemble manually from the shuffled stream.
+            let mut flows: Vec<Vec<Option<Fragment>>> = vec![Vec::new(); 50];
+            for p in &input.packets {
+                let data = input.data(p);
+                assert_eq!(*data, *input.data(p), "{case}: replay differs");
+                let frags = &mut flows[p.flow_id as usize];
+                frags.resize(usize::from(p.n_frags), None);
+                frags[usize::from(p.frag_id)] = Some(data);
+            }
+            let mut attacks_found = 0;
+            for (f, frags) in flows.iter().enumerate() {
+                let mut payload = Vec::new();
+                for d in frags {
+                    payload.extend_from_slice(&d.expect("missing fragment"));
+                }
+                assert!(payload.len() as u64 <= max_length, "{case}");
+                assert_eq!(checksum(&payload), input.flow_checksums[f], "{case}");
+                if contains_attack(&payload) {
+                    attacks_found += 1;
+                    let pos = payload.iter().position(|&w| w == ATTACK_SIGNATURE).unwrap();
+                    in_first += usize::from(pos < frag);
+                    on_boundary +=
+                        usize::from(pos > 0 && pos % frag == 0 || pos % frag == frag - 1);
+                    in_partial_last += usize::from(
+                        payload.len() % frag != 0 && pos / frag == payload.len() / frag,
+                    );
+                }
+            }
+            assert_eq!(attacks_found, input.attacks_injected, "{case}");
+            if attack_percent == 0 || attack_percent == 100 {
+                assert_eq!(attacks_found, 50 * attack_percent / 100, "{case}");
+            }
+        }
+        assert!(
+            in_first > 0 && on_boundary > 0 && in_partial_last > 0,
+            "signatures: {in_first} in fragment 0, {on_boundary} on a boundary, \
+             {in_partial_last} in a partial last fragment"
+        );
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! The counting-allocator discipline of `tests/alloc_descriptors.rs`, but
 //! counting bytes held as well as calls. Two budgets are on record here:
 //!
-//! * **Intruder's input.** `generate` ends holding its payload words once
-//!   (8 B each, in one arena), an 8-byte header per packet and the two
-//!   per-flow vectors, and gets there in O(log n) allocator calls — vector
-//!   growth only, nothing per packet or per flow.
+//! * **Intruder's input.** `generate` ends holding an 8-byte header per
+//!   packet and 24 B per flow (a checksum and the 16-byte generator state
+//!   its payload is replayed from) — no payload word — and gets there in
+//!   O(log n) allocator calls: vector growth only, nothing per packet or
+//!   per flow. Rebuilding a fragment's words allocates nothing.
 //! * **A view's metadata.** Creating a 4096-word view on a 16-thread system
 //!   allocates the 32 KB heap plus a bounded amount of metadata: the orec
 //!   table dense (8 B per orec), padding only where one thread writes or
 //!   all threads hammer.
 //!
-//! Giving `Packet` a heap field, or padding the orecs back to a cache line
-//! each (512 KB per view), fails it.
+//! Giving `Packet` a heap field, storing the payload words again, or padding
+//! the orecs back to a cache line each (512 KB per view), fails it.
 //!
 //! The allocator counts per thread, and only inside a measured window.
 
@@ -97,7 +98,8 @@ fn measured_view_metadata(algo: TmAlgorithm) -> u64 {
 fn memory_is_proportional_to_data() {
     assert_eq!(std::mem::size_of::<Packet>(), 8);
 
-    for flows in [1_000u64, 12_288] {
+    // The repo benchmark's `intruder_2v` input, and 4× it.
+    for flows in [1_000u64, 12_288, 49_152] {
         let config = GenConfig {
             attack_percent: 10,
             max_length: 128,
@@ -106,19 +108,11 @@ fn memory_is_proportional_to_data() {
         };
         let (input, calls, held) = measured(|| generate(&config));
         let packets = input.packets.len() as u64;
-        let words: u64 = input
-            .packets
-            .iter()
-            .map(|p| input.data(p).len() as u64)
-            .sum();
-        // Checksums and flow offsets: 8 B per flow each, one offset past
-        // the last flow.
-        let per_flow = 8 * flows + 8 * (flows + 1);
-        let budget = 8 * words + 8 * packets + per_flow;
+        // Per flow: its checksum (8 B) and its generator state (16 B).
+        let budget = 8 * packets + 24 * flows;
         println!(
             "generate({flows} flows): {calls} allocator calls, {held} B held for \
-             {packets} packets / {words} payload words = {:.1} B per packet \
-             (budget {budget} B)",
+             {packets} packets = {:.1} B per packet (budget {budget} B)",
             held as f64 / packets as f64
         );
         assert!(
@@ -129,6 +123,13 @@ fn memory_is_proportional_to_data() {
             held <= budget,
             "{flows} flows: {held} B held, budget {budget} B"
         );
+
+        let (words, calls, held) = measured(|| {
+            let data = |p| std::hint::black_box(input.data(p)).len() as u64;
+            input.packets.iter().map(data).sum::<u64>()
+        });
+        println!("data() over {packets} packets: {words} payload words, {calls} allocator calls");
+        assert_eq!((calls, held), (0, 0), "{flows} flows: data() allocated");
     }
 
     for algo in TmAlgorithm::ALL {
