@@ -15,15 +15,16 @@
 //! book).
 
 use votm::{ClockKind, CmPolicy, QuotaMode, TmAlgorithm, Version};
-use votm_bench::{fmt, run, sweep, App, Run, Settings, GATE_ARTIFACT};
+use votm_bench::{check, fmt, run, sweep, App, Run, Settings};
 use votm_sim::SimConfig;
 
 struct Args {
     tables: Vec<u32>,
     settings: Settings,
-    /// `--json`: run the throughput gate and write [`GATE_ARTIFACT`] instead
-    /// of printing markdown tables.
-    json: bool,
+    /// `--json PATH`: run the throughput gate, write its artifact to PATH
+    /// and the sidecar tables to the working directory, and check the
+    /// rows' invariants, instead of printing markdown tables.
+    json: Option<String>,
     /// `--trace PATH`: run one recorded multi-view adaptive Eigenbench sim
     /// and write the Chrome trace to PATH (plus the snapshot schema next to
     /// it) instead of printing markdown tables.
@@ -38,7 +39,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut settings = Settings::default();
     let mut tables = Vec::new();
-    let mut json = false;
+    let mut json = None;
     let mut trace = None;
     let mut profile = None;
     let mut eigen_scale_set = false;
@@ -54,7 +55,7 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--table takes a number 3..=12"),
             ),
-            "--json" => json = true,
+            "--json" => json = Some(value("--json")),
             "--trace" => trace = Some(value("--trace")),
             "--profile" => profile = Some(value("--profile")),
             "--eigen-scale" => {
@@ -71,7 +72,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: tables [--table N]... [--json] [--trace PATH] [--profile PATH] \
+                    "usage: tables [--table N]... [--json PATH] [--trace PATH] [--profile PATH] \
                      [--eigen-scale F] [--intruder-scale F] [--threads N] [--seed S] \
                      [--cap-factor K]"
                 );
@@ -98,40 +99,34 @@ fn parse_args() -> Args {
 /// artifacts are directly comparable.
 const GATE_EIGEN_SCALE: f64 = 0.001;
 
-/// Sidecar artifact of `--json`: the per-policy comparison table
-/// (markdown), built from the gate's policy rows.
-const POLICY_ARTIFACT: &str = "policy_table.md";
-
-/// Sidecar artifact of `--json`: the per-clock-source comparison table
-/// (markdown), built from the gate's clock-variant rows.
-const CLOCK_ARTIFACT: &str = "clock_table.md";
+/// Sidecar artifact of `--json`: the gate's policy and clock variant rows
+/// beside their defaults (markdown).
+const VARIANT_ARTIFACT: &str = "variant_table.md";
 
 /// Sidecar artifact of `--json`: the adaptive-vs-hand-partitioned
 /// convergence table (markdown), built from the gate's partition rows.
 const PARTITION_ARTIFACT: &str = "partition_table.md";
 
-fn run_json_gate(mut settings: Settings, eigen_scale_set: bool) {
+fn write(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+}
+
+/// Runs the gate, writes the artifact to `path` and the sidecar tables,
+/// then checks the rows' invariants: every problem is listed, and any
+/// problem exits 1.
+fn run_json_gate(mut settings: Settings, eigen_scale_set: bool, path: &str) {
     if !eigen_scale_set {
         settings.eigen_scale = GATE_EIGEN_SCALE;
     }
     let t0 = std::time::Instant::now();
     let rows = votm_bench::throughput_gate(&settings);
-    let json = votm_bench::gate_rows_to_json(&settings, &rows);
-    std::fs::write(GATE_ARTIFACT, &json)
-        .unwrap_or_else(|e| panic!("cannot write {GATE_ARTIFACT}: {e}"));
+    write(path, &votm_bench::gate_rows_to_json(&settings, &rows));
     let spreads = votm_bench::spreads(&settings, &rows);
-    let policy_md = fmt::policy_table(&rows, &spreads);
-    std::fs::write(POLICY_ARTIFACT, &policy_md)
-        .unwrap_or_else(|e| panic!("cannot write {POLICY_ARTIFACT}: {e}"));
-    let clock_md = fmt::clock_table(&rows, &spreads);
-    std::fs::write(CLOCK_ARTIFACT, &clock_md)
-        .unwrap_or_else(|e| panic!("cannot write {CLOCK_ARTIFACT}: {e}"));
-    let partition_md = fmt::partition_table(&rows);
-    std::fs::write(PARTITION_ARTIFACT, &partition_md)
-        .unwrap_or_else(|e| panic!("cannot write {PARTITION_ARTIFACT}: {e}"));
+    write(VARIANT_ARTIFACT, &fmt::variant_table(&rows, &spreads));
+    write(PARTITION_ARTIFACT, &fmt::partition_table(&rows));
     let wall_total: f64 = rows.iter().map(|r| r.wall_s).sum();
     eprintln!(
-        "wrote {GATE_ARTIFACT}, {POLICY_ARTIFACT}, {CLOCK_ARTIFACT} and {PARTITION_ARTIFACT}: \
+        "wrote {path}, {VARIANT_ARTIFACT} and {PARTITION_ARTIFACT}: \
          {} rows in {:.1}s wall time ({wall_total:.2}s summed row wall_s)",
         rows.len(),
         t0.elapsed().as_secs_f64()
@@ -151,6 +146,19 @@ fn run_json_gate(mut settings: Settings, eigen_scale_set: bool) {
             r.gate_fast_path_hit_rate,
             r.wall_s
         );
+    }
+    if let Some(line) = check::blocking_headline(&rows) {
+        eprintln!("{line}");
+    }
+    let problems = check::check_gate(&rows);
+    if problems.is_empty() {
+        eprintln!("invariants: OK");
+    } else {
+        eprintln!("invariants: {} problem(s)", problems.len());
+        for p in &problems {
+            eprintln!("  FAIL: {p}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -174,10 +182,9 @@ fn run_trace(settings: &Settings, path: &str) {
         CmPolicy::Backoff,
         ClockKind::Global,
     );
-    std::fs::write(path, &cap.chrome_trace).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    write(path, &cap.chrome_trace);
     let snap_path = snapshot_path(path);
-    std::fs::write(&snap_path, &cap.snapshot)
-        .unwrap_or_else(|e| panic!("cannot write {snap_path}: {e}"));
+    write(&snap_path, &cap.snapshot);
     let commits: u64 = cap.views.iter().map(|v| v.tm.commits).sum();
     let aborts: u64 = cap.views.iter().map(|v| v.tm.aborts).sum();
     eprintln!(
@@ -194,7 +201,7 @@ fn run_trace(settings: &Settings, path: &str) {
 fn run_profile(settings: &Settings, path: &str) {
     let t0 = std::time::Instant::now();
     let cap = votm_bench::capture_profile(settings, TmAlgorithm::OrecEagerRedo);
-    std::fs::write(path, &cap.json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    write(path, &cap.json);
     let part = cap.profile.suggest_bipartition();
     eprintln!(
         "wrote {path} ({} bytes) in {:.1}s: {} aborts attributed over {} wasted cycles, \
@@ -218,8 +225,8 @@ fn main() {
         run_trace(&args.settings, path);
         return;
     }
-    if args.json {
-        run_json_gate(args.settings, args.eigen_scale_set);
+    if let Some(path) = &args.json {
+        run_json_gate(args.settings, args.eigen_scale_set, path);
         return;
     }
     let s = &args.settings;

@@ -4,7 +4,7 @@
 use votm::QuotaMode;
 use votm_sim::RunStatus;
 
-use crate::{GateRow, Row, Run, Spread, GATE_ARTIFACT, GATE_SEEDS};
+use crate::{GateRow, Row, Run, Spread, GATE_SEEDS};
 
 /// Formats a count the way the paper does: `3.2m`, `5.26G`, `49.8T`.
 pub fn count(x: u64) -> String {
@@ -232,69 +232,6 @@ pub fn adaptive_table(title: &str, rows: &[Row], label: fn(&Run) -> &'static str
     out
 }
 
-/// The `mean (min–max)` cell of `row`'s spread, or `-` when `row` has none
-/// (a default row, which aggregates its seeds itself).
-fn spread_cell(spreads: &[Spread], row: &GateRow) -> String {
-    spreads
-        .iter()
-        .find(|s| (s.algo, s.policy, s.clock) == (row.algo, row.policy, row.clock))
-        .map(|s| format!("{:.1} ({:.1}–{:.1})", s.mean, s.min, s.max))
-        .unwrap_or_else(|| "-".to_string())
-}
-
-/// Renders the per-policy contention-management comparison from the gate's
-/// rows (the `policy_table.md` CI artifact). Only single-view rows at the
-/// largest gated N are comparable across policies, so the table keeps the
-/// matching backoff rows and all policy rows.
-pub fn policy_table(rows: &[GateRow], spreads: &[Spread]) -> String {
-    let n = rows.iter().map(|r| r.n_threads).max().unwrap_or(0);
-    let mut out = format!(
-        "### Contention-management policy comparison — single-view Eigenbench, N={n}, \
-         adaptive quota\n\n"
-    );
-    let mut lines = vec![vec![
-        "algo".to_string(),
-        "policy".to_string(),
-        "status".to_string(),
-        "txns/vsec".to_string(),
-        format!("{GATE_SEEDS}-seed mean (min–max)"),
-        "abort rate".to_string(),
-        "waste frac".to_string(),
-        "#tx".to_string(),
-        "#abort".to_string(),
-        "commit p50/p99 (cyc)".to_string(),
-    ]];
-    for r in rows {
-        if r.version != "single-view" || r.n_threads != n || r.clock != "global" {
-            continue;
-        }
-        lines.push(vec![
-            r.algo.to_string(),
-            r.policy.to_string(),
-            format!("{:?}", r.status),
-            format!("{:.1}", r.txns_per_vsec),
-            spread_cell(spreads, r),
-            format!("{:.3}", r.abort_rate),
-            format!("{:.3}", r.waste_frac),
-            count(r.commits),
-            count(r.aborts),
-            format!(
-                "{}/{}",
-                count(r.commit_p50_cycles),
-                count(r.commit_p99_cycles)
-            ),
-        ]);
-    }
-    out.push_str(&markdown(&lines));
-    out.push_str(&format!(
-        "\nBackoff rows aggregate the gate's seed sweep; policy rows' headline `txns/vsec` \
-         is the single-seed comparison run (see {GATE_ARTIFACT} for the raw fields), while \
-         the mean (min–max) column aggregates three deterministic seeds so a lucky seed \
-         cannot flip a policy ranking unnoticed.\n"
-    ));
-    out
-}
-
 /// Renders the adaptive-vs-hand-partitioned convergence comparison (the
 /// `partition_table.md` CI artifact). Each scenario contributes a pair of
 /// rows: `*-hand` runs two statically partitioned views, `*-adaptive`
@@ -359,92 +296,91 @@ pub fn partition_table(rows: &[GateRow]) -> String {
     out
 }
 
-/// Renders the per-clock-source comparison from the gate's rows (the
-/// `clock_table.md` CI artifact). Only single-view backoff rows at the
-/// largest gated N are comparable across clock kinds, so the table keeps
-/// the matching default-clock rows and all clock-variant rows (NOrec's:
-/// [`votm::TmAlgorithm::runs_coarse_clock`]).
-pub fn clock_table(rows: &[GateRow], spreads: &[Spread]) -> String {
+/// Renders the gate's variant rows beside their defaults (the
+/// `variant_table.md` CI artifact): every single-view row at the largest
+/// gated N, one per algorithm under the default policy and clock and one
+/// per variant cell it runs, then the NOrec clock headline.
+pub fn variant_table(rows: &[GateRow], spreads: &[Spread]) -> String {
     let n = rows.iter().map(|r| r.n_threads).max().unwrap_or(0);
     let mut out = format!(
-        "### Clock-source comparison — single-view Eigenbench, N={n}, adaptive quota, \
-         backoff CM\n\n"
+        "### Policy and clock variants — single-view Eigenbench, N={n}, adaptive quota\n\n"
     );
-    let mut lines = vec![vec![
-        "algo".to_string(),
-        "clock".to_string(),
-        "status".to_string(),
-        "txns/vsec".to_string(),
-        format!("{GATE_SEEDS}-seed mean (min–max)"),
-        "abort rate".to_string(),
-        "waste frac".to_string(),
-        "busy/commit".to_string(),
-        "bumps".to_string(),
-        "#tx".to_string(),
-        "#abort".to_string(),
-    ]];
-    let comparable =
-        |r: &&GateRow| r.version == "single-view" && r.n_threads == n && r.policy == "backoff";
+    let header = format!(
+        "algo|policy|clock|status|txns/vsec|{GATE_SEEDS}-seed mean (min–max)|abort rate|\
+         waste frac|busy/commit|bumps|#tx|#abort|commit p50/p99 (cyc)"
+    );
+    let mut lines = vec![header.split('|').map(String::from).collect::<Vec<_>>()];
+    let comparable = |r: &&GateRow| r.version == "single-view" && r.n_threads == n;
     for r in rows.iter().filter(comparable) {
+        // A default row aggregates its seeds itself and has no spread.
+        let spread = spreads
+            .iter()
+            .find(|s| (s.algo, s.policy, s.clock) == (r.algo, r.policy, r.clock))
+            .map_or("-".to_string(), |s| {
+                format!("{:.1} ({:.1}–{:.1})", s.mean, s.min, s.max)
+            });
         lines.push(vec![
             r.algo.to_string(),
+            r.policy.to_string(),
             r.clock.to_string(),
             format!("{:?}", r.status),
             format!("{:.1}", r.txns_per_vsec),
-            spread_cell(spreads, r),
+            spread,
             format!("{:.3}", r.abort_rate),
             format!("{:.3}", r.waste_frac),
             format!("{:.2}", r.busy_retries_per_commit),
             count(r.clock_bumps),
             count(r.commits),
             count(r.aborts),
+            format!(
+                "{}/{}",
+                count(r.commit_p50_cycles),
+                count(r.commit_p99_cycles)
+            ),
         ]);
     }
     out.push_str(&markdown(&lines));
-    // The headline the gate exists to record: the best non-default clock
-    // against the paper's single fetch-add clock on the workload where the
-    // paper names the clock as the bottleneck (NOrec, single view, N = 16).
-    let norec = |clock: &str| {
+    // The headline the clock rows exist to record: the best non-default
+    // clock against the paper's single fetch-add clock on the workload
+    // where the paper names the clock as the bottleneck (NOrec, single
+    // view, N = 16).
+    let norec = || {
         rows.iter()
             .filter(comparable)
-            .find(|r| r.algo == "NOrec" && r.clock == clock)
+            .filter(|r| r.algo == "NOrec" && r.policy == "backoff")
     };
-    if let Some(base) = norec("global") {
-        let best = rows
-            .iter()
-            .filter(comparable)
-            .filter(|r| r.algo == "NOrec" && r.clock != "global")
-            .max_by(|a, b| a.txns_per_vsec.total_cmp(&b.txns_per_vsec));
-        if let Some(best) = best {
-            let speedup = if base.txns_per_vsec > 0.0 {
-                best.txns_per_vsec / base.txns_per_vsec
-            } else {
-                0.0
-            };
-            let abort_cut = if base.abort_rate > 0.0 {
-                1.0 - best.abort_rate / base.abort_rate
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "\nNOrec single-view N={n}: best variant `{}` at {:.2}x the default clock's \
-                 throughput, abort rate {:.3} vs {:.3} ({:+.1}% relative).\n",
-                best.clock,
-                speedup,
-                best.abort_rate,
-                base.abort_rate,
-                -abort_cut * 100.0,
-            ));
-        }
+    let base = norec().find(|r| r.clock == "global");
+    let best = norec()
+        .filter(|r| r.clock != "global")
+        .max_by(|a, b| a.txns_per_vsec.total_cmp(&b.txns_per_vsec));
+    if let (Some(base), Some(best)) = (base, best) {
+        let speedup = if base.txns_per_vsec > 0.0 {
+            best.txns_per_vsec / base.txns_per_vsec
+        } else {
+            0.0
+        };
+        let abort_cut = if base.abort_rate > 0.0 {
+            1.0 - best.abort_rate / base.abort_rate
+        } else {
+            0.0
+        };
+        let (clock, best_abort, base_abort) = (best.clock, best.abort_rate, base.abort_rate);
+        out.push_str(&format!(
+            "\nNOrec single-view N={n}: best variant `{clock}` at {speedup:.2}x the default \
+             clock's throughput, abort rate {best_abort:.3} vs {base_abort:.3} ({:+.1}% \
+             relative).\n",
+            -abort_cut * 100.0,
+        ));
     }
-    out.push_str(&format!(
-        "\nDefault-clock (`global`) rows aggregate the gate's seed sweep; clock-variant \
-         rows' headline `txns/vsec` is the single-seed comparison run (see {GATE_ARTIFACT} \
-         for the raw fields), while the mean (min–max) column aggregates three \
-         deterministic seeds so a lucky seed cannot flip a clock ranking unnoticed. \
-         `bumps` counts clock advances taken. Only NOrec runs the coarse clock; the \
-         orec engine ticks once per writer commit whatever the clock.\n"
-    ));
+    out.push_str(
+        "\nDefault rows (`backoff`, `global`) aggregate the gate's seed sweep; variant \
+         rows' headline `txns/vsec` is the single-seed comparison run (see the gate \
+         artifact for the raw fields), while the mean (min–max) column aggregates three \
+         deterministic seeds so a lucky seed cannot flip a ranking unnoticed. `bumps` \
+         counts clock advances taken. Only the orec engines rank a policy (their lock \
+         words name the holder) and only NOrec runs the coarse clock; the orec engine \
+         ticks once per writer commit whatever the clock.\n",
+    );
     out
 }
 

@@ -9,7 +9,7 @@
 //! those two functions (the `tables` binary lists them and formats the
 //! [`Row`]s with [`fmt`]), and so are every gate row ([`throughput_gate`]
 //! folds one list of runs), [`spreads`], [`capture_trace`] and
-//! [`capture_profile`]; [`check::check_gate`] holds the gate artifact's
+//! [`capture_profile`]; [`check::check_gate`] holds the gate's
 //! invariants. Workload sizes are scaled by
 //! [`Settings::eigen_scale`] / [`Settings::intruder_scale`] (1.0 = the
 //! paper's 3.2M Eigenbench transactions / 262144 Intruder flows); the
@@ -295,7 +295,7 @@ pub struct GateRow {
     /// Clock strategy the row's views ran ([`ClockKind::name`]). `"global"`
     /// rows are the regression-gated default; the other kinds are the
     /// clock-variant comparison rows measured head-to-head in
-    /// `clock_table.md`.
+    /// `variant_table.md`.
     pub clock: &'static str,
     /// Row label ([`Run`]'s): the Eigenbench version ("single-view" = 1
     /// view, "multi-view" = 2) or the scenario's name (`bounded16-spin`,
@@ -403,11 +403,6 @@ pub const GATE_THREADS: [u32; 2] = [4, 16];
 /// to keep the trajectory metric stable across PRs.
 pub const GATE_SEEDS: u64 = 3;
 
-/// The file `tables --json` writes the gate to — the PR-numbered benchmark
-/// trajectory artifact — and the one the comparison tables' footnotes send
-/// the reader to for the raw fields.
-pub const GATE_ARTIFACT: &str = "BENCH_38.json";
-
 /// `num / den`, or `idle` when nothing happened to divide by.
 fn ratio(num: u64, den: u64, idle: f64) -> f64 {
     if den == 0 {
@@ -500,19 +495,38 @@ fn fold_gate_row(rows: &[Row], wall_s: f64) -> GateRow {
     row
 }
 
+/// The gate's variant cells, in row order: every non-default policy under
+/// the default clock, then the default policy under every non-default
+/// clock. One axis moves at a time, so each variant row has one default
+/// twin.
+pub(crate) fn variant_cells() -> impl Iterator<Item = (CmPolicy, ClockKind)> {
+    let default = (CmPolicy::Backoff, ClockKind::Global);
+    let policies = CmPolicy::ALL.map(|p| (p, default.1));
+    let clocks = ClockKind::ALL.map(|c| (default.0, c));
+    (policies.into_iter().chain(clocks)).filter(move |&cell| cell != default)
+}
+
+/// Whether `algo` runs the cell rather than ignoring part of it. A policy
+/// needs lock words that name their holder
+/// ([`TmAlgorithm::names_lock_holder`]: a NOrec view runs the passive
+/// default whatever it is asked for); a clock needs an engine that reads it
+/// ([`TmAlgorithm::runs_coarse_clock`]: an orec view ticks whatever it is
+/// asked for).
+pub(crate) fn runs_cell(algo: TmAlgorithm, (policy, clock): (CmPolicy, ClockKind)) -> bool {
+    (policy == CmPolicy::Backoff || algo.names_lock_holder())
+        && (clock == ClockKind::Global || algo.runs_coarse_clock())
+}
+
 /// The gate's runs, in row order, each with the number of consecutive
 /// seeds its row sums over. First Eigenbench at adaptive quotas: every
 /// algorithm × {single-view, multi-view} × N ∈ [`GATE_THREADS`] under the
 /// default policy and clock ([`GATE_SEEDS`] seeds each), then one
-/// single-seed single-view row at the largest N per non-default policy ×
-/// algorithm that can run one ([`TmAlgorithm::names_lock_holder`]: a NOrec
-/// view runs the passive default whatever it is asked for) and per
-/// non-default clock × algorithm that runs it
-/// ([`TmAlgorithm::runs_coarse_clock`]: an orec view ticks whatever it is
-/// asked for). Then the scenario workloads, single-seed at the largest N
-/// and full fixed quota: the bounded buffer's spin shape
-/// under NOrec and its block shape under every algorithm, and each
-/// partition shape's adaptive run followed by its hand twin under NOrec.
+/// single-seed single-view row at the largest N per variant cell ×
+/// algorithm that runs it (`runs_cell`). Then the scenario workloads,
+/// single-seed at the largest N and full fixed quota: the bounded buffer's
+/// spin shape under NOrec and its block shape under every algorithm, and
+/// each partition shape's adaptive run followed by its hand twin under
+/// NOrec.
 fn gate_runs(settings: &Settings) -> Vec<(Run<'static>, u64)> {
     let eigen = |policy, clock, algo, version, n_threads| Run {
         n_threads,
@@ -533,27 +547,9 @@ fn gate_runs(settings: &Settings) -> Vec<(Run<'static>, u64)> {
         }
     }
     let n = *GATE_THREADS.last().expect("gate sweeps at least one N");
-    for policy in CmPolicy::ALL
-        .into_iter()
-        .filter(|&p| p != CmPolicy::Backoff)
-    {
-        for algo in TmAlgorithm::ALL
-            .into_iter()
-            .filter(|a| a.names_lock_holder())
-        {
-            let run = eigen(policy, ClockKind::Global, algo, Version::SingleView, n);
-            runs.push((run, 1));
-        }
-    }
-    for clock in ClockKind::ALL
-        .into_iter()
-        .filter(|&c| c != ClockKind::Global)
-    {
-        for algo in TmAlgorithm::ALL
-            .into_iter()
-            .filter(|a| a.runs_coarse_clock())
-        {
-            let run = eigen(CmPolicy::Backoff, clock, algo, Version::SingleView, n);
+    for cell in variant_cells() {
+        for algo in TmAlgorithm::ALL.into_iter().filter(|&a| runs_cell(a, cell)) {
+            let run = eigen(cell.0, cell.1, algo, Version::SingleView, n);
             runs.push((run, 1));
         }
     }
@@ -604,8 +600,8 @@ fn gate_row(settings: &Settings, run: Run, n_seeds: u64) -> GateRow {
 /// adaptive partition row's `converged_throughput_ratio`, its throughput
 /// over its hand twin's. The default-policy, default-clock Eigenbench block
 /// is what later PRs regress their `BENCH_<n>.json` against;
-/// [`check::check_gate`] holds the artifact's invariants, among them that
-/// every row completes, the clock rows clear their collapse floor, the
+/// [`check::check_gate`] holds the rows' invariants, among them that
+/// every row completes, every variant row clears its collapse floor, the
 /// bounded buffer's blocking twin cuts the spinner's busy retries ≥ 10×,
 /// and every adaptive domain converges to ≥ 0.90× its hand twin.
 pub fn throughput_gate(settings: &Settings) -> Vec<GateRow> {
@@ -634,8 +630,8 @@ pub fn throughput_gate(settings: &Settings) -> Vec<GateRow> {
 /// Throughput spread of one comparison configuration (a non-default
 /// policy or clock) across [`GATE_SEEDS`] seeds. The gate's emitted
 /// comparison rows stay single-seed (bit-identical headline fields across
-/// PRs); the spread is the sidecar stability number `policy_table.md` and
-/// `clock_table.md` report as mean (min–max).
+/// PRs); the spread is the sidecar stability number `variant_table.md`
+/// reports as mean (min–max).
 #[derive(Debug, Clone)]
 pub struct Spread {
     /// STM algorithm name (joins [`GateRow::algo`]).
@@ -1125,9 +1121,10 @@ mod tests {
             })
             .count();
         assert_eq!(backoff_rows, n_algos * 2 * GATE_THREADS.len());
-        // The artifact parses with the reader `benchdiff` uses, carries
-        // every row under the current schema, and holds every invariant
-        // `benchdiff` checks.
+        // The rows hold every invariant `tables --json` checks, and the
+        // artifact parses with the reader `benchdiff` uses and carries
+        // every row under the current schema.
+        assert_eq!(check::check_gate(&rows), Vec::<String>::new());
         let doc = json::parse(&gate_rows_to_json(&s, &rows)).expect("gate JSON parses");
         assert_eq!(
             doc.get("rows").and_then(json::Json::as_arr).map(<[_]>::len),
@@ -1137,7 +1134,6 @@ mod tests {
             doc.get("schema_version").and_then(json::Json::as_str),
             Some(SCHEMA_VERSION)
         );
-        assert_eq!(check::check_gate(&doc), Vec::<String>::new());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use votm::{Addr, ClockKind, CmPolicy, QuotaMode, TmAlgorithm, Votm};
+use votm::QuotaMode::{self, Adaptive, Fixed};
+use votm::TmAlgorithm::{self, NOrec, OrecEagerRedo, OrecLazy};
+use votm::{Addr, ClockKind, CmPolicy, Votm};
 use votm_sim::{RunStatus, SimConfig, SimExecutor};
 use votm_utils::Mutex;
 use votm_utils::SplitMix64;
@@ -23,37 +25,16 @@ struct TxLog {
     writes: Vec<(u32, u64)>,
 }
 
-fn run(algo: TmAlgorithm, quota: QuotaMode, threads: u64, tx_per_thread: usize, seed: u64) {
-    run_with_policy(algo, quota, threads, tx_per_thread, seed, CmPolicy::Backoff);
-}
+/// The default policy and clock, which every case but the two sweeps runs.
+const DEFAULT: (CmPolicy, ClockKind) = (CmPolicy::Backoff, ClockKind::Global);
 
-fn run_with_policy(
+fn run(
     algo: TmAlgorithm,
     quota: QuotaMode,
     threads: u64,
     tx_per_thread: usize,
     seed: u64,
-    contention: CmPolicy,
-) {
-    run_with_clock(
-        algo,
-        quota,
-        threads,
-        tx_per_thread,
-        seed,
-        contention,
-        ClockKind::Global,
-    );
-}
-
-fn run_with_clock(
-    algo: TmAlgorithm,
-    quota: QuotaMode,
-    threads: u64,
-    tx_per_thread: usize,
-    seed: u64,
-    contention: CmPolicy,
-    clock: ClockKind,
+    (contention, clock): (CmPolicy, ClockKind),
 ) {
     let sys = Votm::builder()
         .algo(algo)
@@ -147,18 +128,18 @@ fn run_with_clock(
 
 #[test]
 fn sim_serializable_norec_full_quota() {
-    run(TmAlgorithm::NOrec, QuotaMode::Fixed(16), 16, 25, 11);
+    run(NOrec, Fixed(16), 16, 25, 11, DEFAULT);
 }
 
 #[test]
 fn sim_serializable_orec_full_quota() {
-    run(TmAlgorithm::OrecEagerRedo, QuotaMode::Fixed(16), 16, 25, 12);
+    run(OrecEagerRedo, Fixed(16), 16, 25, 12, DEFAULT);
 }
 
 #[test]
 fn sim_serializable_under_restricted_quota() {
-    run(TmAlgorithm::NOrec, QuotaMode::Fixed(3), 8, 25, 13);
-    run(TmAlgorithm::OrecEagerRedo, QuotaMode::Fixed(3), 8, 25, 14);
+    run(NOrec, Fixed(3), 8, 25, 13, DEFAULT);
+    run(OrecEagerRedo, Fixed(3), 8, 25, 14, DEFAULT);
 }
 
 #[test]
@@ -166,15 +147,24 @@ fn sim_serializable_under_adaptive_quota_and_lock_mode_transitions() {
     // Adaptive RAC will move the quota (possibly down to exclusive lock
     // mode and back) mid-run; serializability must hold across every
     // transition between instrumented and direct access.
-    run(TmAlgorithm::OrecEagerRedo, QuotaMode::Adaptive, 16, 30, 15);
-    run(TmAlgorithm::NOrec, QuotaMode::Adaptive, 16, 30, 16);
+    run(OrecEagerRedo, Adaptive, 16, 30, 15, DEFAULT);
+    run(NOrec, Adaptive, 16, 30, 16, DEFAULT);
 }
 
 #[test]
 fn sim_serializable_across_seeds() {
     for seed in 100..106 {
-        run(TmAlgorithm::OrecEagerRedo, QuotaMode::Fixed(8), 8, 15, seed);
-        run(TmAlgorithm::NOrec, QuotaMode::Fixed(8), 8, 15, seed);
+        run(OrecEagerRedo, Fixed(8), 8, 15, seed, DEFAULT);
+        run(NOrec, Fixed(8), 8, 15, seed, DEFAULT);
+    }
+}
+
+/// The algorithm the sweeps below run at `seed`, cycling with the seed.
+fn algo_for(seed: u64) -> TmAlgorithm {
+    match seed % 3 {
+        0 => OrecEagerRedo,
+        1 => NOrec,
+        _ => OrecLazy,
     }
 }
 
@@ -188,14 +178,11 @@ fn sim_serializable_across_seeds() {
 #[test]
 fn sim_serializable_under_every_policy_across_36_seeds() {
     for seed in 0..36u64 {
-        let algo = match seed % 3 {
-            0 => TmAlgorithm::OrecEagerRedo,
-            1 => TmAlgorithm::NOrec,
-            _ => TmAlgorithm::OrecLazy,
-        };
+        let algo = algo_for(seed);
         for policy in CmPolicy::ALL {
             if policy == CmPolicy::Backoff || algo.names_lock_holder() {
-                run_with_policy(algo, QuotaMode::Fixed(4), 6, 8, 1000 + seed, policy);
+                let cell = (policy, ClockKind::Global);
+                run(algo, Fixed(4), 6, 8, 1000 + seed, cell);
             }
         }
     }
@@ -211,21 +198,10 @@ fn sim_serializable_under_every_policy_across_36_seeds() {
 #[test]
 fn sim_serializable_under_every_clock_across_36_seeds() {
     for seed in 0..36u64 {
-        let algo = match seed % 3 {
-            0 => TmAlgorithm::OrecEagerRedo,
-            1 => TmAlgorithm::NOrec,
-            _ => TmAlgorithm::OrecLazy,
-        };
+        let algo = algo_for(seed);
         for clock in ClockKind::ALL {
-            run_with_clock(
-                algo,
-                QuotaMode::Fixed(4),
-                6,
-                8,
-                1000 + seed,
-                CmPolicy::Backoff,
-                clock,
-            );
+            let cell = (CmPolicy::Backoff, clock);
+            run(algo, Fixed(4), 6, 8, 1000 + seed, cell);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! A steady-state transaction makes no allocator call.
 //!
-//! The counting-allocator discipline of `crates/sim/tests/alloc_steady.rs`
-//! and `crates/core/tests/alloc_park.rs`, applied to the transaction driver
+//! The counting-allocator discipline of `tests/alloc_steady.rs` and
+//! `tests/alloc_park.rs`, applied to the transaction driver
 //! itself. Each transaction reads 24 words and writes 12, so the read set
 //! (8 inline), the write set's hash index (8 inline) and the orec lock list
 //! all spill to the heap, and allocates and frees one block, so both side
@@ -21,11 +21,7 @@
 //! The window opens only after every task has finished its warm-up
 //! transactions and closes when the last task finishes, both read from
 //! inside the run.
-//!
-//! This file deliberately contains a single `#[test]`: sibling tests in the
-//! same binary would race the global counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -33,33 +29,8 @@ use votm::{AbortReason, Addr, QuotaMode, TmAlgorithm, TxError, View, Votm};
 use votm_sim::{run_parallel, Notify, Rt, RunStatus, SimConfig, SimExecutor};
 use votm_utils::XorShift64;
 
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const READS: u32 = 24;
 const WRITES: u32 = 12;
@@ -125,7 +96,8 @@ fn sim_window(algo: TmAlgorithm) -> Window {
     let arrived = Arc::new(AtomicU64::new(0));
     let opened = Arc::new(AtomicBool::new(false));
     let finished = Arc::new(AtomicU64::new(0));
-    // (allocator calls, commits, aborts) at the window's two ends.
+    // (allocator calls, commits, aborts) at the window's two ends; the
+    // window counts calls from zero on the executor's thread.
     let open = Arc::new([const { AtomicU64::new(0) }; 3]);
     let close = Arc::new([const { AtomicU64::new(0) }; 3]);
     let mut ex = SimExecutor::new(SimConfig::default());
@@ -155,14 +127,14 @@ fn sim_window(algo: TmAlgorithm) -> Window {
                 let tm = view.stats().tm;
                 open[1].store(tm.commits, Ordering::Relaxed);
                 open[2].store(tm.aborts, Ordering::Relaxed);
-                open[0].store(ALLOC_CALLS.load(Ordering::Relaxed), Ordering::Relaxed);
+                counting_alloc::open();
             }
             for _ in 0..MEASURED {
                 big_transaction(&view, &rt, rng.next_below(u64::from(HOT)) as u32, false).await;
                 rt.charge(1 + rng.next_below(THINK)).await;
             }
             if finished.fetch_add(1, Ordering::Relaxed) + 1 == TASKS {
-                close[0].store(ALLOC_CALLS.load(Ordering::Relaxed), Ordering::Relaxed);
+                close[0].store(counting_alloc::close().calls, Ordering::Relaxed);
                 let tm = view.stats().tm;
                 close[1].store(tm.commits, Ordering::Relaxed);
                 close[2].store(tm.aborts, Ordering::Relaxed);
@@ -194,7 +166,7 @@ fn real_window(algo: TmAlgorithm) -> Window {
             let mut rng = XorShift64::new(0x5eed);
             for i in 0..WARM_UP + MEASURED {
                 if i == WARM_UP {
-                    calls.store(ALLOC_CALLS.load(Ordering::Relaxed), Ordering::Relaxed);
+                    counting_alloc::open();
                 }
                 big_transaction(
                     &view,
@@ -204,8 +176,7 @@ fn real_window(algo: TmAlgorithm) -> Window {
                 )
                 .await;
             }
-            let end = ALLOC_CALLS.load(Ordering::Relaxed);
-            calls.store(end - calls.load(Ordering::Relaxed), Ordering::Relaxed);
+            calls.store(counting_alloc::close().calls, Ordering::Relaxed);
         }
     });
     let after = view.stats().tm;

@@ -18,64 +18,13 @@
 //!
 //! The allocator counts per thread, and only inside a measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use votm::{QuotaMode, TmAlgorithm, Votm};
 use votm_intruder::{generate, GenConfig, Packet};
 
-struct ByteCountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    /// `(allocator calls, bytes held)` of the open [`measured`] window, on
-    /// the thread that opened it; `None` otherwise. Per thread because the
-    /// test harness's own threads allocate while the test runs, and their
-    /// bytes are not the code's under test.
-    static WINDOW: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
-}
-
-fn count(grown: usize, shrunk: usize, call: bool) {
-    WINDOW.with(|w| {
-        if let Some((calls, held)) = w.get() {
-            let held = held.wrapping_add(grown as u64).wrapping_sub(shrunk as u64);
-            w.set(Some((calls + u64::from(call), held)));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), 0, true);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), 0, true);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size, layout.size(), true);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, layout.size(), false);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: ByteCountingAlloc = ByteCountingAlloc;
-
-/// Runs `f` on this thread; returns its value, the allocator calls it made
-/// and the bytes it left held. `f` frees nothing it did not allocate.
-fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    WINDOW.set(Some((0, 0)));
-    let value = f();
-    let (calls, held) = WINDOW.take().expect("window opened above");
-    (value, calls, held)
-}
+use counting_alloc::{measured, Tally};
 
 const VIEW_WORDS: usize = 4096;
 const HEAP_BYTES: u64 = VIEW_WORDS as u64 * 8;
@@ -106,7 +55,7 @@ fn memory_is_proportional_to_data() {
             flows,
             seed: 1,
         };
-        let (input, calls, held) = measured(|| generate(&config));
+        let (input, Tally { calls, held }) = measured(|| generate(&config));
         let packets = input.packets.len() as u64;
         // Per flow: its checksum (8 B) and its generator state (16 B).
         let budget = 8 * packets + 24 * flows;
@@ -124,7 +73,7 @@ fn memory_is_proportional_to_data() {
             "{flows} flows: {held} B held, budget {budget} B"
         );
 
-        let (words, calls, held) = measured(|| {
+        let (words, Tally { calls, held }) = measured(|| {
             let data = |p| std::hint::black_box(input.data(p)).len() as u64;
             input.packets.iter().map(data).sum::<u64>()
         });
@@ -134,7 +83,8 @@ fn memory_is_proportional_to_data() {
 
     for algo in TmAlgorithm::ALL {
         let sys = Votm::builder().algo(algo).threads(16).build();
-        let (view, _, held) = measured(|| sys.create_view(VIEW_WORDS, QuotaMode::Adaptive));
+        let (view, Tally { held, .. }) =
+            measured(|| sys.create_view(VIEW_WORDS, QuotaMode::Adaptive));
         let metadata = held - HEAP_BYTES;
         println!(
             "{algo:?}: a {VIEW_WORDS}-word view on 16 threads holds {held} B = \
