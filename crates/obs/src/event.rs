@@ -1,9 +1,9 @@
 //! The flight-recorder event model and its fixed-width wire encoding.
 //!
 //! Events are compact `Copy` values. Inside the recorder each event is
-//! stored as four relaxed `u64` words (`[ts, meta, a, b]`) plus a sequence
-//! word, so a record is a handful of relaxed stores — no allocation, no
-//! locking, no formatting on the hot path.
+//! stored as four relaxed `u64` words (`[ts, meta, a, b]`), a 32-byte slot,
+//! so a record is a handful of plain stores — no allocation, no locking, no
+//! formatting on the hot path.
 
 use crate::reason::AbortReason;
 
@@ -346,8 +346,8 @@ impl EventKind {
     }
 
     /// Decodes payload words written by [`EventKind::encode`]. Unknown tags
-    /// (possible only for torn/stale slots) decode to a zero-view `TxBegin`
-    /// rather than panicking.
+    /// (possible only for a slot copied mid-overwrite, which the recorder
+    /// then skips) decode to a zero-view `TxBegin` rather than panicking.
     #[inline]
     pub(crate) fn decode(words: [u64; 3]) -> EventKind {
         let [meta, a, b] = words;

@@ -592,7 +592,7 @@ impl RingCursor {
 /// advance and nothing on top.
 ///
 /// **Fallback.** When a ring evicted more than its stash held, advanced by
-/// more than its capacity, or shows a slot without its sequence stamp, the
+/// more than its capacity, or meets an event the head has passed, the
 /// window drops everything and folds every surviving slot — which is also
 /// how a new window starts, and what [`ConflictProfile::per_view`] is.
 /// [`ProfileWindow::refolds`] counts these. After a burst it takes one more
@@ -682,8 +682,9 @@ impl ProfileWindow {
     }
 
     /// The cold start and the fallback: forgets every fold and takes in
-    /// every surviving slot. A torn slot leaves the window cold, so that the
-    /// next advance starts over instead of sliding an inexact fold.
+    /// every surviving slot. An event the head has passed leaves the window
+    /// cold, so that the next advance starts over instead of sliding an
+    /// inexact fold.
     fn refold(&mut self, rec: &FlightRecorder) {
         self.refolds += 1;
         self.views.clear();
@@ -706,7 +707,8 @@ impl ProfileWindow {
 
     /// Absorbs events `seqs` of ring `ring` (up to its head), moves the
     /// cursor to what the ring holds now and tops the stash up for a next
-    /// advance of up to twice `observed`. `false` on a torn slot.
+    /// advance of up to twice `observed`. `false` on an event the head has
+    /// passed.
     fn take_in(
         &mut self,
         rec: &FlightRecorder,

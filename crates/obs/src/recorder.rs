@@ -10,11 +10,12 @@
 //! Each ring has a single logical writer (the thread it belongs to). Reads
 //! ([`FlightRecorder::snapshot`]) are intended for after the run — under
 //! the simulator that is trivially race-free, in real mode the caller joins
-//! worker threads first. A concurrent snapshot is still memory-safe; a slot
-//! whose sequence word disagrees with its position is simply skipped.
+//! worker threads first. A concurrent snapshot is still memory-safe: the
+//! head is the ring's seqlock word, re-read after the slots, and an event
+//! it has lapped by then is skipped instead of reported torn.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use votm_utils::CachePadded;
@@ -24,10 +25,12 @@ use crate::event::{Event, EventKind};
 /// Default per-thread ring capacity (events), a power of two.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
+/// Events a visit copies out of the ring per head check.
+const VISIT_CHUNK: usize = 32;
+
+/// One event: its timestamp and its three encoded words. The slot carries
+/// no sequence number; which event it holds follows from the ring's head.
 struct Slot {
-    /// Sequence number of the event stored here, offset by one so a
-    /// zero-initialized slot can never masquerade as event 0.
-    seq: AtomicU64,
     ts: AtomicU64,
     words: [AtomicU64; 3],
 }
@@ -35,7 +38,6 @@ struct Slot {
 impl Slot {
     fn empty() -> Self {
         Slot {
-            seq: AtomicU64::new(0),
             ts: AtomicU64::new(0),
             words: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
         }
@@ -43,8 +45,10 @@ impl Slot {
 }
 
 struct EventRing {
-    /// Events ever recorded into this ring (monotone; never wraps in
-    /// practice). `head - capacity` of them have been overwritten.
+    /// The ring's seqlock word: twice the events ever recorded into it
+    /// (monotone; never wraps in practice), plus one while the writer is
+    /// storing the next. `recorded() - capacity` events have been
+    /// overwritten.
     head: CachePadded<AtomicU64>,
     slots: Box<[Slot]>,
     mask: u64,
@@ -62,44 +66,77 @@ impl EventRing {
 
     #[inline]
     fn record(&self, ts: u64, kind: EventKind) {
-        let seq = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(seq & self.mask) as usize];
+        // The writer's own word, so it is even here.
+        let head = self.head.load(Ordering::Relaxed);
+        let slot = &self.slots[((head >> 1) & self.mask) as usize];
         let [meta, a, b] = kind.encode();
+        self.head.store(head + 1, Ordering::Relaxed);
+        // Orders the odd head before the slot stores that overwrite the
+        // event a lap older: a reader that copied any of them sees it (the
+        // acquire fence in `visit_range`).
+        fence(Ordering::Release);
         slot.ts.store(ts, Ordering::Relaxed);
         slot.words[0].store(meta, Ordering::Relaxed);
         slot.words[1].store(a, Ordering::Relaxed);
         slot.words[2].store(b, Ordering::Relaxed);
-        slot.seq.store(seq + 1, Ordering::Relaxed);
-        self.head.store(seq + 1, Ordering::Relaxed);
+        self.head.store(head + 2, Ordering::Release);
     }
 
-    /// Calls `f` on the events numbered `seqs`, in sequence order, decoding
-    /// each slot in place. Returns whether every slot still carried its
-    /// sequence stamp; one that does not (overwritten since, or racing a
-    /// concurrent writer) is skipped instead of reported torn.
+    /// Events whose slots are fully stored.
+    fn recorded(&self) -> u64 {
+        self.head.load(Ordering::Acquire) >> 1
+    }
+
+    /// Events whose slots the writer has started to store: `recorded()`,
+    /// or one more while a store is in flight.
+    fn begun(&self) -> u64 {
+        (self.head.load(Ordering::Relaxed) + 1) >> 1
+    }
+
+    /// Calls `f` on the events numbered `seqs`, in sequence order. Slots
+    /// are copied out a chunk at a time and the head is re-read after the
+    /// copy, seqlock-style: an event is delivered only if the writer has
+    /// not begun the event a lap later that overwrites it, checked again
+    /// before each call so that `f` itself recording into the ring is
+    /// caught too. Returns whether every event was delivered; one the head
+    /// has passed (overwritten since, or racing a concurrent writer) or not
+    /// reached yet is skipped instead of reported torn.
     fn visit_range(&self, seqs: Range<u64>, mut f: impl FnMut(&Event)) -> bool {
+        let cap = self.slots.len() as u64;
         let mut whole = true;
-        for seq in seqs {
-            let slot = &self.slots[(seq & self.mask) as usize];
-            if slot.seq.load(Ordering::Relaxed) != seq + 1 {
-                whole = false;
-                continue;
+        let mut chunk = [(0u64, [0u64; 3]); VISIT_CHUNK];
+        let mut from = seqs.start;
+        while from < seqs.end {
+            let to = seqs.end.min(from + VISIT_CHUNK as u64);
+            let recorded = self.recorded();
+            for (seq, copy) in (from..to).zip(&mut chunk) {
+                let slot = &self.slots[(seq & self.mask) as usize];
+                *copy = (
+                    slot.ts.load(Ordering::Relaxed),
+                    slot.words.each_ref().map(|w| w.load(Ordering::Relaxed)),
+                );
             }
-            f(&Event {
-                seq,
-                ts: slot.ts.load(Ordering::Relaxed),
-                kind: EventKind::decode([
-                    slot.words[0].load(Ordering::Relaxed),
-                    slot.words[1].load(Ordering::Relaxed),
-                    slot.words[2].load(Ordering::Relaxed),
-                ]),
-            });
+            // Pairs with the release fence in `record`: if a copy above
+            // read a later lap's store, `begun` below counts that lap.
+            fence(Ordering::Acquire);
+            for (seq, &(ts, words)) in (from..to).zip(&chunk) {
+                if seq < recorded && self.begun() <= seq + cap {
+                    f(&Event {
+                        seq,
+                        ts,
+                        kind: EventKind::decode(words),
+                    });
+                } else {
+                    whole = false;
+                }
+            }
+            from = to;
         }
         whole
     }
 
     fn snapshot(&self, thread: usize) -> ThreadTrace {
-        let head = self.head.load(Ordering::Relaxed);
+        let head = self.recorded();
         let start = head.saturating_sub(self.slots.len() as u64);
         let mut events = Vec::with_capacity((head - start) as usize);
         self.visit_range(start..head, |ev| events.push(*ev));
@@ -168,11 +205,12 @@ impl FlightRecorder {
         self.rings[tid % self.rings.len()].record(ts, kind);
     }
 
-    /// A live handle bound to thread `tid`'s ring.
+    /// A live handle bound to thread `tid`'s ring, folded like
+    /// [`FlightRecorder::record`]'s index.
     pub fn handle(self: &Arc<Self>, tid: usize) -> RecorderHandle {
         RecorderHandle {
             rec: Some(Arc::clone(self)),
-            tid,
+            ring: tid % self.rings.len(),
         }
     }
 
@@ -185,7 +223,7 @@ impl FlightRecorder {
     /// Events ever recorded into ring `ring`. The ring holds the last
     /// [`FlightRecorder::capacity`] of them.
     pub fn head(&self, ring: usize) -> u64 {
-        self.rings[ring].head.load(Ordering::Relaxed)
+        self.rings[ring].recorded()
     }
 
     /// Calls `f` on the events of ring `ring` numbered `seqs`, in sequence
@@ -214,7 +252,8 @@ impl FlightRecorder {
 #[derive(Debug, Clone)]
 pub struct RecorderHandle {
     rec: Option<Arc<FlightRecorder>>,
-    tid: usize,
+    /// Index of the bound ring, already reduced to the ring count.
+    ring: usize,
 }
 
 impl RecorderHandle {
@@ -222,7 +261,7 @@ impl RecorderHandle {
     /// branch on an always-`None` option.
     #[inline]
     pub fn dead() -> Self {
-        RecorderHandle { rec: None, tid: 0 }
+        RecorderHandle { rec: None, ring: 0 }
     }
 
     /// Whether this handle actually records anywhere.
@@ -235,7 +274,7 @@ impl RecorderHandle {
     #[inline]
     pub fn record(&self, ts: u64, kind: EventKind) {
         if let Some(rec) = &self.rec {
-            rec.record(self.tid, ts, kind);
+            rec.rings[self.ring].record(ts, kind);
         }
     }
 }
@@ -267,6 +306,73 @@ mod tests {
         assert_eq!(snap[0].events[1].seq, 1);
         assert_eq!(snap[1].events.len(), 1);
         assert_eq!(snap[1].events[0].kind, EventKind::GateWaitEnter { view: 2 });
+    }
+
+    #[test]
+    fn a_slot_is_four_words() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+    }
+
+    #[test]
+    fn an_event_overwritten_during_a_visit_is_never_delivered() {
+        // Wider than one visit chunk, so the overwrite is caught both in
+        // the chunk already copied and in the chunks after it.
+        let rec = FlightRecorder::new(1, 100);
+        let cap = rec.capacity() as u64;
+        assert!(cap > VISIT_CHUNK as u64);
+        for i in 0..cap {
+            rec.record(0, i, EventKind::TxCommit { view: 0, cycles: i });
+        }
+        let mut seen = Vec::new();
+        let whole = rec.visit_range(0, 0..cap, |ev| {
+            if seen.is_empty() {
+                for i in 0..cap {
+                    rec.record(0, cap + i, EventKind::TxBegin { view: 1 });
+                }
+            }
+            seen.push((ev.seq, ev.ts, ev.kind));
+        });
+        assert!(!whole);
+        assert_eq!(seen, [(0, 0, EventKind::TxCommit { view: 0, cycles: 0 })]);
+        assert_eq!(rec.head(0), 2 * cap);
+    }
+
+    #[test]
+    fn a_concurrent_visit_delivers_only_intact_events() {
+        // Each event carries its own sequence number in every word, so a
+        // slot copied while its next lap was being stored shows up as a
+        // mismatch. How often a visit races the writer varies from run to
+        // run; any torn event delivered fails the test.
+        let rec = Arc::new(FlightRecorder::new(1, 64));
+        let cap = rec.capacity() as u64;
+        let writer = {
+            let h = rec.handle(0);
+            std::thread::spawn(move || {
+                for seq in 0..200_000u64 {
+                    h.record(
+                        seq,
+                        EventKind::TxCommit {
+                            view: 0,
+                            cycles: seq,
+                        },
+                    );
+                }
+            })
+        };
+        while !writer.is_finished() {
+            let head = rec.head(0);
+            rec.visit_range(0, head.saturating_sub(cap)..head, |ev| {
+                assert_eq!(ev.ts, ev.seq);
+                assert_eq!(
+                    ev.kind,
+                    EventKind::TxCommit {
+                        view: 0,
+                        cycles: ev.seq
+                    }
+                );
+            });
+        }
+        writer.join().unwrap();
     }
 
     #[test]

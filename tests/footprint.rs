@@ -1,7 +1,7 @@
 //! A run's memory is its data (DESIGN.md "Footprint").
 //!
 //! The counting-allocator discipline of `tests/alloc_descriptors.rs`, but
-//! counting bytes held as well as calls. Two budgets are on record here:
+//! counting bytes held as well as calls. Three budgets are on record here:
 //!
 //! * **Intruder's input.** `generate` ends holding an 8-byte header per
 //!   packet and 24 B per flow (a checksum and the 16-byte generator state
@@ -12,13 +12,18 @@
 //!   allocates the 32 KB heap plus a bounded amount of metadata: the orec
 //!   table dense (8 B per orec), padding only where one thread writes or
 //!   all threads hammer.
+//! * **The flight recorder.** `zipf_adaptive_rec`'s recorder, 17 rings of
+//!   16 384 events, holds 32 B per event slot (a timestamp and three
+//!   encoded words; which event a slot holds follows from its ring's head)
+//!   plus a small fixed amount per ring.
 //!
-//! Giving `Packet` a heap field, storing the payload words again, or padding
-//! the orecs back to a cache line each (512 KB per view), fails it.
+//! Giving `Packet` a heap field, storing the payload words again, padding
+//! the orecs back to a cache line each (512 KB per view), or giving a
+//! recorder slot its own sequence word back (+2.2 MB), fails it.
 //!
 //! The allocator counts per thread, and only inside a measured window.
 
-use votm::{QuotaMode, TmAlgorithm, Votm};
+use votm::{FlightRecorder, QuotaMode, TmAlgorithm, Votm};
 use votm_intruder::{generate, GenConfig, Packet};
 
 #[path = "support/counting_alloc.rs"]
@@ -28,6 +33,10 @@ use counting_alloc::{measured, Tally};
 
 const VIEW_WORDS: usize = 4096;
 const HEAP_BYTES: u64 = VIEW_WORDS as u64 * 8;
+
+/// Bytes a ring may hold beyond its event slots: its cache-padded head,
+/// slot pointer and mask take 256 B of it.
+const RING_OVERHEAD: u64 = 512;
 
 /// Metadata bytes of one 4096-word view on a 16-thread system, as this test
 /// measured them when the orec table went dense; the bound is this + 25 %.
@@ -97,4 +106,16 @@ fn memory_is_proportional_to_data() {
         );
         drop(view);
     }
+
+    let (rings, events) = (17, 1 << 14);
+    let (rec, Tally { held, .. }) = measured(|| FlightRecorder::new(rings, events));
+    assert_eq!(rec.capacity(), events);
+    let slots = (rings * events) as u64;
+    let budget = 32 * slots + RING_OVERHEAD * rings as u64;
+    println!(
+        "FlightRecorder::new({rings}, {events}): {held} B held = {:.2} B per event slot \
+         (budget {budget} B)",
+        held as f64 / slots as f64
+    );
+    assert!(held <= budget, "recorder: {held} B held, budget {budget} B");
 }
