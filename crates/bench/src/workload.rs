@@ -121,7 +121,7 @@ pub(crate) fn run_buffer(s: Scenario, run: &Run, sim: SimConfig) -> (RunOutcome,
     let consumers = u64::from(run.n_threads) - producers;
     let total = producers * s.items_per_producer;
     assert!(
-        total.is_multiple_of(consumers),
+        total % consumers == 0,
         "{}: items must divide evenly across consumers",
         s.name
     );

@@ -204,7 +204,11 @@ impl VotmBuilder {
 
     /// Reserve factor for `brk_view`: each view's heap reserves
     /// `size × reserve_factor` words so it can grow. 1, the default,
-    /// disables growth.
+    /// disables growth. The heap's words are requested through
+    /// `alloc_zeroed` and never written at creation, so with an allocator
+    /// that maps large zeroed requests fresh (glibc does above its mmap
+    /// threshold) an untouched reserve costs address space, not resident
+    /// memory.
     pub fn reserve_factor(mut self, reserve_factor: usize) -> Self {
         self.config.reserve_factor = reserve_factor;
         self

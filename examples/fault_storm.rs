@@ -108,10 +108,12 @@ fn main() {
     // Injected panics are part of the show; replace the default hook's
     // backtrace spew with a one-line note per crash.
     std::panic::set_hook(Box::new(|info| {
-        println!(
-            "    !! task crashed: {}",
-            info.payload_as_str().unwrap_or("panic")
-        );
+        let payload = info.payload();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        println!("    !! task crashed: {}", message.unwrap_or("panic"));
     }));
 
     let (sim_seed, fault_seed) = (2026, 0xfa17);

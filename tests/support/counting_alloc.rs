@@ -18,13 +18,16 @@ pub struct Tally {
     pub calls: u64,
     /// Bytes allocated minus bytes freed.
     pub held: u64,
+    /// Bytes requested through `alloc_zeroed`, which the system allocator
+    /// can serve from fresh zero pages that stay uncommitted until touched.
+    pub zeroed: u64,
 }
 
 thread_local! {
     static WINDOW: Cell<Option<Tally>> = const { Cell::new(None) };
 }
 
-fn count(grown: usize, shrunk: usize, call: bool) {
+fn count(grown: usize, shrunk: usize, call: bool, zeroed: usize) {
     WINDOW.with(|w| {
         if let Some(t) = w.get() {
             w.set(Some(Tally {
@@ -33,6 +36,7 @@ fn count(grown: usize, shrunk: usize, call: bool) {
                     .held
                     .wrapping_add(grown as u64)
                     .wrapping_sub(shrunk as u64),
+                zeroed: t.zeroed + zeroed as u64,
             }));
         }
     });
@@ -42,22 +46,22 @@ struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), 0, true);
+        count(layout.size(), 0, true, 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), 0, true);
+        count(layout.size(), 0, true, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size, layout.size(), true);
+        count(new_size, layout.size(), true, 0);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, layout.size(), false);
+        count(0, layout.size(), false, 0);
         System.dealloc(ptr, layout)
     }
 }
