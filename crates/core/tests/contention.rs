@@ -16,12 +16,15 @@
 //!   `AbortReason::CmKilled` abort at its next operation boundary, and the
 //!   abort is visible in the per-reason statistics.
 //!
-//! Serializability-under-every-policy lives in `sim_serializability.rs`
-//! (the 36-seed sweep), keeping the ticket-scheme checker in one place.
+//! Serializability-under-every-policy lives in `serializability.rs` (the
+//! 36-seed sweep), keeping the ticket-scheme checker in one place.
+
+mod support;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use support::algo_for;
 use votm::{AbortReason, Addr, CmPolicy, QuotaMode, TmAlgorithm, Votm};
 use votm_sim::{FaultPlan, RunStatus, SimConfig, SimExecutor};
 
@@ -187,11 +190,7 @@ fn symmetric_small_interleavings_complete_under_every_policy() {
     for policy in CmPolicy::ALL {
         for threads in [2u32, 3] {
             for seed in 0..6u64 {
-                let algo = match seed % 3 {
-                    0 => TmAlgorithm::OrecEagerRedo,
-                    1 => TmAlgorithm::NOrec,
-                    _ => TmAlgorithm::OrecLazy,
-                };
+                let algo = algo_for(seed);
                 if policy != CmPolicy::Backoff && !algo.names_lock_holder() {
                     continue; // NOrec takes no policy: the backoff schedule again
                 }

@@ -8,7 +8,7 @@
 //! * straddle pressure: sustained straddles merge a pair back, and
 //!   straddles that land inside a cooldown do not;
 //! * a 36-seed serializability sweep with the repartitioner active (the
-//!   per-group ticket-replay scheme from `sim_serializability.rs`, plus a
+//!   ticket-replay checker of `serializability.rs`, run per group, plus a
 //!   counter-sum phase with deliberate cross-view straddles);
 //! * the split × parked-waiter adversary: a transaction parked via
 //!   `retry()` on a bucket that then *moves* must be woken, not lost;
@@ -18,10 +18,12 @@
 //!   its cold-start fold and then slides, through the cooldown too; on
 //!   rings already full at its first look it takes two.
 
-use std::collections::HashMap;
+mod support;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use support::{algo_for, check_ticket_replay, Plan, TxLog};
 use votm::{
     AbortReason, Addr, EventKind, FlightRecorder, QuotaMode, RepartitionPolicy, TmAlgorithm,
     TxError, Votm,
@@ -56,14 +58,6 @@ fn fast_policy() -> RepartitionPolicy {
         merge_cross_threshold: 2,
         max_views: 4,
     }
-}
-
-#[derive(Debug)]
-struct TxLog {
-    group: usize,
-    ticket: u64,
-    reads: Vec<(u32, u64)>,
-    writes: Vec<(u32, u64)>,
 }
 
 struct RunOut {
@@ -102,7 +96,8 @@ fn run_domain(
         .recorder(Arc::clone(&recorder))
         .build();
     let domain = sys.create_domain(WORDS, QuotaMode::Fixed(threads as u32), fast_policy());
-    let log: Arc<Mutex<Vec<TxLog>>> = Arc::new(Mutex::new(Vec::new()));
+    // One ticket-replay log per group.
+    let logs: Arc<[Mutex<Vec<TxLog>>; 2]> = Arc::default();
     let remaining = Arc::new(AtomicUsize::new(threads));
 
     let mut seeds = SplitMix64::new(seed);
@@ -114,7 +109,7 @@ fn run_domain(
     });
     for t in 0..threads {
         let domain = Arc::clone(&domain);
-        let log = Arc::clone(&log);
+        let logs = Arc::clone(&logs);
         let remaining = Arc::clone(&remaining);
         let mut rng = seeds.derive();
         let group = t % 2;
@@ -125,32 +120,11 @@ fn run_domain(
                 (TICKET_B, u64::from(TICKET_B.0) + 1)
             };
             for _ in 0..ticketed {
-                let read_addrs: Vec<u32> = (0..1 + rng.next_index(4))
-                    .map(|_| (base + rng.next_below(DATA_SPAN)) as u32)
-                    .collect();
-                let write_plan: Vec<(u32, u64)> = (0..1 + rng.next_index(2))
-                    .map(|_| ((base + rng.next_below(DATA_SPAN)) as u32, rng.next_u64()))
-                    .collect();
+                let plan = Plan::writer(&mut rng, base, DATA_SPAN, 4, 2);
                 let entry = domain
-                    .transact(&rt, ticket, async |tx| {
-                        let t = tx.read(ticket).await?;
-                        tx.write(ticket, t + 1).await?;
-                        let mut reads = Vec::with_capacity(read_addrs.len());
-                        for &a in &read_addrs {
-                            reads.push((a, tx.read(Addr(a)).await?));
-                        }
-                        for &(a, v) in &write_plan {
-                            tx.write(Addr(a), v).await?;
-                        }
-                        Ok(TxLog {
-                            group,
-                            ticket: t,
-                            reads,
-                            writes: write_plan.clone(),
-                        })
-                    })
+                    .transact(&rt, ticket, async |tx| Ok(plan.run(tx, ticket).await?))
                     .await;
-                log.lock().push(entry);
+                logs[group].lock().push(entry);
             }
             for _ in 0..mixed {
                 let a = (u64::from(COUNTER_A) + rng.next_below(COUNTER_SPAN)) as u32;
@@ -194,33 +168,17 @@ fn run_domain(
     let out = ex.run();
     assert_eq!(out.status, RunStatus::Completed, "{algo:?} seed {seed}");
 
-    // Phase A replay: each group's tickets are a permutation, and every
-    // read matches the sequential replay of lower-ticket writes.
-    let mut entries = Arc::try_unwrap(log).unwrap().into_inner();
-    entries.sort_by_key(|e| e.ticket);
-    for g in 0..2 {
-        let group_entries: Vec<&TxLog> = entries.iter().filter(|e| e.group == g).collect();
-        assert_eq!(
-            group_entries.len(),
-            (threads / 2 + threads % 2 * (1 - g)) * ticketed
+    // Phase A replay, per group: the group's tickets order its
+    // transactions, and phase B never touches its data words.
+    for (g, (log, ticket)) in logs.iter().zip([TICKET_A, TICKET_B]).enumerate() {
+        check_ticket_replay(
+            &format!("{algo:?} seed {seed}: group {g}"),
+            std::mem::take(&mut *log.lock()),
+            (threads / 2 + threads % 2 * (1 - g)) * ticketed,
+            ticket,
+            |a| domain.heap().load(a),
         );
-        let mut model: HashMap<u32, u64> = HashMap::new();
-        for (i, e) in group_entries.iter().enumerate() {
-            assert_eq!(e.ticket, i as u64, "{algo:?} seed {seed}: group {g} ticket");
-            for &(a, seen) in &e.reads {
-                let want = model.get(&a).copied().unwrap_or(0);
-                assert_eq!(
-                    seen, want,
-                    "{algo:?} seed {seed}: group {g} tx #{} read {a}",
-                    e.ticket
-                );
-            }
-            for &(a, v) in &e.writes {
-                model.insert(a, v);
-            }
-        }
     }
-
     // Phase B: every transaction incremented exactly two counter words
     // atomically, so the counters sum to 2 × (threads × mixed) — true
     // regardless of splits, merges, straddles, or injected faults.
@@ -378,12 +336,7 @@ fn straddles_inside_the_cooldown_do_not_merge_afterwards() {
 #[test]
 fn sim_serializable_with_repartitioning_across_36_seeds() {
     for seed in 0..36u64 {
-        let algo = match seed % 3 {
-            0 => TmAlgorithm::NOrec,
-            1 => TmAlgorithm::OrecEagerRedo,
-            _ => TmAlgorithm::OrecLazy,
-        };
-        run_domain(algo, 4, 10, 6, 25, 2000 + seed, None, ROOMY_RINGS);
+        run_domain(algo_for(seed), 4, 10, 6, 25, 2000 + seed, None, ROOMY_RINGS);
     }
 }
 

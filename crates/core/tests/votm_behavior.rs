@@ -7,8 +7,7 @@ use votm::{
     Addr, ClockKind, ClockStats, EventKind, FlightRecorder, QuotaMode, TmAlgorithm, TxError, Votm,
 };
 use votm_sim::{run_parallel, RunOutcome, RunStatus, SimConfig, SimExecutor};
-use votm_stm::instance::run_sync;
-use votm_stm::{TmInstance, WordHeap};
+use votm_stm::{CommitPhase, TmInstance, WordHeap};
 
 fn sys(algo: TmAlgorithm, n_threads: u32) -> Votm {
     Votm::builder().algo(algo).threads(n_threads).build()
@@ -78,28 +77,6 @@ fn fixed_quota_one_runs_lock_mode_with_zero_aborts() {
         (view.heap().load(Addr(0)), out)
     };
     assert_eq!(count, 400);
-}
-
-#[test]
-fn real_threads_counter_exact() {
-    for algo in TmAlgorithm::ALL {
-        let system = Arc::new(sys(algo, 8));
-        let view = system.create_view(64, QuotaMode::Adaptive);
-        let v2 = Arc::clone(&view);
-        run_parallel(8, move |_, rt| {
-            let view = Arc::clone(&v2);
-            async move {
-                for _ in 0..100 {
-                    view.transact(&rt, async |tx| {
-                        let v = tx.read(Addr(0)).await?;
-                        Ok(tx.write(Addr(0), v + 1).await?)
-                    })
-                    .await;
-                }
-            }
-        });
-        assert_eq!(view.heap().load(Addr(0)), 800, "{algo:?}");
-    }
 }
 
 #[test]
@@ -173,8 +150,14 @@ fn view_clock_counts_one_bump_per_writer_commit() {
 
             let heap = Arc::new(WordHeap::new(16));
             let first = TmInstance::over_heap(algo, Arc::clone(&heap), clock);
+            // Nothing else commits to `first`: every step succeeds first time.
+            let mut tx = first.tx_ctx(0);
             for i in 1..=50u64 {
-                run_sync(&first, 0, |tx, inst| tx.write(inst, Addr(0), i));
+                tx.begin(&first).unwrap();
+                tx.write(&first, Addr(0), i).unwrap();
+                if let CommitPhase::NeedsFinish { .. } = tx.commit_begin(&first).unwrap() {
+                    tx.commit_finish(&first);
+                }
             }
             assert_eq!(first.clock_stats().bumps, 50, "{algo:?} {clock:?}");
             let fresh = TmInstance::over_heap(algo, heap, clock);

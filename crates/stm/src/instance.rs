@@ -21,7 +21,7 @@ use crate::heap::{Addr, WordHeap};
 use crate::norec::{NOrecGlobal, NOrecTx};
 use crate::orec::{Acquire, OrecGlobal, OrecTx};
 use crate::stats::TmStats;
-use crate::{CommitPhase, ConflictSite, OpError, OpResult};
+use crate::{CommitPhase, ConflictSite, OpResult};
 
 /// Which STM algorithm a TM instance runs: the paper's two RSTM plug-ins
 /// (NOrec and OrecEagerRedo) plus OrecLazy.
@@ -369,215 +369,9 @@ impl TxCtx {
     }
 }
 
-/// Convenience for tests and tools: runs `body` as one transaction against
-/// `inst` on the current thread, spin-retrying Busy and restarting on
-/// Conflict, and records stats. Not for simulator use (it spins in real
-/// time); the `votm` crate provides the simulator-aware equivalent.
-pub fn run_sync<T>(
-    inst: &TmInstance,
-    thread_index: usize,
-    mut body: impl FnMut(&mut TxCtx, &TmInstance) -> OpResult<T>,
-) -> T {
-    let mut ctx = inst.tx_ctx(thread_index);
-    // Seeded jitter so threads that abort on the same conflict don't retry
-    // in lockstep and collide again.
-    let mut backoff = votm_utils::JitterBackoff::new(thread_index as u64);
-    'attempt: loop {
-        loop {
-            match ctx.begin(inst) {
-                Ok(()) => break,
-                Err(OpError::Busy) => backoff.snooze(),
-                Err(OpError::Conflict) => unreachable!("begin never conflicts"),
-            }
-        }
-        let value = match body(&mut ctx, inst) {
-            Ok(v) => v,
-            // Busy: the body must re-run from its start anyway (it may have
-            // made decisions from reads a retry would redo), so both cases
-            // are a restart.
-            Err(err @ (OpError::Busy | OpError::Conflict)) => {
-                let reason = if err == OpError::Conflict {
-                    ctx.conflict_reason()
-                } else {
-                    AbortReason::WriteLockBusy
-                };
-                ctx.abort(inst);
-                inst.stats
-                    .record_abort(thread_index, ctx.take_work(), reason);
-                backoff.snooze();
-                continue 'attempt;
-            }
-        };
-        loop {
-            match ctx.commit_begin(inst) {
-                Ok(CommitPhase::Done) => {
-                    inst.stats.record_commit(thread_index, ctx.take_work());
-                    return value;
-                }
-                Ok(CommitPhase::NeedsFinish { .. }) => {
-                    ctx.commit_finish(inst);
-                    inst.stats.record_commit(thread_index, ctx.take_work());
-                    return value;
-                }
-                Err(OpError::Busy) => {
-                    inst.stats.record_busy(thread_index);
-                    backoff.snooze();
-                }
-                Err(OpError::Conflict) => {
-                    let reason = ctx.conflict_reason();
-                    ctx.abort(inst);
-                    inst.stats
-                        .record_abort(thread_index, ctx.take_work(), reason);
-                    backoff.snooze();
-                    continue 'attempt;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn run_sync_counter_increments_every_algorithm() {
-        for algo in TmAlgorithm::ALL {
-            let inst = TmInstance::new(algo, 16);
-            for _ in 0..100 {
-                run_sync(&inst, 0, |tx, inst| {
-                    let v = tx.read(inst, Addr(0))?;
-                    tx.write(inst, Addr(0), v + 1)
-                });
-            }
-            assert_eq!(inst.heap().load(Addr(0)), 100, "{algo:?}");
-            let s = inst.stats().snapshot();
-            assert_eq!(s.commits, 100);
-        }
-    }
-
-    #[test]
-    fn concurrent_counter_is_exact_under_real_threads() {
-        // The canonical STM atomicity test: lost updates would show up as a
-        // final count below threads*iters. Runs on every algorithm.
-        for algo in TmAlgorithm::ALL {
-            let inst = Arc::new(TmInstance::new(algo, 16));
-            let threads = 8;
-            let iters = 500;
-            counter_torture(&inst, threads, iters);
-            assert_eq!(
-                inst.heap().load(Addr(0)),
-                (threads * iters) as u64,
-                "lost updates under {algo:?}"
-            );
-        }
-    }
-
-    fn counter_torture(inst: &Arc<TmInstance>, threads: usize, iters: usize) {
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let inst = Arc::clone(inst);
-                s.spawn(move || {
-                    for _ in 0..iters {
-                        run_sync(&inst, t, |tx, inst| {
-                            let v = tx.read(inst, Addr(0))?;
-                            std::hint::black_box(v);
-                            tx.write(inst, Addr(0), v + 1)
-                        });
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn concurrent_counter_is_exact_under_every_clock_kind() {
-        // Same torture, swept over algorithm x clock strategy: no clock
-        // kind may cost a single update under real-thread interleaving,
-        // whether the algorithm runs it (NOrec's coarse summary ring and
-        // writeback ride-through) or ticks regardless (the orec engine).
-        for algo in TmAlgorithm::ALL {
-            for kind in ClockKind::ALL {
-                let inst = Arc::new(TmInstance::over_heap(
-                    algo,
-                    Arc::new(WordHeap::new(16)),
-                    kind,
-                ));
-                let threads = 8;
-                let iters = 200;
-                counter_torture(&inst, threads, iters);
-                assert_eq!(
-                    inst.heap().load(Addr(0)),
-                    (threads * iters) as u64,
-                    "lost updates under {algo:?}/{}",
-                    kind.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_disjoint_updates_all_land() {
-        for algo in TmAlgorithm::ALL {
-            let inst = Arc::new(TmInstance::new(algo, 64));
-            std::thread::scope(|s| {
-                for t in 0..8usize {
-                    let inst = Arc::clone(&inst);
-                    s.spawn(move || {
-                        for i in 0..200u64 {
-                            run_sync(&inst, t, |tx, inst| tx.write(inst, Addr(t as u32), i + 1));
-                        }
-                    });
-                }
-            });
-            for t in 0..8u32 {
-                assert_eq!(inst.heap().load(Addr(t)), 200, "{algo:?} slot {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn invariant_preserving_transfers_never_observe_torn_state() {
-        // Two accounts, constant sum; concurrent transfers + auditors.
-        for algo in TmAlgorithm::ALL {
-            let inst = Arc::new(TmInstance::new(algo, 16));
-            run_sync(&inst, 0, |tx, inst| {
-                tx.write(inst, Addr(0), 500)?;
-                tx.write(inst, Addr(1), 500)
-            });
-            std::thread::scope(|s| {
-                for t in 0..4usize {
-                    let inst = Arc::clone(&inst);
-                    s.spawn(move || {
-                        let mut rng = votm_utils::XorShift64::new(t as u64 + 1);
-                        for _ in 0..300 {
-                            let amt = rng.next_below(10);
-                            run_sync(&inst, t, |tx, inst| {
-                                let a = tx.read(inst, Addr(0))?;
-                                let b = tx.read(inst, Addr(1))?;
-                                tx.write(inst, Addr(0), a.wrapping_sub(amt))?;
-                                tx.write(inst, Addr(1), b.wrapping_add(amt))
-                            });
-                        }
-                    });
-                }
-                for t in 4..6usize {
-                    let inst = Arc::clone(&inst);
-                    s.spawn(move || {
-                        for _ in 0..300 {
-                            let sum = run_sync(&inst, t, |tx, inst| {
-                                let a = tx.read(inst, Addr(0))?;
-                                let b = tx.read(inst, Addr(1))?;
-                                Ok(a.wrapping_add(b))
-                            });
-                            assert_eq!(sum, 1000, "torn read under {algo:?}");
-                        }
-                    });
-                }
-            });
-        }
-    }
 
     #[test]
     fn direct_ctx_reports_direct() {

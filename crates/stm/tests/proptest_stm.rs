@@ -4,7 +4,6 @@
 
 use std::collections::HashMap;
 
-use votm_stm::instance::run_sync;
 use votm_stm::writeset::{WriteSet, INLINE_WRITES};
 use votm_stm::{Addr, CommitPhase, OpError, OpResult, TmAlgorithm, TmInstance, TxCtx, WordHeap};
 use votm_utils::{InlineVec, XorShift64};
@@ -15,6 +14,23 @@ const HEAP_WORDS: u64 = 64;
 enum Op {
     Read(u32),
     Write(u32, u64),
+}
+
+/// Runs `body` as one transaction of thread `thread_index` on an instance
+/// no other context is committing to, so every step must succeed first
+/// time: `begin`, each access, `commit_begin` and `commit_finish`.
+fn commit_alone<T>(
+    inst: &TmInstance,
+    thread_index: usize,
+    body: impl FnOnce(&mut TxCtx) -> OpResult<T>,
+) -> T {
+    let mut tx = inst.tx_ctx(thread_index);
+    tx.begin(inst).expect("uncontended begin");
+    let value = body(&mut tx).expect("uncontended access");
+    if let CommitPhase::NeedsFinish { .. } = tx.commit_begin(inst).expect("uncontended commit") {
+        tx.commit_finish(inst);
+    }
+    value
 }
 
 fn random_op(rng: &mut XorShift64) -> Op {
@@ -43,26 +59,22 @@ fn sequential_transactions_match_reference_model() {
             let inst = TmInstance::new(algo, HEAP_WORDS as usize);
             let mut model: HashMap<u32, u64> = HashMap::new();
             for ops in &txs {
-                let mut tx_model = model.clone();
-                run_sync(&inst, 0, |tx, inst| {
-                    // NB: the closure can re-run; rebuild tx-local model.
-                    tx_model = model.clone();
+                commit_alone(&inst, 0, |tx| {
                     for op in ops {
                         match *op {
                             Op::Read(a) => {
-                                let got = tx.read(inst, Addr(a))?;
-                                let want = tx_model.get(&a).copied().unwrap_or(0);
+                                let got = tx.read(&inst, Addr(a))?;
+                                let want = model.get(&a).copied().unwrap_or(0);
                                 assert_eq!(got, want, "{algo:?} read {a}");
                             }
                             Op::Write(a, v) => {
-                                tx.write(inst, Addr(a), v)?;
-                                tx_model.insert(a, v);
+                                tx.write(&inst, Addr(a), v)?;
+                                model.insert(a, v);
                             }
                         }
                     }
                     Ok(())
                 });
-                model = tx_model.clone();
             }
             for (a, v) in &model {
                 assert_eq!(inst.heap().load(Addr(*a)), *v, "{algo:?} final");
@@ -215,9 +227,9 @@ fn norec_revalidation_across_spill_boundary() {
         for _case in 0..20 {
             let inst = TmInstance::new(TmAlgorithm::NOrec, HEAP_WORDS as usize);
             // Seed distinct values.
-            run_sync(&inst, 0, |tx, inst| {
+            commit_alone(&inst, 0, |tx| {
                 for a in 0..HEAP_WORDS as u32 {
-                    tx.write(inst, Addr(a), u64::from(a) + 500)?;
+                    tx.write(&inst, Addr(a), u64::from(a) + 500)?;
                 }
                 Ok(())
             });
@@ -229,7 +241,7 @@ fn norec_revalidation_across_spill_boundary() {
             }
             // A disjoint writer commits (moves the clock; addrs ≥ 32).
             let disjoint = 32 + rng.next_below(HEAP_WORDS - 32) as u32;
-            run_sync(&inst, 2, |tx, inst| tx.write(inst, Addr(disjoint), 1));
+            commit_alone(&inst, 2, |tx| tx.write(&inst, Addr(disjoint), 1));
             // Reader's next read revalidates and must succeed.
             let probe = 16 + rng.next_below(8) as u32;
             assert_eq!(
@@ -239,7 +251,7 @@ fn norec_revalidation_across_spill_boundary() {
             );
             // A conflicting writer overwrites one of the read addresses.
             let victim = rng.next_below(k as u64) as u32;
-            run_sync(&inst, 2, |tx, inst| tx.write(inst, Addr(victim), 9999));
+            commit_alone(&inst, 2, |tx| tx.write(&inst, Addr(victim), 9999));
             assert_eq!(
                 reader.read(&inst, Addr(probe)),
                 Err(OpError::Conflict),
@@ -261,9 +273,9 @@ fn aborted_attempts_are_invisible() {
         for algo in TmAlgorithm::ALL {
             let inst = TmInstance::new(algo, 64);
             // Seed known values.
-            run_sync(&inst, 0, |tx, inst| {
+            commit_alone(&inst, 0, |tx| {
                 for a in 0..32u32 {
-                    tx.write(inst, Addr(a), u64::from(a) + 1000)?;
+                    tx.write(&inst, Addr(a), u64::from(a) + 1000)?;
                 }
                 Ok(())
             });
