@@ -206,8 +206,14 @@ pub fn run<'a>(settings: &Settings, run: Run<'a>, cap: Option<u64>) -> Row<'a> {
     execute(settings, run, run.sim(cap), None)
 }
 
-/// [`run`] under an explicit simulator configuration, optionally recorded
-/// (Eigenbench only).
+/// [`run`] under an explicit simulator configuration: the scheduler
+/// differential runs one [`Run`] under both
+/// [`votm_sim::SchedulerKind`]s.
+pub fn run_with<'a>(settings: &Settings, run: Run<'a>, sim: SimConfig) -> Row<'a> {
+    execute(settings, run, sim, None)
+}
+
+/// [`run_with`], optionally recorded (Eigenbench only).
 fn execute<'a>(
     settings: &Settings,
     run: Run<'a>,
@@ -697,6 +703,10 @@ pub struct TraceCapture {
     pub quota_changes: usize,
     /// Per-view statistics of the captured run (for assertions/reporting).
     pub views: Vec<ViewStats>,
+    /// Executor steps the run took: the one number here the scheduler
+    /// decides (the timer wheel takes a passive busy retry as one step, the
+    /// reference heap as two).
+    pub steps: u64,
 }
 
 /// Runs one multi-view adaptive Eigenbench simulation — workload seeded by
@@ -729,6 +739,7 @@ pub fn capture_trace(
         snapshot: snapshot_json(&res.views, &timelines),
         quota_changes: timelines.iter().map(Vec::len).sum(),
         views: res.views,
+        steps: res.outcome.steps,
     }
 }
 

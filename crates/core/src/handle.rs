@@ -380,12 +380,18 @@ impl<'v> TxHandle<'v> {
         self.rt.charge(w).await;
     }
 
-    /// Lets a `Busy` operation wait: charges model time; under real threads
-    /// also spins/yields so the lock holder can run.
+    /// Lets a `Busy` operation wait: charges the failed operation's pending
+    /// work and then the poll delay; under real threads also spins/yields so
+    /// the lock holder can run. The two are one [`Rt::charge_pair`]: a
+    /// passive waiter observes nothing until the holder releases, so the
+    /// step between them is unobservable. A caller that must charge before
+    /// anything else happens (a conflict, an active contention manager's
+    /// verdict) charges first, and the pair's first half is then 0.
     async fn busy_wait(&mut self) {
         self.view.tm().stats().record_busy(self.rt.thread_index());
-        self.attempt_work += cost::BUSY_RETRY;
-        self.rt.charge(cost::BUSY_RETRY).await;
+        let w = self.ctx.take_work();
+        self.attempt_work += w + cost::BUSY_RETRY;
+        self.rt.charge_pair(w, cost::BUSY_RETRY).await;
         if !self.rt.is_virtual() {
             self.backoff.snooze();
         }
@@ -461,8 +467,9 @@ impl<'v> TxHandle<'v> {
 
     /// Resolves one `Busy`/`Conflict` poll of an operation through the
     /// view's contention manager. The caller has already charged pending
-    /// work. `Ok(())` means retry the operation (one busy wait has been
-    /// served); `Err(TxAbort)` aborts the attempt with `abort_reason` set.
+    /// work, except on a passive `Busy`, whose busy wait charges it.
+    /// `Ok(())` means retry the operation (one busy wait has been served);
+    /// `Err(TxAbort)` aborts the attempt with `abort_reason` set.
     async fn cm_site(&mut self, err: OpError, spins: &mut u32) -> Result<(), TxAbort> {
         let busy = matches!(err, OpError::Busy);
         if !self.cm_active {
@@ -569,7 +576,9 @@ impl<'v> TxHandle<'v> {
                     return Ok(v);
                 }
                 Err(e) => {
-                    self.charge_pending().await;
+                    if self.cm_active || e == OpError::Conflict {
+                        self.charge_pending().await;
+                    }
                     self.cm_site(e, &mut spins).await?;
                 }
             }
@@ -601,7 +610,9 @@ impl<'v> TxHandle<'v> {
                     return Ok(());
                 }
                 Err(e) => {
-                    self.charge_pending().await;
+                    if self.cm_active || e == OpError::Conflict {
+                        self.charge_pending().await;
+                    }
                     self.cm_site(e, &mut spins).await?;
                 }
             }
@@ -920,10 +931,7 @@ where
         loop {
             match handle.ctx.begin(view.tm()) {
                 Ok(()) => break,
-                Err(OpError::Busy) => {
-                    handle.charge_pending().await;
-                    handle.busy_wait().await;
-                }
+                Err(OpError::Busy) => handle.busy_wait().await,
                 Err(OpError::Conflict) => unreachable!("begin never conflicts"),
             }
         }
@@ -963,10 +971,7 @@ where
                         // The passive default waits out a busy committer
                         // unbounded: the seqlock holder finishes in bounded
                         // time.
-                        Err(OpError::Busy) if !handle.cm_active => {
-                            handle.charge_pending().await;
-                            handle.busy_wait().await;
-                        }
+                        Err(OpError::Busy) if !handle.cm_active => handle.busy_wait().await,
                         // A failed commit_begin holds no locks (lazy
                         // acquisition released them before returning
                         // Conflict), so the CM site logic applies and a Wait

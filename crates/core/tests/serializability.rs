@@ -13,7 +13,7 @@
 
 mod support;
 
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use support::{algo_for, check_ticket_replay, Plan, TxLog};
 use votm::QuotaMode::{self, Adaptive, Fixed};
@@ -102,11 +102,7 @@ fn run(
             assert_eq!(ex.run().status, RunStatus::Completed, "{what}");
         }
         Executor::Real => {
-            // Spawning a thread takes longer than a worker's run: without
-            // the barrier the workers would barely overlap.
-            let start = Barrier::new(threads);
             run_parallel(threads, |i, rt| {
-                start.wait();
                 let (view, log) = (Arc::clone(&view), Arc::clone(&log));
                 worker(view, rt, rngs[i].clone(), tx_per_thread, log)
             });

@@ -13,7 +13,8 @@
 //! Two executors share one task API ([`Rt`]):
 //!
 //! * [`SimExecutor`] — single OS thread, timer-wheel scheduler keyed on
-//!   virtual time, seeded deterministic tie-breaking, livelock watchdog.
+//!   virtual time, ties broken by a keyed hash of `(seed, task, time)`,
+//!   livelock watchdog.
 //! * [`run_parallel`] — real OS threads with a park/unpark `block_on`; used
 //!   by tests to validate the STM's atomics under genuine preemption.
 //!
@@ -82,6 +83,23 @@ impl Rt {
             cost,
             spin_in_real: false,
             state: StepState::Init,
+        }
+    }
+
+    /// Charges `first` and then `then` model cycles, with nothing another
+    /// task could observe in between — a failed operation's work and the
+    /// poll delay after it. Under the keyed tie-break the step between the
+    /// two activates nothing but this task, so the timer wheel takes the
+    /// pair as one step of `first + then`; the reference heap, which never
+    /// coalesces, steps each half, and `tests/determinism.rs` checks the two
+    /// agree. A no-op in real-thread mode, like [`Rt::charge`].
+    pub async fn charge_pair(&self, first: u64, then: u64) {
+        match self {
+            Rt::Sim(h) if h.steps_every_charge() => {
+                self.charge(first).await;
+                self.charge(then).await;
+            }
+            _ => self.charge(first + then).await,
         }
     }
 

@@ -5,6 +5,8 @@
 //! reproduction's single-core host it cannot exhibit the paper's contention
 //! shapes — that is the simulator's job — but it does validate safety.
 
+use std::panic::AssertUnwindSafe;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use votm_utils::rdtsc;
@@ -38,22 +40,40 @@ impl RealHandle {
 /// [`crate::block_on`], joins them all, and returns the wall-clock elapsed
 /// time of the slowest.
 ///
+/// The workers start together: each builds its future, then waits at a
+/// barrier until all `n` have, so none is still spawning or setting up
+/// while the others run. Spawning a thread can take longer than a short
+/// worker's whole run, and workers that never overlap test nothing
+/// concurrent.
+///
 /// Panics in a task propagate to the caller.
 pub fn run_parallel<F, Fut>(n: usize, f: F) -> Duration
 where
     F: Fn(usize, crate::Rt) -> Fut + Send + Sync,
     Fut: std::future::Future<Output = ()>,
 {
+    let start_line = Barrier::new(n);
     let start = Instant::now();
     std::thread::scope(|scope| {
-        let f = &f;
+        let (f, start_line) = (&f, &start_line);
         let handles: Vec<_> = (0..n)
             .map(|i| {
                 // Build the future *on* its worker thread: only `f` crosses
                 // the thread boundary, so task futures need not be `Send` —
                 // matching the simulator and keeping `AsyncFnMut` bodies
                 // free of higher-ranked auto-trait headaches.
-                scope.spawn(move || crate::block_on(f(i, crate::Rt::Real(RealHandle { index: i }))))
+                scope.spawn(move || {
+                    // A worker whose `f` panics still reaches the barrier,
+                    // so the others are not left waiting for it.
+                    let task = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        f(i, crate::Rt::Real(RealHandle { index: i }))
+                    }));
+                    start_line.wait();
+                    match task {
+                        Ok(task) => crate::block_on(task),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
+                })
             })
             .collect();
         for h in handles {
@@ -83,6 +103,25 @@ mod tests {
             }
         });
         assert_eq!(seen.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn no_worker_runs_before_every_future_is_built() {
+        let built = AtomicUsize::new(0);
+        run_parallel(6, |_, _| {
+            built.fetch_add(1, Ordering::SeqCst);
+            let built = &built;
+            async move { assert_eq!(built.load(Ordering::SeqCst), 6) }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "worker thread panicked")]
+    fn a_panic_while_building_a_future_does_not_strand_the_others() {
+        run_parallel(3, |i, _| {
+            assert_ne!(i, 1, "setup failed");
+            async {}
+        });
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! The deterministic virtual-time executor.
 //!
-//! Pending task activations are ordered by `(virtual time, random tie-break,
-//! sequence number)`. Each activation polls one task future; the future runs
-//! synchronously until its next suspension point (a [`crate::Rt::charge`],
-//! [`crate::Rt::work`] or [`crate::Notify`] wait), so shared-memory
-//! operations from different logical threads interleave at exactly those
-//! points, in virtual-time order, with a deterministic but seeded-random
-//! resolution of ties.
+//! Pending task activations are ordered by `(virtual time, tie key, task)`.
+//! Each activation polls one task future; the future runs synchronously until
+//! its next suspension point (a [`crate::Rt::charge`], [`crate::Rt::work`] or
+//! [`crate::Notify`] wait), so shared-memory operations from different
+//! logical threads interleave at exactly those points, in virtual-time order.
+//!
+//! A tie is resolved by a keyed hash, not a draw: the tie key of task `t`'s
+//! activation at time `at` is a SplitMix-style mix of `(seed, t, at)`
+//! (`task_salt`, then `key_at`). No global stream is consumed, so a step one
+//! task adds or removes — a charge split in two, or two merged into one —
+//! leaves every other task's activations, and their order, exactly as they
+//! were. That is what lets [`crate::Rt::charge_pair`] take two charges as one
+//! step.
 //!
 //! # Hot-path architecture
 //!
@@ -16,7 +22,7 @@
 //! instead of O(log n) heap sifts. A retained reference-heap scheduler
 //! ([`SchedulerKind::ReferenceHeap`]) preserves the original `BinaryHeap`
 //! semantics for differential testing: both schedulers pop the exact same
-//! `(vtime, tiebreak, seq)` order, pinned by the `differential` test suite.
+//! `(vtime, tie key, task)` order, pinned by the `differential` test suite.
 //!
 //! The run loop owns its state directly (no `Mutex`): [`SimHandle`] is
 //! `!Send`, so every handle call happens on the executor's thread, and the
@@ -30,7 +36,8 @@
 //! when the just-polled task's next activation is itself the global minimum,
 //! the executor resumes it directly without a queue round-trip. The
 //! reference heap never coalesces: it is the original executor, queue
-//! round-trip and all.
+//! round-trip and all, and it steps both halves of every
+//! [`crate::Rt::charge_pair`].
 //!
 //! Livelock is a first-class outcome: the paper's OrecEagerRedo experiments
 //! livelock at high quota, so runs carry a virtual-time cap and report
@@ -49,15 +56,16 @@ use std::thread::ThreadId;
 
 use votm_utils::Mutex;
 use votm_utils::TimerWheel;
-use votm_utils::XorShift64;
+use votm_utils::{hash_u64, XorShift64};
 
 use crate::fault::{FaultEvent, FaultPlan, FaultRecord, FaultStats, PanicPolicy};
 
 /// Which event-queue implementation orders activations.
 ///
-/// Both yield the exact same `(vtime, tiebreak, seq)` activation order; the
-/// reference heap is the original queue-only executor (no coalescing), kept
-/// so differential tests can pin the timer wheel's fast path against it.
+/// Both yield the exact same `(vtime, tie key, task)` activation order; the
+/// reference heap is the original queue-only executor (no coalescing, and
+/// both halves of a [`crate::Rt::charge_pair`] stepped), kept so differential
+/// tests can pin the timer wheel's fast path against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// Hierarchical timer wheel: O(1) near-future pushes (default).
@@ -71,8 +79,10 @@ pub enum SchedulerKind {
 /// Configuration for one simulator run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Seed for scheduling tie-breaks (and nothing else — workloads seed
-    /// their own RNGs, and fault injection seeds via [`FaultPlan::seed`]).
+    /// Seed of the keyed tie-break: two activations due at the same virtual
+    /// time go in the order of their tie keys, a hash of this seed, the task
+    /// and the time (and the seed does nothing else — workloads seed their
+    /// own RNGs, and fault injection seeds via [`FaultPlan::seed`]).
     pub seed: u64,
     /// Virtual-cycle cap; exceeding it ends the run with
     /// [`RunStatus::Livelock`]. `None` disables the watchdog.
@@ -84,8 +94,8 @@ pub struct SimConfig {
     pub panic_policy: PanicPolicy,
     /// Event-queue implementation (differential-testing hook). The timer
     /// wheel also coalesces consecutive same-task `charge()` polls (see
-    /// [`SchedStats::coalesced`]); the reference heap is the original
-    /// queue-only executor.
+    /// [`SchedStats::coalesced`]) and takes a [`crate::Rt::charge_pair`] as
+    /// one step; the reference heap is the original queue-only executor.
     pub scheduler: SchedulerKind,
 }
 
@@ -214,19 +224,45 @@ struct TaskSlot {
     fault_rng: Option<XorShift64>,
     /// Sequential fault draws taken by this task (log correlation).
     fault_draws: u64,
-    /// Sequence number of the task's most recently pushed queue entry. A
+    /// Stamp of the task's most recently pushed queue entry: the task id
+    /// above bit [`STAMP_TASK_SHIFT`], the task's push count below it. A
     /// queue entry is live iff its task is `Scheduled` and it carries this
-    /// number (see [`Inner::is_live`]); pushing a fresh entry is therefore
-    /// all it takes to kill the one it supersedes.
+    /// stamp (see [`Inner::is_live`]); pushing a fresh entry is therefore
+    /// all it takes to kill the one it supersedes. The queue breaks a tie
+    /// on `(time, tie key)` by stamp, so by task id first.
     live_seq: u64,
     /// Virtual time of that entry.
     live_at: u64,
+    /// The task's half of its tie keys, fixed at spawn ([`task_salt`]).
+    tie_salt: u64,
+}
+
+/// Where the task id starts in a queue entry's stamp: a task's first 2^40
+/// pushes stay below the next task's stamps (hours of simulated work for
+/// one task), which makes `(time, tie key, stamp)` order ties by task.
+const STAMP_TASK_SHIFT: u32 = 40;
+
+/// The per-task half of a tie key: output `task + 1` of the SplitMix64
+/// stream seeded with `seed`. The tie key of `task`'s activation at `at` is
+/// `key_at(task_salt(seed, task), at)` and depends on nothing else: two
+/// activations due at the same time run in ascending key order (then task
+/// order), so the order of any two tasks' activations depends only on their
+/// own times, never on how many steps anyone took to get there.
+fn task_salt(seed: u64, task: u32) -> u64 {
+    hash_u64(seed.wrapping_add(u64::from(task).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+}
+
+/// The per-time half of a tie key: output `at + 1` of the SplitMix64
+/// stream seeded with the task's salt, one finaliser per key.
+#[inline]
+fn key_at(salt: u64, at: u64) -> u64 {
+    hash_u64(salt.wrapping_add(at.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
 /// A self-scheduled activation held back from the queue by the coalescing
-/// optimisation. Its tie-break was drawn (and its sequence number taken) at
-/// exactly the same point the queue push would have happened, so activation
-/// order is bit-identical whether or not it ever touches the queue.
+/// optimisation. It carries the key and stamp the queue push would have, so
+/// activation order is bit-identical whether or not it ever touches the
+/// queue.
 #[derive(Debug, Clone, Copy)]
 struct PendingSelf {
     at: u64,
@@ -237,7 +273,8 @@ struct PendingSelf {
 
 /// Event queue: the timer wheel, or the original binary heap retained as
 /// the differential-testing baseline. Both pop ascending
-/// `(at, tiebreak, seq)`.
+/// `(at, tiebreak, seq)`, `seq` being the entry's stamp (task id, then push
+/// count; see [`TaskSlot::live_seq`]).
 // The wheel's inline ring (~17 KiB) dwarfs the heap variant, but exactly one
 // EventQueue exists per executor and it sits on the hottest path in the
 // repo — boxing it would buy nothing and cost an indirection per step.
@@ -299,8 +336,6 @@ struct Inner {
     coalesce: bool,
     tasks: Vec<TaskSlot>,
     now: u64,
-    seq: u64,
-    rng: XorShift64,
     live: usize,
     plan: Option<FaultPlan>,
     faults: FaultStats,
@@ -322,8 +357,8 @@ impl Inner {
                 // the task soon enough. A *strictly earlier* wake (a parked
                 // task holding its timeout entry is woken by a committing
                 // writer — every woken `retry()` park) must win: fall
-                // through to push a fresh entry, whose sequence number
-                // replaces `live_seq` and so kills the held one.
+                // through to push a fresh entry, whose stamp replaces
+                // `live_seq` and so kills the held one.
                 if at >= slot.live_at {
                     return;
                 }
@@ -336,28 +371,23 @@ impl Inner {
             }
             TaskState::Waiting => {}
         }
-        self.tasks[task as usize].state = TaskState::Scheduled;
-        let tiebreak = self.rng.next_u64();
-        self.seq += 1;
         let slot = &mut self.tasks[task as usize];
-        slot.live_seq = self.seq;
+        slot.state = TaskState::Scheduled;
+        slot.live_seq += 1;
         slot.live_at = at;
-        self.queue.push(at, tiebreak, self.seq, task);
+        let tiebreak = key_at(slot.tie_salt, at);
+        self.queue.push(at, tiebreak, slot.live_seq, task);
     }
 
     /// Self-scheduling from `charge`: the task is Running and about to
-    /// return Pending. The tie-break is drawn and the sequence number taken
-    /// *here*, unconditionally — the coalescing path below only defers the
-    /// queue push, never the draw, so the RNG stream is identical under
-    /// either scheduler (and identical to the pre-wheel executor).
+    /// return Pending. The coalescing path below only defers the queue push;
+    /// the entry's key and stamp are the same either way.
     ///
     /// One self-schedule per poll: a [`crate::Step`] completes on its next
     /// poll whatever the time, so two in flight never had a meaning. Debug
     /// builds trap a second one; in release it supersedes the first, like
     /// any later push (see [`Inner::is_live`]).
     fn self_schedule(&mut self, task: u32, at: u64) {
-        let tiebreak = self.rng.next_u64();
-        self.seq += 1;
         let at = at.max(self.now);
         let slot = &mut self.tasks[task as usize];
         debug_assert!(
@@ -365,17 +395,18 @@ impl Inner {
             "task {task} armed two charge()/work() in one poll"
         );
         slot.state = TaskState::Scheduled;
-        slot.live_seq = self.seq;
+        slot.live_seq += 1;
         slot.live_at = at;
+        let (tiebreak, seq) = (key_at(slot.tie_salt, at), slot.live_seq);
         if self.coalesce {
             self.pending_self = Some(PendingSelf {
                 at,
                 tiebreak,
-                seq: self.seq,
+                seq,
                 task,
             });
         } else {
-            self.queue.push(at, tiebreak, self.seq, task);
+            self.queue.push(at, tiebreak, seq, task);
         }
     }
 
@@ -559,6 +590,13 @@ impl SimHandle {
         inner.self_schedule(self.task, at);
     }
 
+    /// Whether this executor steps both halves of a
+    /// [`crate::Rt::charge_pair`]: the reference heap, which never coalesces.
+    pub(crate) fn steps_every_charge(&self) -> bool {
+        // SAFETY: as in `schedule_self_after`.
+        !unsafe { self.shared.state() }.coalesce
+    }
+
     /// Whether this task draws from a fault plan at all.
     pub(crate) fn faults_armed(&self) -> bool {
         // SAFETY: as in `schedule_self_after`.
@@ -614,8 +652,6 @@ impl SimExecutor {
                     coalesce: config.scheduler == SchedulerKind::TimerWheel,
                     tasks: Vec::new(),
                     now: 0,
-                    seq: 0,
-                    rng: XorShift64::new(config.seed),
                     live: 0,
                     plan: config.fault_plan,
                     faults: FaultStats::default(),
@@ -637,14 +673,17 @@ impl SimExecutor {
     }
 
     /// Spawns a logical thread. `f` receives the task's [`crate::Rt`] handle
-    /// and returns its future. Tasks start at virtual time 0 in spawn order
-    /// (modulo the seeded tie-break).
+    /// and returns its future. Tasks start at virtual time 0, in the order of
+    /// their tie keys at time 0.
     pub fn spawn<F, Fut>(&mut self, f: F)
     where
         F: FnOnce(crate::Rt) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
-        assert!(self.spawned < u32::MAX as usize, "task id space exhausted");
+        assert!(
+            self.spawned < 1 << (64 - STAMP_TASK_SHIFT),
+            "task id space exhausted"
+        );
         let task = self.spawned as u32;
         self.spawned += 1;
         let handle = SimHandle {
@@ -670,8 +709,9 @@ impl SimExecutor {
             last_progress: 0,
             fault_rng,
             fault_draws: 0,
-            live_seq: 0,
+            live_seq: u64::from(task) << STAMP_TASK_SHIFT,
             live_at: 0,
+            tie_salt: task_salt(self.config.seed, task),
         });
         inner.live += 1;
         inner.schedule(task, 0);
@@ -1012,6 +1052,25 @@ mod tests {
     }
 
     #[test]
+    fn ties_run_in_tie_key_order() {
+        let seed = 7;
+        let trace = seeded_trace(
+            SimConfig {
+                seed,
+                ..Default::default()
+            },
+            4,
+            8,
+        );
+        let mut by_key = trace.clone();
+        by_key.sort_by_key(|&(at, t)| (at, key_at(task_salt(seed, t as u32), at), t));
+        assert_eq!(trace, by_key);
+        let mut by_task = trace.clone();
+        by_task.sort_unstable();
+        assert_ne!(trace, by_task, "no tie reordered");
+    }
+
+    #[test]
     fn wheel_heap_and_coalescing_agree_on_schedule() {
         // The tie-heavy workload exercises tie-break ordering hardest; the
         // coalescing wheel and the queue-only heap must produce the identical
@@ -1034,6 +1093,71 @@ mod tests {
                 "seed {seed}: wheel != heap"
             );
         }
+    }
+
+    /// Six tasks charging 12 cycles in lockstep tie at every multiple of 12.
+    /// Task 0 charges its 24 cycles per round as one step, as two of 12, or
+    /// as one [`Rt::charge_pair`]; returns every other task's `(time, task)`
+    /// activations in order, and the run's step count.
+    fn trace_around_task_zero(
+        scheduler: SchedulerKind,
+        charge: fn(&Rt) -> Pin<Box<dyn Future<Output = ()> + '_>>,
+    ) -> (Vec<(u64, usize)>, u64) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut ex = SimExecutor::new(SimConfig {
+            seed: 5,
+            scheduler,
+            ..Default::default()
+        });
+        for i in 0..6 {
+            let log = Arc::clone(&log);
+            ex.spawn(move |rt: Rt| async move {
+                for _ in 0..30 {
+                    if i == 0 {
+                        charge(&rt).await;
+                    } else {
+                        rt.charge(12).await;
+                        log.lock().push((rt.now(), i));
+                    }
+                }
+            });
+        }
+        let out = ex.run();
+        assert_eq!(out.status, RunStatus::Completed);
+        let trace = log.lock().clone();
+        (trace, out.steps)
+    }
+
+    #[test]
+    fn splitting_one_tasks_charge_moves_no_other_activation() {
+        for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
+            let (whole, whole_steps) =
+                trace_around_task_zero(scheduler, |rt| Box::pin(rt.charge(24)));
+            let (split, split_steps) = trace_around_task_zero(scheduler, |rt| {
+                Box::pin(async move {
+                    rt.charge(12).await;
+                    rt.charge(12).await;
+                })
+            });
+            assert_eq!(split_steps, whole_steps + 30, "{scheduler:?}");
+            assert_eq!(
+                whole, split,
+                "{scheduler:?}: task 0's extra steps moved a tie"
+            );
+        }
+    }
+
+    #[test]
+    fn charge_pair_is_one_step_on_the_wheel_and_two_on_the_heap() {
+        let pair =
+            |scheduler| trace_around_task_zero(scheduler, |rt| Box::pin(rt.charge_pair(12, 12)));
+        let (wheel, wheel_steps) = pair(SchedulerKind::TimerWheel);
+        let (heap, heap_steps) = pair(SchedulerKind::ReferenceHeap);
+        assert_eq!(wheel, heap);
+        assert_eq!(heap_steps, wheel_steps + 30);
+        let (whole, whole_steps) =
+            trace_around_task_zero(SchedulerKind::TimerWheel, |rt| Box::pin(rt.charge(24)));
+        assert_eq!((wheel, wheel_steps), (whole, whole_steps));
     }
 
     #[test]

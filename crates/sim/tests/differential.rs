@@ -2,8 +2,8 @@
 //!
 //! The executor's performance rebuild (timer wheel, mailbox, coalescing)
 //! carries one non-negotiable contract: activation order is exactly
-//! `(vtime, tiebreak, seq)`, bit-for-bit what the original `BinaryHeap`
-//! scheduler produced. This suite replays fuzzed workloads — tie-storms,
+//! `(vtime, tie key, task)`, bit-for-bit what the original `BinaryHeap`
+//! scheduler produces. This suite replays fuzzed workloads — tie-storms,
 //! notify churn, overflow-range charges, injected faults, livelock caps —
 //! through the timer wheel (which coalesces) and the reference heap (the
 //! original queue-only executor) and asserts the full event traces, fault
@@ -175,7 +175,7 @@ fn wheel_matches_reference_heap_across_fuzzed_workloads() {
 
 /// Same differential, pinned on the executor's hardest ordering case: every
 /// activation tied at the same virtual time, so ordering is decided purely
-/// by `(tiebreak, seq)`.
+/// by `(tie key, task)`.
 #[test]
 fn tie_storms_order_identically_across_schedulers() {
     for seed in 0..8u64 {
